@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .estimator import FitError, RateTable, fit_cosine, fit_exponential, fit_vee
+from .estimator import RATES_SCHEMA, FitError, RateTable, fit_cosine, fit_exponential, fit_vee
 from .response import calibrate_response_set, save_response_set
 from .scenarios import (
     SCENARIO_ALIASES,
@@ -45,7 +45,6 @@ from .units import QuantityError, angular, cycles, parse_quantity
 _SIMULATE_PIPELINES = ("simulate", "decay_compare")
 _SWEEP_PIPELINES = ("pulse_sweep", "rate_table_vee", "protection_study")
 
-_RATES_SCHEMA = "# nvecho-rates/1"
 _FIT_KINDS_BY_LABEL = {"total_time_s": "exponential", "readout_phase_rad": "cosine"}
 
 
@@ -58,9 +57,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="override the Monte Carlo sample count")
     parser.add_argument("--seed", type=int, metavar="N",
                         help="override the Monte Carlo seed")
-    parser.add_argument("--workers", type=int, metavar="N",
-                        help="worker threads for Monte Carlo chunks "
-                             "(never changes numerical results)")
 
 
 def _pair_argument(text: str) -> tuple:
@@ -149,7 +145,6 @@ def _run_config_scenario(config, args) -> int:
         deterministic=args.deterministic,
         samples=args.samples,
         seed=args.seed,
-        workers=args.workers,
     )
     print(result.summary)
     return 0
@@ -185,7 +180,7 @@ def _cmd_reproduce(args) -> int:
 def _detect_fit_kind(path: Path) -> str:
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
-    if first == _RATES_SCHEMA:
+    if first == f"# {RATES_SCHEMA}":
         return "vee"
     signal = read_signal_csv(path)
     kind = _FIT_KINDS_BY_LABEL.get(signal.x_label)

@@ -3,7 +3,7 @@
 Every dimensioned value is a string with an explicit unit suffix ("2.87 GHz",
 "5 K", "1.95 ms"); bare numbers are rejected so a config cannot silently mix
 Hz with rad/s or seconds with milliseconds.  Dimensionless values (flip
-fractions, readout phases in rad, counts, seeds) are plain numbers.
+fractions, counts, seeds) are plain numbers.
 
 Parsing validates the whole document and raises one ConfigError listing every
 problem with its dotted path, so a config is fixed in one edit cycle rather
@@ -65,12 +65,10 @@ _SOURCE_DIMENSION = {"temperature": "temperature", "field": "field", "strain": N
 _DISTRIBUTIONS = ("lorentzian", "gaussian", "delta")
 
 _SEQUENCE_KEYS = ("kind", "script", "pair", "pairs", "ms", "ms_free", "ms_flipped",
-                  "flip_fraction", "total_time", "times", "flip_fractions",
-                  "phases", "compare")
+                  "flip_fraction", "total_time", "times", "flip_fractions", "compare")
 _SEQUENCE_KINDS = ("ramsey", "dq_ramsey", "unbalanced_echo", "nuclear_echo", "script")
 
-_BACKEND_DEFAULTS = {"method": "closed_form", "samples": 1 << 20,
-                     "seed": 12345, "workers": 1}
+_BACKEND_DEFAULTS = {"method": "closed_form", "samples": 1 << 20, "seed": 12345}
 _OUTPUT_DEFAULTS = {"directory": ".", "formats": ("csv", "json")}
 
 
@@ -384,7 +382,7 @@ def _normalize_sequence(block, path, col, allow_compare=True):
                 col.add(f"{path}.total_time", "must be > 0")
             else:
                 out["total_time"] = v
-    for key, dimension in (("times", "time"), ("flip_fractions", None), ("phases", None)):
+    for key, dimension in (("times", "time"), ("flip_fractions", None)):
         if key in block:
             grid = _normalize_grid(block[key], f"{path}.{key}", col, dimension)
             if grid is not None:
@@ -409,10 +407,10 @@ def _normalize_backend(block, col):
                         f"must be 'closed_form' or 'monte_carlo', got {value!r}")
             else:
                 out["method"] = value
-        elif key in ("samples", "seed", "workers"):
+        elif key in ("samples", "seed"):
             if isinstance(value, bool) or not isinstance(value, int):
                 col.add(f"backend.{key}", "must be an integer")
-            elif key != "seed" and value < 1:
+            elif key == "samples" and value < 1:
                 col.add(f"backend.{key}", "must be a positive integer")
             else:
                 out[key] = value
@@ -515,20 +513,7 @@ class ScenarioConfig:
 
     def backend_kwargs(self) -> dict:
         b = self.backend
-        return {"backend": b["method"], "n_samples": b["samples"],
-                "seed": b["seed"], "workers": b["workers"]}
-
-    def times(self, block=None):
-        block = self.sequence if block is None else block
-        return realize_grid(block.get("times"))
-
-    def flip_fractions(self, block=None):
-        block = self.sequence if block is None else block
-        return realize_grid(block.get("flip_fractions"))
-
-    def phases(self, block=None):
-        block = self.sequence if block is None else block
-        return realize_grid(block.get("phases"))
+        return {"backend": b["method"], "n_samples": b["samples"], "seed": b["seed"]}
 
 
 def parse_config(data, base_dir=None) -> ScenarioConfig:
@@ -627,7 +612,7 @@ def _dump_sequence(block):
             out[key] = format_quantity(block[key], "time")
         elif key == "times":
             out[key] = _dump_grid(block[key], "time")
-        elif key in ("flip_fractions", "phases"):
+        elif key == "flip_fractions":
             out[key] = _dump_grid(block[key], None)
         elif key == "compare":
             out[key] = _dump_sequence(block[key])

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import curve_fit, least_squares, nnls
 
 from .response import InteractionShift, default_linear_response
+from .sequences import read_metadata_csv, write_metadata_csv
 from .spin_model import SpinSystemParams, default_params, pair_sensitivity
 from .units import angular
 
@@ -197,6 +197,11 @@ class RateRow:
             raise ValueError("tau_over_t must lie in [0, 1]")
 
 
+RATES_SCHEMA = "nvecho-rates/1"
+_RATES_HEADER = ("pair_reference", "pair_target", "ms_free", "ms_flipped",
+                 "tau_over_t", "rate_per_s", "rate_error")
+
+
 @dataclass
 class RateTable:
     rows: list = dataclass_field(default_factory=list)
@@ -224,50 +229,27 @@ class RateTable:
         return np.array([r.rate for r in self.rows])
 
     def write_csv(self, path, deterministic: bool = False) -> None:
-        import datetime as _dt
-
-        lines = ["# nvecho-rates/1"]
-        for key in sorted(self.metadata):
-            lines.append(f"# {key}: {self.metadata[key]}")
-        if not deterministic:
-            lines.append(f"# written: {_dt.datetime.now().isoformat()}")
-        lines.append("pair_reference,pair_target,ms_free,ms_flipped,tau_over_t,rate_per_s,rate_error")
-        for r in self.rows:
-            err = "" if r.rate_error is None else repr(float(r.rate_error))
-            lines.append(
-                f"{r.pair[0]},{r.pair[1]},{r.ms_pairing[0]},{r.ms_pairing[1]},"
-                f"{float(r.tau_over_t)!r},{float(r.rate)!r},{err}"
-            )
-        Path(path).write_text("\n".join(lines) + "\n")
+        rows = (
+            (str(r.pair[0]), str(r.pair[1]), str(r.ms_pairing[0]), str(r.ms_pairing[1]),
+             repr(float(r.tau_over_t)), repr(float(r.rate)),
+             "" if r.rate_error is None else repr(float(r.rate_error)))
+            for r in self.rows
+        )
+        write_metadata_csv(path, RATES_SCHEMA, self.metadata, _RATES_HEADER, rows,
+                           deterministic)
 
     @classmethod
     def read_csv(cls, path) -> "RateTable":
-        import yaml
-
-        table = cls()
-        header_seen = False
-        for raw in Path(path).read_text().splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body and not body.startswith("nvecho-rates"):
-                    key, value = body.split(":", 1)
-                    if key.strip() != "written":
-                        table.metadata[key.strip()] = yaml.safe_load(value.strip())
-                continue
-            if not header_seen:
-                header_seen = True
-                continue
-            parts = line.split(",")
+        metadata, header, rows = read_metadata_csv(path)
+        if header is None:
+            raise ValueError(f"{path}: not a rate-table file")
+        table = cls(metadata=metadata)
+        for parts in rows:
             table.add(
                 (int(parts[0]), int(parts[1])), (int(parts[2]), int(parts[3])),
                 float(parts[4]), float(parts[5]),
                 float(parts[6]) if len(parts) > 6 and parts[6] else None,
             )
-        if not header_seen:
-            raise ValueError(f"{path}: not a rate-table file")
         return table
 
 

@@ -12,20 +12,24 @@ exact when every source enters the phase linearly; temperature sources
 attached to a quasiharmonic response are nonlinear and must go through the
 Monte Carlo path instead.
 
-Sampling is chunked and seeded per (source, chunk) so results are
-bit-identical for any worker count.
+Both backends evaluate a whole family of sequences (a sweep or a decay
+scan) at once, given as a list of PhaseCoefficients.  The closed form is one
+vectorised characteristic-function product over the family.  The Monte
+Carlo path draws each chunk of every source once, with sub-streams seeded
+per (source, chunk), and shares those draws, the truncation mask and each
+source's response channels across the family; every member's estimate is
+therefore bit-identical to evaluating that member alone.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .response import LinearResponse, QuasiharmonicSet, default_linear_response
-from .spin_model import PhaseCoefficients
+from .spin_model import PhaseCoefficients, stack_coefficients
 from .units import TWO_PI
 
 CHUNK = 1 << 16
@@ -71,11 +75,11 @@ class Distribution:
         return Distribution(kind=self.kind, location=0.0, scale=self.scale)
 
     def cdf(self, x: float) -> float:
+        if self.scale == 0:  # any zero-width distribution is a point mass
+            return 1.0 if x >= self.location else 0.0
         if self.kind == "lorentzian":
             return 0.5 + math.atan((x - self.location) / self.scale) / math.pi
-        if self.kind == "gaussian":
-            return 0.5 * (1.0 + math.erf((x - self.location) / (self.scale * math.sqrt(2.0))))
-        return 1.0 if x >= self.location else 0.0
+        return 0.5 * (1.0 + math.erf((x - self.location) / (self.scale * math.sqrt(2.0))))
 
     def _sample_chunk(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.kind == "lorentzian":
@@ -169,14 +173,16 @@ class NoiseSource:
             + coefficients.hyperfine * self.response.hyperfine_per_strain
         )
 
-    def deviation_phase(self, coefficients: PhaseCoefficients, x: np.ndarray) -> np.ndarray:
-        """phase(x) - phase(location), vectorized over draws x."""
-        if self.is_linear:
-            return self.phase_coefficient(coefficients) * (x - self.distribution.location)
+    def deviation_channels(self, coefficients: PhaseCoefficients, x: np.ndarray) -> tuple:
+        """(coefficient, channel) pairs with phase(x) - phase(location) equal
+        to the sum of coefficient * channel; each channel is evaluated once on
+        the draws x and each coefficient holds one value per family member."""
         loc = self.distribution.location
-        d_q = self.response.quadrupole.shift_at(x) - self.response.quadrupole.shift_at(loc)
-        d_a = self.response.hyperfine.shift_at(x) - self.response.hyperfine.shift_at(loc)
-        return coefficients.quadrupole * d_q + coefficients.hyperfine * d_a
+        if self.is_linear:
+            return ((self.phase_coefficient(coefficients), x - loc),)
+        q, a = self.response.quadrupole, self.response.hyperfine
+        return ((coefficients.quadrupole, q.shift_at(x) - q.shift_at(loc)),
+                (coefficients.hyperfine, a.shift_at(x) - a.shift_at(loc)))
 
     def location_phase(self, coefficients: PhaseCoefficients) -> float:
         """Deterministic phase contributed by the distribution's location."""
@@ -190,7 +196,7 @@ class NoiseSource:
 
     def truncation_window(self):
         """(low, high) clip range for sampling, or None when not needed."""
-        if self.is_linear or self.distribution.kind == "delta":
+        if self.is_linear or self.distribution.scale == 0:
             return None
         loc, scale = self.distribution.location, self.distribution.scale
         return (max(0.0, loc - TRUNCATION_WIDTHS * scale), loc + TRUNCATION_WIDTHS * scale)
@@ -240,90 +246,94 @@ def residual_field_source(dq_coherence_time: float = 3.9e-3,
     return field_source(lorentzian(0.0, scale), name=name)
 
 
-def dephasing_factor(sources, coefficients: PhaseCoefficients) -> complex:
-    """Exact ensemble factor prod_j CF_j(c_j) over linear sources.
+def dephasing_factor(sources, coefficients) -> np.ndarray:
+    """Exact ensemble factors prod_j CF_j(c_j) over linear sources, one per
+    member of the ``coefficients`` family, as a (G,) complex array.
 
     Uses the full (uncentered) characteristic functions, so distribution
     locations contribute their deterministic phase here; do not also add
     that phase elsewhere.
     """
-    out = 1.0 + 0.0j
+    grid = stack_coefficients(coefficients)
+    out = np.ones(grid.quadrupole.shape, dtype=complex)
     for src in sources:
-        out *= complex(src.distribution.characteristic_function(src.phase_coefficient(coefficients)))
+        out = out * src.distribution.characteristic_function(src.phase_coefficient(grid))
     return out
 
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    attenuation: complex
+    """Per-member estimates ((G,) arrays) and the draws they share."""
+
+    attenuation: np.ndarray
+    std_error: np.ndarray
     n_samples: int
     n_retained: int
     truncated_mass: dict = dataclass_field(default_factory=dict)
-    std_error: float = 0.0
 
     @property
-    def amplitude(self) -> float:
-        return abs(self.attenuation)
+    def amplitude(self) -> np.ndarray:
+        return np.hypot(self.attenuation.real, self.attenuation.imag)
 
 
-def monte_carlo_attenuation(sources, coefficients: PhaseCoefficients,
-                            n_samples: int = 1 << 20, seed: int = 12345,
-                            workers: int = 1) -> MonteCarloResult:
-    """Sampled estimate of <e^{i (phase - phase(locations))}>.
+def _chunk_sums(sources, windows, grid, seed, k, n_k):
+    """Per-member sums of e^{i (phase - phase(locations))} over chunk k's
+    retained joint draws, and the retained count.  The chunk's arrays are
+    freed on return, before the next chunk is drawn."""
+    draws = []
+    mask = np.ones(n_k, dtype=bool)
+    for j, (src, win) in enumerate(zip(sources, windows)):
+        x = src.distribution._sample_chunk(_chunk_rng(seed, j, k), n_k)
+        if win is not None:
+            mask &= (x >= win[0]) & (x <= win[1])
+        draws.append(x)
+    kept = int(mask.sum())
+    channels = [src.deviation_channels(grid, x[mask]) for src, x in zip(sources, draws)]
+    sums = []
+    for g in range(grid.quadrupole.size):
+        phase = np.zeros(kept)
+        for pairs in channels:
+            phase += sum(c[g] * channel for c, channel in pairs)
+        sums.append(complex(np.exp(1j * phase).sum()))
+    return sums, kept
 
-    Draws every source independently, drops joint samples where any
-    absolute-temperature source falls outside its physical window, and
-    averages the retained phase factors.  Chunked sub-streams keyed by
-    (source index, chunk index) make the result independent of ``workers``.
+
+def monte_carlo_attenuation(sources, coefficients, n_samples: int = 1 << 20,
+                            seed: int = 12345) -> MonteCarloResult:
+    """Sampled estimate of <e^{i (phase - phase(locations))}> for every
+    member of the ``coefficients`` family.
+
+    Each chunk draws every source once from the sub-stream keyed by (source
+    index, chunk index), drops joint samples where any absolute-temperature
+    source falls outside its physical window, and evaluates each source's
+    response channels once.  Only then is the phase contracted and averaged
+    per member, in chunk order, so a member's estimate does not depend on
+    the rest of the family.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    if workers <= 0:
-        raise ValueError("workers must be positive")
     sources = tuple(sources)
+    grid = stack_coefficients(coefficients)
     windows = [src.truncation_window() for src in sources]
-    n_chunks = -(-n_samples // CHUNK)
-
-    def run_chunk(k: int):
-        start = k * CHUNK
-        n_k = min(CHUNK, n_samples - start)
-        draws = []
-        mask = np.ones(n_k, dtype=bool)
-        for j, (src, win) in enumerate(zip(sources, windows)):
-            x = src.distribution._sample_chunk(_chunk_rng(seed, j, k), n_k)
-            if win is not None:
-                mask &= (x >= win[0]) & (x <= win[1])
-            draws.append(x)
-        phase = np.zeros(int(mask.sum()))
-        for src, x in zip(sources, draws):
-            phase += src.deviation_phase(coefficients, x[mask])
-        z = np.exp(1j * phase)
-        return complex(z.sum()), int(mask.sum())
-
-    if workers == 1 or n_chunks == 1:
-        partials = [run_chunk(k) for k in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_chunk, range(n_chunks)))
-
-    total = 0.0 + 0.0j
+    totals = [0j] * grid.quadrupole.size
     retained = 0
-    for zsum, count in partials:  # fixed combination order
-        total += zsum
-        retained += count
+    for k, start in enumerate(range(0, n_samples, CHUNK)):
+        sums, kept = _chunk_sums(sources, windows, grid, seed, k, min(CHUNK, n_samples - start))
+        totals = [total + z for total, z in zip(totals, sums)]
+        retained += kept
     if retained == 0:
         raise ValueError("all samples fell outside the truncation windows")
-    mean = total / retained
+    means = [total / retained for total in totals]
     masses = {
         src.name: 1.0 - (src.distribution.cdf(win[1]) - src.distribution.cdf(win[0]))
         for src, win in zip(sources, windows)
         if win is not None
     }
-    std_error = math.sqrt(max(0.0, 1.0 - abs(mean) ** 2) / retained)
     return MonteCarloResult(
-        attenuation=mean,
+        attenuation=np.array(means, dtype=complex),
+        std_error=np.array([math.sqrt(max(0.0, 1.0 - abs(m) ** 2) / retained)
+                            for m in means]),
         n_samples=n_samples,
         n_retained=retained,
         truncated_mass=masses,
-        std_error=std_error,
     )

@@ -31,10 +31,7 @@ from .config import ScenarioConfig, load_config, realize_grid
 from .estimator import RateTable, fit_exponential, fit_vee
 from .script import parse_sequence_script
 from .sequences import (
-    build_dq_ramsey,
-    build_nuclear_echo,
-    build_ramsey,
-    build_unbalanced_echo,
+    build_sequence,
     decay_scan,
     pulse_location_sweep,
     simulate_amplitude,
@@ -75,6 +72,18 @@ def load_packaged_scenario(name: str) -> ScenarioConfig:
     return load_config(packaged_scenario_path(name))
 
 
+def _template(block: dict, kind: str) -> dict:
+    """``build_sequence`` keywords of a sequence block; kinds that stay in
+    one manifold name it ``ms``."""
+    echo = kind == "unbalanced_echo"
+    if echo and block.get("flip_fraction") is None:
+        raise ScenarioError("an unbalanced echo needs a flip_fraction")
+    return {"pair": block.get("pair", (0, -1)),
+            "ms_free": block.get("ms_free" if echo else "ms", 0),
+            "ms_flipped": block.get("ms_flipped", 1),
+            "flip_fraction": block.get("flip_fraction") if echo else None}
+
+
 def build_sequence_from_block(block: dict):
     """Turn a validated sequence block into a PulseSequence."""
     if "script" in block:
@@ -85,22 +94,7 @@ def build_sequence_from_block(block: dict):
     total_time = block.get("total_time")
     if total_time is None:
         raise ScenarioError(f"sequence kind {kind!r} needs a total_time")
-    pair = block.get("pair", (0, -1))
-    if kind == "ramsey":
-        return build_ramsey(total_time, pair=pair, m_S=block.get("ms", 0))
-    if kind == "dq_ramsey":
-        return build_dq_ramsey(total_time, m_S=block.get("ms", 0))
-    if kind == "nuclear_echo":
-        return build_nuclear_echo(total_time, pair=pair, m_S=block.get("ms", 0))
-    if kind == "unbalanced_echo":
-        fraction = block.get("flip_fraction")
-        if fraction is None:
-            raise ScenarioError("an unbalanced echo needs a flip_fraction")
-        return build_unbalanced_echo(
-            total_time, fraction * total_time, pair=pair,
-            ms_free=block.get("ms_free", 0), ms_flipped=block.get("ms_flipped", 1),
-        )
-    raise ScenarioError(f"cannot build sequence kind {kind!r}")
+    return build_sequence(kind, total_time, **_template(block, kind))
 
 
 # ------------------------------------------------------------ run machinery
@@ -138,12 +132,10 @@ class _Context:
 
 
 def run_scenario(config: ScenarioConfig, out_dir=None, deterministic: bool = False,
-                 samples: int | None = None, seed: int | None = None,
-                 workers: int | None = None) -> ScenarioResult:
+                 samples: int | None = None, seed: int | None = None) -> ScenarioResult:
     """Execute a config's pipeline, writing artifacts and returning fits.
 
-    ``samples``, ``seed``, and ``workers`` override the config's backend
-    block; workers never change numerical results.
+    ``samples`` and ``seed`` override the config's backend block.
     """
     pipeline = PIPELINES.get(config.pipeline)
     if pipeline is None:
@@ -155,8 +147,6 @@ def run_scenario(config: ScenarioConfig, out_dir=None, deterministic: bool = Fal
         backend_kwargs["n_samples"] = int(samples)
     if seed is not None:
         backend_kwargs["seed"] = int(seed)
-    if workers is not None:
-        backend_kwargs["workers"] = int(workers)
     out = Path(out_dir) if out_dir is not None else Path(config.output["directory"])
     out.mkdir(parents=True, exist_ok=True)
     ctx = _Context(config=config, backend_kwargs=backend_kwargs, out_dir=out,
@@ -182,33 +172,20 @@ def _grid(block: dict, key: str, pipeline: str):
 
 def _decay_from_block(ctx: _Context, block: dict, sources, params,
                       default_kind: str, pipeline: str):
-    times = _grid(block, "times", pipeline)
     kind = block.get("kind", default_kind)
-    if kind == "unbalanced_echo":
-        fraction = block.get("flip_fraction")
-        if fraction is None:
-            raise ScenarioError("an unbalanced-echo scan needs a flip_fraction")
-        return decay_scan(
-            times, sources, flip_fraction=fraction, sequence=kind,
-            pair=block.get("pair", (0, -1)), ms_free=block.get("ms_free", 0),
-            ms_flipped=block.get("ms_flipped", 1), params=params,
-            **ctx.backend_kwargs,
-        )
-    return decay_scan(
-        times, sources, sequence=kind, pair=block.get("pair", (0, -1)),
-        ms_free=block.get("ms", 0), params=params, **ctx.backend_kwargs,
-    )
+    return decay_scan(_grid(block, "times", pipeline), sources, sequence=kind,
+                      params=params, **_template(block, kind), **ctx.backend_kwargs)
 
 
-def _mc_numbers(result) -> dict:
-    mc = result.monte_carlo
+def _mc_numbers(mc, index: int) -> dict:
+    """Sampling bookkeeping of point ``index`` of a Monte Carlo family."""
     if mc is None:
         return {}
     return {
         "n_samples": int(mc.n_samples),
         "n_retained": int(mc.n_retained),
         "truncated_mass": float(sum(mc.truncated_mass.values())),
-        "std_error": float(mc.std_error),
+        "std_error": float(mc.std_error[index]),
     }
 
 
@@ -225,7 +202,7 @@ def _run_simulate(ctx: _Context) -> ScenarioResult:
         "amplitude": float(result.amplitude),
         "base_phase_rad": float(result.base_phase),
     }
-    numbers.update(_mc_numbers(result))
+    numbers.update(_mc_numbers(result.monte_carlo, 0))
     ctx.write_json("result", numbers)
     summary = (f"{cfg.name}: {sequence.kind} over {_fmt_time(sequence.total_time)}: "
                f"amplitude {result.amplitude:.6f}, "
@@ -374,13 +351,11 @@ def _run_protection_study(ctx: _Context) -> ScenarioResult:
     fractions = _grid(block, "flip_fractions", cfg.pipeline)
     sources = cfg.noise_sources()
     params = cfg.spin_params()
-    pair = block.get("pair", (0, -1))
-    ms_free = block.get("ms_free", 0)
-    ms_flipped = block.get("ms_flipped", 1)
 
     sweep = pulse_location_sweep(
-        total_time, fractions, sources, pair=pair, ms_free=ms_free,
-        ms_flipped=ms_flipped, params=params, **ctx.backend_kwargs,
+        total_time, fractions, sources, pair=block.get("pair", (0, -1)),
+        ms_free=block.get("ms_free", 0), ms_flipped=block.get("ms_flipped", 1),
+        params=params, **ctx.backend_kwargs,
     )
     peak = int(np.argmax(sweep.y))
     best_fraction = float(sweep.x[peak])
@@ -396,12 +371,6 @@ def _run_protection_study(ctx: _Context) -> ScenarioResult:
     fit_u = fit_exponential(unprotected.x, unprotected.y)
     improvement = fit_p["coherence_time"] / fit_u["coherence_time"]
 
-    # one representative point to report the sampling/truncation bookkeeping
-    probe = simulate_amplitude(
-        build_unbalanced_echo(total_time, best_fraction * total_time, pair=pair,
-                              ms_free=ms_free, ms_flipped=ms_flipped),
-        sources, params=params, **ctx.backend_kwargs,
-    )
     numbers = {
         "total_time_s": float(total_time),
         "argmax_flip_fraction": best_fraction,
@@ -410,7 +379,7 @@ def _run_protection_study(ctx: _Context) -> ScenarioResult:
         "unprotected_T2_s": float(fit_u["coherence_time"]),
         "improvement": float(improvement),
     }
-    numbers.update(_mc_numbers(probe))
+    numbers.update(_mc_numbers(sweep.monte_carlo, peak))
     ctx.write_signal("sweep", sweep)
     ctx.write_signal("protected", protected)
     ctx.write_signal("unprotected", unprotected)

@@ -13,9 +13,11 @@ Builders produce the four standard experiments:
 * ``nuclear_echo`` - a nuclear pi pulse at the midpoint, refocusing every
   static energy shift.
 
-``simulate_amplitude`` averages the phase factor over the noise ensemble,
-in closed form (product of characteristic functions, linear sources only)
-or by Monte Carlo.
+``build_sequence`` maps a kind name to its builder.  ``simulate_family``
+averages the phase factor over the noise ensemble for a whole family of
+sequences at once, in closed form (product of characteristic functions,
+linear sources only) or by Monte Carlo; ``simulate_amplitude`` is its
+one-sequence case, and the scans below are one family call each.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .spin_model import (
     accumulated_phase,
     default_params,
     phase_coefficients,
+    stack_coefficients,
 )
 
 _KINDS = ("ramsey", "dq_ramsey", "unbalanced_echo", "nuclear_echo", "custom")
@@ -104,9 +107,30 @@ def build_nuclear_echo(total_time: float, pair=(0, -1), m_S: int = 0) -> PulseSe
     )
 
 
+def build_sequence(kind: str, total_time: float, pair=(0, -1), ms_free: int = 0,
+                   ms_flipped: int = 1, flip_fraction: float | None = None) -> PulseSequence:
+    """The named experiment over ``total_time``.  Single-manifold kinds
+    evolve in ``ms_free``; the unbalanced echo flips into ``ms_flipped`` for
+    the final ``flip_fraction`` of the time."""
+    if kind == "unbalanced_echo":
+        if flip_fraction is None:
+            raise ValueError("an unbalanced echo needs a flip_fraction")
+        return build_unbalanced_echo(total_time, flip_fraction * total_time, pair=pair,
+                                     ms_free=ms_free, ms_flipped=ms_flipped)
+    if kind == "ramsey":
+        return build_ramsey(total_time, pair=pair, m_S=ms_free)
+    if kind == "dq_ramsey":
+        return build_dq_ramsey(total_time, m_S=ms_free)
+    if kind == "nuclear_echo":
+        return build_nuclear_echo(total_time, pair=pair, m_S=ms_free)
+    raise ValueError(f"cannot build sequence kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class SimulationResult:
-    """Ensemble-averaged signal: mean = e^{i base_phase} * attenuation."""
+    """Ensemble-averaged signal: mean = e^{i base_phase} * attenuation.
+
+    Fields are (G,) arrays for a family and scalars for one sequence."""
 
     attenuation: complex
     base_phase: float
@@ -114,46 +138,55 @@ class SimulationResult:
 
     @property
     def amplitude(self) -> float:
-        return abs(self.attenuation)
+        # hypot rounds like abs(complex); numpy's complex abs can differ by an ulp
+        return np.hypot(self.attenuation.real, self.attenuation.imag)
 
     @property
     def mean_signal(self) -> complex:
         return np.exp(1j * self.base_phase) * self.attenuation
 
 
-def simulate_amplitude(sequence: PulseSequence, sources, backend: str = "closed_form",
-                       params: SpinSystemParams | None = None,
-                       n_samples: int = 1 << 20, seed: int = 12345,
-                       workers: int = 1) -> SimulationResult:
-    """Average e^{i phase} over the noise ensemble.
+def simulate_family(sequences, sources, backend: str = "closed_form",
+                    params: SpinSystemParams | None = None,
+                    n_samples: int = 1 << 20, seed: int = 12345) -> SimulationResult:
+    """Average e^{i phase} over the noise ensemble for every sequence.
 
     The ``closed_form`` backend multiplies the centered characteristic
     functions of the sources, which is exact but only defined when every
     source enters the phase linearly; quasiharmonic temperature ensembles
-    must use ``monte_carlo``.  Either way the deterministic phase evaluated
-    at the distribution locations is reported separately as ``base_phase``.
+    must use ``monte_carlo``, whose draws all sequences share.  Either way
+    the deterministic phase evaluated at the distribution locations is
+    reported separately as ``base_phase``.
     """
+    if backend not in ("closed_form", "monte_carlo"):
+        raise ValueError(f"unknown backend {backend!r}; use 'closed_form' or 'monte_carlo'")
     if params is None:
         params = default_params()
     sources = tuple(sources)
-    coeffs = phase_coefficients(params, sequence.pair, sequence.segments)
-    base = accumulated_phase(params, sequence.pair, sequence.segments)
-    base += sum(src.location_phase(coeffs) for src in sources)
-    if backend == "closed_form":
-        nonlinear = [src.name for src in sources if not src.is_linear]
-        if nonlinear:
-            raise TypeError(
-                f"closed form is undefined for nonlinear sources {nonlinear}; "
-                "call with backend='monte_carlo'"
-            )
-        att = dephasing_factor([src.centered() for src in sources], coeffs)
-        return SimulationResult(attenuation=att, base_phase=base)
+    coeffs = [phase_coefficients(params, seq.pair, seq.segments) for seq in sequences]
+    grid = stack_coefficients(coeffs)
+    base = np.array([accumulated_phase(params, seq.pair, seq.segments) for seq in sequences])
+    base = base + sum(src.location_phase(grid) for src in sources)
     if backend == "monte_carlo":
-        mc = monte_carlo_attenuation(sources, coeffs, n_samples=n_samples,
-                                     seed=seed, workers=workers)
-        return SimulationResult(attenuation=mc.attenuation, base_phase=base,
-                                monte_carlo=mc)
-    raise ValueError(f"unknown backend {backend!r}; use 'closed_form' or 'monte_carlo'")
+        mc = monte_carlo_attenuation(sources, coeffs, n_samples=n_samples, seed=seed)
+        return SimulationResult(attenuation=mc.attenuation, base_phase=base, monte_carlo=mc)
+    nonlinear = [src.name for src in sources if not src.is_linear]
+    if nonlinear:
+        raise TypeError(
+            f"closed form is undefined for nonlinear sources {nonlinear}; "
+            "call with backend='monte_carlo'"
+        )
+    att = dephasing_factor([src.centered() for src in sources], coeffs)
+    return SimulationResult(attenuation=att, base_phase=base)
+
+
+def simulate_amplitude(sequence: PulseSequence, sources, **kwargs) -> SimulationResult:
+    """One sequence's ensemble average: ``simulate_family`` with G = 1, its
+    keywords (backend, params, n_samples, seed) included."""
+    family = simulate_family([sequence], sources, **kwargs)
+    return SimulationResult(attenuation=complex(family.attenuation[0]),
+                            base_phase=float(family.base_phase[0]),
+                            monte_carlo=family.monte_carlo)
 
 
 @dataclass
@@ -165,6 +198,7 @@ class EnsembleSignal:
     x_label: str
     y_label: str
     metadata: dict = dataclass_field(default_factory=dict)
+    monte_carlo: MonteCarloResult | None = None  # per-point bookkeeping of MC scans
 
 
 def phase_sweep(sequence: PulseSequence, sources, readout_phases,
@@ -191,25 +225,14 @@ def phase_sweep(sequence: PulseSequence, sources, readout_phases,
     )
 
 
-def _sequence_for(total_time, sequence, flip_fraction, pair, ms_free, ms_flipped):
-    if sequence == "unbalanced_echo":
-        return build_unbalanced_echo(total_time, flip_fraction * total_time,
-                                     pair=pair, ms_free=ms_free, ms_flipped=ms_flipped)
-    if sequence == "ramsey":
-        return build_ramsey(total_time, pair=pair, m_S=ms_free)
-    if sequence == "dq_ramsey":
-        return build_dq_ramsey(total_time, m_S=ms_free)
-    if sequence == "nuclear_echo":
-        return build_nuclear_echo(total_time, pair=pair, m_S=ms_free)
-    raise ValueError(f"unknown sequence template {sequence!r}")
-
-
-def _mc_metadata(meta, backend, kwargs):
-    meta["backend"] = backend
+def _scan(x, sequences, sources, backend, kwargs, x_label, metadata) -> EnsembleSignal:
+    result = simulate_family(sequences, sources, backend=backend, **kwargs)
+    metadata["backend"] = backend
     if backend == "monte_carlo":
-        meta["seed"] = kwargs.get("seed", 12345)
-        meta["n_samples"] = kwargs.get("n_samples", 1 << 20)
-    return meta
+        metadata["seed"] = kwargs.get("seed", 12345)
+        metadata["n_samples"] = kwargs.get("n_samples", 1 << 20)
+    return EnsembleSignal(x=x, y=result.amplitude, x_label=x_label, y_label="amplitude",
+                          metadata=metadata, monte_carlo=result.monte_carlo)
 
 
 def decay_scan(times, sources, flip_fraction: float | None = None,
@@ -224,20 +247,15 @@ def decay_scan(times, sources, flip_fraction: float | None = None,
     """
     if sequence is None:
         sequence = "unbalanced_echo" if flip_fraction is not None else "ramsey"
-    if sequence == "unbalanced_echo" and flip_fraction is None:
-        raise ValueError("unbalanced echo scan needs a flip_fraction")
     times = np.asarray(times, dtype=float)
     if times.size and np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")
-    amps = np.empty_like(times)
-    for i, t in enumerate(times):
-        seq = _sequence_for(float(t), sequence, flip_fraction, pair, ms_free, ms_flipped)
-        amps[i] = simulate_amplitude(seq, sources, backend=backend, **kwargs).amplitude
-    meta = _mc_metadata({"sequence": sequence, "pair": list(pair)}, backend, kwargs)
+    family = [build_sequence(sequence, float(t), pair, ms_free, ms_flipped, flip_fraction)
+              for t in times]
+    meta = {"sequence": sequence, "pair": list(pair)}
     if flip_fraction is not None:
         meta["flip_fraction"] = flip_fraction
-    return EnsembleSignal(x=times, y=amps, x_label="total_time_s",
-                          y_label="amplitude", metadata=meta)
+    return _scan(times, family, sources, backend, kwargs, "total_time_s", meta)
 
 
 def pulse_location_sweep(total_time: float, flip_fractions, sources, pair=(0, -1),
@@ -247,16 +265,10 @@ def pulse_location_sweep(total_time: float, flip_fractions, sources, pair=(0, -1
     fractions = np.asarray(flip_fractions, dtype=float)
     if np.any((fractions < 0) | (fractions > 1)):
         raise ValueError("flip fractions must lie in [0, 1]")
-    amps = np.empty_like(fractions)
-    for i, f in enumerate(fractions):
-        seq = build_unbalanced_echo(total_time, float(f) * total_time, pair=pair,
-                                    ms_free=ms_free, ms_flipped=ms_flipped)
-        amps[i] = simulate_amplitude(seq, sources, backend=backend, **kwargs).amplitude
-    meta = _mc_metadata({"total_time_s": total_time, "pair": list(pair)}, backend, kwargs)
-    return EnsembleSignal(
-        x=fractions, y=amps, x_label="flip_fraction", y_label="amplitude",
-        metadata=meta,
-    )
+    family = [build_sequence("unbalanced_echo", total_time, pair, ms_free, ms_flipped, float(f))
+              for f in fractions]
+    meta = {"total_time_s": total_time, "pair": list(pair)}
+    return _scan(fractions, family, sources, backend, kwargs, "flip_fraction", meta)
 
 
 # -------------------------------------------------------------- signal files
@@ -264,45 +276,48 @@ def pulse_location_sweep(total_time: float, flip_fractions, sources, pair=(0, -1
 _CSV_SCHEMA = "nvecho-signal/1"
 
 
-def write_signal_csv(signal: EnsembleSignal, path, deterministic: bool = False) -> None:
-    lines = [f"# {_CSV_SCHEMA}"]
-    for key in sorted(signal.metadata):
-        lines.append(f"# {key}: {signal.metadata[key]}")
+def write_metadata_csv(path, schema: str, metadata: dict, header, rows,
+                       deterministic: bool = False) -> None:
+    """CSV preceded by ``# schema`` and sorted ``# key: value`` lines; a
+    ``# written:`` timestamp line unless ``deterministic``."""
+    lines = [f"# {schema}"] + [f"# {key}: {metadata[key]}" for key in sorted(metadata)]
     if not deterministic:
         lines.append(f"# written: {_dt.datetime.now().isoformat()}")
-    lines.append(f"{signal.x_label},{signal.y_label}")
-    for xv, yv in zip(signal.x, signal.y):
-        lines.append(f"{float(xv)!r},{float(yv)!r}")
+    lines += [",".join(header)] + [",".join(row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_signal_csv(path) -> EnsembleSignal:
-    metadata = {}
-    header = None
-    xs, ys = [], []
+def read_metadata_csv(path):
+    """(metadata, header or None, rows) of a ``write_metadata_csv`` file;
+    the schema and timestamp lines are dropped."""
+    metadata, header, rows = {}, None, []
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if body == _CSV_SCHEMA or ":" not in body:
-                continue
-            key, value = body.split(":", 1)
-            if key.strip() == "written":
-                continue
-            metadata[key.strip()] = yaml.safe_load(value.strip())
-            continue
-        if header is None:
+            key, sep, value = line[1:].partition(":")
+            if sep and key.strip() != "written":
+                metadata[key.strip()] = yaml.safe_load(value.strip())
+        elif header is None:
             header = [h.strip() for h in line.split(",")]
-            continue
-        parts = line.split(",")
-        xs.append(float(parts[0]))
-        ys.append(float(parts[1]))
-    if header is None or not xs:
+        else:
+            rows.append(line.split(","))
+    return metadata, header, rows
+
+
+def write_signal_csv(signal: EnsembleSignal, path, deterministic: bool = False) -> None:
+    write_metadata_csv(path, _CSV_SCHEMA, signal.metadata, (signal.x_label, signal.y_label),
+                       ((repr(float(x)), repr(float(y))) for x, y in zip(signal.x, signal.y)),
+                       deterministic)
+
+
+def read_signal_csv(path) -> EnsembleSignal:
+    metadata, header, rows = read_metadata_csv(path)
+    if header is None or not rows:
         raise ValueError(f"{path}: not a signal file (missing header or data)")
     return EnsembleSignal(
-        x=np.array(xs), y=np.array(ys),
+        x=np.array([float(r[0]) for r in rows]), y=np.array([float(r[1]) for r in rows]),
         x_label=header[0], y_label=header[1], metadata=metadata,
     )
 

@@ -15,8 +15,11 @@ segments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .response import InteractionShift
 from .units import angular
@@ -164,8 +167,8 @@ class Segment:
     sign: int = 1
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("segment duration must be >= 0")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ValueError(f"segment duration must be finite and >= 0, got {self.duration!r}")
         _check_projection(self.m_S, "m_S")
         if self.sign not in (-1, 1):
             raise ValueError("segment sign must be +1 or -1")
@@ -195,7 +198,8 @@ class PhaseCoefficients:
 
     phase(dQ, dA, dB) = phase(0) + quadrupole * dQ + hyperfine * dA + field * dB
     with dQ, dA in rad/s and dB in gauss.  Exact, not just first order: the
-    level energies are linear in all three offsets.
+    level energies are linear in all three offsets.  A family of sequences
+    is one PhaseCoefficients whose fields are (G,) arrays (``stack_coefficients``).
     """
 
     quadrupole: float  # seconds
@@ -208,6 +212,12 @@ class PhaseCoefficients:
             + self.hyperfine * d_hyperfine
             + self.field * d_field
         )
+
+
+def stack_coefficients(coefficients: Iterable[PhaseCoefficients]) -> PhaseCoefficients:
+    """A family of G coefficient sets as one PhaseCoefficients of (G,) arrays."""
+    rows = [(c.quadrupole, c.hyperfine, c.field) for c in coefficients]
+    return PhaseCoefficients(*np.array(rows, dtype=float).reshape(-1, 3).T)
 
 
 def phase_coefficients(params: SpinSystemParams, pair,

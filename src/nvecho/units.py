@@ -86,7 +86,10 @@ def parse_quantity(text: str | float, dimension: str) -> float:
             f"unknown unit {unit!r} for {dimension} in {text!r}; expected one "
             f"of {sorted(scales)}"
         )
-    return float(num) * scales[unit]
+    value = float(num) * scales[unit]
+    if not math.isfinite(value):
+        raise QuantityError(f"quantity {text!r} is not finite")
+    return value
 
 
 def format_quantity(value: float, dimension: str) -> str:

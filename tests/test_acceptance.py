@@ -39,6 +39,7 @@ from nvecho.sequences import (
     decay_scan,
     pulse_location_sweep,
     simulate_amplitude,
+    simulate_family,
 )
 from nvecho.spin_model import default_params, single_quantum_table
 from nvecho.units import TWO_PI, angular, cycles
@@ -169,6 +170,13 @@ def test_criterion_5_large_inhomogeneity_monte_carlo(tmp_path):
     truncated = wide.numbers["truncated_mass"]
     if wide.numbers["n_samples"] < 10**6:
         failures.append(f"only {wide.numbers['n_samples']} samples (< 1e6)")
+    # the bookkeeping is the sweep's own, at its peak point
+    sweep = wide.signals["sweep"]
+    peak = int(np.argmax(sweep.y))
+    if wide.numbers["std_error"] != float(sweep.monte_carlo.std_error[peak]):
+        failures.append("reported std_error is not the sweep's at its peak")
+    if wide.numbers["n_retained"] != sweep.monte_carlo.n_retained:
+        failures.append("reported n_retained is not the sweep's")
     _window(failures, "argmax tau/t", argmax, 0.16, 0.19)
     if improvement < 100.0:
         failures.append(f"improvement {improvement:.1f}x below 100x")
@@ -202,16 +210,12 @@ def test_criterion_6_backend_equivalence():
     for label, dist in (("lorentzian", lorentzian(0.0, 5.0)),
                         ("gaussian", gaussian(0.0, 5.0))):
         source = temperature_source(dist)
-        worst = 0.0
-        for t in grid_t:
-            for f in fractions:
-                seq = build_unbalanced_echo(float(t), float(f) * float(t))
-                closed = simulate_amplitude(seq, (source,)).amplitude
-                sampled = simulate_amplitude(
-                    seq, (source,), backend="monte_carlo",
-                    n_samples=1 << 20, seed=321, workers=4,
-                ).amplitude
-                worst = max(worst, abs(closed - sampled))
+        family = [build_unbalanced_echo(float(t), float(f) * float(t))
+                  for t in grid_t for f in fractions]
+        closed = simulate_family(family, (source,)).amplitude
+        sampled = simulate_family(family, (source,), backend="monte_carlo",
+                                  n_samples=1 << 20, seed=321).amplitude
+        worst = float(np.max(np.abs(closed - sampled)))
         details.append(f"{label} {worst:.2e}")
         if worst > 5e-3:
             failures.append(f"{label}: worst |closed - MC| = {worst:.3e} (> 5e-3)")
@@ -220,7 +224,7 @@ def test_criterion_6_backend_equivalence():
 
 
 # 7. Property suite: spectroscopy identities, immunity, exponentiality,
-#    sweep collapse, gradients, fit round trips, worker determinism.
+#    sweep collapse, gradients, fit round trips, batch determinism.
 
 def test_criterion_7_property_suite():
     started = time.perf_counter()
@@ -331,19 +335,17 @@ def test_criterion_7_property_suite():
     if abs(bias - base / slope) > 1e-9:
         failures.append("line-intercept bias is not baseline/slope")
 
-    # Monte Carlo results do not depend on the worker count
+    # a Monte Carlo point does not depend on the family it is evaluated in
     hot = temperature_source(lorentzian(300.0, 25.0), response=qset)
     seq = build_unbalanced_echo(2e-3, 0.172 * 2e-3)
-    signals = [
-        simulate_amplitude(seq, (hot,), backend="monte_carlo",
-                           n_samples=1 << 18, seed=99, workers=w).mean_signal
-        for w in (1, 4)
-    ]
-    if signals[0] != signals[1]:
-        failures.append("worker count changed the Monte Carlo result")
+    kwargs = {"backend": "monte_carlo", "n_samples": 1 << 18, "seed": 99}
+    alone = simulate_amplitude(seq, (hot,), **kwargs).mean_signal
+    family = [build_unbalanced_echo(2e-3, f * 2e-3) for f in (0.1, 0.172, 0.3)]
+    if simulate_family(family, (hot,), **kwargs).mean_signal[1] != alone:
+        failures.append("the sequence family changed a Monte Carlo point")
 
     _report(7, "identities, immunity, exponentiality, collapse, gradients, "
-               "fit round trips, worker determinism", failures, started, 120.0)
+               "fit round trips, batch determinism", failures, started, 120.0)
 
 
 # 8. Strain channel: pressure conversion, per-interaction shifts, and the

@@ -18,6 +18,7 @@ from nvecho.sequences import (
     build_unbalanced_echo,
     decay_scan,
     phase_sweep,
+    read_signal_csv,
     simulate_amplitude,
     write_signal_csv,
 )
@@ -240,15 +241,26 @@ def test_deterministic_runs_are_byte_identical(tmp_path, capsys):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
-def test_workers_flag_never_changes_results(tmp_path, capsys):
+def test_simulate_matches_sweep_point_bit_for_bit(tmp_path, capsys):
     cfg = _write(tmp_path, "mc.yaml", MC_YAML)
-    payloads = []
-    for workers, d in [(1, tmp_path / "w1"), (3, tmp_path / "w3")]:
-        rc = main(["simulate", str(cfg), "--out", str(d), "--deterministic",
-                   "--workers", str(workers)])
-        assert rc == 0
-        payloads.append((d / "cli-mc-result.json").read_bytes())
-    assert payloads[0] == payloads[1]
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "one"),
+                 "--deterministic"]) == 0
+    single = json.loads((tmp_path / "one" / "cli-mc-result.json").read_text())
+    sweep_yaml = (MC_YAML.replace("pipeline: simulate", "pipeline: pulse_sweep")
+                  .replace("flip_fraction: 0.18", "flip_fractions: [0.1, 0.18, 0.3]")
+                  .replace("formats: [json]", "formats: [csv]"))
+    cfg = _write(tmp_path, "sweep.yaml", sweep_yaml)
+    assert main(["sweep", str(cfg), "--out", str(tmp_path / "family"),
+                 "--deterministic"]) == 0
+    signal = read_signal_csv(tmp_path / "family" / "cli-mc-sweep.csv")
+    assert signal.y[1] == single["amplitude"]
+
+
+def test_workers_flag_is_gone(tmp_path, capsys):
+    cfg = _write(tmp_path, "mc.yaml", MC_YAML)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(cfg), "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_samples_and_seed_overrides_reach_backend(tmp_path, capsys):

@@ -11,12 +11,13 @@ from nvecho.config import (
     dump_config,
     load_config,
     parse_config,
+    realize_grid,
     resolve_data_file,
 )
 from nvecho.noise import NoiseSource
 from nvecho.response import LinearResponse, QuasiharmonicSet, default_quasiharmonic_set, save_response_set
 from nvecho.spin_model import default_params
-from nvecho.units import angular
+from nvecho.units import QuantityError, angular, parse_quantity
 
 MINIMAL = """\
 schema: nvecho-scenario/1
@@ -74,9 +75,9 @@ def test_minimal_config_defaults():
     assert cfg.response_model() == LinearResponse()
     assert cfg.noise_sources() == ()
     assert cfg.backend_kwargs() == {
-        "backend": "closed_form", "n_samples": 1 << 20, "seed": 12345, "workers": 1,
+        "backend": "closed_form", "n_samples": 1 << 20, "seed": 12345,
     }
-    assert cfg.times() is None
+    assert realize_grid(cfg.sequence.get("times")) is None
 
 
 def test_full_config_builds_models():
@@ -102,14 +103,14 @@ def test_full_config_builds_models():
     expected_width = 1.0 / (2.0 * abs(params.gamma_n) * 1.95e-3)
     assert sources[1].distribution.scale == pytest.approx(expected_width, rel=1e-12)
 
-    times = cfg.times()
+    times = realize_grid(cfg.sequence["times"])
     assert times.shape == (24,)
     assert times[0] == pytest.approx(50e-6, rel=1e-12)
     assert times[-1] == pytest.approx(15e-3, rel=1e-12)
     assert np.allclose(np.diff(np.log(times)), np.diff(np.log(times))[0])
 
     compare = cfg.sequence["compare"]
-    ctimes = cfg.times(compare)
+    ctimes = realize_grid(compare["times"])
     assert ctimes.shape == (24,)
     assert np.allclose(np.diff(ctimes), np.diff(ctimes)[0])
     assert cfg.sequence["flip_fraction"] == 0.18
@@ -211,8 +212,12 @@ def test_grid_validation():
 
     cfg["sequence"] = {"times": ["1 ms", "2 ms"], "flip_fractions": [0.0, 0.25, 0.5]}
     parsed = parse_config(cfg)
-    assert parsed.times().tolist() == [1e-3, 2e-3]
-    assert parsed.flip_fractions().tolist() == [0.0, 0.25, 0.5]
+    assert realize_grid(parsed.sequence["times"]).tolist() == [1e-3, 2e-3]
+    assert realize_grid(parsed.sequence["flip_fractions"]).tolist() == [0.0, 0.25, 0.5]
+
+    cfg["sequence"] = {"phases": [0.0, 1.0]}
+    with pytest.raises(ConfigError, match="sequence.phases: unknown key"):
+        parse_config(cfg)
 
 
 def test_script_sequence_block():
@@ -263,15 +268,18 @@ def test_quasiharmonic_temperature_source_is_nonlinear():
 
 def test_backend_and_output_validation():
     cfg = dict_minimal()
-    cfg["backend"] = {"method": "monte_carlo", "samples": 4096, "workers": 2}
+    cfg["backend"] = {"method": "monte_carlo", "samples": 4096}
     parsed = parse_config(cfg)
     kwargs = parsed.backend_kwargs()
     assert kwargs["backend"] == "monte_carlo"
     assert kwargs["n_samples"] == 4096
-    assert kwargs["workers"] == 2
 
-    cfg["backend"] = {"workers": 0}
-    with pytest.raises(ConfigError, match="workers"):
+    cfg["backend"] = {"samples": 0}
+    with pytest.raises(ConfigError, match="samples"):
+        parse_config(cfg)
+
+    cfg["backend"] = {"workers": 2}
+    with pytest.raises(ConfigError, match="backend.workers: unknown key"):
         parse_config(cfg)
 
     cfg["backend"] = {}
@@ -286,3 +294,12 @@ def test_load_config_sets_base_dir(tmp_path):
     cfg = load_config(path)
     assert cfg.base_dir == tmp_path
     assert cfg == parse_config(FULL)  # base_dir excluded from equality
+
+
+def test_non_finite_quantities_rejected():
+    with pytest.raises(QuantityError, match="not finite"):
+        parse_quantity("1e400 ms", "time")
+    cfg = dict_minimal()
+    cfg["sequence"] = {"kind": "ramsey", "total_time": "1e400 ms"}
+    with pytest.raises(ConfigError, match="sequence.total_time"):
+        parse_config(cfg)

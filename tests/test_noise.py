@@ -157,9 +157,26 @@ def test_dephasing_factor_is_product_of_characteristic_functions():
     expected = t_src.distribution.characteristic_function(
         t_src.phase_coefficient(c)
     ) * b_src.distribution.characteristic_function(c.field)
-    got = dephasing_factor((t_src, b_src), c)
+    (got,) = dephasing_factor((t_src, b_src), [c])
     assert got == pytest.approx(expected, rel=1e-12)
     assert abs(got) < 1.0
+
+
+def test_dephasing_factor_batch_matches_per_point_product():
+    resp = default_linear_response()
+    sources = (temperature_source(lorentzian(0.3, 5.0), response=resp),
+               field_source(gaussian(0.1, 0.05)),
+               strain_source(gaussian(0.0, 1e-6), response=resp))
+    family = [echo_coefficients(t=t, tau=f * t)
+              for t in (2e-4, 1e-3, 3e-3) for f in (0.0, 0.18, 0.4, 1.0)]
+    batch = dephasing_factor(sources, family)
+    assert batch.shape == (len(family),)
+    for got, c in zip(batch, family):
+        expected = 1.0 + 0.0j
+        for src in sources:
+            expected *= complex(src.distribution.characteristic_function(
+                src.phase_coefficient(c)))
+        assert abs(got - expected) <= 1e-14 * abs(expected)
 
 
 def test_dephasing_factor_rejects_nonlinear_sources():
@@ -168,7 +185,7 @@ def test_dephasing_factor_rejects_nonlinear_sources():
         lorentzian(300.0, 25.0), response=default_quasiharmonic_set()
     )
     with pytest.raises(TypeError):
-        dephasing_factor((src,), c)
+        dephasing_factor((src,), [c])
 
 
 def test_monte_carlo_matches_closed_form_linear():
@@ -178,24 +195,29 @@ def test_monte_carlo_matches_closed_form_linear():
         temperature_source(lorentzian(0.0, 5.0), response=resp),
         field_source(lorentzian(0.0, 0.0663)),
     )
-    exact = dephasing_factor(sources, c)
-    result = monte_carlo_attenuation(sources, c, n_samples=1 << 19, seed=SEED)
+    exact = dephasing_factor(sources, [c])
+    result = monte_carlo_attenuation(sources, [c], n_samples=1 << 19, seed=SEED)
     assert result.n_retained == result.n_samples == 1 << 19
-    assert abs(result.attenuation - exact) < 5e-3
-    assert result.std_error < 2e-3
+    assert abs(result.attenuation[0] - exact[0]) < 5e-3
+    assert result.std_error[0] < 2e-3
 
 
-def test_monte_carlo_worker_count_does_not_change_result():
-    c = echo_coefficients()
-    sources = (
-        temperature_source(lorentzian(0.0, 5.0)),
-        field_source(gaussian(0.0, 0.05)),
-    )
+@pytest.mark.parametrize("sources", [
+    (temperature_source(lorentzian(0.0, 5.0)), field_source(gaussian(0.0, 0.05))),
+    (temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set()),
+     field_source(gaussian(0.0, 0.05))),
+], ids=["linear", "quasiharmonic"])
+def test_monte_carlo_batch_matches_single_points(sources):
+    family = [echo_coefficients(t=t, tau=f * t) for t in (2e-5, 1e-4) for f in (0.0, 0.17, 0.5)]
     n = CHUNK + 17  # force an unequal final chunk
-    r1 = monte_carlo_attenuation(sources, c, n_samples=n, seed=SEED, workers=1)
-    r4 = monte_carlo_attenuation(sources, c, n_samples=n, seed=SEED, workers=4)
-    assert r1.attenuation == r4.attenuation
-    assert r1.n_retained == r4.n_retained
+    batch = monte_carlo_attenuation(sources, family, n_samples=n, seed=SEED)
+    assert batch.attenuation.shape == batch.std_error.shape == (len(family),)
+    for g, c in enumerate(family):
+        alone = monte_carlo_attenuation(sources, [c], n_samples=n, seed=SEED)
+        assert alone.attenuation[0] == batch.attenuation[g]
+        assert alone.std_error[0] == batch.std_error[g]
+        assert alone.n_retained == batch.n_retained
+        assert alone.truncated_mass == batch.truncated_mass
 
 
 def test_truncation_mass_absolute_temperature():
@@ -207,7 +229,7 @@ def test_truncation_mass_absolute_temperature():
     assert lo == 0.0
     assert hi == pytest.approx(300.0 + 50 * 25.0)
     c = echo_coefficients(t=20e-6, tau=0.0)
-    result = monte_carlo_attenuation((src,), c, n_samples=1 << 18, seed=SEED)
+    result = monte_carlo_attenuation((src,), [c], n_samples=1 << 18, seed=SEED)
     expected_mass = 1.0 - (math.atan(50.0) + math.atan(12.0)) / math.pi
     assert expected_mass == pytest.approx(0.0328300, abs=1e-6)
     assert result.truncated_mass["temperature"] == pytest.approx(expected_mass, rel=1e-9)
@@ -237,17 +259,26 @@ def test_monte_carlo_nonlinear_matches_quadrature():
         quad(integrand_re, lo, hi, limit=200)[0]
         + 1j * quad(integrand_im, lo, hi, limit=200)[0]
     ) / norm
-    result = monte_carlo_attenuation((src,), c, n_samples=1 << 19, seed=SEED)
-    assert abs(result.attenuation - expected) < 5e-3
+    result = monte_carlo_attenuation((src,), [c], n_samples=1 << 19, seed=SEED)
+    assert abs(result.attenuation[0] - expected) < 5e-3
 
 
 def test_monte_carlo_rejects_bad_arguments():
     c = echo_coefficients()
     src = field_source(gaussian(0.0, 0.05))
     with pytest.raises(ValueError):
-        monte_carlo_attenuation((src,), c, n_samples=0, seed=SEED)
-    with pytest.raises(ValueError):
-        monte_carlo_attenuation((src,), c, n_samples=100, seed=SEED, workers=0)
+        monte_carlo_attenuation((src,), [c], n_samples=0, seed=SEED)
+
+
+def test_zero_scale_is_a_point_mass():
+    for dist in (lorentzian(300.0, 0.0), gaussian(300.0, 0.0)):
+        assert dist.cdf(299.0) == 0.0
+        assert dist.cdf(300.0) == 1.0
+    src = temperature_source(lorentzian(300.0, 0.0), response=default_quasiharmonic_set())
+    result = monte_carlo_attenuation((src,), [echo_coefficients()], n_samples=1000, seed=SEED)
+    assert result.attenuation[0] == 1.0
+    assert result.n_retained == 1000
+    assert result.truncated_mass == {}
 
 
 def test_source_requires_matching_response_type():

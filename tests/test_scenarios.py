@@ -142,22 +142,25 @@ def test_protection_study_small(tmp_path):
     assert (tmp_path / "t-result.json").exists()
 
 
-def test_worker_count_does_not_change_results(tmp_path):
-    cfg = _config(
-        "simulate",
-        response={"model": "quasiharmonic", "data_file": "quasiharmonic_default.yaml"},
-        sources=[{"kind": "temperature", "distribution": "lorentzian",
-                  "location": "300 K", "scale": "25 K"}],
-        sequence={"kind": "unbalanced_echo", "pair": [0, -1], "ms_free": 0,
-                  "ms_flipped": +1, "total_time": "1 ms", "flip_fraction": 0.17},
-        backend={"method": "monte_carlo", "samples": 131072},
-    )
-    serial = run_scenario(cfg, out_dir=tmp_path / "w1", deterministic=True, workers=1)
-    threaded = run_scenario(cfg, out_dir=tmp_path / "w3", deterministic=True, workers=3)
-    assert serial.numbers["amplitude"] == threaded.numbers["amplitude"]
-    assert serial.numbers["base_phase_rad"] == threaded.numbers["base_phase_rad"]
-    assert ((tmp_path / "w1" / "t-result.json").read_text()
-            == (tmp_path / "w3" / "t-result.json").read_text())
+def test_sweep_point_matches_single_simulation(tmp_path):
+    blocks = {
+        "response": {"model": "quasiharmonic", "data_file": "quasiharmonic_default.yaml"},
+        "sources": [{"kind": "temperature", "distribution": "lorentzian",
+                     "location": "300 K", "scale": "25 K"}],
+        "backend": {"method": "monte_carlo", "samples": 131072},
+    }
+    echo = {"pair": [0, -1], "ms_free": 0, "ms_flipped": +1, "total_time": "1 ms"}
+    single = run_scenario(
+        _config("simulate", sequence=echo | {"kind": "unbalanced_echo", "flip_fraction": 0.17},
+                **blocks),
+        out_dir=tmp_path / "one", deterministic=True)
+    family = run_scenario(
+        _config("pulse_sweep", sequence=echo | {"flip_fractions": [0.1, 0.17, 0.25]}, **blocks),
+        out_dir=tmp_path / "family", deterministic=True)
+    sweep = family.signals["sweep"]
+    assert sweep.y[1] == single.numbers["amplitude"]
+    assert sweep.monte_carlo.std_error[1] == single.numbers["std_error"]
+    assert sweep.monte_carlo.n_retained == single.numbers["n_retained"]
 
 
 def test_pipeline_and_block_errors(tmp_path):

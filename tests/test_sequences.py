@@ -317,3 +317,9 @@ def test_signal_json_round_trip(tmp_path):
     assert "written" not in payload
     write_signal_json(sig, path, deterministic=False)
     assert "written" in json.loads(path.read_text())
+
+
+def test_non_finite_durations_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_amplitude(build_ramsey(bad), [])
