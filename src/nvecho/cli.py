@@ -2,9 +2,7 @@
 
 Subcommands:
 
-* ``simulate CONFIG``  - run a single-result or decay-comparison scenario.
-* ``sweep CONFIG``     - run a sweep scenario (pulse location, rate table,
-  protection study).
+* ``simulate CONFIG``  - run a scenario config, whatever its pipeline.
 * ``fit CSV``          - fit a signal or rate-table CSV and emit FitResult JSON.
 * ``calibrate-response`` - calibrate the quasiharmonic response set and write
   its data file.
@@ -13,9 +11,11 @@ Subcommands:
   form (``-`` reads stdin).
 
 Scenario configs are YAML with mandatory unit suffixes; validation problems
-are aggregated and reported together before any compute starts.  All artifact
-writers accept ``--deterministic`` to suppress timestamp lines so identical
-inputs give byte-identical outputs.
+are aggregated and reported together before any compute starts.  The
+config's noise sources decide how the ensemble average is taken: the exact
+closed form when all of them are linear, Monte Carlo (``--samples``,
+``--seed``) otherwise.  All artifact writers accept ``--deterministic`` to
+suppress timestamp lines so identical inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ from .scenarios import (
 from .script import ScriptError, format_sequence_script, parse_sequence_script
 from .sequences import read_signal_csv
 from .units import QuantityError, angular, cycles, parse_quantity
-
-# Pipelines with a single configured sequence run under `simulate`; grid
-# scans over sequence parameters run under `sweep`.
-_SIMULATE_PIPELINES = ("simulate", "decay_compare")
-_SWEEP_PIPELINES = ("pulse_sweep", "rate_table_vee", "protection_study")
 
 _FIT_KINDS_BY_LABEL = {"total_time_s": "exponential", "readout_phase_rad": "cosine"}
 
@@ -79,15 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run a simulate or decay-comparison scenario")
+    p = sub.add_parser("simulate", help="run a scenario config")
     p.add_argument("config", help="scenario config YAML")
     _add_run_options(p)
     p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("sweep", help="run a sweep scenario")
-    p.add_argument("config", help="scenario config YAML")
-    _add_run_options(p)
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fit", help="fit a CSV and emit FitResult JSON")
     p.add_argument("input", help="signal or rate-table CSV")
@@ -150,29 +140,12 @@ def _run_config_scenario(config, args) -> int:
     return 0
 
 
-def _check_pipeline(config, allowed, this_cmd: str, other_cmd: str) -> None:
-    if config.pipeline not in allowed:
-        raise ScenarioError(
-            f"config {config.name!r} declares pipeline {config.pipeline!r}, which "
-            f"`nvecho {this_cmd}` does not run; use `nvecho {other_cmd}`"
-        )
-
-
 def _cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    _check_pipeline(config, _SIMULATE_PIPELINES, "simulate", "sweep")
-    return _run_config_scenario(config, args)
-
-
-def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    _check_pipeline(config, _SWEEP_PIPELINES, "sweep", "simulate")
-    return _run_config_scenario(config, args)
+    return _run_config_scenario(load_config(args.config), args)
 
 
 def _cmd_reproduce(args) -> int:
-    config = load_packaged_scenario(args.figure)
-    return _run_config_scenario(config, args)
+    return _run_config_scenario(load_packaged_scenario(args.figure), args)
 
 
 # --------------------------------------------------------------------- fit

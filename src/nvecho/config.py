@@ -13,6 +13,7 @@ parse -> print -> parse is a fixed point.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -68,7 +69,7 @@ _SEQUENCE_KEYS = ("kind", "script", "pair", "pairs", "ms", "ms_free", "ms_flippe
                   "flip_fraction", "total_time", "times", "flip_fractions", "compare")
 _SEQUENCE_KINDS = ("ramsey", "dq_ramsey", "unbalanced_echo", "nuclear_echo", "script")
 
-_BACKEND_DEFAULTS = {"method": "closed_form", "samples": 1 << 20, "seed": 12345}
+_BACKEND_DEFAULTS = {"samples": 1 << 20, "seed": 12345}
 _OUTPUT_DEFAULTS = {"directory": ".", "formats": ("csv", "json")}
 
 
@@ -123,6 +124,9 @@ def _quantity(value, path, col, dimension):
 def _plain_number(value, path, col):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         col.add(path, f"expected a plain dimensionless number, got {value!r}")
+        return None
+    if not math.isfinite(value):
+        col.add(path, f"must be finite, got {value!r}")
         return None
     return float(value)
 
@@ -401,13 +405,7 @@ def _normalize_backend(block, col):
         col.add("backend", "must be a mapping")
         return out
     for key, value in block.items():
-        if key == "method":
-            if value not in ("closed_form", "monte_carlo"):
-                col.add("backend.method",
-                        f"must be 'closed_form' or 'monte_carlo', got {value!r}")
-            else:
-                out["method"] = value
-        elif key in ("samples", "seed"):
+        if key in ("samples", "seed"):
             if isinstance(value, bool) or not isinstance(value, int):
                 col.add(f"backend.{key}", "must be an integer")
             elif key == "samples" and value < 1:
@@ -512,8 +510,9 @@ class ScenarioConfig:
         return tuple(out)
 
     def backend_kwargs(self) -> dict:
-        b = self.backend
-        return {"backend": b["method"], "n_samples": b["samples"], "seed": b["seed"]}
+        """Monte Carlo keywords of ``simulate_family``; the sources decide
+        whether they are used."""
+        return {"n_samples": self.backend["samples"], "seed": self.backend["seed"]}
 
 
 def parse_config(data, base_dir=None) -> ScenarioConfig:

@@ -7,12 +7,14 @@ pulse sequence with phase coefficients c is
     <e^{i phase}> = e^{i phase(locations)} * prod_j CF_j(c_j)
 
 where CF_j is the characteristic function of source j's centered
-distribution and c_j its scalar phase coefficient.  The product form is
-exact when every source enters the phase linearly; temperature sources
-attached to a quasiharmonic response are nonlinear and must go through the
-Monte Carlo path instead.
+distribution and c_j its scalar phase coefficient.  The product form
+(``dephasing_factor``) is exact when every source enters the phase
+linearly; temperature sources attached to a quasiharmonic response are
+nonlinear and go through the Monte Carlo path
+(``monte_carlo_attenuation``).  ``sequences.simulate_family`` picks between
+the two from the sources' ``is_linear``.
 
-Both backends evaluate a whole family of sequences (a sweep or a decay
+Both paths evaluate a whole family of sequences (a sweep or a decay
 scan) at once, given as a list of PhaseCoefficients.  The closed form is one
 vectorised characteristic-function product over the family.  The Monte
 Carlo path draws each chunk of every source once, with sub-streams seeded
@@ -54,6 +56,9 @@ class Distribution:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}; "
                              f"expected one of {_KINDS}")
+        if not (math.isfinite(self.location) and math.isfinite(self.scale)):
+            raise ValueError(f"distribution location and scale must be finite, got "
+                             f"location={self.location!r}, scale={self.scale!r}")
         if self.scale < 0:
             raise ValueError("distribution scale must be >= 0")
         if self.kind == "delta" and self.scale != 0:

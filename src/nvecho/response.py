@@ -167,9 +167,13 @@ class QuasiharmonicResponse:
         return c1 * T + c2 * T**2 + c3 * T**3
 
     def shift_at(self, T):
-        """Shift relative to reference_T, rad/s.  Accepts scalars or arrays."""
+        """Shift relative to reference_T, rad/s.  Accepts scalars or arrays.
+        The thermal-expansion term is skipped when ``first_order`` is 0."""
         T = np.asarray(T, dtype=float)
-        out = self.first_order * (self._q_ex(T) - self._q_ex(self.reference_T))
+        if self.first_order:
+            out = self.first_order * (self._q_ex(T) - self._q_ex(self.reference_T))
+        else:
+            out = np.zeros_like(T)
         for omega, b in self.modes:
             out = out + b * (bose_einstein(omega, T) - bose_einstein(omega, self.reference_T))
         return float(out) if out.ndim == 0 else out
@@ -182,9 +186,6 @@ class QuasiharmonicResponse:
         for omega, b in self.modes:
             out = out + b * bose_einstein_slope(omega, T)
         return float(out) if out.ndim == 0 else out
-
-    def value_at(self, T):
-        return self.base_value + self.shift_at(T)
 
 
 @dataclass(frozen=True)
@@ -244,11 +245,6 @@ def strain_response(epsilon: float, response: LinearResponse | None = None) -> S
 
 
 # --------------------------------------------------------------- calibration
-
-def _ratio_of_pair(theta_var, b_var, theta_ref, b_ref, T):
-    om_v, om_r = einstein_mode_frequency(theta_var), einstein_mode_frequency(theta_ref)
-    return (b_var * bose_einstein_slope(om_v, T)) / (b_ref * bose_einstein_slope(om_r, T))
-
 
 def calibrate_einstein_model(
     target_slope_at_T0: float,
@@ -402,8 +398,7 @@ def _model_from_dict(d: dict) -> QuasiharmonicResponse:
     )
 
 
-def save_response_set(set_: QuasiharmonicSet, path, targets: dict | None = None,
-                      deterministic: bool = False) -> None:
+def save_response_set(set_: QuasiharmonicSet, path, deterministic: bool = False) -> None:
     """Write the calibrated set with a calibration-provenance block.
 
     ``deterministic`` omits the calibration date so repeated runs produce
@@ -414,7 +409,7 @@ def save_response_set(set_: QuasiharmonicSet, path, targets: dict | None = None,
         for T, _ in DEFAULT_RATIO_CURVE
     ]
     calibration = {
-        "targets": targets or {
+        "targets": {
             "slope_quadrupole_at_300K_Hz_per_K": cycles(set_.quadrupole.slope_at(300.0)),
             "slope_zfs_at_300K_Hz_per_K": cycles(set_.zfs.slope_at(300.0)),
             "ratio_hyperfine_to_quadrupole": [list(p) for p in DEFAULT_RATIO_CURVE],

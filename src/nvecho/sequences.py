@@ -15,9 +15,11 @@ Builders produce the four standard experiments:
 
 ``build_sequence`` maps a kind name to its builder.  ``simulate_family``
 averages the phase factor over the noise ensemble for a whole family of
-sequences at once, in closed form (product of characteristic functions,
-linear sources only) or by Monte Carlo; ``simulate_amplitude`` is its
-one-sequence case, and the scans below are one family call each.
+sequences at once.  The sources choose how: when every source enters the
+phase linearly the average is the exact product of characteristic
+functions, and otherwise (a quasiharmonic temperature source) it is a
+Monte Carlo estimate.  ``simulate_amplitude`` is its one-sequence case, and
+the scans below are one family call each.
 """
 
 from __future__ import annotations
@@ -146,20 +148,17 @@ class SimulationResult:
         return np.exp(1j * self.base_phase) * self.attenuation
 
 
-def simulate_family(sequences, sources, backend: str = "closed_form",
-                    params: SpinSystemParams | None = None,
+def simulate_family(sequences, sources, params: SpinSystemParams | None = None,
                     n_samples: int = 1 << 20, seed: int = 12345) -> SimulationResult:
     """Average e^{i phase} over the noise ensemble for every sequence.
 
-    The ``closed_form`` backend multiplies the centered characteristic
-    functions of the sources, which is exact but only defined when every
-    source enters the phase linearly; quasiharmonic temperature ensembles
-    must use ``monte_carlo``, whose draws all sequences share.  Either way
-    the deterministic phase evaluated at the distribution locations is
+    When every source enters the phase linearly the average is the exact
+    product of the centered characteristic functions; otherwise it is a
+    Monte Carlo estimate from ``n_samples`` draws keyed by ``seed``, which
+    all sequences share, and ``monte_carlo`` holds its bookkeeping.  Either
+    way the deterministic phase evaluated at the distribution locations is
     reported separately as ``base_phase``.
     """
-    if backend not in ("closed_form", "monte_carlo"):
-        raise ValueError(f"unknown backend {backend!r}; use 'closed_form' or 'monte_carlo'")
     if params is None:
         params = default_params()
     sources = tuple(sources)
@@ -167,26 +166,29 @@ def simulate_family(sequences, sources, backend: str = "closed_form",
     grid = stack_coefficients(coeffs)
     base = np.array([accumulated_phase(params, seq.pair, seq.segments) for seq in sequences])
     base = base + sum(src.location_phase(grid) for src in sources)
-    if backend == "monte_carlo":
-        mc = monte_carlo_attenuation(sources, coeffs, n_samples=n_samples, seed=seed)
-        return SimulationResult(attenuation=mc.attenuation, base_phase=base, monte_carlo=mc)
-    nonlinear = [src.name for src in sources if not src.is_linear]
-    if nonlinear:
-        raise TypeError(
-            f"closed form is undefined for nonlinear sources {nonlinear}; "
-            "call with backend='monte_carlo'"
-        )
-    att = dephasing_factor([src.centered() for src in sources], coeffs)
-    return SimulationResult(attenuation=att, base_phase=base)
+    if all(src.is_linear for src in sources):
+        att = dephasing_factor([src.centered() for src in sources], coeffs)
+        return SimulationResult(attenuation=att, base_phase=base)
+    mc = monte_carlo_attenuation(sources, coeffs, n_samples=n_samples, seed=seed)
+    return SimulationResult(attenuation=mc.attenuation, base_phase=base, monte_carlo=mc)
 
 
 def simulate_amplitude(sequence: PulseSequence, sources, **kwargs) -> SimulationResult:
     """One sequence's ensemble average: ``simulate_family`` with G = 1, its
-    keywords (backend, params, n_samples, seed) included."""
+    keywords (params, n_samples, seed) included."""
     family = simulate_family([sequence], sources, **kwargs)
     return SimulationResult(attenuation=complex(family.attenuation[0]),
                             base_phase=float(family.base_phase[0]),
                             monte_carlo=family.monte_carlo)
+
+
+def _average_metadata(result: SimulationResult, kwargs) -> dict:
+    """How the ensemble average was taken: the backend label and, for Monte
+    Carlo, its seed and sample count."""
+    if result.monte_carlo is None:
+        return {"backend": "closed_form"}
+    return {"backend": "monte_carlo", "seed": kwargs.get("seed", 12345),
+            "n_samples": result.monte_carlo.n_samples}
 
 
 @dataclass
@@ -202,8 +204,7 @@ class EnsembleSignal:
 
 
 def phase_sweep(sequence: PulseSequence, sources, readout_phases,
-                contrast: float = 1.0, maximum: float = 1.0,
-                backend: str = "closed_form", **kwargs) -> EnsembleSignal:
+                contrast: float = 1.0, maximum: float = 1.0, **kwargs) -> EnsembleSignal:
     """Fringe signal versus readout phase phi,
 
         S(phi) = maximum - contrast/2 + (contrast/2) Re[e^{i phi} <e^{i phase}>],
@@ -214,31 +215,27 @@ def phase_sweep(sequence: PulseSequence, sources, readout_phases,
     phases = np.asarray(readout_phases, dtype=float)
     if phases.size == 0:
         raise ValueError("need at least one readout phase")
-    res = simulate_amplitude(sequence, sources, backend=backend, **kwargs)
+    res = simulate_amplitude(sequence, sources, **kwargs)
     y = maximum - 0.5 * contrast + 0.5 * contrast * np.real(
         np.exp(1j * phases) * res.mean_signal
     )
     return EnsembleSignal(
         x=phases, y=y, x_label="readout_phase_rad", y_label="population",
         metadata={"kind": sequence.kind, "total_time_s": sequence.total_time,
-                  "amplitude": res.amplitude, "backend": backend},
+                  "amplitude": res.amplitude} | _average_metadata(res, kwargs),
     )
 
 
-def _scan(x, sequences, sources, backend, kwargs, x_label, metadata) -> EnsembleSignal:
-    result = simulate_family(sequences, sources, backend=backend, **kwargs)
-    metadata["backend"] = backend
-    if backend == "monte_carlo":
-        metadata["seed"] = kwargs.get("seed", 12345)
-        metadata["n_samples"] = kwargs.get("n_samples", 1 << 20)
+def _scan(x, sequences, sources, kwargs, x_label, metadata) -> EnsembleSignal:
+    result = simulate_family(sequences, sources, **kwargs)
+    metadata.update(_average_metadata(result, kwargs))
     return EnsembleSignal(x=x, y=result.amplitude, x_label=x_label, y_label="amplitude",
                           metadata=metadata, monte_carlo=result.monte_carlo)
 
 
 def decay_scan(times, sources, flip_fraction: float | None = None,
                sequence: str | None = None, pair=(0, -1),
-               ms_free: int = 0, ms_flipped: int = 1,
-               backend: str = "closed_form", **kwargs) -> EnsembleSignal:
+               ms_free: int = 0, ms_flipped: int = 1, **kwargs) -> EnsembleSignal:
     """Ensemble amplitude versus total evolution time.
 
     With ``flip_fraction`` set (and no explicit template) each point is an
@@ -255,12 +252,11 @@ def decay_scan(times, sources, flip_fraction: float | None = None,
     meta = {"sequence": sequence, "pair": list(pair)}
     if flip_fraction is not None:
         meta["flip_fraction"] = flip_fraction
-    return _scan(times, family, sources, backend, kwargs, "total_time_s", meta)
+    return _scan(times, family, sources, kwargs, "total_time_s", meta)
 
 
 def pulse_location_sweep(total_time: float, flip_fractions, sources, pair=(0, -1),
-                         ms_free: int = 0, ms_flipped: int = 1,
-                         backend: str = "closed_form", **kwargs) -> EnsembleSignal:
+                         ms_free: int = 0, ms_flipped: int = 1, **kwargs) -> EnsembleSignal:
     """Ensemble amplitude versus flip fraction at fixed total time."""
     fractions = np.asarray(flip_fractions, dtype=float)
     if np.any((fractions < 0) | (fractions > 1)):
@@ -268,7 +264,7 @@ def pulse_location_sweep(total_time: float, flip_fractions, sources, pair=(0, -1
     family = [build_sequence("unbalanced_echo", total_time, pair, ms_free, ms_flipped, float(f))
               for f in fractions]
     meta = {"total_time_s": total_time, "pair": list(pair)}
-    return _scan(fractions, family, sources, backend, kwargs, "flip_fraction", meta)
+    return _scan(fractions, family, sources, kwargs, "flip_fraction", meta)
 
 
 # -------------------------------------------------------------- signal files

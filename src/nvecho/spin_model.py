@@ -26,7 +26,6 @@ from .units import angular
 
 _PROJECTIONS = (-1, 0, 1)
 
-SINGLE_QUANTUM_PAIRS = ((0, +1), (0, -1))
 DOUBLE_QUANTUM_PAIR = (-1, +1)
 
 # The six single-quantum lines, ordered by electron manifold (0, -1, +1)

@@ -19,9 +19,11 @@ from nvecho.estimator import (
     predict_rate,
 )
 from nvecho.noise import (
+    dephasing_factor,
     field_source,
     gaussian,
     lorentzian,
+    monte_carlo_attenuation,
     strain_source,
     temperature_source,
 )
@@ -41,7 +43,7 @@ from nvecho.sequences import (
     simulate_amplitude,
     simulate_family,
 )
-from nvecho.spin_model import default_params, single_quantum_table
+from nvecho.spin_model import default_params, phase_coefficients, single_quantum_table
 from nvecho.units import TWO_PI, angular, cycles
 
 
@@ -198,23 +200,28 @@ def test_criterion_5_large_inhomogeneity_monte_carlo(tmp_path):
                f"{t2_hot * 1e3:.1f} ms", failures, started, 300.0)
 
 
-# 6. Closed-form and Monte Carlo backends agree pointwise over a (t, tau/t)
-#    grid for both heavy-tailed and Gaussian ensembles.
+# 6. The closed-form characteristic-function product and the Monte Carlo
+#    average agree pointwise over a (t, tau/t) grid for both heavy-tailed
+#    and Gaussian linear ensembles.
 
 def test_criterion_6_backend_equivalence():
     started = time.perf_counter()
     failures = []
     details = []
+    params = default_params()
     grid_t = np.linspace(2e-4, 2e-3, 10)
     fractions = np.linspace(0.0, 0.45, 10)
     for label, dist in (("lorentzian", lorentzian(0.0, 5.0)),
                         ("gaussian", gaussian(0.0, 5.0))):
         source = temperature_source(dist)
-        family = [build_unbalanced_echo(float(t), float(f) * float(t))
-                  for t in grid_t for f in fractions]
-        closed = simulate_family(family, (source,)).amplitude
-        sampled = simulate_family(family, (source,), backend="monte_carlo",
-                                  n_samples=1 << 20, seed=321).amplitude
+        coefficients = [
+            phase_coefficients(params, seq.pair, seq.segments)
+            for seq in (build_unbalanced_echo(float(t), float(f) * float(t))
+                        for t in grid_t for f in fractions)
+        ]
+        closed = np.abs(dephasing_factor((source,), coefficients))
+        sampled = monte_carlo_attenuation((source,), coefficients,
+                                          n_samples=1 << 20, seed=321).amplitude
         worst = float(np.max(np.abs(closed - sampled)))
         details.append(f"{label} {worst:.2e}")
         if worst > 5e-3:
@@ -338,7 +345,7 @@ def test_criterion_7_property_suite():
     # a Monte Carlo point does not depend on the family it is evaluated in
     hot = temperature_source(lorentzian(300.0, 25.0), response=qset)
     seq = build_unbalanced_echo(2e-3, 0.172 * 2e-3)
-    kwargs = {"backend": "monte_carlo", "n_samples": 1 << 18, "seed": 99}
+    kwargs = {"n_samples": 1 << 18, "seed": 99}
     alone = simulate_amplitude(seq, (hot,), **kwargs).mean_signal
     family = [build_unbalanced_echo(2e-3, f * 2e-3) for f in (0.1, 0.172, 0.3)]
     if simulate_family(family, (hot,), **kwargs).mean_signal[1] != alone:

@@ -43,14 +43,18 @@ output:
   formats: [csv, json]
 """
 
+# a quasiharmonic temperature source, so the run goes through Monte Carlo
 MC_YAML = """\
 schema: nvecho-scenario/1
 name: cli-mc
 pipeline: simulate
+response:
+  model: quasiharmonic
+  data_file: quasiharmonic_default.yaml
 sources:
   - kind: temperature
     distribution: lorentzian
-    location: 0 K
+    location: 300 K
     scale: 5 K
 sequence:
   kind: unbalanced_echo
@@ -58,7 +62,6 @@ sequence:
   flip_fraction: 0.18
   total_time: 1.4 ms
 backend:
-  method: monte_carlo
   samples: 65536
   seed: 7
 output:
@@ -108,6 +111,26 @@ sequence:
   pair: [0, -1]
   total_time: 1.4 ms
   flip_fractions: {start: 0.0, stop: 0.5, count: 26, spacing: linear}
+output:
+  directory: out
+  formats: [csv]
+"""
+
+RATES_YAML = """\
+schema: nvecho-scenario/1
+name: cli-rates
+pipeline: rate_table_vee
+sources:
+  - kind: temperature
+    distribution: lorentzian
+    location: 0 K
+    scale: 5 K
+  - kind: residual_field
+    dq_coherence_time: 3.9 ms
+sequence:
+  pair: [0, -1]
+  flip_fractions: {start: 0.05, stop: 0.35, count: 7}
+  times: {start: 50 us, stop: 2 ms, count: 12, spacing: log}
 output:
   directory: out
   formats: [csv]
@@ -183,7 +206,7 @@ def test_parse_seq_missing_file(tmp_path, capsys):
     assert "nope.txt" in capsys.readouterr().err
 
 
-# ------------------------------------------------------------- simulate/sweep
+# ------------------------------------------------------------------ simulate
 
 def test_simulate_runs_and_prints_one_line_summary(tmp_path, capsys):
     cfg = _write(tmp_path, "sim.yaml", SIMULATE_YAML)
@@ -195,28 +218,33 @@ def test_simulate_runs_and_prints_one_line_summary(tmp_path, capsys):
     assert (out_dir / "cli-sim-result.json").exists()
 
 
-def test_simulate_rejects_sweep_pipeline(tmp_path, capsys):
-    cfg = _write(tmp_path, "sweep.yaml", SWEEP_YAML)
-    assert main(["simulate", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "pulse_sweep" in err
-    assert "nvecho sweep" in err
-
-
-def test_sweep_runs_pulse_sweep(tmp_path, capsys):
+def test_simulate_runs_pulse_sweep(tmp_path, capsys):
     cfg = _write(tmp_path, "sweep.yaml", SWEEP_YAML)
     out_dir = tmp_path / "artifacts"
-    assert main(["sweep", str(cfg), "--out", str(out_dir)]) == 0
+    assert main(["simulate", str(cfg), "--out", str(out_dir)]) == 0
     summary = capsys.readouterr().out.strip()
     assert summary.startswith("cli-sweep:")
     assert "0.18" in summary
     assert (out_dir / "cli-sweep-sweep.csv").exists()
 
 
-def test_sweep_rejects_simulate_pipeline(tmp_path, capsys):
-    cfg = _write(tmp_path, "sim.yaml", SIMULATE_YAML)
-    assert main(["sweep", str(cfg)]) == 2
-    assert "nvecho simulate" in capsys.readouterr().err
+def test_simulate_runs_rate_table_vee(tmp_path, capsys):
+    cfg = _write(tmp_path, "rates.yaml", RATES_YAML)
+    out_dir = tmp_path / "artifacts"
+    assert main(["simulate", str(cfg), "--out", str(out_dir), "--deterministic"]) == 0
+    summary = capsys.readouterr().out.strip()
+    assert summary.startswith("cli-rates: vee ratio 0.19")
+    table = RateTable.read_csv(out_dir / "cli-rates-rates.csv")
+    assert len(table.rows) == 7
+    assert table.metadata["scenario"] == "cli-rates"
+
+
+def test_sweep_subcommand_is_gone(tmp_path, capsys):
+    cfg = _write(tmp_path, "sweep.yaml", SWEEP_YAML)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(cfg)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
 
 
 def test_config_problems_reported_before_compute(tmp_path, capsys):
@@ -250,7 +278,7 @@ def test_simulate_matches_sweep_point_bit_for_bit(tmp_path, capsys):
                   .replace("flip_fraction: 0.18", "flip_fractions: [0.1, 0.18, 0.3]")
                   .replace("formats: [json]", "formats: [csv]"))
     cfg = _write(tmp_path, "sweep.yaml", sweep_yaml)
-    assert main(["sweep", str(cfg), "--out", str(tmp_path / "family"),
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "family"),
                  "--deterministic"]) == 0
     signal = read_signal_csv(tmp_path / "family" / "cli-mc-sweep.csv")
     assert signal.y[1] == single["amplitude"]
@@ -271,6 +299,11 @@ def test_samples_and_seed_overrides_reach_backend(tmp_path, capsys):
     assert rc == 0
     doc = json.loads((out_dir / "cli-mc-result.json").read_text())
     assert doc["n_samples"] == 32768
+    assert doc["n_retained"] <= 32768
+    seed_7 = tmp_path / "seed7"
+    assert main(["simulate", str(cfg), "--out", str(seed_7), "--deterministic",
+                 "--samples", "32768"]) == 0
+    assert json.loads((seed_7 / "cli-mc-result.json").read_text())["amplitude"] != doc["amplitude"]
 
 
 # -------------------------------------------------------------------- fit
@@ -461,6 +494,6 @@ def test_help_lists_all_subcommands(capsys):
         main(["--help"])
     assert err.value.code == 0
     out = capsys.readouterr().out
-    for name in ("simulate", "sweep", "fit", "calibrate-response",
-                 "reproduce", "parse-seq"):
+    for name in ("simulate", "fit", "calibrate-response", "reproduce", "parse-seq"):
         assert name in out
+    assert "sweep" not in out

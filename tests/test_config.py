@@ -59,7 +59,6 @@ sequence:
     ms: +1
     times: {start: 10 us, stop: 1 ms, count: 24, spacing: linear}
 backend:
-  method: closed_form
   seed: 12345
 output:
   directory: out
@@ -74,9 +73,7 @@ def test_minimal_config_defaults():
     assert cfg.spin_params() == default_params()
     assert cfg.response_model() == LinearResponse()
     assert cfg.noise_sources() == ()
-    assert cfg.backend_kwargs() == {
-        "backend": "closed_form", "n_samples": 1 << 20, "seed": 12345,
-    }
+    assert cfg.backend_kwargs() == {"n_samples": 1 << 20, "seed": 12345}
     assert realize_grid(cfg.sequence.get("times")) is None
 
 
@@ -268,11 +265,13 @@ def test_quasiharmonic_temperature_source_is_nonlinear():
 
 def test_backend_and_output_validation():
     cfg = dict_minimal()
-    cfg["backend"] = {"method": "monte_carlo", "samples": 4096}
-    parsed = parse_config(cfg)
-    kwargs = parsed.backend_kwargs()
-    assert kwargs["backend"] == "monte_carlo"
-    assert kwargs["n_samples"] == 4096
+    cfg["backend"] = {"samples": 4096}
+    assert parse_config(cfg).backend_kwargs() == {"n_samples": 4096, "seed": 12345}
+
+    # the sources choose closed form or Monte Carlo; there is no method key
+    cfg["backend"] = {"method": "closed_form"}
+    with pytest.raises(ConfigError, match="backend.method: unknown key"):
+        parse_config(cfg)
 
     cfg["backend"] = {"samples": 0}
     with pytest.raises(ConfigError, match="samples"):
@@ -303,3 +302,19 @@ def test_non_finite_quantities_rejected():
     cfg["sequence"] = {"kind": "ramsey", "total_time": "1e400 ms"}
     with pytest.raises(ConfigError, match="sequence.total_time"):
         parse_config(cfg)
+    # plain numbers (strain sources, flip fractions) can be YAML .inf / .nan
+    text = MINIMAL + """\
+sources:
+  - kind: strain
+    distribution: lorentzian
+    location: .inf
+    scale: .nan
+sequence:
+  flip_fractions: [0.1, -.inf]
+"""
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert len(excinfo.value.problems) == 3
+    for path in ("sources[0].location", "sources[0].scale", "sequence.flip_fractions[1]"):
+        assert f"{path}: must be finite" in str(excinfo.value)
+

@@ -86,6 +86,10 @@ def test_distribution_validation():
         Distribution(kind="uniform", location=0.0, scale=1.0)
     with pytest.raises(ValueError):
         Distribution(kind="delta", location=0.0, scale=0.5)
+    # a NaN width used to pass and give a silent amplitude of nan
+    for location, scale in ((0.0, math.nan), (math.inf, 5.0), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            Distribution(kind="lorentzian", location=location, scale=scale)
 
 
 def test_sampling_is_deterministic():

@@ -1,0 +1,244 @@
+"""Property tests over generated inputs (hypothesis, derandomized).
+
+Each property runs a small, fixed set of examples so the suite stays steady
+and fast:
+
+* config parse -> dump -> parse is a fixed point, and the dump never emits a
+  ``method`` key (the sources choose the ensemble average);
+* sequence scripts round-trip through the canonical printer;
+* a closed-form Ramsey decay under Lorentzian noise obeys A(2t) = A(t)^2;
+* a Monte Carlo point is bit-identical whatever family it is evaluated in,
+  also when the sample count is not a whole number of chunks.
+"""
+
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from nvecho.config import dump_config, parse_config
+from nvecho.noise import CHUNK, field_source, lorentzian, temperature_source
+from nvecho.response import default_quasiharmonic_set
+from nvecho.script import format_sequence_script, parse_sequence_script
+from nvecho.sequences import (
+    build_ramsey,
+    build_sequence,
+    build_unbalanced_echo,
+    simulate_amplitude,
+    simulate_family,
+)
+
+SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=25)
+MC_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=5)
+
+PAIRS = [(0, -1), (0, 1), (-1, 1), (1, 0)]
+SQ_PAIRS = [(0, -1), (0, 1)]
+PROJECTIONS = [-1, 0, 1]
+
+
+def _finite(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+def _quantity(low, high, unit):
+    return _finite(low, high).map(lambda v: f"{v!r} {unit}")
+
+
+# ------------------------------------------------------------------ configs
+
+_names = st.text("abcdefghijklmnopqrstuvwxyz0123456789-_", min_size=1, max_size=12)
+_times = _quantity(1e-7, 1e-1, "s")
+
+
+def _grid(values, positive_values):
+    listed = st.lists(values, min_size=1, max_size=4)
+    linear = st.fixed_dictionaries(
+        {"start": values, "stop": values, "count": st.integers(1, 50)},
+        optional={"spacing": st.just("linear")},
+    )
+    log = st.fixed_dictionaries(
+        {"start": positive_values, "stop": positive_values, "count": st.integers(1, 50),
+         "spacing": st.just("log")},
+    )
+    return st.one_of(listed, linear, log)
+
+
+_fractions = _finite(0.0, 1.0)
+_time_grid = _grid(_times, _times)
+_fraction_grid = _grid(_fractions, _finite(1e-3, 1.0))
+
+
+@st.composite
+def _source(draw):
+    kind = draw(st.sampled_from(["temperature", "field", "strain", "residual_field"]))
+    out = {"kind": kind}
+    if draw(st.booleans()):
+        out["name"] = draw(_names)
+    if kind == "residual_field":
+        if draw(st.booleans()):
+            out["dq_coherence_time"] = draw(_quantity(1e-6, 1.0, "s"))
+        return out
+    dist = draw(st.sampled_from(["lorentzian", "gaussian", "delta"]))
+    out["distribution"] = dist
+    if kind == "strain":
+        location, scale = _finite(-0.05, 0.05), _finite(0.0, 0.05)
+    else:
+        unit = "K" if kind == "temperature" else "G"
+        location, scale = _quantity(-50.0, 50.0, unit), _quantity(0.0, 50.0, unit)
+    if draw(st.booleans()):
+        out["location"] = draw(location)
+    if dist != "delta" and draw(st.booleans()):
+        out["scale"] = draw(scale)
+    return out
+
+
+def _sequence_block(allow_compare):
+    optional = {
+        "kind": st.sampled_from(["ramsey", "dq_ramsey", "unbalanced_echo", "nuclear_echo"]),
+        "pair": st.sampled_from(PAIRS).map(list),
+        "ms": st.sampled_from(PROJECTIONS),
+        "ms_free": st.sampled_from(PROJECTIONS),
+        "ms_flipped": st.sampled_from(PROJECTIONS),
+        "flip_fraction": _fractions,
+        "total_time": _times,
+        "times": _time_grid,
+        "flip_fractions": _fraction_grid,
+        "pairs": st.lists(st.sampled_from(PAIRS).map(list), min_size=1, max_size=3),
+    }
+    if allow_compare:
+        optional["compare"] = _sequence_block(False)
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+_configs = st.fixed_dictionaries(
+    {
+        "schema": st.just("nvecho-scenario/1"),
+        "name": _names,
+        "pipeline": st.sampled_from(["simulate", "decay_compare", "pulse_sweep",
+                                     "rate_table_vee", "protection_study"]),
+    },
+    optional={
+        "description": st.text(max_size=20),
+        "spin": st.fixed_dictionaries({}, optional={
+            "zfs": _quantity(1e9, 4e9, "Hz"),
+            "quadrupole": _quantity(-6e6, -4e6, "Hz"),
+            "hyperfine": _quantity(-3e6, -1e6, "Hz"),
+            "gamma_n": _quantity(-400.0, -200.0, "Hz/G"),
+            "field": _quantity(0.0, 1000.0, "G"),
+        }),
+        "response": st.one_of(
+            st.fixed_dictionaries({"model": st.just("linear")}, optional={
+                "quadrupole_per_K": _quantity(-100.0, 100.0, "Hz/K"),
+                "hyperfine_per_K": _quantity(-500.0, 500.0, "Hz/K"),
+                "quadrupole_per_GPa": _quantity(-5e3, 5e3, "Hz/GPa"),
+            }),
+            st.just({"model": "quasiharmonic", "data_file": "quasiharmonic_default.yaml"}),
+        ),
+        "sources": st.lists(_source(), max_size=3),
+        "sequence": _sequence_block(True),
+        "backend": st.fixed_dictionaries({}, optional={
+            "samples": st.integers(1, 1 << 22),
+            "seed": st.integers(0, 2**63),
+        }),
+        "output": st.fixed_dictionaries({}, optional={
+            "directory": _names,
+            "formats": st.lists(st.sampled_from(["csv", "json"]), min_size=1, max_size=2),
+        }),
+    },
+)
+
+
+@SETTINGS
+@given(_configs)
+def test_config_parse_dump_parse_is_a_fixed_point(doc):
+    first = parse_config(doc)
+    text = dump_config(first)
+    second = parse_config(text)
+    assert second == first
+    assert dump_config(second) == text
+    assert "method" not in text
+
+
+# ------------------------------------------------------------------ scripts
+
+@SETTINGS
+@given(
+    kind=st.sampled_from(["ramsey", "dq_ramsey", "unbalanced_echo", "nuclear_echo"]),
+    total_time=_finite(1e-7, 1e-1),
+    pair=st.sampled_from(SQ_PAIRS),
+    ms_free=st.sampled_from(PROJECTIONS),
+    flip_fraction=_fractions,
+)
+def test_built_sequences_round_trip_through_the_printer(kind, total_time, pair, ms_free,
+                                                        flip_fraction):
+    ms_flipped = 1 if ms_free != 1 else 0
+    seq = build_sequence(kind, total_time, pair, ms_free, ms_flipped, flip_fraction)
+    assert parse_sequence_script(format_sequence_script(seq)) == seq
+
+
+_steps = st.lists(
+    st.tuples(st.booleans(), st.sampled_from(PROJECTIONS), _finite(0.0, 1e-2)),
+    min_size=1, max_size=5,
+)
+
+
+@SETTINGS
+@given(pair=st.sampled_from(PAIRS), steps=_steps)
+def test_printed_scripts_are_canonical(pair, steps):
+    lines, ms = [f"pair {pair[0]} {pair[1]}"], 0
+    for flip_n, target, duration in steps:
+        if flip_n:
+            lines.append("flip-n")
+        if target != ms:
+            lines.append(f"flip-e ms={target}")
+            ms = target
+        lines.append(f"evolve {duration!r}s ms={ms}")
+    lines.append("evolve 1us")  # positive total duration
+    first = parse_sequence_script("\n".join(lines))
+    text = format_sequence_script(first)
+    second = parse_sequence_script(text)
+    assert (second.pair, second.segments) == (first.pair, first.segments)
+    assert parse_sequence_script(format_sequence_script(second)) == second
+    assert format_sequence_script(second) == text
+
+
+# ------------------------------------------------------------------ physics
+
+@SETTINGS
+@given(
+    t=_finite(1e-6, 2e-3),
+    pair=st.sampled_from(SQ_PAIRS),
+    m_S=st.sampled_from(PROJECTIONS),
+    temperature_width=_finite(0.0, 10.0),
+    field_width=_finite(0.0, 0.5),
+)
+def test_closed_form_ramsey_is_exponential(t, pair, m_S, temperature_width, field_width):
+    sources = (temperature_source(lorentzian(0.0, temperature_width)),
+               field_source(lorentzian(0.0, field_width)))
+    one = simulate_amplitude(build_ramsey(t, pair, m_S), sources)
+    two = simulate_amplitude(build_ramsey(2 * t, pair, m_S), sources)
+    assert one.monte_carlo is None and two.monte_carlo is None
+    assert math.isclose(two.amplitude, one.amplitude ** 2, rel_tol=1e-9, abs_tol=1e-300)
+
+
+@MC_SETTINGS
+@given(
+    total_time=_finite(1e-4, 3e-3),
+    fractions=st.lists(_fractions, min_size=2, max_size=3),
+    width=_finite(1.0, 50.0),
+    with_field=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_monte_carlo_point_is_batch_invariant(total_time, fractions, width, with_field, seed):
+    sources = (temperature_source(lorentzian(300.0, width),
+                                  response=default_quasiharmonic_set()),)
+    if with_field:
+        sources += (field_source(lorentzian(0.0, 0.1)),)
+    family = [build_unbalanced_echo(total_time, f * total_time) for f in fractions]
+    kwargs = {"n_samples": CHUNK + 17, "seed": seed}
+    batch = simulate_family(family, sources, **kwargs)
+    for g, seq in enumerate(family):
+        alone = simulate_amplitude(seq, sources, **kwargs)
+        assert alone.attenuation == batch.attenuation[g]
+        assert alone.base_phase == batch.base_phase[g]
+        assert alone.monte_carlo.std_error[0] == batch.monte_carlo.std_error[g]
+        assert alone.monte_carlo.n_retained == batch.monte_carlo.n_retained

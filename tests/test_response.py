@@ -101,6 +101,22 @@ def test_first_order_term_and_gradient():
     assert math.isclose(model.slope_at(310.0), fd, rel_tol=1e-6)
 
 
+def test_zero_first_order_skips_thermal_expansion(monkeypatch):
+    # the shipped calibration leaves first_order at 0, so the cubic is skipped
+    model = default_quasiharmonic_set().hyperfine
+    assert model.first_order == 0.0
+    T = np.array([250.0, 300.0, 350.0])
+    (omega, b), = model.modes
+    expected = b * (bose_einstein(omega, T) - bose_einstein(omega, model.reference_T))
+
+    def not_called(self, T):
+        raise AssertionError("thermal-expansion polynomial evaluated")
+
+    monkeypatch.setattr(QuasiharmonicResponse, "_q_ex", not_called)
+    assert np.array_equal(model.shift_at(T), expected)
+    assert model.shift_at(300.0) == 0.0
+
+
 def test_mode_frequencies_must_be_positive():
     with pytest.raises(ValueError):
         QuasiharmonicResponse(
@@ -208,7 +224,7 @@ def test_calibrate_infeasible_targets_raise():
 def test_data_file_round_trip(tmp_path):
     set_ = default_quasiharmonic_set()
     path = tmp_path / "response.yaml"
-    save_response_set(set_, path, targets={"note": "test"})
+    save_response_set(set_, path)
     loaded = load_response_set(path)
     assert loaded.quadrupole.modes == set_.quadrupole.modes
     assert loaded.hyperfine.modes == set_.hyperfine.modes

@@ -126,7 +126,7 @@ def test_protection_study_small(tmp_path):
                         "times": {"start": "2 us", "stop": "80 us", "count": 9,
                                   "spacing": "log"}},
         },
-        backend={"method": "monte_carlo", "samples": 65536},
+        backend={"samples": 65536},
     )
     result = run_scenario(cfg, out_dir=tmp_path, deterministic=True)
     numbers = result.numbers
@@ -147,7 +147,7 @@ def test_sweep_point_matches_single_simulation(tmp_path):
         "response": {"model": "quasiharmonic", "data_file": "quasiharmonic_default.yaml"},
         "sources": [{"kind": "temperature", "distribution": "lorentzian",
                      "location": "300 K", "scale": "25 K"}],
-        "backend": {"method": "monte_carlo", "samples": 131072},
+        "backend": {"samples": 131072},
     }
     echo = {"pair": [0, -1], "ms_free": 0, "ms_flipped": +1, "total_time": "1 ms"}
     single = run_scenario(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nvecho.noise import (
+    MonteCarloResult,
     field_source,
     gaussian,
     lorentzian,
@@ -125,30 +126,32 @@ def test_nuclear_echo_refocuses_every_linear_source():
     assert result.base_phase == pytest.approx(0.0, abs=1e-9)
 
 
-def test_closed_form_rejects_nonlinear_sources():
-    src = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
+def test_sources_choose_closed_form_or_monte_carlo():
+    linear = (temperature_source(lorentzian(0.0, 5.0)), field_source(gaussian(0.0, 0.3)))
+    hot = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
+    seq = build_ramsey(1e-4)
+    # all-linear ensembles take the exact characteristic-function product
+    assert simulate_amplitude(seq, linear).monte_carlo is None
+    # one quasiharmonic source sends the whole ensemble through Monte Carlo
+    mixed = simulate_amplitude(seq, linear + (hot,), n_samples=1 << 14, seed=SEED)
+    assert isinstance(mixed.monte_carlo, MonteCarloResult)
+    assert mixed.monte_carlo.n_samples == 1 << 14
+    assert 0.0 < mixed.amplitude < 1.0
+    # and there is no keyword to override the choice
     with pytest.raises(TypeError):
-        simulate_amplitude(build_ramsey(1e-4), (src,), backend="closed_form")
-    # the Monte Carlo path accepts the same call
-    res = simulate_amplitude(
-        build_ramsey(1e-4), (src,), backend="monte_carlo", n_samples=1 << 14, seed=SEED
-    )
-    assert 0.0 < res.amplitude < 1.0
-    assert res.monte_carlo is not None
-    with pytest.raises(ValueError):
-        simulate_amplitude(build_ramsey(1e-4), (src,), backend="exact")
+        simulate_amplitude(seq, linear, backend="monte_carlo")
 
 
-def test_monte_carlo_agrees_with_closed_form_for_linear_sources():
-    sources = (
-        temperature_source(lorentzian(0.0, 5.0)),
-        field_source(lorentzian(0.0, 0.0663)),
-    )
-    seq = build_unbalanced_echo(1e-3, 0.15e-3)
-    exact = simulate_amplitude(seq, sources)
-    mc = simulate_amplitude(seq, sources, backend="monte_carlo", n_samples=1 << 19, seed=SEED)
-    assert abs(mc.attenuation - exact.attenuation) < 5e-3
-    assert mc.base_phase == exact.base_phase
+def test_scan_metadata_names_the_average():
+    times = [1e-4, 2e-4]
+    closed = decay_scan(times, (temperature_source(lorentzian(0.0, 5.0)),))
+    assert closed.metadata["backend"] == "closed_form"
+    assert "seed" not in closed.metadata and "n_samples" not in closed.metadata
+    hot = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
+    sampled = decay_scan(times, (hot,), n_samples=1 << 12, seed=7)
+    assert sampled.metadata["backend"] == "monte_carlo"
+    assert sampled.metadata["seed"] == 7
+    assert sampled.metadata["n_samples"] == 1 << 12
 
 
 def test_phase_sweep_readout():
