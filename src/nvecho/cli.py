@@ -26,19 +26,18 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config
+from .config import load_config
 from .estimator import RATES_SCHEMA, FitError, RateTable, fit_cosine, fit_exponential, fit_vee
 from .response import calibrate_response_set, save_response_set
 from .scenarios import (
     SCENARIO_ALIASES,
     SCENARIO_NAMES,
-    ScenarioError,
     load_packaged_scenario,
     run_scenario,
 )
-from .script import ScriptError, format_sequence_script, parse_sequence_script
+from .script import format_sequence_script, parse_sequence_script
 from .sequences import read_signal_csv
-from .units import QuantityError, angular, cycles, parse_quantity
+from .units import angular, cycles, parse_quantity
 
 _FIT_KINDS_BY_LABEL = {"total_time_s": "exponential", "readout_phase_rad": "cosine"}
 
@@ -85,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto", help="fit model (default: infer from the file)")
     p.add_argument("--skip", type=int, metavar="N",
                    help="initial points to skip in the exponential fit (default 3)")
-    p.add_argument("--method", choices=("auto", "vee", "line"), default="auto",
-                   help="vee-fit dispatch (default: by branch geometry)")
     p.add_argument("--robust", action="store_true",
                    help="soft-L1 loss for the vee fit")
     p.add_argument("--pair", type=_pair_argument, metavar="A,B",
@@ -174,7 +171,7 @@ def _cmd_fit(args) -> int:
             table = table.filter(pair=args.pair, ms_pairing=args.ms_pairing)
         if not table.rows:
             raise ValueError(f"{path}: no rows left after filtering")
-        result = fit_vee(table, method=args.method, robust=args.robust)
+        result = fit_vee(table, robust=args.robust)
     else:
         signal = read_signal_csv(path)
         if kind == "exponential":
@@ -243,13 +240,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ScenarioError, ScriptError, QuantityError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # script, quantity, scenario-name errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

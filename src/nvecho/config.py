@@ -7,8 +7,12 @@ fractions, counts, seeds) are plain numbers.
 
 Parsing validates the whole document and raises one ConfigError listing every
 problem with its dotted path, so a config is fixed in one edit cycle rather
-than one error at a time.  ``dump_config`` prints the canonical form;
-parse -> print -> parse is a fixed point.
+than one error at a time.  That includes the sequence keys the pipeline
+needs (``PIPELINE_NEEDS``) and well-formed grids: times positive and strictly
+increasing, flip fractions in [0, 1].  ``dump_config`` prints the canonical
+form; parse -> print -> parse is a fixed point, so a hand-built
+``ScenarioConfig`` is checked by parsing its canonical mapping
+(``config_document``).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -67,10 +72,37 @@ _DISTRIBUTIONS = ("lorentzian", "gaussian", "delta")
 
 _SEQUENCE_KEYS = ("kind", "script", "pair", "pairs", "ms", "ms_free", "ms_flipped",
                   "flip_fraction", "total_time", "times", "flip_fractions", "compare")
-_SEQUENCE_KINDS = ("ramsey", "dq_ramsey", "unbalanced_echo", "nuclear_echo", "script")
+_SEQUENCE_KINDS = ("ramsey", "dq_ramsey", "unbalanced_echo", "nuclear_echo")
 
 _BACKEND_DEFAULTS = {"samples": 1 << 20, "seed": 12345}
-_OUTPUT_DEFAULTS = {"directory": ".", "formats": ("csv", "json")}
+_OUTPUT_DEFAULTS = {"directory": "."}
+
+
+class Needs(NamedTuple):
+    keys: tuple  # dotted paths below ``sequence``; "a|b" when either will do
+    templates: dict = {}  # block built from a kind -> its kind when it names none
+
+
+# What each pipeline reads from its sequence block; ``compare.times`` asks for
+# the block too.  A script carries its own durations; an unbalanced-echo
+# template needs a flip_fraction.  The protected scan of ``protection_study``
+# is an echo at the sweep's optimum, no template.
+PIPELINE_NEEDS = {
+    "simulate": Needs(("kind|script", "total_time|script"), {"sequence": None}),
+    "decay_compare": Needs(("times", "compare.times"),
+                           {"sequence": "unbalanced_echo", "sequence.compare": "ramsey"}),
+    "pulse_sweep": Needs(("total_time", "flip_fractions")),
+    "rate_table_vee": Needs(("pair|pairs", "flip_fractions", "times")),
+    "protection_study": Needs(("total_time", "flip_fractions", "times", "compare.times"),
+                              {"sequence.compare": "ramsey"}),
+}
+
+# scanned grids: unit dimension, and what their realized values must satisfy
+_GRIDS = {
+    "times": ("time", lambda v: v[0] > 0 and np.all(np.diff(v) > 0),
+              "must be positive and strictly increasing"),
+    "flip_fractions": (None, lambda v: np.all((v >= 0) & (v <= 1)), "must lie in [0, 1]"),
+}
 
 
 class ConfigError(ValueError):
@@ -160,18 +192,9 @@ def _normalize_response(block, col):
         return {"model": "linear"}
     model = block.get("model", "linear")
     if model == "linear":
-        out = {"model": "linear"}
-        for key, value in block.items():
-            if key == "model":
-                continue
-            if key not in _RESPONSE_LINEAR_FIELDS:
-                col.add(f"response.{key}", "unknown key")
-                continue
-            parsed = _quantity(value, f"response.{key}", col,
-                               _RESPONSE_LINEAR_FIELDS[key])
-            if parsed is not None:
-                out[key] = parsed
-        return out
+        slopes = {key: value for key, value in block.items() if key != "model"}
+        return {"model": "linear"} | _normalize_quantity_block(
+            slopes, "response", col, _RESPONSE_LINEAR_FIELDS)
     if model == "quasiharmonic":
         for key in block:
             if key not in ("model", "data_file"):
@@ -264,7 +287,7 @@ def _normalize_grid(spec, path, col, dimension):
             v = _value(item, f"{path}[{i}]", col, dimension)
             if v is not None:
                 values.append(v)
-        return tuple(values)
+        return tuple(values) if len(values) == len(spec) else None
     if isinstance(spec, dict):
         for key in spec:
             if key not in ("start", "stop", "count", "spacing"):
@@ -386,15 +409,46 @@ def _normalize_sequence(block, path, col, allow_compare=True):
                 col.add(f"{path}.total_time", "must be > 0")
             else:
                 out["total_time"] = v
-    for key, dimension in (("times", "time"), ("flip_fractions", None)):
+    for key, (dimension, holds, message) in _GRIDS.items():
         if key in block:
             grid = _normalize_grid(block[key], f"{path}.{key}", col, dimension)
-            if grid is not None:
+            if grid is not None and holds(realize_grid(grid)):
                 out[key] = grid
+            elif grid is not None:
+                col.add(f"{path}.{key}", message)
     if allow_compare and "compare" in block:
         out["compare"] = _normalize_sequence(block["compare"], f"{path}.compare",
                                              col, allow_compare=False)
     return out
+
+
+def _lookup(root, dotted):
+    for key in dotted.split("."):
+        if not isinstance(root, dict) or root.get(key) is None:
+            return None
+        root = root[key]
+    return root
+
+
+def _check_needs(pipeline, sequence, col) -> None:
+    """Report an unknown pipeline, or each sequence key it needs and the raw
+    ``sequence`` block lacks."""
+    needs = PIPELINE_NEEDS.get(pipeline)
+    if needs is None:
+        col.add("pipeline", f"unknown pipeline {pipeline!r}; "
+                            f"expected one of {sorted(PIPELINE_NEEDS)}")
+        return
+    root = {"sequence": sequence}
+    for need in needs.keys:
+        options = [f"sequence.{key}" for key in need.split("|")]
+        if all(_lookup(root, path) is None for path in options):
+            col.add(options[0], f"pipeline {pipeline!r} needs {' or '.join(options)}")
+    for path, default_kind in needs.templates.items():
+        block = _lookup(root, path)
+        if (isinstance(block, dict) and "script" not in block
+                and block.get("kind", default_kind) == "unbalanced_echo"
+                and "flip_fraction" not in block):
+            col.add(f"{path}.flip_fraction", "an unbalanced echo needs a flip_fraction")
 
 
 def _normalize_backend(block, col):
@@ -418,8 +472,7 @@ def _normalize_backend(block, col):
 
 
 def _normalize_output(block, col):
-    out = {"directory": _OUTPUT_DEFAULTS["directory"],
-           "formats": _OUTPUT_DEFAULTS["formats"]}
+    out = dict(_OUTPUT_DEFAULTS)
     if block is None:
         return out
     if not isinstance(block, dict):
@@ -431,12 +484,6 @@ def _normalize_output(block, col):
                 col.add("output.directory", "must be a nonempty string")
             else:
                 out["directory"] = value
-        elif key == "formats":
-            if (not isinstance(value, list) or not value
-                    or any(v not in ("csv", "json") for v in value)):
-                col.add("output.formats", "must be a nonempty list drawn from [csv, json]")
-            else:
-                out["formats"] = tuple(value)
         else:
             col.add(f"output.{key}", "unknown key")
     return out
@@ -544,6 +591,9 @@ def parse_config(data, base_dir=None) -> ScenarioConfig:
     response = _normalize_response(raw.get("response"), col)
     sources = _normalize_sources(raw.get("sources"), col)
     sequence = _normalize_sequence(raw.get("sequence"), "sequence", col)
+    if isinstance(pipeline, str) and pipeline:
+        # against the raw block, so a malformed key is not also reported missing
+        _check_needs(pipeline, raw.get("sequence"), col)
     backend = _normalize_backend(raw.get("backend"), col)
     output = _normalize_output(raw.get("output"), col)
 
@@ -620,8 +670,9 @@ def _dump_sequence(block):
     return out
 
 
-def dump_config(config: ScenarioConfig) -> str:
-    """Canonical YAML for a config; parse(dump(parse(x))) == parse(x)."""
+def config_document(config: ScenarioConfig) -> dict:
+    """The canonical mapping of a config, which ``dump_config`` prints;
+    ``parse_config`` of it checks a config built in code."""
     doc = {"schema": SCHEMA, "name": config.name, "pipeline": config.pipeline}
     if config.description:
         doc["description"] = config.description
@@ -642,6 +693,10 @@ def dump_config(config: ScenarioConfig) -> str:
     if config.sequence:
         doc["sequence"] = _dump_sequence(config.sequence)
     doc["backend"] = dict(config.backend)
-    doc["output"] = {"directory": config.output["directory"],
-                     "formats": list(config.output["formats"])}
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+    doc["output"] = dict(config.output)
+    return doc
+
+
+def dump_config(config: ScenarioConfig) -> str:
+    """Canonical YAML for a config; parse(dump(parse(x))) == parse(x)."""
+    return yaml.safe_dump(config_document(config), sort_keys=False, default_flow_style=False)

@@ -269,25 +269,22 @@ def _vee_dispatch(table: RateTable) -> str:
     return "vee" if d_mi * ms_flip < 0 else "line"
 
 
-def fit_vee(table: RateTable, method: str = "auto", robust: bool = False) -> FitResult:
+def fit_vee(table: RateTable, robust: bool = False) -> FitResult:
     """Fit decay rate versus flip fraction for one transition branch.
 
     The cancelling branch forms a vee, rate = slope |x - ratio| + baseline,
     and the crossing point estimates the coupling slope ratio independent
     of any constant baseline.  The non-cancelling branch is a straight
     line; its x-intercept magnitude estimates the same ratio but absorbs
-    baseline / slope as bias, which is faithfully reported.
+    baseline / slope as bias, which is faithfully reported.  The branch
+    geometry of the table, one pair and one ms pairing, decides which.
     """
-    if method == "auto":
-        method = _vee_dispatch(table)
-    if method not in ("vee", "line"):
-        raise ValueError(f"unknown fit_vee method {method!r}")
     x = table.tau_over_t
     y = table.rates
     order = np.argsort(x)
     x, y = x[order], y[order]
 
-    if method == "line":
+    if _vee_dispatch(table) == "line":
         design = np.column_stack([x, np.ones_like(x)])
         (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
         if slope == 0:

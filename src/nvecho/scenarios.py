@@ -3,15 +3,19 @@
 Each pipeline composes simulation and fitting into one reproducible run:
 
 * ``simulate`` - one ensemble amplitude for a configured sequence.
-* ``decay_compare`` - protected vs unprotected decay scans, exponential fits,
-  and the coherence-time improvement factor.
-* ``pulse_sweep`` - amplitude versus flip fraction at fixed total time,
-  reporting the echo optimum.
+* ``decay_compare`` - the compare step: protected vs unprotected decay scans,
+  exponential fits, and the coherence-time improvement factor.
+* ``pulse_sweep`` - the sweep step: amplitude versus flip fraction at fixed
+  total time, reporting the echo optimum.
 * ``rate_table_vee`` - decay-rate tables over flip fraction for one or more
-  nuclear branches, with vee / line fits of the slope ratio.
-* ``protection_study`` - Monte Carlo pulse sweep to locate the optimum, then
-  protected and unprotected decay scans at that optimum (large-inhomogeneity
-  studies with the quasiharmonic lattice model).
+  nuclear branches, one sequence family per branch, with vee / line fits of
+  the slope ratio.
+* ``protection_study`` - the sweep step, then the compare step with the
+  protected scan at the sweep's optimum (large-inhomogeneity studies with
+  the quasiharmonic lattice model).
+
+The config checks the sequence keys each pipeline needs before any compute
+starts (``config.PIPELINE_NEEDS``); the pipelines read them unchecked.
 
 Reference scenario configs ship as package data; ``load_packaged_scenario``
 finds them by name (fig1c, fig1d, fig2, fig4, s5 plus the fig2c/fig2d
@@ -27,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, load_config, realize_grid
+from .config import ScenarioConfig, config_document, load_config, parse_config, realize_grid
 from .estimator import RateTable, fit_exponential, fit_vee
 from .script import parse_sequence_script
 from .sequences import (
@@ -35,6 +39,7 @@ from .sequences import (
     decay_scan,
     pulse_location_sweep,
     simulate_amplitude,
+    simulate_family,
     write_signal_csv,
     write_signal_json,
 )
@@ -45,7 +50,7 @@ SCENARIO_ALIASES = {"fig2c": "fig2", "fig2d": "fig2"}
 
 
 class ScenarioError(ValueError):
-    """A pipeline cannot run with the given config."""
+    """No packaged scenario has the given name."""
 
 
 @dataclass
@@ -72,29 +77,26 @@ def load_packaged_scenario(name: str) -> ScenarioConfig:
     return load_config(packaged_scenario_path(name))
 
 
+def _echo(block: dict) -> dict:
+    """Pair and electron manifolds of a block's unbalanced echoes."""
+    return {"pair": block.get("pair", (0, -1)), "ms_free": block.get("ms_free", 0),
+            "ms_flipped": block.get("ms_flipped", 1)}
+
+
 def _template(block: dict, kind: str) -> dict:
     """``build_sequence`` keywords of a sequence block; kinds that stay in
     one manifold name it ``ms``."""
-    echo = kind == "unbalanced_echo"
-    if echo and block.get("flip_fraction") is None:
-        raise ScenarioError("an unbalanced echo needs a flip_fraction")
-    return {"pair": block.get("pair", (0, -1)),
-            "ms_free": block.get("ms_free" if echo else "ms", 0),
-            "ms_flipped": block.get("ms_flipped", 1),
-            "flip_fraction": block.get("flip_fraction") if echo else None}
+    if kind == "unbalanced_echo":
+        return _echo(block) | {"flip_fraction": block["flip_fraction"]}
+    return {"pair": block.get("pair", (0, -1)), "ms_free": block.get("ms", 0)}
 
 
 def build_sequence_from_block(block: dict):
     """Turn a validated sequence block into a PulseSequence."""
     if "script" in block:
         return parse_sequence_script(block["script"])
-    kind = block.get("kind")
-    if kind is None:
-        raise ScenarioError("sequence block needs a kind or a script")
-    total_time = block.get("total_time")
-    if total_time is None:
-        raise ScenarioError(f"sequence kind {kind!r} needs a total_time")
-    return build_sequence(kind, total_time, **_template(block, kind))
+    return build_sequence(block["kind"], block["total_time"],
+                          **_template(block, block["kind"]))
 
 
 # ------------------------------------------------------------ run machinery
@@ -104,24 +106,16 @@ class _Context:
     config: ScenarioConfig
     backend_kwargs: dict
     out_dir: Path
-    formats: tuple
     deterministic: bool
     artifacts: list = field(default_factory=list)
 
     def write_signal(self, label: str, signal) -> None:
         stem = self.out_dir / f"{self.config.name}-{label}"
-        if "csv" in self.formats:
-            path = stem.with_suffix(".csv")
-            write_signal_csv(signal, path, deterministic=self.deterministic)
-            self.artifacts.append(path)
-        if "json" in self.formats:
-            path = stem.with_suffix(".json")
-            write_signal_json(signal, path, deterministic=self.deterministic)
-            self.artifacts.append(path)
+        for suffix, write in ((".csv", write_signal_csv), (".json", write_signal_json)):
+            write(signal, stem.with_suffix(suffix), deterministic=self.deterministic)
+            self.artifacts.append(stem.with_suffix(suffix))
 
     def write_json(self, label: str, payload: dict) -> None:
-        if "json" not in self.formats:
-            return
         path = self.out_dir / f"{self.config.name}-{label}.json"
         doc = dict(payload)
         if not self.deterministic:
@@ -130,18 +124,20 @@ class _Context:
                         encoding="utf-8")
         self.artifacts.append(path)
 
+    def result(self, summary: str, numbers: dict, **kwargs) -> ScenarioResult:
+        return ScenarioResult(self.config.name, self.config.pipeline, summary, numbers,
+                              tuple(self.artifacts), **kwargs)
+
 
 def run_scenario(config: ScenarioConfig, out_dir=None, deterministic: bool = False,
                  samples: int | None = None, seed: int | None = None) -> ScenarioResult:
     """Execute a config's pipeline, writing artifacts and returning fits.
 
-    ``samples`` and ``seed`` override the config's backend block.
+    ``samples`` and ``seed`` override the config's backend block.  A config
+    its pipeline cannot run raises ``ConfigError`` before any compute: a
+    hand-built one is checked by parsing its canonical mapping.
     """
-    pipeline = PIPELINES.get(config.pipeline)
-    if pipeline is None:
-        raise ScenarioError(
-            f"unknown pipeline {config.pipeline!r}; expected one of {sorted(PIPELINES)}"
-        )
+    parse_config(config_document(config), config.base_dir)
     backend_kwargs = config.backend_kwargs()
     if samples is not None:
         backend_kwargs["n_samples"] = int(samples)
@@ -150,9 +146,8 @@ def run_scenario(config: ScenarioConfig, out_dir=None, deterministic: bool = Fal
     out = Path(out_dir) if out_dir is not None else Path(config.output["directory"])
     out.mkdir(parents=True, exist_ok=True)
     ctx = _Context(config=config, backend_kwargs=backend_kwargs, out_dir=out,
-                   formats=tuple(config.output["formats"]),
                    deterministic=deterministic)
-    return pipeline(ctx)
+    return PIPELINES[config.pipeline](ctx)
 
 
 def _fmt_time(seconds: float) -> str:
@@ -161,20 +156,6 @@ def _fmt_time(seconds: float) -> str:
     if seconds < 1.0:
         return f"{seconds * 1e3:.4g} ms"
     return f"{seconds:.4g} s"
-
-
-def _grid(block: dict, key: str, pipeline: str):
-    grid = realize_grid(block.get(key))
-    if grid is None:
-        raise ScenarioError(f"pipeline {pipeline!r} needs sequence.{key}")
-    return grid
-
-
-def _decay_from_block(ctx: _Context, block: dict, sources, params,
-                      default_kind: str, pipeline: str):
-    kind = block.get("kind", default_kind)
-    return decay_scan(_grid(block, "times", pipeline), sources, sequence=kind,
-                      params=params, **_template(block, kind), **ctx.backend_kwargs)
 
 
 def _mc_numbers(mc, index: int) -> dict:
@@ -187,6 +168,36 @@ def _mc_numbers(mc, index: int) -> dict:
         "truncated_mass": float(sum(mc.truncated_mass.values())),
         "std_error": float(mc.std_error[index]),
     }
+
+
+# ----------------------------------------------------------- shared steps
+
+def _sweep(ctx: _Context, sources, params):
+    """The sweep step: amplitude versus flip fraction at the block's total
+    time, and the index of its peak."""
+    block = ctx.config.sequence
+    signal = pulse_location_sweep(block["total_time"], realize_grid(block["flip_fractions"]),
+                                  sources, params=params, **_echo(block),
+                                  **ctx.backend_kwargs)
+    return signal, int(np.argmax(signal.y))
+
+
+def _compare(ctx: _Context, protected: dict, sources, params):
+    """The compare step: the protected scan of ``protected`` (an unbalanced
+    echo unless it names a kind) and the unprotected one of
+    ``sequence.compare`` (a Ramsey unless it names a kind), their exponential
+    fits and the coherence-time improvement."""
+    scans = {}
+    for label, block, default_kind in (("protected", protected, "unbalanced_echo"),
+                                       ("unprotected", ctx.config.sequence["compare"],
+                                        "ramsey")):
+        kind = block.get("kind", default_kind)
+        scans[label] = decay_scan(realize_grid(block["times"]), sources, sequence=kind,
+                                  params=params, **_template(block, kind),
+                                  **ctx.backend_kwargs)
+    fits = {label: fit_exponential(scan.x, scan.y) for label, scan in scans.items()}
+    improvement = fits["protected"]["coherence_time"] / fits["unprotected"]["coherence_time"]
+    return scans, fits, improvement
 
 
 # ----------------------------------------------------------------- pipelines
@@ -204,61 +215,34 @@ def _run_simulate(ctx: _Context) -> ScenarioResult:
     }
     numbers.update(_mc_numbers(result.monte_carlo, 0))
     ctx.write_json("result", numbers)
-    summary = (f"{cfg.name}: {sequence.kind} over {_fmt_time(sequence.total_time)}: "
-               f"amplitude {result.amplitude:.6f}, "
-               f"base phase {result.base_phase:.4f} rad")
-    return ScenarioResult(cfg.name, cfg.pipeline, summary, numbers,
-                          tuple(ctx.artifacts))
+    return ctx.result(f"{cfg.name}: {sequence.kind} over {_fmt_time(sequence.total_time)}: "
+                      f"amplitude {result.amplitude:.6f}, "
+                      f"base phase {result.base_phase:.4f} rad", numbers)
 
 
 def _run_decay_compare(ctx: _Context) -> ScenarioResult:
     cfg = ctx.config
-    compare = cfg.sequence.get("compare")
-    if not compare:
-        raise ScenarioError(
-            "decay_compare needs a sequence.compare block for the unprotected scan"
-        )
-    sources = cfg.noise_sources()
-    params = cfg.spin_params()
-    protected = _decay_from_block(ctx, cfg.sequence, sources, params,
-                                  "unbalanced_echo", cfg.pipeline)
-    unprotected = _decay_from_block(ctx, compare, sources, params,
-                                    "ramsey", cfg.pipeline)
-    fit_p = fit_exponential(protected.x, protected.y)
-    fit_u = fit_exponential(unprotected.x, unprotected.y)
-    improvement = fit_p["coherence_time"] / fit_u["coherence_time"]
+    scans, fits, improvement = _compare(ctx, cfg.sequence, cfg.noise_sources(),
+                                        cfg.spin_params())
+    t2_p, t2_u = fits["protected"]["coherence_time"], fits["unprotected"]["coherence_time"]
     numbers = {
-        "unprotected_T2_s": float(fit_u["coherence_time"]),
-        "protected_T2_s": float(fit_p["coherence_time"]),
+        "unprotected_T2_s": float(t2_u),
+        "protected_T2_s": float(t2_p),
         "improvement": float(improvement),
     }
-    ctx.write_signal("unprotected", unprotected)
-    ctx.write_signal("protected", protected)
-    ctx.write_json("fits", {"unprotected": fit_u.as_dict(),
-                            "protected": fit_p.as_dict(), "numbers": numbers})
-    summary = (f"{cfg.name}: unprotected T2* = {_fmt_time(fit_u['coherence_time'])}, "
-               f"protected T2* = {_fmt_time(fit_p['coherence_time'])}, "
-               f"improvement {improvement:.1f}x")
-    return ScenarioResult(cfg.name, cfg.pipeline, summary, numbers,
-                          tuple(ctx.artifacts),
-                          signals={"protected": protected, "unprotected": unprotected},
-                          fits={"protected": fit_p, "unprotected": fit_u})
+    ctx.write_signal("unprotected", scans["unprotected"])
+    ctx.write_signal("protected", scans["protected"])
+    ctx.write_json("fits", {label: fit.as_dict() for label, fit in fits.items()}
+                   | {"numbers": numbers})
+    return ctx.result(f"{cfg.name}: unprotected T2* = {_fmt_time(t2_u)}, "
+                      f"protected T2* = {_fmt_time(t2_p)}, "
+                      f"improvement {improvement:.1f}x", numbers, signals=scans, fits=fits)
 
 
 def _run_pulse_sweep(ctx: _Context) -> ScenarioResult:
     cfg = ctx.config
-    block = cfg.sequence
-    total_time = block.get("total_time")
-    if total_time is None:
-        raise ScenarioError("pulse_sweep needs sequence.total_time")
-    fractions = _grid(block, "flip_fractions", cfg.pipeline)
-    signal = pulse_location_sweep(
-        total_time, fractions, cfg.noise_sources(),
-        pair=block.get("pair", (0, -1)), ms_free=block.get("ms_free", 0),
-        ms_flipped=block.get("ms_flipped", 1), params=cfg.spin_params(),
-        **ctx.backend_kwargs,
-    )
-    peak = int(np.argmax(signal.y))
+    signal, peak = _sweep(ctx, cfg.noise_sources(), cfg.spin_params())
+    total_time = cfg.sequence["total_time"]
     numbers = {
         "total_time_s": float(total_time),
         "argmax_flip_fraction": float(signal.x[peak]),
@@ -266,10 +250,9 @@ def _run_pulse_sweep(ctx: _Context) -> ScenarioResult:
     }
     ctx.write_signal("sweep", signal)
     ctx.write_json("result", numbers)
-    summary = (f"{cfg.name}: sweep at t = {_fmt_time(total_time)} peaks at "
-               f"tau/t = {signal.x[peak]:.4f} (amplitude {signal.y[peak]:.4f})")
-    return ScenarioResult(cfg.name, cfg.pipeline, summary, numbers,
-                          tuple(ctx.artifacts), signals={"sweep": signal})
+    return ctx.result(f"{cfg.name}: sweep at t = {_fmt_time(total_time)} peaks at "
+                      f"tau/t = {signal.x[peak]:.4f} (amplitude {signal.y[peak]:.4f})",
+                      numbers, signals={"sweep": signal})
 
 
 def _pair_label(pair) -> str:
@@ -279,31 +262,26 @@ def _pair_label(pair) -> str:
 def _run_rate_table(ctx: _Context) -> ScenarioResult:
     cfg = ctx.config
     block = cfg.sequence
-    pairs = block.get("pairs")
-    if pairs is None:
-        if "pair" not in block:
-            raise ScenarioError("rate_table_vee needs sequence.pair or sequence.pairs")
-        pairs = (block["pair"],)
-    fractions = _grid(block, "flip_fractions", cfg.pipeline)
-    times = _grid(block, "times", cfg.pipeline)
-    ms_free = block.get("ms_free", 0)
-    ms_flipped = block.get("ms_flipped", 1)
+    pairs = block["pairs"] if "pairs" in block else (block["pair"],)
+    fractions = realize_grid(block["flip_fractions"])
+    times = realize_grid(block["times"])
+    echo = _echo(block)
     sources = cfg.noise_sources()
     params = cfg.spin_params()
 
     table = RateTable(metadata={"scenario": cfg.name})
     for pair in pairs:
-        for fraction in fractions:
-            scan = decay_scan(
-                times, sources, flip_fraction=float(fraction), pair=pair,
-                ms_free=ms_free, ms_flipped=ms_flipped, params=params,
-                **ctx.backend_kwargs,
-            )
-            fit = fit_exponential(scan.x, scan.y)
+        # one family per branch: every (fraction, time) echo, fraction-major
+        family = [build_sequence("unbalanced_echo", float(t), pair, echo["ms_free"],
+                                 echo["ms_flipped"], float(f))
+                  for f in fractions for t in times]
+        amplitudes = simulate_family(family, sources, params=params, **ctx.backend_kwargs)
+        for fraction, scan in zip(fractions, amplitudes.amplitude.reshape(fractions.size, -1)):
+            fit = fit_exponential(times, scan)
             t2 = fit["coherence_time"]
             t2_var = float(fit.covariance[1, 1])
             rate_error = np.sqrt(t2_var) / t2**2 if np.isfinite(t2_var) else None
-            table.add(pair, (ms_free, ms_flipped), float(fraction), 1.0 / t2,
+            table.add(pair, (echo["ms_free"], echo["ms_flipped"]), float(fraction), 1.0 / t2,
                       rate_error)
 
     fits = {}
@@ -325,78 +303,45 @@ def _run_rate_table(ctx: _Context) -> ScenarioResult:
                 f"line x-intercept {fit['x_intercept']:.4f} (pair {label})"
             )
 
-    if "csv" in ctx.formats:
-        path = ctx.out_dir / f"{cfg.name}-rates.csv"
-        table.write_csv(path, deterministic=ctx.deterministic)
-        ctx.artifacts.append(path)
+    path = ctx.out_dir / f"{cfg.name}-rates.csv"
+    table.write_csv(path, deterministic=ctx.deterministic)
+    ctx.artifacts.append(path)
     ctx.write_json("fits", {label: f.as_dict() for label, f in fits.items()}
                    | {"numbers": numbers})
-    summary = f"{cfg.name}: " + ", ".join(summary_bits)
-    return ScenarioResult(cfg.name, cfg.pipeline, summary, numbers,
-                          tuple(ctx.artifacts), fits=fits,
-                          signals={}, )
+    return ctx.result(f"{cfg.name}: " + ", ".join(summary_bits), numbers, fits=fits)
 
 
 def _run_protection_study(ctx: _Context) -> ScenarioResult:
     cfg = ctx.config
-    block = cfg.sequence
-    compare = block.get("compare")
-    if not compare:
-        raise ScenarioError(
-            "protection_study needs a sequence.compare block for the unprotected scan"
-        )
-    total_time = block.get("total_time")
-    if total_time is None:
-        raise ScenarioError("protection_study needs sequence.total_time")
-    fractions = _grid(block, "flip_fractions", cfg.pipeline)
-    sources = cfg.noise_sources()
-    params = cfg.spin_params()
-
-    sweep = pulse_location_sweep(
-        total_time, fractions, sources, pair=block.get("pair", (0, -1)),
-        ms_free=block.get("ms_free", 0), ms_flipped=block.get("ms_flipped", 1),
-        params=params, **ctx.backend_kwargs,
-    )
-    peak = int(np.argmax(sweep.y))
+    sources, params = cfg.noise_sources(), cfg.spin_params()
+    sweep, peak = _sweep(ctx, sources, params)
     best_fraction = float(sweep.x[peak])
-
-    protected_block = dict(block)
-    protected_block["kind"] = "unbalanced_echo"
-    protected_block["flip_fraction"] = best_fraction
-    protected = _decay_from_block(ctx, protected_block, sources, params,
-                                  "unbalanced_echo", cfg.pipeline)
-    unprotected = _decay_from_block(ctx, compare, sources, params,
-                                    "ramsey", cfg.pipeline)
-    fit_p = fit_exponential(protected.x, protected.y)
-    fit_u = fit_exponential(unprotected.x, unprotected.y)
-    improvement = fit_p["coherence_time"] / fit_u["coherence_time"]
+    protected = cfg.sequence | {"kind": "unbalanced_echo", "flip_fraction": best_fraction}
+    scans, fits, improvement = _compare(ctx, protected, sources, params)
+    t2_p, t2_u = fits["protected"]["coherence_time"], fits["unprotected"]["coherence_time"]
 
     numbers = {
-        "total_time_s": float(total_time),
+        "total_time_s": float(cfg.sequence["total_time"]),
         "argmax_flip_fraction": best_fraction,
         "peak_amplitude": float(sweep.y[peak]),
-        "protected_T2_s": float(fit_p["coherence_time"]),
-        "unprotected_T2_s": float(fit_u["coherence_time"]),
+        "protected_T2_s": float(t2_p),
+        "unprotected_T2_s": float(t2_u),
         "improvement": float(improvement),
     }
     numbers.update(_mc_numbers(sweep.monte_carlo, peak))
     ctx.write_signal("sweep", sweep)
-    ctx.write_signal("protected", protected)
-    ctx.write_signal("unprotected", unprotected)
+    ctx.write_signal("protected", scans["protected"])
+    ctx.write_signal("unprotected", scans["unprotected"])
     ctx.write_json("result", {"numbers": numbers,
-                              "protected_fit": fit_p.as_dict(),
-                              "unprotected_fit": fit_u.as_dict()})
+                              "protected_fit": fits["protected"].as_dict(),
+                              "unprotected_fit": fits["unprotected"].as_dict()})
     truncated = numbers.get("truncated_mass")
     trunc_note = "" if truncated is None else f", truncated mass {truncated:.4f}"
-    summary = (f"{cfg.name}: optimum tau/t = {best_fraction:.4f}, "
-               f"protected T2* = {_fmt_time(fit_p['coherence_time'])}, "
-               f"unprotected T2* = {_fmt_time(fit_u['coherence_time'])}, "
-               f"improvement {improvement:.0f}x{trunc_note}")
-    return ScenarioResult(cfg.name, cfg.pipeline, summary, numbers,
-                          tuple(ctx.artifacts),
-                          signals={"sweep": sweep, "protected": protected,
-                                   "unprotected": unprotected},
-                          fits={"protected": fit_p, "unprotected": fit_u})
+    return ctx.result(f"{cfg.name}: optimum tau/t = {best_fraction:.4f}, "
+                      f"protected T2* = {_fmt_time(t2_p)}, "
+                      f"unprotected T2* = {_fmt_time(t2_u)}, "
+                      f"improvement {improvement:.0f}x{trunc_note}",
+                      numbers, signals={"sweep": sweep} | scans, fits=fits)
 
 
 PIPELINES = {

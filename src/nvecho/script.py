@@ -77,17 +77,17 @@ def _parse_ms_arg(token: str, line: int, column: int) -> int:
 def parse_sequence_script(text: str) -> PulseSequence:
     """Parse script text into a single PulseSequence.
 
-    The resulting ``kind`` is the most specific standard label: one segment
-    gives ramsey or dq_ramsey, two segments in distinct electron manifolds
-    give unbalanced_echo, a single interior flip-n gives nuclear_echo, and
+    The resulting ``kind`` is the most specific standard label, read from
+    the segments alone so that a script and its printed form agree (a
+    trailing or cancelled flip-n changes no segment): one segment gives
+    ramsey or dq_ramsey, two segments in distinct electron manifolds give
+    unbalanced_echo, a single interior sign change gives nuclear_echo, and
     anything else is custom.
     """
     pair = None
     current_ms = 0
     current_sign = 1
     segments = []
-    nuclear_flips = []  # elapsed times of flip-n pulses
-    elapsed = 0.0
     last_evolve = (1, 1)
     lineno = 1
 
@@ -96,8 +96,6 @@ def parse_sequence_script(text: str) -> PulseSequence:
         if word == "pair":
             if pair is not None:
                 raise ScriptError("pair may only be declared once", lineno, col)
-            if segments or nuclear_flips or current_ms != 0:
-                raise ScriptError("pair must be declared before any pulses", lineno, col)
             if len(args) != 2:
                 raise ScriptError("pair needs exactly two m_I values", lineno, col)
             values = [
@@ -136,7 +134,6 @@ def parse_sequence_script(text: str) -> PulseSequence:
                         f"in m_S = {current_ms}; add a flip-e", lineno, ms_col,
                     )
             segments.append(Segment(duration, current_ms, sign=current_sign))
-            elapsed += duration
             last_evolve = (lineno, col)
         elif word == "flip-e":
             if pair is None:
@@ -161,26 +158,28 @@ def parse_sequence_script(text: str) -> PulseSequence:
                     lineno, args[0][1],
                 )
             current_sign = -current_sign
-            nuclear_flips.append(elapsed)
         else:
             raise ScriptError(f"unknown directive {word!r}", lineno, col)
 
     if not segments:
         raise ScriptError("script defines no evolution segments", lineno, 1)
+    elapsed = sum(seg.duration for seg in segments)
     if elapsed <= 0:
         raise ScriptError(
             "sequence must have positive total duration", *last_evolve
         )
 
-    kind, flip_at = _classify(pair, segments, nuclear_flips, elapsed)
+    kind, flip_at = _classify(pair, segments, elapsed)
     return PulseSequence(kind, pair, tuple(segments), nuclear_flip_at=flip_at)
 
 
-def _classify(pair, segments, nuclear_flips, total):
-    if nuclear_flips:
-        if len(nuclear_flips) == 1 and 0.0 < nuclear_flips[0] < total:
-            return "nuclear_echo", nuclear_flips[0]
+def _classify(pair, segments, total):
+    flips = [i for i in range(1, len(segments)) if segments[i].sign != segments[i - 1].sign]
+    if segments[0].sign < 0 or len(flips) > 1:
         return "custom", None
+    if flips:
+        flip_at = sum(seg.duration for seg in segments[:flips[0]])
+        return ("nuclear_echo", flip_at) if 0.0 < flip_at < total else ("custom", None)
     if len(segments) == 1:
         return ("dq_ramsey" if set(pair) == {-1, 1} else "ramsey"), None
     if len(segments) == 2 and segments[0].m_S != segments[1].m_S:

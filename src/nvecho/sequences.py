@@ -145,7 +145,10 @@ class SimulationResult:
 
     @property
     def mean_signal(self) -> complex:
-        return np.exp(1j * self.base_phase) * self.attenuation
+        # numpy's complex product rounds arrays and scalars apart; this does not
+        cos, sin = np.cos(self.base_phase), np.sin(self.base_phase)
+        re, im = self.attenuation.real, self.attenuation.imag
+        return (cos * re - sin * im) + 1j * (sin * re + cos * im)
 
 
 def simulate_family(sequences, sources, params: SpinSystemParams | None = None,

@@ -95,7 +95,7 @@ def parse_quantity(text: str | float, dimension: str) -> float:
 def format_quantity(value: float, dimension: str) -> str:
     """Canonical text for a base-unit value; inverse of parse_quantity."""
     unit = _CANONICAL[dimension]
-    return f"{value!r} {unit}"
+    return f"{float(value)!r} {unit}"
 
 
 def angular(frequency_hz: float) -> float:

@@ -40,7 +40,6 @@ sequence:
   total_time: 1.4 ms
 output:
   directory: out
-  formats: [csv, json]
 """
 
 # a quasiharmonic temperature source, so the run goes through Monte Carlo
@@ -66,7 +65,6 @@ backend:
   seed: 7
 output:
   directory: out
-  formats: [json]
 """
 
 COMPARE_YAML = """\
@@ -90,7 +88,6 @@ sequence:
     times: {start: 10 us, stop: 500 us, count: 12, spacing: log}
 output:
   directory: out
-  formats: [csv, json]
 """
 
 SWEEP_YAML = """\
@@ -113,7 +110,6 @@ sequence:
   flip_fractions: {start: 0.0, stop: 0.5, count: 26, spacing: linear}
 output:
   directory: out
-  formats: [csv]
 """
 
 RATES_YAML = """\
@@ -133,7 +129,6 @@ sequence:
   times: {start: 50 us, stop: 2 ms, count: 12, spacing: log}
 output:
   directory: out
-  formats: [csv]
 """
 
 BROKEN_YAML = """\
@@ -153,7 +148,6 @@ backend:
   method: quantum
 output:
   directory: out
-  formats: [csv]
 """
 
 SCRIPT_TEXT = """\
@@ -275,8 +269,7 @@ def test_simulate_matches_sweep_point_bit_for_bit(tmp_path, capsys):
                  "--deterministic"]) == 0
     single = json.loads((tmp_path / "one" / "cli-mc-result.json").read_text())
     sweep_yaml = (MC_YAML.replace("pipeline: simulate", "pipeline: pulse_sweep")
-                  .replace("flip_fraction: 0.18", "flip_fractions: [0.1, 0.18, 0.3]")
-                  .replace("formats: [json]", "formats: [csv]"))
+                  .replace("flip_fraction: 0.18", "flip_fractions: [0.1, 0.18, 0.3]"))
     cfg = _write(tmp_path, "sweep.yaml", sweep_yaml)
     assert main(["simulate", str(cfg), "--out", str(tmp_path / "family"),
                  "--deterministic"]) == 0
@@ -395,6 +388,16 @@ def test_fit_vee_mixed_table_without_filter_fails(tmp_path, capsys):
     csv = _rate_csv(tmp_path, both_branches=True)
     assert main(["fit", str(csv), "--deterministic"]) != 0
     assert "pair" in capsys.readouterr().err
+
+
+def test_fit_method_flag_is_gone(tmp_path, capsys):
+    # the branch geometry of the filtered table decides vee or line
+    csv = _rate_csv(tmp_path, both_branches=True)
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", str(csv), "--method", "vee"])
+    assert exc.value.code == 2
+    assert main(["fit", str(csv), "--pair", "0,1", "--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["settings"]["method"] == "line"
 
 
 def test_fit_rejects_undetectable_csv(tmp_path, capsys):

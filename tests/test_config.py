@@ -1,11 +1,13 @@
 """Scenario config parsing: units, validation aggregation, round trips."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from nvecho.config import (
+    PIPELINE_NEEDS,
     ConfigError,
     ScenarioConfig,
     dump_config,
@@ -23,6 +25,9 @@ MINIMAL = """\
 schema: nvecho-scenario/1
 name: smoke
 pipeline: simulate
+sequence:
+  kind: ramsey
+  total_time: 1 ms
 """
 
 FULL = """\
@@ -62,7 +67,6 @@ backend:
   seed: 12345
 output:
   directory: out
-  formats: [csv, json]
 """
 
 
@@ -123,7 +127,8 @@ def test_bare_numbers_rejected():
 
 
 def dict_minimal():
-    return {"schema": "nvecho-scenario/1", "name": "n", "pipeline": "simulate"}
+    return {"schema": "nvecho-scenario/1", "name": "n", "pipeline": "simulate",
+            "sequence": {"kind": "ramsey", "total_time": "1 ms"}}
 
 
 def test_problems_are_aggregated():
@@ -207,7 +212,8 @@ def test_grid_validation():
     with pytest.raises(ConfigError, match="spacing"):
         parse_config(cfg)
 
-    cfg["sequence"] = {"times": ["1 ms", "2 ms"], "flip_fractions": [0.0, 0.25, 0.5]}
+    cfg["sequence"] = {"kind": "ramsey", "total_time": "1 ms", "times": ["1 ms", "2 ms"],
+                       "flip_fractions": [0.0, 0.25, 0.5]}
     parsed = parse_config(cfg)
     assert realize_grid(parsed.sequence["times"]).tolist() == [1e-3, 2e-3]
     assert realize_grid(parsed.sequence["flip_fractions"]).tolist() == [0.0, 0.25, 0.5]
@@ -281,9 +287,10 @@ def test_backend_and_output_validation():
     with pytest.raises(ConfigError, match="backend.workers: unknown key"):
         parse_config(cfg)
 
+    # artifacts are always written as both CSV and JSON
     cfg["backend"] = {}
     cfg["output"] = {"formats": ["xml"]}
-    with pytest.raises(ConfigError, match="formats"):
+    with pytest.raises(ConfigError, match="output.formats: unknown key"):
         parse_config(cfg)
 
 
@@ -300,17 +307,16 @@ def test_non_finite_quantities_rejected():
         parse_quantity("1e400 ms", "time")
     cfg = dict_minimal()
     cfg["sequence"] = {"kind": "ramsey", "total_time": "1e400 ms"}
-    with pytest.raises(ConfigError, match="sequence.total_time"):
+    with pytest.raises(ConfigError, match="sequence.total_time: .*not finite"):
         parse_config(cfg)
     # plain numbers (strain sources, flip fractions) can be YAML .inf / .nan
     text = MINIMAL + """\
+  flip_fractions: [0.1, -.inf]
 sources:
   - kind: strain
     distribution: lorentzian
     location: .inf
     scale: .nan
-sequence:
-  flip_fractions: [0.1, -.inf]
 """
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text)
@@ -318,3 +324,109 @@ sequence:
     for path in ("sources[0].location", "sources[0].scale", "sequence.flip_fractions[1]"):
         assert f"{path}: must be finite" in str(excinfo.value)
 
+
+
+# ---------------------------------------------------------- pipeline needs
+
+# a complete sequence block per pipeline; the tests below take keys out
+COMPLETE = {
+    "simulate": {"kind": "unbalanced_echo", "flip_fraction": 0.18, "total_time": "1 ms"},
+    "decay_compare": {"flip_fraction": 0.18, "times": ["1 ms", "2 ms"],
+                      "compare": {"times": ["10 us", "20 us"]}},
+    "pulse_sweep": {"total_time": "1 ms", "flip_fractions": [0.1, 0.2]},
+    "rate_table_vee": {"pair": [0, -1], "flip_fractions": [0.1, 0.2],
+                       "times": ["1 ms", "2 ms"]},
+    "protection_study": {"total_time": "1 ms", "flip_fractions": [0.1, 0.2],
+                         "times": ["1 ms", "2 ms"], "compare": {"times": ["10 us", "20 us"]}},
+}
+
+# every key of the table, plus the flip fraction of unbalanced-echo templates
+NEEDED = [(pipeline, need) for pipeline, needs in PIPELINE_NEEDS.items()
+          for need in needs.keys] + [("simulate", "flip_fraction"),
+                                     ("decay_compare", "flip_fraction")]
+
+
+def _pipeline_doc(pipeline, sequence):
+    return {"schema": "nvecho-scenario/1", "name": "n", "pipeline": pipeline,
+            "sequence": sequence}
+
+
+def _problem_paths(doc):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(doc)
+    return [problem.split(": ")[0] for problem in excinfo.value.problems]
+
+
+def test_complete_blocks_parse():
+    assert COMPLETE.keys() == PIPELINE_NEEDS.keys()
+    for pipeline, sequence in COMPLETE.items():
+        cfg = parse_config(_pipeline_doc(pipeline, sequence))
+        assert parse_config(dump_config(cfg)) == cfg
+
+
+def _without(sequence, need):
+    sequence = copy.deepcopy(sequence)
+    for dotted in need.split("|"):
+        *parents, key = dotted.split(".")
+        block = sequence
+        for parent in parents:
+            block = block[parent]
+        block.pop(key, None)
+    return sequence
+
+
+@pytest.mark.parametrize("pipeline,need", NEEDED)
+def test_each_needed_key_is_reported_by_its_dotted_path(pipeline, need):
+    path = "sequence." + need.split("|")[0]
+    sequence = _without(COMPLETE[pipeline], need)
+    assert path in _problem_paths(_pipeline_doc(pipeline, sequence))
+    # a hand-built config is checked by parsing its printed form
+    complete = parse_config(_pipeline_doc(pipeline, COMPLETE[pipeline]))
+    built = ScenarioConfig(name="n", pipeline=pipeline,
+                           sequence=_without(complete.sequence, need))
+    assert path in _problem_paths(dump_config(built))
+
+
+EMPTY_BLOCK_PROBLEMS = {
+    "simulate": ["sequence.kind", "sequence.total_time"],
+    "decay_compare": ["sequence.times", "sequence.compare.times",
+                      "sequence.flip_fraction", "sequence.compare.flip_fraction"],
+    "pulse_sweep": ["sequence.total_time", "sequence.flip_fractions"],
+    "rate_table_vee": ["sequence.pair", "sequence.flip_fractions", "sequence.times"],
+    "protection_study": ["sequence.total_time", "sequence.flip_fractions", "sequence.times",
+                         "sequence.compare.times", "sequence.compare.flip_fraction"],
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(PIPELINE_NEEDS))
+def test_every_missing_key_is_reported_in_one_error(pipeline):
+    doc = _pipeline_doc(pipeline, {"compare": {"kind": "unbalanced_echo"}})
+    doc["spin"] = {"zfs": "2.87 parsec"}
+    assert _problem_paths(doc) == ["spin.zfs"] + EMPTY_BLOCK_PROBLEMS[pipeline]
+
+
+def test_unknown_pipeline_and_malformed_grids():
+    assert _problem_paths(_pipeline_doc("renormalize", {})) == ["pipeline"]
+    with pytest.raises(ConfigError, match="unknown pipeline 'renormalize'"):
+        parse_config(dump_config(ScenarioConfig(name="n", pipeline="renormalize")))
+    # a script is given by the script key, not by a kind
+    assert _problem_paths(_pipeline_doc("simulate", {"kind": "script", "total_time": "1 ms"})) \
+        == ["sequence.kind"]
+
+    rates = COMPLETE["rate_table_vee"]
+    for times in (["2 ms", "1 ms"], ["1 ms", "1 ms"], ["0 s", "1 ms"],
+                  {"start": "2 ms", "stop": "1 ms", "count": 3}):
+        with pytest.raises(ConfigError, match="sequence.times: must be positive and "
+                                              "strictly increasing"):
+            parse_config(_pipeline_doc("rate_table_vee", rates | {"times": times}))
+    for fractions in ([0.1, 1.5], {"start": 0.0, "stop": 1.5, "count": 4}):
+        with pytest.raises(ConfigError, match=r"sequence.flip_fractions: must lie in \[0, 1\]"):
+            parse_config(_pipeline_doc("rate_table_vee", rates | {"flip_fractions": fractions}))
+    compare = COMPLETE["decay_compare"] | {"compare": {"times": ["20 us", "10 us"]}}
+    assert _problem_paths(_pipeline_doc("decay_compare", compare)) == ["sequence.compare.times"]
+
+    built = parse_config(_pipeline_doc("rate_table_vee", rates))
+    for times, problem in (((2e-3, 1e-3), "must be positive"), ((), "grid must not be empty")):
+        built.sequence["times"] = times
+        with pytest.raises(ConfigError, match=f"sequence.times: {problem}"):
+            parse_config(dump_config(built))

@@ -3,9 +3,10 @@
 Each property runs a small, fixed set of examples so the suite stays steady
 and fast:
 
-* config parse -> dump -> parse is a fixed point, and the dump never emits a
-  ``method`` key (the sources choose the ensemble average);
-* sequence scripts round-trip through the canonical printer;
+* config parse -> dump -> parse is a fixed point for configs that hold what
+  their pipeline needs, and the dump never emits a ``method`` key (the
+  sources choose the ensemble average) or a ``formats`` key;
+* sequence scripts round-trip through the canonical printer, kind included;
 * a closed-form Ramsey decay under Lorentzian noise obeys A(2t) = A(t)^2;
 * a Monte Carlo point is bit-identical whatever family it is evaluated in,
   also when the sample count is not a whole number of chunks.
@@ -13,9 +14,9 @@ and fast:
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from nvecho.config import dump_config, parse_config
+from nvecho.config import PIPELINE_NEEDS, dump_config, parse_config
 from nvecho.noise import CHUNK, field_source, lorentzian, temperature_source
 from nvecho.response import default_quasiharmonic_set
 from nvecho.script import format_sequence_script, parse_sequence_script
@@ -62,8 +63,22 @@ def _grid(values, positive_values):
     return st.one_of(listed, linear, log)
 
 
+def _increasing_times():
+    """Time grids as the pipelines need them: positive and strictly increasing."""
+    listed = st.lists(_finite(1e-7, 1e-1), min_size=1, max_size=4, unique=True).map(
+        lambda values: [f"{v!r} s" for v in sorted(values)])
+    ends = st.tuples(_finite(1e-7, 1e-1), _finite(1e-7, 1e-1)).map(sorted).filter(
+        lambda e: e[1] - e[0] > 1e-7).map(
+        lambda e: {"start": f"{e[0]!r} s", "stop": f"{e[1]!r} s"})
+    linear = st.tuples(ends, st.fixed_dictionaries(
+        {"count": st.integers(1, 50)}, optional={"spacing": st.just("linear")}))
+    log = st.tuples(ends, st.fixed_dictionaries(
+        {"count": st.integers(1, 50), "spacing": st.just("log")}))
+    return st.one_of(listed, st.one_of(linear, log).map(lambda parts: parts[0] | parts[1]))
+
+
 _fractions = _finite(0.0, 1.0)
-_time_grid = _grid(_times, _times)
+_time_grid = _increasing_times()
 _fraction_grid = _grid(_fractions, _finite(1e-3, 1.0))
 
 
@@ -109,12 +124,11 @@ def _sequence_block(allow_compare):
     return st.fixed_dictionaries({}, optional=optional)
 
 
-_configs = st.fixed_dictionaries(
+_documents = st.fixed_dictionaries(
     {
         "schema": st.just("nvecho-scenario/1"),
         "name": _names,
-        "pipeline": st.sampled_from(["simulate", "decay_compare", "pulse_sweep",
-                                     "rate_table_vee", "protection_study"]),
+        "pipeline": st.sampled_from(sorted(PIPELINE_NEEDS)),
     },
     optional={
         "description": st.text(max_size=20),
@@ -134,28 +148,52 @@ _configs = st.fixed_dictionaries(
             st.just({"model": "quasiharmonic", "data_file": "quasiharmonic_default.yaml"}),
         ),
         "sources": st.lists(_source(), max_size=3),
-        "sequence": _sequence_block(True),
         "backend": st.fixed_dictionaries({}, optional={
             "samples": st.integers(1, 1 << 22),
             "seed": st.integers(0, 2**63),
         }),
-        "output": st.fixed_dictionaries({}, optional={
-            "directory": _names,
-            "formats": st.lists(st.sampled_from(["csv", "json"]), min_size=1, max_size=2),
-        }),
+        "output": st.fixed_dictionaries({}, optional={"directory": _names}),
     },
 )
 
+# what a missing sequence key gets, so the block holds what the pipeline needs
+_NEEDED_VALUES = {
+    "kind": st.sampled_from(["ramsey", "dq_ramsey", "unbalanced_echo", "nuclear_echo"]),
+    "total_time": _times,
+    "times": _time_grid,
+    "flip_fractions": _fraction_grid,
+    "pair": st.sampled_from(PAIRS).map(list),
+}
+
+
+@st.composite
+def _configs(draw):
+    doc = draw(_documents)
+    sequence = draw(_sequence_block(True))
+    needs = PIPELINE_NEEDS[doc["pipeline"]]
+    for need in needs.keys:
+        *parents, key = need.split("|")[0].split(".")
+        block = sequence
+        for parent in parents:
+            block = block.setdefault(parent, {})
+        if not any(option in block for option in need.split("|")):
+            block[key] = draw(_NEEDED_VALUES[key])
+    for path, default_kind in needs.templates.items():
+        block = sequence if path == "sequence" else sequence["compare"]
+        if block.get("kind", default_kind) == "unbalanced_echo":
+            block.setdefault("flip_fraction", draw(_fractions))
+    return doc | {"sequence": sequence}
+
 
 @SETTINGS
-@given(_configs)
+@given(_configs())
 def test_config_parse_dump_parse_is_a_fixed_point(doc):
     first = parse_config(doc)
     text = dump_config(first)
     second = parse_config(text)
     assert second == first
     assert dump_config(second) == text
-    assert "method" not in text
+    assert "method" not in text and "formats" not in text
 
 
 # ------------------------------------------------------------------ scripts
@@ -175,28 +213,33 @@ def test_built_sequences_round_trip_through_the_printer(kind, total_time, pair, 
     assert parse_sequence_script(format_sequence_script(seq)) == seq
 
 
-_steps = st.lists(
-    st.tuples(st.booleans(), st.sampled_from(PROJECTIONS), _finite(0.0, 1e-2)),
-    min_size=1, max_size=5,
-)
-
-
-@SETTINGS
-@given(pair=st.sampled_from(PAIRS), steps=_steps)
-def test_printed_scripts_are_canonical(pair, steps):
-    lines, ms = [f"pair {pair[0]} {pair[1]}"], 0
-    for flip_n, target, duration in steps:
-        if flip_n:
-            lines.append("flip-n")
+@st.composite
+def _scripts(draw):
+    """Scripts of 0-2 flip-n, an optional flip-e and one evolve per step,
+    with 0-2 flip-n after the last evolve."""
+    pair = draw(st.sampled_from(PAIRS))
+    lines, ms, total = [f"pair {pair[0]} {pair[1]}"], 0, 0.0
+    steps = st.tuples(st.integers(0, 2), st.sampled_from(PROJECTIONS), _finite(0.0, 1e-2))
+    for flips, target, duration in draw(st.lists(steps, min_size=1, max_size=5)):
+        lines += ["flip-n"] * flips
         if target != ms:
             lines.append(f"flip-e ms={target}")
             ms = target
         lines.append(f"evolve {duration!r}s ms={ms}")
-    lines.append("evolve 1us")  # positive total duration
-    first = parse_sequence_script("\n".join(lines))
+        total += duration
+    if total == 0.0:
+        lines.append("evolve 1us")  # positive total duration
+    return "\n".join(lines + ["flip-n"] * draw(st.integers(0, 2)))
+
+
+@SETTINGS
+@given(_scripts())
+@example("pair 0 -1\nevolve 1ms\nflip-n\n")
+def test_printed_scripts_are_canonical(script):
+    first = parse_sequence_script(script)
     text = format_sequence_script(first)
     second = parse_sequence_script(text)
-    assert (second.pair, second.segments) == (first.pair, first.segments)
+    assert (second.kind, second.pair, second.segments) == (first.kind, first.pair, first.segments)
     assert parse_sequence_script(format_sequence_script(second)) == second
     assert format_sequence_script(second) == text
 
@@ -221,6 +264,7 @@ def test_closed_form_ramsey_is_exponential(t, pair, m_S, temperature_width, fiel
 
 
 @MC_SETTINGS
+@example(total_time=0.001953125, fractions=[0.0, 0.0], width=1.0, with_field=False, seed=0)
 @given(
     total_time=_finite(1e-4, 3e-3),
     fractions=st.lists(_fractions, min_size=2, max_size=3),
@@ -240,5 +284,6 @@ def test_monte_carlo_point_is_batch_invariant(total_time, fractions, width, with
         alone = simulate_amplitude(seq, sources, **kwargs)
         assert alone.attenuation == batch.attenuation[g]
         assert alone.base_phase == batch.base_phase[g]
+        assert alone.mean_signal == batch.mean_signal[g]
         assert alone.monte_carlo.std_error[0] == batch.monte_carlo.std_error[g]
         assert alone.monte_carlo.n_retained == batch.monte_carlo.n_retained

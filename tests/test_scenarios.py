@@ -1,12 +1,15 @@
 """Scenario pipelines: packaged configs, artifacts, and key numbers."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from nvecho.config import parse_config
-from nvecho.estimator import RateTable
+from nvecho import scenarios, sequences
+from nvecho.config import ConfigError, ScenarioConfig, dump_config, parse_config, realize_grid
+from nvecho.estimator import RateTable, fit_exponential
 from nvecho.scenarios import (
     SCENARIO_NAMES,
     ScenarioError,
@@ -15,7 +18,7 @@ from nvecho.scenarios import (
     packaged_scenario_path,
     run_scenario,
 )
-from nvecho.sequences import read_signal_csv
+from nvecho.sequences import decay_scan, read_signal_csv
 from nvecho.units import TWO_PI
 
 SAMPLE_RATIO = 36.924 / 204.0  # slope ratio used by the reference scenarios
@@ -111,23 +114,25 @@ def test_rate_table_reference_fits(tmp_path):
     assert "0,-1" in fits and "0,+1" in fits
 
 
+PROTECTION = {
+    "response": {"model": "quasiharmonic", "data_file": "quasiharmonic_default.yaml"},
+    "sources": [{"kind": "temperature", "distribution": "lorentzian",
+                 "location": "300 K", "scale": "25 K"}],
+    "sequence": {
+        "pair": [0, -1], "ms_free": 0, "ms_flipped": +1,
+        "total_time": "2 ms",
+        "flip_fractions": {"start": 0.12, "stop": 0.22, "count": 21},
+        "times": {"start": "1 ms", "stop": "20 ms", "count": 9, "spacing": "log"},
+        "compare": {"kind": "ramsey", "pair": [0, +1], "ms": +1,
+                    "times": {"start": "2 us", "stop": "80 us", "count": 9,
+                              "spacing": "log"}},
+    },
+    "backend": {"samples": 65536},
+}
+
+
 def test_protection_study_small(tmp_path):
-    cfg = _config(
-        "protection_study",
-        response={"model": "quasiharmonic", "data_file": "quasiharmonic_default.yaml"},
-        sources=[{"kind": "temperature", "distribution": "lorentzian",
-                  "location": "300 K", "scale": "25 K"}],
-        sequence={
-            "pair": [0, -1], "ms_free": 0, "ms_flipped": +1,
-            "total_time": "2 ms",
-            "flip_fractions": {"start": 0.12, "stop": 0.22, "count": 21},
-            "times": {"start": "1 ms", "stop": "20 ms", "count": 9, "spacing": "log"},
-            "compare": {"kind": "ramsey", "pair": [0, +1], "ms": +1,
-                        "times": {"start": "2 us", "stop": "80 us", "count": 9,
-                                  "spacing": "log"}},
-        },
-        backend={"samples": 65536},
-    )
+    cfg = _config("protection_study", **PROTECTION)
     result = run_scenario(cfg, out_dir=tmp_path, deterministic=True)
     numbers = result.numbers
     assert 0.15 <= numbers["argmax_flip_fraction"] <= 0.20
@@ -164,24 +169,75 @@ def test_sweep_point_matches_single_simulation(tmp_path):
 
 
 def test_pipeline_and_block_errors(tmp_path):
-    with pytest.raises(ScenarioError, match="unknown pipeline"):
-        run_scenario(_config("renormalize"), out_dir=tmp_path)
-    with pytest.raises(ScenarioError, match="compare"):
-        run_scenario(_config(
-            "decay_compare",
-            sequence={"kind": "unbalanced_echo", "flip_fraction": 0.18,
-                      "times": ["1 ms", "2 ms", "3 ms"]},
-        ), out_dir=tmp_path)
-    with pytest.raises(ScenarioError, match="total_time"):
-        run_scenario(_config(
-            "pulse_sweep", sequence={"flip_fractions": [0.1, 0.2]},
-        ), out_dir=tmp_path)
-    with pytest.raises(ScenarioError, match="pair"):
-        run_scenario(_config(
-            "rate_table_vee",
-            sequence={"flip_fractions": [0.1, 0.2],
-                      "times": ["1 ms", "2 ms"]},
-        ), out_dir=tmp_path)
+    # run_scenario refuses a hand-built config its pipeline cannot run, before
+    # any compute, with the problems parse_config reports for its YAML
+    times = (1e-3, 2e-3, 3e-3)
+    cases = (
+        ("renormalize", {}, "pipeline"),
+        ("decay_compare", {"kind": "unbalanced_echo", "flip_fraction": 0.18, "times": times},
+         "sequence.compare.times"),
+        ("decay_compare", {"flip_fraction": 0.18, "times": times, "compare": {"kind": "ramsey"}},
+         "sequence.compare.times"),
+        ("pulse_sweep", {"flip_fractions": (0.1, 0.2)}, "sequence.total_time"),
+        ("rate_table_vee", {"flip_fractions": (0.1, 0.2), "times": times}, "sequence.pair"),
+        ("rate_table_vee", {"pair": (0, -1), "flip_fractions": (0.1, 0.2), "times": ()},
+         "sequence.times"),
+    )
+    for pipeline, sequence, path in cases:
+        built = ScenarioConfig(name="t", pipeline=pipeline, sequence=sequence)
+        with pytest.raises(ConfigError) as excinfo:
+            run_scenario(built, out_dir=tmp_path / "out")
+        assert [p.split(": ")[0] for p in excinfo.value.problems] == [path]
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(dump_config(built))
+        assert parsed.value.problems == excinfo.value.problems
+    assert not (tmp_path / "out").exists()
+
+
+def test_hand_built_numpy_values_run(tmp_path):
+    cfg = load_packaged_scenario("fig1d")
+    built = dataclasses.replace(cfg, sequence=cfg.sequence | {
+        "total_time": np.float64(cfg.sequence["total_time"]),
+        "flip_fractions": realize_grid(cfg.sequence["flip_fractions"])})
+    assert (run_scenario(built, out_dir=tmp_path / "numpy").numbers
+            == run_scenario(cfg, out_dir=tmp_path / "parsed").numbers)
+
+
+def test_missing_times_computes_nothing(tmp_path, monkeypatch):
+    calls = []
+    real = sequences.monte_carlo_attenuation
+    monkeypatch.setattr(sequences, "monte_carlo_attenuation",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    complete = _config("protection_study", **PROTECTION)
+    built = dataclasses.replace(complete, sequence={
+        k: v for k, v in complete.sequence.items() if k != "times"})
+    with pytest.raises(ValueError, match="sequence.times") as excinfo:
+        run_scenario(built, out_dir=tmp_path)
+    assert calls == []
+    assert excinfo.type is ConfigError
+    with pytest.raises(ConfigError, match="sequence.times: pipeline 'protection_study' needs"):
+        parse_config(dump_config(built))
+
+
+def test_rate_table_is_one_family_per_pair(tmp_path, monkeypatch):
+    families, scans = [], []
+    real_family, real_scan = scenarios.simulate_family, scenarios.decay_scan
+    monkeypatch.setattr(scenarios, "simulate_family", lambda family, *args, **kwargs: (
+        families.append(len(family)) or real_family(family, *args, **kwargs)))
+    monkeypatch.setattr(scenarios, "decay_scan", lambda *args, **kwargs: (
+        scans.append(args) or real_scan(*args, **kwargs)))
+    cfg = load_packaged_scenario("fig2")
+    result = run_scenario(cfg, out_dir=tmp_path, deterministic=True)
+    assert families == [21 * 16, 21 * 16]
+    assert scans == []
+    # each row of the table is bit-identical to its own decay scan
+    table = RateTable.read_csv(tmp_path / "fig2-rates.csv")
+    times = realize_grid(cfg.sequence["times"])
+    for row in table.rows[::10]:
+        scan = decay_scan(times, cfg.noise_sources(), flip_fraction=row.tau_over_t,
+                          pair=row.pair, params=cfg.spin_params())
+        assert row.rate == 1.0 / fit_exponential(scan.x, scan.y)["coherence_time"]
+    assert "vee ratio" in result.summary
 
 
 def test_build_sequence_from_block():
@@ -190,10 +246,13 @@ def test_build_sequence_from_block():
     seq = build_sequence_from_block({"kind": "unbalanced_echo", "pair": (0, -1),
                                      "total_time": 1e-3, "flip_fraction": 0.25})
     assert seq.flip_fraction == pytest.approx(0.25, rel=1e-12)
-    with pytest.raises(ScenarioError, match="flip_fraction"):
-        build_sequence_from_block({"kind": "unbalanced_echo", "total_time": 1e-3})
-    with pytest.raises(ScenarioError, match="kind or a script"):
-        build_sequence_from_block({"total_time": 1e-3})
+    # blocks it cannot build are refused when the config is parsed
+    with pytest.raises(ConfigError, match="sequence.flip_fraction: an unbalanced echo"):
+        _config("simulate", sequence={"kind": "unbalanced_echo", "total_time": "1 ms"})
+    with pytest.raises(ConfigError, match="needs sequence.kind or sequence.script"):
+        _config("simulate", sequence={"total_time": "1 ms"})
+    with pytest.raises(ConfigError, match="needs sequence.total_time or sequence.script"):
+        _config("simulate", sequence={"kind": "ramsey"})
 
 
 def test_deterministic_csv_is_byte_identical(tmp_path):
