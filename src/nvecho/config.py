@@ -18,6 +18,7 @@ form; parse -> print -> parse is a fixed point, so a hand-built
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,9 +85,11 @@ class Needs(NamedTuple):
 
 
 # What each pipeline reads from its sequence block; ``compare.times`` asks for
-# the block too.  A script carries its own durations; an unbalanced-echo
-# template needs a flip_fraction.  The protected scan of ``protection_study``
-# is an echo at the sweep's optimum, no template.
+# the block too.  A script carries its own durations, and only a pipeline
+# that names it runs one; an unbalanced-echo template needs a flip_fraction.
+# A ``sequence`` block that is no template holds the pipeline's swept or
+# scanned echoes: the protected scan of ``protection_study`` is an echo at
+# the sweep's optimum.
 PIPELINE_NEEDS = {
     "simulate": Needs(("kind|script", "total_time|script"), {"sequence": None}),
     "decay_compare": Needs(("times", "compare.times"),
@@ -422,6 +425,20 @@ def _normalize_sequence(block, path, col, allow_compare=True):
     return out
 
 
+def echo_keywords(block: dict) -> dict:
+    """Pair and electron manifolds of a block's unbalanced echoes."""
+    return {"pair": block.get("pair", (0, -1)), "ms_free": block.get("ms_free", 0),
+            "ms_flipped": block.get("ms_flipped", 1)}
+
+
+def sequence_keywords(block: dict, kind: str) -> dict:
+    """``build_sequence`` keywords of a sequence block; kinds that stay in
+    one manifold name it ``ms``."""
+    if kind == "unbalanced_echo":
+        return echo_keywords(block) | {"flip_fraction": block["flip_fraction"]}
+    return {"pair": block.get("pair", (0, -1)), "ms_free": block.get("ms", 0)}
+
+
 def _lookup(root, dotted):
     for key in dotted.split("."):
         if not isinstance(root, dict) or root.get(key) is None:
@@ -430,25 +447,46 @@ def _lookup(root, dotted):
     return root
 
 
-def _check_needs(pipeline, sequence, col) -> None:
-    """Report an unknown pipeline, or each sequence key it needs and the raw
-    ``sequence`` block lacks."""
+def _check_needs(pipeline, raw, sequence, col) -> None:
+    """Report an unknown pipeline; each sequence key it needs and the raw
+    ``sequence`` block lacks; a script it does not run; and a block that
+    ``build_sequence`` would refuse as the kind the pipeline builds it as."""
     needs = PIPELINE_NEEDS.get(pipeline)
     if needs is None:
         col.add("pipeline", f"unknown pipeline {pipeline!r}; "
                             f"expected one of {sorted(PIPELINE_NEEDS)}")
         return
-    root = {"sequence": sequence}
+    root = {"sequence": raw}
+    needed = set()
     for need in needs.keys:
         options = [f"sequence.{key}" for key in need.split("|")]
+        needed.update(options)
         if all(_lookup(root, path) is None for path in options):
             col.add(options[0], f"pipeline {pipeline!r} needs {' or '.join(options)}")
-    for path, default_kind in needs.templates.items():
-        block = _lookup(root, path)
-        if (isinstance(block, dict) and "script" not in block
-                and block.get("kind", default_kind) == "unbalanced_echo"
-                and "flip_fraction" not in block):
-            col.add(f"{path}.flip_fraction", "an unbalanced echo needs a flip_fraction")
+    for path in ("sequence", "sequence.compare"):
+        block, norm = _lookup(root, path), _lookup({"sequence": sequence}, path)
+        if not isinstance(block, dict):
+            continue
+        if "script" in block:
+            if f"{path}.script" not in needed:
+                col.add(f"{path}.script", f"pipeline {pipeline!r} does not run a script")
+            continue
+        if path in needs.templates:
+            kind = block.get("kind", needs.templates[path])
+        else:
+            kind = "unbalanced_echo" if path == "sequence" else None
+        if kind == "unbalanced_echo":
+            if path in needs.templates and "flip_fraction" not in block:
+                col.add(f"{path}.flip_fraction", "an unbalanced echo needs a flip_fraction")
+            echo = echo_keywords(norm)
+            if (echo["ms_free"] == echo["ms_flipped"]
+                    and all(key in norm for key in ("ms_free", "ms_flipped") if key in block)):
+                col.add(f"{path}.ms_flipped",
+                        f"must differ from ms_free ({echo['ms_free']}): "
+                        "the electron flip must change the manifold")
+        elif kind == "ramsey" and 0 not in sequence_keywords(norm, kind)["pair"]:
+            col.add(f"{path}.pair", "a single-quantum ramsey needs a pair involving "
+                                    "m_I = 0; the (-1, +1) pair is kind dq_ramsey")
 
 
 def _normalize_backend(block, col):
@@ -460,12 +498,14 @@ def _normalize_backend(block, col):
         return out
     for key, value in block.items():
         if key in ("samples", "seed"):
-            if isinstance(value, bool) or not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 col.add(f"backend.{key}", "must be an integer")
             elif key == "samples" and value < 1:
                 col.add(f"backend.{key}", "must be a positive integer")
+            elif key == "seed" and value < 0:
+                col.add(f"backend.{key}", "must be a non-negative integer")
             else:
-                out[key] = value
+                out[key] = int(value)
         else:
             col.add(f"backend.{key}", "unknown key")
     return out
@@ -593,7 +633,7 @@ def parse_config(data, base_dir=None) -> ScenarioConfig:
     sequence = _normalize_sequence(raw.get("sequence"), "sequence", col)
     if isinstance(pipeline, str) and pipeline:
         # against the raw block, so a malformed key is not also reported missing
-        _check_needs(pipeline, raw.get("sequence"), col)
+        _check_needs(pipeline, raw.get("sequence"), sequence, col)
     backend = _normalize_backend(raw.get("backend"), col)
     output = _normalize_output(raw.get("output"), col)
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.optimize import curve_fit, least_squares, nnls
 
 from .response import InteractionShift, default_linear_response
 from .sequences import read_metadata_csv, write_metadata_csv
@@ -161,6 +160,8 @@ def fit_exponential(times, amplitudes, skip_initial: int = 3) -> FitResult:
 
     def model(tt, c0, t2):
         return c0 * np.exp(-tt / t2)
+
+    from scipy.optimize import curve_fit
 
     p0 = (math.exp(intercept), -1.0 / slope)
     popt, pcov = curve_fit(model, t, y, p0=p0, maxfev=10000)
@@ -329,6 +330,8 @@ def fit_vee(table: RateTable, robust: bool = False) -> FitResult:
     upper = [np.inf, min(1.0, x[-1]), np.inf]
     p0 = [max(a0, 1e-12), float(best_r), max(b0, 0.0)]
     p0 = np.clip(p0, lower, np.minimum(upper, 1e30))
+    from scipy.optimize import least_squares
+
     fit = least_squares(residual_fn, p0, bounds=(lower, upper),
                         loss="soft_l1" if robust else "linear")
     slope, ratio, baseline = fit.x
@@ -383,6 +386,8 @@ def estimate_sigma(rates, coefficients, baseline=0.0, rate_errors=None,
         resid = -excess
         warnings = ("rates do not exceed the baseline; widths set to zero",)
     else:
+        from scipy.optimize import nnls
+
         if rate_errors is not None:
             w = 1.0 / np.asarray(rate_errors, dtype=float)
             sigma, _ = nnls(coeff * w[:, None], excess * w)

@@ -245,8 +245,10 @@ def residual_field_source(dq_coherence_time: float = 3.9e-3,
     width is sigma_B = 1 / (2 |gamma_n| T2_dq).  This lumps every noise
     channel that is not cancelled by the echo into one effective field.
     """
-    if dq_coherence_time <= 0:
-        raise ValueError("coherence time must be positive")
+    if not (math.isfinite(dq_coherence_time) and dq_coherence_time > 0):
+        raise ValueError(f"coherence time must be positive and finite, got {dq_coherence_time!r}")
+    if not (math.isfinite(gamma_n) and gamma_n != 0):
+        raise ValueError(f"gamma_n must be finite and nonzero, got {gamma_n!r}")
     scale = 1.0 / (2.0 * abs(gamma_n) * dq_coherence_time)
     return field_source(lorentzian(0.0, scale), name=name)
 

@@ -19,14 +19,14 @@ provenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 import yaml
-from scipy.optimize import least_squares
 
 from .units import K_B_OVER_HBAR, TWO_PI, angular, cycles
 
@@ -122,6 +122,12 @@ class LinearResponse:
     hyperfine_per_strain: float = HYPERFINE_PER_GPA * PRESSURE_PER_STRAIN_GPA
     zfs_per_strain: float = 0.0  # not characterized; strain studies use Q/A only
 
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"response slope {f.name} must be finite, "
+                                 f"got {getattr(self, f.name)!r}")
+
     def interaction_shift(self, d_temperature=0.0, strain=0.0) -> InteractionShift:
         return InteractionShift(
             d_quadrupole=self.quadrupole_per_K * d_temperature
@@ -156,6 +162,12 @@ class QuasiharmonicResponse:
     reference_T: float         # K
 
     def __post_init__(self):
+        values = (self.base_value, self.first_order, *self.thermal_expansion,
+                  *(x for mode in self.modes for x in mode), self.reference_T)
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError("quasiharmonic coefficients, modes and reference "
+                             f"temperature must be finite, got modes={self.modes!r}, "
+                             f"reference_T={self.reference_T!r}")
         for omega, _ in self.modes:
             if omega <= 0:
                 raise ValueError("all mode frequencies must be positive")
@@ -326,6 +338,8 @@ def calibrate_einstein_model(
             b_ref * bose_einstein_slope(om_ref, Ts)
         )
         return (model_ratio - targets) / targets
+
+    from scipy.optimize import least_squares
 
     fit = least_squares(residuals, x0=[np.log(reference_mode_K)], method="lm")
     res = residuals(fit.x)

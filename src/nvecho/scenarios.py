@@ -31,7 +31,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, config_document, load_config, parse_config, realize_grid
+from .config import (
+    ScenarioConfig,
+    config_document,
+    echo_keywords,
+    load_config,
+    parse_config,
+    realize_grid,
+    sequence_keywords,
+)
 from .estimator import RateTable, fit_exponential, fit_vee
 from .script import parse_sequence_script
 from .sequences import (
@@ -77,26 +85,12 @@ def load_packaged_scenario(name: str) -> ScenarioConfig:
     return load_config(packaged_scenario_path(name))
 
 
-def _echo(block: dict) -> dict:
-    """Pair and electron manifolds of a block's unbalanced echoes."""
-    return {"pair": block.get("pair", (0, -1)), "ms_free": block.get("ms_free", 0),
-            "ms_flipped": block.get("ms_flipped", 1)}
-
-
-def _template(block: dict, kind: str) -> dict:
-    """``build_sequence`` keywords of a sequence block; kinds that stay in
-    one manifold name it ``ms``."""
-    if kind == "unbalanced_echo":
-        return _echo(block) | {"flip_fraction": block["flip_fraction"]}
-    return {"pair": block.get("pair", (0, -1)), "ms_free": block.get("ms", 0)}
-
-
 def build_sequence_from_block(block: dict):
     """Turn a validated sequence block into a PulseSequence."""
     if "script" in block:
         return parse_sequence_script(block["script"])
     return build_sequence(block["kind"], block["total_time"],
-                          **_template(block, block["kind"]))
+                          **sequence_keywords(block, block["kind"]))
 
 
 # ------------------------------------------------------------ run machinery
@@ -134,15 +128,15 @@ def run_scenario(config: ScenarioConfig, out_dir=None, deterministic: bool = Fal
     """Execute a config's pipeline, writing artifacts and returning fits.
 
     ``samples`` and ``seed`` override the config's backend block.  A config
-    its pipeline cannot run raises ``ConfigError`` before any compute: a
-    hand-built one is checked by parsing its canonical mapping.
+    its pipeline cannot run, overrides included, raises ``ConfigError``
+    before any compute: a hand-built one is checked by parsing its canonical
+    mapping.
     """
-    parse_config(config_document(config), config.base_dir)
-    backend_kwargs = config.backend_kwargs()
-    if samples is not None:
-        backend_kwargs["n_samples"] = int(samples)
-    if seed is not None:
-        backend_kwargs["seed"] = int(seed)
+    document = config_document(config)
+    for key, value in (("samples", samples), ("seed", seed)):
+        if value is not None:
+            document["backend"][key] = value
+    backend_kwargs = parse_config(document, config.base_dir).backend_kwargs()
     out = Path(out_dir) if out_dir is not None else Path(config.output["directory"])
     out.mkdir(parents=True, exist_ok=True)
     ctx = _Context(config=config, backend_kwargs=backend_kwargs, out_dir=out,
@@ -177,7 +171,7 @@ def _sweep(ctx: _Context, sources, params):
     time, and the index of its peak."""
     block = ctx.config.sequence
     signal = pulse_location_sweep(block["total_time"], realize_grid(block["flip_fractions"]),
-                                  sources, params=params, **_echo(block),
+                                  sources, params=params, **echo_keywords(block),
                                   **ctx.backend_kwargs)
     return signal, int(np.argmax(signal.y))
 
@@ -193,7 +187,7 @@ def _compare(ctx: _Context, protected: dict, sources, params):
                                         "ramsey")):
         kind = block.get("kind", default_kind)
         scans[label] = decay_scan(realize_grid(block["times"]), sources, sequence=kind,
-                                  params=params, **_template(block, kind),
+                                  params=params, **sequence_keywords(block, kind),
                                   **ctx.backend_kwargs)
     fits = {label: fit_exponential(scan.x, scan.y) for label, scan in scans.items()}
     improvement = fits["protected"]["coherence_time"] / fits["unprotected"]["coherence_time"]
@@ -265,7 +259,7 @@ def _run_rate_table(ctx: _Context) -> ScenarioResult:
     pairs = block["pairs"] if "pairs" in block else (block["pair"],)
     fractions = realize_grid(block["flip_fractions"])
     times = realize_grid(block["times"])
-    echo = _echo(block)
+    echo = echo_keywords(block)
     sources = cfg.noise_sources()
     params = cfg.spin_params()
 

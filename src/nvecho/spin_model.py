@@ -16,7 +16,7 @@ segments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,6 +55,9 @@ class SpinSystemParams:
     field_gauss: float = 239.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.zfs <= 0:
             raise ValueError("zero-field splitting must be positive")
         if self.quadrupole == 0:

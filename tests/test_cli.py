@@ -299,6 +299,18 @@ def test_samples_and_seed_overrides_reach_backend(tmp_path, capsys):
     assert json.loads((seed_7 / "cli-mc-result.json").read_text())["amplitude"] != doc["amplitude"]
 
 
+def test_invalid_overrides_fail_before_compute(tmp_path, capsys):
+    # checked like the backend block, whether or not the run samples at all
+    out_dir = tmp_path / "artifacts"
+    for args, problem in ((["reproduce", "fig1d", "--samples", "0"],
+                           "backend.samples: must be a positive integer"),
+                          (["reproduce", "fig4", "--seed", "-1"],
+                           "backend.seed: must be a non-negative integer")):
+        assert main(args + ["--out", str(out_dir)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 # -------------------------------------------------------------------- fit
 
 def _decay_csv(tmp_path):
@@ -490,6 +502,39 @@ def test_module_invocation_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert "# kind: ramsey" in proc.stdout
+
+
+COLD_START = """\
+import sys
+
+import nvecho
+from nvecho.cli import main
+from nvecho.scenarios import SCENARIO_NAMES, load_packaged_scenario
+
+for name in SCENARIO_NAMES:
+    load_packaged_scenario(name)
+assert main(["parse-seq", sys.argv[1]]) == 0
+assert main(["reproduce", "fig1d", "--out", sys.argv[2], "--deterministic"]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print("scipy modules:", loaded)
+assert not loaded
+assert main(["fit", sys.argv[3], "--deterministic"]) == 0
+"""
+
+
+def test_cold_start_leaves_scipy_unloaded(tmp_path):
+    # scipy is imported by the fits and the calibrator on first use, not by
+    # the package, the configs, the closed-form runs or the script parser
+    script = tmp_path / "seq.txt"
+    script.write_text("pair 0 -1\nevolve 1ms ms=0\n")
+    csv = _decay_csv(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(script), str(tmp_path / "out"), str(csv)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "scipy modules: []" in proc.stdout
+    assert '"coherence_time"' in proc.stdout
 
 
 def test_help_lists_all_subcommands(capsys):

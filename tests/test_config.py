@@ -283,6 +283,12 @@ def test_backend_and_output_validation():
     with pytest.raises(ConfigError, match="samples"):
         parse_config(cfg)
 
+    cfg["backend"] = {"seed": -1}
+    with pytest.raises(ConfigError, match="backend.seed: must be a non-negative integer"):
+        parse_config(cfg)
+    cfg["backend"] = {"samples": np.int64(4096), "seed": np.int64(7)}
+    assert parse_config(cfg).backend == {"samples": 4096, "seed": 7}
+
     cfg["backend"] = {"workers": 2}
     with pytest.raises(ConfigError, match="backend.workers: unknown key"):
         parse_config(cfg)
@@ -430,3 +436,63 @@ def test_unknown_pipeline_and_malformed_grids():
         built.sequence["times"] = times
         with pytest.raises(ConfigError, match=f"sequence.times: {problem}"):
             parse_config(dump_config(built))
+
+
+def test_blocks_build_sequence_refuses_are_rejected():
+    # each used to pass parse_config and fail later in build_sequence
+    assert _problem_paths(_pipeline_doc(
+        "simulate", {"kind": "ramsey", "pair": [-1, 1], "total_time": "1 ms"})) \
+        == ["sequence.pair"]
+    echo = COMPLETE["simulate"]
+    assert _problem_paths(_pipeline_doc("simulate", echo | {"ms_free": 1, "ms_flipped": 1})) \
+        == ["sequence.ms_flipped"]
+    # ms_flipped defaults to +1
+    assert _problem_paths(_pipeline_doc("simulate", echo | {"ms_free": 1})) \
+        == ["sequence.ms_flipped"]
+    # the kinds a pipeline builds: compare blocks are Ramseys, swept blocks echoes
+    compare = COMPLETE["protection_study"]["compare"]
+    for pipeline in ("decay_compare", "protection_study"):
+        complete = COMPLETE[pipeline]
+        assert _problem_paths(_pipeline_doc(
+            pipeline, complete | {"compare": compare | {"pair": [-1, 1]}})) \
+            == ["sequence.compare.pair"]
+        assert _problem_paths(_pipeline_doc(
+            pipeline, complete | {"ms_free": -1, "ms_flipped": -1})) == ["sequence.ms_flipped"]
+    assert _problem_paths(_pipeline_doc(
+        "decay_compare", COMPLETE["decay_compare"]
+        | {"compare": compare | {"kind": "unbalanced_echo", "flip_fraction": 0.1,
+                                 "ms_free": 0, "ms_flipped": 0}})) \
+        == ["sequence.compare.ms_flipped"]
+    for pipeline in ("pulse_sweep", "rate_table_vee"):
+        assert _problem_paths(_pipeline_doc(
+            pipeline, COMPLETE[pipeline] | {"ms_free": 1})) == ["sequence.ms_flipped"]
+    # what each pipeline builds other than that still parses
+    assert parse_config(_pipeline_doc("simulate", {"kind": "dq_ramsey", "pair": [-1, 1],
+                                                   "total_time": "1 ms"}))
+    assert parse_config(_pipeline_doc("rate_table_vee", COMPLETE["rate_table_vee"]
+                                      | {"kind": "ramsey", "pair": [-1, 1]}))
+    assert parse_config(_pipeline_doc(
+        "simulate", {"kind": "ramsey", "ms_free": 1, "ms_flipped": 1, "total_time": "1 ms"}))
+    # a malformed value is reported once, not also as a refused build
+    assert _problem_paths(_pipeline_doc("simulate", echo | {"ms_free": 1, "ms_flipped": 2})) \
+        == ["sequence.ms_flipped"]
+
+    # hand-built configs are checked the same way
+    built = parse_config(_pipeline_doc("simulate", echo))
+    built.sequence["ms_free"] = 1
+    with pytest.raises(ConfigError, match="sequence.ms_flipped: must differ from ms_free"):
+        parse_config(dump_config(built))
+
+
+def test_script_only_where_the_pipeline_runs_one():
+    script = "pair 0 -1\nevolve 1ms ms=0\n"
+    for pipeline, sequence in COMPLETE.items():
+        if pipeline != "simulate":
+            assert _problem_paths(_pipeline_doc(pipeline, sequence | {"script": script})) \
+                == ["sequence.script"]
+        compare = sequence.get("compare", {}) | {"script": script}
+        assert _problem_paths(_pipeline_doc(pipeline, sequence | {"compare": compare})) \
+            == ["sequence.compare.script"]
+    with pytest.raises(ConfigError, match="pipeline 'decay_compare' does not run a script"):
+        parse_config(_pipeline_doc("decay_compare", COMPLETE["decay_compare"]
+                                   | {"script": script}))

@@ -153,6 +153,16 @@ def test_residual_field_source_width():
     assert rate_sq == pytest.approx(1.0 / (2 * 3.9e-3), rel=1e-12)
 
 
+def test_residual_field_source_rejects_degenerate_inputs():
+    # an infinite coherence time used to build a zero-width source ("no dephasing")
+    for bad in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="coherence time must be positive and finite"):
+            residual_field_source(dq_coherence_time=bad)
+    for bad in (0.0, math.nan):
+        with pytest.raises(ValueError, match="gamma_n must be finite and nonzero"):
+            residual_field_source(gamma_n=bad)
+
+
 def test_dephasing_factor_is_product_of_characteristic_functions():
     c = echo_coefficients()
     resp = default_linear_response()

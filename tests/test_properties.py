@@ -180,8 +180,16 @@ def _configs(draw):
             block[key] = draw(_NEEDED_VALUES[key])
     for path, default_kind in needs.templates.items():
         block = sequence if path == "sequence" else sequence["compare"]
-        if block.get("kind", default_kind) == "unbalanced_echo":
+        kind = block.get("kind", default_kind)
+        if kind == "unbalanced_echo":
             block.setdefault("flip_fraction", draw(_fractions))
+        if kind == "ramsey" and 0 not in block.get("pair", (0, -1)):
+            block["pair"] = list(draw(st.sampled_from(SQ_PAIRS)))
+    # an echo's electron flip changes the manifold
+    for block in (sequence, sequence.get("compare", {})):
+        ms_free = block.get("ms_free", 0)
+        if block.get("ms_flipped", 1) == ms_free:
+            block["ms_flipped"] = draw(st.sampled_from([m for m in PROJECTIONS if m != ms_free]))
     return doc | {"sequence": sequence}
 
 

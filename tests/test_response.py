@@ -128,6 +128,20 @@ def test_mode_frequencies_must_be_positive():
         )
 
 
+def test_non_finite_inputs_rejected():
+    # NaN slipped past the `< 0` / `<= 0` checks and gave NaN shifts
+    with pytest.raises(ValueError, match="finite"):
+        single_mode_model(600.0, TWO_PI * 100.0, reference_T=math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        QuasiharmonicResponse(base_value=0.0, first_order=0.0,
+                              thermal_expansion=(0.0, 0.0, 0.0),
+                              modes=((math.nan, TWO_PI * 10.0),), reference_T=300.0)
+    with pytest.raises(ValueError, match="quadrupole_per_K must be finite"):
+        LinearResponse(quadrupole_per_K=math.nan)
+    with pytest.raises(ValueError, match="hyperfine_per_strain must be finite"):
+        LinearResponse(hyperfine_per_strain=math.inf)
+
+
 def test_vectorized_shift():
     model = single_mode_model(1000.0, TWO_PI * 1e5, reference_T=300.0)
     T = np.array([250.0, 300.0, 350.0])

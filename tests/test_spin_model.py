@@ -7,6 +7,8 @@ so the generic energy-differencing code is checked against independent
 arithmetic.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,9 @@ def test_parameter_validation():
         SpinSystemParams(field_gauss=2.0e4)  # nuclear Zeeman would exceed |Q|
     with pytest.raises(ValueError):
         SpinSystemParams(field_gauss=-1.0)
+    for name, bad in (("gamma_n", math.nan), ("zfs", math.inf), ("field_gauss", math.nan)):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SpinSystemParams(**{name: bad})
 
 
 def test_spin_projection_validation():
