@@ -449,7 +449,8 @@ def _lookup(root, dotted):
 
 def _check_needs(pipeline, raw, sequence, col) -> None:
     """Report an unknown pipeline; each sequence key it needs and the raw
-    ``sequence`` block lacks; a script it does not run; and a block that
+    ``sequence`` block lacks; a block it does not read; a script it does not
+    run; another kind in a block it builds echoes from; and a block that
     ``build_sequence`` would refuse as the kind the pipeline builds it as."""
     needs = PIPELINE_NEEDS.get(pipeline)
     if needs is None:
@@ -467,6 +468,9 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
         block, norm = _lookup(root, path), _lookup({"sequence": sequence}, path)
         if not isinstance(block, dict):
             continue
+        if path not in needs.templates and not any(key.startswith(f"{path}.") for key in needed):
+            col.add(path, f"pipeline {pipeline!r} does not read this block")
+            continue
         if "script" in block:
             if f"{path}.script" not in needed:
                 col.add(f"{path}.script", f"pipeline {pipeline!r} does not run a script")
@@ -474,7 +478,10 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
         if path in needs.templates:
             kind = block.get("kind", needs.templates[path])
         else:
-            kind = "unbalanced_echo" if path == "sequence" else None
+            kind = "unbalanced_echo"
+            if norm.get("kind", kind) != kind:  # a malformed kind is reported already
+                col.add(f"{path}.kind", f"pipeline {pipeline!r} builds unbalanced echoes "
+                                        f"from this block, not {norm['kind']!r}")
         if kind == "unbalanced_echo":
             if path in needs.templates and "flip_fraction" not in block:
                 col.add(f"{path}.flip_fraction", "an unbalanced echo needs a flip_fraction")

@@ -393,12 +393,14 @@ def test_each_needed_key_is_reported_by_its_dotted_path(pipeline, need):
     assert path in _problem_paths(dump_config(built))
 
 
+# the compare block given below is reported where the pipeline reads none
 EMPTY_BLOCK_PROBLEMS = {
-    "simulate": ["sequence.kind", "sequence.total_time"],
+    "simulate": ["sequence.kind", "sequence.total_time", "sequence.compare"],
     "decay_compare": ["sequence.times", "sequence.compare.times",
                       "sequence.flip_fraction", "sequence.compare.flip_fraction"],
-    "pulse_sweep": ["sequence.total_time", "sequence.flip_fractions"],
-    "rate_table_vee": ["sequence.pair", "sequence.flip_fractions", "sequence.times"],
+    "pulse_sweep": ["sequence.total_time", "sequence.flip_fractions", "sequence.compare"],
+    "rate_table_vee": ["sequence.pair", "sequence.flip_fractions", "sequence.times",
+                       "sequence.compare"],
     "protection_study": ["sequence.total_time", "sequence.flip_fractions", "sequence.times",
                          "sequence.compare.times", "sequence.compare.flip_fraction"],
 }
@@ -470,7 +472,7 @@ def test_blocks_build_sequence_refuses_are_rejected():
     assert parse_config(_pipeline_doc("simulate", {"kind": "dq_ramsey", "pair": [-1, 1],
                                                    "total_time": "1 ms"}))
     assert parse_config(_pipeline_doc("rate_table_vee", COMPLETE["rate_table_vee"]
-                                      | {"kind": "ramsey", "pair": [-1, 1]}))
+                                      | {"kind": "unbalanced_echo", "pair": [-1, 1]}))
     assert parse_config(_pipeline_doc(
         "simulate", {"kind": "ramsey", "ms_free": 1, "ms_flipped": 1, "total_time": "1 ms"}))
     # a malformed value is reported once, not also as a refused build
@@ -484,15 +486,41 @@ def test_blocks_build_sequence_refuses_are_rejected():
         parse_config(dump_config(built))
 
 
+def test_blocks_and_kinds_a_pipeline_does_not_read_are_rejected():
+    # each used to parse and then be ignored by the run
+    compare = {"kind": "ramsey", "times": ["10 us", "20 us"]}
+    for pipeline in ("simulate", "pulse_sweep", "rate_table_vee"):
+        doc = _pipeline_doc(pipeline, COMPLETE[pipeline] | {"compare": compare})
+        assert _problem_paths(doc) == ["sequence.compare"]
+        with pytest.raises(ConfigError, match=f"pipeline '{pipeline}' does not read this block"):
+            parse_config(doc)
+    for pipeline in ("pulse_sweep", "rate_table_vee", "protection_study"):
+        for kind in ("ramsey", "dq_ramsey", "nuclear_echo"):
+            doc = _pipeline_doc(pipeline, COMPLETE[pipeline] | {"kind": kind})
+            assert _problem_paths(doc) == ["sequence.kind"]
+        # the kind the pipeline builds may be named; a malformed one is reported once
+        assert parse_config(_pipeline_doc(pipeline, COMPLETE[pipeline]
+                                          | {"kind": "unbalanced_echo"}))
+        assert _problem_paths(_pipeline_doc(pipeline, COMPLETE[pipeline] | {"kind": "foo"})) \
+            == ["sequence.kind"]
+    # hand-built configs are checked the same way
+    built = parse_config(_pipeline_doc("pulse_sweep", COMPLETE["pulse_sweep"]))
+    built.sequence["kind"] = "ramsey"
+    with pytest.raises(ConfigError, match="sequence.kind: pipeline 'pulse_sweep' builds "
+                                          "unbalanced echoes"):
+        parse_config(dump_config(built))
+
+
 def test_script_only_where_the_pipeline_runs_one():
     script = "pair 0 -1\nevolve 1ms ms=0\n"
     for pipeline, sequence in COMPLETE.items():
         if pipeline != "simulate":
             assert _problem_paths(_pipeline_doc(pipeline, sequence | {"script": script})) \
                 == ["sequence.script"]
+        # a pipeline that reads no compare block reports the whole block
         compare = sequence.get("compare", {}) | {"script": script}
         assert _problem_paths(_pipeline_doc(pipeline, sequence | {"compare": compare})) \
-            == ["sequence.compare.script"]
+            == ["sequence.compare.script" if "compare" in sequence else "sequence.compare"]
     with pytest.raises(ConfigError, match="pipeline 'decay_compare' does not run a script"):
         parse_config(_pipeline_doc("decay_compare", COMPLETE["decay_compare"]
                                    | {"script": script}))

@@ -8,11 +8,16 @@ tolerances a few times the standard error, validated ahead of time.
 """
 
 import math
+import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from nvecho import noise
+from nvecho.config import echo_keywords, sequence_keywords
 from nvecho.noise import (
     CHUNK,
     Distribution,
@@ -28,7 +33,14 @@ from nvecho.noise import (
     temperature_source,
 )
 from nvecho.response import default_linear_response, default_quasiharmonic_set
-from nvecho.spin_model import PhaseCoefficients, Segment, default_params, phase_coefficients
+from nvecho.sequences import build_sequence
+from nvecho.spin_model import (
+    PhaseCoefficients,
+    Segment,
+    default_params,
+    phase_coefficients,
+    stack_coefficients,
+)
 from nvecho.units import TWO_PI
 
 SEED = 12345
@@ -234,6 +246,56 @@ def test_monte_carlo_batch_matches_single_points(sources):
         assert alone.truncated_mass == batch.truncated_mass
 
 
+@pytest.mark.parametrize("sources", [
+    (temperature_source(lorentzian(0.0, 5.0)), field_source(gaussian(0.0, 0.05))),
+    (temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set()),),
+], ids=["linear", "quasiharmonic"])
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_monte_carlo_does_not_depend_on_the_thread_count(sources, size, monkeypatch):
+    family = [echo_coefficients(t=t, tau=f * t)
+              for t in (2e-5, 1e-4, 3e-4) for f in (0.0, 0.17, 0.5)][:size]
+    assert 1 <= noise._thread_count(size) <= min(size, os.cpu_count())
+    n = CHUNK + 17  # a partial last chunk
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads as often as the interpreter can
+    try:
+        for threads in (1, 2, 3):  # 3 leaves empty slices when size is 1 or 2
+            monkeypatch.setattr(noise, "_thread_count", lambda members, n=threads: n)
+            results.append(monte_carlo_attenuation(sources, family, n_samples=n, seed=SEED))
+    finally:
+        sys.setswitchinterval(interval)
+    first = results[0]
+    assert first.attenuation.shape == (size,)
+    for other in results[1:]:
+        assert other.attenuation.tobytes() == first.attenuation.tobytes()
+        assert other.std_error.tobytes() == first.std_error.tobytes()
+        assert other.n_retained == first.n_retained
+        assert other.truncated_mass == first.truncated_mass
+
+
+# tracemalloc peak of the call below before the member loop was split across
+# threads (numpy 2.4, Python 3.11): per-member temporaries on top of the draws
+PEAK_BEFORE_THREADS = 4_141_792
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_monte_carlo_peak_memory(threads, monkeypatch):
+    # each thread adds one slice's buffers, 24 bytes per retained draw, so the
+    # count is pinned; two is what a 2-CPU host uses for this family
+    monkeypatch.setattr(noise, "_thread_count", lambda members: threads)
+    src = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
+    family = [echo_coefficients(t=2e-3, tau=f * 2e-3) for f in np.linspace(0.1, 0.25, 8)]
+    monte_carlo_attenuation((src,), family, n_samples=CHUNK, seed=SEED)  # first-call set-up
+    tracemalloc.start()
+    try:
+        monte_carlo_attenuation((src,), family, n_samples=2 * CHUNK, seed=SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BEFORE_THREADS
+
+
 def test_truncation_mass_absolute_temperature():
     # Cauchy(300 K, 25 K) clipped to [0, location + 50 sigma]
     src = temperature_source(
@@ -275,6 +337,60 @@ def test_monte_carlo_nonlinear_matches_quadrature():
     ) / norm
     result = monte_carlo_attenuation((src,), [c], n_samples=1 << 19, seed=SEED)
     assert abs(result.attenuation[0] - expected) < 5e-3
+
+
+def quadrature_attenuation(source, coefficients, tol=1e-4, panels=4000, nodes=20):
+    """Deterministic oracle for ``monte_carlo_attenuation`` over one truncated
+    Lorentzian source: composite Gauss-Legendre in the CDF variable u, with
+    T = loc + scale * tan(pi (u - 1/2)) fed through ``deviation_channels``.
+    Each member's panel count doubles until two passes agree to ``tol``."""
+    dist = source.distribution
+    u_lo, u_hi = (dist.cdf(bound) for bound in source.truncation_window())
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    grid = stack_coefficients(coefficients)
+    previous, converged = {}, {}
+    todo = list(range(grid.quadrupole.size))
+    while todo:
+        assert panels <= 1 << 20, f"members {todo} did not converge"
+        current = dict.fromkeys(todo, 0j)
+        edges = np.linspace(u_lo, u_hi, panels + 1)
+        for start in range(0, panels, 4000):  # bounded memory per block of panels
+            block = edges[start:start + 4001]
+            half = 0.5 * np.diff(block)[:, None]
+            u = (block[:-1, None] + half * (x + 1.0)).ravel()
+            weights = (half * w).ravel() / (u_hi - u_lo)
+            pairs = source.deviation_channels(
+                grid, dist.location + dist.scale * np.tan(np.pi * (u - 0.5)))
+            for g in todo:
+                current[g] += np.exp(1j * sum(c[g] * ch for c, ch in pairs)) @ weights
+        converged.update((g, current[g]) for g in todo
+                         if g in previous and abs(current[g] - previous[g]) < tol)
+        previous, panels = current, 2 * panels
+        todo = [g for g in todo if g not in converged]
+    return np.array([converged[g] for g in range(grid.quadrupole.size)])
+
+
+@pytest.mark.parametrize("name", ["fig4", "s5"])
+def test_monte_carlo_matches_quadrature_over_scenario_grids(name, protection_runs):
+    config, result, _ = protection_runs[name]
+    (src,) = config.noise_sources()
+    params, block = config.spin_params(), config.sequence
+    compare, best = block["compare"], result.numbers["argmax_flip_fraction"]
+    families = {
+        "sweep": [build_sequence("unbalanced_echo", block["total_time"], flip_fraction=float(f),
+                                 **echo_keywords(block)) for f in result.signals["sweep"].x],
+        "protected": [build_sequence("unbalanced_echo", float(t), flip_fraction=best,
+                                     **echo_keywords(block))
+                      for t in result.signals["protected"].x],
+        "unprotected": [build_sequence(compare["kind"], float(t),
+                                       **sequence_keywords(compare, compare["kind"]))
+                        for t in result.signals["unprotected"].x],
+    }
+    for label, family in families.items():
+        mc = result.signals[label].monte_carlo
+        exact = quadrature_attenuation(
+            src, [phase_coefficients(params, seq.pair, seq.segments) for seq in family])
+        assert np.all(np.abs(mc.attenuation - exact) <= 4.0 * mc.std_error), label
 
 
 def test_monte_carlo_rejects_bad_arguments():

@@ -171,6 +171,11 @@ def _configs(draw):
     doc = draw(_documents)
     sequence = draw(_sequence_block(True))
     needs = PIPELINE_NEEDS[doc["pipeline"]]
+    # only a block the pipeline reads, and in a block it sweeps, only its kind
+    if "sequence.compare" not in needs.templates:
+        sequence.pop("compare", None)
+    if "sequence" not in needs.templates and sequence.get("kind", "unbalanced_echo") != "unbalanced_echo":
+        del sequence["kind"]
     for need in needs.keys:
         *parents, key = need.split("|")[0].split(".")
         block = sequence
