@@ -21,6 +21,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,6 +42,7 @@ from .response import (
     load_response_set,
 )
 from .script import ScriptError, parse_sequence_script
+from .sequences import KINDS
 from .spin_model import SpinSystemParams
 from .units import QuantityError, angular, format_quantity, parse_quantity
 
@@ -71,25 +73,20 @@ _RESPONSE_LINEAR_FIELDS = {
 _SOURCE_DIMENSION = {"temperature": "temperature", "field": "field", "strain": None}
 _DISTRIBUTIONS = ("lorentzian", "gaussian", "delta")
 
-_SEQUENCE_KEYS = ("kind", "script", "pair", "pairs", "ms", "ms_free", "ms_flipped",
-                  "flip_fraction", "total_time", "times", "flip_fractions", "compare")
-_SEQUENCE_KINDS = ("ramsey", "dq_ramsey", "unbalanced_echo", "nuclear_echo")
-
 _BACKEND_DEFAULTS = {"samples": 1 << 20, "seed": 12345}
 _OUTPUT_DEFAULTS = {"directory": "."}
 
 
 class Needs(NamedTuple):
-    keys: tuple  # dotted paths below ``sequence``; "a|b" when either will do
+    keys: tuple  # dotted paths below ``sequence``; "a|b" for exactly one of the two
     templates: dict = {}  # block built from a kind -> its kind when it names none
 
 
 # What each pipeline reads from its sequence block; ``compare.times`` asks for
-# the block too.  A script carries its own durations, and only a pipeline
-# that names it runs one; an unbalanced-echo template needs a flip_fraction.
-# A ``sequence`` block that is no template holds the pipeline's swept or
-# scanned echoes: the protected scan of ``protection_study`` is an echo at
-# the sweep's optimum.
+# the block too.  A block also holds the keys of the kind it is built as
+# (``sequences.KINDS``), and nothing else; a script block holds only its
+# script.  A block no template names holds unbalanced echoes, and where the
+# pipeline sweeps ``flip_fractions`` it sets their flip fraction.
 PIPELINE_NEEDS = {
     "simulate": Needs(("kind|script", "total_time|script"), {"sequence": None}),
     "decay_compare": Needs(("times", "compare.times"),
@@ -98,13 +95,6 @@ PIPELINE_NEEDS = {
     "rate_table_vee": Needs(("pair|pairs", "flip_fractions", "times")),
     "protection_study": Needs(("total_time", "flip_fractions", "times", "compare.times"),
                               {"sequence.compare": "ramsey"}),
-}
-
-# scanned grids: unit dimension, and what their realized values must satisfy
-_GRIDS = {
-    "times": ("time", lambda v: v[0] > 0 and np.all(np.diff(v) > 0),
-              "must be positive and strictly increasing"),
-    "flip_fractions": (None, lambda v: np.all((v >= 0) & (v <= 1)), "must lie in [0, 1]"),
 }
 
 
@@ -170,21 +160,50 @@ def _value(value, path, col, dimension):
     return _quantity(value, path, col, dimension) if dimension else _plain_number(value, path, col)
 
 
-def _normalize_quantity_block(block, path, col, fields):
+def _normalize_mapping(block, path, col, readers, defaults=None):
+    """``defaults`` updated with each key of ``block`` as its reader in
+    ``readers`` reads it; a key without a reader is unknown."""
+    out = dict(defaults or {})
     if block is None:
-        return {}
+        return out
     if not isinstance(block, dict):
         col.add(path, "must be a mapping")
-        return {}
-    out = {}
+        return out
     for key, value in block.items():
-        if key not in fields:
+        if key not in readers:
             col.add(f"{path}.{key}", "unknown key")
             continue
-        parsed = _quantity(value, f"{path}.{key}", col, fields[key])
+        parsed = readers[key](value, f"{path}.{key}", col)
         if parsed is not None:
             out[key] = parsed
     return out
+
+
+def _quantities(fields):
+    """Readers of quantity keys, each in its dimension."""
+    return {key: partial(_quantity, dimension=dimension) for key, dimension in fields.items()}
+
+
+def _integer(minimum, what):
+    def read(value, path, col):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            col.add(path, "must be an integer")
+            return None
+        if value < minimum:
+            col.add(path, f"must be a {what} integer")
+            return None
+        return int(value)
+    return read
+
+
+_BACKEND_READERS = {"samples": _integer(1, "positive"), "seed": _integer(0, "non-negative")}
+
+
+def _nonempty_string(value, path, col):
+    if not isinstance(value, str) or not value:
+        col.add(path, "must be a nonempty string")
+        return None
+    return value
 
 
 def _normalize_response(block, col):
@@ -196,8 +215,8 @@ def _normalize_response(block, col):
     model = block.get("model", "linear")
     if model == "linear":
         slopes = {key: value for key, value in block.items() if key != "model"}
-        return {"model": "linear"} | _normalize_quantity_block(
-            slopes, "response", col, _RESPONSE_LINEAR_FIELDS)
+        return {"model": "linear"} | _normalize_mapping(
+            slopes, "response", col, _quantities(_RESPONSE_LINEAR_FIELDS))
     if model == "quasiharmonic":
         for key in block:
             if key not in ("model", "data_file"):
@@ -354,89 +373,93 @@ def _normalize_pair(value, path, col):
     return (a, b)
 
 
-def _normalize_sequence(block, path, col, allow_compare=True):
-    if block is None:
-        return {}
-    if not isinstance(block, dict):
-        col.add(path, "must be a mapping")
-        return {}
-    out = {}
-    for key in block:
-        if key not in _SEQUENCE_KEYS or (key == "compare" and not allow_compare):
-            col.add(f"{path}.{key}", "unknown key")
-    if "kind" in block:
-        if block["kind"] not in _SEQUENCE_KINDS:
-            col.add(f"{path}.kind",
-                    f"must be one of {_SEQUENCE_KINDS}, got {block['kind']!r}")
-        else:
-            out["kind"] = block["kind"]
-    if "script" in block:
-        text = block["script"]
-        if not isinstance(text, str):
-            col.add(f"{path}.script", "must be a string")
-        else:
-            try:
-                parse_sequence_script(text)
-                out["script"] = text
-            except ScriptError as exc:
-                col.add(f"{path}.script", str(exc))
-    if "pair" in block:
-        pair = _normalize_pair(block["pair"], f"{path}.pair", col)
-        if pair is not None:
-            out["pair"] = pair
-    if "pairs" in block:
-        pairs = block["pairs"]
-        if not isinstance(pairs, list) or not pairs:
-            col.add(f"{path}.pairs", "must be a nonempty list of pairs")
-        else:
-            norm = [_normalize_pair(p, f"{path}.pairs[{i}]", col)
-                    for i, p in enumerate(pairs)]
-            if all(p is not None for p in norm):
-                out["pairs"] = tuple(norm)
-    for key in ("ms", "ms_free", "ms_flipped"):
-        if key in block:
-            v = _projection(block[key], f"{path}.{key}", col)
-            if v is not None:
-                out[key] = v
-    if "flip_fraction" in block:
-        v = _plain_number(block["flip_fraction"], f"{path}.flip_fraction", col)
-        if v is not None:
-            if not 0.0 <= v <= 1.0:
-                col.add(f"{path}.flip_fraction", "must lie in [0, 1]")
-            else:
-                out["flip_fraction"] = v
-    if "total_time" in block:
-        v = _quantity(block["total_time"], f"{path}.total_time", col, "time")
-        if v is not None:
-            if v <= 0:
-                col.add(f"{path}.total_time", "must be > 0")
-            else:
-                out["total_time"] = v
-    for key, (dimension, holds, message) in _GRIDS.items():
-        if key in block:
-            grid = _normalize_grid(block[key], f"{path}.{key}", col, dimension)
-            if grid is not None and holds(realize_grid(grid)):
-                out[key] = grid
-            elif grid is not None:
-                col.add(f"{path}.{key}", message)
-    if allow_compare and "compare" in block:
-        out["compare"] = _normalize_sequence(block["compare"], f"{path}.compare",
-                                             col, allow_compare=False)
-    return out
+def _kind(value, path, col):
+    if not isinstance(value, str) or value not in KINDS:
+        col.add(path, f"must be one of {tuple(KINDS)}, got {value!r}")
+        return None
+    return value
 
 
-def echo_keywords(block: dict) -> dict:
-    """Pair and electron manifolds of a block's unbalanced echoes."""
-    return {"pair": block.get("pair", (0, -1)), "ms_free": block.get("ms_free", 0),
-            "ms_flipped": block.get("ms_flipped", 1)}
+def _script(text, path, col):
+    if not isinstance(text, str):
+        col.add(path, "must be a string")
+        return None
+    try:
+        parse_sequence_script(text)
+    except ScriptError as exc:
+        col.add(path, str(exc))
+        return None
+    return text
 
 
-def sequence_keywords(block: dict, kind: str) -> dict:
-    """``build_sequence`` keywords of a sequence block; kinds that stay in
-    one manifold name it ``ms``."""
-    if kind == "unbalanced_echo":
-        return echo_keywords(block) | {"flip_fraction": block["flip_fraction"]}
-    return {"pair": block.get("pair", (0, -1)), "ms_free": block.get("ms", 0)}
+def _pairs(value, path, col):
+    if not isinstance(value, list) or not value:
+        col.add(path, "must be a nonempty list of pairs")
+        return None
+    pairs = [_normalize_pair(p, f"{path}[{i}]", col) for i, p in enumerate(value)]
+    return tuple(pairs) if None not in pairs else None
+
+
+def _checked(read, holds, message):
+    """``read``, then report a value that ``holds`` refuses."""
+    def check(value, path, col):
+        v = read(value, path, col)
+        if v is not None and not holds(v):
+            col.add(path, message)
+            return None
+        return v
+    return check
+
+
+def _grid(dimension, holds, message):
+    """A grid key in ``dimension`` whose realized values must satisfy ``holds``."""
+    return _checked(partial(_normalize_grid, dimension=dimension),
+                    lambda grid: holds(realize_grid(grid)), message)
+
+
+def _dump_grid(spec, dimension):
+    if isinstance(spec, dict):
+        out = {"start": spec["start"], "stop": spec["stop"]}
+        if dimension:
+            out = {k: format_quantity(v, dimension) for k, v in out.items()}
+        out["count"] = spec["count"]
+        out["spacing"] = spec["spacing"]
+        return out
+    if dimension:
+        return [format_quantity(v, dimension) for v in spec]
+    return list(spec)
+
+
+def _dump_sequence(block):
+    return {key: block[key] if dump is None else dump(block[key])
+            for key, (_, dump) in _SEQUENCE_KEYS.items() if key in block}
+
+
+# each sequence key in canonical order: how it is read and how it is printed
+# (None: as it is).  What a block may hold is checked against its pipeline
+# and its kind (``_check_needs``).
+_SEQUENCE_KEYS = {
+    "kind": (_kind, None),
+    "script": (_script, None),
+    "pair": (_normalize_pair, list),
+    "pairs": (_pairs, lambda pairs: [list(p) for p in pairs]),
+    "ms": (_projection, None),
+    "ms_free": (_projection, None),
+    "ms_flipped": (_projection, None),
+    "flip_fraction": (_checked(_plain_number, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+                      None),
+    "total_time": (_checked(partial(_quantity, dimension="time"), lambda v: v > 0, "must be > 0"),
+                   lambda v: format_quantity(v, "time")),
+    "times": (_grid("time", lambda v: v[0] > 0 and np.all(np.diff(v) > 0),
+                    "must be positive and strictly increasing"),
+              lambda grid: _dump_grid(grid, "time")),
+    "flip_fractions": (_grid(None, lambda v: np.all((v >= 0) & (v <= 1)), "must lie in [0, 1]"),
+                       lambda grid: _dump_grid(grid, None)),
+    "compare": (lambda v, path, col: _normalize_mapping(v, path, col, _COMPARE_READERS),
+                _dump_sequence),
+}
+_SEQUENCE_READERS = {key: read for key, (read, _) in _SEQUENCE_KEYS.items()}
+_COMPARE_READERS = {key: read for key, read in _SEQUENCE_READERS.items() if key != "compare"}
 
 
 def _lookup(root, dotted):
@@ -448,10 +471,11 @@ def _lookup(root, dotted):
 
 
 def _check_needs(pipeline, raw, sequence, col) -> None:
-    """Report an unknown pipeline; each sequence key it needs and the raw
-    ``sequence`` block lacks; a block it does not read; a script it does not
-    run; another kind in a block it builds echoes from; and a block that
-    ``build_sequence`` would refuse as the kind the pipeline builds it as."""
+    """Report an unknown pipeline; each sequence key it needs that the raw
+    ``sequence`` block lacks, or gives with its alternative; and per block,
+    a block it does not read, another kind in a block of swept echoes, each
+    key that neither the pipeline nor the block's kind reads (a script's
+    reads none), a key the kind needs, and the key that breaks its rule."""
     needs = PIPELINE_NEEDS.get(pipeline)
     if needs is None:
         col.add("pipeline", f"unknown pipeline {pipeline!r}; "
@@ -462,78 +486,45 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
     for need in needs.keys:
         options = [f"sequence.{key}" for key in need.split("|")]
         needed.update(options)
-        if all(_lookup(root, path) is None for path in options):
+        given = [path for path in options if _lookup(root, path) is not None]
+        if not given:
             col.add(options[0], f"pipeline {pipeline!r} needs {' or '.join(options)}")
+        elif len(given) > 1:
+            col.add(given[0], f"pipeline {pipeline!r} reads {' or '.join(options)}, not both")
     for path in ("sequence", "sequence.compare"):
         block, norm = _lookup(root, path), _lookup({"sequence": sequence}, path)
         if not isinstance(block, dict):
             continue
-        if path not in needs.templates and not any(key.startswith(f"{path}.") for key in needed):
+        read = {key[len(path) + 1:] for key in needed if key.startswith(f"{path}.")}
+        if path not in needs.templates and not read:
             col.add(path, f"pipeline {pipeline!r} does not read this block")
             continue
-        if "script" in block:
-            if f"{path}.script" not in needed:
-                col.add(f"{path}.script", f"pipeline {pipeline!r} does not run a script")
-            continue
-        if path in needs.templates:
-            kind = block.get("kind", needs.templates[path])
+        if "kind" in block and "kind" not in norm:
+            continue  # a malformed kind is reported already
+        if "script" in block and "script" in read:
+            kind, keys, what = None, {}, "a script"
         else:
-            kind = "unbalanced_echo"
-            if norm.get("kind", kind) != kind:  # a malformed kind is reported already
+            kind = norm.get("kind", needs.templates.get(path, "unbalanced_echo"))
+            if kind is None:
+                continue  # the missing kind is reported already
+            swept = "flip_fractions" in read  # the pipeline sets the flip fraction
+            if swept and kind != "unbalanced_echo":
                 col.add(f"{path}.kind", f"pipeline {pipeline!r} builds unbalanced echoes "
-                                        f"from this block, not {norm['kind']!r}")
-        if kind == "unbalanced_echo":
-            if path in needs.templates and "flip_fraction" not in block:
-                col.add(f"{path}.flip_fraction", "an unbalanced echo needs a flip_fraction")
-            echo = echo_keywords(norm)
-            if (echo["ms_free"] == echo["ms_flipped"]
-                    and all(key in norm for key in ("ms_free", "ms_flipped") if key in block)):
-                col.add(f"{path}.ms_flipped",
-                        f"must differ from ms_free ({echo['ms_free']}): "
-                        "the electron flip must change the manifold")
-        elif kind == "ramsey" and 0 not in sequence_keywords(norm, kind)["pair"]:
-            col.add(f"{path}.pair", "a single-quantum ramsey needs a pair involving "
-                                    "m_I = 0; the (-1, +1) pair is kind dq_ramsey")
-
-
-def _normalize_backend(block, col):
-    out = dict(_BACKEND_DEFAULTS)
-    if block is None:
-        return out
-    if not isinstance(block, dict):
-        col.add("backend", "must be a mapping")
-        return out
-    for key, value in block.items():
-        if key in ("samples", "seed"):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                col.add(f"backend.{key}", "must be an integer")
-            elif key == "samples" and value < 1:
-                col.add(f"backend.{key}", "must be a positive integer")
-            elif key == "seed" and value < 0:
-                col.add(f"backend.{key}", "must be a non-negative integer")
-            else:
-                out[key] = int(value)
-        else:
-            col.add(f"backend.{key}", "unknown key")
-    return out
-
-
-def _normalize_output(block, col):
-    out = dict(_OUTPUT_DEFAULTS)
-    if block is None:
-        return out
-    if not isinstance(block, dict):
-        col.add("output", "must be a mapping")
-        return out
-    for key, value in block.items():
-        if key == "directory":
-            if not isinstance(value, str) or not value:
-                col.add("output.directory", "must be a nonempty string")
-            else:
-                out["directory"] = value
-        else:
-            col.add(f"output.{key}", "unknown key")
-    return out
+                                        f"from this block, not {kind!r}")
+                kind = "unbalanced_echo"
+            keys = {k: v for k, v in KINDS[kind].keys.items() if not swept or k != "flip_fraction"}
+            what = f"its swept {kind}" if swept else f"kind {kind}"
+        for key in norm:
+            if key not in read | {"kind", "compare"} | keys.keys():
+                col.add(f"{path}.{key}", f"read by neither pipeline {pipeline!r} nor {what}")
+        for key, default in keys.items():
+            if default is None and key not in block:
+                col.add(f"{path}.{key}", f"kind {kind} needs a {key}")
+        # a malformed value is reported already, not also as a refused build
+        if kind is not None and all(key in norm for key in keys if key in block):
+            refusal = KINDS[kind].rule(keys | KINDS[kind].read(norm))
+            if refusal is not None:
+                col.add(f"{path}.{refusal[0]}", refusal[1])
 
 
 # ----------------------------------------------------------------- the type
@@ -634,15 +625,17 @@ def parse_config(data, base_dir=None) -> ScenarioConfig:
         col.add("description", "must be a string")
         description = ""
 
-    spin = _normalize_quantity_block(raw.get("spin"), "spin", col, _SPIN_FIELDS)
+    spin = _normalize_mapping(raw.get("spin"), "spin", col, _quantities(_SPIN_FIELDS))
     response = _normalize_response(raw.get("response"), col)
     sources = _normalize_sources(raw.get("sources"), col)
-    sequence = _normalize_sequence(raw.get("sequence"), "sequence", col)
+    sequence = _normalize_mapping(raw.get("sequence"), "sequence", col, _SEQUENCE_READERS)
     if isinstance(pipeline, str) and pipeline:
         # against the raw block, so a malformed key is not also reported missing
         _check_needs(pipeline, raw.get("sequence"), sequence, col)
-    backend = _normalize_backend(raw.get("backend"), col)
-    output = _normalize_output(raw.get("output"), col)
+    backend = _normalize_mapping(raw.get("backend"), "backend", col, _BACKEND_READERS,
+                                 _BACKEND_DEFAULTS)
+    output = _normalize_mapping(raw.get("output"), "output", col,
+                                {"directory": _nonempty_string}, _OUTPUT_DEFAULTS)
 
     if response.get("model") == "quasiharmonic" and response.get("data_file"):
         try:
@@ -666,19 +659,6 @@ def load_config(path) -> ScenarioConfig:
 
 # ------------------------------------------------------------------ dumping
 
-def _dump_grid(spec, dimension):
-    if isinstance(spec, dict):
-        out = {"start": spec["start"], "stop": spec["stop"]}
-        if dimension:
-            out = {k: format_quantity(v, dimension) for k, v in out.items()}
-        out["count"] = spec["count"]
-        out["spacing"] = spec["spacing"]
-        return out
-    if dimension:
-        return [format_quantity(v, dimension) for v in spec]
-    return list(spec)
-
-
 def _dump_source(spec):
     out = {"kind": spec["kind"]}
     if "name" in spec:
@@ -692,28 +672,6 @@ def _dump_source(spec):
     for key in ("location", "scale"):
         if key in spec:
             out[key] = format_quantity(spec[key], dimension) if dimension else spec[key]
-    return out
-
-
-def _dump_sequence(block):
-    out = {}
-    for key in _SEQUENCE_KEYS:
-        if key not in block:
-            continue
-        if key == "pair":
-            out[key] = list(block[key])
-        elif key == "pairs":
-            out[key] = [list(p) for p in block[key]]
-        elif key == "total_time":
-            out[key] = format_quantity(block[key], "time")
-        elif key == "times":
-            out[key] = _dump_grid(block[key], "time")
-        elif key == "flip_fractions":
-            out[key] = _dump_grid(block[key], None)
-        elif key == "compare":
-            out[key] = _dump_sequence(block[key])
-        else:
-            out[key] = block[key]
     return out
 
 

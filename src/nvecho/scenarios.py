@@ -31,18 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ScenarioConfig,
-    config_document,
-    echo_keywords,
-    load_config,
-    parse_config,
-    realize_grid,
-    sequence_keywords,
-)
+from .config import ScenarioConfig, config_document, load_config, parse_config, realize_grid
 from .estimator import RateTable, fit_exponential, fit_vee
 from .script import parse_sequence_script
 from .sequences import (
+    KINDS,
     build_sequence,
     decay_scan,
     pulse_location_sweep,
@@ -83,14 +76,6 @@ def packaged_scenario_path(name: str) -> Path:
 
 def load_packaged_scenario(name: str) -> ScenarioConfig:
     return load_config(packaged_scenario_path(name))
-
-
-def build_sequence_from_block(block: dict):
-    """Turn a validated sequence block into a PulseSequence."""
-    if "script" in block:
-        return parse_sequence_script(block["script"])
-    return build_sequence(block["kind"], block["total_time"],
-                          **sequence_keywords(block, block["kind"]))
 
 
 # ------------------------------------------------------------ run machinery
@@ -171,8 +156,8 @@ def _sweep(ctx: _Context, sources, params):
     time, and the index of its peak."""
     block = ctx.config.sequence
     signal = pulse_location_sweep(block["total_time"], realize_grid(block["flip_fractions"]),
-                                  sources, params=params, **echo_keywords(block),
-                                  **ctx.backend_kwargs)
+                                  sources, params=params,
+                                  **KINDS["unbalanced_echo"].read(block), **ctx.backend_kwargs)
     return signal, int(np.argmax(signal.y))
 
 
@@ -187,7 +172,7 @@ def _compare(ctx: _Context, protected: dict, sources, params):
                                         "ramsey")):
         kind = block.get("kind", default_kind)
         scans[label] = decay_scan(realize_grid(block["times"]), sources, sequence=kind,
-                                  params=params, **sequence_keywords(block, kind),
+                                  params=params, **KINDS[kind].read(block),
                                   **ctx.backend_kwargs)
     fits = {label: fit_exponential(scan.x, scan.y) for label, scan in scans.items()}
     improvement = fits["protected"]["coherence_time"] / fits["unprotected"]["coherence_time"]
@@ -198,7 +183,12 @@ def _compare(ctx: _Context, protected: dict, sources, params):
 
 def _run_simulate(ctx: _Context) -> ScenarioResult:
     cfg = ctx.config
-    sequence = build_sequence_from_block(cfg.sequence)
+    block = cfg.sequence
+    if "script" in block:
+        sequence = parse_sequence_script(block["script"])
+    else:
+        kind = block["kind"]
+        sequence = build_sequence(kind, block["total_time"], **KINDS[kind].read(block))
     result = simulate_amplitude(sequence, cfg.noise_sources(),
                                 params=cfg.spin_params(), **ctx.backend_kwargs)
     numbers = {
@@ -259,15 +249,16 @@ def _run_rate_table(ctx: _Context) -> ScenarioResult:
     pairs = block["pairs"] if "pairs" in block else (block["pair"],)
     fractions = realize_grid(block["flip_fractions"])
     times = realize_grid(block["times"])
-    echo = echo_keywords(block)
+    echo = KINDS["unbalanced_echo"]
+    keys = echo.keys | echo.read(block)
     sources = cfg.noise_sources()
     params = cfg.spin_params()
 
     table = RateTable(metadata={"scenario": cfg.name})
     for pair in pairs:
         # one family per branch: every (fraction, time) echo, fraction-major
-        family = [build_sequence("unbalanced_echo", float(t), pair, echo["ms_free"],
-                                 echo["ms_flipped"], float(f))
+        family = [build_sequence("unbalanced_echo", float(t),
+                                 **keys | {"pair": pair, "flip_fraction": float(f)})
                   for f in fractions for t in times]
         amplitudes = simulate_family(family, sources, params=params, **ctx.backend_kwargs)
         for fraction, scan in zip(fractions, amplitudes.amplitude.reshape(fractions.size, -1)):
@@ -275,7 +266,7 @@ def _run_rate_table(ctx: _Context) -> ScenarioResult:
             t2 = fit["coherence_time"]
             t2_var = float(fit.covariance[1, 1])
             rate_error = np.sqrt(t2_var) / t2**2 if np.isfinite(t2_var) else None
-            table.add(pair, (echo["ms_free"], echo["ms_flipped"]), float(fraction), 1.0 / t2,
+            table.add(pair, (keys["ms_free"], keys["ms_flipped"]), float(fraction), 1.0 / t2,
                       rate_error)
 
     fits = {}

@@ -13,13 +13,14 @@ Builders produce the four standard experiments:
 * ``nuclear_echo`` - a nuclear pi pulse at the midpoint, refocusing every
   static energy shift.
 
-``build_sequence`` maps a kind name to its builder.  ``simulate_family``
-averages the phase factor over the noise ensemble for a whole family of
-sequences at once.  The sources choose how: when every source enters the
-phase linearly the average is the exact product of characteristic
-functions, and otherwise (a quasiharmonic temperature source) it is a
-Monte Carlo estimate.  ``simulate_amplitude`` is its one-sequence case, and
-the scans below are one family call each.
+``KINDS`` maps each kind to its builder, the sequence-block keys it reads
+and its refusal rule; ``build_sequence``, the scans and the config check
+read it.  ``simulate_family`` averages the phase factor over the noise
+ensemble for a whole family of sequences at once.  The sources choose how:
+when every source enters the phase linearly the average is the exact
+product of characteristic functions, and otherwise (a quasiharmonic
+temperature source) it is a Monte Carlo estimate.  ``simulate_amplitude`` is
+its one-sequence case, and the scans below are one family call each.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import datetime as _dt
 import json
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -43,9 +45,6 @@ from .spin_model import (
     stack_coefficients,
 )
 
-_KINDS = ("ramsey", "dq_ramsey", "unbalanced_echo", "nuclear_echo", "custom")
-
-
 @dataclass(frozen=True)
 class PulseSequence:
     kind: str
@@ -54,7 +53,7 @@ class PulseSequence:
     nuclear_flip_at: float | None = None  # midpoint pi-pulse time, nuclear_echo only
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS and self.kind != "custom":
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if not self.segments:
             raise ValueError("sequence needs at least one segment")
@@ -73,12 +72,26 @@ class PulseSequence:
         return self.segments[1].duration / self.total_time
 
 
+def _needs_m_i_zero(keys):
+    if 0 not in keys["pair"]:
+        return "pair", ("a single-quantum ramsey needs a pair involving m_I = 0; "
+                        "the (-1, +1) pair is kind dq_ramsey")
+
+
+def _flip_changes_manifold(keys):
+    if keys["ms_free"] == keys["ms_flipped"]:
+        return "ms_flipped", (f"must differ from ms_free ({keys['ms_free']}): "
+                              "the electron flip must change the manifold")
+
+
+def _refuse(rule, keys) -> None:
+    refusal = rule(keys)
+    if refusal is not None:
+        raise ValueError(f"{refusal[0]}: {refusal[1]}")
+
+
 def build_ramsey(duration: float, pair=(0, -1), m_S: int = 0) -> PulseSequence:
-    if 0 not in pair:
-        raise ValueError(
-            "single-quantum Ramsey needs a pair involving m_I = 0; "
-            "use build_dq_ramsey for the double-quantum branch"
-        )
+    _refuse(_needs_m_i_zero, {"pair": pair})
     return PulseSequence("ramsey", tuple(pair), (Segment(duration, m_S),))
 
 
@@ -90,8 +103,7 @@ def build_unbalanced_echo(total_time: float, flip_time: float, pair=(0, -1),
                           ms_free: int = 0, ms_flipped: int = 1) -> PulseSequence:
     if not 0 <= flip_time <= total_time:
         raise ValueError("flip time must lie within the sequence: 0 <= tau <= t")
-    if ms_free == ms_flipped:
-        raise ValueError("electron flip must change the manifold")
+    _refuse(_flip_changes_manifold, {"ms_free": ms_free, "ms_flipped": ms_flipped})
     return PulseSequence(
         "unbalanced_echo",
         tuple(pair),
@@ -109,23 +121,50 @@ def build_nuclear_echo(total_time: float, pair=(0, -1), m_S: int = 0) -> PulseSe
     )
 
 
-def build_sequence(kind: str, total_time: float, pair=(0, -1), ms_free: int = 0,
-                   ms_flipped: int = 1, flip_fraction: float | None = None) -> PulseSequence:
-    """The named experiment over ``total_time``.  Single-manifold kinds
-    evolve in ``ms_free``; the unbalanced echo flips into ``ms_flipped`` for
-    the final ``flip_fraction`` of the time."""
-    if kind == "unbalanced_echo":
-        if flip_fraction is None:
-            raise ValueError("an unbalanced echo needs a flip_fraction")
-        return build_unbalanced_echo(total_time, flip_fraction * total_time, pair=pair,
-                                     ms_free=ms_free, ms_flipped=ms_flipped)
-    if kind == "ramsey":
-        return build_ramsey(total_time, pair=pair, m_S=ms_free)
-    if kind == "dq_ramsey":
-        return build_dq_ramsey(total_time, m_S=ms_free)
-    if kind == "nuclear_echo":
-        return build_nuclear_echo(total_time, pair=pair, m_S=ms_free)
-    raise ValueError(f"cannot build sequence kind {kind!r}")
+class SequenceKind(NamedTuple):
+    """One kind of ``KINDS``: ``build(total_time, **keys)``, the block keys
+    it reads with their defaults (None when a block must give the key), and
+    the rule that names the key and the reason a block cannot be built."""
+
+    build: Callable
+    keys: dict
+    rule: Callable = lambda keys: None
+
+    def read(self, block: dict) -> dict:
+        """The keys of ``block`` that this kind reads."""
+        return {key: block[key] for key in self.keys if key in block}
+
+
+# Single-manifold kinds evolve in ``ms``; the unbalanced echo evolves in
+# ``ms_free`` and flips into ``ms_flipped`` for the final ``flip_fraction``.
+KINDS = {
+    "ramsey": SequenceKind(lambda t, pair, ms: build_ramsey(t, pair, ms),
+                           {"pair": (0, -1), "ms": 0}, _needs_m_i_zero),
+    "dq_ramsey": SequenceKind(lambda t, ms: build_dq_ramsey(t, ms), {"ms": 0}),
+    "unbalanced_echo": SequenceKind(
+        lambda t, pair, ms_free, ms_flipped, flip_fraction: build_unbalanced_echo(
+            t, flip_fraction * t, pair, ms_free, ms_flipped),
+        {"pair": (0, -1), "ms_free": 0, "ms_flipped": 1, "flip_fraction": None},
+        _flip_changes_manifold),
+    "nuclear_echo": SequenceKind(lambda t, pair, ms: build_nuclear_echo(t, pair, ms),
+                                 {"pair": (0, -1), "ms": 0}),
+}
+
+
+def build_sequence(kind: str, total_time: float, **keys) -> PulseSequence:
+    """The named experiment over ``total_time`` from the block keys its kind
+    reads (``KINDS``); a key it lacks takes the kind's default."""
+    spec = KINDS.get(kind)
+    if spec is None:
+        raise ValueError(f"cannot build sequence kind {kind!r}; expected one of {tuple(KINDS)}")
+    unread = sorted(set(keys) - set(spec.keys))
+    if unread:
+        raise ValueError(f"kind {kind} does not read {', '.join(unread)}")
+    keys = spec.keys | keys
+    missing = [key for key, value in keys.items() if value is None]
+    if missing:
+        raise ValueError(f"kind {kind} needs a {missing[0]}")
+    return spec.build(total_time, **keys)
 
 
 @dataclass(frozen=True)
@@ -236,37 +275,48 @@ def _scan(x, sequences, sources, kwargs, x_label, metadata) -> EnsembleSignal:
                           metadata=metadata, monte_carlo=result.monte_carlo)
 
 
-def decay_scan(times, sources, flip_fraction: float | None = None,
-               sequence: str | None = None, pair=(0, -1),
-               ms_free: int = 0, ms_flipped: int = 1, **kwargs) -> EnsembleSignal:
-    """Ensemble amplitude versus total evolution time.
+def _split(kwargs) -> tuple:
+    """A scan's keywords: the sequence-block keys, which ``build_sequence``
+    checks against the kind, and the rest, which ``simulate_family`` takes."""
+    keys = {key: value for key, value in kwargs.items()
+            if any(key in kind.keys for kind in KINDS.values())}
+    return keys, {key: value for key, value in kwargs.items() if key not in keys}
 
-    With ``flip_fraction`` set (and no explicit template) each point is an
-    unbalanced echo with the flip a fixed fraction of the total time before
-    readout, so the scan probes one point of the protection vee.
-    """
+
+def decay_scan(times, sources, sequence: str | None = None, **kwargs) -> EnsembleSignal:
+    """Ensemble amplitude versus total evolution time of one kind of sequence.
+
+    ``kwargs`` holds the block keys of the kind (``KINDS``) and the keywords
+    of ``simulate_family``.  Unless ``sequence`` names the kind, a given
+    ``flip_fraction`` makes each point an unbalanced echo, probing one point
+    of the protection vee, and its absence a Ramsey."""
     if sequence is None:
-        sequence = "unbalanced_echo" if flip_fraction is not None else "ramsey"
+        sequence = "unbalanced_echo" if "flip_fraction" in kwargs else "ramsey"
+    keys, kwargs = _split(kwargs)
     times = np.asarray(times, dtype=float)
     if times.size and np.any(np.diff(times) <= 0):
         raise ValueError("time grid must be strictly increasing")
-    family = [build_sequence(sequence, float(t), pair, ms_free, ms_flipped, flip_fraction)
-              for t in times]
-    meta = {"sequence": sequence, "pair": list(pair)}
-    if flip_fraction is not None:
-        meta["flip_fraction"] = flip_fraction
+    family = [build_sequence(sequence, float(t), **keys) for t in times]
+    meta = {"sequence": sequence}
+    if "pair" in KINDS[sequence].keys:  # a dq_ramsey names no pair
+        meta["pair"] = list((KINDS[sequence].keys | keys)["pair"])
+    if "flip_fraction" in keys:
+        meta["flip_fraction"] = keys["flip_fraction"]
     return _scan(times, family, sources, kwargs, "total_time_s", meta)
 
 
-def pulse_location_sweep(total_time: float, flip_fractions, sources, pair=(0, -1),
-                         ms_free: int = 0, ms_flipped: int = 1, **kwargs) -> EnsembleSignal:
-    """Ensemble amplitude versus flip fraction at fixed total time."""
+def pulse_location_sweep(total_time: float, flip_fractions, sources,
+                         **kwargs) -> EnsembleSignal:
+    """Ensemble amplitude versus flip fraction at fixed total time; the
+    echoes take their other block keys from ``kwargs``, as ``decay_scan``."""
     fractions = np.asarray(flip_fractions, dtype=float)
     if np.any((fractions < 0) | (fractions > 1)):
         raise ValueError("flip fractions must lie in [0, 1]")
-    family = [build_sequence("unbalanced_echo", total_time, pair, ms_free, ms_flipped, float(f))
+    keys, kwargs = _split(kwargs)
+    family = [build_sequence("unbalanced_echo", total_time, flip_fraction=float(f), **keys)
               for f in fractions]
-    meta = {"total_time_s": total_time, "pair": list(pair)}
+    meta = {"total_time_s": total_time,
+            "pair": list((KINDS["unbalanced_echo"].keys | keys)["pair"])}
     return _scan(fractions, family, sources, kwargs, "flip_fraction", meta)
 
 

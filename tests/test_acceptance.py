@@ -149,7 +149,7 @@ def test_criterion_4_rate_ratio_checks():
         rate = predict_rate((0, mi), ms, sigma_T, sigma_B, response)
         t2 = 1.0 / rate
         times = np.geomspace(t2 / 20.0, 4.0 * t2, 14)
-        scan = decay_scan(times, sources, sequence="ramsey", pair=(0, mi), ms_free=ms)
+        scan = decay_scan(times, sources, sequence="ramsey", pair=(0, mi), ms=ms)
         fitted = 1.0 / fit_exponential(scan.x, scan.y)["coherence_time"]
         worst = max(worst, abs(fitted - rate) / rate)
     if worst > 1e-4:

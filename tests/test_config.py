@@ -1,6 +1,7 @@
 """Scenario config parsing: units, validation aggregation, round trips."""
 
 import copy
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from nvecho.config import (
 )
 from nvecho.noise import NoiseSource
 from nvecho.response import LinearResponse, QuasiharmonicSet, default_quasiharmonic_set, save_response_set
+from nvecho.scenarios import load_packaged_scenario, run_scenario
 from nvecho.spin_model import default_params
 from nvecho.units import QuantityError, angular, parse_quantity
 
@@ -212,7 +214,8 @@ def test_grid_validation():
     with pytest.raises(ConfigError, match="spacing"):
         parse_config(cfg)
 
-    cfg["sequence"] = {"kind": "ramsey", "total_time": "1 ms", "times": ["1 ms", "2 ms"],
+    cfg["pipeline"] = "rate_table_vee"
+    cfg["sequence"] = {"pair": [0, -1], "times": ["1 ms", "2 ms"],
                        "flip_fractions": [0.0, 0.25, 0.5]}
     parsed = parse_config(cfg)
     assert realize_grid(parsed.sequence["times"]).tolist() == [1e-3, 2e-3]
@@ -469,12 +472,11 @@ def test_blocks_build_sequence_refuses_are_rejected():
         assert _problem_paths(_pipeline_doc(
             pipeline, COMPLETE[pipeline] | {"ms_free": 1})) == ["sequence.ms_flipped"]
     # what each pipeline builds other than that still parses
-    assert parse_config(_pipeline_doc("simulate", {"kind": "dq_ramsey", "pair": [-1, 1],
+    assert parse_config(_pipeline_doc("simulate", {"kind": "dq_ramsey", "ms": 1,
                                                    "total_time": "1 ms"}))
     assert parse_config(_pipeline_doc("rate_table_vee", COMPLETE["rate_table_vee"]
                                       | {"kind": "unbalanced_echo", "pair": [-1, 1]}))
-    assert parse_config(_pipeline_doc(
-        "simulate", {"kind": "ramsey", "ms_free": 1, "ms_flipped": 1, "total_time": "1 ms"}))
+    assert parse_config(_pipeline_doc("simulate", {"kind": "ramsey", "ms": 1, "total_time": "1 ms"}))
     # a malformed value is reported once, not also as a refused build
     assert _problem_paths(_pipeline_doc("simulate", echo | {"ms_free": 1, "ms_flipped": 2})) \
         == ["sequence.ms_flipped"]
@@ -521,6 +523,75 @@ def test_script_only_where_the_pipeline_runs_one():
         compare = sequence.get("compare", {}) | {"script": script}
         assert _problem_paths(_pipeline_doc(pipeline, sequence | {"compare": compare})) \
             == ["sequence.compare.script" if "compare" in sequence else "sequence.compare"]
-    with pytest.raises(ConfigError, match="pipeline 'decay_compare' does not run a script"):
+    with pytest.raises(ConfigError, match="sequence.script: read by neither pipeline "
+                                          "'decay_compare' nor kind unbalanced_echo"):
         parse_config(_pipeline_doc("decay_compare", COMPLETE["decay_compare"]
                                    | {"script": script}))
+
+
+SCRIPT = "pair 0 -1\nevolve 1ms ms=0\n"
+RAMSEY = {"kind": "ramsey", "total_time": "1 ms"}
+TIMES = (["1 ms", "2 ms"], (1e-3, 2e-3))
+PAIRS = {key: value for key, value in COMPLETE["rate_table_vee"].items() if key != "pair"} \
+    | {"pairs": [[0, -1], [0, 1]]}
+
+# a block that parses, plus one key that no part of the run reads: (pipeline,
+# block, the key's dotted path, its YAML value, its value in a built config)
+UNREAD = [
+    ("simulate", RAMSEY, "sequence.ms_free", 1, 1),
+    ("simulate", RAMSEY, "sequence.flip_fraction", 0.2, 0.2),
+    ("simulate", RAMSEY | {"kind": "dq_ramsey"}, "sequence.pair", [-1, 1], (-1, 1)),
+    ("simulate", COMPLETE["simulate"], "sequence.ms", 1, 1),
+    ("simulate", RAMSEY, "sequence.times", *TIMES),
+    ("simulate", {"script": SCRIPT}, "sequence.kind", "ramsey", "ramsey"),
+    ("simulate", {"script": SCRIPT}, "sequence.total_time", "1 ms", 1e-3),
+    ("pulse_sweep", COMPLETE["pulse_sweep"], "sequence.times", *TIMES),
+    ("protection_study", COMPLETE["protection_study"], "sequence.flip_fraction", 0.2, 0.2),
+    ("rate_table_vee", COMPLETE["rate_table_vee"], "sequence.total_time", "1 ms", 1e-3),
+    ("rate_table_vee", PAIRS, "sequence.pair", [0, -1], (0, -1)),  # "pair|pairs": one of them
+    ("decay_compare", COMPLETE["decay_compare"], "sequence.compare.total_time", "1 ms", 1e-3),
+    ("decay_compare", COMPLETE["decay_compare"], "sequence.compare.flip_fractions",
+     [0.1, 0.2], (0.1, 0.2)),
+]
+
+
+def _with(sequence, path, value):
+    sequence = copy.deepcopy(sequence)
+    *parents, key = path.split(".")[1:]
+    block = sequence
+    for parent in parents:
+        block = block[parent]
+    block[key] = value
+    return sequence
+
+
+@pytest.mark.parametrize("pipeline,sequence,path,value,built_value", UNREAD,
+                         ids=[f"{row[0]}-{row[2]}" for row in UNREAD])
+def test_keys_no_part_of_the_run_reads_are_rejected(tmp_path, pipeline, sequence, path, value,
+                                                    built_value):
+    # each used to parse and then be ignored by the run
+    complete = parse_config(_pipeline_doc(pipeline, sequence))
+    assert _problem_paths(_pipeline_doc(pipeline, _with(sequence, path, value))) == [path]
+    built = ScenarioConfig(name="n", pipeline=pipeline,
+                           sequence=_with(complete.sequence, path, built_value))
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(built, out_dir=tmp_path / "out")
+    assert [problem.split(": ")[0] for problem in excinfo.value.problems] == [path]
+    assert not (tmp_path / "out").exists()
+
+
+# sha256 of each packaged scenario's canonical text, pinned when the checks
+# on what a block may hold were added; they left every packaged config as it is
+PACKAGED_DUMPS = {
+    "fig1c": "9f4c32fa648f100fe1c03f50b339952c1eb32516892b7d18634c3848f0b956b4",
+    "fig1d": "5662ba80caff9eaab7630f9720b7c7993f51d10574cfa7b868ac37504da2c465",
+    "fig2": "d8b9899b21e3463848d6b92681bef6f690e6d299a42de0d92c86d4d8b9ed2d9f",
+    "fig4": "4458355cee7a1abe07a13b15c47e25ffc2cfecb3c763daf32e13a3424d0a11a5",
+    "s5": "8581caa6769e6e0a6cf47d63dd2cd4bb8f432468f255a5251a158f5956cdb2f5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKAGED_DUMPS))
+def test_packaged_configs_parse_and_print_unchanged(name):
+    text = dump_config(load_packaged_scenario(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == PACKAGED_DUMPS[name]

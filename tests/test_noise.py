@@ -17,7 +17,6 @@ import pytest
 from scipy.integrate import quad
 
 from nvecho import noise
-from nvecho.config import echo_keywords, sequence_keywords
 from nvecho.noise import (
     CHUNK,
     Distribution,
@@ -33,7 +32,7 @@ from nvecho.noise import (
     temperature_source,
 )
 from nvecho.response import default_linear_response, default_quasiharmonic_set
-from nvecho.sequences import build_sequence
+from nvecho.sequences import KINDS, build_sequence
 from nvecho.spin_model import (
     PhaseCoefficients,
     Segment,
@@ -376,14 +375,13 @@ def test_monte_carlo_matches_quadrature_over_scenario_grids(name, protection_run
     (src,) = config.noise_sources()
     params, block = config.spin_params(), config.sequence
     compare, best = block["compare"], result.numbers["argmax_flip_fraction"]
+    echo, ramsey = KINDS["unbalanced_echo"].read(block), KINDS[compare["kind"]].read(compare)
     families = {
         "sweep": [build_sequence("unbalanced_echo", block["total_time"], flip_fraction=float(f),
-                                 **echo_keywords(block)) for f in result.signals["sweep"].x],
-        "protected": [build_sequence("unbalanced_echo", float(t), flip_fraction=best,
-                                     **echo_keywords(block))
+                                 **echo) for f in result.signals["sweep"].x],
+        "protected": [build_sequence("unbalanced_echo", float(t), flip_fraction=best, **echo)
                       for t in result.signals["protected"].x],
-        "unprotected": [build_sequence(compare["kind"], float(t),
-                                       **sequence_keywords(compare, compare["kind"]))
+        "unprotected": [build_sequence(compare["kind"], float(t), **ramsey)
                         for t in result.signals["unprotected"].x],
     }
     for label, family in families.items():

@@ -3,9 +3,10 @@
 Each property runs a small, fixed set of examples so the suite stays steady
 and fast:
 
-* config parse -> dump -> parse is a fixed point for configs that hold what
-  their pipeline needs, and the dump never emits a ``method`` key (the
-  sources choose the ensemble average) or a ``formats`` key;
+* config parse -> dump -> parse is a fixed point for configs whose blocks
+  hold what their pipeline reads and keys of the kind they are built as
+  (``KINDS``), and the dump never emits a ``method`` key (the sources choose
+  the ensemble average) or a ``formats`` key;
 * sequence scripts round-trip through the canonical printer, kind included;
 * a closed-form Ramsey decay under Lorentzian noise obeys A(2t) = A(t)^2;
 * a Monte Carlo point is bit-identical whatever family it is evaluated in,
@@ -21,6 +22,7 @@ from nvecho.noise import CHUNK, field_source, lorentzian, temperature_source
 from nvecho.response import default_quasiharmonic_set
 from nvecho.script import format_sequence_script, parse_sequence_script
 from nvecho.sequences import (
+    KINDS,
     build_ramsey,
     build_sequence,
     build_unbalanced_echo,
@@ -106,24 +108,6 @@ def _source(draw):
     return out
 
 
-def _sequence_block(allow_compare):
-    optional = {
-        "kind": st.sampled_from(["ramsey", "dq_ramsey", "unbalanced_echo", "nuclear_echo"]),
-        "pair": st.sampled_from(PAIRS).map(list),
-        "ms": st.sampled_from(PROJECTIONS),
-        "ms_free": st.sampled_from(PROJECTIONS),
-        "ms_flipped": st.sampled_from(PROJECTIONS),
-        "flip_fraction": _fractions,
-        "total_time": _times,
-        "times": _time_grid,
-        "flip_fractions": _fraction_grid,
-        "pairs": st.lists(st.sampled_from(PAIRS).map(list), min_size=1, max_size=3),
-    }
-    if allow_compare:
-        optional["compare"] = _sequence_block(False)
-    return st.fixed_dictionaries({}, optional=optional)
-
-
 _documents = st.fixed_dictionaries(
     {
         "schema": st.just("nvecho-scenario/1"),
@@ -156,45 +140,66 @@ _documents = st.fixed_dictionaries(
     },
 )
 
-# what a missing sequence key gets, so the block holds what the pipeline needs
-_NEEDED_VALUES = {
-    "kind": st.sampled_from(["ramsey", "dq_ramsey", "unbalanced_echo", "nuclear_echo"]),
+# what each sequence key holds
+_VALUES = {
+    "kind": st.sampled_from(sorted(KINDS)),
+    "script": st.deferred(lambda: _scripts()),
+    "pair": st.sampled_from(PAIRS).map(list),
+    "pairs": st.lists(st.sampled_from(PAIRS).map(list), min_size=1, max_size=3),
+    "ms": st.sampled_from(PROJECTIONS),
+    "ms_free": st.sampled_from(PROJECTIONS),
+    "ms_flipped": st.sampled_from(PROJECTIONS),
+    "flip_fraction": _fractions,
     "total_time": _times,
     "times": _time_grid,
     "flip_fractions": _fraction_grid,
-    "pair": st.sampled_from(PAIRS).map(list),
 }
+
+
+def _kind_keys(kind, block=None, exclude=()):
+    """Keys of ``kind`` besides ``exclude``, its required ones always, that
+    together with ``block`` pass the kind's rule."""
+    spec, block = KINDS[kind], block or {}
+    own = [key for key in spec.keys if key not in exclude]
+    return st.fixed_dictionaries(
+        {key: _VALUES[key] for key in own if spec.keys[key] is None},
+        optional={key: _VALUES[key] for key in own if spec.keys[key] is not None},
+    ).filter(lambda keys: spec.rule(spec.keys | spec.read(block | keys)) is None)
+
+
+@st.composite
+def _block(draw, needs, path):
+    """A ``path`` block of a pipeline: one option of each key the pipeline
+    reads there and, unless that is a script, keys of the kind the block is
+    built as.  A block no template names holds swept unbalanced echoes."""
+    prefix = path.partition(".")[2] + "." if "." in path else ""
+    read = [need[len(prefix):].split("|") for need in needs.keys
+            if need.startswith(prefix) and "." not in need[len(prefix):]]
+    if any("script" in options for options in read) and draw(st.booleans()):
+        return {"script": draw(_VALUES["script"])}
+    block = {}
+    for options in read:
+        key = draw(st.sampled_from([key for key in options if key != "script"]))
+        block[key] = draw(_VALUES[key])
+    if path in needs.templates:
+        if "kind" not in block and draw(st.booleans()):
+            block["kind"] = draw(_VALUES["kind"])
+        kind, swept = block.get("kind", needs.templates[path]), ()
+    else:
+        if draw(st.booleans()):
+            block["kind"] = "unbalanced_echo"
+        kind, swept = "unbalanced_echo", ("flip_fraction",)
+    taken = [key for options in read for key in options]
+    return block | draw(_kind_keys(kind, block, exclude=(*taken, *swept)))
 
 
 @st.composite
 def _configs(draw):
     doc = draw(_documents)
-    sequence = draw(_sequence_block(True))
     needs = PIPELINE_NEEDS[doc["pipeline"]]
-    # only a block the pipeline reads, and in a block it sweeps, only its kind
-    if "sequence.compare" not in needs.templates:
-        sequence.pop("compare", None)
-    if "sequence" not in needs.templates and sequence.get("kind", "unbalanced_echo") != "unbalanced_echo":
-        del sequence["kind"]
-    for need in needs.keys:
-        *parents, key = need.split("|")[0].split(".")
-        block = sequence
-        for parent in parents:
-            block = block.setdefault(parent, {})
-        if not any(option in block for option in need.split("|")):
-            block[key] = draw(_NEEDED_VALUES[key])
-    for path, default_kind in needs.templates.items():
-        block = sequence if path == "sequence" else sequence["compare"]
-        kind = block.get("kind", default_kind)
-        if kind == "unbalanced_echo":
-            block.setdefault("flip_fraction", draw(_fractions))
-        if kind == "ramsey" and 0 not in block.get("pair", (0, -1)):
-            block["pair"] = list(draw(st.sampled_from(SQ_PAIRS)))
-    # an echo's electron flip changes the manifold
-    for block in (sequence, sequence.get("compare", {})):
-        ms_free = block.get("ms_free", 0)
-        if block.get("ms_flipped", 1) == ms_free:
-            block["ms_flipped"] = draw(st.sampled_from([m for m in PROJECTIONS if m != ms_free]))
+    sequence = draw(_block(needs, "sequence"))
+    if "sequence.compare" in needs.templates:
+        sequence["compare"] = draw(_block(needs, "sequence.compare"))
     return doc | {"sequence": sequence}
 
 
@@ -212,17 +217,9 @@ def test_config_parse_dump_parse_is_a_fixed_point(doc):
 # ------------------------------------------------------------------ scripts
 
 @SETTINGS
-@given(
-    kind=st.sampled_from(["ramsey", "dq_ramsey", "unbalanced_echo", "nuclear_echo"]),
-    total_time=_finite(1e-7, 1e-1),
-    pair=st.sampled_from(SQ_PAIRS),
-    ms_free=st.sampled_from(PROJECTIONS),
-    flip_fraction=_fractions,
-)
-def test_built_sequences_round_trip_through_the_printer(kind, total_time, pair, ms_free,
-                                                        flip_fraction):
-    ms_flipped = 1 if ms_free != 1 else 0
-    seq = build_sequence(kind, total_time, pair, ms_free, ms_flipped, flip_fraction)
+@given(kind=st.sampled_from(sorted(KINDS)), total_time=_finite(1e-7, 1e-1), data=st.data())
+def test_built_sequences_round_trip_through_the_printer(kind, total_time, data):
+    seq = build_sequence(kind, total_time, **data.draw(_kind_keys(kind)))
     assert parse_sequence_script(format_sequence_script(seq)) == seq
 
 

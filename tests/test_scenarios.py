@@ -13,12 +13,11 @@ from nvecho.estimator import RateTable, fit_exponential
 from nvecho.scenarios import (
     SCENARIO_NAMES,
     ScenarioError,
-    build_sequence_from_block,
     load_packaged_scenario,
     packaged_scenario_path,
     run_scenario,
 )
-from nvecho.sequences import decay_scan, read_signal_csv
+from nvecho.sequences import KINDS, build_sequence, decay_scan, read_signal_csv
 from nvecho.units import TWO_PI
 
 SAMPLE_RATIO = 36.924 / 204.0  # slope ratio used by the reference scenarios
@@ -240,14 +239,15 @@ def test_rate_table_is_one_family_per_pair(tmp_path, monkeypatch):
     assert "vee ratio" in result.summary
 
 
-def test_build_sequence_from_block():
-    seq = build_sequence_from_block({"script": "pair 0 -1\nevolve 1ms ms=0\n"})
-    assert seq.kind == "ramsey"
-    seq = build_sequence_from_block({"kind": "unbalanced_echo", "pair": (0, -1),
-                                     "total_time": 1e-3, "flip_fraction": 0.25})
+def test_simulate_builds_a_script_or_a_kind(tmp_path):
+    script = _config("simulate", sequence={"script": "pair 0 -1\nevolve 1ms ms=0\n"})
+    assert run_scenario(script, out_dir=tmp_path, deterministic=True).numbers["kind"] == "ramsey"
+    block = _config("simulate", sequence={"kind": "unbalanced_echo", "pair": [0, -1],
+                                          "total_time": "1 ms", "flip_fraction": 0.25}).sequence
+    seq = build_sequence("unbalanced_echo", 1e-3, **KINDS["unbalanced_echo"].read(block))
     assert seq.flip_fraction == pytest.approx(0.25, rel=1e-12)
     # blocks it cannot build are refused when the config is parsed
-    with pytest.raises(ConfigError, match="sequence.flip_fraction: an unbalanced echo"):
+    with pytest.raises(ConfigError, match="sequence.flip_fraction: kind unbalanced_echo needs"):
         _config("simulate", sequence={"kind": "unbalanced_echo", "total_time": "1 ms"})
     with pytest.raises(ConfigError, match="needs sequence.kind or sequence.script"):
         _config("simulate", sequence={"total_time": "1 ms"})
