@@ -84,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto", help="fit model (default: infer from the file)")
     p.add_argument("--skip", type=int, metavar="N",
                    help="initial points to skip in the exponential fit (default 3)")
-    p.add_argument("--robust", action="store_true",
-                   help="soft-L1 loss for the vee fit")
     p.add_argument("--pair", type=_pair_argument, metavar="A,B",
                    help="restrict a rate table to one transition pair, e.g. '0,-1'")
     p.add_argument("--ms-pairing", type=_pair_argument, metavar="A,B",
@@ -171,7 +169,7 @@ def _cmd_fit(args) -> int:
             table = table.filter(pair=args.pair, ms_pairing=args.ms_pairing)
         if not table.rows:
             raise ValueError(f"{path}: no rows left after filtering")
-        result = fit_vee(table, robust=args.robust)
+        result = fit_vee(table)
     else:
         signal = read_signal_csv(path)
         if kind == "exponential":

@@ -98,6 +98,13 @@ PIPELINE_NEEDS = {
 }
 
 
+def block_kind(pipeline: str, path: str, block: dict):
+    """The kind the sequence block at ``path`` ("sequence" or
+    "sequence.compare") is built as: its own ``kind``, else the pipeline's
+    template for it, else an unbalanced echo (None: the block must name one)."""
+    return block.get("kind", PIPELINE_NEEDS[pipeline].templates.get(path, "unbalanced_echo"))
+
+
 class ConfigError(ValueError):
     """One or more config problems, each tagged with its dotted path."""
 
@@ -504,7 +511,7 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
         if "script" in block and "script" in read:
             kind, keys, what = None, {}, "a script"
         else:
-            kind = norm.get("kind", needs.templates.get(path, "unbalanced_echo"))
+            kind = block_kind(pipeline, path, norm)
             if kind is None:
                 continue  # the missing kind is reported already
             swept = "flip_fractions" in read  # the pipeline sets the flip fraction

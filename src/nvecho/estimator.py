@@ -16,6 +16,7 @@ import numpy as np
 
 from .response import InteractionShift, default_linear_response
 from .sequences import read_metadata_csv, write_metadata_csv
+from .solvers import FitError, levenberg_marquardt, nnls
 from .spin_model import SpinSystemParams, default_params, pair_sensitivity
 from .units import angular
 
@@ -24,10 +25,6 @@ ZFS_SLOPE_DEFAULT = angular(-77.7e3)  # rad/s per K
 # Measured scale between fractional zfs and quadrupole temperature shifts,
 # delta_D / D = 3.6 * delta_Q / Q; order-of-magnitude use only.
 ZFS_QUADRUPOLE_SHIFT_RATIO = 3.6
-
-
-class FitError(RuntimeError):
-    """Data-dependent fit failure (degenerate span, no decay, no vertex)."""
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,9 @@ def fit_exponential(times, amplitudes, skip_initial: int = 3) -> FitResult:
 
     The skip (default 3) discards early-time points where the ensemble
     signal is not yet a single exponential.  Needs at least five points
-    after the skip and strictly decaying data.
+    after the skip and strictly decaying data.  Least squares from the
+    log-linear estimate, run to convergence; raises FitError when the
+    minimum runs off (T2 -> 0 or infinity) instead.
     """
     times = np.asarray(times, dtype=float)
     amplitudes = np.asarray(amplitudes, dtype=float)
@@ -158,21 +157,19 @@ def fit_exponential(times, amplitudes, skip_initial: int = 3) -> FitResult:
     if slope >= 0:
         raise FitError("amplitudes do not decay with time; cannot fit an exponential")
 
-    def model(tt, c0, t2):
-        return c0 * np.exp(-tt / t2)
-
-    from scipy.optimize import curve_fit
+    def residuals(p):
+        c0, t2 = p
+        decay = np.exp(-t / t2)
+        return c0 * decay - y, np.column_stack([decay, c0 * t / t2**2 * decay])
 
     p0 = (math.exp(intercept), -1.0 / slope)
-    popt, pcov = curve_fit(model, t, y, p0=p0, maxfev=10000)
-    c0, t2 = popt
+    (c0, t2), res, jac = levenberg_marquardt(residuals, p0)
     if t2 <= 0:
         raise FitError("fitted coherence time is not positive")
-    residuals = y - model(t, *popt)
     return FitResult(
         parameters={"initial_amplitude": float(c0), "coherence_time": float(t2)},
-        covariance=pcov,
-        residual_norm=float(np.linalg.norm(residuals)),
+        covariance=_covariance_from_jacobian(jac, res, 2),
+        residual_norm=float(np.linalg.norm(res)),
         points_used=int(t.size),
         settings={"skip_initial": skip_initial},
     )
@@ -270,12 +267,64 @@ def _vee_dispatch(table: RateTable) -> str:
     return "vee" if d_mi * ms_flip < 0 else "line"
 
 
-def fit_vee(table: RateTable, robust: bool = False) -> FitResult:
+def _solve_vee(x, y):
+    """Global least-squares vee, rate = slope |x - ratio| + baseline with
+    slope > 0, baseline >= 0 and the ratio on the grid's span.
+
+    Once the side of each point is fixed, the model is linear in (slope,
+    slope * ratio, baseline), so every face of the bounded problem has a
+    closed-form solution: the free fit on each grid interval and the fit
+    with the vertex on each grid point, each also with baseline = 0.  The
+    feasible candidate with the lowest residual sum of squares is the
+    optimum, unless a flat line (slope 0) fits as well.  Returns
+    (slope, ratio, baseline).
+    """
+    ones = np.ones_like(x)
+    candidates = []
+    grid = np.unique(x)
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        side = np.where(x <= lo, -1.0, 1.0)
+        design = np.column_stack([side * x, -side, ones])
+        for columns in (3, 2):
+            coef = np.linalg.lstsq(design[:, :columns], y, rcond=None)[0]
+            if coef[0] > 0 and lo <= coef[1] / coef[0] <= hi:
+                candidates.append((coef[0], coef[1] / coef[0], coef[2] if columns == 3 else 0.0))
+    for vertex in grid:
+        design = np.column_stack([np.abs(x - vertex), ones])
+        for columns in (2, 1):
+            coef = np.linalg.lstsq(design[:, :columns], y, rcond=None)[0]
+            if coef[0] > 0:
+                candidates.append((coef[0], vertex, coef[1] if columns == 2 else 0.0))
+    feasible = [c for c in candidates if c[2] >= 0]
+    rss = [float(r @ r) for r in (a * np.abs(x - v) + b - y for a, v, b in feasible)]
+    if not rss or min(rss) >= float(np.sum((y - np.mean(y)) ** 2)):
+        raise FitError("rate does not rise on both sides of any flip fraction; no vee to fit")
+    best = feasible[int(np.argmin(rss))]
+    if best[1] in grid:
+        return best
+    # Refine in the model's own parameters, which recovers the rounding of
+    # ratio = (slope * ratio) / slope; a baseline at its bound stays at 0.
+    free = 3 if best[2] > 0 else 2
+
+    def residuals(p):
+        slope, ratio, baseline = (*p, 0.0)[:3]
+        jac = np.column_stack([np.abs(x - ratio), -slope * np.sign(x - ratio), ones])
+        return slope * np.abs(x - ratio) + baseline - y, jac[:, :free]
+
+    try:
+        refined = (*levenberg_marquardt(residuals, best[:free])[0], 0.0)[:3]
+    except FitError:
+        return best
+    return refined if refined[0] > 0 and refined[2] >= 0 else best
+
+
+def fit_vee(table: RateTable) -> FitResult:
     """Fit decay rate versus flip fraction for one transition branch.
 
     The cancelling branch forms a vee, rate = slope |x - ratio| + baseline,
     and the crossing point estimates the coupling slope ratio independent
-    of any constant baseline.  The non-cancelling branch is a straight
+    of any constant baseline; the fit is the global least-squares optimum
+    (:func:`_solve_vee`).  The non-cancelling branch is a straight
     line; its x-intercept magnitude estimates the same ratio but absorbs
     baseline / slope as bias, which is faithfully reported.  The branch
     geometry of the table, one pair and one ms pairing, decides which.
@@ -306,51 +355,28 @@ def fit_vee(table: RateTable, robust: bool = False) -> FitResult:
             points_used=int(x.size),
             warnings=("line-intercept ratio absorbs any constant baseline "
                       "as bias baseline/slope",),
-            settings={"method": "line", "robust": robust},
+            settings={"method": "line"},
         )
 
     if x.size < 6:
         raise ValueError("vee fit needs at least 6 grid points")
-
-    def profile_rss(r):
-        design = np.column_stack([np.abs(x - r), np.ones_like(x)])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        res = y - design @ coef
-        return float(res @ res), coef
-
-    candidates = np.linspace(x[0], x[-1], 201)[1:-1]
-    best_r = min(candidates, key=lambda r: profile_rss(float(r))[0])
-    _, (a0, b0) = profile_rss(float(best_r))
-
-    def residual_fn(p):
-        a, r, b = p
-        return a * np.abs(x - r) + b - y
-
-    lower = [0.0, max(0.0, x[0]), 0.0]
-    upper = [np.inf, min(1.0, x[-1]), np.inf]
-    p0 = [max(a0, 1e-12), float(best_r), max(b0, 0.0)]
-    p0 = np.clip(p0, lower, np.minimum(upper, 1e30))
-    from scipy.optimize import least_squares
-
-    fit = least_squares(residual_fn, p0, bounds=(lower, upper),
-                        loss="soft_l1" if robust else "linear")
-    slope, ratio, baseline = fit.x
+    slope, ratio, baseline = _solve_vee(x, y)
     eps = (x[-1] - x[0]) / (2 * (x.size - 1))
     if not (x[0] + eps < ratio < x[-1] - eps) or np.sum(x < ratio) == 0 or np.sum(x > ratio) == 0:
         raise FitError(
             f"vertex at {ratio:.3f} is not straddled by the flip-fraction grid "
             f"[{x[0]:.3f}, {x[-1]:.3f}]; extend the grid past the vertex"
         )
-    cov = _covariance_from_jacobian(fit.jac, fit.fun, 3)
-    # reorder covariance to (ratio, slope, baseline)
-    perm = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=float)
+    residuals = slope * np.abs(x - ratio) + baseline - y
+    # Jacobian of the residuals in (ratio, slope, baseline) order
+    jac = np.column_stack([-slope * np.sign(x - ratio), np.abs(x - ratio), np.ones_like(x)])
     return FitResult(
         parameters={"ratio": float(ratio), "slope": float(slope),
                     "baseline": float(baseline)},
-        covariance=perm @ cov @ perm.T,
-        residual_norm=float(np.linalg.norm(fit.fun)),
+        covariance=_covariance_from_jacobian(jac, residuals, 3),
+        residual_norm=float(np.linalg.norm(residuals)),
         points_used=int(x.size),
-        settings={"method": "vee", "robust": robust},
+        settings={"method": "vee"},
     )
 
 
@@ -386,13 +412,11 @@ def estimate_sigma(rates, coefficients, baseline=0.0, rate_errors=None,
         resid = -excess
         warnings = ("rates do not exceed the baseline; widths set to zero",)
     else:
-        from scipy.optimize import nnls
-
         if rate_errors is not None:
             w = 1.0 / np.asarray(rate_errors, dtype=float)
-            sigma, _ = nnls(coeff * w[:, None], excess * w)
+            sigma = nnls(coeff * w[:, None], excess * w)
         else:
-            sigma, _ = nnls(coeff, excess)
+            sigma = nnls(coeff, excess)
         resid = coeff @ sigma - excess
 
     if rate_errors is not None:

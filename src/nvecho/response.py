@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 import yaml
 
+from .solvers import FitError, levenberg_marquardt
 from .units import K_B_OVER_HBAR, TWO_PI, angular, cycles
 
 # Diamond bulk modulus; converts hydrostatic strain to pressure via P = -3*K*eps.
@@ -337,12 +338,16 @@ def calibrate_einstein_model(
         model_ratio = (weight * bose_einstein_slope(omega, Ts)) / (
             b_ref * bose_einstein_slope(om_ref, Ts)
         )
-        return (model_ratio - targets) / targets
+        # d ln(ratio) / d ln(theta), from d ln(dn/dT) / d ln(theta) = 1 - u coth(u / 2)
+        d_log = theta / T0 / np.tanh(theta / (2 * T0)) - theta / Ts / np.tanh(theta / (2 * Ts))
+        return (model_ratio - targets) / targets, (model_ratio * d_log / targets)[:, None]
 
-    from scipy.optimize import least_squares
-
-    fit = least_squares(residuals, x0=[np.log(reference_mode_K)], method="lm")
-    res = residuals(fit.x)
+    try:
+        (log_theta,), res, _ = levenberg_marquardt(residuals, [math.log(reference_mode_K)])
+    except FitError as exc:
+        raise CalibrationError(
+            f"ratio targets infeasible for a single varied mode: {exc}"
+        ) from None
     if np.max(np.abs(res)) > residual_tolerance:
         lines = ", ".join(
             f"{T:.0f} K: {r * 100:+.1f}%" for T, r in zip(Ts, res)
@@ -350,7 +355,7 @@ def calibrate_einstein_model(
         raise CalibrationError(
             f"ratio targets infeasible for a single varied mode; residuals: {lines}"
         )
-    return model_for(float(np.exp(fit.x[0])))
+    return model_for(float(np.exp(log_theta)))
 
 
 def calibrate_response_set(

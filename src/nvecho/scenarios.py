@@ -31,7 +31,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, config_document, load_config, parse_config, realize_grid
+from .config import (
+    ScenarioConfig,
+    block_kind,
+    config_document,
+    load_config,
+    parse_config,
+    realize_grid,
+)
 from .estimator import RateTable, fit_exponential, fit_vee
 from .script import parse_sequence_script
 from .sequences import (
@@ -162,15 +169,15 @@ def _sweep(ctx: _Context, sources, params):
 
 
 def _compare(ctx: _Context, protected: dict, sources, params):
-    """The compare step: the protected scan of ``protected`` (an unbalanced
-    echo unless it names a kind) and the unprotected one of
-    ``sequence.compare`` (a Ramsey unless it names a kind), their exponential
-    fits and the coherence-time improvement."""
+    """The compare step: the protected scan of ``protected`` and the
+    unprotected one of ``sequence.compare``, each of the kind the config
+    builds the block as, their exponential fits and the coherence-time
+    improvement."""
     scans = {}
-    for label, block, default_kind in (("protected", protected, "unbalanced_echo"),
-                                       ("unprotected", ctx.config.sequence["compare"],
-                                        "ramsey")):
-        kind = block.get("kind", default_kind)
+    compare = ctx.config.sequence["compare"]
+    for label, path, block in (("protected", "sequence", protected),
+                               ("unprotected", "sequence.compare", compare)):
+        kind = block_kind(ctx.config.pipeline, path, block)
         scans[label] = decay_scan(realize_grid(block["times"]), sources, sequence=kind,
                                   params=params, **KINDS[kind].read(block),
                                   **ctx.backend_kwargs)

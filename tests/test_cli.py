@@ -15,6 +15,7 @@ from nvecho.noise import lorentzian, temperature_source
 from nvecho.response import load_response_set
 from nvecho.script import parse_sequence_script
 from nvecho.sequences import (
+    EnsembleSignal,
     build_unbalanced_echo,
     decay_scan,
     phase_sweep,
@@ -412,6 +413,31 @@ def test_fit_method_flag_is_gone(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["settings"]["method"] == "line"
 
 
+def test_fit_robust_flag_is_gone(tmp_path, capsys):
+    # the vee fit is plain least squares; its soft-L1 option is gone
+    csv = _rate_csv(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", str(csv), "--robust"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["fit", str(csv), "--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["settings"] == {"method": "vee"}
+
+
+def test_fit_nonconverging_decay_exits_1(tmp_path, capsys):
+    # after the skip, one point at 1 and the rest near 0: the least-squares
+    # minimum runs off to T2 -> 0, so the fit reports an error, not numbers
+    times = np.arange(1.0, 9.0) * 1e-4
+    amplitudes = np.array([1.0, 1.0, 1.0, 1.0, 1e-3, 1e-3, 1e-3, -1e-3])
+    path = tmp_path / "runaway.csv"
+    write_signal_csv(EnsembleSignal(times, amplitudes, "total_time_s", "amplitude"), path,
+                     deterministic=True)
+    assert main(["fit", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "did not converge" in captured.err
+    assert captured.out == ""
+
+
 def test_fit_rejects_undetectable_csv(tmp_path, capsys):
     source = temperature_source(lorentzian(0.0, 5.0))
     from nvecho.sequences import pulse_location_sweep
@@ -515,16 +541,16 @@ for name in SCENARIO_NAMES:
     load_packaged_scenario(name)
 assert main(["parse-seq", sys.argv[1]]) == 0
 assert main(["reproduce", "fig1d", "--out", sys.argv[2], "--deterministic"]) == 0
+assert main(["fit", sys.argv[3], "--deterministic"]) == 0
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 print("scipy modules:", loaded)
 assert not loaded
-assert main(["fit", sys.argv[3], "--deterministic"]) == 0
 """
 
 
 def test_cold_start_leaves_scipy_unloaded(tmp_path):
-    # scipy is imported by the fits and the calibrator on first use, not by
-    # the package, the configs, the closed-form runs or the script parser
+    # the package, the configs, the runs, the fits and the script parser
+    # import no scipy module
     script = tmp_path / "seq.txt"
     script.write_text("pair 0 -1\nevolve 1ms ms=0\n")
     csv = _decay_csv(tmp_path)
@@ -535,6 +561,80 @@ def test_cold_start_leaves_scipy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "scipy modules: []" in proc.stdout
     assert '"coherence_time"' in proc.stdout
+
+
+# Runs nvecho commands in one interpreter; with "blocked", any import of
+# scipy raises ImportError.
+WITHOUT_SCIPY = """\
+import json
+import sys
+
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+from nvecho.cli import main
+
+for argv in json.loads(sys.argv[2]):
+    print("$ nvecho", *argv, flush=True)
+    assert main(argv) == 0, argv
+"""
+
+# a quasiharmonic decay_compare whose blocks name no kind, at few samples
+QH_COMPARE_YAML = """\
+schema: nvecho-scenario/1
+name: cli-qh
+pipeline: decay_compare
+response:
+  model: quasiharmonic
+  data_file: quasiharmonic_default.yaml
+sources:
+  - kind: temperature
+    distribution: lorentzian
+    location: 300 K
+    scale: 5 K
+sequence:
+  pair: [0, -1]
+  flip_fraction: 0.18
+  times: {start: 50 us, stop: 15 ms, count: 12, spacing: log}
+  compare:
+    pair: [0, +1]
+    ms: +1
+    times: {start: 10 us, stop: 500 us, count: 12, spacing: log}
+backend:
+  samples: 8192
+  seed: 7
+output:
+  directory: out
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: each command prints the same with
+    # scipy importable as with every scipy import failing
+    csv = _decay_csv(tmp_path)
+    config = tmp_path / "qh.yaml"
+    config.write_text(QH_COMPARE_YAML)
+    outputs = {}
+    for mode in ("blocked", "available"):
+        out = tmp_path / mode
+        rates = str(out / "fig2" / "fig2-rates.csv")
+        commands = [
+            ["reproduce", "fig1c", "--out", str(out / "fig1c"), "--deterministic"],
+            ["fit", str(csv), "--deterministic"],
+            ["reproduce", "fig2", "--out", str(out / "fig2"), "--deterministic"],
+            ["fit", rates, "--pair", "0,-1", "--deterministic"],
+            ["fit", rates, "--pair", "0,+1", "--deterministic"],
+            ["calibrate-response", "--out", str(out / "cal.yaml"), "--deterministic"],
+            ["simulate", str(config), "--out", str(out / "qh"), "--deterministic"],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY, mode, json.dumps(commands)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs[mode] = proc.stdout.replace(str(out), "OUT")
+    assert outputs["blocked"].count("$ nvecho") == 7
+    assert '"coherence_time"' in outputs["blocked"] and '"ratio"' in outputs["blocked"]
+    assert outputs["blocked"] == outputs["available"]
 
 
 def test_help_lists_all_subcommands(capsys):

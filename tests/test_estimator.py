@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import curve_fit, least_squares
+from scipy.optimize import nnls as scipy_nnls
 
 from nvecho.estimator import (
     FitError,
@@ -26,7 +29,9 @@ from nvecho.estimator import (
 )
 from nvecho.noise import field_source, lorentzian, temperature_source
 from nvecho.response import InteractionShift, LinearResponse, default_linear_response
+from nvecho.scenarios import load_packaged_scenario, run_scenario
 from nvecho.sequences import decay_scan
+from nvecho.solvers import levenberg_marquardt, nnls
 from nvecho.spin_model import default_params, single_quantum_table
 from nvecho.units import TWO_PI, angular
 
@@ -129,6 +134,55 @@ def test_fit_exponential_errors():
     assert res["coherence_time"] == pytest.approx(1.0, rel=1e-8)
 
 
+def _decay(t, c0, t2):
+    return c0 * np.exp(-t / t2)
+
+
+def _oracle_decays(protection_runs, tmp_path):
+    """(label, times, amplitudes) of the packaged and seeded noisy decays."""
+    fig1c = run_scenario(load_packaged_scenario("fig1c"), out_dir=tmp_path, deterministic=True)
+    cases = [(f"fig1c {k}", fig1c.signals[k].x, fig1c.signals[k].y)
+             for k in ("protected", "unprotected")]
+    for name in ("fig4", "s5"):
+        _, result, _ = protection_runs[name]
+        cases += [(f"{name} {k}", result.signals[k].x, result.signals[k].y)
+                  for k in ("protected", "unprotected")]
+    rng = np.random.default_rng(2024)
+    for i in range(8):
+        times = np.geomspace(1e-4, 2e-2, int(rng.integers(9, 30)))
+        t2, c0 = 10 ** rng.uniform(-3.5, -2.0), rng.uniform(0.3, 1.2)
+        noise = rng.normal(0.0, rng.choice([1e-4, 1e-2, 5e-2]), times.size)
+        cases.append((f"noisy {i}", times, _decay(times, c0, t2) + noise))
+    return cases
+
+
+def test_fit_exponential_reaches_the_least_squares_minimum(protection_runs, tmp_path):
+    # curve_fit as the oracle: with its default tolerances it stops short of
+    # the minimum; run to convergence it agrees with the fit
+    for label, times, amplitudes in _oracle_decays(protection_runs, tmp_path):
+        t, y = times[3:], amplitudes[3:]
+        res = fit_exponential(times, amplitudes)
+        ours = (res["initial_amplitude"], res["coherence_time"])
+        slope, intercept = np.polyfit(t[y > 0], np.log(y[y > 0]), 1)
+        p0 = (math.exp(intercept), -1.0 / slope)
+        default = curve_fit(_decay, t, y, p0=p0, maxfev=10000)[0]
+        tight = curve_fit(_decay, t, y, p0=p0, maxfev=10000, xtol=1e-15, ftol=1e-15,
+                          gtol=1e-15)[0]
+        rss = float(np.sum((_decay(t, *ours) - y) ** 2))
+        assert rss <= float(np.sum((_decay(t, *default) - y) ** 2)) * (1 + 1e-12), label
+        assert res.residual_norm == pytest.approx(math.sqrt(rss), rel=1e-12), label
+        assert ours == pytest.approx(tuple(tight), rel=1e-6), label
+
+
+def test_fit_exponential_runaway_minimum_raises():
+    # one point at 1 and the rest near 0: the least-squares minimum runs off
+    # to T2 -> 0 with c0 -> infinity, which is reported, not returned
+    times = np.arange(1.0, 9.0) * 1e-4
+    amplitudes = np.array([1.0, 1.0, 1.0, 1.0, 1e-3, 1e-3, 1e-3, -1e-3])
+    with pytest.raises(FitError, match="did not converge"):
+        fit_exponential(times, amplitudes)
+
+
 # -------------------------------------------------------------- rate table
 
 def test_rate_table_validation_and_csv(tmp_path):
@@ -175,8 +229,8 @@ def test_fit_vee_crossing_is_baseline_invariant():
     lifted = fit_vee(_vee_table(x, 6400.0 * np.abs(x - 0.18) + 300.0))
     assert lifted["ratio"] == pytest.approx(base["ratio"], abs=1e-6)
     assert lifted["baseline"] == pytest.approx(300.0, rel=1e-6)
-    robust = fit_vee(_vee_table(x, 6400.0 * np.abs(x - 0.18) + 300.0), robust=True)
-    assert robust["ratio"] == pytest.approx(0.18, abs=1e-6)
+    # plain least squares: the settings name the branch and nothing else
+    assert lifted.settings == {"method": "vee"}
 
 
 def test_fit_vee_line_branch_reports_baseline_bias():
@@ -208,6 +262,72 @@ def test_fit_vee_requires_straddled_vertex():
         fit_vee(table)
     with pytest.raises(ValueError):
         fit_vee(_vee_table(np.linspace(0, 0.4, 5), np.ones(5)))
+
+
+def _rss(x, y, slope, ratio, baseline):
+    r = slope * np.abs(x - ratio) + baseline - y
+    return float(r @ r)
+
+
+def _profile_rss(x, y, ratio):
+    """Least RSS with the vertex at ``ratio`` and slope, baseline >= 0."""
+    return scipy_nnls(np.column_stack([np.abs(x - ratio), np.ones_like(x)]), y)[1] ** 2
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(
+    n=st.integers(6, 25),
+    lo=st.floats(0.0, 0.1),
+    hi=st.floats(0.3, 0.5),
+    where=st.floats(0.25, 0.75),
+    slope=st.floats(100.0, 1e4),
+    baseline=st.floats(1.0, 500.0),
+    noise=st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+    seed=st.integers(0, 2**16),
+)
+def test_fit_vee_is_the_global_least_squares_optimum(n, lo, hi, where, slope, baseline,
+                                                     noise, seed):
+    # no vertex on a grid point, nor anywhere sampled within a grid interval,
+    # leaves a lower residual sum of squares than the fitted vee
+    x = np.linspace(lo, hi, n)
+    clean = slope * np.abs(x - (lo + where * (hi - lo))) + baseline
+    y = np.abs(clean * (1 + noise * np.random.default_rng(seed).standard_normal(n))) + 1e-6
+    try:
+        res = fit_vee(_vee_table(x, y))
+    except FitError:
+        return  # a vertex the grid does not straddle; checked elsewhere
+    best = _rss(x, y, res["slope"], res["ratio"], res["baseline"])
+    assert best == pytest.approx(res.residual_norm ** 2, rel=1e-9, abs=1e-20)
+    probes = np.concatenate([x, *(np.linspace(a, b, 41)[1:-1] for a, b in zip(x[:-1], x[1:]))])
+    floor = min(_profile_rss(x, y, r) for r in probes)
+    assert best <= floor * (1 + 1e-9) + 1e-18 * float(y @ y)
+
+
+def _vee_least_squares(x, y):
+    """The bounded local least squares from the best of 201 vertex
+    candidates, converged tightly."""
+    candidates = np.linspace(x[0], x[-1], 201)[1:-1]
+    start = min(candidates, key=lambda r: _profile_rss(x, y, r))
+    (a0, b0), _ = scipy_nnls(np.column_stack([np.abs(x - start), np.ones_like(x)]), y)
+    fit = least_squares(lambda p: p[0] * np.abs(x - p[1]) + p[2] - y,
+                        [max(a0, 1e-12), start, b0],
+                        bounds=([0.0, x[0], 0.0], [np.inf, x[-1], np.inf]),
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    return fit.x
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01, 0.05])
+def test_fit_vee_agrees_with_least_squares(noise):
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        x = np.linspace(0.0, 0.4, int(rng.integers(11, 26)))
+        ratio, slope, baseline = rng.uniform(0.12, 0.28), rng.uniform(1e3, 8e3), rng.uniform(5, 300)
+        y = (slope * np.abs(x - ratio) + baseline) * (1 + noise * rng.standard_normal(x.size))
+        res = fit_vee(_vee_table(x, y))
+        a, r, b = _vee_least_squares(x, y)
+        assert res["ratio"] == pytest.approx(r, rel=1e-6)
+        assert res["slope"] == pytest.approx(a, rel=1e-6)
+        assert res["baseline"] == pytest.approx(b, rel=1e-6, abs=1e-6 * slope)
 
 
 # ------------------------------------------------------------ sigma widths
@@ -250,6 +370,51 @@ def test_estimate_sigma_propagates_rate_errors():
     res = estimate_sigma([1000.0], [200.0], rate_errors=[20.0])
     assert res["sigma_0"] == pytest.approx(5.0, rel=1e-9)
     assert math.sqrt(res.covariance[0, 0]) == pytest.approx(0.1, rel=1e-9)
+
+
+def test_levenberg_marquardt_converges_or_raises():
+    def line(p, sign=1.0):
+        return np.array([p[0] - 1.0, 2.0 * (p[0] - 1.0)]), sign * np.array([[1.0], [2.0]])
+
+    p, r, _ = levenberg_marquardt(line, [5.0])
+    assert p[0] == pytest.approx(1.0, abs=1e-15)
+    assert not np.any(r)
+    # a Jacobian that points uphill: no step lowers the cost, yet the
+    # undamped step is far from zero, so there is no minimum to report
+    with pytest.raises(FitError, match="no step lowers the cost"):
+        levenberg_marquardt(lambda p: line(p, -1.0), [5.0])
+    with pytest.raises(FitError, match="not finite"):
+        levenberg_marquardt(lambda p: (np.array([np.inf]), np.array([[1.0]])), [0.0])
+
+
+def test_nnls_agrees_with_scipy():
+    rng = np.random.default_rng(8)
+    for m, n in ((8, 3), (20, 6), (6, 6), (4, 7), (30, 12)):
+        for _ in range(10):
+            a = rng.standard_normal((m, n))
+            b = rng.standard_normal(m)
+            expected, rnorm = scipy_nnls(a, b)
+            x = nnls(a, b)
+            assert np.all(x >= 0)
+            assert np.linalg.norm(a @ x - b) == pytest.approx(rnorm, rel=1e-10, abs=1e-12)
+            if m >= n:  # full column rank: the minimizer is unique
+                assert np.allclose(x, expected, rtol=1e-10, atol=1e-12)
+
+
+def test_nnls_agrees_with_scipy_on_rank_deficient_problems():
+    # duplicated and dependent columns: the minimizer need not be unique,
+    # the residual and the fitted values are
+    rng = np.random.default_rng(9)
+    for m, n, rank in ((10, 4, 2), (12, 6, 3), (5, 8, 2)):
+        for _ in range(10):
+            a = rng.standard_normal((m, rank)) @ rng.uniform(0.0, 1.0, (rank, n))
+            a[:, -1] = a[:, 0]
+            b = rng.standard_normal(m)
+            expected, rnorm = scipy_nnls(a, b)
+            x = nnls(a, b)
+            assert np.all(x >= 0)
+            assert np.linalg.norm(a @ x - b) == pytest.approx(rnorm, rel=1e-10, abs=1e-12)
+            assert np.allclose(a @ x, a @ expected, rtol=1e-10, atol=1e-10)
 
 
 # ------------------------------------------------------------ spectroscopy

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from nvecho.response import (
+    DEFAULT_RATIO_CURVE,
     CalibrationError,
     LinearResponse,
     QuasiharmonicResponse,
@@ -226,6 +228,50 @@ def test_linear_vs_quasiharmonic_small_excursion():
     assert dev.max() < 0.02
 
 
+def _ratio_residuals(curve, slope, reference, T0=300.0):
+    """The calibrator's relative ratio misses as a function of log(theta),
+    and their derivative."""
+    om_ref, b_ref = reference.modes[0]
+    Ts = np.array([T for T, _ in curve])
+    targets = np.array([r for _, r in curve])
+
+    def model(log_theta):
+        omega = einstein_mode_frequency(float(np.exp(log_theta[0])))
+        weight = slope / bose_einstein_slope(omega, T0)
+        return weight * bose_einstein_slope(omega, Ts) / (b_ref * bose_einstein_slope(om_ref, Ts))
+
+    def log_derivative(u):
+        # u f'(u) / f(u) for f(u) = u e^u / (e^u - 1)^2
+        e = np.exp(u)
+        return u * ((1 + u) * (e - 1) - 2 * u * e) / (u * (e - 1))
+
+    def jacobian(log_theta):
+        theta = float(np.exp(log_theta[0]))
+        d_log = log_derivative(theta / Ts) - log_derivative(theta / T0)
+        return (model(log_theta) * d_log / targets)[:, None]
+
+    return (lambda p: (model(p) - targets) / targets), jacobian
+
+
+@pytest.mark.parametrize("bend, rel", [(1.0, 1e-12), (0.99, 1e-9), (1.02, 1e-9)])
+def test_calibrator_agrees_with_least_squares(bend, rel):
+    # the packaged curve, met exactly, and two bent ones, met in least
+    # squares: there the residual sum of squares is flat to rounding over
+    # ~1e-10 of theta, and no solver pins the mode closer than that
+    curve = tuple((T, r * bend ** ((T - 300.0) / 50.0)) for T, r in DEFAULT_RATIO_CURVE)
+    slope = TWO_PI * 39.0
+    reference = calibrate_einstein_model(slope, curve, 300.0, role="reference")
+    varied = calibrate_einstein_model(slope * 5.8, curve, 300.0, role="varied",
+                                      reference=reference)
+    residuals, jacobian = _ratio_residuals(curve, slope * 5.8, reference)
+    fit = least_squares(residuals, [math.log(1000.0)], jac=jacobian, method="lm",
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    omega = einstein_mode_frequency(float(np.exp(fit.x[0])))
+    assert varied.modes[0][0] == pytest.approx(omega, rel=rel)
+    ours = residuals([math.log(varied.modes[0][0] / K_B_OVER_HBAR)])
+    assert ours @ ours <= (fit.fun @ fit.fun) * (1 + 1e-12) + 1e-30
+
+
 def test_calibrate_infeasible_targets_raise():
     # a ratio curve that collapses below 1 and swings back cannot be produced
     # by a positive-frequency mode pair riding on one reference mode
@@ -233,6 +279,11 @@ def test_calibrate_infeasible_targets_raise():
     with pytest.raises(CalibrationError) as err:
         calibrate_einstein_model(TWO_PI * 204.0, bad, 300.0, role="varied")
     assert "residual" in str(err.value).lower()
+    # steep curves in either direction push the mode temperature far out
+    for steep in (((250.0, 0.01), (300.0, 1.0), (350.0, 100.0)),
+                  ((250.0, 100.0), (300.0, 1.0), (350.0, 0.01))):
+        with pytest.raises(CalibrationError):
+            calibrate_einstein_model(TWO_PI * 204.0, steep, 300.0, role="varied")
 
 
 def test_data_file_round_trip(tmp_path):

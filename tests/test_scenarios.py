@@ -86,6 +86,18 @@ def test_decay_compare_reference_numbers(tmp_path):
         result.numbers["improvement"], rel=1e-12)
 
 
+def test_decay_compare_kinds_default_to_the_config_templates(tmp_path):
+    # a block that names no kind is built as its pipeline template says: the
+    # compare step scans an unbalanced echo against a Ramsey
+    cfg = load_packaged_scenario("fig1c")
+    named = run_scenario(cfg, out_dir=tmp_path / "named", deterministic=True)
+    sequence = {k: v for k, v in cfg.sequence.items() if k != "kind"}
+    sequence["compare"] = {k: v for k, v in sequence["compare"].items() if k != "kind"}
+    unnamed = run_scenario(dataclasses.replace(cfg, sequence=sequence),
+                           out_dir=tmp_path / "unnamed", deterministic=True)
+    assert unnamed.numbers == named.numbers
+
+
 def test_pulse_sweep_reference_peak(tmp_path):
     result = run_scenario(load_packaged_scenario("fig1d"), out_dir=tmp_path,
                           deterministic=True)
