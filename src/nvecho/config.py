@@ -53,10 +53,8 @@ _TOP_KEYS = ("schema", "name", "pipeline", "description", "spin", "response",
              "sources", "sequence", "backend", "output")
 
 _SPIN_FIELDS = {
-    "zfs": "frequency",
     "quadrupole": "frequency",
     "hyperfine": "frequency",
-    "gamma_e": "frequency_per_G",
     "gamma_n": "frequency_per_G",
     "field": "field",
 }
@@ -64,7 +62,6 @@ _SPIN_FIELDS = {
 _RESPONSE_LINEAR_FIELDS = {
     "quadrupole_per_K": "frequency_per_K",
     "hyperfine_per_K": "frequency_per_K",
-    "zfs_per_K": "frequency_per_K",
     "quadrupole_per_GPa": "frequency_per_GPa",
     "hyperfine_per_GPa": "frequency_per_GPa",
 }
@@ -555,7 +552,7 @@ class ScenarioConfig:
     def spin_params(self) -> SpinSystemParams:
         s = self.spin
         kwargs = {}
-        for key in ("zfs", "quadrupole", "hyperfine", "gamma_e", "gamma_n"):
+        for key in ("quadrupole", "hyperfine", "gamma_n"):
             if key in s:
                 kwargs[key] = angular(s[key])
         if "field" in s:
@@ -567,7 +564,7 @@ class ScenarioConfig:
         if r["model"] == "quasiharmonic":
             return load_response_set(resolve_data_file(r["data_file"], self.base_dir))
         kwargs = {}
-        for key in ("quadrupole_per_K", "hyperfine_per_K", "zfs_per_K"):
+        for key in ("quadrupole_per_K", "hyperfine_per_K"):
             if key in r:
                 kwargs[key] = angular(r[key])
         for cfg_key, model_key in (("quadrupole_per_GPa", "quadrupole_per_strain"),
@@ -688,17 +685,18 @@ def config_document(config: ScenarioConfig) -> dict:
     doc = {"schema": SCHEMA, "name": config.name, "pipeline": config.pipeline}
     if config.description:
         doc["description"] = config.description
+    # a key no table knows is printed as it is, so parsing reports it
     if config.spin:
-        doc["spin"] = {k: format_quantity(v, _SPIN_FIELDS[k])
+        doc["spin"] = {k: format_quantity(v, _SPIN_FIELDS[k]) if k in _SPIN_FIELDS else v
                        for k, v in config.spin.items()}
     response = {"model": config.response["model"]}
     for key, value in config.response.items():
         if key == "model":
             continue
-        if key == "data_file":
-            response[key] = value
-        else:
+        if key in _RESPONSE_LINEAR_FIELDS:
             response[key] = format_quantity(value, _RESPONSE_LINEAR_FIELDS[key])
+        else:
+            response[key] = value
     doc["response"] = response
     if config.sources:
         doc["sources"] = [_dump_source(s) for s in config.sources]

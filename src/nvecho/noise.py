@@ -20,9 +20,10 @@ vectorised characteristic-function product over the family.  The Monte
 Carlo path draws each chunk of every source once, with sub-streams seeded
 per (source, chunk), and shares those draws, the truncation mask and each
 source's response channels across the family; every member's estimate is
-therefore bit-identical to evaluating that member alone.  The members of a
-family are spread over the CPUs the process may run on, without changing a
-bit of any estimate.
+therefore bit-identical to evaluating that member alone.  One thread per
+CPU the process may run on claims the family's members one at a time, each
+with a 16-byte complex buffer per retained draw of the chunk, without
+changing a bit of any estimate.
 """
 
 from __future__ import annotations
@@ -296,36 +297,39 @@ def _thread_count(members: int) -> int:
     return max(1, min(cpus, members))
 
 
-def _member_sums(channels, members, terms, product):
-    """Sums of e^{i (phase - phase(locations))} over one chunk for each
-    member in ``members``, computed in the complex buffer ``terms`` and the
-    float buffer ``product``.
+def _member_sums(channels, claim, sums, terms, product):
+    """Write into ``sums[g]`` the sum of e^{i (phase - phase(locations))}
+    over one chunk for each member g this thread claims from ``claim``, an
+    iterator that the threads share.
 
-    The ufuncs, operands and order are those of ``phase = zeros;
-    phase += sum(c[g] * channel ...); exp(1j * phase).sum()`` (dropping
-    ``sum``'s leading 0 only turns -0.0 into +0.0, which adding to ``phase``
-    does anyway), so every sum is bit-identical to that expression and the
-    loop allocates no arrays.  The phase accumulates in the real row of
-    ``terms`` and one source's partial sum in its imaginary row; zeroing that
-    row leaves in ``terms`` exactly the operand ``phase + 0j`` that
-    ``1j * phase`` casts to, so the product and the exponential run in place
-    without a cast buffer.
+    Every term, and so every sum, is bit-identical to ``phase = zeros;
+    phase += sum(c[g] * channel ...); exp(1j * phase)``, and the loop
+    allocates no arrays.  The phase builds up in the imaginary row of the
+    complex buffer ``terms``.  The real row holds each later source's partial
+    sum, with ``product`` for a second channel (None when no source after the
+    first has one), and is then zeroed.  ``1j * phase`` has the imaginary
+    part 0 + phase and a signed zero as its real part, whose exponential is 1
+    either way, so adding 0 to the first source's partial sum and zeroing
+    the real row give exactly its operand without the complex product.
     """
-    phase, partial = terms.real, terms.imag
-    sums = []
-    for g in members:
-        phase.fill(0.0)
-        for (c, channel), *rest in channels:
-            np.multiply(c[g], channel, out=partial)
+    scratch, phase = terms.real, terms.imag
+    first, *later = channels
+    for g in claim:
+        (c, channel), *rest = first
+        np.multiply(c[g], channel, out=phase)
+        for c, channel in rest:
+            np.multiply(c[g], channel, out=scratch)
+            np.add(phase, scratch, out=phase)
+        np.add(phase, 0.0, out=phase)
+        for (c, channel), *rest in later:
+            np.multiply(c[g], channel, out=scratch)
             for c, channel in rest:
                 np.multiply(c[g], channel, out=product)
-                np.add(partial, product, out=partial)
-            np.add(phase, partial, out=phase)
-        partial.fill(0.0)
-        np.multiply(1j, terms, out=terms)
+                np.add(scratch, product, out=scratch)
+            np.add(phase, scratch, out=phase)
+        scratch.fill(0.0)
         np.exp(terms, out=terms)
-        sums.append(complex(terms.sum()))
-    return sums
+        sums[g] = complex(terms.sum())
 
 
 def _chunk_channels(sources, windows, grid, seed, k, n_k):
@@ -343,24 +347,31 @@ def _chunk_channels(sources, windows, grid, seed, k, n_k):
     return channels, int(mask.sum())
 
 
-def _chunk_sums(sources, windows, grid, seed, k, n_k, pool, slices):
+def _chunk_sums(sources, windows, grid, seed, k, n_k, pool, n_threads):
     """Per-member sums of e^{i (phase - phase(locations))} over chunk k's
     retained joint draws, and the retained count.
 
     The chunk is drawn, masked and turned into response channels in the
-    calling thread.  Each of ``slices`` (contiguous ranges of members) then
-    gets its own pair of buffers; the first slice is evaluated inline, the
-    rest on ``pool``, and their sums are joined in member order.  The
-    chunk's arrays are freed on return, before the next chunk is drawn."""
+    calling thread.  Then ``n_threads`` threads, the calling one and
+    ``n_threads - 1`` on ``pool``, each with buffers of its own, claim the
+    members one at a time from one shared iterator (``next`` on a range
+    iterator is atomic under the GIL) and write each sum at its member's
+    index.  The chunk's arrays are freed on return, before the next chunk is
+    drawn."""
     channels, kept = _chunk_channels(sources, windows, grid, seed, k, n_k)
+    size = grid.quadrupole.size
+    claim = iter(range(size))
+    sums = [0j] * size
+    two_channels_later = any(len(pairs) > 1 for pairs in channels[1:])
     # Allocated in the calling thread: glibc gives each worker thread its own
     # malloc arena, and allocating there kept ~2 MiB more of fig4's RSS.
-    buffers = [(np.empty(kept, dtype=complex), np.empty(kept)) for _ in slices]
-    futures = [pool.submit(_member_sums, channels, members, *pair)
-               for members, pair in zip(slices[1:], buffers[1:])]
-    sums = _member_sums(channels, slices[0], *buffers[0])
+    buffers = [(np.empty(kept, dtype=complex), np.empty(kept) if two_channels_later else None)
+               for _ in range(n_threads)]
+    futures = [pool.submit(_member_sums, channels, claim, sums, *pair)
+               for pair in buffers[1:]]
+    _member_sums(channels, claim, sums, *buffers[0])
     for future in futures:
-        sums += future.result()
+        future.result()
     return sums, kept
 
 
@@ -374,10 +385,13 @@ def monte_carlo_attenuation(sources, coefficients, n_samples: int = 1 << 20,
     source falls outside its physical window, and evaluates each source's
     response channels once.  Only then is the phase contracted and averaged
     per member, in chunk order, so a member's estimate does not depend on
-    the rest of the family.  The members are cut into one contiguous slice
-    per CPU the process may run on and the slices share each chunk's
-    channels across threads; a member's sum is computed by the same code in
-    any slice, so the estimate does not depend on the thread count either.
+    the rest of the family.  One thread per CPU the process may run on (at
+    most one per member) shares each chunk's channels: the threads claim
+    members one at a time and each holds 16 bytes per retained draw of the
+    chunk (24 when a source after the first has two channels).  A member's
+    sum is computed by the same code whichever thread claims it and is
+    added to its total in chunk order, so the estimate does not depend on
+    the thread count either.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept off the cold import path
 
@@ -390,12 +404,10 @@ def monte_carlo_attenuation(sources, coefficients, n_samples: int = 1 << 20,
     totals = [0j] * size
     retained = 0
     n_threads = _thread_count(size)
-    bounds = [size * i // n_threads for i in range(n_threads + 1)]
-    slices = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(max_workers=max(1, n_threads - 1)) as pool:
         for k, start in enumerate(range(0, n_samples, CHUNK)):
             sums, kept = _chunk_sums(sources, windows, grid, seed, k,
-                                     min(CHUNK, n_samples - start), pool, slices)
+                                     min(CHUNK, n_samples - start), pool, n_threads)
             totals = [total + z for total, z in zip(totals, sums)]
             retained += kept
     if retained == 0:

@@ -44,7 +44,7 @@ from .script import parse_sequence_script
 from .sequences import (
     KINDS,
     build_sequence,
-    decay_scan,
+    decay_scans,
     pulse_location_sweep,
     simulate_amplitude,
     simulate_family,
@@ -171,16 +171,15 @@ def _sweep(ctx: _Context, sources, params):
 def _compare(ctx: _Context, protected: dict, sources, params):
     """The compare step: the protected scan of ``protected`` and the
     unprotected one of ``sequence.compare``, each of the kind the config
-    builds the block as, their exponential fits and the coherence-time
-    improvement."""
-    scans = {}
+    builds the block as and both evaluated as one family, their exponential
+    fits and the coherence-time improvement."""
     compare = ctx.config.sequence["compare"]
-    for label, path, block in (("protected", "sequence", protected),
-                               ("unprotected", "sequence.compare", compare)):
+    specs = []
+    for path, block in (("sequence", protected), ("sequence.compare", compare)):
         kind = block_kind(ctx.config.pipeline, path, block)
-        scans[label] = decay_scan(realize_grid(block["times"]), sources, sequence=kind,
-                                  params=params, **KINDS[kind].read(block),
-                                  **ctx.backend_kwargs)
+        specs.append((realize_grid(block["times"]), kind, KINDS[kind].read(block)))
+    scans = dict(zip(("protected", "unprotected"),
+                     decay_scans(specs, sources, params=params, **ctx.backend_kwargs)))
     fits = {label: fit_exponential(scan.x, scan.y) for label, scan in scans.items()}
     improvement = fits["protected"]["coherence_time"] / fits["unprotected"]["coherence_time"]
     return scans, fits, improvement

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -268,11 +268,26 @@ def phase_sweep(sequence: PulseSequence, sources, readout_phases,
     )
 
 
-def _scan(x, sequences, sources, kwargs, x_label, metadata) -> EnsembleSignal:
-    result = simulate_family(sequences, sources, **kwargs)
-    metadata.update(_average_metadata(result, kwargs))
-    return EnsembleSignal(x=x, y=result.amplitude, x_label=x_label, y_label="amplitude",
-                          metadata=metadata, monte_carlo=result.monte_carlo)
+def _scans(parts, sources, kwargs) -> list:
+    """One ``simulate_family`` call for several scans, each given as (x,
+    sequences, x label, metadata), split back into one signal per scan.
+    Every point is evaluated as in its own scan (batch invariance), so each
+    signal equals the one its scan alone gives."""
+    result = simulate_family([seq for _, family, _, _ in parts for seq in family],
+                             sources, **kwargs)
+    amplitude, mc = result.amplitude, result.monte_carlo
+    average = _average_metadata(result, kwargs)
+    signals, start = [], 0
+    for x, family, x_label, metadata in parts:
+        members = slice(start, start + len(family))
+        start = members.stop
+        metadata.update(average)
+        signals.append(EnsembleSignal(
+            x=x, y=amplitude[members], x_label=x_label, y_label="amplitude",
+            metadata=metadata,
+            monte_carlo=None if mc is None else replace(
+                mc, attenuation=mc.attenuation[members], std_error=mc.std_error[members])))
+    return signals
 
 
 def _split(kwargs) -> tuple:
@@ -293,16 +308,26 @@ def decay_scan(times, sources, sequence: str | None = None, **kwargs) -> Ensembl
     if sequence is None:
         sequence = "unbalanced_echo" if "flip_fraction" in kwargs else "ramsey"
     keys, kwargs = _split(kwargs)
-    times = np.asarray(times, dtype=float)
-    if times.size and np.any(np.diff(times) <= 0):
-        raise ValueError("time grid must be strictly increasing")
-    family = [build_sequence(sequence, float(t), **keys) for t in times]
-    meta = {"sequence": sequence}
-    if "pair" in KINDS[sequence].keys:  # a dq_ramsey names no pair
-        meta["pair"] = list((KINDS[sequence].keys | keys)["pair"])
-    if "flip_fraction" in keys:
-        meta["flip_fraction"] = keys["flip_fraction"]
-    return _scan(times, family, sources, kwargs, "total_time_s", meta)
+    return decay_scans([(times, sequence, keys)], sources, **kwargs)[0]
+
+
+def decay_scans(scans, sources, **kwargs) -> list:
+    """Several decay scans as one family: ``scans`` holds (times, kind, block
+    keys) per scan and ``kwargs`` the keywords of ``simulate_family``.  Each
+    signal equals the one ``decay_scan`` gives for its scan alone."""
+    parts = []
+    for times, sequence, keys in scans:
+        times = np.asarray(times, dtype=float)
+        if times.size and np.any(np.diff(times) <= 0):
+            raise ValueError("time grid must be strictly increasing")
+        family = [build_sequence(sequence, float(t), **keys) for t in times]
+        meta = {"sequence": sequence}
+        if "pair" in KINDS[sequence].keys:  # a dq_ramsey names no pair
+            meta["pair"] = list((KINDS[sequence].keys | keys)["pair"])
+        if "flip_fraction" in keys:
+            meta["flip_fraction"] = keys["flip_fraction"]
+        parts.append((times, family, "total_time_s", meta))
+    return _scans(parts, sources, kwargs)
 
 
 def pulse_location_sweep(total_time: float, flip_fractions, sources,
@@ -317,7 +342,7 @@ def pulse_location_sweep(total_time: float, flip_fractions, sources,
               for f in fractions]
     meta = {"total_time_s": total_time,
             "pair": list((KINDS["unbalanced_echo"].keys | keys)["pair"])}
-    return _scan(fractions, family, sources, kwargs, "flip_fraction", meta)
+    return _scans([(fractions, family, "flip_fraction", meta)], sources, kwargs)[0]
 
 
 # -------------------------------------------------------------- signal files

@@ -38,7 +38,6 @@ name: protection-comparison
 pipeline: decay_compare
 description: compare unprotected and protected decay
 spin:
-  zfs: 2.87 GHz
   quadrupole: -4.945 MHz
   hyperfine: -2.16 MHz
   field: 239 G
@@ -86,7 +85,6 @@ def test_minimal_config_defaults():
 def test_full_config_builds_models():
     cfg = parse_config(FULL)
     params = cfg.spin_params()
-    assert params.zfs == angular(2.87e9)
     assert params.quadrupole == angular(-4.945e6)
     assert params.hyperfine == angular(-2.16e6)
     assert params.field_gauss == 239.0
@@ -123,8 +121,8 @@ def test_full_config_builds_models():
 
 def test_bare_numbers_rejected():
     cfg = dict_minimal()
-    cfg["spin"] = {"zfs": 2.87e9}
-    with pytest.raises(ConfigError, match="spin.zfs"):
+    cfg["spin"] = {"quadrupole": -4.945e6}
+    with pytest.raises(ConfigError, match="spin.quadrupole"):
         parse_config(cfg)
 
 
@@ -135,14 +133,14 @@ def dict_minimal():
 
 def test_problems_are_aggregated():
     cfg = dict_minimal()
-    cfg["spin"] = {"zfs": "2.87 parsec"}
+    cfg["spin"] = {"quadrupole": "-4.945 parsec"}
     cfg["backend"] = {"method": "quantum", "samples": 0}
     with pytest.raises(ConfigError) as excinfo:
         parse_config(cfg)
     err = excinfo.value
     assert len(err.problems) == 3
     text = str(err)
-    assert "spin.zfs" in text
+    assert "spin.quadrupole" in text
     assert "backend.method" in text
     assert "backend.samples" in text
 
@@ -412,8 +410,8 @@ EMPTY_BLOCK_PROBLEMS = {
 @pytest.mark.parametrize("pipeline", sorted(PIPELINE_NEEDS))
 def test_every_missing_key_is_reported_in_one_error(pipeline):
     doc = _pipeline_doc(pipeline, {"compare": {"kind": "unbalanced_echo"}})
-    doc["spin"] = {"zfs": "2.87 parsec"}
-    assert _problem_paths(doc) == ["spin.zfs"] + EMPTY_BLOCK_PROBLEMS[pipeline]
+    doc["spin"] = {"quadrupole": "-4.945 parsec"}
+    assert _problem_paths(doc) == ["spin.quadrupole"] + EMPTY_BLOCK_PROBLEMS[pipeline]
 
 
 def test_unknown_pipeline_and_malformed_grids():
@@ -574,6 +572,32 @@ def test_keys_no_part_of_the_run_reads_are_rejected(tmp_path, pipeline, sequence
     assert _problem_paths(_pipeline_doc(pipeline, _with(sequence, path, value))) == [path]
     built = ScenarioConfig(name="n", pipeline=pipeline,
                            sequence=_with(complete.sequence, path, built_value))
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(built, out_dir=tmp_path / "out")
+    assert [problem.split(": ")[0] for problem in excinfo.value.problems] == [path]
+    assert not (tmp_path / "out").exists()
+
+
+# model keys that no pipeline reads: the electron-only terms (zero-field
+# splitting, electron Zeeman) drop out of every nuclear-spin phase
+UNREAD_MODEL_KEYS = [
+    ("spin", {"zfs": "2.87 GHz"}, {"zfs": 2.87e9}),
+    ("spin", {"gamma_e": "2.8025 MHz/G"}, {"gamma_e": 2.8025e6}),
+    ("response", {"model": "linear", "zfs_per_K": "-77.7 kHz/K"},
+     {"model": "linear", "zfs_per_K": -77.7e3}),
+]
+
+
+@pytest.mark.parametrize("block,value,built_value", UNREAD_MODEL_KEYS,
+                         ids=[f"{row[0]}.{list(row[2])[-1]}" for row in UNREAD_MODEL_KEYS])
+def test_model_keys_no_pipeline_reads_are_rejected(tmp_path, block, value, built_value):
+    # each used to parse and then change no number of any run
+    path = f"{block}.{list(built_value)[-1]}"
+    doc = _pipeline_doc("simulate", RAMSEY) | {block: value}
+    assert _problem_paths(doc) == [path]
+    sequence = parse_config(_pipeline_doc("simulate", RAMSEY)).sequence
+    built = ScenarioConfig(name="n", pipeline="simulate", sequence=sequence,
+                           **{block: built_value})
     with pytest.raises(ConfigError) as excinfo:
         run_scenario(built, out_dir=tmp_path / "out")
     assert [problem.split(": ")[0] for problem in excinfo.value.problems] == [path]

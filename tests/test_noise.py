@@ -273,6 +273,39 @@ def test_monte_carlo_does_not_depend_on_the_thread_count(sources, size, monkeypa
         assert other.truncated_mass == first.truncated_mass
 
 
+QUASIHARMONIC = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
+
+
+@pytest.mark.parametrize("sources", [
+    (QUASIHARMONIC,),
+    (temperature_source(lorentzian(0.0, 5.0)),),
+    (field_source(delta(0.0)),),  # every phase is a signed zero
+    (QUASIHARMONIC, field_source(delta(0.0))),
+    (field_source(gaussian(0.0, 0.05)), strain_source(delta(1e-6)), QUASIHARMONIC),
+], ids=["quasiharmonic", "linear", "delta", "quasiharmonic-delta", "two-channels-last"])
+def test_member_kernel_matches_the_naive_sum_byte_for_byte(sources):
+    # a t = 0 member (every coefficient 0), negative coefficients and delta
+    # sources make exact zeros and -0.0 products in the phase
+    family = [echo_coefficients(t=0.0, tau=0.0), echo_coefficients(t=2e-4, tau=0.0),
+              echo_coefficients(t=2e-3, tau=0.36e-3), echo_coefficients(t=3e-5, tau=3e-5),
+              PhaseCoefficients(quadrupole=-1e-3, hyperfine=2e-3, field=-0.0)]
+    grid = stack_coefficients(family)
+    windows = [src.truncation_window() for src in sources]
+    channels, kept = noise._chunk_channels(sources, windows, grid, SEED, 0, 4099)
+    terms = np.empty(kept, dtype=complex)
+    product = np.empty(kept) if any(len(pairs) > 1 for pairs in channels[1:]) else None
+    sums = [None] * len(family)
+    for g in range(len(family)):
+        noise._member_sums(channels, iter([g]), sums, terms, product)
+        phase = np.zeros(kept)
+        for pairs in channels:
+            phase += sum(c[g] * channel for c, channel in pairs)
+        expected = np.exp(1j * phase)
+        # every term, signed zeros included, and the sum
+        assert terms.tobytes() == expected.tobytes()
+        assert np.array(sums[g]).tobytes() == np.array(complex(expected.sum())).tobytes()
+
+
 # tracemalloc peak of the call below before the member loop was split across
 # threads (numpy 2.4, Python 3.11): per-member temporaries on top of the draws
 PEAK_BEFORE_THREADS = 4_141_792
@@ -293,6 +326,27 @@ def test_monte_carlo_peak_memory(threads, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BEFORE_THREADS
+
+
+def test_monte_carlo_memory_per_thread(monkeypatch):
+    # each thread beyond the first adds one complex buffer, 16 bytes per
+    # retained draw of a chunk, when no source after the first has two channels
+    family = [echo_coefficients(t=2e-3, tau=f * 2e-3) for f in np.linspace(0.1, 0.25, 8)]
+    windows = [QUASIHARMONIC.truncation_window()]
+    grid = stack_coefficients(family)
+    kept = max(noise._chunk_channels((QUASIHARMONIC,), windows, grid, SEED, k, CHUNK)[1]
+               for k in range(2))
+    peaks = {}
+    for threads in (1, 3):
+        monkeypatch.setattr(noise, "_thread_count", lambda members, n=threads: n)
+        monte_carlo_attenuation((QUASIHARMONIC,), family, n_samples=CHUNK, seed=SEED)
+        tracemalloc.start()
+        try:
+            monte_carlo_attenuation((QUASIHARMONIC,), family, n_samples=2 * CHUNK, seed=SEED)
+            peaks[threads] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peaks[3] - peaks[1]) / 2 <= 16 * kept + 64 * 1024
 
 
 def test_truncation_mass_absolute_temperature():

@@ -117,7 +117,6 @@ _documents = st.fixed_dictionaries(
     optional={
         "description": st.text(max_size=20),
         "spin": st.fixed_dictionaries({}, optional={
-            "zfs": _quantity(1e9, 4e9, "Hz"),
             "quadrupole": _quantity(-6e6, -4e6, "Hz"),
             "hyperfine": _quantity(-3e6, -1e6, "Hz"),
             "gamma_n": _quantity(-400.0, -200.0, "Hz/G"),

@@ -51,6 +51,30 @@ def test_bose_einstein_zero_temperature():
     assert bose_einstein(omega, 0.0) == 0.0
 
 
+def _guarded_bose_einstein(omega, T):
+    # the zero-temperature guards, applied to every input
+    T = np.asarray(T, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        u = np.where(T > 0, omega / (K_B_OVER_HBAR * np.where(T > 0, T, 1.0)), np.inf)
+        return np.where(T > 0, 1.0 / np.expm1(np.minimum(u, 700.0)), 0.0)
+
+
+@pytest.mark.parametrize("T", [
+    np.array([300.0, 1e-3, 1e-300, 5e-324, 1e4, 2.5e3]),
+    np.array([300.0, 0.0, 1e-3, 0.0, 1e4]),
+    np.linspace(0.0, 1550.0, 4099),
+    np.array([0.0]),
+    300.0,
+    0.0,
+], ids=["positive", "zeros", "grid-from-zero", "zero", "scalar", "scalar-zero"])
+def test_bose_einstein_fast_path_equals_the_guarded_path(T):
+    for theta in (1000.0, 2500.0):
+        omega = einstein_mode_frequency(theta)
+        got = bose_einstein(omega, T)
+        assert isinstance(got, float) == isinstance(T, float)
+        assert np.asarray(got).tobytes() == _guarded_bose_einstein(omega, T).tobytes()
+
+
 def test_bose_einstein_rejects_negative_temperature():
     with pytest.raises(ValueError):
         bose_einstein(einstein_mode_frequency(1000.0), -1.0)

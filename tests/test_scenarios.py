@@ -230,13 +230,52 @@ def test_missing_times_computes_nothing(tmp_path, monkeypatch):
         parse_config(dump_config(built))
 
 
+MC_COMPARE = {
+    "response": PROTECTION["response"],
+    "sources": PROTECTION["sources"],
+    "sequence": {key: PROTECTION["sequence"][key]
+                 for key in ("pair", "ms_free", "ms_flipped", "times", "compare")}
+    | {"kind": "unbalanced_echo", "flip_fraction": 0.172},
+    "backend": {"samples": 65536 + 17, "seed": 7},  # a partial last chunk
+}
+
+
+@pytest.mark.parametrize("name", ["monte_carlo", "closed_form"])
+def test_compare_step_is_one_family_equal_to_two_scans(tmp_path, monkeypatch, name):
+    cfg = (_config("decay_compare", **MC_COMPARE) if name == "monte_carlo"
+           else load_packaged_scenario("fig1c"))
+    families = []
+    real_family = sequences.simulate_family
+    monkeypatch.setattr(sequences, "simulate_family", lambda family, *args, **kwargs: (
+        families.append(len(family)) or real_family(family, *args, **kwargs)))
+    signals = run_scenario(cfg, out_dir=tmp_path, deterministic=True).signals
+    blocks = {"protected": cfg.sequence, "unprotected": cfg.sequence["compare"]}
+    assert families == [sum(realize_grid(block["times"]).size for block in blocks.values())]
+    for label, block in blocks.items():
+        kind = block["kind"]
+        alone = decay_scan(realize_grid(block["times"]), cfg.noise_sources(), sequence=kind,
+                           params=cfg.spin_params(), **KINDS[kind].read(block),
+                           **cfg.backend_kwargs())
+        fused = signals[label]
+        assert fused.x.tobytes() == alone.x.tobytes()
+        assert fused.y.tobytes() == alone.y.tobytes()
+        assert fused.metadata == alone.metadata
+        assert (fused.monte_carlo is None) == (alone.monte_carlo is None) == (name != "monte_carlo")
+        if fused.monte_carlo is not None:
+            mc, mc_alone = fused.monte_carlo, alone.monte_carlo
+            assert mc.attenuation.tobytes() == mc_alone.attenuation.tobytes()
+            assert mc.std_error.tobytes() == mc_alone.std_error.tobytes()
+            assert (mc.n_samples, mc.n_retained, mc.truncated_mass) == (
+                mc_alone.n_samples, mc_alone.n_retained, mc_alone.truncated_mass)
+
+
 def test_rate_table_is_one_family_per_pair(tmp_path, monkeypatch):
     families, scans = [], []
-    real_family, real_scan = scenarios.simulate_family, scenarios.decay_scan
+    real_family, real_scans = scenarios.simulate_family, scenarios.decay_scans
     monkeypatch.setattr(scenarios, "simulate_family", lambda family, *args, **kwargs: (
         families.append(len(family)) or real_family(family, *args, **kwargs)))
-    monkeypatch.setattr(scenarios, "decay_scan", lambda *args, **kwargs: (
-        scans.append(args) or real_scan(*args, **kwargs)))
+    monkeypatch.setattr(scenarios, "decay_scans", lambda *args, **kwargs: (
+        scans.append(args) or real_scans(*args, **kwargs)))
     cfg = load_packaged_scenario("fig2")
     result = run_scenario(cfg, out_dir=tmp_path, deterministic=True)
     assert families == [21 * 16, 21 * 16]
