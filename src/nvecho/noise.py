@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -297,10 +298,22 @@ def _thread_count(members: int) -> int:
     return max(1, min(cpus, members))
 
 
+def _claims(size: int):
+    """A function the threads share that returns each member index 0..size-1
+    exactly once, then None; a lock makes each claim atomic on every Python
+    build, with or without the GIL."""
+    members, lock = iter(range(size)), threading.Lock()
+
+    def claim():
+        with lock:
+            return next(members, None)
+    return claim
+
+
 def _member_sums(channels, claim, sums, terms, product):
     """Write into ``sums[g]`` the sum of e^{i (phase - phase(locations))}
-    over one chunk for each member g this thread claims from ``claim``, an
-    iterator that the threads share.
+    over one chunk for each member g this thread claims by calling
+    ``claim`` (``_claims``).
 
     Every term, and so every sum, is bit-identical to ``phase = zeros;
     phase += sum(c[g] * channel ...); exp(1j * phase)``, and the loop
@@ -314,7 +327,7 @@ def _member_sums(channels, claim, sums, terms, product):
     """
     scratch, phase = terms.real, terms.imag
     first, *later = channels
-    for g in claim:
+    for g in iter(claim, None):
         (c, channel), *rest = first
         np.multiply(c[g], channel, out=phase)
         for c, channel in rest:
@@ -354,14 +367,14 @@ def _chunk_sums(sources, windows, grid, seed, k, n_k, pool, n_threads):
     The chunk is drawn, masked and turned into response channels in the
     calling thread.  Then ``n_threads`` threads, the calling one and
     ``n_threads - 1`` on ``pool``, each with buffers of its own, claim the
-    members one at a time from one shared iterator (``next`` on a range
-    iterator is atomic under the GIL) and write each sum at its member's
-    index.  The chunk's arrays are freed on return, before the next chunk is
-    drawn."""
+    members one at a time (``_claims``) and write each sum at its member's
+    index; a member no thread summed stays None and fails the caller's
+    addition.  The chunk's arrays are freed on return, before the next chunk
+    is drawn."""
     channels, kept = _chunk_channels(sources, windows, grid, seed, k, n_k)
     size = grid.quadrupole.size
-    claim = iter(range(size))
-    sums = [0j] * size
+    claim = _claims(size)
+    sums = [None] * size
     two_channels_later = any(len(pairs) > 1 for pairs in channels[1:])
     # Allocated in the calling thread: glibc gives each worker thread its own
     # malloc arena, and allocating there kept ~2 MiB more of fig4's RSS.
@@ -391,13 +404,16 @@ def monte_carlo_attenuation(sources, coefficients, n_samples: int = 1 << 20,
     chunk (24 when a source after the first has two channels).  A member's
     sum is computed by the same code whichever thread claims it and is
     added to its total in chunk order, so the estimate does not depend on
-    the thread count either.
+    the thread count either.  ``sources`` must not be empty.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept off the cold import path
 
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     sources = tuple(sources)
+    if not sources:
+        raise ValueError("need at least one noise source; without one the "
+                         "attenuation is exactly 1")
     grid = stack_coefficients(coefficients)
     windows = [src.truncation_window() for src in sources]
     size = grid.quadrupole.size

@@ -81,12 +81,9 @@ def bose_einstein(omega: float, T):
     T = np.asarray(T, dtype=float)
     if np.any(T < 0):
         raise ValueError("temperature must be >= 0 K")
+    # at T = 0, omega / 0 = inf is clamped to 700 and its occupation replaced by 0
     with np.errstate(over="ignore", divide="ignore"):
-        if np.all(T > 0):  # the same arithmetic as below, without its guards
-            n = 1.0 / np.expm1(np.minimum(omega / (K_B_OVER_HBAR * T), 700.0))
-        else:
-            u = np.where(T > 0, omega / (K_B_OVER_HBAR * np.where(T > 0, T, 1.0)), np.inf)
-            n = np.where(T > 0, 1.0 / np.expm1(np.minimum(u, 700.0)), 0.0)
+        n = np.where(T > 0, 1.0 / np.expm1(np.minimum(omega / (K_B_OVER_HBAR * T), 700.0)), 0.0)
     return float(n) if n.ndim == 0 else n
 
 

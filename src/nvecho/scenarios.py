@@ -47,7 +47,6 @@ from .sequences import (
     decay_scans,
     pulse_location_sweep,
     simulate_amplitude,
-    simulate_family,
     write_signal_csv,
     write_signal_json,
 )
@@ -262,13 +261,12 @@ def _run_rate_table(ctx: _Context) -> ScenarioResult:
 
     table = RateTable(metadata={"scenario": cfg.name})
     for pair in pairs:
-        # one family per branch: every (fraction, time) echo, fraction-major
-        family = [build_sequence("unbalanced_echo", float(t),
-                                 **keys | {"pair": pair, "flip_fraction": float(f)})
-                  for f in fractions for t in times]
-        amplitudes = simulate_family(family, sources, params=params, **ctx.backend_kwargs)
-        for fraction, scan in zip(fractions, amplitudes.amplitude.reshape(fractions.size, -1)):
-            fit = fit_exponential(times, scan)
+        # one family per branch: the decay scan of every flip fraction
+        scans = decay_scans([(times, "unbalanced_echo",
+                              keys | {"pair": pair, "flip_fraction": float(f)})
+                             for f in fractions], sources, params=params, **ctx.backend_kwargs)
+        for fraction, scan in zip(fractions, scans):
+            fit = fit_exponential(scan.x, scan.y)
             t2 = fit["coherence_time"]
             t2_var = float(fit.covariance[1, 1])
             rate_error = np.sqrt(t2_var) / t2**2 if np.isfinite(t2_var) else None

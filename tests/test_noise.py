@@ -10,6 +10,7 @@ tolerances a few times the standard error, validated ahead of time.
 import math
 import os
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -296,7 +297,7 @@ def test_member_kernel_matches_the_naive_sum_byte_for_byte(sources):
     product = np.empty(kept) if any(len(pairs) > 1 for pairs in channels[1:]) else None
     sums = [None] * len(family)
     for g in range(len(family)):
-        noise._member_sums(channels, iter([g]), sums, terms, product)
+        noise._member_sums(channels, iter([g, None]).__next__, sums, terms, product)
         phase = np.zeros(kept)
         for pairs in channels:
             phase += sum(c[g] * channel for c, channel in pairs)
@@ -313,8 +314,9 @@ PEAK_BEFORE_THREADS = 4_141_792
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_monte_carlo_peak_memory(threads, monkeypatch):
-    # each thread adds one slice's buffers, 24 bytes per retained draw, so the
-    # count is pinned; two is what a 2-CPU host uses for this family
+    # each thread adds its own buffers, 16 bytes per retained draw (24 when a
+    # source after the first has two channels), so the count is pinned; two
+    # is what a 2-CPU host uses for this family
     monkeypatch.setattr(noise, "_thread_count", lambda members: threads)
     src = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
     family = [echo_coefficients(t=2e-3, tau=f * 2e-3) for f in np.linspace(0.1, 0.25, 8)]
@@ -450,6 +452,30 @@ def test_monte_carlo_rejects_bad_arguments():
     src = field_source(gaussian(0.0, 0.05))
     with pytest.raises(ValueError):
         monte_carlo_attenuation((src,), [c], n_samples=0, seed=SEED)
+    with pytest.raises(ValueError, match="at least one noise source"):
+        monte_carlo_attenuation((), [c], n_samples=100, seed=SEED)
+
+
+def test_claims_give_each_member_once_across_threads():
+    claim = noise._claims(20_000)
+    claimed = [[] for _ in range(4)]
+    threads = [threading.Thread(target=lambda out: out.extend(iter(claim, None)), args=(out,))
+               for out in claimed]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert sorted(g for out in claimed for g in out) == list(range(20_000))
+    assert claim() is None
+
+
+def test_a_member_no_thread_sums_fails_loudly(monkeypatch):
+    real = noise._claims
+    monkeypatch.setattr(noise, "_claims", lambda size: real(size - 1))  # never hands out the last
+    family = [echo_coefficients(t=t, tau=0.0) for t in (1e-5, 2e-5, 3e-5)]
+    with pytest.raises(TypeError):
+        monte_carlo_attenuation((field_source(gaussian(0.0, 0.05)),), family,
+                                n_samples=100, seed=SEED)
 
 
 def test_zero_scale_is_a_point_mass():

@@ -67,7 +67,7 @@ def _guarded_bose_einstein(omega, T):
     300.0,
     0.0,
 ], ids=["positive", "zeros", "grid-from-zero", "zero", "scalar", "scalar-zero"])
-def test_bose_einstein_fast_path_equals_the_guarded_path(T):
+def test_bose_einstein_equals_the_guarded_formula(T):
     for theta in (1000.0, 2500.0):
         omega = einstein_mode_frequency(theta)
         got = bose_einstein(omega, T)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from nvecho import scenarios, sequences
+from nvecho import sequences
 from nvecho.config import ConfigError, ScenarioConfig, dump_config, parse_config, realize_grid
 from nvecho.estimator import RateTable, fit_exponential
 from nvecho.scenarios import (
@@ -270,16 +270,13 @@ def test_compare_step_is_one_family_equal_to_two_scans(tmp_path, monkeypatch, na
 
 
 def test_rate_table_is_one_family_per_pair(tmp_path, monkeypatch):
-    families, scans = [], []
-    real_family, real_scans = scenarios.simulate_family, scenarios.decay_scans
-    monkeypatch.setattr(scenarios, "simulate_family", lambda family, *args, **kwargs: (
+    families = []
+    real_family = sequences.simulate_family
+    monkeypatch.setattr(sequences, "simulate_family", lambda family, *args, **kwargs: (
         families.append(len(family)) or real_family(family, *args, **kwargs)))
-    monkeypatch.setattr(scenarios, "decay_scans", lambda *args, **kwargs: (
-        scans.append(args) or real_scans(*args, **kwargs)))
     cfg = load_packaged_scenario("fig2")
     result = run_scenario(cfg, out_dir=tmp_path, deterministic=True)
     assert families == [21 * 16, 21 * 16]
-    assert scans == []
     # each row of the table is bit-identical to its own decay scan
     table = RateTable.read_csv(tmp_path / "fig2-rates.csv")
     times = realize_grid(cfg.sequence["times"])
