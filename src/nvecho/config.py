@@ -5,14 +5,26 @@ Every dimensioned value is a string with an explicit unit suffix ("2.87 GHz",
 Hz with rad/s or seconds with milliseconds.  Dimensionless values (flip
 fractions, counts, seeds) are plain numbers.
 
+The document and each of its sections is a table of ``Key``s, and each key
+is declared once: how it is read, how it is printed and, for a model key,
+the library keyword it sets and the conversion on the way.
+``_DOCUMENT_KEYS`` holds the sections.  ``_SPIN_KEYS`` set
+``SpinSystemParams``; ``_RESPONSE_MODELS`` hold the keys of each response
+model and its builder; ``_SOURCE_KINDS`` hold the keys of each source kind,
+its builder and its default name; ``_SEQUENCE_KEYS`` are checked against the
+pipeline and the kind that read them (``PIPELINE_NEEDS``,
+``sequences.KINDS``).  One reader (``_normalize_mapping``) reads every
+section and one printer (``_dump_mapping``) prints it in table order.
+
 Parsing validates the whole document and raises one ConfigError listing every
 problem with its dotted path, so a config is fixed in one edit cycle rather
 than one error at a time.  That includes the sequence keys the pipeline
-needs (``PIPELINE_NEEDS``) and well-formed grids: times positive and strictly
-increasing, flip fractions in [0, 1].  ``dump_config`` prints the canonical
-form; parse -> print -> parse is a fixed point, so a hand-built
-``ScenarioConfig`` is checked by parsing its canonical mapping
-(``config_document``).
+needs and well-formed grids: times positive and strictly increasing, flip
+fractions in [0, 1].  ``dump_config`` prints the canonical form; parse ->
+print -> parse is a fixed point.  A scenario runs the config parsed from
+its canonical mapping (``config_document``), so a config built in code is
+checked like a file: a key or kind no table knows is printed as it is and
+reported at its dotted path.
 """
 
 from __future__ import annotations
@@ -20,10 +32,10 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -48,27 +60,6 @@ from .units import QuantityError, angular, format_quantity, parse_quantity
 
 SCHEMA = "nvecho-scenario/1"
 DATA_DIR_ENV = "NVECHO_DATA_DIR"
-
-_TOP_KEYS = ("schema", "name", "pipeline", "description", "spin", "response",
-             "sources", "sequence", "backend", "output")
-
-_SPIN_FIELDS = {
-    "quadrupole": "frequency",
-    "hyperfine": "frequency",
-    "gamma_n": "frequency_per_G",
-    "field": "field",
-}
-
-_RESPONSE_LINEAR_FIELDS = {
-    "quadrupole_per_K": "frequency_per_K",
-    "hyperfine_per_K": "frequency_per_K",
-    "quadrupole_per_GPa": "frequency_per_GPa",
-    "hyperfine_per_GPa": "frequency_per_GPa",
-}
-
-# noise-variable dimension per source kind; strain is dimensionless
-_SOURCE_DIMENSION = {"temperature": "temperature", "field": "field", "strain": None}
-_DISTRIBUTIONS = ("lorentzian", "gaussian", "delta")
 
 _BACKEND_DEFAULTS = {"samples": 1 << 20, "seed": 12345}
 _OUTPUT_DEFAULTS = {"directory": "."}
@@ -140,7 +131,7 @@ def resolve_data_file(name, base_dir=None) -> Path:
     raise FileNotFoundError(f"data file {str(name)!r} not found (searched: {searched})")
 
 
-# ----------------------------------------------------------- normalization
+# ------------------------------------------------------------------ readers
 
 def _quantity(value, path, col, dimension):
     try:
@@ -160,13 +151,76 @@ def _plain_number(value, path, col):
     return float(value)
 
 
-def _value(value, path, col, dimension):
-    return _quantity(value, path, col, dimension) if dimension else _plain_number(value, path, col)
+def _integer(value, path, col):
+    """Any integer but a bool, as a plain ``int``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        col.add(path, "must be an integer")
+        return None
+    return int(value)
 
 
-def _normalize_mapping(block, path, col, readers, defaults=None):
-    """``defaults`` updated with each key of ``block`` as its reader in
-    ``readers`` reads it; a key without a reader is unknown."""
+def _string(value, path, col):
+    if not isinstance(value, str):
+        col.add(path, "must be a string")
+        return None
+    return value
+
+
+def _one_of(choices):
+    """A reader of one of the strings ``choices`` (a tuple)."""
+    def read(value, path, col):
+        if not isinstance(value, str) or value not in choices:
+            col.add(path, f"must be one of {choices}, got {value!r}")
+            return None
+        return value
+    return read
+
+
+def _checked(read, holds, message):
+    """``read``, then report a value that ``holds`` refuses."""
+    def check(value, path, col):
+        v = read(value, path, col)
+        if v is not None and not holds(v):
+            col.add(path, message)
+            return None
+        return v
+    return check
+
+
+_nonempty_string = _checked(_string, bool, "must be a nonempty string")
+_positive_integer = _checked(_integer, lambda v: v >= 1, "must be a positive integer")
+_projection = _checked(_integer, lambda v: v in (-1, 0, 1), "must be one of -1, 0, +1")
+
+
+class Key(NamedTuple):
+    """One key of a config section: how it is read, how it is printed (None:
+    as it is), whether a block must give it, and for a model key the library
+    keyword it sets and the conversion of its value (None: as it is)."""
+
+    read: Callable
+    dump: Callable | None = None
+    sets: str | None = None
+    convert: Callable | None = None
+    required: bool = False
+
+
+def _measured(dimension, sets=None, convert=None) -> Key:
+    """A key in ``dimension``, read and printed with its unit; a plain
+    number where ``dimension`` is None."""
+    if dimension is None:
+        return Key(_plain_number, None, sets, convert)
+    return Key(partial(_quantity, dimension=dimension),
+               partial(format_quantity, dimension=dimension), sets, convert)
+
+
+def _positive(key: Key) -> Key:
+    return key._replace(read=_checked(key.read, lambda v: v > 0, "must be > 0"))
+
+
+def _normalize_mapping(block, path, col, keys, defaults=None):
+    """``defaults`` updated with each key of ``block`` as its ``Key`` in
+    ``keys`` reads it; a key ``keys`` does not hold is unknown, and a
+    required key the block lacks is reported."""
     out = dict(defaults or {})
     if block is None:
         return out
@@ -174,133 +228,165 @@ def _normalize_mapping(block, path, col, readers, defaults=None):
         col.add(path, "must be a mapping")
         return out
     for key, value in block.items():
-        if key not in readers:
-            col.add(f"{path}.{key}", "unknown key")
+        where = f"{path}.{key}" if path else str(key)  # the document's own keys have no prefix
+        if key not in keys:
+            col.add(where, "unknown key")
             continue
-        parsed = readers[key](value, f"{path}.{key}", col)
+        parsed = keys[key].read(value, where, col)
         if parsed is not None:
             out[key] = parsed
+    for key, spec in keys.items():
+        if spec.required and key not in block:
+            col.add(f"{path}.{key}" if path else key, "required")
     return out
 
 
-def _quantities(fields):
-    """Readers of quantity keys, each in its dimension."""
-    return {key: partial(_quantity, dimension=dimension) for key, dimension in fields.items()}
-
-
-def _integer(minimum, what):
-    def read(value, path, col):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            col.add(path, "must be an integer")
-            return None
-        if value < minimum:
-            col.add(path, f"must be a {what} integer")
-            return None
-        return int(value)
-    return read
-
-
-_BACKEND_READERS = {"samples": _integer(1, "positive"), "seed": _integer(0, "non-negative")}
-
-
-def _nonempty_string(value, path, col):
-    if not isinstance(value, str) or not value:
-        col.add(path, "must be a nonempty string")
-        return None
-    return value
-
-
-def _normalize_response(block, col):
-    if block is None:
-        return {"model": "linear"}
+def _dump_mapping(block, keys):
+    """``block`` printed in the order of ``keys``, each key as its ``Key``
+    prints it; a key, or a block, that ``keys`` does not know is printed as
+    it is, so that parsing reports it."""
     if not isinstance(block, dict):
-        col.add("response", "must be a mapping")
-        return {"model": "linear"}
-    model = block.get("model", "linear")
-    if model == "linear":
-        slopes = {key: value for key, value in block.items() if key != "model"}
-        return {"model": "linear"} | _normalize_mapping(
-            slopes, "response", col, _quantities(_RESPONSE_LINEAR_FIELDS))
-    if model == "quasiharmonic":
-        for key in block:
-            if key not in ("model", "data_file"):
-                col.add(f"response.{key}", "unknown key")
-        data_file = block.get("data_file")
-        if not isinstance(data_file, str) or not data_file:
-            col.add("response.data_file", "required for the quasiharmonic model")
-            data_file = None
-        return {"model": "quasiharmonic", "data_file": data_file}
-    col.add("response.model", f"must be 'linear' or 'quasiharmonic', got {model!r}")
-    return {"model": "linear"}
+        return block
+    out = {key: block[key] if spec.dump is None else spec.dump(block[key])
+           for key, spec in keys.items() if key in block}
+    return out | {key: value for key, value in block.items() if key not in keys}
 
 
-def _normalize_source(src, path, col):
-    if not isinstance(src, dict):
-        col.add(path, "source must be a mapping")
-        return None
-    kind = src.get("kind")
-    out = {"kind": kind}
-    if "name" in src:
-        if not isinstance(src["name"], str) or not src["name"]:
-            col.add(f"{path}.name", "must be a nonempty string")
-        else:
-            out["name"] = src["name"]
-    if kind == "residual_field":
-        for key in src:
-            if key not in ("kind", "name", "dq_coherence_time"):
-                col.add(f"{path}.{key}", "unknown key")
-        if "dq_coherence_time" in src:
-            parsed = _quantity(src["dq_coherence_time"],
-                               f"{path}.dq_coherence_time", col, "time")
-            if parsed is not None:
-                if parsed <= 0:
-                    col.add(f"{path}.dq_coherence_time", "must be > 0")
-                else:
-                    out["dq_coherence_time"] = parsed
-        return out
-    if kind not in _SOURCE_DIMENSION:
-        col.add(f"{path}.kind",
-                f"unknown source kind {kind!r}; expected temperature, field, "
-                f"strain, or residual_field")
-        return None
-    for key in src:
-        if key not in ("kind", "name", "distribution", "location", "scale"):
-            col.add(f"{path}.{key}", "unknown key")
-    dist = src.get("distribution")
-    if dist not in _DISTRIBUTIONS:
-        col.add(f"{path}.distribution",
-                f"must be one of {_DISTRIBUTIONS}, got {dist!r}")
-        return None
-    out["distribution"] = dist
-    dimension = _SOURCE_DIMENSION[kind]
-    if "location" in src:
-        loc = _value(src["location"], f"{path}.location", col, dimension)
-        if loc is not None:
-            out["location"] = loc
-    if "scale" in src:
-        scale = _value(src["scale"], f"{path}.scale", col, dimension)
-        if scale is not None:
-            if scale < 0:
-                col.add(f"{path}.scale", "scale must be >= 0")
-            elif dist == "delta" and scale != 0:
-                col.add(f"{path}.scale", "delta distributions take no scale")
-            else:
-                out["scale"] = scale
-    return out
+def _library_kwargs(block, keys) -> dict:
+    """The library keywords that the keys of ``block`` set, converted."""
+    return {spec.sets: block[key] if spec.convert is None else spec.convert(block[key])
+            for key, spec in keys.items() if spec.sets is not None and key in block}
 
 
-def _normalize_sources(block, col):
-    if block is None:
-        return ()
+def _section(keys, defaults=None) -> Key:
+    """A mapping of ``keys``, read and printed key by key."""
+    return Key(lambda block, path, col: _normalize_mapping(block, path, col, keys, defaults),
+               lambda block: _dump_mapping(block, keys))
+
+
+# ------------------------------------------------------- the model sections
+
+class Variant(NamedTuple):
+    """One response model or source kind: the keys its block may hold
+    besides the tag that names it, its builder, and a source's default name."""
+
+    keys: dict
+    build: Callable
+    name: str = ""
+
+
+_TAG = Key(lambda value, path, col: value)  # read already, to pick the variant
+
+
+def _variants(tag, variants, default=None) -> Key:
+    """A mapping whose ``tag`` key (``default`` where it has none) names the
+    variant whose keys it may hold; read as None, reported, where it names
+    none, and printed as it is."""
+    def read(block, path, col):
+        if not isinstance(block, dict):
+            col.add(path, "must be a mapping")
+            return None
+        name = _one_of(tuple(variants))(block.get(tag, default), f"{path}.{tag}", col)
+        if name is None:
+            return None
+        return _normalize_mapping(block, path, col, {tag: _TAG} | variants[name].keys,
+                                  {tag: name})
+
+    def dump(block):
+        name = block.get(tag, default) if isinstance(block, dict) else None
+        known = isinstance(name, str) and name in variants
+        return _dump_mapping(block, {tag: _TAG} | variants[name].keys if known else {})
+    return Key(read, dump)
+
+
+# each spin key: its dimension and the SpinSystemParams keyword it sets
+_SPIN_KEYS = {
+    "quadrupole": _measured("frequency", "quadrupole", angular),
+    "hyperfine": _measured("frequency", "hyperfine", angular),
+    "gamma_n": _measured("frequency_per_G", "gamma_n", angular),
+    "field": _measured("field", "field_gauss"),
+}
+
+
+def _per_strain(per_GPa):
+    return angular(per_GPa) * PRESSURE_PER_STRAIN_GPA
+
+
+# each response model: its keys besides ``model`` with the keyword each sets,
+# and its builder, called with those keywords and the config's directory
+_RESPONSE_MODELS = {
+    "linear": Variant({
+        "quadrupole_per_K": _measured("frequency_per_K", "quadrupole_per_K", angular),
+        "hyperfine_per_K": _measured("frequency_per_K", "hyperfine_per_K", angular),
+        "quadrupole_per_GPa": _measured("frequency_per_GPa", "quadrupole_per_strain", _per_strain),
+        "hyperfine_per_GPa": _measured("frequency_per_GPa", "hyperfine_per_strain", _per_strain),
+    }, lambda kwargs, base_dir: LinearResponse(**kwargs)),
+    "quasiharmonic": Variant(
+        {"data_file": Key(_nonempty_string, sets="name", required=True)},
+        lambda kwargs, base_dir: load_response_set(resolve_data_file(**kwargs, base_dir=base_dir))),
+}
+
+_NAME = Key(_nonempty_string)
+
+
+def _drawn(dimension):
+    """The keys of a source drawn from a distribution of values in
+    ``dimension``, each setting its keyword of ``Distribution``."""
+    location = _measured(dimension, "location")
+    return {
+        "name": _NAME,
+        "distribution": Key(_one_of(("lorentzian", "gaussian", "delta")), sets="kind",
+                            required=True),
+        "location": location,
+        "scale": location._replace(
+            read=_checked(location.read, lambda v: v >= 0, "scale must be >= 0"), sets="scale"),
+    }
+
+
+# each source kind: its keys besides ``kind``, its builder, called with the
+# keywords they set, the source's name, the response model and gamma_n, and
+# its default name; strain is dimensionless
+_SOURCE_KINDS = {
+    "temperature": Variant(_drawn("temperature"), lambda kwargs, name, response, gamma_n:
+                           temperature_source(Distribution(**kwargs), response, name),
+                           "temperature"),
+    "field": Variant(_drawn("field"), lambda kwargs, name, response, gamma_n:
+                     field_source(Distribution(**kwargs), name), "field"),
+    "strain": Variant(_drawn(None), lambda kwargs, name, response, gamma_n:
+                      strain_source(Distribution(**kwargs), response, name), "strain"),
+    "residual_field": Variant(
+        {"name": _NAME, "dq_coherence_time": _positive(_measured("time", "dq_coherence_time"))},
+        lambda kwargs, name, response, gamma_n:
+            residual_field_source(**kwargs, gamma_n=gamma_n, name=name),
+        "residual-field"),
+}
+
+
+_SOURCE = _variants("kind", _SOURCE_KINDS)
+
+
+def _sources(block, path, col):
     if not isinstance(block, list):
-        col.add("sources", "must be a list of source mappings")
-        return ()
+        col.add(path, "must be a list of source mappings")
+        return None
     out = []
     for i, src in enumerate(block):
-        norm = _normalize_source(src, f"sources[{i}]", col)
-        if norm is not None:
-            out.append(norm)
+        spec = _SOURCE.read(src, f"{path}[{i}]", col)
+        if spec is None:
+            continue
+        if spec.get("distribution") == "delta" and spec.get("scale", 0.0) != 0:
+            col.add(f"{path}[{i}].scale", "delta distributions take no scale")
+        out.append(spec)
     return tuple(out)
+
+
+# ---------------------------------------------------------------- sequences
+
+def _range_keys(dimension):
+    """The keys of a ``{start, stop, count, spacing}`` grid in ``dimension``."""
+    end = _measured(dimension)._replace(required=True)
+    return {"start": end, "stop": end, "count": Key(_positive_integer, required=True),
+            "spacing": Key(_one_of(("linear", "log")))}
 
 
 def _normalize_grid(spec, path, col, dimension):
@@ -308,38 +394,17 @@ def _normalize_grid(spec, path, col, dimension):
         if len(spec) == 0:
             col.add(path, "grid must not be empty")
             return None
-        values = []
-        for i, item in enumerate(spec):
-            v = _value(item, f"{path}[{i}]", col, dimension)
-            if v is not None:
-                values.append(v)
-        return tuple(values) if len(values) == len(spec) else None
+        read = _measured(dimension).read
+        values = [read(item, f"{path}[{i}]", col) for i, item in enumerate(spec)]
+        return tuple(values) if None not in values else None
     if isinstance(spec, dict):
-        for key in spec:
-            if key not in ("start", "stop", "count", "spacing"):
-                col.add(f"{path}.{key}", "unknown key")
-        out = {}
-        for end in ("start", "stop"):
-            if end not in spec:
-                col.add(f"{path}.{end}", "required for a range grid")
-                return None
-            v = _value(spec[end], f"{path}.{end}", col, dimension)
-            if v is None:
-                return None
-            out[end] = v
-        count = spec.get("count")
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            col.add(f"{path}.count", "count must be a positive integer")
+        reported = len(col.problems)
+        out = _normalize_mapping(spec, path, col, _range_keys(dimension), {"spacing": "linear"})
+        if len(col.problems) > reported:
             return None
-        out["count"] = count
-        spacing = spec.get("spacing", "linear")
-        if spacing not in ("linear", "log"):
-            col.add(f"{path}.spacing", f"spacing must be 'linear' or 'log', got {spacing!r}")
-            return None
-        if spacing == "log" and (out["start"] <= 0 or out["stop"] <= 0):
+        if out["spacing"] == "log" and (out["start"] <= 0 or out["stop"] <= 0):
             col.add(path, "log spacing needs positive endpoints")
             return None
-        out["spacing"] = spacing
         return out
     col.add(path, "grid must be a list or a {start, stop, count} mapping")
     return None
@@ -356,19 +421,12 @@ def realize_grid(spec):
     return np.asarray(spec, dtype=float)
 
 
-def _projection(value, path, col, what="m_S"):
-    if isinstance(value, bool) or not isinstance(value, int) or value not in (-1, 0, 1):
-        col.add(path, f"{what} must be one of -1, 0, +1, got {value!r}")
-        return None
-    return value
-
-
 def _normalize_pair(value, path, col):
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         col.add(path, "pair must be a two-element list of m_I values")
         return None
-    a = _projection(value[0], f"{path}[0]", col, "m_I")
-    b = _projection(value[1], f"{path}[1]", col, "m_I")
+    a = _projection(value[0], f"{path}[0]", col)
+    b = _projection(value[1], f"{path}[1]", col)
     if a is None or b is None:
         return None
     if a == b:
@@ -377,16 +435,8 @@ def _normalize_pair(value, path, col):
     return (a, b)
 
 
-def _kind(value, path, col):
-    if not isinstance(value, str) or value not in KINDS:
-        col.add(path, f"must be one of {tuple(KINDS)}, got {value!r}")
-        return None
-    return value
-
-
 def _script(text, path, col):
-    if not isinstance(text, str):
-        col.add(path, "must be a string")
+    if _string(text, path, col) is None:
         return None
     try:
         parse_sequence_script(text)
@@ -404,66 +454,50 @@ def _pairs(value, path, col):
     return tuple(pairs) if None not in pairs else None
 
 
-def _checked(read, holds, message):
-    """``read``, then report a value that ``holds`` refuses."""
-    def check(value, path, col):
-        v = read(value, path, col)
-        if v is not None and not holds(v):
-            col.add(path, message)
-            return None
-        return v
-    return check
-
-
-def _grid(dimension, holds, message):
+def _grid(dimension, holds, message) -> Key:
     """A grid key in ``dimension`` whose realized values must satisfy ``holds``."""
-    return _checked(partial(_normalize_grid, dimension=dimension),
-                    lambda grid: holds(realize_grid(grid)), message)
+    def dump(spec):
+        if isinstance(spec, dict):
+            return _dump_mapping(spec, _range_keys(dimension))
+        return list(spec) if dimension is None else [format_quantity(v, dimension) for v in spec]
+    return Key(_checked(partial(_normalize_grid, dimension=dimension),
+                        lambda grid: holds(realize_grid(grid)), message), dump)
 
 
-def _dump_grid(spec, dimension):
-    if isinstance(spec, dict):
-        out = {"start": spec["start"], "stop": spec["stop"]}
-        if dimension:
-            out = {k: format_quantity(v, dimension) for k, v in out.items()}
-        out["count"] = spec["count"]
-        out["spacing"] = spec["spacing"]
-        return out
-    if dimension:
-        return [format_quantity(v, dimension) for v in spec]
-    return list(spec)
-
-
-def _dump_sequence(block):
-    return {key: block[key] if dump is None else dump(block[key])
-            for key, (_, dump) in _SEQUENCE_KEYS.items() if key in block}
-
-
-# each sequence key in canonical order: how it is read and how it is printed
-# (None: as it is).  What a block may hold is checked against its pipeline
-# and its kind (``_check_needs``).
-_SEQUENCE_KEYS = {
-    "kind": (_kind, None),
-    "script": (_script, None),
-    "pair": (_normalize_pair, list),
-    "pairs": (_pairs, lambda pairs: [list(p) for p in pairs]),
-    "ms": (_projection, None),
-    "ms_free": (_projection, None),
-    "ms_flipped": (_projection, None),
-    "flip_fraction": (_checked(_plain_number, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-                      None),
-    "total_time": (_checked(partial(_quantity, dimension="time"), lambda v: v > 0, "must be > 0"),
-                   lambda v: format_quantity(v, "time")),
-    "times": (_grid("time", lambda v: v[0] > 0 and np.all(np.diff(v) > 0),
-                    "must be positive and strictly increasing"),
-              lambda grid: _dump_grid(grid, "time")),
-    "flip_fractions": (_grid(None, lambda v: np.all((v >= 0) & (v <= 1)), "must lie in [0, 1]"),
-                       lambda grid: _dump_grid(grid, None)),
-    "compare": (lambda v, path, col: _normalize_mapping(v, path, col, _COMPARE_READERS),
-                _dump_sequence),
+# each sequence key in canonical order, ``compare`` last.  What a block may
+# hold is checked against its pipeline and its kind (``_check_needs``).
+_COMPARE_KEYS = {
+    "kind": Key(_one_of(tuple(KINDS))),
+    "script": Key(_script),
+    "pair": Key(_normalize_pair, list),
+    "pairs": Key(_pairs, lambda pairs: [list(p) for p in pairs]),
+    "ms": Key(_projection),
+    "ms_free": Key(_projection),
+    "ms_flipped": Key(_projection),
+    "flip_fraction": Key(_checked(_plain_number, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
+    "total_time": _positive(_measured("time")),
+    "times": _grid("time", lambda v: v[0] > 0 and np.all(np.diff(v) > 0),
+                   "must be positive and strictly increasing"),
+    "flip_fractions": _grid(None, lambda v: np.all((v >= 0) & (v <= 1)), "must lie in [0, 1]"),
 }
-_SEQUENCE_READERS = {key: read for key, (read, _) in _SEQUENCE_KEYS.items()}
-_COMPARE_READERS = {key: read for key, read in _SEQUENCE_READERS.items() if key != "compare"}
+_SEQUENCE_KEYS = _COMPARE_KEYS | {"compare": _section(_COMPARE_KEYS)}
+
+# each top-level key in canonical order
+_DOCUMENT_KEYS = {
+    "schema": Key(_one_of((SCHEMA,)), required=True),
+    "name": Key(_nonempty_string, required=True),
+    "pipeline": Key(_nonempty_string, required=True),
+    "description": Key(_string),
+    "spin": _section(_SPIN_KEYS),
+    "response": _variants("model", _RESPONSE_MODELS, "linear"),
+    "sources": Key(_sources, lambda sources: [_SOURCE.dump(s) for s in sources]),
+    "sequence": _section(_SEQUENCE_KEYS),
+    "backend": _section({"samples": Key(_positive_integer),
+                         "seed": Key(_checked(_integer, lambda v: v >= 0,
+                                              "must be a non-negative integer"))},
+                        _BACKEND_DEFAULTS),
+    "output": _section({"directory": Key(_nonempty_string)}, _OUTPUT_DEFAULTS),
+}
 
 
 def _lookup(root, dotted):
@@ -550,53 +584,18 @@ class ScenarioConfig:
     base_dir: Path | None = field(default=None, compare=False)
 
     def spin_params(self) -> SpinSystemParams:
-        s = self.spin
-        kwargs = {}
-        for key in ("quadrupole", "hyperfine", "gamma_n"):
-            if key in s:
-                kwargs[key] = angular(s[key])
-        if "field" in s:
-            kwargs["field_gauss"] = s["field"]
-        return SpinSystemParams(**kwargs)
+        return SpinSystemParams(**_library_kwargs(self.spin, _SPIN_KEYS))
 
     def response_model(self):
-        r = self.response
-        if r["model"] == "quasiharmonic":
-            return load_response_set(resolve_data_file(r["data_file"], self.base_dir))
-        kwargs = {}
-        for key in ("quadrupole_per_K", "hyperfine_per_K"):
-            if key in r:
-                kwargs[key] = angular(r[key])
-        for cfg_key, model_key in (("quadrupole_per_GPa", "quadrupole_per_strain"),
-                                   ("hyperfine_per_GPa", "hyperfine_per_strain")):
-            if cfg_key in r:
-                kwargs[model_key] = angular(r[cfg_key]) * PRESSURE_PER_STRAIN_GPA
-        return LinearResponse(**kwargs)
+        model = _RESPONSE_MODELS[self.response["model"]]
+        return model.build(_library_kwargs(self.response, model.keys), self.base_dir)
 
     def noise_sources(self) -> tuple:
-        response = self.response_model()
-        params = self.spin_params()
-        out = []
-        for spec in self.sources:
-            kind = spec["kind"]
-            if kind == "residual_field":
-                out.append(residual_field_source(
-                    dq_coherence_time=spec.get("dq_coherence_time", 3.9e-3),
-                    gamma_n=params.gamma_n,
-                    name=spec.get("name", "residual-field"),
-                ))
-                continue
-            dist = Distribution(kind=spec["distribution"],
-                                location=spec.get("location", 0.0),
-                                scale=spec.get("scale", 0.0))
-            name = spec.get("name", kind)
-            if kind == "temperature":
-                out.append(temperature_source(dist, response=response, name=name))
-            elif kind == "strain":
-                out.append(strain_source(dist, response=response, name=name))
-            else:
-                out.append(field_source(dist, name=name))
-        return tuple(out)
+        response, gamma_n = self.response_model(), self.spin_params().gamma_n
+        kinds = [_SOURCE_KINDS[spec["kind"]] for spec in self.sources]
+        return tuple(kind.build(_library_kwargs(spec, kind.keys), spec.get("name", kind.name),
+                                response, gamma_n)
+                     for spec, kind in zip(self.sources, kinds))
 
     def backend_kwargs(self) -> dict:
         """Monte Carlo keywords of ``simulate_family``; the sources decide
@@ -613,47 +612,21 @@ def parse_config(data, base_dir=None) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError(("config must be a YAML mapping",))
     col = _Collector()
-    for key in raw:
-        if key not in _TOP_KEYS:
-            col.add(str(key), "unknown key")
-    if raw.get("schema") != SCHEMA:
-        col.add("schema", f"expected {SCHEMA!r}, got {raw.get('schema')!r}")
-    name = raw.get("name")
-    if not isinstance(name, str) or not name:
-        col.add("name", "required nonempty string")
-    pipeline = raw.get("pipeline")
-    if not isinstance(pipeline, str) or not pipeline:
-        col.add("pipeline", "required nonempty string")
-    description = raw.get("description", "")
-    if not isinstance(description, str):
-        col.add("description", "must be a string")
-        description = ""
-
-    spin = _normalize_mapping(raw.get("spin"), "spin", col, _quantities(_SPIN_FIELDS))
-    response = _normalize_response(raw.get("response"), col)
-    sources = _normalize_sources(raw.get("sources"), col)
-    sequence = _normalize_mapping(raw.get("sequence"), "sequence", col, _SEQUENCE_READERS)
-    if isinstance(pipeline, str) and pipeline:
+    # an empty top-level key is an absent one
+    raw = {key: value for key, value in raw.items() if value is not None}
+    doc = _normalize_mapping(raw, "", col, _DOCUMENT_KEYS)
+    if "pipeline" in doc:
         # against the raw block, so a malformed key is not also reported missing
-        _check_needs(pipeline, raw.get("sequence"), sequence, col)
-    backend = _normalize_mapping(raw.get("backend"), "backend", col, _BACKEND_READERS,
-                                 _BACKEND_DEFAULTS)
-    output = _normalize_mapping(raw.get("output"), "output", col,
-                                {"directory": _nonempty_string}, _OUTPUT_DEFAULTS)
-
-    if response.get("model") == "quasiharmonic" and response.get("data_file"):
+        _check_needs(doc["pipeline"], raw.get("sequence"), doc.get("sequence", {}), col)
+    if "data_file" in doc.get("response", {}):
         try:
-            resolve_data_file(response["data_file"], base_dir)
+            resolve_data_file(doc["response"]["data_file"], base_dir)
         except FileNotFoundError as exc:
             col.add("response.data_file", str(exc))
-
     if col.problems:
         raise ConfigError(col.problems)
-    return ScenarioConfig(
-        name=name, pipeline=pipeline, description=description, spin=spin,
-        response=response, sources=sources, sequence=sequence, backend=backend,
-        output=output, base_dir=None if base_dir is None else Path(base_dir),
-    )
+    del doc["schema"]
+    return ScenarioConfig(**doc, base_dir=None if base_dir is None else Path(base_dir))
 
 
 def load_config(path) -> ScenarioConfig:
@@ -663,48 +636,12 @@ def load_config(path) -> ScenarioConfig:
 
 # ------------------------------------------------------------------ dumping
 
-def _dump_source(spec):
-    out = {"kind": spec["kind"]}
-    if "name" in spec:
-        out["name"] = spec["name"]
-    if spec["kind"] == "residual_field":
-        if "dq_coherence_time" in spec:
-            out["dq_coherence_time"] = format_quantity(spec["dq_coherence_time"], "time")
-        return out
-    out["distribution"] = spec["distribution"]
-    dimension = _SOURCE_DIMENSION[spec["kind"]]
-    for key in ("location", "scale"):
-        if key in spec:
-            out[key] = format_quantity(spec[key], dimension) if dimension else spec[key]
-    return out
-
-
 def config_document(config: ScenarioConfig) -> dict:
-    """The canonical mapping of a config, which ``dump_config`` prints;
-    ``parse_config`` of it checks a config built in code."""
-    doc = {"schema": SCHEMA, "name": config.name, "pipeline": config.pipeline}
-    if config.description:
-        doc["description"] = config.description
-    # a key no table knows is printed as it is, so parsing reports it
-    if config.spin:
-        doc["spin"] = {k: format_quantity(v, _SPIN_FIELDS[k]) if k in _SPIN_FIELDS else v
-                       for k, v in config.spin.items()}
-    response = {"model": config.response["model"]}
-    for key, value in config.response.items():
-        if key == "model":
-            continue
-        if key in _RESPONSE_LINEAR_FIELDS:
-            response[key] = format_quantity(value, _RESPONSE_LINEAR_FIELDS[key])
-        else:
-            response[key] = value
-    doc["response"] = response
-    if config.sources:
-        doc["sources"] = [_dump_source(s) for s in config.sources]
-    if config.sequence:
-        doc["sequence"] = _dump_sequence(config.sequence)
-    doc["backend"] = dict(config.backend)
-    doc["output"] = dict(config.output)
-    return doc
+    """The canonical mapping of a config, which ``dump_config`` prints and
+    a scenario runs as ``parse_config`` reads it; an empty value is left out."""
+    doc = {"schema": SCHEMA} | {f.name: getattr(config, f.name) for f in fields(config)}
+    return _dump_mapping({key: value for key, value in doc.items() if key != "base_dir" and value},
+                         _DOCUMENT_KEYS)
 
 
 def dump_config(config: ScenarioConfig) -> str:

@@ -496,14 +496,10 @@ def temperature_from_zfs(delta_zfs: float, slope: float = ZFS_SLOPE_DEFAULT) -> 
 def predict_rate(pair, m_S: int, sigma_T: float = 0.0, sigma_B: float = 0.0,
                  response=None, params: SpinSystemParams | None = None) -> float:
     """Free-evolution dephasing rate for Lorentzian temperature and field
-    ensembles: |sensitivity . slopes| sigma_T + |Zeeman sensitivity| sigma_B."""
-    if response is None:
-        response = default_linear_response()
-    if params is None:
-        params = default_params()
-    s_q, s_a, s_b = pair_sensitivity(pair, m_S, params.gamma_n)
-    temp = abs(s_q * response.quadrupole_per_K + s_a * response.hyperfine_per_K)
-    return temp * sigma_T + abs(s_b) * sigma_B
+    ensembles: |sensitivity . slopes| sigma_T + |Zeeman sensitivity| sigma_B,
+    the echo rate with no flip."""
+    return predict_echo_rate(pair, 0.0, ms_free=m_S, ms_flipped=m_S, sigma_T=sigma_T,
+                             sigma_B=sigma_B, response=response, params=params)
 
 
 def predict_echo_rate(pair, flip_fraction: float, ms_free: int = 0,

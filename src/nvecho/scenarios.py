@@ -89,7 +89,6 @@ def load_packaged_scenario(name: str) -> ScenarioConfig:
 @dataclass
 class _Context:
     config: ScenarioConfig
-    backend_kwargs: dict
     out_dir: Path
     deterministic: bool
     artifacts: list = field(default_factory=list)
@@ -118,20 +117,19 @@ def run_scenario(config: ScenarioConfig, out_dir=None, deterministic: bool = Fal
                  samples: int | None = None, seed: int | None = None) -> ScenarioResult:
     """Execute a config's pipeline, writing artifacts and returning fits.
 
-    ``samples`` and ``seed`` override the config's backend block.  A config
-    its pipeline cannot run, overrides included, raises ``ConfigError``
-    before any compute: a hand-built one is checked by parsing its canonical
-    mapping.
+    ``samples`` and ``seed`` override the config's backend block.  What
+    runs is the config parsed from the canonical mapping of ``config`` with
+    the overrides, so one its pipeline cannot run, built in code or not,
+    raises ``ConfigError`` before any compute.
     """
     document = config_document(config)
     for key, value in (("samples", samples), ("seed", seed)):
         if value is not None:
-            document["backend"][key] = value
-    backend_kwargs = parse_config(document, config.base_dir).backend_kwargs()
+            document.setdefault("backend", {})[key] = value
+    config = parse_config(document, config.base_dir)
     out = Path(out_dir) if out_dir is not None else Path(config.output["directory"])
     out.mkdir(parents=True, exist_ok=True)
-    ctx = _Context(config=config, backend_kwargs=backend_kwargs, out_dir=out,
-                   deterministic=deterministic)
+    ctx = _Context(config=config, out_dir=out, deterministic=deterministic)
     return PIPELINES[config.pipeline](ctx)
 
 
@@ -162,8 +160,8 @@ def _sweep(ctx: _Context, sources, params):
     time, and the index of its peak."""
     block = ctx.config.sequence
     signal = pulse_location_sweep(block["total_time"], realize_grid(block["flip_fractions"]),
-                                  sources, params=params,
-                                  **KINDS["unbalanced_echo"].read(block), **ctx.backend_kwargs)
+                                  sources, params=params, **KINDS["unbalanced_echo"].read(block),
+                                  **ctx.config.backend_kwargs())
     return signal, int(np.argmax(signal.y))
 
 
@@ -178,7 +176,7 @@ def _compare(ctx: _Context, protected: dict, sources, params):
         kind = block_kind(ctx.config.pipeline, path, block)
         specs.append((realize_grid(block["times"]), kind, KINDS[kind].read(block)))
     scans = dict(zip(("protected", "unprotected"),
-                     decay_scans(specs, sources, params=params, **ctx.backend_kwargs)))
+                     decay_scans(specs, sources, params=params, **ctx.config.backend_kwargs())))
     fits = {label: fit_exponential(scan.x, scan.y) for label, scan in scans.items()}
     improvement = fits["protected"]["coherence_time"] / fits["unprotected"]["coherence_time"]
     return scans, fits, improvement
@@ -195,7 +193,7 @@ def _run_simulate(ctx: _Context) -> ScenarioResult:
         kind = block["kind"]
         sequence = build_sequence(kind, block["total_time"], **KINDS[kind].read(block))
     result = simulate_amplitude(sequence, cfg.noise_sources(),
-                                params=cfg.spin_params(), **ctx.backend_kwargs)
+                                params=cfg.spin_params(), **cfg.backend_kwargs())
     numbers = {
         "kind": sequence.kind,
         "total_time_s": float(sequence.total_time),
@@ -264,7 +262,8 @@ def _run_rate_table(ctx: _Context) -> ScenarioResult:
         # one family per branch: the decay scan of every flip fraction
         scans = decay_scans([(times, "unbalanced_echo",
                               keys | {"pair": pair, "flip_fraction": float(f)})
-                             for f in fractions], sources, params=params, **ctx.backend_kwargs)
+                             for f in fractions], sources, params=params,
+                            **cfg.backend_kwargs())
         for fraction, scan in zip(fractions, scans):
             fit = fit_exponential(scan.x, scan.y)
             t2 = fit["coherence_time"]

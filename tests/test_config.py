@@ -1,11 +1,13 @@
 """Scenario config parsing: units, validation aggregation, round trips."""
 
 import copy
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
+import yaml
 
 from nvecho.config import (
     PIPELINE_NEEDS,
@@ -602,6 +604,60 @@ def test_model_keys_no_pipeline_reads_are_rejected(tmp_path, block, value, built
         run_scenario(built, out_dir=tmp_path / "out")
     assert [problem.split(": ")[0] for problem in excinfo.value.problems] == [path]
     assert not (tmp_path / "out").exists()
+
+
+TEMPERATURE = {"kind": "temperature", "distribution": "lorentzian", "location": "0 K",
+               "scale": "5 K"}
+
+# a key or a kind that no source table knows: (what replaces part of a
+# parsed temperature source, in YAML and in a built config, and its path)
+UNKNOWN_SOURCE_PARTS = [
+    ({"width": "3 K"}, {"width": 3.0}, "sources[0].width"),
+    ({"kind": "magnet"}, {"kind": "magnet"}, "sources[0].kind"),
+]
+
+
+@pytest.mark.parametrize("part,built_part,path", UNKNOWN_SOURCE_PARTS,
+                         ids=[row[2] for row in UNKNOWN_SOURCE_PARTS])
+def test_source_keys_and_kinds_no_table_knows_are_rejected(tmp_path, part, built_part, path):
+    # a built config with the key used to run as if it were absent, and one
+    # with the kind to fail with a bare KeyError
+    doc = _pipeline_doc("simulate", RAMSEY) | {"sources": [TEMPERATURE | part]}
+    assert _problem_paths(doc) == [path]
+    parsed = parse_config(_pipeline_doc("simulate", RAMSEY) | {"sources": [TEMPERATURE]})
+    built = dataclasses.replace(parsed, sources=(parsed.sources[0] | built_part,))
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(built, out_dir=tmp_path / "out")
+    assert [problem.split(": ")[0] for problem in excinfo.value.problems] == [path]
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_keys_take_any_integer(tmp_path):
+    # numpy integers used to be refused here while backend.samples took them
+    plain = {"pairs": [[0, -1], [0, 1]], "ms_free": 0, "ms_flipped": 1,
+             "flip_fractions": {"start": 0.1, "stop": 0.2, "count": 5}, "times": ["1 ms", "2 ms"]}
+    numpy = plain | {"pairs": [[np.int64(0), np.int64(-1)], [np.int32(0), 1]],
+                     "ms_free": np.int64(0), "ms_flipped": np.int8(1),
+                     "flip_fractions": plain["flip_fractions"] | {"count": np.int64(5)}}
+    cfg = parse_config(_pipeline_doc("rate_table_vee", numpy))
+    assert cfg == parse_config(_pipeline_doc("rate_table_vee", plain))
+    assert {type(m) for pair in cfg.sequence["pairs"] for m in pair} == {int}
+    assert type(cfg.sequence["flip_fractions"]["count"]) is int
+    assert parse_config(yaml.safe_load(dump_config(cfg))) == cfg
+    ramsey = parse_config(_pipeline_doc("simulate", RAMSEY | {"ms": np.int64(1),
+                                                             "pair": [np.uint8(0), -1]}))
+    assert ramsey.sequence == parse_config(_pipeline_doc(
+        "simulate", RAMSEY | {"ms": 1, "pair": [0, -1]})).sequence
+    assert parse_config(yaml.safe_load(dump_config(ramsey))) == ramsey
+    built = dataclasses.replace(ramsey, sequence=ramsey.sequence | {"ms": np.int64(1)})
+    assert (run_scenario(built, out_dir=tmp_path / "numpy").numbers
+            == run_scenario(ramsey, out_dir=tmp_path / "plain").numbers)
+    # a bool or a float is no integer
+    for ms in (True, 1.0):
+        assert _problem_paths(_pipeline_doc("simulate", RAMSEY | {"ms": ms})) == ["sequence.ms"]
+    assert _problem_paths(_pipeline_doc("rate_table_vee", plain | {
+        "flip_fractions": plain["flip_fractions"] | {"count": True}})) \
+        == ["sequence.flip_fractions.count"]
 
 
 # sha256 of each packaged scenario's canonical text, pinned when the checks
