@@ -12,14 +12,11 @@ from .estimator import (
     FitResult,
     RateTable,
     estimate_sigma,
-    extract_interaction_shifts,
     fit_cosine,
     fit_exponential,
     fit_vee,
     predict_echo_rate,
-    predict_electronic_rate,
     predict_rate,
-    temperature_from_zfs,
 )
 from .noise import (
     NoiseSource,
@@ -60,7 +57,6 @@ from .sequences import (
     simulate_amplitude,
     simulate_family,
     write_signal_csv,
-    write_signal_json,
 )
 from .spin_model import (
     SpinSystemParams,
@@ -104,7 +100,6 @@ __all__ = [
     "dephasing_factor",
     "dump_config",
     "estimate_sigma",
-    "extract_interaction_shifts",
     "field_source",
     "fit_cosine",
     "fit_exponential",
@@ -121,7 +116,6 @@ __all__ = [
     "parse_sequence_script",
     "phase_sweep",
     "predict_echo_rate",
-    "predict_electronic_rate",
     "predict_rate",
     "pulse_location_sweep",
     "read_signal_csv",
@@ -133,9 +127,7 @@ __all__ = [
     "single_quantum_table",
     "strain_response",
     "strain_source",
-    "temperature_from_zfs",
     "temperature_source",
     "transition_frequency",
     "write_signal_csv",
-    "write_signal_json",
 ]

@@ -644,6 +644,15 @@ def config_document(config: ScenarioConfig) -> dict:
                          _DOCUMENT_KEYS)
 
 
+class _Dumper(yaml.SafeDumper):
+    """Prints a numpy scalar, as a config built in code may hold, as the
+    plain number it holds."""
+
+
+_Dumper.add_multi_representer(np.generic, lambda dumper, value: dumper.represent_data(value.item()))
+
+
 def dump_config(config: ScenarioConfig) -> str:
     """Canonical YAML for a config; parse(dump(parse(x))) == parse(x)."""
-    return yaml.safe_dump(config_document(config), sort_keys=False, default_flow_style=False)
+    return yaml.dump(config_document(config), Dumper=_Dumper, sort_keys=False,
+                     default_flow_style=False)

@@ -4,7 +4,7 @@ Implements the extraction chain used throughout the package: cosine fringe
 fits for signal amplitude, exponential fits for coherence times, the
 vee fit of decay rate versus flip fraction that yields the slope ratio of
 the two couplings, inhomogeneity decomposition from measured rates, and
-the six-line spectroscopy inversion for interaction shifts.
+the dephasing rates the linear model predicts for Lorentzian ensembles.
 """
 
 from __future__ import annotations
@@ -14,18 +14,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .response import InteractionShift, default_linear_response
+from .response import default_linear_response
 from .sequences import read_metadata_csv, write_metadata_csv
 from .solvers import FitError, levenberg_marquardt, nnls
 from .spin_model import SpinSystemParams, default_params, pair_sensitivity
-from .units import angular
-
-ZFS_SLOPE_DEFAULT = angular(-77.7e3)  # rad/s per K
-
-# Measured scale between fractional zfs and quadrupole temperature shifts,
-# delta_D / D = 3.6 * delta_Q / Q; order-of-magnitude use only.
-ZFS_QUADRUPOLE_SHIFT_RATIO = 3.6
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -44,10 +36,6 @@ class FitResult:
 
     def __getitem__(self, name):
         return self.parameters[name]
-
-    @property
-    def parameter_names(self):
-        return tuple(self.parameters)
 
     def as_dict(self) -> dict:
         """JSON-ready form: plain floats and nested lists."""
@@ -437,60 +425,6 @@ def estimate_sigma(rates, coefficients, baseline=0.0, rate_errors=None,
     )
 
 
-# ------------------------------------------------------------- spectroscopy
-
-@dataclass(frozen=True)
-class ShiftEstimate:
-    """Magnitude changes of the two couplings from six-line spectroscopy."""
-
-    d_quadrupole_magnitude: float
-    d_hyperfine_magnitude: float
-
-    def signed(self, params: SpinSystemParams | None = None) -> InteractionShift:
-        """Signed coupling shifts, using the couplings' signs (negative by
-        default): the magnitude of a negative coupling grows when its
-        signed value decreases."""
-        if params is None:
-            params = default_params()
-        sign_q = 1.0 if params.quadrupole >= 0 else -1.0
-        sign_a = 1.0 if params.hyperfine >= 0 else -1.0
-        return InteractionShift(
-            d_quadrupole=sign_q * self.d_quadrupole_magnitude,
-            d_hyperfine=sign_a * self.d_hyperfine_magnitude,
-        )
-
-
-def extract_interaction_shifts(frequency_shifts) -> ShiftEstimate:
-    """Invert six single-quantum line shifts into coupling-magnitude shifts.
-
-    With lines ordered as in ``single_quantum_table``, the combinations
-    (dw1 + dw2)/2 and (dw4 + dw5 - dw3 - dw6)/4 isolate the quadrupole and
-    hyperfine magnitude changes exactly and drop any common field shift.
-    """
-    w = np.asarray(frequency_shifts, dtype=float)
-    if w.shape != (6,):
-        raise ValueError("need exactly six frequency shifts, ordered by line index")
-    d_q = (w[0] + w[1]) / 2.0
-    d_a = (w[3] + w[4] - w[2] - w[5]) / 4.0
-    return ShiftEstimate(d_quadrupole_magnitude=float(d_q),
-                         d_hyperfine_magnitude=float(d_a))
-
-
-def synthesize_frequency_shifts(estimate: ShiftEstimate,
-                                params: SpinSystemParams | None = None) -> np.ndarray:
-    """Six line shifts implied by coupling-magnitude changes (field fixed)."""
-    d_q = estimate.d_quadrupole_magnitude
-    d_a = estimate.d_hyperfine_magnitude
-    return np.array([d_q, d_q, d_q - d_a, d_q + d_a, d_q + d_a, d_q - d_a])
-
-
-def temperature_from_zfs(delta_zfs: float, slope: float = ZFS_SLOPE_DEFAULT) -> float:
-    """Temperature change from a zero-field-splitting shift (rad/s in, K out)."""
-    if slope == 0:
-        raise ValueError("zfs temperature slope must be nonzero")
-    return delta_zfs / slope
-
-
 # ------------------------------------------------------------- rate algebra
 
 def predict_rate(pair, m_S: int, sigma_T: float = 0.0, sigma_B: float = 0.0,
@@ -524,22 +458,3 @@ def predict_echo_rate(pair, flip_fraction: float, ms_free: int = 0,
     c_flip = sq1 * response.quadrupole_per_K + sa1 * response.hyperfine_per_K
     temp = abs((1.0 - flip_fraction) * c_free + flip_fraction * c_flip)
     return temp * sigma_T + abs(sb) * sigma_B
-
-
-def predict_electronic_rate(sigma_T: float = 0.0, sigma_B: float = 0.0,
-                            response=None,
-                            params: SpinSystemParams | None = None) -> float:
-    """Order-of-magnitude electron-spin dephasing from the same ensembles.
-
-    Scales the nuclear m_S = 0 temperature rate by the measured
-    zfs-to-quadrupole shift ratio times zfs/|quadrupole|, and adds the
-    electron Zeeman response to the field width.  Spin-bath contributions
-    are not modeled, so treat the result as an order of magnitude.
-    """
-    if response is None:
-        response = default_linear_response()
-    if params is None:
-        params = default_params()
-    nuclear_temp_rate = abs(response.quadrupole_per_K) * sigma_T
-    scale = ZFS_QUADRUPOLE_SHIFT_RATIO * params.zfs / abs(params.quadrupole)
-    return scale * nuclear_temp_rate + abs(params.gamma_e) * sigma_B

@@ -1,14 +1,15 @@
 """Temperature and strain response of the nuclear-spin interactions.
 
-Two interchangeable descriptions are provided for how the quadrupole,
-hyperfine, and electronic zero-field splittings move with the environment:
+Two interchangeable descriptions are provided for how the quadrupole and
+hyperfine interactions move with the environment:
 
 * :class:`LinearResponse` - constant slopes (rad/s per K, per unit strain),
   valid for small excursions around the operating point.
 * :class:`QuasiharmonicResponse` - an explicit lattice model whose shift is
   a first-order thermal-expansion term plus a sum of Einstein modes weighted
   by their Bose-Einstein occupation.  Used for wide temperature ensembles
-  where the local slopes themselves drift.
+  where the local slopes themselves drift.  The calibrated set also carries
+  the electronic zero-field splitting's curve.
 
 The quasiharmonic coefficients shipped with the package are calibrated
 surrogates: they are pinned to the measured local slopes and to a target
@@ -100,11 +101,10 @@ def bose_einstein_slope(omega: float, T):
 
 @dataclass(frozen=True)
 class InteractionShift:
-    """Additive shifts of the three interactions, rad/s (fields may be arrays)."""
+    """Additive shifts of the two interactions, rad/s (fields may be arrays)."""
 
     d_quadrupole: float = 0.0
     d_hyperfine: float = 0.0
-    d_zfs: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -118,10 +118,8 @@ class LinearResponse:
 
     quadrupole_per_K: float = angular(39.0)
     hyperfine_per_K: float = angular(204.0)
-    zfs_per_K: float = angular(-77.7e3)
     quadrupole_per_strain: float = QUADRUPOLE_PER_GPA * PRESSURE_PER_STRAIN_GPA
     hyperfine_per_strain: float = HYPERFINE_PER_GPA * PRESSURE_PER_STRAIN_GPA
-    zfs_per_strain: float = 0.0  # not characterized; strain studies use Q/A only
 
     def __post_init__(self):
         for f in fields(self):
@@ -135,7 +133,6 @@ class LinearResponse:
             + self.quadrupole_per_strain * strain,
             d_hyperfine=self.hyperfine_per_K * d_temperature
             + self.hyperfine_per_strain * strain,
-            d_zfs=self.zfs_per_K * d_temperature + self.zfs_per_strain * strain,
         )
 
 
@@ -211,19 +208,6 @@ class QuasiharmonicSet:
     quadrupole_per_strain: float = QUADRUPOLE_PER_GPA * PRESSURE_PER_STRAIN_GPA
     hyperfine_per_strain: float = HYPERFINE_PER_GPA * PRESSURE_PER_STRAIN_GPA
 
-    @property
-    def reference_T(self) -> float:
-        return self.quadrupole.reference_T
-
-    def interaction_shift(self, d_temperature=0.0, strain=0.0) -> InteractionShift:
-        """Shifts at reference_T + d_temperature (d_temperature may be an array)."""
-        T = self.reference_T + np.asarray(d_temperature, dtype=float)
-        return InteractionShift(
-            d_quadrupole=self.quadrupole.shift_at(T) + self.quadrupole_per_strain * strain,
-            d_hyperfine=self.hyperfine.shift_at(T) + self.hyperfine_per_strain * strain,
-            d_zfs=self.zfs.shift_at(T),
-        )
-
 
 @dataclass(frozen=True)
 class StrainShift:
@@ -231,7 +215,6 @@ class StrainShift:
 
     d_quadrupole: float
     d_hyperfine: float
-    d_zfs: float
     pressure_GPa: float
     extrapolated: bool  # |eps| beyond the 2% range the slopes were measured in
 
@@ -251,7 +234,6 @@ def strain_response(epsilon: float, response: LinearResponse | None = None) -> S
     return StrainShift(
         d_quadrupole=shift.d_quadrupole,
         d_hyperfine=shift.d_hyperfine,
-        d_zfs=shift.d_zfs,
         pressure_GPa=pressure,
         extrapolated=abs(epsilon) > 0.02,
     )

@@ -48,7 +48,6 @@ from .sequences import (
     pulse_location_sweep,
     simulate_amplitude,
     write_signal_csv,
-    write_signal_json,
 )
 
 SCENARIO_DIR = Path(__file__).parent / "data" / "scenarios"
@@ -94,10 +93,9 @@ class _Context:
     artifacts: list = field(default_factory=list)
 
     def write_signal(self, label: str, signal) -> None:
-        stem = self.out_dir / f"{self.config.name}-{label}"
-        for suffix, write in ((".csv", write_signal_csv), (".json", write_signal_json)):
-            write(signal, stem.with_suffix(suffix), deterministic=self.deterministic)
-            self.artifacts.append(stem.with_suffix(suffix))
+        path = self.out_dir / f"{self.config.name}-{label}.csv"
+        write_signal_csv(signal, path, deterministic=self.deterministic)
+        self.artifacts.append(path)
 
     def write_json(self, label: str, payload: dict) -> None:
         path = self.out_dir / f"{self.config.name}-{label}.json"
@@ -107,6 +105,11 @@ class _Context:
         path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
                         encoding="utf-8")
         self.artifacts.append(path)
+
+    def write_fits(self, fits: dict, numbers: dict) -> None:
+        """The fits document: each fit under its label, and the run's numbers."""
+        self.write_json("fits", {label: fit.as_dict() for label, fit in fits.items()}
+                        | {"numbers": numbers})
 
     def result(self, summary: str, numbers: dict, **kwargs) -> ScenarioResult:
         return ScenarioResult(self.config.name, self.config.pipeline, summary, numbers,
@@ -219,8 +222,7 @@ def _run_decay_compare(ctx: _Context) -> ScenarioResult:
     }
     ctx.write_signal("unprotected", scans["unprotected"])
     ctx.write_signal("protected", scans["protected"])
-    ctx.write_json("fits", {label: fit.as_dict() for label, fit in fits.items()}
-                   | {"numbers": numbers})
+    ctx.write_fits(fits, numbers)
     return ctx.result(f"{cfg.name}: unprotected T2* = {_fmt_time(t2_u)}, "
                       f"protected T2* = {_fmt_time(t2_p)}, "
                       f"improvement {improvement:.1f}x", numbers, signals=scans, fits=fits)
@@ -294,8 +296,7 @@ def _run_rate_table(ctx: _Context) -> ScenarioResult:
     path = ctx.out_dir / f"{cfg.name}-rates.csv"
     table.write_csv(path, deterministic=ctx.deterministic)
     ctx.artifacts.append(path)
-    ctx.write_json("fits", {label: f.as_dict() for label, f in fits.items()}
-                   | {"numbers": numbers})
+    ctx.write_fits(fits, numbers)
     return ctx.result(f"{cfg.name}: " + ", ".join(summary_bits), numbers, fits=fits)
 
 
@@ -320,9 +321,7 @@ def _run_protection_study(ctx: _Context) -> ScenarioResult:
     ctx.write_signal("sweep", sweep)
     ctx.write_signal("protected", scans["protected"])
     ctx.write_signal("unprotected", scans["unprotected"])
-    ctx.write_json("result", {"numbers": numbers,
-                              "protected_fit": fits["protected"].as_dict(),
-                              "unprotected_fit": fits["unprotected"].as_dict()})
+    ctx.write_fits(fits, numbers)
     truncated = numbers.get("truncated_mass")
     trunc_note = "" if truncated is None else f", truncated mass {truncated:.4f}"
     return ctx.result(f"{cfg.name}: optimum tau/t = {best_fraction:.4f}, "

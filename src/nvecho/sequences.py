@@ -26,7 +26,6 @@ its one-sequence case, and the scans below are one family call each.
 from __future__ import annotations
 
 import datetime as _dt
-import json
 from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -257,6 +256,8 @@ def phase_sweep(sequence: PulseSequence, sources, readout_phases,
     phases = np.asarray(readout_phases, dtype=float)
     if phases.size == 0:
         raise ValueError("need at least one readout phase")
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("readout phases must be finite")
     res = simulate_amplitude(sequence, sources, **kwargs)
     y = maximum - 0.5 * contrast + 0.5 * contrast * np.real(
         np.exp(1j * phases) * res.mean_signal
@@ -318,7 +319,9 @@ def decay_scans(scans, sources, **kwargs) -> list:
     parts = []
     for times, sequence, keys in scans:
         times = np.asarray(times, dtype=float)
-        if times.size and np.any(np.diff(times) <= 0):
+        if times.size == 0:
+            raise ValueError("need at least one time")
+        if np.any(np.diff(times) <= 0):
             raise ValueError("time grid must be strictly increasing")
         family = [build_sequence(sequence, float(t), **keys) for t in times]
         meta = {"sequence": sequence}
@@ -335,6 +338,8 @@ def pulse_location_sweep(total_time: float, flip_fractions, sources,
     """Ensemble amplitude versus flip fraction at fixed total time; the
     echoes take their other block keys from ``kwargs``, as ``decay_scan``."""
     fractions = np.asarray(flip_fractions, dtype=float)
+    if fractions.size == 0:
+        raise ValueError("need at least one flip fraction")
     if np.any((fractions < 0) | (fractions > 1)):
         raise ValueError("flip fractions must lie in [0, 1]")
     keys, kwargs = _split(kwargs)
@@ -394,17 +399,3 @@ def read_signal_csv(path) -> EnsembleSignal:
         x=np.array([float(r[0]) for r in rows]), y=np.array([float(r[1]) for r in rows]),
         x_label=header[0], y_label=header[1], metadata=metadata,
     )
-
-
-def write_signal_json(signal: EnsembleSignal, path, deterministic: bool = False) -> None:
-    payload = {
-        "schema": _CSV_SCHEMA,
-        "x_label": signal.x_label,
-        "y_label": signal.y_label,
-        "x": [float(v) for v in signal.x],
-        "y": [float(v) for v in signal.y],
-        "metadata": signal.metadata,
-    }
-    if not deterministic:
-        payload["written"] = _dt.datetime.now().isoformat()
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")

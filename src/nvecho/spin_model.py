@@ -29,8 +29,7 @@ _PROJECTIONS = (-1, 0, 1)
 DOUBLE_QUANTUM_PAIR = (-1, +1)
 
 # The six single-quantum lines, ordered by electron manifold (0, -1, +1)
-# and nuclear branch; this indexing matches the pairwise combinations
-# (w1 + w2)/2 = |Q| and (w4 + w5 - w3 - w6)/4 = |A| used for extraction.
+# and nuclear branch.
 SINGLE_QUANTUM_LINES = (
     (1, (0, +1), 0),
     (2, (0, -1), 0),
@@ -47,10 +46,8 @@ _NO_SHIFT = InteractionShift()
 class SpinSystemParams:
     """Static couplings of the electron-nuclear system, rad/s and gauss."""
 
-    zfs: float = angular(2.87e9)
     quadrupole: float = angular(-4.945e6)
     hyperfine: float = angular(-2.16e6)
-    gamma_e: float = angular(2.8025e6)  # rad/s per G
     gamma_n: float = angular(-307.7)    # rad/s per G
     field_gauss: float = 239.0
 
@@ -58,8 +55,6 @@ class SpinSystemParams:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        if self.zfs <= 0:
-            raise ValueError("zero-field splitting must be positive")
         if self.quadrupole == 0:
             raise ValueError("quadrupole coupling must be nonzero")
         if abs(self.hyperfine) >= abs(self.quadrupole):
@@ -207,13 +202,6 @@ class PhaseCoefficients:
     quadrupole: float  # seconds
     hyperfine: float   # seconds
     field: float       # rad per gauss
-
-    def contract(self, d_quadrupole=0.0, d_hyperfine=0.0, d_field=0.0):
-        return (
-            self.quadrupole * d_quadrupole
-            + self.hyperfine * d_hyperfine
-            + self.field * d_field
-        )
 
 
 def stack_coefficients(coefficients: Iterable[PhaseCoefficients]) -> PhaseCoefficients:

@@ -12,7 +12,7 @@ import pytest
 from nvecho.cli import main
 from nvecho.estimator import RateTable
 from nvecho.noise import lorentzian, temperature_source
-from nvecho.response import load_response_set
+from nvecho.response import DEFAULT_DATA_FILE, load_response_set
 from nvecho.script import parse_sequence_script
 from nvecho.sequences import (
     EnsembleSignal,
@@ -478,6 +478,17 @@ def test_calibrate_response_deterministic_bytes(tmp_path):
     for p in paths:
         assert main(["calibrate-response", "--out", str(p), "--deterministic"]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_packaged_response_set_is_the_default_calibration(tmp_path):
+    # the packaged data file is calibrate-response's output plus the date of
+    # its calibration
+    out = tmp_path / "cal.yaml"
+    assert main(["calibrate-response", "--out", str(out), "--deterministic"]) == 0
+    lines = DEFAULT_DATA_FILE.read_text().splitlines(keepends=True)
+    dated = [line for line in lines if line.startswith("  date: ")]
+    assert len(dated) == 1
+    assert out.read_text() == "".join(line for line in lines if line not in dated)
 
 
 def test_calibrate_response_custom_slope(tmp_path, capsys):

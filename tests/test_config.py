@@ -172,7 +172,7 @@ def test_quasiharmonic_data_file(tmp_path):
     parsed = parse_config(cfg, base_dir=tmp_path)
     model = parsed.response_model()
     assert isinstance(model, QuasiharmonicSet)
-    assert model.reference_T == 300.0
+    assert model.quadrupole.reference_T == 300.0
 
     missing = dict_minimal()
     missing["response"] = {"model": "quasiharmonic", "data_file": "nope.yaml"}

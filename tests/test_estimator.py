@@ -17,23 +17,18 @@ from nvecho.estimator import (
     FitError,
     RateTable,
     estimate_sigma,
-    extract_interaction_shifts,
     fit_cosine,
     fit_exponential,
     fit_vee,
     predict_echo_rate,
-    predict_electronic_rate,
     predict_rate,
-    synthesize_frequency_shifts,
-    temperature_from_zfs,
 )
 from nvecho.noise import field_source, lorentzian, temperature_source
-from nvecho.response import InteractionShift, LinearResponse, default_linear_response
+from nvecho.response import LinearResponse, default_linear_response
 from nvecho.scenarios import load_packaged_scenario, run_scenario
 from nvecho.sequences import decay_scan
 from nvecho.solvers import levenberg_marquardt, nnls
-from nvecho.spin_model import default_params, single_quantum_table
-from nvecho.units import TWO_PI, angular
+from nvecho.units import TWO_PI
 
 
 def _assert_psd(cov):
@@ -417,46 +412,6 @@ def test_nnls_agrees_with_scipy_on_rank_deficient_problems():
             assert np.allclose(a @ x, a @ expected, rtol=1e-10, atol=1e-10)
 
 
-# ------------------------------------------------------------ spectroscopy
-
-def test_extract_interaction_shifts_zero():
-    est = extract_interaction_shifts(np.zeros(6))
-    assert est.d_quadrupole_magnitude == 0.0
-    assert est.d_hyperfine_magnitude == 0.0
-
-
-def test_extract_interaction_shifts_single_channel():
-    est = extract_interaction_shifts([TWO_PI * 10, TWO_PI * 10, 0.0, 0.0, 0.0, 0.0])
-    assert est.d_quadrupole_magnitude == pytest.approx(TWO_PI * 10, rel=1e-12)
-    assert est.d_hyperfine_magnitude == 0.0
-
-
-def test_extract_interaction_shifts_round_trip_through_spectroscopy():
-    params = default_params()
-    shift = InteractionShift(d_quadrupole=angular(39.0), d_hyperfine=angular(204.0))
-    base = single_quantum_table(params)
-    shifted = single_quantum_table(params, shift)
-    deltas = [s.frequency - b.frequency for s, b in zip(shifted, base)]
-    est = extract_interaction_shifts(deltas)
-    signed = est.signed(params)
-    assert signed.d_quadrupole == pytest.approx(angular(39.0), rel=1e-9)
-    assert signed.d_hyperfine == pytest.approx(angular(204.0), rel=1e-9)
-    # extract -> synthesize is a fixed point on the identity-consistent set
-    again = extract_interaction_shifts(synthesize_frequency_shifts(est))
-    assert again.d_quadrupole_magnitude == pytest.approx(
-        est.d_quadrupole_magnitude, rel=1e-12
-    )
-    assert again.d_hyperfine_magnitude == pytest.approx(
-        est.d_hyperfine_magnitude, rel=1e-12
-    )
-
-
-def test_temperature_from_zfs():
-    assert temperature_from_zfs(0.0) == 0.0
-    assert temperature_from_zfs(-TWO_PI * 77.7e3) == pytest.approx(1.0, rel=1e-12)
-    assert temperature_from_zfs(TWO_PI * 155.4e3) == pytest.approx(-2.0, rel=1e-12)
-
-
 # ------------------------------------------------------------- rate algebra
 
 def test_predict_rate_zero_widths():
@@ -512,12 +467,3 @@ def test_predict_echo_rate_vee_shape():
     assert left == pytest.approx(right, rel=1e-9)
     with pytest.raises(ValueError):
         predict_echo_rate((0, -1), 1.5)
-
-
-def test_predict_electronic_rate_order_of_magnitude():
-    params = default_params()
-    expected = 3.6 * (params.zfs / abs(params.quadrupole)) * (TWO_PI * 39.0 * 5.0)
-    assert predict_electronic_rate(sigma_T=5.0) == pytest.approx(expected, rel=1e-9)
-    assert predict_electronic_rate(sigma_B=0.1) == pytest.approx(
-        TWO_PI * 2.8025e6 * 0.1, rel=1e-9
-    )

@@ -6,7 +6,8 @@ and fast:
 * config parse -> dump -> parse is a fixed point for configs whose blocks
   hold what their pipeline reads and keys of the kind they are built as
   (``KINDS``), and the dump never emits a ``method`` key (the sources choose
-  the ensemble average) or a ``formats`` key;
+  the ensemble average) or a ``formats`` key; the same config built in code
+  with numpy scalars prints the same text;
 * sequence scripts round-trip through the canonical printer, kind included;
 * a closed-form Ramsey decay under Lorentzian noise obeys A(2t) = A(t)^2;
 * a Monte Carlo point is bit-identical whatever family it is evaluated in,
@@ -14,10 +15,12 @@ and fast:
 """
 
 import math
+from dataclasses import fields
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from nvecho.config import PIPELINE_NEEDS, dump_config, parse_config
+from nvecho.config import PIPELINE_NEEDS, ScenarioConfig, dump_config, parse_config
 from nvecho.noise import CHUNK, field_source, lorentzian, temperature_source
 from nvecho.response import default_quasiharmonic_set
 from nvecho.script import format_sequence_script, parse_sequence_script
@@ -202,6 +205,20 @@ def _configs(draw):
     return doc | {"sequence": sequence}
 
 
+def _numpy_scalars(value):
+    """``value`` with each int and float in it a numpy scalar (a seed past
+    int64 an unsigned one), as a config built in code may hold them."""
+    if isinstance(value, dict):
+        return {key: _numpy_scalars(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_numpy_scalars(v) for v in value)
+    if isinstance(value, float):
+        return np.float64(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return np.int64(value) if value < 2**63 else np.uint64(value)
+    return value
+
+
 @SETTINGS
 @given(_configs())
 def test_config_parse_dump_parse_is_a_fixed_point(doc):
@@ -211,6 +228,9 @@ def test_config_parse_dump_parse_is_a_fixed_point(doc):
     assert second == first
     assert dump_config(second) == text
     assert "method" not in text and "formats" not in text
+    built = ScenarioConfig(**{f.name: _numpy_scalars(getattr(first, f.name))
+                              for f in fields(first)})
+    assert dump_config(built) == text
 
 
 # ------------------------------------------------------------------ scripts

@@ -365,7 +365,6 @@ def test_linear_response_defaults():
     lin = default_linear_response()
     assert math.isclose(lin.quadrupole_per_K, TWO_PI * 39.0, rel_tol=1e-12)
     assert math.isclose(lin.hyperfine_per_K, TWO_PI * 204.0, rel_tol=1e-12)
-    assert math.isclose(lin.zfs_per_K, -TWO_PI * 77.7e3, rel_tol=1e-12)
     # strain slopes derive from the GPa slopes via P = -3*K*epsilon, K = 443 GPa
     assert math.isclose(lin.quadrupole_per_strain, -TWO_PI * 1.60e3 * 3 * 443.0, rel_tol=1e-12)
     assert math.isclose(lin.hyperfine_per_strain, -TWO_PI * 4.33e3 * 3 * 443.0, rel_tol=1e-12)
@@ -388,8 +387,8 @@ def test_linear_interaction_shift_composes_channels():
 
 def test_quasiharmonic_set_interaction_shift_vectorized():
     set_ = default_quasiharmonic_set()
-    dT = np.array([-10.0, 0.0, 10.0])
-    shift = set_.interaction_shift(d_temperature=dT)
-    assert shift.d_quadrupole.shape == (3,)
-    assert shift.d_quadrupole[1] == 0.0
-    assert shift.d_hyperfine[2] > 0.0
+    T = set_.quadrupole.reference_T + np.array([-10.0, 0.0, 10.0])
+    d_quadrupole, d_hyperfine = set_.quadrupole.shift_at(T), set_.hyperfine.shift_at(T)
+    assert d_quadrupole.shape == (3,)
+    assert d_quadrupole[1] == 0.0
+    assert d_hyperfine[2] > 0.0

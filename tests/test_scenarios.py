@@ -80,7 +80,7 @@ def test_decay_compare_reference_numbers(tmp_path):
     for label in ("protected", "unprotected"):
         signal = read_signal_csv(tmp_path / f"fig1c-{label}.csv")
         assert signal.y.shape == (28,)
-        assert (tmp_path / f"fig1c-{label}.json").exists()
+        assert not (tmp_path / f"fig1c-{label}.json").exists()
     fits = json.loads((tmp_path / "fig1c-fits.json").read_text())
     assert fits["numbers"]["improvement"] == pytest.approx(
         result.numbers["improvement"], rel=1e-12)
@@ -155,7 +155,34 @@ def test_protection_study_small(tmp_path):
     assert numbers["truncated_mass"] == pytest.approx(expected_mass, abs=1e-9)
     assert "truncated mass" in result.summary
     assert (tmp_path / "t-sweep.csv").exists()
-    assert (tmp_path / "t-result.json").exists()
+    fits = json.loads((tmp_path / "t-fits.json").read_text())
+    assert fits["numbers"] == numbers
+    assert fits["protected"] == result.fits["protected"].as_dict()
+
+
+# each packaged scenario's artifacts: a CSV per signal, one JSON document
+# of its fits, or of its result where it fits nothing
+ARTIFACTS = {
+    "fig1c": ("fig1c-fits.json", "fig1c-protected.csv", "fig1c-unprotected.csv"),
+    "fig1d": ("fig1d-result.json", "fig1d-sweep.csv"),
+    "fig2": ("fig2-fits.json", "fig2-rates.csv"),
+    "fig4": ("fig4-fits.json", "fig4-protected.csv", "fig4-sweep.csv", "fig4-unprotected.csv"),
+    "s5": ("s5-fits.json", "s5-protected.csv", "s5-sweep.csv", "s5-unprotected.csv"),
+}
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_packaged_artifact_layout(name, tmp_path, request):
+    if name in ("fig4", "s5"):
+        _, result, _ = request.getfixturevalue("protection_runs")[name]
+    else:
+        result = run_scenario(load_packaged_scenario(name), out_dir=tmp_path, deterministic=True)
+    out = result.artifacts[0].parent
+    assert sorted(p.name for p in result.artifacts) == list(ARTIFACTS[name])
+    assert sorted(p.name for p in out.iterdir()) == list(ARTIFACTS[name])
+    if name in ("fig1c", "fig4", "s5"):  # the compare step's fits
+        fits = json.loads((out / f"{name}-fits.json").read_text())
+        assert sorted(fits) == ["numbers", "protected", "unprotected"]
 
 
 def test_sweep_point_matches_single_simulation(tmp_path):

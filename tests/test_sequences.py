@@ -1,6 +1,5 @@
 """Pulse sequences, ensemble signal simulation, and signal file round trips."""
 
-import json
 import math
 
 import numpy as np
@@ -27,7 +26,6 @@ from nvecho.sequences import (
     read_signal_csv,
     simulate_amplitude,
     write_signal_csv,
-    write_signal_json,
 )
 from nvecho.units import TWO_PI
 
@@ -222,6 +220,18 @@ def test_pulse_location_sweep_minimum_at_slope_ratio():
         pulse_location_sweep(2e-3, [0.2, 1.2], (src,))
 
 
+def test_scans_reject_empty_and_non_finite_inputs():
+    src = temperature_source(lorentzian(0.0, 5.0))
+    with pytest.raises(ValueError, match="at least one flip fraction"):
+        pulse_location_sweep(2e-3, [], (src,))
+    with pytest.raises(ValueError, match="at least one time"):
+        decay_scan([], (src,), flip_fraction=0.18)
+    seq = build_ramsey(1e-3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            phase_sweep(seq, (src,), [0.0, bad, math.pi])
+
+
 def test_pulse_location_sweep_flat_without_noise():
     src = temperature_source(lorentzian(0.0, 0.0))
     signal = pulse_location_sweep(2e-3, np.linspace(0, 1, 11), (src,))
@@ -301,25 +311,6 @@ def test_signal_csv_round_trip(tmp_path):
     path3 = tmp_path / "sig3.csv"
     write_signal_csv(sig, path3, deterministic=False)
     assert "written:" in path3.read_text()
-
-
-def test_signal_json_round_trip(tmp_path):
-    sig = EnsembleSignal(
-        x=np.array([1.0, 2.0]),
-        y=np.array([0.9, 0.8]),
-        x_label="flip_fraction",
-        y_label="rate_per_s",
-        metadata={"seed": 12345},
-    )
-    path = tmp_path / "sig.json"
-    write_signal_json(sig, path, deterministic=True)
-    payload = json.loads(path.read_text())
-    assert payload["x_label"] == "flip_fraction"
-    assert payload["x"] == [1.0, 2.0]
-    assert payload["metadata"]["seed"] == 12345
-    assert "written" not in payload
-    write_signal_json(sig, path, deterministic=False)
-    assert "written" in json.loads(path.read_text())
 
 
 def test_non_finite_durations_rejected():

@@ -44,11 +44,9 @@ EXPECTED_LINES_HZ = {
 
 def test_default_constants():
     p = default_params()
-    assert p.zfs == pytest.approx(TWO_PI * 2.87e9)
     assert p.quadrupole == pytest.approx(-TWO_PI * 4.945e6)
     assert p.hyperfine == pytest.approx(-TWO_PI * 2.16e6)
     assert p.gamma_n == pytest.approx(-TWO_PI * 307.7)
-    assert p.gamma_e == pytest.approx(TWO_PI * 2.8025e6)
     assert p.field_gauss == 239.0
     assert p.nuclear_zeeman == pytest.approx(-TWO_PI * ZEEMAN_HZ, rel=1e-12)
 
@@ -129,14 +127,12 @@ def test_table_identities_survive_finite_shifts():
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        SpinSystemParams(zfs=-1.0)
-    with pytest.raises(ValueError):
         SpinSystemParams(hyperfine=angular(-6.0e6))  # |A| > |Q| breaks the ordering
     with pytest.raises(ValueError):
         SpinSystemParams(field_gauss=2.0e4)  # nuclear Zeeman would exceed |Q|
     with pytest.raises(ValueError):
         SpinSystemParams(field_gauss=-1.0)
-    for name, bad in (("gamma_n", math.nan), ("zfs", math.inf), ("field_gauss", math.nan)):
+    for name, bad in (("gamma_n", math.nan), ("quadrupole", math.inf), ("field_gauss", math.nan)):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SpinSystemParams(**{name: bad})
 
@@ -199,10 +195,7 @@ def test_temperature_phase_cancellation_at_slope_ratio():
     d_T = 0.8
     segments = (Segment(t - tau, 0), Segment(tau, +1))
     c = phase_coefficients(p, (0, -1), segments)
-    d_phi = c.contract(
-        d_quadrupole=resp.quadrupole_per_K * d_T,
-        d_hyperfine=resp.hyperfine_per_K * d_T,
-    )
+    d_phi = c.quadrupole * resp.quadrupole_per_K * d_T + c.hyperfine * resp.hyperfine_per_K * d_T
     scale = abs(t * resp.quadrupole_per_K * d_T)
     assert abs(d_phi) < 1e-12 * scale
     # The full phase agrees too, up to rounding of the large base phase.
