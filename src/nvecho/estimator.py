@@ -376,7 +376,9 @@ def estimate_sigma(rates, coefficients, baseline=0.0, rate_errors=None,
 
     Solves rate_i - baseline_i = sum_j |coefficient_ij| sigma_j with
     sigma_j >= 0 (nonnegative least squares).  ``coefficients`` is
-    (n_rates,) for a single source or (n_rates, n_sources).
+    (n_rates,) for a single source or (n_rates, n_sources).  ``rate_errors``,
+    when given, holds one positive, finite error per rate; they weight the
+    fit and give the covariance.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     coeff = np.atleast_1d(np.asarray(coefficients, dtype=float))
@@ -392,6 +394,11 @@ def estimate_sigma(rates, coefficients, baseline=0.0, rate_errors=None,
     )
     if len(names) != coeff.shape[1]:
         raise ValueError("one name per source required")
+    if rate_errors is not None:
+        rate_errors = np.atleast_1d(np.asarray(rate_errors, dtype=float))
+        if rate_errors.shape != rates.shape or not np.all(
+                np.isfinite(rate_errors) & (rate_errors > 0)):
+            raise ValueError("rate_errors needs one positive, finite error per rate")
     excess = rates - np.asarray(baseline, dtype=float)
 
     warnings = ()
@@ -401,14 +408,14 @@ def estimate_sigma(rates, coefficients, baseline=0.0, rate_errors=None,
         warnings = ("rates do not exceed the baseline; widths set to zero",)
     else:
         if rate_errors is not None:
-            w = 1.0 / np.asarray(rate_errors, dtype=float)
+            w = 1.0 / rate_errors
             sigma = nnls(coeff * w[:, None], excess * w)
         else:
             sigma = nnls(coeff, excess)
         resid = coeff @ sigma - excess
 
     if rate_errors is not None:
-        w2 = 1.0 / np.asarray(rate_errors, dtype=float) ** 2
+        w2 = 1.0 / rate_errors ** 2
         info = coeff.T @ (coeff * w2[:, None])
         try:
             cov = np.linalg.inv(info)

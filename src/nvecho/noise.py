@@ -2,28 +2,31 @@
 
 A noise source couples one scalar random variable (temperature, field, or
 strain) to the interaction shifts.  The ensemble-averaged signal after a
-pulse sequence with phase coefficients c is
+pulse sequence is
 
-    <e^{i phase}> = e^{i phase(locations)} * prod_j CF_j(c_j)
+    <e^{i phase}> = e^{i phase(locations)} * <e^{i (phase - phase(locations))}>
 
-where CF_j is the characteristic function of source j's centered
-distribution and c_j its scalar phase coefficient.  The product form
-(``dephasing_factor``) is exact when every source enters the phase
-linearly; temperature sources attached to a quasiharmonic response are
-nonlinear and go through the Monte Carlo path
-(``monte_carlo_attenuation``).  ``sequences.simulate_family`` picks between
-the two from the sources' ``is_linear``.
+the deterministic phase at the distribution locations
+(``NoiseSource.location_phase``) times the attenuation about them, which
+both ensemble averages return.  When every source enters the phase linearly
+the attenuation is exactly prod_j A_j(c_j) (``dephasing_factor``), with c_j
+source j's scalar phase coefficient and A_j its distribution's
+characteristic function about the location (``Distribution.attenuation``);
+temperature sources attached to a quasiharmonic response are nonlinear and
+go through the Monte Carlo path (``monte_carlo_attenuation``).
+``sequences.simulate_family`` picks between the two from the sources'
+``is_linear`` and adds the location phase.
 
-Both paths evaluate a whole family of sequences (a sweep or a decay
-scan) at once, given as a list of PhaseCoefficients.  The closed form is one
-vectorised characteristic-function product over the family.  The Monte
-Carlo path draws each chunk of every source once, with sub-streams seeded
-per (source, chunk), and shares those draws, the truncation mask and each
-source's response channels across the family; every member's estimate is
-therefore bit-identical to evaluating that member alone.  One thread per
-CPU the process may run on claims the family's members one at a time, each
-with a 16-byte complex buffer per retained draw of the chunk, without
-changing a bit of any estimate.
+Both paths evaluate a whole family of sequences (a sweep or a decay scan)
+at once, given as a list of PhaseCoefficients, and return one attenuation
+per member.  The closed form is one vectorised real product over the
+family.  The Monte Carlo path draws each chunk of every source once, with
+sub-streams seeded per (source, chunk), and shares those draws, the
+truncation mask and each source's response channels across the family;
+every member's estimate is therefore bit-identical to evaluating that
+member alone.  One thread per CPU the process may run on claims the
+family's members one at a time, each with a 16-byte complex buffer per
+retained draw of the chunk, without changing a bit of any estimate.
 """
 
 from __future__ import annotations
@@ -69,20 +72,19 @@ class Distribution:
         if self.kind == "delta" and self.scale != 0:
             raise ValueError("delta distribution must have zero scale")
 
-    def characteristic_function(self, u):
-        """E[e^{iux}] evaluated at u (scalar or array)."""
-        u = np.asarray(u, dtype=float)
-        phase = np.exp(1j * self.location * u)
-        if self.kind == "lorentzian":
-            out = phase * np.exp(-self.scale * np.abs(u))
-        elif self.kind == "gaussian":
-            out = phase * np.exp(-0.5 * (self.scale * u) ** 2)
-        else:
-            out = phase
-        return complex(out) if out.ndim == 0 else out
+    def attenuation(self, u):
+        """E[e^{iu(x - location)}] evaluated at u (scalar or array).
 
-    def centered(self) -> "Distribution":
-        return Distribution(kind=self.kind, location=0.0, scale=self.scale)
+        Real: every kind is symmetric about its location, so the sine part
+        averages to zero."""
+        u = np.asarray(u, dtype=float)
+        if self.kind == "lorentzian":
+            out = np.exp(-self.scale * np.abs(u))
+        elif self.kind == "gaussian":
+            out = np.exp(-0.5 * (self.scale * u) ** 2)
+        else:
+            out = np.ones(u.shape)
+        return float(out) if out.ndim == 0 else out
 
     def cdf(self, x: float) -> float:
         if self.scale == 0:  # any zero-width distribution is a point mass
@@ -98,17 +100,6 @@ class Distribution:
         if self.kind == "gaussian":
             return self.location + self.scale * rng.standard_normal(n)
         return np.full(n, self.location)
-
-    def sample(self, n: int, seed: int, source_index: int = 0) -> np.ndarray:
-        """Deterministic chunked draw; matches the Monte Carlo stream."""
-        if n <= 0:
-            raise ValueError("sample count must be positive")
-        out = np.empty(n)
-        for k, start in enumerate(range(0, n, CHUNK)):
-            stop = min(start + CHUNK, n)
-            rng = _chunk_rng(seed, source_index, k)
-            out[start:stop] = self._sample_chunk(rng, stop - start)
-        return out
 
 
 def lorentzian(location: float, scale: float) -> Distribution:
@@ -211,14 +202,6 @@ class NoiseSource:
         loc, scale = self.distribution.location, self.distribution.scale
         return (max(0.0, loc - TRUNCATION_WIDTHS * scale), loc + TRUNCATION_WIDTHS * scale)
 
-    def centered(self) -> "NoiseSource":
-        if not self.is_linear:
-            raise TypeError("centering a nonlinear source is not meaningful")
-        return NoiseSource(
-            name=self.name, kind=self.kind,
-            distribution=self.distribution.centered(), response=self.response,
-        )
-
 
 def temperature_source(distribution: Distribution, response=None,
                        name: str = "temperature") -> NoiseSource:
@@ -259,17 +242,17 @@ def residual_field_source(dq_coherence_time: float = 3.9e-3,
 
 
 def dephasing_factor(sources, coefficients) -> np.ndarray:
-    """Exact ensemble factors prod_j CF_j(c_j) over linear sources, one per
-    member of the ``coefficients`` family, as a (G,) complex array.
+    """Exact <e^{i (phase - phase(locations))}> over linear sources for every
+    member of the ``coefficients`` family, as a (G,) real array: the product
+    of each source's ``Distribution.attenuation`` at its phase coefficient.
 
-    Uses the full (uncentered) characteristic functions, so distribution
-    locations contribute their deterministic phase here; do not also add
-    that phase elsewhere.
+    The same quantity as ``monte_carlo_attenuation``; the phase at the
+    locations is ``NoiseSource.location_phase``.
     """
     grid = stack_coefficients(coefficients)
-    out = np.ones(grid.quadrupole.shape, dtype=complex)
+    out = np.ones(grid.quadrupole.shape)
     for src in sources:
-        out = out * src.distribution.characteristic_function(src.phase_coefficient(grid))
+        out = out * src.distribution.attenuation(src.phase_coefficient(grid))
     return out
 
 

@@ -17,15 +17,15 @@ Builders produce the four standard experiments:
 and its refusal rule; ``build_sequence``, the scans and the config check
 read it.  ``simulate_family`` averages the phase factor over the noise
 ensemble for a whole family of sequences at once.  The sources choose how:
-when every source enters the phase linearly the average is the exact
-product of characteristic functions, and otherwise (a quasiharmonic
-temperature source) it is a Monte Carlo estimate.  ``simulate_amplitude`` is
+when every source enters the phase linearly the average is exact, and
+otherwise (a quasiharmonic temperature source) it is a Monte Carlo estimate.  ``simulate_amplitude`` is
 its one-sequence case, and the scans below are one family call each.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -100,6 +100,9 @@ def build_dq_ramsey(duration: float, m_S: int = 0) -> PulseSequence:
 
 def build_unbalanced_echo(total_time: float, flip_time: float, pair=(0, -1),
                           ms_free: int = 0, ms_flipped: int = 1) -> PulseSequence:
+    if not (math.isfinite(total_time) and math.isfinite(flip_time)):
+        raise ValueError(f"total time and flip time must be finite, got t={total_time!r}, "
+                         f"tau={flip_time!r}")
     if not 0 <= flip_time <= total_time:
         raise ValueError("flip time must lie within the sequence: 0 <= tau <= t")
     _refuse(_flip_changes_manifold, {"ms_free": ms_free, "ms_flipped": ms_flipped})
@@ -172,7 +175,7 @@ class SimulationResult:
 
     Fields are (G,) arrays for a family and scalars for one sequence."""
 
-    attenuation: complex
+    attenuation: complex  # real from the closed form, complex from Monte Carlo
     base_phase: float
     monte_carlo: MonteCarloResult | None = None
 
@@ -191,14 +194,12 @@ class SimulationResult:
 
 def simulate_family(sequences, sources, params: SpinSystemParams | None = None,
                     n_samples: int = 1 << 20, seed: int = 12345) -> SimulationResult:
-    """Average e^{i phase} over the noise ensemble for every sequence.
-
-    When every source enters the phase linearly the average is the exact
-    product of the centered characteristic functions; otherwise it is a
-    Monte Carlo estimate from ``n_samples`` draws keyed by ``seed``, which
-    all sequences share, and ``monte_carlo`` holds its bookkeeping.  Either
-    way the deterministic phase evaluated at the distribution locations is
-    reported separately as ``base_phase``.
+    """Average e^{i phase} over the noise ensemble for every sequence: e^{i
+    base_phase}, the deterministic phase at the distribution locations, times
+    the attenuation about them.  When every source enters the phase linearly
+    the attenuation is the exact, real ``dephasing_factor``; otherwise it is a
+    Monte Carlo estimate from ``n_samples`` draws keyed by ``seed``, which all
+    sequences share, and ``monte_carlo`` holds its bookkeeping.
     """
     if params is None:
         params = default_params()
@@ -208,8 +209,7 @@ def simulate_family(sequences, sources, params: SpinSystemParams | None = None,
     base = np.array([accumulated_phase(params, seq.pair, seq.segments) for seq in sequences])
     base = base + sum(src.location_phase(grid) for src in sources)
     if all(src.is_linear for src in sources):
-        att = dephasing_factor([src.centered() for src in sources], coeffs)
-        return SimulationResult(attenuation=att, base_phase=base)
+        return SimulationResult(attenuation=dephasing_factor(sources, coeffs), base_phase=base)
     mc = monte_carlo_attenuation(sources, coeffs, n_samples=n_samples, seed=seed)
     return SimulationResult(attenuation=mc.attenuation, base_phase=base, monte_carlo=mc)
 
@@ -218,7 +218,7 @@ def simulate_amplitude(sequence: PulseSequence, sources, **kwargs) -> Simulation
     """One sequence's ensemble average: ``simulate_family`` with G = 1, its
     keywords (params, n_samples, seed) included."""
     family = simulate_family([sequence], sources, **kwargs)
-    return SimulationResult(attenuation=complex(family.attenuation[0]),
+    return SimulationResult(attenuation=family.attenuation[0].item(),
                             base_phase=float(family.base_phase[0]),
                             monte_carlo=family.monte_carlo)
 
@@ -321,6 +321,8 @@ def decay_scans(scans, sources, **kwargs) -> list:
         times = np.asarray(times, dtype=float)
         if times.size == 0:
             raise ValueError("need at least one time")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("time grid must be strictly increasing")
         family = [build_sequence(sequence, float(t), **keys) for t in times]
@@ -340,6 +342,8 @@ def pulse_location_sweep(total_time: float, flip_fractions, sources,
     fractions = np.asarray(flip_fractions, dtype=float)
     if fractions.size == 0:
         raise ValueError("need at least one flip fraction")
+    if not (np.all(np.isfinite(fractions)) and math.isfinite(total_time)):
+        raise ValueError("flip fractions and the total time must be finite")
     if np.any((fractions < 0) | (fractions > 1)):
         raise ValueError("flip fractions must lie in [0, 1]")
     keys, kwargs = _split(kwargs)

@@ -367,6 +367,17 @@ def test_estimate_sigma_propagates_rate_errors():
     assert math.sqrt(res.covariance[0, 0]) == pytest.approx(0.1, rel=1e-9)
 
 
+def test_estimate_sigma_rejects_bad_rate_errors():
+    # an error of 0 used to give sigma = 0 with covariance [[0]], a NaN a
+    # LinAlgError, and a negative error was taken as it was
+    for errors in ([0.0, 1.0, 1.0], [math.nan, 1.0, 1.0], [-1.0, 1.0, 1.0],
+                   [1.0, math.inf, 1.0], [1.0, 1.0]):
+        with pytest.raises(ValueError, match="one positive, finite error per rate"):
+            estimate_sigma([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], rate_errors=errors)
+    res = estimate_sigma([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], rate_errors=[1.0, 1.0, 1.0])
+    assert res["sigma_0"] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_levenberg_marquardt_converges_or_raises():
     def line(p, sign=1.0):
         return np.array([p[0] - 1.0, 2.0 * (p[0] - 1.0)]), sign * np.array([[1.0], [2.0]])

@@ -1,10 +1,10 @@
-"""Noise distributions, characteristic functions, and the ensemble average.
+"""Noise distributions, their attenuations, and the ensemble average.
 
 Closed-form expectations are frozen from the standard characteristic
-functions (Lorentzian e^{i mu u - sigma |u|}, Gaussian
-e^{i mu u - sigma^2 u^2 / 2}) so the implementation is checked against
-independent arithmetic.  Monte Carlo checks use a fixed seed and
-tolerances a few times the standard error, validated ahead of time.
+functions about the location (Lorentzian e^{-sigma |u|}, Gaussian
+e^{-sigma^2 u^2 / 2}) so the implementation is checked against independent
+arithmetic.  Monte Carlo checks use a fixed seed and tolerances a few times
+the standard error, validated ahead of time.
 """
 
 import math
@@ -53,42 +53,44 @@ def echo_coefficients(t=1e-3, tau=0.18e-3, pair=(0, -1)):
 
 def test_lorentzian_characteristic_function():
     d = lorentzian(0.0, 2.0)
-    assert d.characteristic_function(3.0) == pytest.approx(0.0024787521766663585, rel=1e-12)
-    d2 = lorentzian(1.5, 2.0)
-    expected = np.exp(1j * 1.5) * math.exp(-2.0)
-    assert d2.characteristic_function(1.0) == pytest.approx(expected, rel=1e-12)
+    assert d.attenuation(3.0) == pytest.approx(0.0024787521766663585, rel=1e-12)
+    # about the location: the location phase e^{1.5 i} is not part of it
+    assert lorentzian(1.5, 2.0).attenuation(1.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
 def test_gaussian_characteristic_function():
     d = gaussian(0.0, 3.0)
-    assert d.characteristic_function(2.0) == pytest.approx(1.5229979744712628e-08, rel=1e-12)
-    d2 = gaussian(-0.5, 1.0)
-    expected = np.exp(-1j * 0.5 * 2.0 - 0.5 * 4.0)
-    assert d2.characteristic_function(2.0) == pytest.approx(expected, rel=1e-12)
+    assert d.attenuation(2.0) == pytest.approx(1.5229979744712628e-08, rel=1e-12)
+    assert gaussian(-0.5, 1.0).attenuation(2.0) == pytest.approx(math.exp(-0.5 * 4.0),
+                                                                 rel=1e-12)
 
 
 def test_delta_characteristic_function():
-    d = delta(0.7)
     u = np.array([-2.0, 0.0, 5.0])
-    cf = d.characteristic_function(u)
-    assert np.allclose(np.abs(cf), 1.0, rtol=1e-12)
-    assert np.allclose(cf, np.exp(1j * 0.7 * u), rtol=1e-12)
+    assert np.array_equal(delta(0.7).attenuation(u), np.ones(3))
+    assert delta(0.7).attenuation(5.0) == 1.0
 
 
 def test_characteristic_function_conjugate_symmetry():
+    # each kind is symmetric about its location, so the characteristic
+    # function about it is real and even
     for d in (lorentzian(0.3, 1.2), gaussian(-0.2, 0.5), delta(1.1)):
         u = np.linspace(-4, 4, 17)
-        cf = d.characteristic_function(u)
-        assert np.allclose(cf[::-1], np.conj(cf), rtol=1e-12)
+        att = d.attenuation(u)
+        assert att.dtype == np.float64
+        assert np.array_equal(att[::-1], att)
 
 
-def test_centered_distribution():
-    d = lorentzian(2.5, 1.0)
-    c = d.centered()
-    assert c.location == 0.0 and c.scale == 1.0 and c.kind == d.kind
-    assert abs(d.characteristic_function(0.7)) == pytest.approx(
-        c.characteristic_function(0.7).real, rel=1e-12
-    )
+def test_attenuation_is_taken_about_the_location():
+    u = np.linspace(-3, 3, 13)
+    assert np.array_equal(lorentzian(2.5, 1.0).attenuation(u), lorentzian(0.0, 1.0).attenuation(u))
+    # the closed form leaves the location phase to location_phase
+    c = echo_coefficients()
+    located = temperature_source(gaussian(2.5, 1.0))
+    assert dephasing_factor((located,), [c]) == dephasing_factor(
+        (temperature_source(gaussian(0.0, 1.0)),), [c])
+    assert located.location_phase(c) == pytest.approx(2.5 * located.phase_coefficient(c),
+                                                      rel=1e-12)
 
 
 def test_distribution_validation():
@@ -104,27 +106,30 @@ def test_distribution_validation():
             Distribution(kind="lorentzian", location=location, scale=scale)
 
 
+def draw(d, n, seed=SEED, source_index=0, chunk_index=0):
+    """The chunk of draws the Monte Carlo average takes."""
+    return d._sample_chunk(noise._chunk_rng(seed, source_index, chunk_index), n)
+
+
 def test_sampling_is_deterministic():
     d = lorentzian(0.0, 1.0)
-    a = d.sample(1000, seed=SEED, source_index=0)
-    b = d.sample(1000, seed=SEED, source_index=0)
-    assert np.array_equal(a, b)
-    c = d.sample(1000, seed=SEED + 1, source_index=0)
-    assert not np.array_equal(a, c)
-    e = d.sample(1000, seed=SEED, source_index=1)
-    assert not np.array_equal(a, e)
+    a = draw(d, 1000)
+    assert np.array_equal(a, draw(d, 1000))
+    assert not np.array_equal(a, draw(d, 1000, seed=SEED + 1))
+    assert not np.array_equal(a, draw(d, 1000, source_index=1))
+    assert not np.array_equal(a, draw(d, 1000, chunk_index=1))
 
 
 def test_sample_statistics():
     n = 1 << 17
-    g = gaussian(0.0, 1.0).sample(n, seed=SEED)
+    g = draw(gaussian(0.0, 1.0), n)
     assert abs(np.mean(g)) < 0.01
     assert np.var(g) == pytest.approx(1.0, rel=0.02)
-    lo = lorentzian(0.0, 1.0).sample(n, seed=SEED)
+    lo = draw(lorentzian(0.0, 1.0), n)
     assert abs(np.median(lo)) < 0.01
     # half the mass of a unit Lorentzian lies within one half width
     assert np.mean(np.abs(lo) < 1.0) == pytest.approx(0.5, abs=0.01)
-    de = delta(3.25).sample(100, seed=SEED)
+    de = draw(delta(3.25), 100)
     assert np.all(de == 3.25)
 
 
@@ -180,12 +185,12 @@ def test_dephasing_factor_is_product_of_characteristic_functions():
     resp = default_linear_response()
     t_src = temperature_source(lorentzian(0.3, 5.0), response=resp)
     b_src = field_source(gaussian(0.0, 0.05))
-    expected = t_src.distribution.characteristic_function(
-        t_src.phase_coefficient(c)
-    ) * b_src.distribution.characteristic_function(c.field)
+    c_t = t_src.phase_coefficient(c)
+    expected = math.exp(-5.0 * abs(c_t)) * math.exp(-0.5 * (0.05 * c.field) ** 2)
     (got,) = dephasing_factor((t_src, b_src), [c])
     assert got == pytest.approx(expected, rel=1e-12)
-    assert abs(got) < 1.0
+    assert got == t_src.distribution.attenuation(c_t) * b_src.distribution.attenuation(c.field)
+    assert got < 1.0
 
 
 def test_dephasing_factor_batch_matches_per_point_product():
@@ -196,12 +201,11 @@ def test_dephasing_factor_batch_matches_per_point_product():
     family = [echo_coefficients(t=t, tau=f * t)
               for t in (2e-4, 1e-3, 3e-3) for f in (0.0, 0.18, 0.4, 1.0)]
     batch = dephasing_factor(sources, family)
-    assert batch.shape == (len(family),)
+    assert batch.shape == (len(family),) and batch.dtype == np.float64
     for got, c in zip(batch, family):
-        expected = 1.0 + 0.0j
+        expected = 1.0
         for src in sources:
-            expected *= complex(src.distribution.characteristic_function(
-                src.phase_coefficient(c)))
+            expected *= src.distribution.attenuation(src.phase_coefficient(c))
         assert abs(got - expected) <= 1e-14 * abs(expected)
 
 
@@ -226,6 +230,18 @@ def test_monte_carlo_matches_closed_form_linear():
     assert result.n_retained == result.n_samples == 1 << 19
     assert abs(result.attenuation[0] - exact[0]) < 5e-3
     assert result.std_error[0] < 2e-3
+    # both averages are taken about the locations, so located sources agree
+    # member by member in both parts (the closed form's imaginary part is 0);
+    # the standard error bounds each part's
+    family = [echo_coefficients(t=t, tau=f * t) for t in (5e-5, 2e-4, 1e-3) for f in (0.0, 0.3)]
+    for located in ((temperature_source(lorentzian(3.0, 5.0)),
+                     field_source(lorentzian(0.05, 0.0663))),
+                    (temperature_source(gaussian(-2.0, 5.0)), field_source(gaussian(0.1, 0.05)))):
+        exact = dephasing_factor(located, family)
+        result = monte_carlo_attenuation(located, family, n_samples=1 << 18, seed=SEED)
+        bound = 4.0 * result.std_error
+        assert np.all(np.abs(result.attenuation.real - exact) <= bound)
+        assert np.all(np.abs(result.attenuation.imag) <= bound)
 
 
 @pytest.mark.parametrize("sources", [

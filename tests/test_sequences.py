@@ -232,6 +232,31 @@ def test_scans_reject_empty_and_non_finite_inputs():
             phase_sweep(seq, (src,), [0.0, bad, math.pi])
 
 
+ECHO_SOURCE = (temperature_source(lorentzian(0.0, 5.0)),)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: decay_scan([1e-3, math.nan], ECHO_SOURCE, flip_fraction=0.18),
+    lambda: decay_scan([1e-3, math.inf], ECHO_SOURCE, flip_fraction=0.18),
+    lambda: decay_scan([1e-3, 2e-3], ECHO_SOURCE, flip_fraction=math.nan),
+    lambda: pulse_location_sweep(1e-3, [0.1, math.nan], ECHO_SOURCE),
+    lambda: pulse_location_sweep(math.inf, [0.1, 0.2], ECHO_SOURCE),
+    lambda: pulse_location_sweep(math.nan, [0.1, 0.2], ECHO_SOURCE),
+    lambda: build_unbalanced_echo(math.nan, 0.1e-3),
+    lambda: build_unbalanced_echo(1e-3, math.nan),
+    lambda: build_unbalanced_echo(math.inf, math.inf),
+], ids=["nan-time", "inf-time", "nan-flip-fraction", "nan-sweep-fraction",
+        "inf-sweep-time", "nan-sweep-time", "nan-echo-time", "nan-flip-time",
+        "inf-echo-times"])
+def test_non_finite_echo_inputs_name_the_cause(call):
+    # a NaN used to be reported as a flip time outside the sequence, and an
+    # infinite total time as a NaN segment duration
+    with pytest.raises(ValueError, match="must be finite") as error:
+        call()
+    assert not any(wrong in str(error.value)
+                   for wrong in ("within the sequence", "segment duration"))
+
+
 def test_pulse_location_sweep_flat_without_noise():
     src = temperature_source(lorentzian(0.0, 0.0))
     signal = pulse_location_sweep(2e-3, np.linspace(0, 1, 11), (src,))
