@@ -163,6 +163,10 @@ def _detect_fit_kind(path: Path) -> str:
 def _cmd_fit(args) -> int:
     path = Path(args.input)
     kind = args.kind if args.kind != "auto" else _detect_fit_kind(path)
+    if args.skip is not None and kind != "exponential":
+        raise ValueError(f"--skip applies to an exponential fit, not a {kind} fit")
+    if (args.pair is not None or args.ms_pairing is not None) and kind != "vee":
+        raise ValueError(f"--pair and --ms-pairing apply to a vee fit, not a {kind} fit")
     if kind == "vee":
         table = RateTable.read_csv(path)
         if args.pair is not None or args.ms_pairing is not None:

@@ -376,12 +376,20 @@ def estimate_sigma(rates, coefficients, baseline=0.0, rate_errors=None,
 
     Solves rate_i - baseline_i = sum_j |coefficient_ij| sigma_j with
     sigma_j >= 0 (nonnegative least squares).  ``coefficients`` is
-    (n_rates,) for a single source or (n_rates, n_sources).  ``rate_errors``,
-    when given, holds one positive, finite error per rate; they weight the
-    fit and give the covariance.
+    (n_rates,) for a single source or (n_rates, n_sources), and ``baseline``
+    a scalar or one value per rate.  ``rate_errors``, when given, holds one
+    positive, finite error per rate; they weight the fit and give the
+    covariance.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=float))
     coeff = np.atleast_1d(np.asarray(coefficients, dtype=float))
+    baseline = np.asarray(baseline, dtype=float)
+    for name, values in (("rates", rates), ("coefficients", coeff), ("baseline", baseline)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
+    if baseline.ndim > 1 or baseline.size not in (1, rates.size):
+        raise ValueError(f"baseline needs one value or one per rate ({rates.size}), "
+                         f"got shape {baseline.shape}")
     if coeff.ndim == 1:
         coeff = coeff[:, None]
     coeff = np.abs(coeff)
@@ -399,7 +407,7 @@ def estimate_sigma(rates, coefficients, baseline=0.0, rate_errors=None,
         if rate_errors.shape != rates.shape or not np.all(
                 np.isfinite(rate_errors) & (rate_errors > 0)):
             raise ValueError("rate_errors needs one positive, finite error per rate")
-    excess = rates - np.asarray(baseline, dtype=float)
+    excess = rates - baseline
 
     warnings = ()
     if np.all(excess <= 0):

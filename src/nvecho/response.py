@@ -55,6 +55,13 @@ DEFAULT_RATIO_CURVE = (
     (350.0, 6.027195860599224),
 )
 
+# The shipped set's anchor temperature (K), where the slope targets hold, the
+# base values of its quadrupole, hyperfine and zfs curves (rad/s), and the
+# relative miss of any ratio target that fails a calibration.
+CALIBRATION_T0_K = 300.0
+CALIBRATION_BASE_VALUES = (angular(-4.945e6), angular(-2.16e6), angular(2.87e9))
+RATIO_TOLERANCE = 0.02
+
 DEFAULT_DATA_FILE = Path(__file__).parent / "data" / "quasiharmonic_default.yaml"
 
 
@@ -250,7 +257,6 @@ def calibrate_einstein_model(
     reference: QuasiharmonicResponse | None = None,
     reference_mode_K: float = REFERENCE_MODE_K,
     base_value: float = 0.0,
-    residual_tolerance: float = 0.02,
 ) -> QuasiharmonicResponse:
     """Build a single-mode quasiharmonic model hitting a slope target.
 
@@ -268,7 +274,7 @@ def calibrate_einstein_model(
     ------
     CalibrationError
         If the fitted ratio misses any target point by more than
-        ``residual_tolerance`` relative; the message lists per-point residuals.
+        ``RATIO_TOLERANCE`` relative; the message lists per-point residuals.
     """
     curve = tuple((float(T), float(r)) for T, r in target_ratio_curve)
     if not curve:
@@ -330,7 +336,7 @@ def calibrate_einstein_model(
         raise CalibrationError(
             f"ratio targets infeasible for a single varied mode: {exc}"
         ) from None
-    if np.max(np.abs(res)) > residual_tolerance:
+    if np.max(np.abs(res)) > RATIO_TOLERANCE:
         lines = ", ".join(
             f"{T:.0f} K: {r * 100:+.1f}%" for T, r in zip(Ts, res)
         )
@@ -342,31 +348,27 @@ def calibrate_einstein_model(
 
 def calibrate_response_set(
     slope_quadrupole: float = angular(39.0),
-    target_ratio_curve: Sequence[tuple] = DEFAULT_RATIO_CURVE,
-    T0: float = 300.0,
     slope_zfs: float = angular(-77.7e3),
-    base_values: tuple = (angular(-4.945e6), angular(-2.16e6), angular(2.87e9)),
 ) -> QuasiharmonicSet:
-    """Calibrate the full quadrupole/hyperfine/zfs set.
+    """Calibrate the full quadrupole/hyperfine/zfs set from the slopes at
+    ``CALIBRATION_T0_K``.
 
     The quadrupole and zfs curves sit on the reference mode; the hyperfine
     curve's mode temperature is fitted so the pair's slope ratio follows
-    ``target_ratio_curve``.  The hyperfine slope at T0 is the quadrupole
+    ``DEFAULT_RATIO_CURVE``.  The hyperfine slope at T0 is the quadrupole
     slope times the ratio-curve value at T0.
     """
-    curve = tuple((float(T), float(r)) for T, r in target_ratio_curve)
-    curve_at_T0 = dict(curve).get(T0)
-    if curve_at_T0 is None:
-        raise CalibrationError("ratio curve must include the anchor temperature T0")
+    curve, T0 = DEFAULT_RATIO_CURVE, CALIBRATION_T0_K
+    base_q, base_a, base_zfs = CALIBRATION_BASE_VALUES
     quadrupole = calibrate_einstein_model(
-        slope_quadrupole, curve, T0, role="reference", base_value=base_values[0]
+        slope_quadrupole, curve, T0, role="reference", base_value=base_q
     )
     hyperfine = calibrate_einstein_model(
-        slope_quadrupole * curve_at_T0, curve, T0,
-        role="varied", reference=quadrupole, base_value=base_values[1],
+        slope_quadrupole * dict(curve)[T0], curve, T0,
+        role="varied", reference=quadrupole, base_value=base_a,
     )
     zfs = calibrate_einstein_model(
-        slope_zfs, curve, T0, role="reference", base_value=base_values[2]
+        slope_zfs, curve, T0, role="reference", base_value=base_zfs
     )
     return QuasiharmonicSet(quadrupole=quadrupole, hyperfine=hyperfine, zfs=zfs)
 
@@ -411,8 +413,9 @@ def save_response_set(set_: QuasiharmonicSet, path, deterministic: bool = False)
     ]
     calibration = {
         "targets": {
-            "slope_quadrupole_at_300K_Hz_per_K": cycles(set_.quadrupole.slope_at(300.0)),
-            "slope_zfs_at_300K_Hz_per_K": cycles(set_.zfs.slope_at(300.0)),
+            "slope_quadrupole_at_300K_Hz_per_K":
+                cycles(set_.quadrupole.slope_at(CALIBRATION_T0_K)),
+            "slope_zfs_at_300K_Hz_per_K": cycles(set_.zfs.slope_at(CALIBRATION_T0_K)),
             "ratio_hyperfine_to_quadrupole": [list(p) for p in DEFAULT_RATIO_CURVE],
             "reference_mode_temperature_K": REFERENCE_MODE_K,
         },

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 
 from .sequences import PulseSequence
-from .spin_model import InteractionShift, Segment
+from .spin_model import Segment
 from .units import QuantityError, parse_quantity
 
 _PROJECTIONS = (-1, 0, 1)
@@ -77,12 +77,9 @@ def _parse_ms_arg(token: str, line: int, column: int) -> int:
 def parse_sequence_script(text: str) -> PulseSequence:
     """Parse script text into a single PulseSequence.
 
-    The resulting ``kind`` is the most specific standard label, read from
-    the segments alone so that a script and its printed form agree (a
-    trailing or cancelled flip-n changes no segment): one segment gives
-    ramsey or dq_ramsey, two segments in distinct electron manifolds give
-    unbalanced_echo, a single interior sign change gives nuclear_echo, and
-    anything else is custom.
+    Its ``kind`` is read from the segments alone (``PulseSequence.kind``),
+    so a script and its printed form agree: a trailing or cancelled flip-n
+    changes no segment.
     """
     pair = None
     current_ms = 0
@@ -163,28 +160,12 @@ def parse_sequence_script(text: str) -> PulseSequence:
 
     if not segments:
         raise ScriptError("script defines no evolution segments", lineno, 1)
-    elapsed = sum(seg.duration for seg in segments)
-    if elapsed <= 0:
+    if sum(seg.duration for seg in segments) <= 0:
         raise ScriptError(
             "sequence must have positive total duration", *last_evolve
         )
 
-    kind, flip_at = _classify(pair, segments, elapsed)
-    return PulseSequence(kind, pair, tuple(segments), nuclear_flip_at=flip_at)
-
-
-def _classify(pair, segments, total):
-    flips = [i for i in range(1, len(segments)) if segments[i].sign != segments[i - 1].sign]
-    if segments[0].sign < 0 or len(flips) > 1:
-        return "custom", None
-    if flips:
-        flip_at = sum(seg.duration for seg in segments[:flips[0]])
-        return ("nuclear_echo", flip_at) if 0.0 < flip_at < total else ("custom", None)
-    if len(segments) == 1:
-        return ("dq_ramsey" if set(pair) == {-1, 1} else "ramsey"), None
-    if len(segments) == 2 and segments[0].m_S != segments[1].m_S:
-        return "unbalanced_echo", None
-    return "custom", None
+    return PulseSequence(pair, tuple(segments))
 
 
 def _fmt_m(m: int) -> str:
@@ -197,10 +178,6 @@ def format_sequence_script(sequence: PulseSequence) -> str:
     current_ms = 0
     current_sign = 1
     for seg in sequence.segments:
-        if seg.shift != InteractionShift():
-            raise ValueError(
-                "the script format cannot express per-segment interaction shifts"
-            )
         if seg.sign != current_sign:
             lines.append("flip-n")
             current_sign = seg.sign

@@ -46,14 +46,13 @@ from .spin_model import (
 
 @dataclass(frozen=True)
 class PulseSequence:
-    kind: str
+    """A transition pair and the segments of free evolution; its kind and
+    total time follow from them."""
+
     pair: tuple
     segments: tuple
-    nuclear_flip_at: float | None = None  # midpoint pi-pulse time, nuclear_echo only
 
     def __post_init__(self):
-        if self.kind not in KINDS and self.kind != "custom":
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
         if not self.segments:
             raise ValueError("sequence needs at least one segment")
         if self.total_time <= 0:
@@ -64,11 +63,23 @@ class PulseSequence:
         return sum(seg.duration for seg in self.segments)
 
     @property
-    def flip_fraction(self):
-        """Fraction of the total time spent in the flipped manifold, or None."""
-        if self.kind != "unbalanced_echo":
-            return None
-        return self.segments[1].duration / self.total_time
+    def kind(self) -> str:
+        """The most specific standard label, read from the segments alone:
+        one segment is a ramsey, or a dq_ramsey on the (-1, +1) pair; two
+        segments in distinct electron manifolds an unbalanced_echo; a single
+        interior sign change a nuclear_echo; anything else custom."""
+        segs = self.segments
+        flips = [i for i in range(1, len(segs)) if segs[i].sign != segs[i - 1].sign]
+        if segs[0].sign < 0 or len(flips) > 1:
+            return "custom"
+        if flips:
+            flip_at = sum(seg.duration for seg in segs[:flips[0]])
+            return "nuclear_echo" if 0.0 < flip_at < self.total_time else "custom"
+        if len(segs) == 1:
+            return "dq_ramsey" if set(self.pair) == {-1, 1} else "ramsey"
+        if len(segs) == 2 and segs[0].m_S != segs[1].m_S:
+            return "unbalanced_echo"
+        return "custom"
 
 
 def _needs_m_i_zero(keys):
@@ -91,11 +102,11 @@ def _refuse(rule, keys) -> None:
 
 def build_ramsey(duration: float, pair=(0, -1), m_S: int = 0) -> PulseSequence:
     _refuse(_needs_m_i_zero, {"pair": pair})
-    return PulseSequence("ramsey", tuple(pair), (Segment(duration, m_S),))
+    return PulseSequence(tuple(pair), (Segment(duration, m_S),))
 
 
 def build_dq_ramsey(duration: float, m_S: int = 0) -> PulseSequence:
-    return PulseSequence("dq_ramsey", DOUBLE_QUANTUM_PAIR, (Segment(duration, m_S),))
+    return PulseSequence(DOUBLE_QUANTUM_PAIR, (Segment(duration, m_S),))
 
 
 def build_unbalanced_echo(total_time: float, flip_time: float, pair=(0, -1),
@@ -107,7 +118,6 @@ def build_unbalanced_echo(total_time: float, flip_time: float, pair=(0, -1),
         raise ValueError("flip time must lie within the sequence: 0 <= tau <= t")
     _refuse(_flip_changes_manifold, {"ms_free": ms_free, "ms_flipped": ms_flipped})
     return PulseSequence(
-        "unbalanced_echo",
         tuple(pair),
         (Segment(total_time - flip_time, ms_free), Segment(flip_time, ms_flipped)),
     )
@@ -116,11 +126,7 @@ def build_unbalanced_echo(total_time: float, flip_time: float, pair=(0, -1),
 def build_nuclear_echo(total_time: float, pair=(0, -1), m_S: int = 0) -> PulseSequence:
     half = total_time / 2.0
     return PulseSequence(
-        "nuclear_echo",
-        tuple(pair),
-        (Segment(half, m_S, sign=+1), Segment(half, m_S, sign=-1)),
-        nuclear_flip_at=half,
-    )
+        tuple(pair), (Segment(half, m_S, sign=+1), Segment(half, m_S, sign=-1)))
 
 
 class SequenceKind(NamedTuple):
@@ -206,8 +212,7 @@ def simulate_family(sequences, sources, params: SpinSystemParams | None = None,
     sources = tuple(sources)
     coeffs = [phase_coefficients(params, seq.pair, seq.segments) for seq in sequences]
     grid = stack_coefficients(coeffs)
-    base = np.array([accumulated_phase(params, seq.pair, seq.segments) for seq in sequences])
-    base = base + sum(src.location_phase(grid) for src in sources)
+    base = accumulated_phase(params, grid) + sum(src.location_phase(grid) for src in sources)
     if all(src.is_linear for src in sources):
         return SimulationResult(attenuation=dephasing_factor(sources, coeffs), base_phase=base)
     mc = monte_carlo_attenuation(sources, coeffs, n_samples=n_samples, seed=seed)
@@ -328,7 +333,7 @@ def decay_scans(scans, sources, **kwargs) -> list:
         family = [build_sequence(sequence, float(t), **keys) for t in times]
         meta = {"sequence": sequence}
         if "pair" in KINDS[sequence].keys:  # a dq_ramsey names no pair
-            meta["pair"] = list((KINDS[sequence].keys | keys)["pair"])
+            meta["pair"] = list(family[0].pair)
         if "flip_fraction" in keys:
             meta["flip_fraction"] = keys["flip_fraction"]
         parts.append((times, family, "total_time_s", meta))
@@ -349,8 +354,7 @@ def pulse_location_sweep(total_time: float, flip_fractions, sources,
     keys, kwargs = _split(kwargs)
     family = [build_sequence("unbalanced_echo", total_time, flip_fraction=float(f), **keys)
               for f in fractions]
-    meta = {"total_time_s": total_time,
-            "pair": list((KINDS["unbalanced_echo"].keys | keys)["pair"])}
+    meta = {"total_time_s": total_time, "pair": list(family[0].pair)}
     return _scans([(fractions, family, "flip_fraction", meta)], sources, kwargs)[0]
 
 

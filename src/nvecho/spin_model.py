@@ -8,15 +8,17 @@ with the quadrupole coupling Q, the secular hyperfine coupling A, and the
 nuclear Zeeman term.  All couplings are angular frequencies (rad/s) and
 carry their physical signs; observable transition frequencies are energy
 differences, taken by magnitude.  Phase accumulated on a superposition of
-two m_I levels is minus the time integral of their energy difference, so a
-pulse sequence is just a list of (duration, m_S, environment shift)
-segments.
+two m_I levels is minus the time integral of their energy difference.  A
+pulse sequence is a list of segments, each a duration in one electron
+manifold with the sign that nuclear pi pulses leave, and its phase is linear
+in Q, A and B: each coupling is weighted by the time spent in each manifold
+(``phase_coefficients``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,9 +40,6 @@ SINGLE_QUANTUM_LINES = (
     (5, (0, +1), +1),
     (6, (0, -1), +1),
 )
-
-_NO_SHIFT = InteractionShift()
-
 
 @dataclass(frozen=True)
 class SpinSystemParams:
@@ -84,24 +83,6 @@ def _check_projection(m, name):
         raise ValueError(f"{name} must be one of -1, 0, +1, got {m}")
 
 
-def level_energy(params: SpinSystemParams, m_I: int, m_S: int,
-                 shift: InteractionShift | None = None) -> float:
-    """Nuclear sublevel energy within the m_S manifold, rad/s.
-
-    The electron-only terms (zfs, electron Zeeman) are constant across the
-    nuclear sublevels of a manifold and are omitted; they cancel from every
-    nuclear transition frequency.
-    """
-    _check_projection(m_I, "m_I")
-    _check_projection(m_S, "m_S")
-    s = shift if shift is not None else _NO_SHIFT
-    return (
-        (params.quadrupole + s.d_quadrupole) * m_I * m_I
-        + m_S * (params.hyperfine + s.d_hyperfine) * m_I
-        + params.nuclear_zeeman * m_I
-    )
-
-
 def _validate_pair(pair):
     ref, target = pair
     _check_projection(ref, "pair[0]")
@@ -111,11 +92,31 @@ def _validate_pair(pair):
     return ref, target
 
 
+def pair_sensitivity(pair, m_S: int, gamma_n: float) -> tuple:
+    """Per-channel frequency sensitivities of a transition.
+
+    Returns (d/d(dQ), d/d(dA), d/d(dB)) of the signed energy difference
+    E(target) - E(reference): the quadrupole channel responds to the change
+    in m_I^2, the hyperfine channel to m_S times the change in m_I, and the
+    field channel to gamma_n times the change in m_I.
+    """
+    ref, target = _validate_pair(pair)
+    _check_projection(m_S, "m_S")
+    d_mi = target - ref
+    d_mi2 = target * target - ref * ref
+    return (d_mi2, m_S * d_mi, gamma_n * d_mi)
+
+
 def transition_frequency(params: SpinSystemParams, pair, m_S: int,
                          shift: InteractionShift | None = None) -> float:
-    """|E(target) - E(reference)| for a (reference, target) m_I pair, rad/s."""
-    ref, target = _validate_pair(pair)
-    return abs(level_energy(params, target, m_S, shift) - level_energy(params, ref, m_S, shift))
+    """|E(target) - E(reference)| for a (reference, target) m_I pair, rad/s:
+    the pair's sensitivities times (Q + dQ, A + dA, B).  The electron-only
+    terms (zfs, electron Zeeman) are common to a manifold's nuclear levels
+    and cancel."""
+    s_q, s_a, s_b = pair_sensitivity(pair, m_S, params.gamma_n)
+    d_q, d_a = (0.0, 0.0) if shift is None else (shift.d_quadrupole, shift.d_hyperfine)
+    return abs(s_q * (params.quadrupole + d_q) + s_a * (params.hyperfine + d_a)
+               + s_b * params.field_gauss)
 
 
 @dataclass(frozen=True)
@@ -135,24 +136,9 @@ def single_quantum_table(params: SpinSystemParams,
     )
 
 
-def pair_sensitivity(pair, m_S: int, gamma_n: float) -> tuple:
-    """Per-channel frequency sensitivities of a transition.
-
-    Returns (d/d(dQ), d/d(dA), d/d(dB)) of the signed energy difference
-    E(target) - E(reference): the quadrupole channel responds to the change
-    in m_I^2, the hyperfine channel to m_S times the change in m_I, and the
-    field channel to gamma_n times the change in m_I.
-    """
-    ref, target = _validate_pair(pair)
-    _check_projection(m_S, "m_S")
-    d_mi = target - ref
-    d_mi2 = target * target - ref * ref
-    return (d_mi2, m_S * d_mi, gamma_n * d_mi)
-
-
 @dataclass(frozen=True)
 class Segment:
-    """One stretch of free evolution: duration (s), electron manifold, shifts.
+    """One stretch of free evolution: duration (s) and electron manifold.
 
     ``sign`` is -1 after an odd number of nuclear pi pulses, which swap the
     two superposed levels and invert further phase accumulation.
@@ -160,7 +146,6 @@ class Segment:
 
     duration: float
     m_S: int
-    shift: InteractionShift = field(default_factory=InteractionShift)
     sign: int = 1
 
     def __post_init__(self):
@@ -169,24 +154,6 @@ class Segment:
         _check_projection(self.m_S, "m_S")
         if self.sign not in (-1, 1):
             raise ValueError("segment sign must be +1 or -1")
-
-
-def accumulated_phase(params: SpinSystemParams, pair,
-                      segments: Iterable[Segment]) -> float:
-    """Phase of the target level relative to the reference over the sequence.
-
-    phase = -sum_k duration_k * (E(target; m_S_k) - E(reference; m_S_k)),
-    evaluated with each segment's own interaction shift.  Returned signed,
-    in radians.
-    """
-    ref, target = _validate_pair(pair)
-    total = 0.0
-    for seg in segments:
-        diff = level_energy(params, target, seg.m_S, seg.shift) - level_energy(
-            params, ref, seg.m_S, seg.shift
-        )
-        total -= seg.sign * seg.duration * diff
-    return total
 
 
 @dataclass(frozen=True)
@@ -212,7 +179,8 @@ def stack_coefficients(coefficients: Iterable[PhaseCoefficients]) -> PhaseCoeffi
 
 def phase_coefficients(params: SpinSystemParams, pair,
                        segments: Sequence[Segment]) -> PhaseCoefficients:
-    """Sensitivity of accumulated_phase to shared (dQ, dA, dB) offsets."""
+    """Time-weighted sensitivities of the phase to Q, A and B, which are
+    also its response to shared (dQ, dA, dB) offsets."""
     c_q = c_a = c_b = 0.0
     for seg in segments:
         s_q, s_a, s_b = pair_sensitivity(pair, seg.m_S, params.gamma_n)
@@ -220,3 +188,13 @@ def phase_coefficients(params: SpinSystemParams, pair,
         c_a -= seg.sign * seg.duration * s_a
         c_b -= seg.sign * seg.duration * s_b
     return PhaseCoefficients(quadrupole=c_q, hyperfine=c_a, field=c_b)
+
+
+def accumulated_phase(params: SpinSystemParams,
+                      coefficients: PhaseCoefficients) -> float:
+    """Phase of the target level relative to the reference, radians, signed:
+    c_q Q + c_a A + c_B B for one PhaseCoefficients, or (G,) phases for a
+    stacked family."""
+    return (coefficients.quadrupole * params.quadrupole
+            + coefficients.hyperfine * params.hyperfine
+            + coefficients.field * params.field_gauss)

@@ -403,6 +403,18 @@ def test_fit_vee_mixed_table_without_filter_fails(tmp_path, capsys):
     assert "pair" in capsys.readouterr().err
 
 
+def test_fit_refuses_flags_its_model_does_not_read(tmp_path, capsys):
+    decay, rates = _decay_csv(tmp_path), _rate_csv(tmp_path)
+    for args, problem in (([rates, "--skip", "7"], "--skip applies to an exponential fit"),
+                          ([decay, "--pair", "0,-1"], "--pair and --ms-pairing apply to a vee"),
+                          ([decay, "--ms-pairing", "0,1"], "--pair and --ms-pairing"),
+                          ([rates, "--kind", "exponential", "--pair", "0,-1"], "--pair")):
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(args[0]), *args[1:], "--out", str(out)]) == 2
+        assert problem in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_fit_method_flag_is_gone(tmp_path, capsys):
     # the branch geometry of the filtered table decides vee or line
     csv = _rate_csv(tmp_path, both_branches=True)

@@ -345,6 +345,21 @@ def test_estimate_sigma_zero_coefficient_rejected():
         estimate_sigma([100.0, 200.0], np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"rates": [1.0, math.nan, 3.0]}, "rates must be finite"),
+    ({"baseline": math.nan}, "baseline must be finite"),
+    ({"coefficients": [1.0, math.nan, 3.0]}, "coefficients must be finite"),
+    ({"coefficients": [1.0, 2.0, math.inf]}, "coefficients must be finite"),
+    ({"baseline": [0.1, 0.2]}, "baseline needs one value or one per rate"),
+    ({"baseline": [[0.1], [0.2], [0.3]]}, "baseline needs one value or one per rate"),
+])
+def test_estimate_sigma_names_bad_inputs(kwargs, name):
+    good = {"rates": [1.0, 2.0, 3.0], "coefficients": [1.0, 2.0, 3.0], "baseline": 0.0}
+    with pytest.raises(ValueError, match=name):
+        estimate_sigma(**(good | kwargs))
+    assert estimate_sigma(**(good | {"baseline": [0.1, 0.2, 0.3]}))["sigma_0"] > 0
+
+
 def test_estimate_sigma_two_sources_from_four_rates():
     resp = default_linear_response()
     combos = ((-1, -1), (1, -1), (1, 1), (1, 0))

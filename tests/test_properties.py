@@ -239,6 +239,7 @@ def test_config_parse_dump_parse_is_a_fixed_point(doc):
 @given(kind=st.sampled_from(sorted(KINDS)), total_time=_finite(1e-7, 1e-1), data=st.data())
 def test_built_sequences_round_trip_through_the_printer(kind, total_time, data):
     seq = build_sequence(kind, total_time, **data.draw(_kind_keys(kind)))
+    assert seq.kind == kind
     assert parse_sequence_script(format_sequence_script(seq)) == seq
 
 

@@ -320,7 +320,7 @@ def test_simulate_builds_a_script_or_a_kind(tmp_path):
     block = _config("simulate", sequence={"kind": "unbalanced_echo", "pair": [0, -1],
                                           "total_time": "1 ms", "flip_fraction": 0.25}).sequence
     seq = build_sequence("unbalanced_echo", 1e-3, **KINDS["unbalanced_echo"].read(block))
-    assert seq.flip_fraction == pytest.approx(0.25, rel=1e-12)
+    assert seq.segments[1].duration / seq.total_time == pytest.approx(0.25, rel=1e-12)
     # blocks it cannot build are refused when the config is parsed
     with pytest.raises(ConfigError, match="sequence.flip_fraction: kind unbalanced_echo needs"):
         _config("simulate", sequence={"kind": "unbalanced_echo", "total_time": "1 ms"})

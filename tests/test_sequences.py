@@ -15,7 +15,9 @@ from nvecho.noise import (
 )
 from nvecho.response import default_linear_response, default_quasiharmonic_set
 from nvecho.sequences import (
+    KINDS,
     EnsembleSignal,
+    build_sequence,
     build_dq_ramsey,
     build_nuclear_echo,
     build_ramsey,
@@ -39,11 +41,10 @@ def test_builders_and_invariants():
     assert len(seq.segments) == 2
     assert seq.segments[0].m_S == 0 and seq.segments[1].m_S == 1
     assert seq.total_time == pytest.approx(1e-3, rel=1e-12)
-    assert seq.flip_fraction == pytest.approx(0.18, rel=1e-12)
+    assert seq.segments[1].duration / seq.total_time == pytest.approx(0.18, rel=1e-12)
 
     ram = build_ramsey(5e-4, pair=(0, +1))
     assert ram.kind == "ramsey" and ram.total_time == 5e-4
-    assert ram.flip_fraction is None
 
     dq = build_dq_ramsey(5e-4)
     assert dq.pair == (-1, +1)
@@ -51,6 +52,18 @@ def test_builders_and_invariants():
     echo = build_nuclear_echo(4e-4, pair=(0, -1), m_S=0)
     assert [seg.sign for seg in echo.segments] == [1, -1]
     assert echo.total_time == pytest.approx(4e-4, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_built_sequences_classify_as_their_kind(kind):
+    keys = KINDS[kind].keys
+    pairs = [(0, -1), (+1, 0)] + ([] if kind == "ramsey" else [(-1, +1)])
+    for pair in pairs if "pair" in keys else [None]:
+        for fraction in (0.0, 0.18, 1.0) if "flip_fraction" in keys else [None]:
+            given = {"pair": pair, "flip_fraction": fraction, "ms": -1, "ms_flipped": -1}
+            seq = build_sequence(kind, 2e-3, **{key: value for key, value in given.items()
+                                                if key in keys and value is not None})
+            assert seq.kind == kind, (pair, fraction)
 
 
 def test_builder_validation():

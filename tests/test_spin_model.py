@@ -1,10 +1,11 @@
-"""Level energies, transition frequencies, and phase accumulation.
+"""Transition frequencies and phase accumulation against a level oracle.
 
 Expected frequencies are frozen by hand from the secular level formula
 E(m_I; m_S) = Q m_I^2 + m_S A m_I + gamma_n B m_I with the default
-constants (|Q| = 4.945 MHz, |A_zz| = 2.16 MHz, |gamma_n| B = 73540.3 Hz),
-so the generic energy-differencing code is checked against independent
-arithmetic.
+constants (|Q| = 4.945 MHz, |A_zz| = 2.16 MHz, |gamma_n| B = 73540.3 Hz).
+The linear phase model (``phase_coefficients``, ``accumulated_phase``) is
+checked against a brute-force oracle that differences per-level energies
+with per-segment offsets, so it meets independent arithmetic.
 """
 
 import math
@@ -19,10 +20,10 @@ from nvecho.spin_model import (
     SpinSystemParams,
     accumulated_phase,
     default_params,
-    level_energy,
     pair_sensitivity,
     phase_coefficients,
     single_quantum_table,
+    stack_coefficients,
     transition_frequency,
 )
 from nvecho.units import TWO_PI, angular
@@ -51,24 +52,52 @@ def test_default_constants():
     assert p.nuclear_zeeman == pytest.approx(-TWO_PI * ZEEMAN_HZ, rel=1e-12)
 
 
+def _energy(p, m_I, m_S, d_q=0.0, d_a=0.0, d_b=0.0):
+    """Secular level energy with (dQ, dA, dB) offsets, rad/s: the oracle's
+    own arithmetic, independent of the sensitivity tables under test."""
+    return ((p.quadrupole + d_q) * m_I * m_I + m_S * (p.hyperfine + d_a) * m_I
+            + p.gamma_n * (p.field_gauss + d_b) * m_I)
+
+
+def _oracle_phase(p, pair, segments, offsets=None):
+    """Brute-force phase: -sum sign * duration * (E(target) - E(reference)),
+    each segment with its own (dQ, dA, dB) offsets."""
+    ref, target = pair
+    offsets = offsets or [(0.0, 0.0, 0.0)] * len(segments)
+    return -sum(seg.sign * seg.duration
+                * (_energy(p, target, seg.m_S, *o) - _energy(p, ref, seg.m_S, *o))
+                for seg, o in zip(segments, offsets))
+
+
+def _phase(p, pair, segments):
+    return accumulated_phase(p, phase_coefficients(p, pair, segments))
+
+
 def test_level_energy_examples():
     p = default_params()
-    assert level_energy(p, 0, 0) == 0.0
-    assert level_energy(p, 0, +1) == 0.0
-    assert level_energy(p, +1, 0) == pytest.approx(-TWO_PI * (Q_HZ + ZEEMAN_HZ), rel=1e-12)
-    assert level_energy(p, -1, +1) == pytest.approx(
+    assert _energy(p, 0, 0) == 0.0
+    assert _energy(p, 0, +1) == 0.0
+    assert _energy(p, +1, 0) == pytest.approx(-TWO_PI * (Q_HZ + ZEEMAN_HZ), rel=1e-12)
+    assert _energy(p, -1, +1) == pytest.approx(
         -TWO_PI * (Q_HZ - A_HZ - ZEEMAN_HZ), rel=1e-12
     )
-    assert level_energy(p, -1, -1) == pytest.approx(
+    assert _energy(p, -1, -1) == pytest.approx(
         -TWO_PI * (Q_HZ + A_HZ - ZEEMAN_HZ), rel=1e-12
     )
 
 
 def test_level_energy_with_shift():
     p = default_params()
-    shift = InteractionShift(d_quadrupole=angular(120.0), d_hyperfine=angular(-300.0))
     expected = -TWO_PI * (Q_HZ + A_HZ + ZEEMAN_HZ) + angular(120.0) + angular(-300.0)
-    assert level_energy(p, +1, +1, shift) == pytest.approx(expected, rel=1e-12)
+    assert _energy(p, +1, +1, angular(120.0), angular(-300.0)) == pytest.approx(
+        expected, rel=1e-12)
+    # every pair and manifold: the transition frequency is the level difference
+    shift = InteractionShift(d_quadrupole=angular(120.0), d_hyperfine=angular(-300.0))
+    for pair in ((0, +1), (0, -1), (-1, +1), (+1, 0)):
+        for m_S in (-1, 0, 1):
+            levels = [_energy(p, m, m_S, shift.d_quadrupole, shift.d_hyperfine) for m in pair]
+            assert transition_frequency(p, pair, m_S, shift) == pytest.approx(
+                abs(levels[1] - levels[0]), rel=1e-12), (pair, m_S)
 
 
 def test_six_line_frequencies():
@@ -139,10 +168,10 @@ def test_parameter_validation():
 
 def test_spin_projection_validation():
     p = default_params()
-    with pytest.raises(ValueError):
-        level_energy(p, 2, 0)
-    with pytest.raises(ValueError):
-        level_energy(p, 0, -2)
+    with pytest.raises(ValueError, match="pair"):
+        transition_frequency(p, (2, 0), 0)
+    with pytest.raises(ValueError, match="m_S"):
+        transition_frequency(p, (0, 1), -2)
     with pytest.raises(ValueError):
         transition_frequency(p, (0, 0), 0)  # degenerate pair
     with pytest.raises(ValueError):
@@ -167,7 +196,8 @@ def test_unbalanced_echo_phase_formula():
     t, tau = 100e-6, 20e-6
     segments = (Segment(t - tau, 0), Segment(tau, +1))
     expected = -t * p.quadrupole + tau * p.hyperfine + t * p.nuclear_zeeman
-    assert accumulated_phase(p, (0, -1), segments) == pytest.approx(expected, rel=1e-12)
+    assert _phase(p, (0, -1), segments) == pytest.approx(expected, rel=1e-12)
+    assert _oracle_phase(p, (0, -1), segments) == pytest.approx(expected, rel=1e-12)
 
 
 def test_phase_coefficients_unbalanced_echo():
@@ -198,11 +228,11 @@ def test_temperature_phase_cancellation_at_slope_ratio():
     d_phi = c.quadrupole * resp.quadrupole_per_K * d_T + c.hyperfine * resp.hyperfine_per_K * d_T
     scale = abs(t * resp.quadrupole_per_K * d_T)
     assert abs(d_phi) < 1e-12 * scale
-    # The full phase agrees too, up to rounding of the large base phase.
+    # The brute-force phase agrees too, up to rounding of the large base phase.
     shift = resp.interaction_shift(d_temperature=d_T)
-    segs = lambda s: (Segment(t - tau, 0, s), Segment(tau, +1, s))
-    phi = accumulated_phase(p, (0, -1), segs(shift))
-    phi0 = accumulated_phase(p, (0, -1), segs(InteractionShift()))
+    offsets = [(shift.d_quadrupole, shift.d_hyperfine, 0.0)] * 2
+    phi = _oracle_phase(p, (0, -1), segments, offsets)
+    phi0 = _oracle_phase(p, (0, -1), segments)
     assert abs(phi - phi0) < 1e-12 * abs(phi0)
 
 
@@ -213,48 +243,66 @@ def test_temperature_phase_no_cancellation_other_branch():
     tau = t * resp.quadrupole_per_K / resp.hyperfine_per_K
     d_T = 0.8
     shift = resp.interaction_shift(d_temperature=d_T)
-    segs = (Segment(t - tau, 0, shift), Segment(tau, +1, shift))
-    phi = accumulated_phase(p, (0, +1), segs)
-    phi0 = accumulated_phase(
-        p, (0, +1), (Segment(t - tau, 0), Segment(tau, +1))
-    )
+    segments = (Segment(t - tau, 0), Segment(tau, +1))
+    phi = _oracle_phase(p, (0, +1), segments, [(shift.d_quadrupole, shift.d_hyperfine, 0.0)] * 2)
+    phi0 = _oracle_phase(p, (0, +1), segments)
     expected = -(t * resp.quadrupole_per_K + tau * resp.hyperfine_per_K) * d_T
     assert phi - phi0 == pytest.approx(expected, rel=1e-10)
+    c = phase_coefficients(p, (0, +1), segments)
+    assert c.quadrupole * shift.d_quadrupole + c.hyperfine * shift.d_hyperfine \
+        == pytest.approx(expected, rel=1e-12)
+
+
+def _random_sequence(rng):
+    pair = [(0, 1), (0, -1), (-1, 1), (1, 0), (1, -1)][rng.integers(5)]
+    segments = [Segment(float(rng.uniform(0, 1e-3)), int(rng.integers(-1, 2)),
+                        sign=int(rng.choice([-1, 1])))
+                for _ in range(rng.integers(1, 5))]
+    return pair, segments
+
+
+def test_phase_matches_the_brute_force_oracle():
+    # The linear model against level differencing, for one sequence and for
+    # a stacked family, whose members each get their own phase bit for bit.
+    p = default_params()
+    rng = np.random.default_rng(7)
+    family = [_random_sequence(rng) for _ in range(50)]
+    coefficients = [phase_coefficients(p, pair, segments) for pair, segments in family]
+    for (pair, segments), c in zip(family, coefficients):
+        scale = sum(seg.duration for seg in segments) * abs(p.quadrupole)
+        assert accumulated_phase(p, c) == pytest.approx(
+            _oracle_phase(p, pair, segments), rel=1e-12, abs=1e-13 * scale)
+    stacked = accumulated_phase(p, stack_coefficients(coefficients))
+    assert stacked.tolist() == [accumulated_phase(p, c) for c in coefficients]
 
 
 def test_phase_is_linear_in_shifts():
-    # Random sequences: phase(shift) - phase(0) must equal the coefficient
-    # contraction exactly, because level energies are linear in the shifts.
+    # Random sequences with random per-segment offsets: the brute-force phase
+    # change equals the per-segment coefficient contraction, because level
+    # energies are linear in the offsets.
     p = default_params()
     rng = np.random.default_rng(2024)
     for _ in range(25):
-        pair = [(0, 1), (0, -1), (-1, 1)][rng.integers(3)]
-        segments = []
-        shifts = []
-        for _ in range(rng.integers(1, 5)):
-            s = InteractionShift(
-                d_quadrupole=angular(rng.normal(0, 200)),
-                d_hyperfine=angular(rng.normal(0, 200)),
-            )
-            shifts.append(s)
-            segments.append(Segment(float(rng.uniform(0, 1e-3)), int(rng.integers(-1, 2)), s))
-        phi = accumulated_phase(p, pair, segments)
-        base = [Segment(seg.duration, seg.m_S) for seg in segments]
-        phi0 = accumulated_phase(p, pair, base)
+        pair, segments = _random_sequence(rng)
+        offsets = [(angular(rng.normal(0, 200)), angular(rng.normal(0, 200)),
+                    float(rng.normal(0, 0.5))) for _ in segments]
+        phi = _oracle_phase(p, pair, segments, offsets)
+        phi0 = _oracle_phase(p, pair, segments)
         linear = 0.0
-        for seg, s in zip(base, shifts):
+        for seg, (d_q, d_a, d_b) in zip(segments, offsets):
             c = phase_coefficients(p, pair, [seg])
-            linear += c.quadrupole * s.d_quadrupole + c.hyperfine * s.d_hyperfine
-        assert phi - phi0 == pytest.approx(linear, rel=1e-9, abs=1e-15)
+            linear += c.quadrupole * d_q + c.hyperfine * d_a + c.field * d_b
+        assert phi - phi0 == pytest.approx(linear, rel=1e-9, abs=1e-9)
 
 
 def test_phase_invariant_under_segment_split():
     p = default_params()
-    shift = InteractionShift(d_quadrupole=angular(50.0))
-    whole = (Segment(4e-4, +1, shift),)
-    halves = (Segment(1e-4, +1, shift), Segment(3e-4, +1, shift))
-    assert accumulated_phase(p, (0, -1), whole) == pytest.approx(
-        accumulated_phase(p, (0, -1), halves), rel=1e-12
+    offset = [(angular(50.0), 0.0, 0.0)]
+    whole = (Segment(4e-4, +1),)
+    halves = (Segment(1e-4, +1), Segment(3e-4, +1))
+    assert _phase(p, (0, -1), whole) == pytest.approx(_phase(p, (0, -1), halves), rel=1e-12)
+    assert _oracle_phase(p, (0, -1), whole, offset) == pytest.approx(
+        _oracle_phase(p, (0, -1), halves, offset * 2), rel=1e-12
     )
 
 
@@ -262,11 +310,12 @@ def test_nuclear_pi_pulse_refocuses_static_shifts():
     # Equal durations with opposite accumulation signs cancel any static
     # energy difference, shifts included.
     p = default_params()
-    shift = InteractionShift(d_quadrupole=angular(80.0), d_hyperfine=angular(-60.0))
-    segs = (Segment(2e-4, +1, shift, sign=+1), Segment(2e-4, +1, shift, sign=-1))
-    assert accumulated_phase(p, (0, -1), segs) == 0.0
+    segs = (Segment(2e-4, +1, sign=+1), Segment(2e-4, +1, sign=-1))
+    offsets = [(angular(80.0), angular(-60.0), 0.1)] * 2
+    assert _oracle_phase(p, (0, -1), segs, offsets) == 0.0
     c = phase_coefficients(p, (0, -1), segs)
     assert c.quadrupole == 0.0 and c.hyperfine == 0.0 and c.field == 0.0
+    assert accumulated_phase(p, c) == 0.0
     with pytest.raises(ValueError):
         Segment(1e-6, 0, sign=2)
 
@@ -277,8 +326,8 @@ def test_field_offset_enters_through_zeeman_channel():
     segs = (Segment(t, 0),)
     c = phase_coefficients(p, (0, -1), segs)
     d_B = 0.25
-    shifted = (Segment(t, 0, InteractionShift()),)
     p_off = SpinSystemParams(field_gauss=p.field_gauss + d_B)
-    phi = accumulated_phase(p_off, (0, -1), shifted)
-    phi0 = accumulated_phase(p, (0, -1), segs)
-    assert phi - phi0 == pytest.approx(c.field * d_B, rel=1e-9)
+    assert accumulated_phase(p_off, c) - accumulated_phase(p, c) == pytest.approx(
+        c.field * d_B, rel=1e-9)
+    phi = _oracle_phase(p, (0, -1), segs, [(0.0, 0.0, d_B)])
+    assert phi - _oracle_phase(p, (0, -1), segs) == pytest.approx(c.field * d_B, rel=1e-9)
