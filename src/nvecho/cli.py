@@ -36,7 +36,7 @@ from .scenarios import (
     run_scenario,
 )
 from .script import format_sequence_script, parse_sequence_script
-from .sequences import read_signal_csv
+from .sequences import read_metadata_csv, read_signal_csv
 from .units import angular, cycles, parse_quantity
 
 _FIT_KINDS_BY_LABEL = {"total_time_s": "exponential", "readout_phase_rad": "cosine"}
@@ -146,15 +146,13 @@ def _cmd_reproduce(args) -> int:
 # --------------------------------------------------------------------- fit
 
 def _detect_fit_kind(path: Path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if first == f"# {RATES_SCHEMA}":
+    schema, _, header, _ = read_metadata_csv(path)
+    if schema == RATES_SCHEMA:
         return "vee"
-    signal = read_signal_csv(path)
-    kind = _FIT_KINDS_BY_LABEL.get(signal.x_label)
+    kind = _FIT_KINDS_BY_LABEL.get(header[0])
     if kind is None:
         raise ValueError(
-            f"{path}: cannot infer a fit model from x column {signal.x_label!r}; "
+            f"{path}: cannot infer a fit model from x column {header[0]!r}; "
             "pass --kind explicitly"
         )
     return kind

@@ -606,7 +606,10 @@ class ScenarioConfig:
 def parse_config(data, base_dir=None) -> ScenarioConfig:
     """Parse and validate YAML text or an already-loaded mapping."""
     if isinstance(data, (str, bytes)):
-        raw = yaml.safe_load(data)
+        try:
+            raw = yaml.safe_load(data)
+        except yaml.YAMLError as exc:
+            raise ConfigError((f"config is not valid YAML: {exc}",)) from None
     else:
         raw = data
     if not isinstance(raw, dict):

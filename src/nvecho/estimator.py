@@ -14,10 +14,11 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .noise import delta, field_source, lorentzian, temperature_source
 from .response import default_linear_response
 from .sequences import read_metadata_csv, write_metadata_csv
 from .solvers import FitError, levenberg_marquardt, nnls
-from .spin_model import SpinSystemParams, default_params, pair_sensitivity
+from .spin_model import Segment, SpinSystemParams, default_params, phase_coefficients
 
 @dataclass(frozen=True)
 class FitResult:
@@ -226,33 +227,43 @@ class RateTable:
 
     @classmethod
     def read_csv(cls, path) -> "RateTable":
-        metadata, header, rows = read_metadata_csv(path)
-        if header is None:
-            raise ValueError(f"{path}: not a rate-table file")
+        schema, metadata, header, rows = read_metadata_csv(path)
+        if schema != RATES_SCHEMA or tuple(header) != _RATES_HEADER:
+            raise ValueError(f"{path}: not a rate-table file ({RATES_SCHEMA}), "
+                             f"schema {schema!r}")
         table = cls(metadata=metadata)
         for parts in rows:
             table.add(
                 (int(parts[0]), int(parts[1])), (int(parts[2]), int(parts[3])),
-                float(parts[4]), float(parts[5]),
-                float(parts[6]) if len(parts) > 6 and parts[6] else None,
+                float(parts[4]), float(parts[5]), float(parts[6]) if parts[6] else None,
             )
         return table
 
 
 # ------------------------------------------------------------------ vee fit
 
+def _echo_coefficients(sources, pair, flip_fraction: float, ms_free: int, ms_flipped: int,
+                       params: SpinSystemParams | None = None) -> np.ndarray:
+    """Each linear source's phase coefficient over a unit-time unbalanced
+    echo that flips from ``ms_free`` to ``ms_flipped`` for the final
+    ``flip_fraction``."""
+    segments = (Segment(1.0 - flip_fraction, ms_free), Segment(flip_fraction, ms_flipped))
+    coefficients = phase_coefficients(params or default_params(), pair, segments)
+    return np.array([src.phase_coefficient(coefficients) for src in sources])
+
+
 def _vee_dispatch(table: RateTable) -> str:
+    """The table's branch: a vee when the temperature term vanishes inside
+    (0, 1), that is when its coefficient under the default linear response
+    changes sign between the two manifolds, and a line otherwise."""
     pairs = {r.pair for r in table.rows}
     pairings = {r.ms_pairing for r in table.rows}
     if len(pairs) != 1 or len(pairings) != 1:
         raise ValueError("fit_vee needs a table filtered to one pair and one ms pairing")
-    (pair,) = pairs
-    (pairing,) = pairings
-    d_mi = pair[1] - pair[0]
-    ms_flip = pairing[1]
-    # The flip segment opposes the quadrupole accumulation only when the
-    # hyperfine coefficient changes sign, i.e. d_mi * ms_flip < 0.
-    return "vee" if d_mi * ms_flip < 0 else "line"
+    (pair,), (pairing,) = pairs, pairings
+    thermometer = (temperature_source(delta(0.0), default_linear_response()),)
+    free, flipped = (_echo_coefficients(thermometer, pair, f, *pairing)[0] for f in (0.0, 1.0))
+    return "vee" if free * flipped < 0 else "line"
 
 
 def _solve_vee(x, y):
@@ -455,7 +466,9 @@ def predict_echo_rate(pair, flip_fraction: float, ms_free: int = 0,
                       ms_flipped: int = 1, sigma_T: float = 0.0,
                       sigma_B: float = 0.0, response=None,
                       params: SpinSystemParams | None = None) -> float:
-    """Dephasing rate of the unbalanced echo versus flip fraction.
+    """Dephasing rate of the unbalanced echo versus flip fraction: the sum of
+    sigma * |phase coefficient| of a Lorentzian temperature and field source
+    over the unit-time echo.
 
     The temperature coefficient interpolates between the two manifolds'
     sensitivities; on the cancelling branch it crosses zero at the slope
@@ -463,13 +476,7 @@ def predict_echo_rate(pair, flip_fraction: float, ms_free: int = 0,
     """
     if not 0.0 <= flip_fraction <= 1.0:
         raise ValueError("flip fraction must lie in [0, 1]")
-    if response is None:
-        response = default_linear_response()
-    if params is None:
-        params = default_params()
-    sq0, sa0, sb = pair_sensitivity(pair, ms_free, params.gamma_n)
-    sq1, sa1, _ = pair_sensitivity(pair, ms_flipped, params.gamma_n)
-    c_free = sq0 * response.quadrupole_per_K + sa0 * response.hyperfine_per_K
-    c_flip = sq1 * response.quadrupole_per_K + sa1 * response.hyperfine_per_K
-    temp = abs((1.0 - flip_fraction) * c_free + flip_fraction * c_flip)
-    return temp * sigma_T + abs(sb) * sigma_B
+    sources = (temperature_source(lorentzian(0.0, sigma_T), response),
+               field_source(lorentzian(0.0, sigma_B)))
+    coefficients = _echo_coefficients(sources, pair, flip_fraction, ms_free, ms_flipped, params)
+    return float(sum(src.distribution.scale * abs(c) for src, c in zip(sources, coefficients)))

@@ -263,6 +263,7 @@ class MonteCarloResult:
     attenuation: np.ndarray
     std_error: np.ndarray
     n_samples: int
+    seed: int
     n_retained: int
     truncated_mass: dict = dataclass_field(default_factory=dict)
 
@@ -422,6 +423,7 @@ def monte_carlo_attenuation(sources, coefficients, n_samples: int = 1 << 20,
         std_error=np.array([math.sqrt(max(0.0, 1.0 - abs(m) ** 2) / retained)
                             for m in means]),
         n_samples=n_samples,
+        seed=seed,
         n_retained=retained,
         truncated_mass=masses,
     )

@@ -14,17 +14,20 @@ hyperfine interactions move with the environment:
 The quasiharmonic coefficients shipped with the package are calibrated
 surrogates: they are pinned to the measured local slopes and to a target
 curve for the hyperfine/quadrupole slope ratio, not derived from first
-principles.  See ``data/quasiharmonic_default.yaml`` for the calibration
-provenance.
+principles.  ``calibrate_response_set`` builds them from the module's
+constants: ``einstein_curve`` puts one Einstein mode at a given temperature
+with the slope target at ``CALIBRATION_T0_K``, and ``fit_mode_temperature``
+finds the hyperfine mode's temperature from ``DEFAULT_RATIO_CURVE``.  See
+``data/quasiharmonic_default.yaml`` for the calibration provenance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 import yaml
@@ -248,27 +251,25 @@ def strain_response(epsilon: float, response: LinearResponse | None = None) -> S
 
 # --------------------------------------------------------------- calibration
 
-def calibrate_einstein_model(
-    target_slope_at_T0: float,
-    target_ratio_curve: Sequence[tuple],
-    T0: float,
-    *,
-    role: str = "varied",
-    reference: QuasiharmonicResponse | None = None,
-    reference_mode_K: float = REFERENCE_MODE_K,
-    base_value: float = 0.0,
-) -> QuasiharmonicResponse:
-    """Build a single-mode quasiharmonic model hitting a slope target.
+def einstein_curve(theta_K: float, slope_at_T0: float,
+                   base_value: float) -> QuasiharmonicResponse:
+    """One Einstein mode at ``theta_K``, weighted so the curve's slope at
+    ``CALIBRATION_T0_K`` is ``slope_at_T0``."""
+    omega = einstein_mode_frequency(theta_K)
+    return QuasiharmonicResponse(
+        base_value=base_value,
+        first_order=0.0,
+        thermal_expansion=(0.0, 0.0, 0.0),
+        modes=((omega, slope_at_T0 / bose_einstein_slope(omega, CALIBRATION_T0_K)),),
+        reference_T=CALIBRATION_T0_K,
+    )
 
-    ``role="reference"`` places the mode at ``reference_mode_K`` and fixes
-    its weight from the slope target; the ratio curve is not fitted (a single
-    curve cannot carry a ratio on its own).
 
-    ``role="varied"`` additionally fits the mode temperature so that the
-    slope ratio of this model against ``reference`` (built implicitly when
-    omitted) follows ``target_ratio_curve``, a sequence of
-    ``(temperature_K, ratio)`` points with the ratio normalized to this
-    model over the reference.
+def fit_mode_temperature(reference: QuasiharmonicResponse, slope_at_T0: float,
+                         ratio_curve=DEFAULT_RATIO_CURVE) -> float:
+    """Einstein temperature (K) of the mode whose ``einstein_curve`` with
+    ``slope_at_T0`` has the slope ratio over ``reference`` that
+    ``ratio_curve``, a sequence of ``(temperature_K, ratio)`` points, asks for.
 
     Raises
     ------
@@ -276,53 +277,15 @@ def calibrate_einstein_model(
         If the fitted ratio misses any target point by more than
         ``RATIO_TOLERANCE`` relative; the message lists per-point residuals.
     """
-    curve = tuple((float(T), float(r)) for T, r in target_ratio_curve)
-    if not curve:
-        raise CalibrationError("ratio curve must contain at least one point")
-    if any(r <= 0 for _, r in curve):
-        raise CalibrationError("ratio targets must be positive")
-    if target_slope_at_T0 == 0.0:
-        return QuasiharmonicResponse(
-            base_value=base_value,
-            first_order=0.0,
-            thermal_expansion=(0.0, 0.0, 0.0),
-            modes=((einstein_mode_frequency(reference_mode_K), 0.0),),
-            reference_T=T0,
-        )
-
-    def model_for(theta_K: float) -> QuasiharmonicResponse:
-        omega = einstein_mode_frequency(theta_K)
-        weight = target_slope_at_T0 / bose_einstein_slope(omega, T0)
-        return QuasiharmonicResponse(
-            base_value=base_value,
-            first_order=0.0,
-            thermal_expansion=(0.0, 0.0, 0.0),
-            modes=((omega, weight),),
-            reference_T=T0,
-        )
-
-    if role == "reference":
-        return model_for(reference_mode_K)
-    if role != "varied":
-        raise ValueError("role must be 'reference' or 'varied'")
-
-    curve_at_T0 = dict(curve).get(T0)
-    if reference is None:
-        if curve_at_T0 is None:
-            raise CalibrationError("ratio curve must include the anchor temperature T0")
-        reference = calibrate_einstein_model(
-            target_slope_at_T0 / curve_at_T0, curve, T0,
-            role="reference", reference_mode_K=reference_mode_K,
-        )
-
+    T0 = CALIBRATION_T0_K
     om_ref, b_ref = reference.modes[0]
-    Ts = np.array([T for T, _ in curve])
-    targets = np.array([r for _, r in curve])
+    Ts = np.array([T for T, _ in ratio_curve], dtype=float)
+    targets = np.array([r for _, r in ratio_curve], dtype=float)
 
     def residuals(log_theta):
         theta = float(np.exp(log_theta[0]))
         omega = einstein_mode_frequency(theta)
-        weight = target_slope_at_T0 / bose_einstein_slope(omega, T0)
+        weight = slope_at_T0 / bose_einstein_slope(omega, T0)
         model_ratio = (weight * bose_einstein_slope(omega, Ts)) / (
             b_ref * bose_einstein_slope(om_ref, Ts)
         )
@@ -331,7 +294,7 @@ def calibrate_einstein_model(
         return (model_ratio - targets) / targets, (model_ratio * d_log / targets)[:, None]
 
     try:
-        (log_theta,), res, _ = levenberg_marquardt(residuals, [math.log(reference_mode_K)])
+        (log_theta,), res, _ = levenberg_marquardt(residuals, [math.log(REFERENCE_MODE_K)])
     except FitError as exc:
         raise CalibrationError(
             f"ratio targets infeasible for a single varied mode: {exc}"
@@ -343,7 +306,7 @@ def calibrate_einstein_model(
         raise CalibrationError(
             f"ratio targets infeasible for a single varied mode; residuals: {lines}"
         )
-    return model_for(float(np.exp(log_theta)))
+    return float(np.exp(log_theta))
 
 
 def calibrate_response_set(
@@ -356,20 +319,17 @@ def calibrate_response_set(
     The quadrupole and zfs curves sit on the reference mode; the hyperfine
     curve's mode temperature is fitted so the pair's slope ratio follows
     ``DEFAULT_RATIO_CURVE``.  The hyperfine slope at T0 is the quadrupole
-    slope times the ratio-curve value at T0.
+    slope times the ratio-curve value at T0, so the quadrupole slope must
+    not be zero.
     """
-    curve, T0 = DEFAULT_RATIO_CURVE, CALIBRATION_T0_K
+    if slope_quadrupole == 0.0:
+        raise ValueError("quadrupole slope must be nonzero: the calibration fits "
+                         "the hyperfine/quadrupole slope ratio")
     base_q, base_a, base_zfs = CALIBRATION_BASE_VALUES
-    quadrupole = calibrate_einstein_model(
-        slope_quadrupole, curve, T0, role="reference", base_value=base_q
-    )
-    hyperfine = calibrate_einstein_model(
-        slope_quadrupole * dict(curve)[T0], curve, T0,
-        role="varied", reference=quadrupole, base_value=base_a,
-    )
-    zfs = calibrate_einstein_model(
-        slope_zfs, curve, T0, role="reference", base_value=base_zfs
-    )
+    quadrupole = einstein_curve(REFERENCE_MODE_K, slope_quadrupole, base_q)
+    slope_a = slope_quadrupole * dict(DEFAULT_RATIO_CURVE)[CALIBRATION_T0_K]
+    hyperfine = einstein_curve(fit_mode_temperature(quadrupole, slope_a), slope_a, base_a)
+    zfs = einstein_curve(REFERENCE_MODE_K, slope_zfs, base_zfs)
     return QuasiharmonicSet(quadrupole=quadrupole, hyperfine=hyperfine, zfs=zfs)
 
 
@@ -460,12 +420,7 @@ def load_response_set(path=None) -> QuasiharmonicSet:
     )
 
 
-_default_set_cache: QuasiharmonicSet | None = None
-
-
+@functools.cache
 def default_quasiharmonic_set() -> QuasiharmonicSet:
     """The packaged calibrated set (loaded once per process)."""
-    global _default_set_cache
-    if _default_set_cache is None:
-        _default_set_cache = load_response_set()
-    return _default_set_cache
+    return load_response_set()

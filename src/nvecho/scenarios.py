@@ -274,21 +274,22 @@ def _run_rate_table(ctx: _Context) -> ScenarioResult:
             table.add(pair, (keys["ms_free"], keys["ms_flipped"]), float(fraction), 1.0 / t2,
                       rate_error)
 
-    fits = {}
+    fits = {_pair_label(pair): fit_vee(table.filter(pair=pair)) for pair in pairs}
+    methods = [fit.settings["method"] for fit in fits.values()]
     numbers = {}
     summary_bits = []
-    for pair in pairs:
-        fit = fit_vee(table.filter(pair=pair))
-        label = _pair_label(pair)
-        fits[label] = fit
-        if "baseline" in fit.parameters:
-            numbers["vee_ratio"] = float(fit["ratio"])
-            numbers["vee_slope_per_s"] = float(fit["slope"])
-            numbers["vee_baseline_per_s"] = float(fit["baseline"])
+    for label, fit in fits.items():
+        method = fit.settings["method"]
+        # a model that fits one pair keeps plain keys; several name their pair
+        suffix = f"[{label}]" if methods.count(method) > 1 else ""
+        if method == "vee":
+            numbers[f"vee_ratio{suffix}"] = float(fit["ratio"])
+            numbers[f"vee_slope_per_s{suffix}"] = float(fit["slope"])
+            numbers[f"vee_baseline_per_s{suffix}"] = float(fit["baseline"])
             summary_bits.append(f"vee ratio {fit['ratio']:.4f} (pair {label})")
         else:
-            numbers["line_ratio"] = float(fit["ratio"])
-            numbers["line_x_intercept"] = float(fit["x_intercept"])
+            numbers[f"line_ratio{suffix}"] = float(fit["ratio"])
+            numbers[f"line_x_intercept{suffix}"] = float(fit["x_intercept"])
             summary_bits.append(
                 f"line x-intercept {fit['x_intercept']:.4f} (pair {label})"
             )

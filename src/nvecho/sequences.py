@@ -228,13 +228,13 @@ def simulate_amplitude(sequence: PulseSequence, sources, **kwargs) -> Simulation
                             monte_carlo=family.monte_carlo)
 
 
-def _average_metadata(result: SimulationResult, kwargs) -> dict:
+def _average_metadata(result: SimulationResult) -> dict:
     """How the ensemble average was taken: the backend label and, for Monte
     Carlo, its seed and sample count."""
-    if result.monte_carlo is None:
+    mc = result.monte_carlo
+    if mc is None:
         return {"backend": "closed_form"}
-    return {"backend": "monte_carlo", "seed": kwargs.get("seed", 12345),
-            "n_samples": result.monte_carlo.n_samples}
+    return {"backend": "monte_carlo", "seed": mc.seed, "n_samples": mc.n_samples}
 
 
 @dataclass
@@ -270,7 +270,7 @@ def phase_sweep(sequence: PulseSequence, sources, readout_phases,
     return EnsembleSignal(
         x=phases, y=y, x_label="readout_phase_rad", y_label="population",
         metadata={"kind": sequence.kind, "total_time_s": sequence.total_time,
-                  "amplitude": res.amplitude} | _average_metadata(res, kwargs),
+                  "amplitude": res.amplitude} | _average_metadata(res),
     )
 
 
@@ -282,7 +282,7 @@ def _scans(parts, sources, kwargs) -> list:
     result = simulate_family([seq for _, family, _, _ in parts for seq in family],
                              sources, **kwargs)
     amplitude, mc = result.amplitude, result.monte_carlo
-    average = _average_metadata(result, kwargs)
+    average = _average_metadata(result)
     signals, start = [], 0
     for x, family, x_label, metadata in parts:
         members = slice(start, start + len(family))
@@ -375,22 +375,35 @@ def write_metadata_csv(path, schema: str, metadata: dict, header, rows,
 
 
 def read_metadata_csv(path):
-    """(metadata, header or None, rows) of a ``write_metadata_csv`` file;
-    the schema and timestamp lines are dropped."""
-    metadata, header, rows = {}, None, []
-    for raw in Path(path).read_text().splitlines():
+    """(schema, metadata, header, rows) of a ``write_metadata_csv`` file; the
+    schema is None when the first line names none, and the timestamp line is
+    dropped.  A metadata value that is not YAML, a missing header and a row
+    whose width differs from the header's raise ValueError."""
+    schema, metadata, header, rows = None, {}, None, []
+    for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            key, sep, value = line[1:].partition(":")
-            if sep and key.strip() != "written":
-                metadata[key.strip()] = yaml.safe_load(value.strip())
+            key, sep, value = (part.strip() for part in line[1:].partition(":"))
+            if not sep and number == 1:
+                schema = key
+            elif sep and key != "written":
+                try:
+                    metadata[key] = yaml.safe_load(value)
+                except yaml.YAMLError:
+                    raise ValueError(f"{path}:{number}: metadata value of {key!r} "
+                                     f"is not valid YAML: {value!r}") from None
         elif header is None:
             header = [h.strip() for h in line.split(",")]
         else:
             rows.append(line.split(","))
-    return metadata, header, rows
+            if len(rows[-1]) != len(header):
+                raise ValueError(f"{path}:{number}: row has {len(rows[-1])} fields, "
+                                 f"the header {len(header)}")
+    if header is None:
+        raise ValueError(f"{path}: no header line")
+    return schema, metadata, header, rows
 
 
 def write_signal_csv(signal: EnsembleSignal, path, deterministic: bool = False) -> None:
@@ -400,9 +413,10 @@ def write_signal_csv(signal: EnsembleSignal, path, deterministic: bool = False) 
 
 
 def read_signal_csv(path) -> EnsembleSignal:
-    metadata, header, rows = read_metadata_csv(path)
-    if header is None or not rows:
-        raise ValueError(f"{path}: not a signal file (missing header or data)")
+    schema, metadata, header, rows = read_metadata_csv(path)
+    if schema != _CSV_SCHEMA or len(header) < 2 or not rows:
+        raise ValueError(f"{path}: not a signal file ({_CSV_SCHEMA} with x, y columns "
+                         f"and data), schema {schema!r}")
     return EnsembleSignal(
         x=np.array([float(r[0]) for r in rows]), y=np.array([float(r[1]) for r in rows]),
         x_label=header[0], y_label=header[1], metadata=metadata,

@@ -473,6 +473,45 @@ def test_fit_failure_exits_one(tmp_path, capsys):
     assert "decay" in capsys.readouterr().err
 
 
+def _assert_usage_error(capsys, argv, problem):
+    # bad input is reported on one error line with exit 2, not a traceback
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and problem in err
+    assert "Traceback" not in err
+
+
+def test_config_that_is_not_yaml_exits_2(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("name: [x\n")
+    _assert_usage_error(capsys, ["simulate", str(path)], "not valid YAML")
+
+
+def test_fit_short_row_exits_2(tmp_path, capsys):
+    for path in (_decay_csv(tmp_path), _rate_csv(tmp_path)):
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].split(",")[0]
+        path.write_text("\n".join(lines) + "\n")
+        _assert_usage_error(capsys, ["fit", str(path)], "row has 1 fields")
+
+
+def test_fit_metadata_that_is_not_yaml_exits_2(tmp_path, capsys):
+    path = _decay_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], "# backend: [oops", *lines[1:]]) + "\n")
+    _assert_usage_error(capsys, ["fit", str(path)], "'backend' is not valid YAML")
+
+
+@pytest.mark.parametrize("table, kind, problem", [
+    ("signal", "vee", "not a rate-table file"),
+    ("rates", "exponential", "not a signal file"),
+    ("rates", "cosine", "not a signal file"),
+])
+def test_fit_refuses_a_file_of_the_other_schema(tmp_path, capsys, table, kind, problem):
+    path = _decay_csv(tmp_path) if table == "signal" else _rate_csv(tmp_path)
+    _assert_usage_error(capsys, ["fit", str(path), "--kind", kind], problem)
+
+
 # -------------------------------------------------------- calibrate-response
 
 def test_calibrate_response_writes_loadable_set(tmp_path, capsys):
@@ -501,6 +540,13 @@ def test_packaged_response_set_is_the_default_calibration(tmp_path):
     dated = [line for line in lines if line.startswith("  date: ")]
     assert len(dated) == 1
     assert out.read_text() == "".join(line for line in lines if line not in dated)
+
+
+def test_calibrate_response_zero_quadrupole_slope_exits_2(tmp_path, capsys):
+    out = tmp_path / "cal.yaml"
+    _assert_usage_error(capsys, ["calibrate-response", "--out", str(out),
+                                 "--quadrupole-slope", "0Hz/K"], "quadrupole slope")
+    assert not out.exists()
 
 
 def test_calibrate_response_custom_slope(tmp_path, capsys):

@@ -28,6 +28,7 @@ from nvecho.response import LinearResponse, default_linear_response
 from nvecho.scenarios import load_packaged_scenario, run_scenario
 from nvecho.sequences import decay_scan
 from nvecho.solvers import levenberg_marquardt, nnls
+from nvecho.spin_model import pair_sensitivity
 from nvecho.units import TWO_PI
 
 
@@ -248,6 +249,33 @@ def test_fit_vee_dispatch_follows_flip_sign():
     res = fit_vee(table)
     assert res.settings["method"] == "vee"
     assert res["ratio"] == pytest.approx(0.18, abs=1e-6)
+
+
+PAIRS = ((0, -1), (0, 1), (-1, 0), (1, 0), (-1, 1), (1, -1))
+PAIRINGS = tuple((a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a != b)
+
+
+@pytest.mark.parametrize("pairing", PAIRINGS)
+@pytest.mark.parametrize("pair", PAIRS)
+def test_fit_vee_branch_is_where_the_temperature_term_vanishes(pair, pairing):
+    # fig2's response, which is not the default one the branch is read from
+    response = LinearResponse(quadrupole_per_K=TWO_PI * 36.924, hyperfine_per_K=TWO_PI * 204.0)
+    sq, sa0, _ = pair_sensitivity(pair, pairing[0], 1.0)
+    _, sa1, _ = pair_sensitivity(pair, pairing[1], 1.0)
+    c_free = sq * response.quadrupole_per_K + sa0 * response.hyperfine_per_K
+    c_flip = sq * response.quadrupole_per_K + sa1 * response.hyperfine_per_K
+    crossing = c_free / (c_free - c_flip)  # where the temperature term vanishes
+    x = np.linspace(0.0, 1.0, 41)
+    table = _vee_table(x, [predict_echo_rate(pair, f, *pairing, sigma_T=5.0, sigma_B=0.05,
+                                             response=response) for f in x],
+                       pair=pair, pairing=pairing)
+    res = fit_vee(table)
+    if 0.0 < crossing < 1.0:
+        assert res.settings["method"] == "vee"
+        assert res["ratio"] == pytest.approx(crossing, abs=1e-9)
+    else:
+        assert res.settings["method"] == "line"
+        assert res["x_intercept"] < 0.0 or res["x_intercept"] > 1.0
 
 
 def test_fit_vee_requires_straddled_vertex():

@@ -16,11 +16,13 @@ from nvecho.response import (
     QuasiharmonicResponse,
     bose_einstein,
     bose_einstein_slope,
-    calibrate_einstein_model,
+    REFERENCE_MODE_K,
     calibrate_response_set,
     default_linear_response,
     default_quasiharmonic_set,
+    einstein_curve,
     einstein_mode_frequency,
+    fit_mode_temperature,
     load_response_set,
     save_response_set,
     strain_response,
@@ -181,8 +183,7 @@ def test_vectorized_shift():
 # ------------------------------------------------------------- calibration
 
 def test_calibrate_zero_slope_flat_curve():
-    flat = tuple((T, 5.8) for T in (250.0, 300.0, 350.0))
-    model = calibrate_einstein_model(0.0, flat, 300.0, role="reference")
+    model = einstein_curve(REFERENCE_MODE_K, 0.0, 0.0)
     assert model.first_order == 0.0
     assert all(b == 0.0 for _, b in model.modes)
     assert model.shift_at(350.0) == 0.0
@@ -190,12 +191,7 @@ def test_calibrate_zero_slope_flat_curve():
 
 def test_calibrate_slope_round_trip():
     # the calibrator must hit an arbitrary slope target to 1%
-    model = calibrate_einstein_model(
-        TWO_PI * 204.0,
-        tuple((T, 5.8) for T in (250.0, 300.0, 350.0)),
-        300.0,
-        role="reference",
-    )
+    model = einstein_curve(REFERENCE_MODE_K, TWO_PI * 204.0, 0.0)
     h = 0.05
     fd = (model.shift_at(300.0 + h) - model.shift_at(300.0 - h)) / (2 * h)
     assert abs(fd - TWO_PI * 204.0) <= 0.01 * TWO_PI * 204.0
@@ -302,9 +298,9 @@ def test_calibrator_agrees_with_least_squares(bend, rel):
     # ~1e-10 of theta, and no solver pins the mode closer than that
     curve = tuple((T, r * bend ** ((T - 300.0) / 50.0)) for T, r in DEFAULT_RATIO_CURVE)
     slope = TWO_PI * 39.0
-    reference = calibrate_einstein_model(slope, curve, 300.0, role="reference")
-    varied = calibrate_einstein_model(slope * 5.8, curve, 300.0, role="varied",
-                                      reference=reference)
+    reference = einstein_curve(REFERENCE_MODE_K, slope, 0.0)
+    varied = einstein_curve(fit_mode_temperature(reference, slope * 5.8, curve),
+                            slope * 5.8, 0.0)
     residuals, jacobian = _ratio_residuals(curve, slope * 5.8, reference)
     fit = least_squares(residuals, [math.log(1000.0)], jac=jacobian, method="lm",
                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
@@ -314,18 +310,30 @@ def test_calibrator_agrees_with_least_squares(bend, rel):
     assert ours @ ours <= (fit.fun @ fit.fun) * (1 + 1e-12) + 1e-30
 
 
+def _infeasible(ratio_curve, slope=TWO_PI * 204.0):
+    # the reference mode carries the slope the curve's 300 K ratio implies
+    reference = einstein_curve(REFERENCE_MODE_K, slope / dict(ratio_curve)[300.0], 0.0)
+    return fit_mode_temperature(reference, slope, ratio_curve)
+
+
 def test_calibrate_infeasible_targets_raise():
     # a ratio curve that collapses below 1 and swings back cannot be produced
     # by a positive-frequency mode pair riding on one reference mode
     bad = ((250.0, 9.0), (300.0, 0.2), (350.0, 9.0))
     with pytest.raises(CalibrationError) as err:
-        calibrate_einstein_model(TWO_PI * 204.0, bad, 300.0, role="varied")
+        _infeasible(bad)
     assert "residual" in str(err.value).lower()
     # steep curves in either direction push the mode temperature far out
     for steep in (((250.0, 0.01), (300.0, 1.0), (350.0, 100.0)),
                   ((250.0, 100.0), (300.0, 1.0), (350.0, 0.01))):
         with pytest.raises(CalibrationError):
-            calibrate_einstein_model(TWO_PI * 204.0, steep, 300.0, role="varied")
+            _infeasible(steep)
+
+
+def test_calibrate_zero_quadrupole_slope_is_refused():
+    # the ratio fit divides by the quadrupole slope; a zero one is named
+    with pytest.raises(ValueError, match="quadrupole slope"):
+        calibrate_response_set(slope_quadrupole=0.0)
 
 
 def test_data_file_round_trip(tmp_path):

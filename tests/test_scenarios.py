@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from nvecho import sequences
-from nvecho.config import ConfigError, ScenarioConfig, dump_config, parse_config, realize_grid
+from nvecho.config import (
+    ConfigError,
+    ScenarioConfig,
+    config_document,
+    dump_config,
+    parse_config,
+    realize_grid,
+)
 from nvecho.estimator import RateTable, fit_exponential
 from nvecho.scenarios import (
     SCENARIO_NAMES,
@@ -123,6 +130,33 @@ def test_rate_table_reference_fits(tmp_path):
     assert len(table.filter(pair=(0, -1)).rows) == 21
     fits = json.loads((tmp_path / "fig2-fits.json").read_text())
     assert "0,-1" in fits and "0,+1" in fits
+
+
+def test_rate_table_keeps_every_pairs_numbers(tmp_path):
+    # flipping from m_S = +1 to -1 makes both branches vees, at the slope
+    # ratio's two mirror points; each pair's numbers carry its label
+    doc = config_document(load_packaged_scenario("fig2"))
+    doc["sequence"] |= {"ms_free": 1, "ms_flipped": -1,
+                        "flip_fractions": {"start": 0.0, "stop": 1.0, "count": 21}}
+    result = run_scenario(parse_config(doc), out_dir=tmp_path, deterministic=True)
+    fits = json.loads((tmp_path / "fig2-fits.json").read_text())
+    vertex = (204.0 - 36.924) / 408.0
+    for label, ratio in (("0,-1", vertex), ("0,+1", 1.0 - vertex)):
+        assert result.numbers[f"vee_ratio[{label}]"] == pytest.approx(ratio, abs=1e-4)
+        for key, name in (("vee_ratio", "ratio"), ("vee_slope_per_s", "slope"),
+                          ("vee_baseline_per_s", "baseline")):
+            assert fits["numbers"][f"{key}[{label}]"] == fits[label]["parameters"][name]
+    assert len(result.numbers) == 6
+
+
+def test_rate_table_fits_a_reversed_pair(tmp_path):
+    # (+1, 0) rises from f = 0 under the (0, +1) pairing: a line, not a vee
+    doc = config_document(load_packaged_scenario("fig2"))
+    doc["sequence"]["pairs"] = [[0, -1], [1, 0]]
+    result = run_scenario(parse_config(doc), out_dir=tmp_path, deterministic=True)
+    assert result.fits["+1,0"].settings["method"] == "line"
+    assert set(result.numbers) == {"vee_ratio", "vee_slope_per_s", "vee_baseline_per_s",
+                                   "line_ratio", "line_x_intercept"}
 
 
 PROTECTION = {

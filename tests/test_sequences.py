@@ -161,8 +161,13 @@ def test_scan_metadata_names_the_average():
     hot = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
     sampled = decay_scan(times, (hot,), n_samples=1 << 12, seed=7)
     assert sampled.metadata["backend"] == "monte_carlo"
-    assert sampled.metadata["seed"] == 7
+    assert sampled.metadata["seed"] == sampled.monte_carlo.seed == 7
     assert sampled.metadata["n_samples"] == 1 << 12
+    # without a seed keyword the metadata names the one the draws used
+    default = decay_scan(times, (hot,), n_samples=1 << 12)
+    assert default.metadata["seed"] == default.monte_carlo.seed == 12345
+    swept = phase_sweep(build_ramsey(1e-4), (hot,), [0.0], n_samples=1 << 12, seed=3)
+    assert swept.metadata["seed"] == 3
 
 
 def test_phase_sweep_readout():
