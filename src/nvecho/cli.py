@@ -27,7 +27,8 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .estimator import RATES_SCHEMA, FitError, RateTable, fit_cosine, fit_exponential, fit_vee
+from .estimator import (DEFAULT_SKIP, RATES_SCHEMA, FitError, RateTable, fit_cosine,
+                        fit_exponential, fit_vee)
 from .response import calibrate_response_set, save_response_set
 from .scenarios import (
     SCENARIO_ALIASES,
@@ -83,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("auto", "exponential", "cosine", "vee"),
                    default="auto", help="fit model (default: infer from the file)")
     p.add_argument("--skip", type=int, metavar="N",
-                   help="initial points to skip in the exponential fit (default 3)")
+                   help=f"initial points to skip in the exponential fit (default {DEFAULT_SKIP})")
     p.add_argument("--pair", type=_pair_argument, metavar="A,B",
                    help="restrict a rate table to one transition pair, e.g. '0,-1'")
     p.add_argument("--ms-pairing", type=_pair_argument, metavar="A,B",
@@ -175,7 +176,7 @@ def _cmd_fit(args) -> int:
     else:
         signal = read_signal_csv(path)
         if kind == "exponential":
-            skip = 3 if args.skip is None else args.skip
+            skip = DEFAULT_SKIP if args.skip is None else args.skip
             result = fit_exponential(signal.x, signal.y, skip_initial=skip)
         else:
             result = fit_cosine(signal.x, signal.y)

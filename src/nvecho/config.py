@@ -40,13 +40,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .noise import (
-    Distribution,
-    field_source,
-    residual_field_source,
-    strain_source,
-    temperature_source,
-)
+from .noise import (DEFAULT_SAMPLES, DEFAULT_SEED, Distribution, field_source,
+                    residual_field_source, strain_source, temperature_source)
 from .response import (
     DEFAULT_DATA_FILE,
     LinearResponse,
@@ -61,7 +56,7 @@ from .units import QuantityError, angular, format_quantity, parse_quantity
 SCHEMA = "nvecho-scenario/1"
 DATA_DIR_ENV = "NVECHO_DATA_DIR"
 
-_BACKEND_DEFAULTS = {"samples": 1 << 20, "seed": 12345}
+_BACKEND_DEFAULTS = {"samples": DEFAULT_SAMPLES, "seed": DEFAULT_SEED}
 _OUTPUT_DEFAULTS = {"directory": "."}
 
 
@@ -623,8 +618,8 @@ def parse_config(data, base_dir=None) -> ScenarioConfig:
         _check_needs(doc["pipeline"], raw.get("sequence"), doc.get("sequence", {}), col)
     if "data_file" in doc.get("response", {}):
         try:
-            resolve_data_file(doc["response"]["data_file"], base_dir)
-        except FileNotFoundError as exc:
+            load_response_set(resolve_data_file(doc["response"]["data_file"], base_dir))
+        except (OSError, ValueError) as exc:
             col.add("response.data_file", str(exc))
     if col.problems:
         raise ConfigError(col.problems)

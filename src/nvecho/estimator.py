@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .noise import delta, field_source, lorentzian, temperature_source
-from .response import default_linear_response
 from .sequences import read_metadata_csv, write_metadata_csv
 from .solvers import FitError, levenberg_marquardt, nnls
 from .spin_model import Segment, SpinSystemParams, default_params, phase_coefficients
@@ -120,10 +119,13 @@ def fit_cosine(phases, signal) -> FitResult:
 
 # -------------------------------------------------------------- exponential
 
-def fit_exponential(times, amplitudes, skip_initial: int = 3) -> FitResult:
+DEFAULT_SKIP = 3  # initial points an exponential fit skips unless told otherwise
+
+
+def fit_exponential(times, amplitudes, skip_initial: int = DEFAULT_SKIP) -> FitResult:
     """Fit S(t) = c0 exp(-t / T2), skipping the first points.
 
-    The skip (default 3) discards early-time points where the ensemble
+    The skip discards early-time points where the ensemble
     signal is not yet a single exponential.  Needs at least five points
     after the skip and strictly decaying data.  Least squares from the
     log-linear estimate, run to convergence; raises FitError when the
@@ -261,7 +263,7 @@ def _vee_dispatch(table: RateTable) -> str:
     if len(pairs) != 1 or len(pairings) != 1:
         raise ValueError("fit_vee needs a table filtered to one pair and one ms pairing")
     (pair,), (pairing,) = pairs, pairings
-    thermometer = (temperature_source(delta(0.0), default_linear_response()),)
+    thermometer = (temperature_source(delta(0.0)),)
     free, flipped = (_echo_coefficients(thermometer, pair, f, *pairing)[0] for f in (0.0, 1.0))
     return "vee" if free * flipped < 0 else "line"
 

@@ -1,8 +1,8 @@
 """Shot-to-shot noise ensembles and their effect on the mean signal.
 
 A noise source couples one scalar random variable (temperature, field, or
-strain) to the interaction shifts.  The ensemble-averaged signal after a
-pulse sequence is
+strain) to the interactions through the slopes, or the quasiharmonic curves,
+its factory took from the response.  The mean signal after a sequence is
 
     <e^{i phase}> = e^{i phase(locations)} * <e^{i (phase - phase(locations))}>
 
@@ -12,21 +12,17 @@ both ensemble averages return.  When every source enters the phase linearly
 the attenuation is exactly prod_j A_j(c_j) (``dephasing_factor``), with c_j
 source j's scalar phase coefficient and A_j its distribution's
 characteristic function about the location (``Distribution.attenuation``);
-temperature sources attached to a quasiharmonic response are nonlinear and
-go through the Monte Carlo path (``monte_carlo_attenuation``).
+sources on quasiharmonic curves are nonlinear and go through the Monte Carlo
+path (``monte_carlo_attenuation``).
 ``sequences.simulate_family`` picks between the two from the sources'
 ``is_linear`` and adds the location phase.
 
 Both paths evaluate a whole family of sequences (a sweep or a decay scan)
 at once, given as a list of PhaseCoefficients, and return one attenuation
 per member.  The closed form is one vectorised real product over the
-family.  The Monte Carlo path draws each chunk of every source once, with
-sub-streams seeded per (source, chunk), and shares those draws, the
-truncation mask and each source's response channels across the family;
-every member's estimate is therefore bit-identical to evaluating that
-member alone.  One thread per CPU the process may run on claims the
-family's members one at a time, each with a 16-byte complex buffer per
-retained draw of the chunk, without changing a bit of any estimate.
+family; ``monte_carlo_attenuation`` says how the Monte Carlo path shares
+its draws and threads across the family and still gives every member the
+bits that member alone gives.
 """
 
 from __future__ import annotations
@@ -43,6 +39,8 @@ from .spin_model import PhaseCoefficients, stack_coefficients
 from .units import TWO_PI
 
 CHUNK = 1 << 16
+DEFAULT_SAMPLES = 1 << 20  # Monte Carlo draws and seed of a run that names none
+DEFAULT_SEED = 12345
 
 # Absolute-temperature ensembles are clipped this many scale widths from the
 # location (and at T = 0) before evaluating the lattice model on the draws.
@@ -119,41 +117,29 @@ def _chunk_rng(seed: int, source_index: int, chunk_index: int) -> np.random.Gene
     return np.random.default_rng(ss)
 
 
-_SOURCE_KINDS = ("temperature", "field", "strain")
-
-
 @dataclass(frozen=True)
 class NoiseSource:
-    """One environmental noise variable and how it shifts the interactions.
-
-    ``temperature`` and ``strain`` sources carry a response model
-    (LinearResponse or QuasiharmonicSet); ``field`` sources act directly on
-    the Zeeman channel.  Linear-response temperature and strain variables
-    are offsets from the operating point; quasiharmonic temperature
-    variables are absolute temperatures in K.
+    """One noise variable x and its coupling, which the factories take from
+    the response.  A linear source carries ``slopes``: dQ/dx and dA/dx in
+    rad/s and dB/dx in G per unit of x, an offset from the operating point.
+    A temperature source on a QuasiharmonicSet carries its quadrupole and
+    hyperfine ``curves`` instead, and x is an absolute temperature in K.
     """
 
     name: str
-    kind: str
     distribution: Distribution
-    response: object = None
+    slopes: tuple | None = None
+    curves: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in _SOURCE_KINDS:
-            raise ValueError(f"unknown source kind {self.kind!r}; "
-                             f"expected one of {_SOURCE_KINDS}")
-        if self.kind == "field":
-            if self.response is not None:
-                raise TypeError("field sources take no response model")
-        elif not isinstance(self.response, (LinearResponse, QuasiharmonicSet)):
-            raise TypeError(
-                f"{self.kind} source needs a LinearResponse or QuasiharmonicSet, "
-                f"got {type(self.response).__name__}"
-            )
+        if self.is_linear and not (np.shape(self.slopes) == (3,)
+                                   and np.isfinite(self.slopes).all()):
+            raise ValueError(f"source {self.name!r} needs three finite slopes "
+                             f"(dQ/dx, dA/dx, dB/dx), got {self.slopes!r}")
 
     @property
     def is_linear(self) -> bool:
-        return not (self.kind == "temperature" and isinstance(self.response, QuasiharmonicSet))
+        return self.curves is None
 
     def phase_coefficient(self, coefficients: PhaseCoefficients) -> float:
         """d phase / d x for this source's variable; linear sources only."""
@@ -162,17 +148,9 @@ class NoiseSource:
                 f"source {self.name!r} couples nonlinearly; "
                 "use the Monte Carlo ensemble average"
             )
-        if self.kind == "field":
-            return coefficients.field
-        if self.kind == "temperature":
-            return (
-                coefficients.quadrupole * self.response.quadrupole_per_K
-                + coefficients.hyperfine * self.response.hyperfine_per_K
-            )
-        return (
-            coefficients.quadrupole * self.response.quadrupole_per_strain
-            + coefficients.hyperfine * self.response.hyperfine_per_strain
-        )
+        s_q, s_a, s_b = self.slopes
+        return (coefficients.quadrupole * s_q + coefficients.hyperfine * s_a
+                + coefficients.field * s_b)
 
     def deviation_channels(self, coefficients: PhaseCoefficients, x: np.ndarray) -> tuple:
         """(coefficient, channel) pairs with phase(x) - phase(location) equal
@@ -181,19 +159,17 @@ class NoiseSource:
         loc = self.distribution.location
         if self.is_linear:
             return ((self.phase_coefficient(coefficients), x - loc),)
-        q, a = self.response.quadrupole, self.response.hyperfine
+        q, a = self.curves
         return ((coefficients.quadrupole, q.shift_at(x) - q.shift_at(loc)),
                 (coefficients.hyperfine, a.shift_at(x) - a.shift_at(loc)))
 
     def location_phase(self, coefficients: PhaseCoefficients) -> float:
         """Deterministic phase contributed by the distribution's location."""
-        if self.is_linear:
-            return self.phase_coefficient(coefficients) * self.distribution.location
         loc = self.distribution.location
-        return (
-            coefficients.quadrupole * self.response.quadrupole.shift_at(loc)
-            + coefficients.hyperfine * self.response.hyperfine.shift_at(loc)
-        )
+        if self.is_linear:
+            return self.phase_coefficient(coefficients) * loc
+        q, a = self.curves
+        return coefficients.quadrupole * q.shift_at(loc) + coefficients.hyperfine * a.shift_at(loc)
 
     def truncation_window(self):
         """(low, high) clip range for sampling, or None when not needed."""
@@ -203,24 +179,34 @@ class NoiseSource:
         return (max(0.0, loc - TRUNCATION_WIDTHS * scale), loc + TRUNCATION_WIDTHS * scale)
 
 
+def _response(response, kind: str):
+    """The response a temperature or strain source couples through."""
+    if response is None:
+        return default_linear_response()
+    if not isinstance(response, (LinearResponse, QuasiharmonicSet)):
+        raise TypeError(f"{kind} source needs a LinearResponse or QuasiharmonicSet, "
+                        f"got {type(response).__name__}")
+    return response
+
+
 def temperature_source(distribution: Distribution, response=None,
                        name: str = "temperature") -> NoiseSource:
-    if response is None:
-        response = default_linear_response()
-    return NoiseSource(name=name, kind="temperature",
-                       distribution=distribution, response=response)
+    response = _response(response, "temperature")
+    if isinstance(response, QuasiharmonicSet):
+        return NoiseSource(name, distribution, curves=(response.quadrupole, response.hyperfine))
+    return NoiseSource(name, distribution,
+                       slopes=(response.quadrupole_per_K, response.hyperfine_per_K, 0.0))
 
 
 def field_source(distribution: Distribution, name: str = "field") -> NoiseSource:
-    return NoiseSource(name=name, kind="field", distribution=distribution)
+    return NoiseSource(name, distribution, slopes=(0.0, 0.0, 1.0))
 
 
 def strain_source(distribution: Distribution, response=None,
                   name: str = "strain") -> NoiseSource:
-    if response is None:
-        response = default_linear_response()
-    return NoiseSource(name=name, kind="strain",
-                       distribution=distribution, response=response)
+    response = _response(response, "strain")
+    return NoiseSource(name, distribution,
+                       slopes=(response.quadrupole_per_strain, response.hyperfine_per_strain, 0.0))
 
 
 def residual_field_source(dq_coherence_time: float = 3.9e-3,
@@ -372,8 +358,8 @@ def _chunk_sums(sources, windows, grid, seed, k, n_k, pool, n_threads):
     return sums, kept
 
 
-def monte_carlo_attenuation(sources, coefficients, n_samples: int = 1 << 20,
-                            seed: int = 12345) -> MonteCarloResult:
+def monte_carlo_attenuation(sources, coefficients, n_samples: int = DEFAULT_SAMPLES,
+                            seed: int = DEFAULT_SEED) -> MonteCarloResult:
     """Sampled estimate of <e^{i (phase - phase(locations))}> for every
     member of the ``coefficients`` family.
 

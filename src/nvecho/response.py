@@ -218,6 +218,12 @@ class QuasiharmonicSet:
     quadrupole_per_strain: float = QUADRUPOLE_PER_GPA * PRESSURE_PER_STRAIN_GPA
     hyperfine_per_strain: float = HYPERFINE_PER_GPA * PRESSURE_PER_STRAIN_GPA
 
+    def __post_init__(self):
+        for name in ("quadrupole_per_strain", "hyperfine_per_strain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"response slope {name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
+
 
 @dataclass(frozen=True)
 class StrainShift:
@@ -402,22 +408,32 @@ def save_response_set(set_: QuasiharmonicSet, path, deterministic: bool = False)
 
 
 def load_response_set(path=None) -> QuasiharmonicSet:
-    """Load a calibrated set; defaults to the packaged data file."""
-    raw = yaml.safe_load(Path(path or DEFAULT_DATA_FILE).read_text())
-    if raw.get("schema") != "nvecho-response/1":
-        raise ValueError(f"unrecognized response data file schema: {raw.get('schema')!r}")
-    models = raw["models"]
-    strain = raw.get("strain", {})
-    per_strain_q = angular(strain.get("quadrupole_per_GPa_Hz", cycles(QUADRUPOLE_PER_GPA)))
-    per_strain_a = angular(strain.get("hyperfine_per_GPa_Hz", cycles(HYPERFINE_PER_GPA)))
-    k = strain.get("bulk_modulus_GPa", BULK_MODULUS_GPA)
-    return QuasiharmonicSet(
-        quadrupole=_model_from_dict(models["quadrupole"]),
-        hyperfine=_model_from_dict(models["hyperfine"]),
-        zfs=_model_from_dict(models["zfs"]),
-        quadrupole_per_strain=per_strain_q * (-3.0 * k),
-        hyperfine_per_strain=per_strain_a * (-3.0 * k),
-    )
+    """Load a calibrated set; defaults to the packaged data file.  A file
+    that holds none raises ValueError naming the file and the problem: not
+    YAML, another schema, a missing model or key, a bad value."""
+    path = Path(path or DEFAULT_DATA_FILE)
+    try:
+        raw = yaml.safe_load(path.read_text())
+        if not isinstance(raw, dict) or raw.get("schema") != "nvecho-response/1":
+            raise ValueError("not a mapping of schema nvecho-response/1")
+        models = raw["models"]
+        strain = raw.get("strain", {})
+        per_strain_q = angular(strain.get("quadrupole_per_GPa_Hz", cycles(QUADRUPOLE_PER_GPA)))
+        per_strain_a = angular(strain.get("hyperfine_per_GPa_Hz", cycles(HYPERFINE_PER_GPA)))
+        k = strain.get("bulk_modulus_GPa", BULK_MODULUS_GPA)
+        return QuasiharmonicSet(
+            quadrupole=_model_from_dict(models["quadrupole"]),
+            hyperfine=_model_from_dict(models["hyperfine"]),
+            zfs=_model_from_dict(models["zfs"]),
+            quadrupole_per_strain=per_strain_q * (-3.0 * k),
+            hyperfine_per_strain=per_strain_a * (-3.0 * k),
+        )
+    except yaml.YAMLError as exc:
+        raise ValueError(f"response data file {path} is not valid YAML: {exc}") from None
+    except KeyError as exc:
+        raise ValueError(f"response data file {path} lacks {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"response data file {path}: {exc}") from None
 
 
 @functools.cache

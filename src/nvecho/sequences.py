@@ -33,7 +33,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .noise import MonteCarloResult, dephasing_factor, monte_carlo_attenuation
+from .noise import (DEFAULT_SAMPLES, DEFAULT_SEED, MonteCarloResult, dephasing_factor,
+                    monte_carlo_attenuation)
 from .spin_model import (
     DOUBLE_QUANTUM_PAIR,
     Segment,
@@ -199,7 +200,8 @@ class SimulationResult:
 
 
 def simulate_family(sequences, sources, params: SpinSystemParams | None = None,
-                    n_samples: int = 1 << 20, seed: int = 12345) -> SimulationResult:
+                    n_samples: int = DEFAULT_SAMPLES,
+                    seed: int = DEFAULT_SEED) -> SimulationResult:
     """Average e^{i phase} over the noise ensemble for every sequence: e^{i
     base_phase}, the deterministic phase at the distribution locations, times
     the attenuation about them.  When every source enters the phase linearly

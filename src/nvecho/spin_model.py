@@ -68,11 +68,6 @@ class SpinSystemParams:
                 "nuclear Zeeman exceeds |quadrupole|; secular labeling breaks down"
             )
 
-    @property
-    def nuclear_zeeman(self) -> float:
-        """gamma_n * B, rad/s (signed)."""
-        return self.gamma_n * self.field_gauss
-
 
 def default_params() -> SpinSystemParams:
     return SpinSystemParams()

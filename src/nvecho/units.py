@@ -31,7 +31,6 @@ _SCALES = {
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6, "ns": 1e-9},
     "temperature": {"K": 1.0},
     "field": {"G": 1.0},
-    "pressure": {"GPa": 1.0},
     "frequency_per_K": {"Hz/K": 1.0, "kHz/K": 1e3, "MHz/K": 1e6},
     "frequency_per_G": {"Hz/G": 1.0, "kHz/G": 1e3, "MHz/G": 1e6},
     "frequency_per_GPa": {"Hz/GPa": 1.0, "kHz/GPa": 1e3, "MHz/GPa": 1e6},
@@ -43,7 +42,6 @@ _CANONICAL = {
     "time": "s",
     "temperature": "K",
     "field": "G",
-    "pressure": "GPa",
     "frequency_per_K": "Hz/K",
     "frequency_per_G": "Hz/G",
     "frequency_per_GPa": "Hz/GPa",

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from nvecho.cli import main
 from nvecho.estimator import RateTable
@@ -485,6 +486,53 @@ def test_config_that_is_not_yaml_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("name: [x\n")
     _assert_usage_error(capsys, ["simulate", str(path)], "not valid YAML")
+
+
+# a strain source on a quasiharmonic response read from set.yaml
+STRAIN_ON_FILE_YAML = """\
+schema: nvecho-scenario/1
+name: cli-strain-file
+pipeline: simulate
+response:
+  model: quasiharmonic
+  data_file: set.yaml
+sources:
+  - kind: strain
+    distribution: gaussian
+    location: 0.0
+    scale: 1.0e-6
+sequence:
+  kind: unbalanced_echo
+  pair: [0, -1]
+  flip_fraction: 0.18
+  total_time: 1.4 ms
+"""
+
+
+def _without_base_value(doc):
+    del doc["models"]["quadrupole"]["base_value_Hz"]
+    return yaml.safe_dump(doc)
+
+
+@pytest.mark.parametrize("text, problem", [
+    (lambda doc: yaml.safe_dump({**doc, "models": {}}), "lacks 'quadrupole'"),
+    (lambda doc: "schema: [oops\n", "is not valid YAML"),
+    (_without_base_value, "lacks 'base_value_Hz'"),
+    (lambda doc: "- 1\n- 2\n", "not a mapping of schema nvecho-response/1"),
+    (lambda doc: yaml.safe_dump({**doc, "strain": {**doc["strain"],
+                                                   "quadrupole_per_GPa_Hz": math.nan}}),
+     "quadrupole_per_strain must be finite"),
+], ids=["no-models", "not-yaml", "no-base-value", "top-level-list", "nan-strain-slope"])
+def test_response_data_file_problems_exit_2_before_compute(tmp_path, capsys, text, problem):
+    # each used to exit 1 with a traceback, or 0 with an amplitude of nan
+    (tmp_path / "set.yaml").write_text(text(yaml.safe_load(DEFAULT_DATA_FILE.read_text())))
+    cfg = _write(tmp_path, "strain.yaml", STRAIN_ON_FILE_YAML)
+    out_dir = tmp_path / "artifacts"
+    assert main(["simulate", str(cfg), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "response.data_file" in err and problem in err and str(tmp_path / "set.yaml") in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_fit_short_row_exits_2(tmp_path, capsys):

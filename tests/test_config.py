@@ -97,11 +97,10 @@ def test_full_config_builds_models():
 
     sources = cfg.noise_sources()
     assert len(sources) == 2
-    assert sources[0].kind == "temperature"
+    assert sources[0].slopes == (resp.quadrupole_per_K, resp.hyperfine_per_K, 0.0)
     assert sources[0].distribution.kind == "lorentzian"
     assert sources[0].distribution.scale == 5.0
-    assert sources[0].response == resp
-    assert sources[1].kind == "field"
+    assert sources[1].slopes == (0.0, 0.0, 1.0)
     # sigma_B chosen so the single-quantum residual rate is 1/(2 * 1.95 ms)
     expected_width = 1.0 / (2.0 * abs(params.gamma_n) * 1.95e-3)
     assert sources[1].distribution.scale == pytest.approx(expected_width, rel=1e-12)
@@ -256,8 +255,10 @@ def test_source_validation():
 
     cfg["sources"] = [{"kind": "strain", "distribution": "gaussian",
                        "location": 0.0, "scale": 1e-5}]
-    sources = parse_config(cfg).noise_sources()
-    assert sources[0].kind == "strain"
+    parsed = parse_config(cfg)
+    resp = parsed.response_model()
+    sources = parsed.noise_sources()
+    assert sources[0].slopes == (resp.quadrupole_per_strain, resp.hyperfine_per_strain, 0.0)
     assert sources[0].distribution.scale == 1e-5
 
 

@@ -160,7 +160,7 @@ def test_phase_coefficient_field_and_strain():
 
 def test_residual_field_source_width():
     src = residual_field_source(dq_coherence_time=3.9e-3)
-    assert src.kind == "field"
+    assert src.slopes == (0.0, 0.0, 1.0)
     assert src.distribution.kind == "lorentzian"
     assert src.distribution.location == 0.0
     expected_width = 1.0 / (2.0 * TWO_PI * 307.7 * 3.9e-3)
@@ -508,7 +508,5 @@ def test_zero_scale_is_a_point_mass():
 def test_source_requires_matching_response_type():
     with pytest.raises(TypeError):
         temperature_source(lorentzian(0.0, 5.0), response="linear")
-    with pytest.raises(ValueError):
-        NoiseSource(
-            name="x", kind="humidity", distribution=gaussian(0.0, 1.0), response=None
-        )
+    with pytest.raises(ValueError, match="three finite slopes"):
+        NoiseSource(name="x", distribution=gaussian(0.0, 1.0), slopes=(1.0, math.nan, 0.0))

@@ -2,6 +2,7 @@
 shifts, Einstein-mode calibration, and the pressure-mediated strain channel."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -347,6 +348,13 @@ def test_data_file_round_trip(tmp_path):
     assert loaded.quadrupole_per_strain == set_.quadrupole_per_strain
     text = path.read_text()
     assert "calibration" in text and "date" in text
+
+
+def test_quasiharmonic_set_rejects_non_finite_strain_slopes():
+    set_ = default_quasiharmonic_set()
+    for name in ("quadrupole_per_strain", "hyperfine_per_strain"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            replace(set_, **{name: math.nan})
 
 
 def test_packaged_data_file_matches_calibrator():

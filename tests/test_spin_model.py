@@ -49,7 +49,6 @@ def test_default_constants():
     assert p.hyperfine == pytest.approx(-TWO_PI * 2.16e6)
     assert p.gamma_n == pytest.approx(-TWO_PI * 307.7)
     assert p.field_gauss == 239.0
-    assert p.nuclear_zeeman == pytest.approx(-TWO_PI * ZEEMAN_HZ, rel=1e-12)
 
 
 def _energy(p, m_I, m_S, d_q=0.0, d_a=0.0, d_b=0.0):
@@ -195,7 +194,7 @@ def test_unbalanced_echo_phase_formula():
     p = default_params()
     t, tau = 100e-6, 20e-6
     segments = (Segment(t - tau, 0), Segment(tau, +1))
-    expected = -t * p.quadrupole + tau * p.hyperfine + t * p.nuclear_zeeman
+    expected = -t * p.quadrupole + tau * p.hyperfine + t * p.gamma_n * p.field_gauss
     assert _phase(p, (0, -1), segments) == pytest.approx(expected, rel=1e-12)
     assert _oracle_phase(p, (0, -1), segments) == pytest.approx(expected, rel=1e-12)
 
