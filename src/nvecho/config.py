@@ -10,7 +10,7 @@ is declared once: how it is read, how it is printed and, for a model key,
 the library keyword it sets and the conversion on the way.
 ``_DOCUMENT_KEYS`` holds the sections.  ``_SPIN_KEYS`` set
 ``SpinSystemParams``; ``_RESPONSE_MODELS`` hold the keys of each response
-model and its builder; ``_SOURCE_KINDS`` hold the keys of each source kind,
+model; ``_SOURCE_KINDS`` hold the keys of each source kind,
 its builder and its default name; ``_SEQUENCE_KEYS`` are checked against the
 pipeline and the kind that read them (``PIPELINE_NEEDS``,
 ``sequences.KINDS``).  One reader (``_normalize_mapping``) reads every
@@ -21,10 +21,10 @@ problem with its dotted path, so a config is fixed in one edit cycle rather
 than one error at a time.  That includes the sequence keys the pipeline
 needs and well-formed grids: times positive and strictly increasing, flip
 fractions in [0, 1].  ``dump_config`` prints the canonical form; parse ->
-print -> parse is a fixed point.  A scenario runs the config parsed from
-its canonical mapping (``config_document``), so a config built in code is
-checked like a file: a key or kind no table knows is printed as it is and
-reported at its dotted path.
+print -> parse is a fixed point.  A parsed config keeps the models it built
+(``ScenarioConfig.built``); one built or changed in code is parsed from its
+canonical mapping (``config_document``) before use, so a key or kind no
+table knows is printed as it is and reported at its dotted path.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -263,10 +263,10 @@ def _section(keys, defaults=None) -> Key:
 
 class Variant(NamedTuple):
     """One response model or source kind: the keys its block may hold
-    besides the tag that names it, its builder, and a source's default name."""
+    besides the tag that names it, and a source's builder and default name."""
 
     keys: dict
-    build: Callable
+    build: Callable | None = None
     name: str = ""
 
 
@@ -307,18 +307,16 @@ def _per_strain(per_GPa):
     return angular(per_GPa) * PRESSURE_PER_STRAIN_GPA
 
 
-# each response model: its keys besides ``model`` with the keyword each sets,
-# and its builder, called with those keywords and the config's directory
+# each response model: its keys besides ``model``, each with the keyword of
+# ``LinearResponse`` it sets; a quasiharmonic set is loaded from its data file
 _RESPONSE_MODELS = {
     "linear": Variant({
         "quadrupole_per_K": _measured("frequency_per_K", "quadrupole_per_K", angular),
         "hyperfine_per_K": _measured("frequency_per_K", "hyperfine_per_K", angular),
         "quadrupole_per_GPa": _measured("frequency_per_GPa", "quadrupole_per_strain", _per_strain),
         "hyperfine_per_GPa": _measured("frequency_per_GPa", "hyperfine_per_strain", _per_strain),
-    }, lambda kwargs, base_dir: LinearResponse(**kwargs)),
-    "quasiharmonic": Variant(
-        {"data_file": Key(_nonempty_string, sets="name", required=True)},
-        lambda kwargs, base_dir: load_response_set(resolve_data_file(**kwargs, base_dir=base_dir))),
+    }),
+    "quasiharmonic": Variant({"data_file": Key(_nonempty_string, required=True)}),
 }
 
 _NAME = Key(_nonempty_string)
@@ -562,7 +560,7 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
 
 # ----------------------------------------------------------------- the type
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario description, quantities in base display units
     (Hz, s, K, G, GPa); angular 2*pi factors enter in the model builders."""
@@ -577,20 +575,35 @@ class ScenarioConfig:
     backend: dict = field(default_factory=lambda: dict(_BACKEND_DEFAULTS))
     output: dict = field(default_factory=lambda: dict(_OUTPUT_DEFAULTS))
     base_dir: Path | None = field(default=None, compare=False)
+    # what parse_config built: "spin", "response", "sources", and the
+    # "document" and "base_dir" it built them from
+    built: dict | None = field(default=None, compare=False, repr=False)
+
+    def parsed(self, **backend) -> ScenarioConfig:
+        """This config as ``parse_config`` reads it, with each backend key in
+        ``backend`` that is not None set: parsed anew unless it still prints
+        to the document, in the directory, that its models were built from."""
+        document = config_document(self)
+        # repr, not ==: a parse tells True, 1, 1.0 and np.int64(1) apart
+        kept = (self.built is not None and self.built["base_dir"] == self.base_dir
+                and repr(document) == repr(self.built["document"]))
+        config = self if kept else parse_config(document, self.base_dir)
+        col = _Collector()
+        given = {key: value for key, value in backend.items() if value is not None}
+        config = replace(config, backend=_DOCUMENT_KEYS["backend"].read(
+            config.backend | given, "backend", col))
+        if col.problems:
+            raise ConfigError(col.problems)
+        return replace(config, built=config.built | {"document": config_document(config)})
 
     def spin_params(self) -> SpinSystemParams:
-        return SpinSystemParams(**_library_kwargs(self.spin, _SPIN_KEYS))
+        return self.parsed().built["spin"]
 
     def response_model(self):
-        model = _RESPONSE_MODELS[self.response["model"]]
-        return model.build(_library_kwargs(self.response, model.keys), self.base_dir)
+        return self.parsed().built["response"]
 
     def noise_sources(self) -> tuple:
-        response, gamma_n = self.response_model(), self.spin_params().gamma_n
-        kinds = [_SOURCE_KINDS[spec["kind"]] for spec in self.sources]
-        return tuple(kind.build(_library_kwargs(spec, kind.keys), spec.get("name", kind.name),
-                                response, gamma_n)
-                     for spec, kind in zip(self.sources, kinds))
+        return self.parsed().built["sources"]
 
     def backend_kwargs(self) -> dict:
         """Monte Carlo keywords of ``simulate_family``; the sources decide
@@ -616,15 +629,24 @@ def parse_config(data, base_dir=None) -> ScenarioConfig:
     if "pipeline" in doc:
         # against the raw block, so a malformed key is not also reported missing
         _check_needs(doc["pipeline"], raw.get("sequence"), doc.get("sequence", {}), col)
-    if "data_file" in doc.get("response", {}):
+    block = doc.get("response", {})
+    response = LinearResponse(**_library_kwargs(block, _RESPONSE_MODELS["linear"].keys))
+    if "data_file" in block:  # a quasiharmonic set
         try:
-            load_response_set(resolve_data_file(doc["response"]["data_file"], base_dir))
+            response = load_response_set(resolve_data_file(block["data_file"], base_dir))
         except (OSError, ValueError) as exc:
             col.add("response.data_file", str(exc))
     if col.problems:
         raise ConfigError(col.problems)
     del doc["schema"]
-    return ScenarioConfig(**doc, base_dir=None if base_dir is None else Path(base_dir))
+    config = ScenarioConfig(**doc, base_dir=None if base_dir is None else Path(base_dir))
+    spin = SpinSystemParams(**_library_kwargs(config.spin, _SPIN_KEYS))
+    sources = tuple(kind.build(_library_kwargs(spec, kind.keys), spec.get("name", kind.name),
+                               response, spin.gamma_n)
+                    for spec in config.sources for kind in [_SOURCE_KINDS[spec["kind"]]])
+    return replace(config, built={"spin": spin, "response": response, "sources": sources,
+                                  "document": config_document(config),
+                                  "base_dir": config.base_dir})
 
 
 def load_config(path) -> ScenarioConfig:
@@ -637,9 +659,8 @@ def load_config(path) -> ScenarioConfig:
 def config_document(config: ScenarioConfig) -> dict:
     """The canonical mapping of a config, which ``dump_config`` prints and
     a scenario runs as ``parse_config`` reads it; an empty value is left out."""
-    doc = {"schema": SCHEMA} | {f.name: getattr(config, f.name) for f in fields(config)}
-    return _dump_mapping({key: value for key, value in doc.items() if key != "base_dir" and value},
-                         _DOCUMENT_KEYS)
+    doc = {key: SCHEMA if key == "schema" else getattr(config, key) for key in _DOCUMENT_KEYS}
+    return _dump_mapping({key: value for key, value in doc.items() if value}, _DOCUMENT_KEYS)
 
 
 class _Dumper(yaml.SafeDumper):

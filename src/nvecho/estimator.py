@@ -62,6 +62,15 @@ def _covariance_from_jacobian(jac, residuals, n_params):
     return cov
 
 
+def _finite(name, values) -> np.ndarray:
+    """``values`` as a float array, refused if one is not finite."""
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{name} must be finite; {name}[{bad[0]}] is {values.flat[bad[0]]}")
+    return values
+
+
 # ------------------------------------------------------------------- cosine
 
 def fit_cosine(phases, signal) -> FitResult:
@@ -71,8 +80,7 @@ def fit_cosine(phases, signal) -> FitResult:
     (phi0), and ``maximum`` (c0, the signal at the fringe top).  Needs at
     least four points spanning a full period.
     """
-    phases = np.asarray(phases, dtype=float)
-    signal = np.asarray(signal, dtype=float)
+    phases, signal = _finite("phases", phases), _finite("signal", signal)
     if phases.shape != signal.shape or phases.ndim != 1:
         raise ValueError("phases and signal must be 1D arrays of equal length")
     if phases.size < 4:
@@ -131,8 +139,7 @@ def fit_exponential(times, amplitudes, skip_initial: int = DEFAULT_SKIP) -> FitR
     log-linear estimate, run to convergence; raises FitError when the
     minimum runs off (T2 -> 0 or infinity) instead.
     """
-    times = np.asarray(times, dtype=float)
-    amplitudes = np.asarray(amplitudes, dtype=float)
+    times, amplitudes = _finite("times", times), _finite("amplitudes", amplitudes)
     if skip_initial < 0:
         raise ValueError("skip_initial must be >= 0")
     t = times[skip_initial:]
@@ -180,8 +187,10 @@ class RateRow:
     rate_error: float | None = None
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rates must be positive")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"rates must be positive and finite, got {self.rate}")
+        if self.rate_error is not None and not math.isfinite(self.rate_error):
+            raise ValueError(f"rate errors must be finite, got {self.rate_error}")
         if not 0.0 <= self.tau_over_t <= 1.0:
             raise ValueError("tau_over_t must lie in [0, 1]")
 
@@ -394,12 +403,9 @@ def estimate_sigma(rates, coefficients, baseline=0.0, rate_errors=None,
     positive, finite error per rate; they weight the fit and give the
     covariance.
     """
-    rates = np.atleast_1d(np.asarray(rates, dtype=float))
-    coeff = np.atleast_1d(np.asarray(coefficients, dtype=float))
-    baseline = np.asarray(baseline, dtype=float)
-    for name, values in (("rates", rates), ("coefficients", coeff), ("baseline", baseline)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"{name} must be finite")
+    rates = np.atleast_1d(_finite("rates", rates))
+    coeff = np.atleast_1d(_finite("coefficients", coefficients))
+    baseline = _finite("baseline", baseline)
     if baseline.ndim > 1 or baseline.size not in (1, rates.size):
         raise ValueError(f"baseline needs one value or one per rate ({rates.size}), "
                          f"got shape {baseline.shape}")

@@ -244,7 +244,8 @@ def dephasing_factor(sources, coefficients) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Per-member estimates ((G,) arrays) and the draws they share."""
+    """Per-member estimates ((G,) arrays) and the draws they share; ``std_error``
+    is sqrt((1 - |m|^2)/N), the RMS error of the complex mean m, not of |m|."""
 
     attenuation: np.ndarray
     std_error: np.ndarray

@@ -243,6 +243,8 @@ def strain_response(epsilon: float, response: LinearResponse | None = None) -> S
     carries an extrapolation flag because the underlying slopes were only
     verified in that range.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"strain must be finite, got {epsilon!r}")
     if response is None:
         response = default_linear_response()
     pressure = PRESSURE_PER_STRAIN_GPA * epsilon

@@ -34,9 +34,7 @@ import numpy as np
 from .config import (
     ScenarioConfig,
     block_kind,
-    config_document,
     load_config,
-    parse_config,
     realize_grid,
 )
 from .estimator import RateTable, fit_exponential, fit_vee
@@ -120,16 +118,12 @@ def run_scenario(config: ScenarioConfig, out_dir=None, deterministic: bool = Fal
                  samples: int | None = None, seed: int | None = None) -> ScenarioResult:
     """Execute a config's pipeline, writing artifacts and returning fits.
 
-    ``samples`` and ``seed`` override the config's backend block.  What
-    runs is the config parsed from the canonical mapping of ``config`` with
-    the overrides, so one its pipeline cannot run, built in code or not,
-    raises ``ConfigError`` before any compute.
+    ``samples`` and ``seed`` override the config's backend block.  The run
+    uses the models ``parse_config`` built; a config built or changed in
+    code is parsed first, so one its pipeline cannot run raises
+    ``ConfigError`` before any compute.
     """
-    document = config_document(config)
-    for key, value in (("samples", samples), ("seed", seed)):
-        if value is not None:
-            document.setdefault("backend", {})[key] = value
-    config = parse_config(document, config.base_dir)
+    config = config.parsed(samples=samples, seed=seed)
     out = Path(out_dir) if out_dir is not None else Path(config.output["directory"])
     out.mkdir(parents=True, exist_ok=True)
     ctx = _Context(config=config, out_dir=out, deterministic=deterministic)
@@ -172,7 +166,7 @@ def _compare(ctx: _Context, protected: dict, sources, params):
     """The compare step: the protected scan of ``protected`` and the
     unprotected one of ``sequence.compare``, each of the kind the config
     builds the block as and both evaluated as one family, their exponential
-    fits and the coherence-time improvement."""
+    fits, and the fitted coherence times and their ratio, the improvement."""
     compare = ctx.config.sequence["compare"]
     specs = []
     for path, block in (("sequence", protected), ("sequence.compare", compare)):
@@ -181,8 +175,9 @@ def _compare(ctx: _Context, protected: dict, sources, params):
     scans = dict(zip(("protected", "unprotected"),
                      decay_scans(specs, sources, params=params, **ctx.config.backend_kwargs())))
     fits = {label: fit_exponential(scan.x, scan.y) for label, scan in scans.items()}
-    improvement = fits["protected"]["coherence_time"] / fits["unprotected"]["coherence_time"]
-    return scans, fits, improvement
+    t2_p, t2_u = (fits[label]["coherence_time"] for label in ("protected", "unprotected"))
+    return scans, fits, {"protected_T2_s": t2_p, "unprotected_T2_s": t2_u,
+                         "improvement": t2_p / t2_u}
 
 
 # ----------------------------------------------------------------- pipelines
@@ -212,14 +207,8 @@ def _run_simulate(ctx: _Context) -> ScenarioResult:
 
 def _run_decay_compare(ctx: _Context) -> ScenarioResult:
     cfg = ctx.config
-    scans, fits, improvement = _compare(ctx, cfg.sequence, cfg.noise_sources(),
-                                        cfg.spin_params())
-    t2_p, t2_u = fits["protected"]["coherence_time"], fits["unprotected"]["coherence_time"]
-    numbers = {
-        "unprotected_T2_s": float(t2_u),
-        "protected_T2_s": float(t2_p),
-        "improvement": float(improvement),
-    }
+    scans, fits, numbers = _compare(ctx, cfg.sequence, cfg.noise_sources(), cfg.spin_params())
+    t2_p, t2_u, improvement = numbers.values()
     ctx.write_signal("unprotected", scans["unprotected"])
     ctx.write_signal("protected", scans["protected"])
     ctx.write_fits(fits, numbers)
@@ -307,17 +296,13 @@ def _run_protection_study(ctx: _Context) -> ScenarioResult:
     sweep, peak = _sweep(ctx, sources, params)
     best_fraction = float(sweep.x[peak])
     protected = cfg.sequence | {"kind": "unbalanced_echo", "flip_fraction": best_fraction}
-    scans, fits, improvement = _compare(ctx, protected, sources, params)
-    t2_p, t2_u = fits["protected"]["coherence_time"], fits["unprotected"]["coherence_time"]
-
+    scans, fits, compared = _compare(ctx, protected, sources, params)
+    t2_p, t2_u, improvement = compared.values()
     numbers = {
         "total_time_s": float(cfg.sequence["total_time"]),
         "argmax_flip_fraction": best_fraction,
         "peak_amplitude": float(sweep.y[peak]),
-        "protected_T2_s": float(t2_p),
-        "unprotected_T2_s": float(t2_u),
-        "improvement": float(improvement),
-    }
+    } | compared
     numbers.update(_mc_numbers(sweep.monte_carlo, peak))
     ctx.write_signal("sweep", sweep)
     ctx.write_signal("protected", scans["protected"])

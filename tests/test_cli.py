@@ -370,6 +370,24 @@ def test_fit_autodetects_cosine(tmp_path, capsys):
     assert abs(wrapped) < 1e-9
 
 
+def test_fit_refuses_non_finite_data(tmp_path, capsys):
+    # a NaN amplitude used to exit 0 with a fit of NaNs (not JSON), and a NaN
+    # rate to exit 1 as if the table held no vee
+    phases = np.linspace(0.0, 2.0 * math.pi, 25)
+    fringe = 0.6 + 0.4 * np.cos(phases)
+    fringe[3] = math.nan
+    path = tmp_path / "fringe.csv"
+    write_signal_csv(EnsembleSignal(phases, fringe, "readout_phase_rad", "population"), path,
+                     deterministic=True)
+    rates = _rate_csv(tmp_path)
+    rates.write_text(rates.read_text().replace(",807.5381,", ",nan,"))
+    for args, problem in (([path], "signal[3] is nan"),
+                          ([rates, "--pair", "0,-1"], "rates must be positive and finite")):
+        assert main(["fit", *map(str, args), "--deterministic"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and problem in err
+
+
 def _rate_csv(tmp_path, both_branches=False):
     table = RateTable()
     slope, ratio, baseline = 6408.85, 0.181, 128.2

@@ -172,6 +172,9 @@ def test_quasiharmonic_data_file(tmp_path):
     model = parsed.response_model()
     assert isinstance(model, QuasiharmonicSet)
     assert model.quadrupole.reference_T == 300.0
+    # a config moved to another directory reads its data file from there
+    with pytest.raises(ConfigError, match="response.data_file: .*set.yaml"):
+        dataclasses.replace(parsed, base_dir=tmp_path / "elsewhere").response_model()
 
     missing = dict_minimal()
     missing["response"] = {"model": "quasiharmonic", "data_file": "nope.yaml"}

@@ -208,6 +208,44 @@ def _vee_table(x, rates, pair=(0, -1), pairing=(0, 1)):
     return table
 
 
+# each fit, its (x, y) names, a clean x grid and the y it fits
+FITS = {
+    "exponential": (fit_exponential, ("times", "amplitudes"), np.linspace(1e-4, 2e-3, 12),
+                    lambda x: np.exp(-x / 1e-3)),
+    "cosine": (fit_cosine, ("phases", "signal"), np.linspace(0.0, 2 * math.pi, 12),
+               lambda x: 0.6 + 0.4 * np.cos(x + 0.3)),
+    "vee": (lambda x, y: fit_vee(_vee_table(x, y)), ("tau_over_t", "rates"),
+            np.linspace(0.05, 0.35, 12), lambda x: 6408.85 * np.abs(x - 0.181) + 128.2),
+}
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("kind", sorted(FITS))
+def test_fits_refuse_non_finite_data_before_any_solver(capfd, kind, bad, axis):
+    # a NaN used to give a fit of NaNs, a wrong diagnosis, or an SVD that did
+    # not converge after LAPACK printed to stderr
+    fit, names, x, model = FITS[kind]
+    data = [x, model(x)]
+    assert fit(*data)
+    data[axis] = data[axis].copy()
+    data[axis][4] = bad
+    with pytest.raises(ValueError, match=names[axis]) as excinfo:
+        fit(*data)
+    assert excinfo.type is ValueError
+    if kind != "vee":  # a rate table refuses the row, not the fit
+        assert f"{names[axis]}[4] is {bad}" in str(excinfo.value)
+    assert capfd.readouterr().err == ""
+
+
+def test_rate_rows_refuse_non_finite_errors():
+    table = RateTable()
+    for rate_error in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="rate errors must be finite"):
+            table.add((0, -1), (0, 1), 0.1, 500.0, rate_error=rate_error)
+    assert not table.rows
+
+
 def test_fit_vee_noiseless_recovery():
     x = np.linspace(0.0, 0.4, 21)
     table = _vee_table(x, 6400.0 * np.abs(x - 0.18) + 1e-9)

@@ -18,6 +18,7 @@ import pytest
 from scipy.integrate import quad
 
 from nvecho import noise
+from nvecho.estimator import fit_exponential
 from nvecho.noise import (
     CHUNK,
     Distribution,
@@ -456,11 +457,22 @@ def test_monte_carlo_matches_quadrature_over_scenario_grids(name, protection_run
         "unprotected": [build_sequence(compare["kind"], float(t), **ramsey)
                         for t in result.signals["unprotected"].x],
     }
+    amplitudes = {}
     for label, family in families.items():
         mc = result.signals[label].monte_carlo
         exact = quadrature_attenuation(
             src, [phase_coefficients(params, seq.pair, seq.segments) for seq in family])
         assert np.all(np.abs(mc.attenuation - exact) <= 4.0 * mc.std_error), label
+        amplitudes[label] = np.abs(exact)
+    # a seed-free headline: the quadrature scans, fitted as the run fits its
+    # Monte Carlo scans, give its optimum and its numbers to within 1%
+    assert result.signals["sweep"].x[np.argmax(amplitudes["sweep"])] == best
+    t2 = {label: fit_exponential(result.signals[label].x, amplitudes[label])["coherence_time"]
+          for label in ("protected", "unprotected")}
+    seed_free = {"protected_T2_s": t2["protected"], "unprotected_T2_s": t2["unprotected"],
+                 "improvement": t2["protected"] / t2["unprotected"]}
+    for key, value in seed_free.items():
+        assert value == pytest.approx(result.numbers[key], rel=0.01), key
 
 
 def test_monte_carlo_rejects_bad_arguments():

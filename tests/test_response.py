@@ -393,6 +393,13 @@ def test_strain_linearity():
     assert math.isclose(2 * a.d_hyperfine, b.d_hyperfine, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("strain", [math.nan, math.inf, -math.inf])
+def test_strain_must_be_finite(strain):
+    # a NaN used to return NaN shifts flagged as not extrapolated
+    with pytest.raises(ValueError, match="strain must be finite"):
+        strain_response(strain)
+
+
 # ------------------------------------------------------------------- linear
 
 def test_linear_response_defaults():

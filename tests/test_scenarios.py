@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from nvecho import sequences
+from nvecho import config, sequences
 from nvecho.config import (
     ConfigError,
     ScenarioConfig,
@@ -263,6 +263,39 @@ def test_pipeline_and_block_errors(tmp_path):
         with pytest.raises(ConfigError) as parsed:
             parse_config(dump_config(built))
         assert parsed.value.problems == excinfo.value.problems
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_run_loads_its_response_file_once(tmp_path, monkeypatch):
+    # the parse used to load it to check it, the run to parse the config
+    # again, and each noise_sources() call to build it anew
+    document = config_document(load_packaged_scenario("fig4"))
+    document["backend"] = document.get("backend", {}) | {"samples": 4096}
+    loads = []
+    real = config.load_response_set
+    monkeypatch.setattr(config, "load_response_set",
+                        lambda *args: loads.append(args) or real(*args))
+    for overrides in ({}, {"samples": 2048, "seed": 7}):
+        loads.clear()
+        cfg = parse_config(document)
+        result = run_scenario(cfg, out_dir=tmp_path / str(len(overrides)), deterministic=True,
+                              **overrides)
+        assert len(loads) == 1
+        assert result.numbers["n_samples"] == overrides.get("samples", 4096)
+        assert cfg.noise_sources() is cfg.noise_sources()
+        assert cfg.response_model() is cfg.response_model()
+
+
+def test_models_follow_a_config_changed_after_parsing(tmp_path):
+    cfg = load_packaged_scenario("fig1d")
+    source = cfg.noise_sources()[0]
+    cfg.sources[0]["scale"] *= 2
+    assert cfg.noise_sources()[0].distribution.scale == 2 * source.distribution.scale
+    assert dataclasses.replace(cfg, sources=()).noise_sources() == ()
+    # a block changed in place is checked again before any compute
+    cfg.sequence["total_time"] = -1.0
+    with pytest.raises(ConfigError, match="sequence.total_time"):
+        run_scenario(cfg, out_dir=tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
