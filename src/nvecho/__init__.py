@@ -50,10 +50,9 @@ from .sequences import (
     build_ramsey,
     build_sequence,
     build_unbalanced_echo,
-    decay_scan,
     phase_sweep,
-    pulse_location_sweep,
     read_signal_csv,
+    scans,
     simulate_amplitude,
     simulate_family,
     write_signal_csv,
@@ -92,7 +91,6 @@ __all__ = [
     "build_unbalanced_echo",
     "calibrate_response_set",
     "cycles",
-    "decay_scan",
     "default_linear_response",
     "default_params",
     "default_quasiharmonic_set",
@@ -117,11 +115,11 @@ __all__ = [
     "phase_sweep",
     "predict_echo_rate",
     "predict_rate",
-    "pulse_location_sweep",
     "read_signal_csv",
     "residual_field_source",
     "run_scenario",
     "save_response_set",
+    "scans",
     "simulate_amplitude",
     "simulate_family",
     "single_quantum_table",

@@ -19,9 +19,10 @@ section and one printer (``_dump_mapping``) prints it in table order.
 Parsing validates the whole document and raises one ConfigError listing every
 problem with its dotted path, so a config is fixed in one edit cycle rather
 than one error at a time.  That includes the sequence keys the pipeline
-needs and well-formed grids: times positive and strictly increasing, flip
-fractions in [0, 1].  ``dump_config`` prints the canonical form; parse ->
-print -> parse is a fixed point.  A parsed config keeps the models it built
+needs, well-formed grids (times positive and strictly increasing, flip
+fractions in [0, 1]) and, at ``spin`` or ``sources[i]``, a model that
+refuses values which each parsed.  ``dump_config`` prints the canonical
+form; parse -> print -> parse is a fixed point.  A parsed config keeps the models it built
 (``ScenarioConfig.built``); one built or changed in code is parsed from its
 canonical mapping (``config_document``) before use, so a key or kind no
 table knows is printed as it is and reported at its dotted path.
@@ -103,6 +104,10 @@ class _Collector:
 
     def add(self, path, message):
         self.problems.append(f"{path}: {message}")
+
+    def clean(self, path) -> bool:
+        """Whether no problem is reported at ``path`` or below it."""
+        return not any(p.startswith((f"{path}:", f"{path}.", f"{path}[")) for p in self.problems)
 
 
 def resolve_data_file(name, base_dir=None) -> Path:
@@ -365,11 +370,9 @@ def _sources(block, path, col):
     out = []
     for i, src in enumerate(block):
         spec = _SOURCE.read(src, f"{path}[{i}]", col)
-        if spec is None:
-            continue
-        if spec.get("distribution") == "delta" and spec.get("scale", 0.0) != 0:
+        if spec is not None and spec.get("distribution") == "delta" and spec.get("scale", 0.0) != 0:
             col.add(f"{path}[{i}].scale", "delta distributions take no scale")
-        out.append(spec)
+        out.append(spec)  # None where unread, so that each spec keeps its index
     return tuple(out)
 
 
@@ -611,6 +614,17 @@ class ScenarioConfig:
         return {"n_samples": self.backend["samples"], "seed": self.backend["seed"]}
 
 
+def _build(col, build, path, *inputs):
+    """``build()``, or None where a problem is reported at ``path`` or at the
+    ``inputs`` it reads; a refusal of the model is reported at ``path``."""
+    if all(col.clean(where) for where in (path, *inputs)):
+        try:
+            return build()
+        except ValueError as exc:
+            col.add(path, str(exc))
+    return None
+
+
 def parse_config(data, base_dir=None) -> ScenarioConfig:
     """Parse and validate YAML text or an already-loaded mapping."""
     if isinstance(data, (str, bytes)):
@@ -636,15 +650,20 @@ def parse_config(data, base_dir=None) -> ScenarioConfig:
             response = load_response_set(resolve_data_file(block["data_file"], base_dir))
         except (OSError, ValueError) as exc:
             col.add("response.data_file", str(exc))
+    # each model whose keys parsed cleanly is built, and a refusal reported
+    spin = _build(col, lambda: SpinSystemParams(**_library_kwargs(doc.get("spin", {}), _SPIN_KEYS)),
+                  "spin")
+    sources = []
+    for i, spec in enumerate(doc.get("sources", ())):
+        kind = spec and _SOURCE_KINDS[spec["kind"]]
+        sources.append(_build(col, lambda: kind.build(
+            _library_kwargs(spec, kind.keys), spec.get("name", kind.name), response,
+            spin.gamma_n), f"sources[{i}]", "spin", "response"))
     if col.problems:
         raise ConfigError(col.problems)
     del doc["schema"]
     config = ScenarioConfig(**doc, base_dir=None if base_dir is None else Path(base_dir))
-    spin = SpinSystemParams(**_library_kwargs(config.spin, _SPIN_KEYS))
-    sources = tuple(kind.build(_library_kwargs(spec, kind.keys), spec.get("name", kind.name),
-                               response, spin.gamma_n)
-                    for spec in config.sources for kind in [_SOURCE_KINDS[spec["kind"]]])
-    return replace(config, built={"spin": spin, "response": response, "sources": sources,
+    return replace(config, built={"spin": spin, "response": response, "sources": tuple(sources),
                                   "document": config_document(config),
                                   "base_dir": config.base_dir})
 

@@ -238,16 +238,14 @@ class RateTable:
 
     @classmethod
     def read_csv(cls, path) -> "RateTable":
-        schema, metadata, header, rows = read_metadata_csv(path)
+        schema, metadata, header, rows = read_metadata_csv(
+            path, {RATES_SCHEMA: (int,) * 4 + (float,) * 2 + (lambda f: float(f) if f else None,)})
         if schema != RATES_SCHEMA or tuple(header) != _RATES_HEADER:
             raise ValueError(f"{path}: not a rate-table file ({RATES_SCHEMA}), "
                              f"schema {schema!r}")
         table = cls(metadata=metadata)
         for parts in rows:
-            table.add(
-                (int(parts[0]), int(parts[1])), (int(parts[2]), int(parts[3])),
-                float(parts[4]), float(parts[5]), float(parts[6]) if parts[6] else None,
-            )
+            table.add(tuple(parts[0:2]), tuple(parts[2:4]), *parts[4:])
         return table
 
 

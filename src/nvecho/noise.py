@@ -193,6 +193,9 @@ def temperature_source(distribution: Distribution, response=None,
                        name: str = "temperature") -> NoiseSource:
     response = _response(response, "temperature")
     if isinstance(response, QuasiharmonicSet):
+        if distribution.location < 0:
+            raise ValueError("an absolute temperature location must be >= 0 K, "
+                             f"got {distribution.location!r}")
         return NoiseSource(name, distribution, curves=(response.quadrupole, response.hyperfine))
     return NoiseSource(name, distribution,
                        slopes=(response.quadrupole_per_K, response.hyperfine_per_K, 0.0))

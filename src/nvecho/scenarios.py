@@ -42,8 +42,7 @@ from .script import parse_sequence_script
 from .sequences import (
     KINDS,
     build_sequence,
-    decay_scans,
-    pulse_location_sweep,
+    scans,
     simulate_amplitude,
     write_signal_csv,
 )
@@ -156,9 +155,10 @@ def _sweep(ctx: _Context, sources, params):
     """The sweep step: amplitude versus flip fraction at the block's total
     time, and the index of its peak."""
     block = ctx.config.sequence
-    signal = pulse_location_sweep(block["total_time"], realize_grid(block["flip_fractions"]),
-                                  sources, params=params, **KINDS["unbalanced_echo"].read(block),
-                                  **ctx.config.backend_kwargs())
+    keys = KINDS["unbalanced_echo"].read(block) | {"total_time": block["total_time"]}
+    [signal] = scans([("unbalanced_echo", keys, "flip_fraction",
+                       realize_grid(block["flip_fractions"]))],
+                     sources, params=params, **ctx.config.backend_kwargs())
     return signal, int(np.argmax(signal.y))
 
 
@@ -171,12 +171,12 @@ def _compare(ctx: _Context, protected: dict, sources, params):
     specs = []
     for path, block in (("sequence", protected), ("sequence.compare", compare)):
         kind = block_kind(ctx.config.pipeline, path, block)
-        specs.append((realize_grid(block["times"]), kind, KINDS[kind].read(block)))
-    scans = dict(zip(("protected", "unprotected"),
-                     decay_scans(specs, sources, params=params, **ctx.config.backend_kwargs())))
-    fits = {label: fit_exponential(scan.x, scan.y) for label, scan in scans.items()}
+        specs.append((kind, KINDS[kind].read(block), "total_time", realize_grid(block["times"])))
+    signals = dict(zip(("protected", "unprotected"),
+                       scans(specs, sources, params=params, **ctx.config.backend_kwargs())))
+    fits = {label: fit_exponential(scan.x, scan.y) for label, scan in signals.items()}
     t2_p, t2_u = (fits[label]["coherence_time"] for label in ("protected", "unprotected"))
-    return scans, fits, {"protected_T2_s": t2_p, "unprotected_T2_s": t2_u,
+    return signals, fits, {"protected_T2_s": t2_p, "unprotected_T2_s": t2_u,
                          "improvement": t2_p / t2_u}
 
 
@@ -207,14 +207,14 @@ def _run_simulate(ctx: _Context) -> ScenarioResult:
 
 def _run_decay_compare(ctx: _Context) -> ScenarioResult:
     cfg = ctx.config
-    scans, fits, numbers = _compare(ctx, cfg.sequence, cfg.noise_sources(), cfg.spin_params())
+    signals, fits, numbers = _compare(ctx, cfg.sequence, cfg.noise_sources(), cfg.spin_params())
     t2_p, t2_u, improvement = numbers.values()
-    ctx.write_signal("unprotected", scans["unprotected"])
-    ctx.write_signal("protected", scans["protected"])
+    ctx.write_signal("unprotected", signals["unprotected"])
+    ctx.write_signal("protected", signals["protected"])
     ctx.write_fits(fits, numbers)
     return ctx.result(f"{cfg.name}: unprotected T2* = {_fmt_time(t2_u)}, "
                       f"protected T2* = {_fmt_time(t2_p)}, "
-                      f"improvement {improvement:.1f}x", numbers, signals=scans, fits=fits)
+                      f"improvement {improvement:.1f}x", numbers, signals=signals, fits=fits)
 
 
 def _run_pulse_sweep(ctx: _Context) -> ScenarioResult:
@@ -251,11 +251,10 @@ def _run_rate_table(ctx: _Context) -> ScenarioResult:
     table = RateTable(metadata={"scenario": cfg.name})
     for pair in pairs:
         # one family per branch: the decay scan of every flip fraction
-        scans = decay_scans([(times, "unbalanced_echo",
-                              keys | {"pair": pair, "flip_fraction": float(f)})
-                             for f in fractions], sources, params=params,
-                            **cfg.backend_kwargs())
-        for fraction, scan in zip(fractions, scans):
+        signals = scans([("unbalanced_echo", keys | {"pair": pair, "flip_fraction": float(f)},
+                           "total_time", times) for f in fractions],
+                        sources, params=params, **cfg.backend_kwargs())
+        for fraction, scan in zip(fractions, signals):
             fit = fit_exponential(scan.x, scan.y)
             t2 = fit["coherence_time"]
             t2_var = float(fit.covariance[1, 1])
@@ -296,7 +295,7 @@ def _run_protection_study(ctx: _Context) -> ScenarioResult:
     sweep, peak = _sweep(ctx, sources, params)
     best_fraction = float(sweep.x[peak])
     protected = cfg.sequence | {"kind": "unbalanced_echo", "flip_fraction": best_fraction}
-    scans, fits, compared = _compare(ctx, protected, sources, params)
+    signals, fits, compared = _compare(ctx, protected, sources, params)
     t2_p, t2_u, improvement = compared.values()
     numbers = {
         "total_time_s": float(cfg.sequence["total_time"]),
@@ -305,8 +304,8 @@ def _run_protection_study(ctx: _Context) -> ScenarioResult:
     } | compared
     numbers.update(_mc_numbers(sweep.monte_carlo, peak))
     ctx.write_signal("sweep", sweep)
-    ctx.write_signal("protected", scans["protected"])
-    ctx.write_signal("unprotected", scans["unprotected"])
+    ctx.write_signal("protected", signals["protected"])
+    ctx.write_signal("unprotected", signals["unprotected"])
     ctx.write_fits(fits, numbers)
     truncated = numbers.get("truncated_mass")
     trunc_note = "" if truncated is None else f", truncated mass {truncated:.4f}"
@@ -314,7 +313,7 @@ def _run_protection_study(ctx: _Context) -> ScenarioResult:
                       f"protected T2* = {_fmt_time(t2_p)}, "
                       f"unprotected T2* = {_fmt_time(t2_u)}, "
                       f"improvement {improvement:.0f}x{trunc_note}",
-                      numbers, signals={"sweep": sweep} | scans, fits=fits)
+                      numbers, signals={"sweep": sweep} | signals, fits=fits)
 
 
 PIPELINES = {

@@ -14,12 +14,14 @@ Builders produce the four standard experiments:
   static energy shift.
 
 ``KINDS`` maps each kind to its builder, the sequence-block keys it reads
-and its refusal rule; ``build_sequence``, the scans and the config check
+and its refusal rule; ``build_sequence``, ``scans`` and the config check
 read it.  ``simulate_family`` averages the phase factor over the noise
 ensemble for a whole family of sequences at once.  The sources choose how:
 when every source enters the phase linearly the average is exact, and
-otherwise (a quasiharmonic temperature source) it is a Monte Carlo estimate.  ``simulate_amplitude`` is
-its one-sequence case, and the scans below are one family call each.
+otherwise (a quasiharmonic temperature source) it is a Monte Carlo
+estimate.  ``simulate_amplitude`` is its one-sequence case, and ``scans``
+evaluates decay scans and flip-location sweeps, any number of them, as one
+family call.
 """
 
 from __future__ import annotations
@@ -276,88 +278,50 @@ def phase_sweep(sequence: PulseSequence, sources, readout_phases,
     )
 
 
-def _scans(parts, sources, kwargs) -> list:
-    """One ``simulate_family`` call for several scans, each given as (x,
-    sequences, x label, metadata), split back into one signal per scan.
-    Every point is evaluated as in its own scan (batch invariance), so each
-    signal equals the one its scan alone gives."""
+# each axis a scan runs along: the x label of its signals, which also names a
+# value that the keys fix in their metadata, and the noun its errors use
+_AXES = {"total_time": ("total_time_s", "time"),
+         "flip_fraction": ("flip_fraction", "flip fraction")}
+
+
+def scans(specs, sources, **kwargs) -> list:
+    """Ensemble amplitude along one axis per spec ``(kind, keys, axis,
+    values)``: the sequences ``build_sequence(kind, **keys)`` with ``axis``,
+    "total_time" (a decay scan) or "flip_fraction" (a flip-location sweep),
+    set to each value.  All specs are evaluated as one ``simulate_family``
+    call, which takes ``kwargs``; every point is evaluated as in its own scan
+    (batch invariance), so each signal equals the one its spec alone gives."""
+    parts = []
+    for kind, keys, axis, values in specs:
+        if axis not in _AXES:
+            raise ValueError(f"cannot scan along {axis!r}; expected one of {tuple(_AXES)}")
+        label, noun = _AXES[axis]
+        x = np.asarray(values, dtype=float)
+        if x.size == 0:
+            raise ValueError(f"need at least one {noun}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{noun}s must be finite")
+        if axis == "total_time" and np.any(np.diff(x) <= 0):
+            raise ValueError("time grid must be strictly increasing")
+        family = [build_sequence(kind, **keys, **{axis: float(v)}) for v in x]
+        metadata = {"sequence": kind} | {_AXES[key][0]: keys[key] for key in _AXES if key in keys}
+        if "pair" in KINDS[kind].keys:  # a dq_ramsey names no pair
+            metadata["pair"] = list(family[0].pair)
+        parts.append((x, family, label, metadata))
     result = simulate_family([seq for _, family, _, _ in parts for seq in family],
                              sources, **kwargs)
     amplitude, mc = result.amplitude, result.monte_carlo
     average = _average_metadata(result)
     signals, start = [], 0
-    for x, family, x_label, metadata in parts:
+    for x, family, label, metadata in parts:
         members = slice(start, start + len(family))
         start = members.stop
-        metadata.update(average)
         signals.append(EnsembleSignal(
-            x=x, y=amplitude[members], x_label=x_label, y_label="amplitude",
-            metadata=metadata,
+            x=x, y=amplitude[members], x_label=label, y_label="amplitude",
+            metadata=metadata | average,
             monte_carlo=None if mc is None else replace(
                 mc, attenuation=mc.attenuation[members], std_error=mc.std_error[members])))
     return signals
-
-
-def _split(kwargs) -> tuple:
-    """A scan's keywords: the sequence-block keys, which ``build_sequence``
-    checks against the kind, and the rest, which ``simulate_family`` takes."""
-    keys = {key: value for key, value in kwargs.items()
-            if any(key in kind.keys for kind in KINDS.values())}
-    return keys, {key: value for key, value in kwargs.items() if key not in keys}
-
-
-def decay_scan(times, sources, sequence: str | None = None, **kwargs) -> EnsembleSignal:
-    """Ensemble amplitude versus total evolution time of one kind of sequence.
-
-    ``kwargs`` holds the block keys of the kind (``KINDS``) and the keywords
-    of ``simulate_family``.  Unless ``sequence`` names the kind, a given
-    ``flip_fraction`` makes each point an unbalanced echo, probing one point
-    of the protection vee, and its absence a Ramsey."""
-    if sequence is None:
-        sequence = "unbalanced_echo" if "flip_fraction" in kwargs else "ramsey"
-    keys, kwargs = _split(kwargs)
-    return decay_scans([(times, sequence, keys)], sources, **kwargs)[0]
-
-
-def decay_scans(scans, sources, **kwargs) -> list:
-    """Several decay scans as one family: ``scans`` holds (times, kind, block
-    keys) per scan and ``kwargs`` the keywords of ``simulate_family``.  Each
-    signal equals the one ``decay_scan`` gives for its scan alone."""
-    parts = []
-    for times, sequence, keys in scans:
-        times = np.asarray(times, dtype=float)
-        if times.size == 0:
-            raise ValueError("need at least one time")
-        if not np.all(np.isfinite(times)):
-            raise ValueError("times must be finite")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("time grid must be strictly increasing")
-        family = [build_sequence(sequence, float(t), **keys) for t in times]
-        meta = {"sequence": sequence}
-        if "pair" in KINDS[sequence].keys:  # a dq_ramsey names no pair
-            meta["pair"] = list(family[0].pair)
-        if "flip_fraction" in keys:
-            meta["flip_fraction"] = keys["flip_fraction"]
-        parts.append((times, family, "total_time_s", meta))
-    return _scans(parts, sources, kwargs)
-
-
-def pulse_location_sweep(total_time: float, flip_fractions, sources,
-                         **kwargs) -> EnsembleSignal:
-    """Ensemble amplitude versus flip fraction at fixed total time; the
-    echoes take their other block keys from ``kwargs``, as ``decay_scan``."""
-    fractions = np.asarray(flip_fractions, dtype=float)
-    if fractions.size == 0:
-        raise ValueError("need at least one flip fraction")
-    if not (np.all(np.isfinite(fractions)) and math.isfinite(total_time)):
-        raise ValueError("flip fractions and the total time must be finite")
-    if np.any((fractions < 0) | (fractions > 1)):
-        raise ValueError("flip fractions must lie in [0, 1]")
-    keys, kwargs = _split(kwargs)
-    family = [build_sequence("unbalanced_echo", total_time, flip_fraction=float(f), **keys)
-              for f in fractions]
-    meta = {"total_time_s": total_time, "pair": list(family[0].pair)}
-    return _scans([(fractions, family, "flip_fraction", meta)], sources, kwargs)[0]
 
 
 # -------------------------------------------------------------- signal files
@@ -376,11 +340,14 @@ def write_metadata_csv(path, schema: str, metadata: dict, header, rows,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_metadata_csv(path):
+def read_metadata_csv(path, columns=None):
     """(schema, metadata, header, rows) of a ``write_metadata_csv`` file; the
     schema is None when the first line names none, and the timestamp line is
-    dropped.  A metadata value that is not YAML, a missing header and a row
-    whose width differs from the header's raise ValueError."""
+    dropped.  Each row holds its fields as strings, or converted where
+    ``columns`` maps the file's schema to one converter per column.  A
+    metadata value that is not YAML, a missing header, a row whose width
+    differs from the header's and a field its converter refuses raise
+    ValueError."""
     schema, metadata, header, rows = None, {}, None, []
     for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -399,10 +366,17 @@ def read_metadata_csv(path):
         elif header is None:
             header = [h.strip() for h in line.split(",")]
         else:
-            rows.append(line.split(","))
-            if len(rows[-1]) != len(header):
-                raise ValueError(f"{path}:{number}: row has {len(rows[-1])} fields, "
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise ValueError(f"{path}:{number}: row has {len(fields)} fields, "
                                  f"the header {len(header)}")
+            convert = (columns or {}).get(schema, ())
+            for i, (name, read, field) in enumerate(zip(header, convert, fields)):
+                try:
+                    fields[i] = read(field)
+                except ValueError:
+                    raise ValueError(f"{path}:{number}: {name} {field!r} is not a number") from None
+            rows.append(fields)
     if header is None:
         raise ValueError(f"{path}: no header line")
     return schema, metadata, header, rows
@@ -415,11 +389,11 @@ def write_signal_csv(signal: EnsembleSignal, path, deterministic: bool = False) 
 
 
 def read_signal_csv(path) -> EnsembleSignal:
-    schema, metadata, header, rows = read_metadata_csv(path)
+    schema, metadata, header, rows = read_metadata_csv(path, {_CSV_SCHEMA: (float, float)})
     if schema != _CSV_SCHEMA or len(header) < 2 or not rows:
         raise ValueError(f"{path}: not a signal file ({_CSV_SCHEMA} with x, y columns "
                          f"and data), schema {schema!r}")
     return EnsembleSignal(
-        x=np.array([float(r[0]) for r in rows]), y=np.array([float(r[1]) for r in rows]),
+        x=np.array([r[0] for r in rows]), y=np.array([r[1] for r in rows]),
         x_label=header[0], y_label=header[1], metadata=metadata,
     )

@@ -38,8 +38,7 @@ from nvecho.sequences import (
     build_dq_ramsey,
     build_ramsey,
     build_unbalanced_echo,
-    decay_scan,
-    pulse_location_sweep,
+    scans,
     simulate_amplitude,
     simulate_family,
 )
@@ -149,7 +148,7 @@ def test_criterion_4_rate_ratio_checks():
         rate = predict_rate((0, mi), ms, sigma_T, sigma_B, response)
         t2 = 1.0 / rate
         times = np.geomspace(t2 / 20.0, 4.0 * t2, 14)
-        scan = decay_scan(times, sources, sequence="ramsey", pair=(0, mi), ms=ms)
+        [scan] = scans([("ramsey", {"pair": (0, mi), "ms": ms}, "total_time", times)], sources)
         fitted = 1.0 / fit_exponential(scan.x, scan.y)["coherence_time"]
         worst = max(worst, abs(fitted - rate) / rate)
     if worst > 1e-4:
@@ -288,9 +287,9 @@ def test_criterion_7_property_suite():
     response = default_linear_response()
     ratio = response.quadrupole_per_K / response.hyperfine_per_K
     u = np.linspace(-1.5e-4, 1.5e-4, 9)
-    curves = [
-        pulse_location_sweep(t, ratio + u / t, (source,)).y for t in (1e-3, 2e-3)
-    ]
+    curves = [sweep.y for sweep in scans(
+        [("unbalanced_echo", {"total_time": t}, "flip_fraction", ratio + u / t)
+         for t in (1e-3, 2e-3)], (source,))]
     if not np.allclose(curves[0], curves[1], rtol=1e-6):
         failures.append("location sweeps do not collapse in (x - ratio) * t")
 
@@ -375,7 +374,8 @@ def test_criterion_8_strain_channel():
     strain_ratio = 1.60 / 4.33
     source = strain_source(lorentzian(0.0, 1e-3))
     fractions = np.linspace(0.2, 0.5, 301)
-    sweep = pulse_location_sweep(1e-3, fractions, (source,))
+    [sweep] = scans([("unbalanced_echo", {"total_time": 1e-3}, "flip_fraction", fractions)],
+                    (source,))
     argmax = float(sweep.x[int(np.argmax(sweep.y))])
     if abs(argmax - strain_ratio) > 1e-3:
         failures.append(

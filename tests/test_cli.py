@@ -14,13 +14,14 @@ from nvecho.cli import main
 from nvecho.estimator import RateTable
 from nvecho.noise import lorentzian, temperature_source
 from nvecho.response import DEFAULT_DATA_FILE, load_response_set
+from nvecho.scenarios import packaged_scenario_path
 from nvecho.script import parse_sequence_script
 from nvecho.sequences import (
     EnsembleSignal,
     build_unbalanced_echo,
-    decay_scan,
     phase_sweep,
     read_signal_csv,
+    scans,
     simulate_amplitude,
     write_signal_csv,
 )
@@ -318,7 +319,7 @@ def test_invalid_overrides_fail_before_compute(tmp_path, capsys):
 def _decay_csv(tmp_path):
     times = np.geomspace(50e-6, 2e-3, 12)
     source = temperature_source(lorentzian(0.0, 5.0))
-    signal = decay_scan(times, [source])
+    [signal] = scans([("ramsey", {}, "total_time", times)], [source])
     path = tmp_path / "decay.csv"
     write_signal_csv(signal, path, deterministic=True)
     return path
@@ -471,9 +472,8 @@ def test_fit_nonconverging_decay_exits_1(tmp_path, capsys):
 
 def test_fit_rejects_undetectable_csv(tmp_path, capsys):
     source = temperature_source(lorentzian(0.0, 5.0))
-    from nvecho.sequences import pulse_location_sweep
-
-    signal = pulse_location_sweep(1.4e-3, np.linspace(0, 0.5, 6), [source])
+    [signal] = scans([("unbalanced_echo", {"total_time": 1.4e-3}, "flip_fraction",
+                       np.linspace(0, 0.5, 6))], [source])
     path = tmp_path / "sweep.csv"
     write_signal_csv(signal, path, deterministic=True)
     assert main(["fit", str(path)]) == 2
@@ -559,6 +559,30 @@ def test_fit_short_row_exits_2(tmp_path, capsys):
         lines[-1] = lines[-1].split(",")[0]
         path.write_text("\n".join(lines) + "\n")
         _assert_usage_error(capsys, ["fit", str(path)], "row has 1 fields")
+    # a field that is not a number is named with its file and line
+    for write, column, problem in ((_decay_csv, 1, "amplitude 'abc'"),
+                                   (_rate_csv, 0, "pair_reference 'x'"),
+                                   (_rate_csv, 6, "rate_error 'x'")):
+        path = write(tmp_path)
+        lines = path.read_text().splitlines()
+        fields = lines[-1].split(",")
+        fields[column] = problem.split("'")[1]
+        lines[-1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        _assert_usage_error(capsys, ["fit", str(path)],
+                            f"{path}:{len(lines)}: {problem} is not a number")
+
+
+def test_negative_absolute_temperature_exits_2_before_compute(tmp_path, capsys):
+    # used to exit 2 from inside the run, after the output directory was made
+    doc = yaml.safe_load(packaged_scenario_path("fig4").read_text())
+    doc["sources"][0]["location"] = "-20 K"
+    doc["backend"]["samples"] = 4096
+    cfg = _write(tmp_path, "cold.yaml", yaml.safe_dump(doc))
+    out_dir = tmp_path / "artifacts"
+    _assert_usage_error(capsys, ["simulate", str(cfg), "--out", str(out_dir)],
+                        "sources[0]: an absolute temperature location must be >= 0 K")
+    assert not out_dir.exists()
 
 
 def test_fit_metadata_that_is_not_yaml_exits_2(tmp_path, capsys):

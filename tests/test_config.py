@@ -146,6 +146,29 @@ def test_problems_are_aggregated():
     assert "backend.samples" in text
 
 
+def test_model_build_refusals_join_the_other_problems():
+    # a model refusing values that each parse used to escape as a bare
+    # ValueError, and only once every other problem was fixed
+    cfg = dict_minimal()
+    cfg["spin"] = {"quadrupole": "0 Hz"}
+    cfg["backend"] = {"samples": 0}
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(cfg)
+    assert excinfo.value.problems == ("backend.samples: must be a positive integer",
+                                      "spin: quadrupole coupling must be nonzero")
+
+    cfg = dict_minimal()
+    cfg["spin"] = {"gamma_n": "0 Hz/G"}
+    cfg["sources"] = [{"kind": "residual_field", "dq_coherence_time": "2 ms"},
+                      {"kind": "temperature", "distribution": "lorentzian",
+                       "location": "0 K", "scale": "-5 K"}]
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(cfg)
+    assert excinfo.value.problems == (
+        "sources[1].scale: scale must be >= 0",
+        "sources[0]: gamma_n must be finite and nonzero, got 0.0")
+
+
 def test_unknown_keys_rejected():
     cfg = dict_minimal()
     cfg["spin"] = {"bogus": "1 Hz"}

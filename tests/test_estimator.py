@@ -26,7 +26,7 @@ from nvecho.estimator import (
 from nvecho.noise import field_source, lorentzian, temperature_source
 from nvecho.response import LinearResponse, default_linear_response
 from nvecho.scenarios import load_packaged_scenario, run_scenario
-from nvecho.sequences import decay_scan
+from nvecho.sequences import scans
 from nvecho.solvers import levenberg_marquardt, nnls
 from nvecho.spin_model import pair_sensitivity
 from nvecho.units import TWO_PI
@@ -102,7 +102,7 @@ def test_fit_exponential_unprotected_scan():
     # Lorentzian 5 K ensemble on the m_S = 0 branch: 1/e time 1/(2pi 39 * 5)
     src = temperature_source(lorentzian(0.0, 5.0))
     times = np.linspace(5e-5, 2.5e-3, 14)
-    sig = decay_scan(times, (src,), sequence="ramsey")
+    [sig] = scans([("ramsey", {}, "total_time", times)], (src,))
     res = fit_exponential(sig.x, sig.y)
     assert res["coherence_time"] == pytest.approx(1.0 / (TWO_PI * 39.0 * 5.0), rel=1e-3)
 
@@ -114,8 +114,8 @@ def test_fit_exponential_protected_scan_hits_residual_ceiling():
     sq_rate = 1.0 / 3.9e-3
     src = field_source(lorentzian(0.0, sq_rate / (TWO_PI * 307.7)))
     times = np.linspace(2e-4, 1.5e-2, 12)
-    sig = decay_scan(times, (temperature_source(lorentzian(0.0, 5.0)), src),
-                     flip_fraction=ratio)
+    [sig] = scans([("unbalanced_echo", {"flip_fraction": ratio}, "total_time", times)],
+                  (temperature_source(lorentzian(0.0, 5.0)), src))
     res = fit_exponential(sig.x, sig.y)
     assert res["coherence_time"] == pytest.approx(3.9e-3, rel=1e-3)
 
@@ -543,7 +543,8 @@ def test_predict_echo_rate_matches_fitted_scan():
     src_t = temperature_source(lorentzian(0.0, 5.0))
     src_b = field_source(lorentzian(0.0, 0.0663))
     times = np.linspace(5e-5, 2.5e-3, 14)
-    sig = decay_scan(times, (src_t, src_b), flip_fraction=0.1)
+    [sig] = scans([("unbalanced_echo", {"flip_fraction": 0.1}, "total_time", times)],
+                  (src_t, src_b))
     fitted = 1.0 / fit_exponential(sig.x, sig.y)["coherence_time"]
     predicted = predict_echo_rate((0, -1), 0.1, sigma_T=5.0, sigma_B=0.0663)
     assert fitted == pytest.approx(predicted, rel=1e-4)

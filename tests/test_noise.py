@@ -385,6 +385,16 @@ def test_truncation_mass_absolute_temperature():
     assert dropped == pytest.approx(expected_mass, abs=5e-3)
 
 
+def test_quasiharmonic_temperature_location_is_absolute():
+    # a negative location used to fail the run inside the curves
+    qset = default_quasiharmonic_set()
+    with pytest.raises(ValueError, match="must be >= 0 K, got -20.0"):
+        temperature_source(lorentzian(-20.0, 25.0), response=qset)
+    assert temperature_source(lorentzian(0.0, 25.0), response=qset).distribution.location == 0.0
+    # on a linear response the location is a deviation, of either sign
+    assert temperature_source(lorentzian(-20.0, 25.0)).is_linear
+
+
 def test_monte_carlo_nonlinear_matches_quadrature():
     # Ramsey-style segment in m_S = 0: only the quadrupole drift matters.
     t = 20e-6

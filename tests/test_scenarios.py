@@ -24,7 +24,7 @@ from nvecho.scenarios import (
     packaged_scenario_path,
     run_scenario,
 )
-from nvecho.sequences import KINDS, build_sequence, decay_scan, read_signal_csv
+from nvecho.sequences import KINDS, build_sequence, read_signal_csv, scans
 from nvecho.units import TWO_PI
 
 SAMPLE_RATIO = 36.924 / 204.0  # slope ratio used by the reference scenarios
@@ -347,9 +347,9 @@ def test_compare_step_is_one_family_equal_to_two_scans(tmp_path, monkeypatch, na
     assert families == [sum(realize_grid(block["times"]).size for block in blocks.values())]
     for label, block in blocks.items():
         kind = block["kind"]
-        alone = decay_scan(realize_grid(block["times"]), cfg.noise_sources(), sequence=kind,
-                           params=cfg.spin_params(), **KINDS[kind].read(block),
-                           **cfg.backend_kwargs())
+        [alone] = scans([(kind, KINDS[kind].read(block), "total_time",
+                          realize_grid(block["times"]))], cfg.noise_sources(),
+                        params=cfg.spin_params(), **cfg.backend_kwargs())
         fused = signals[label]
         assert fused.x.tobytes() == alone.x.tobytes()
         assert fused.y.tobytes() == alone.y.tobytes()
@@ -375,8 +375,8 @@ def test_rate_table_is_one_family_per_pair(tmp_path, monkeypatch):
     table = RateTable.read_csv(tmp_path / "fig2-rates.csv")
     times = realize_grid(cfg.sequence["times"])
     for row in table.rows[::10]:
-        scan = decay_scan(times, cfg.noise_sources(), flip_fraction=row.tau_over_t,
-                          pair=row.pair, params=cfg.spin_params())
+        [scan] = scans([("unbalanced_echo", {"flip_fraction": row.tau_over_t, "pair": row.pair},
+                         "total_time", times)], cfg.noise_sources(), params=cfg.spin_params())
         assert row.rate == 1.0 / fit_exponential(scan.x, scan.y)["coherence_time"]
     assert "vee ratio" in result.summary
 

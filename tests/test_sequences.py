@@ -22,10 +22,9 @@ from nvecho.sequences import (
     build_nuclear_echo,
     build_ramsey,
     build_unbalanced_echo,
-    decay_scan,
     phase_sweep,
-    pulse_location_sweep,
     read_signal_csv,
+    scans,
     simulate_amplitude,
     write_signal_csv,
 )
@@ -155,16 +154,17 @@ def test_sources_choose_closed_form_or_monte_carlo():
 
 def test_scan_metadata_names_the_average():
     times = [1e-4, 2e-4]
-    closed = decay_scan(times, (temperature_source(lorentzian(0.0, 5.0)),))
+    [closed] = scans([("ramsey", {}, "total_time", times)],
+                     (temperature_source(lorentzian(0.0, 5.0)),))
     assert closed.metadata["backend"] == "closed_form"
     assert "seed" not in closed.metadata and "n_samples" not in closed.metadata
     hot = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
-    sampled = decay_scan(times, (hot,), n_samples=1 << 12, seed=7)
+    [sampled] = scans([("ramsey", {}, "total_time", times)], (hot,), n_samples=1 << 12, seed=7)
     assert sampled.metadata["backend"] == "monte_carlo"
     assert sampled.metadata["seed"] == sampled.monte_carlo.seed == 7
     assert sampled.metadata["n_samples"] == 1 << 12
     # without a seed keyword the metadata names the one the draws used
-    default = decay_scan(times, (hot,), n_samples=1 << 12)
+    [default] = scans([("ramsey", {}, "total_time", times)], (hot,), n_samples=1 << 12)
     assert default.metadata["seed"] == default.monte_carlo.seed == 12345
     swept = phase_sweep(build_ramsey(1e-4), (hot,), [0.0], n_samples=1 << 12, seed=3)
     assert swept.metadata["seed"] == 3
@@ -210,7 +210,7 @@ def test_decay_scan_exponential_for_lorentzian_noise():
     resp = default_linear_response()
     src = temperature_source(lorentzian(0.0, 5.0), response=resp)
     times = np.linspace(1e-4, 2e-3, 8)
-    signal = decay_scan(times, (src,), flip_fraction=0.1)
+    [signal] = scans([("unbalanced_echo", {"flip_fraction": 0.1}, "total_time", times)], (src,))
     rate = 5.0 * abs(resp.quadrupole_per_K - 0.1 * resp.hyperfine_per_K)
     assert np.allclose(signal.y, np.exp(-rate * times), rtol=1e-9)
     assert signal.metadata["flip_fraction"] == 0.1
@@ -219,8 +219,8 @@ def test_decay_scan_exponential_for_lorentzian_noise():
 def test_decay_scan_ramsey_and_dq():
     src = field_source(lorentzian(0.0, 0.1))
     times = np.linspace(1e-4, 1e-3, 5)
-    sq = decay_scan(times, (src,), sequence="ramsey")
-    dq = decay_scan(times, (src,), sequence="dq_ramsey")
+    sq, dq = scans([("ramsey", {}, "total_time", times), ("dq_ramsey", {}, "total_time", times)],
+                   (src,))
     gn = TWO_PI * 307.7
     assert np.allclose(sq.y, np.exp(-gn * 0.1 * times), rtol=1e-9)
     assert np.allclose(dq.y, np.exp(-2 * gn * 0.1 * times), rtol=1e-9)
@@ -230,20 +230,23 @@ def test_pulse_location_sweep_minimum_at_slope_ratio():
     resp = default_linear_response()
     src = temperature_source(lorentzian(0.0, 5.0), response=resp)
     fractions = np.linspace(0.0, 0.5, 51)
-    signal = pulse_location_sweep(2e-3, fractions, (src,))
+    [signal] = scans([("unbalanced_echo", {"total_time": 2e-3}, "flip_fraction", fractions)],
+                     (src,))
     best = fractions[np.argmax(signal.y)]
     ratio = resp.quadrupole_per_K / resp.hyperfine_per_K
     assert abs(best - ratio) <= (fractions[1] - fractions[0])
     with pytest.raises(ValueError):
-        pulse_location_sweep(2e-3, [0.2, 1.2], (src,))
+        scans([("unbalanced_echo", {"total_time": 2e-3}, "flip_fraction", [0.2, 1.2])], (src,))
 
 
 def test_scans_reject_empty_and_non_finite_inputs():
     src = temperature_source(lorentzian(0.0, 5.0))
     with pytest.raises(ValueError, match="at least one flip fraction"):
-        pulse_location_sweep(2e-3, [], (src,))
+        scans([("unbalanced_echo", {"total_time": 2e-3}, "flip_fraction", [])], (src,))
     with pytest.raises(ValueError, match="at least one time"):
-        decay_scan([], (src,), flip_fraction=0.18)
+        scans([("unbalanced_echo", {"flip_fraction": 0.18}, "total_time", [])], (src,))
+    with pytest.raises(ValueError, match="'total_time', 'flip_fraction'"):
+        scans([("ramsey", {}, "time", [1e-3])], (src,))
     seq = build_ramsey(1e-3)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -254,12 +257,18 @@ ECHO_SOURCE = (temperature_source(lorentzian(0.0, 5.0)),)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: decay_scan([1e-3, math.nan], ECHO_SOURCE, flip_fraction=0.18),
-    lambda: decay_scan([1e-3, math.inf], ECHO_SOURCE, flip_fraction=0.18),
-    lambda: decay_scan([1e-3, 2e-3], ECHO_SOURCE, flip_fraction=math.nan),
-    lambda: pulse_location_sweep(1e-3, [0.1, math.nan], ECHO_SOURCE),
-    lambda: pulse_location_sweep(math.inf, [0.1, 0.2], ECHO_SOURCE),
-    lambda: pulse_location_sweep(math.nan, [0.1, 0.2], ECHO_SOURCE),
+    lambda: scans([("unbalanced_echo", {"flip_fraction": 0.18}, "total_time", [1e-3, math.nan])],
+                  ECHO_SOURCE),
+    lambda: scans([("unbalanced_echo", {"flip_fraction": 0.18}, "total_time", [1e-3, math.inf])],
+                  ECHO_SOURCE),
+    lambda: scans([("unbalanced_echo", {"flip_fraction": math.nan}, "total_time", [1e-3, 2e-3])],
+                  ECHO_SOURCE),
+    lambda: scans([("unbalanced_echo", {"total_time": 1e-3}, "flip_fraction", [0.1, math.nan])],
+                  ECHO_SOURCE),
+    lambda: scans([("unbalanced_echo", {"total_time": math.inf}, "flip_fraction", [0.1, 0.2])],
+                  ECHO_SOURCE),
+    lambda: scans([("unbalanced_echo", {"total_time": math.nan}, "flip_fraction", [0.1, 0.2])],
+                  ECHO_SOURCE),
     lambda: build_unbalanced_echo(math.nan, 0.1e-3),
     lambda: build_unbalanced_echo(1e-3, math.nan),
     lambda: build_unbalanced_echo(math.inf, math.inf),
@@ -275,9 +284,36 @@ def test_non_finite_echo_inputs_name_the_cause(call):
                    for wrong in ("within the sequence", "segment duration"))
 
 
+def test_a_point_has_the_same_bits_on_either_axis():
+    # the echo at (t, f) closes a flip-fraction sweep at t and a decay scan
+    # at f; both, fused or alone, sample it from the same draws
+    hot = (temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set()),)
+    t, f = 2e-3, 0.172
+    specs = [("unbalanced_echo", {"total_time": t}, "flip_fraction", [0.1, f, 0.25]),
+             ("unbalanced_echo", {"flip_fraction": f}, "total_time", [1e-3, t, 4e-3])]
+    fused = scans(specs, hot, n_samples=1 << 12, seed=7)
+    alone = [signal for spec in specs for signal in scans([spec], hot, n_samples=1 << 12, seed=7)]
+    point = {(s.monte_carlo.attenuation[1].tobytes(), s.monte_carlo.std_error[1].tobytes(),
+              s.y[1].tobytes()) for s in fused + alone}
+    assert len(point) == 1
+    for one, other in zip(fused, alone):
+        assert one.x.tobytes() == other.x.tobytes() and one.y.tobytes() == other.y.tobytes()
+        assert one.metadata == other.metadata
+    average = {"backend": "monte_carlo", "seed": 7, "n_samples": 1 << 12}
+    assert [s.x_label for s in fused] == ["flip_fraction", "total_time_s"]
+    assert fused[0].metadata == {"sequence": "unbalanced_echo", "pair": [0, -1],
+                                 "total_time_s": t} | average
+    assert fused[1].metadata == {"sequence": "unbalanced_echo", "pair": [0, -1],
+                                 "flip_fraction": f} | average
+    # a kind that reads no pair names none
+    [dq] = scans([("dq_ramsey", {}, "total_time", [1e-3])], hot, n_samples=1 << 12, seed=7)
+    assert dq.metadata == {"sequence": "dq_ramsey"} | average
+
+
 def test_pulse_location_sweep_flat_without_noise():
     src = temperature_source(lorentzian(0.0, 0.0))
-    signal = pulse_location_sweep(2e-3, np.linspace(0, 1, 11), (src,))
+    [signal] = scans([("unbalanced_echo", {"total_time": 2e-3}, "flip_fraction",
+                       np.linspace(0, 1, 11))], (src,))
     assert np.allclose(signal.y, 1.0, rtol=1e-12)
 
 
@@ -321,14 +357,16 @@ def test_normalized_collapse_of_location_sweeps():
     amps = []
     for t in (1e-3, 2e-3):
         fractions = ratio + u / t
-        amps.append(pulse_location_sweep(t, fractions, (src,)).y)
+        [sweep] = scans([("unbalanced_echo", {"total_time": t}, "flip_fraction", fractions)],
+                        (src,))
+        amps.append(sweep.y)
     assert np.allclose(amps[0], amps[1], rtol=1e-6)
 
 
 def test_decay_scan_requires_increasing_grid():
     src = temperature_source(lorentzian(0.0, 5.0))
     with pytest.raises(ValueError):
-        decay_scan([1e-3, 5e-4], (src,), sequence="ramsey")
+        scans([("ramsey", {}, "total_time", [1e-3, 5e-4])], (src,))
 
 
 def test_signal_csv_round_trip(tmp_path):
