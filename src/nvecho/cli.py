@@ -16,6 +16,9 @@ config's noise sources decide how the ensemble average is taken: the exact
 closed form when all of them are linear, Monte Carlo (``--samples``,
 ``--seed``) otherwise.  All artifact writers accept ``--deterministic`` to
 suppress timestamp lines so identical inputs give byte-identical outputs.
+Each subcommand imports only what it runs, and OpenBLAS starts with one
+thread unless ``OPENBLAS_NUM_THREADS`` is set: a thread pool costs more to
+start than a one-shot command's small fits gain from it.
 """
 
 from __future__ import annotations
@@ -23,21 +26,11 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import json
+import os
 import sys
 from pathlib import Path
 
-from .config import load_config
-from .estimator import (DEFAULT_SKIP, RATES_SCHEMA, FitError, RateTable, fit_cosine,
-                        fit_exponential, fit_vee)
-from .response import calibrate_response_set, save_response_set
-from .scenarios import (
-    SCENARIO_ALIASES,
-    SCENARIO_NAMES,
-    load_packaged_scenario,
-    run_scenario,
-)
-from .script import format_sequence_script, parse_sequence_script
-from .sequences import read_metadata_csv, read_signal_csv
+from .catalog import DEFAULT_SKIP, SCENARIO_ALIASES, SCENARIO_NAMES
 from .units import angular, cycles, parse_quantity
 
 _FIT_KINDS_BY_LABEL = {"total_time_s": "exponential", "readout_phase_rad": "cosine"}
@@ -125,6 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ------------------------------------------------------------- run commands
 
 def _run_config_scenario(config, args) -> int:
+    from .scenarios import run_scenario
+
     result = run_scenario(
         config,
         out_dir=args.out,
@@ -137,16 +132,23 @@ def _run_config_scenario(config, args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .config import load_config
+
     return _run_config_scenario(load_config(args.config), args)
 
 
 def _cmd_reproduce(args) -> int:
+    from .scenarios import load_packaged_scenario
+
     return _run_config_scenario(load_packaged_scenario(args.figure), args)
 
 
 # --------------------------------------------------------------------- fit
 
 def _detect_fit_kind(path: Path) -> str:
+    from .estimator import RATES_SCHEMA
+    from .sequences import read_metadata_csv
+
     schema, _, header, _ = read_metadata_csv(path)
     if schema == RATES_SCHEMA:
         return "vee"
@@ -160,6 +162,9 @@ def _detect_fit_kind(path: Path) -> str:
 
 
 def _cmd_fit(args) -> int:
+    from .estimator import RateTable, fit_cosine, fit_exponential, fit_vee
+    from .sequences import read_signal_csv
+
     path = Path(args.input)
     kind = args.kind if args.kind != "auto" else _detect_fit_kind(path)
     if args.skip is not None and kind != "exponential":
@@ -204,6 +209,8 @@ def _slope_option(text: str | None) -> float | None:
 
 
 def _cmd_calibrate(args) -> int:
+    from .response import calibrate_response_set, save_response_set
+
     kwargs = {}
     slope_q = _slope_option(args.quadrupole_slope)
     if slope_q is not None:
@@ -225,6 +232,8 @@ def _cmd_calibrate(args) -> int:
 # ----------------------------------------------------------------- parse-seq
 
 def _cmd_parse_seq(args) -> int:
+    from .script import format_sequence_script, parse_sequence_script
+
     if args.file == "-":
         text = sys.stdin.read()
     else:
@@ -238,15 +247,22 @@ def _cmd_parse_seq(args) -> int:
 # -------------------------------------------------------------------- entry
 
 def main(argv=None) -> int:
+    # a one-shot command's largest BLAS call is a ~100 x 3 least-squares
+    # fit: starting OpenBLAS's thread pool would cost more than it saves
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:  # script, quantity, scenario-name errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        from .solvers import FitError
+
+        if not isinstance(exc, FitError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

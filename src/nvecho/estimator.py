@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .catalog import DEFAULT_SKIP
 from .noise import delta, field_source, lorentzian, temperature_source
 from .sequences import read_metadata_csv, write_metadata_csv
 from .solvers import FitError, levenberg_marquardt, nnls
@@ -127,9 +128,6 @@ def fit_cosine(phases, signal) -> FitResult:
 
 # -------------------------------------------------------------- exponential
 
-DEFAULT_SKIP = 3  # initial points an exponential fit skips unless told otherwise
-
-
 def fit_exponential(times, amplitudes, skip_initial: int = DEFAULT_SKIP) -> FitResult:
     """Fit S(t) = c0 exp(-t / T2), skipping the first points.
 
@@ -238,15 +236,18 @@ class RateTable:
 
     @classmethod
     def read_csv(cls, path) -> "RateTable":
+        def row(header, parts):
+            if tuple(header) != _RATES_HEADER:
+                return parts  # refused below, with the schema
+            return RateRow(tuple(parts[0:2]), tuple(parts[2:4]), *parts[4:])
+
         schema, metadata, header, rows = read_metadata_csv(
-            path, {RATES_SCHEMA: (int,) * 4 + (float,) * 2 + (lambda f: float(f) if f else None,)})
+            path, {RATES_SCHEMA: (int,) * 4 + (float,) * 2 + (lambda f: float(f) if f else None,)},
+            row)
         if schema != RATES_SCHEMA or tuple(header) != _RATES_HEADER:
             raise ValueError(f"{path}: not a rate-table file ({RATES_SCHEMA}), "
                              f"schema {schema!r}")
-        table = cls(metadata=metadata)
-        for parts in rows:
-            table.add(tuple(parts[0:2]), tuple(parts[2:4]), *parts[4:])
-        return table
+        return cls(rows=rows, metadata=metadata)
 
 
 # ------------------------------------------------------------------ vee fit

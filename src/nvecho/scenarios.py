@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .catalog import SCENARIO_ALIASES, SCENARIO_NAMES
 from .config import (
     ScenarioConfig,
     block_kind,
@@ -48,8 +49,6 @@ from .sequences import (
 )
 
 SCENARIO_DIR = Path(__file__).parent / "data" / "scenarios"
-SCENARIO_NAMES = ("fig1c", "fig1d", "fig2", "fig4", "s5")
-SCENARIO_ALIASES = {"fig2c": "fig2", "fig2d": "fig2"}
 
 
 class ScenarioError(ValueError):

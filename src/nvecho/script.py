@@ -24,11 +24,9 @@ from __future__ import annotations
 
 import re
 
-from .sequences import PulseSequence
-from .spin_model import Segment
+from .pulses import PROJECTIONS, PulseSequence, Segment
 from .units import QuantityError, parse_quantity
 
-_PROJECTIONS = (-1, 0, 1)
 _TOKEN = re.compile(r"\S+")
 _MS_ARG = re.compile(r"^ms=([+-]?\d+)$")
 
@@ -58,7 +56,7 @@ def _parse_projection(token: str, line: int, column: int, what: str) -> int:
         raise ScriptError(
             f"invalid {token!r}; {what} must be one of -1, 0, +1", line, column
         ) from None
-    if value not in _PROJECTIONS:
+    if value not in PROJECTIONS:
         raise ScriptError(
             f"invalid {token!r}; {what} must be one of -1, 0, +1", line, column
         )

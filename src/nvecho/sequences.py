@@ -37,52 +37,15 @@ import yaml
 
 from .noise import (DEFAULT_SAMPLES, DEFAULT_SEED, MonteCarloResult, dephasing_factor,
                     monte_carlo_attenuation)
+from .pulses import PulseSequence, Segment
 from .spin_model import (
     DOUBLE_QUANTUM_PAIR,
-    Segment,
     SpinSystemParams,
     accumulated_phase,
     default_params,
     phase_coefficients,
     stack_coefficients,
 )
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """A transition pair and the segments of free evolution; its kind and
-    total time follow from them."""
-
-    pair: tuple
-    segments: tuple
-
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("sequence needs at least one segment")
-        if self.total_time <= 0:
-            raise ValueError("sequence must have positive total duration")
-
-    @property
-    def total_time(self) -> float:
-        return sum(seg.duration for seg in self.segments)
-
-    @property
-    def kind(self) -> str:
-        """The most specific standard label, read from the segments alone:
-        one segment is a ramsey, or a dq_ramsey on the (-1, +1) pair; two
-        segments in distinct electron manifolds an unbalanced_echo; a single
-        interior sign change a nuclear_echo; anything else custom."""
-        segs = self.segments
-        flips = [i for i in range(1, len(segs)) if segs[i].sign != segs[i - 1].sign]
-        if segs[0].sign < 0 or len(flips) > 1:
-            return "custom"
-        if flips:
-            flip_at = sum(seg.duration for seg in segs[:flips[0]])
-            return "nuclear_echo" if 0.0 < flip_at < self.total_time else "custom"
-        if len(segs) == 1:
-            return "dq_ramsey" if set(self.pair) == {-1, 1} else "ramsey"
-        if len(segs) == 2 and segs[0].m_S != segs[1].m_S:
-            return "unbalanced_echo"
-        return "custom"
 
 
 def _needs_m_i_zero(keys):
@@ -162,9 +125,10 @@ KINDS = {
 }
 
 
-def build_sequence(kind: str, total_time: float, **keys) -> PulseSequence:
+def build_sequence(kind: str, total_time: float | None = None, **keys) -> PulseSequence:
     """The named experiment over ``total_time`` from the block keys its kind
-    reads (``KINDS``); a key it lacks takes the kind's default."""
+    reads (``KINDS``); a key it lacks takes the kind's default, and a key
+    with no default, like ``total_time``, must be given."""
     spec = KINDS.get(kind)
     if spec is None:
         raise ValueError(f"cannot build sequence kind {kind!r}; expected one of {tuple(KINDS)}")
@@ -172,7 +136,8 @@ def build_sequence(kind: str, total_time: float, **keys) -> PulseSequence:
     if unread:
         raise ValueError(f"kind {kind} does not read {', '.join(unread)}")
     keys = spec.keys | keys
-    missing = [key for key, value in keys.items() if value is None]
+    missing = [key for key, value in ({"total_time": total_time} | keys).items()
+               if value is None]
     if missing:
         raise ValueError(f"kind {kind} needs a {missing[0]}")
     return spec.build(total_time, **keys)
@@ -303,6 +268,8 @@ def scans(specs, sources, **kwargs) -> list:
             raise ValueError(f"{noun}s must be finite")
         if axis == "total_time" and np.any(np.diff(x) <= 0):
             raise ValueError("time grid must be strictly increasing")
+        if axis in keys:
+            raise ValueError(f"keys fix {axis}, the axis the scan runs along")
         family = [build_sequence(kind, **keys, **{axis: float(v)}) for v in x]
         metadata = {"sequence": kind} | {_AXES[key][0]: keys[key] for key in _AXES if key in keys}
         if "pair" in KINDS[kind].keys:  # a dq_ramsey names no pair
@@ -340,14 +307,16 @@ def write_metadata_csv(path, schema: str, metadata: dict, header, rows,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_metadata_csv(path, columns=None):
+def read_metadata_csv(path, columns=None, row=None):
     """(schema, metadata, header, rows) of a ``write_metadata_csv`` file; the
     schema is None when the first line names none, and the timestamp line is
     dropped.  Each row holds its fields as strings, or converted where
-    ``columns`` maps the file's schema to one converter per column.  A
+    ``columns`` maps the file's schema to one converter per column, and
+    ``row(header, fields)`` then makes each converted row into a record.  A
     metadata value that is not YAML, a missing header, a row whose width
-    differs from the header's and a field its converter refuses raise
-    ValueError."""
+    differs from the header's, a field its converter refuses and a row that
+    ``row`` refuses raise ValueError, named with the file and line where
+    there is one."""
     schema, metadata, header, rows = None, {}, None, []
     for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -376,6 +345,11 @@ def read_metadata_csv(path, columns=None):
                     fields[i] = read(field)
                 except ValueError:
                     raise ValueError(f"{path}:{number}: {name} {field!r} is not a number") from None
+            if convert and row is not None:
+                try:
+                    fields = row(header, fields)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{number}: {exc}") from None
             rows.append(fields)
     if header is None:
         raise ValueError(f"{path}: no header line")

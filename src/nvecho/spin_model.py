@@ -23,10 +23,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .pulses import Segment, check_projection
 from .response import InteractionShift
 from .units import angular
-
-_PROJECTIONS = (-1, 0, 1)
 
 DOUBLE_QUANTUM_PAIR = (-1, +1)
 
@@ -73,15 +72,10 @@ def default_params() -> SpinSystemParams:
     return SpinSystemParams()
 
 
-def _check_projection(m, name):
-    if m not in _PROJECTIONS:
-        raise ValueError(f"{name} must be one of -1, 0, +1, got {m}")
-
-
 def _validate_pair(pair):
     ref, target = pair
-    _check_projection(ref, "pair[0]")
-    _check_projection(target, "pair[1]")
+    check_projection(ref, "pair[0]")
+    check_projection(target, "pair[1]")
     if ref == target:
         raise ValueError("transition pair must connect two distinct m_I levels")
     return ref, target
@@ -96,7 +90,7 @@ def pair_sensitivity(pair, m_S: int, gamma_n: float) -> tuple:
     field channel to gamma_n times the change in m_I.
     """
     ref, target = _validate_pair(pair)
-    _check_projection(m_S, "m_S")
+    check_projection(m_S, "m_S")
     d_mi = target - ref
     d_mi2 = target * target - ref * ref
     return (d_mi2, m_S * d_mi, gamma_n * d_mi)
@@ -129,26 +123,6 @@ def single_quantum_table(params: SpinSystemParams,
         TransitionRecord(idx, pair, m_S, transition_frequency(params, pair, m_S, shift))
         for idx, pair, m_S in SINGLE_QUANTUM_LINES
     )
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One stretch of free evolution: duration (s) and electron manifold.
-
-    ``sign`` is -1 after an odd number of nuclear pi pulses, which swap the
-    two superposed levels and invert further phase accumulation.
-    """
-
-    duration: float
-    m_S: int
-    sign: int = 1
-
-    def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration >= 0):
-            raise ValueError(f"segment duration must be finite and >= 0, got {self.duration!r}")
-        _check_projection(self.m_S, "m_S")
-        if self.sign not in (-1, 1):
-            raise ValueError("segment sign must be +1 or -1")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -573,6 +574,21 @@ def test_fit_short_row_exits_2(tmp_path, capsys):
                             f"{path}:{len(lines)}: {problem} is not a number")
 
 
+@pytest.mark.parametrize("column, value, problem", [
+    (4, "1.5", "tau_over_t must lie in [0, 1]"),
+    (5, "-2.0", "rates must be positive and finite, got -2.0"),
+])
+def test_fit_refused_rate_row_names_file_and_line(tmp_path, capsys, column, value, problem):
+    path = _rate_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    number = next(i for i, line in enumerate(lines, start=1) if not line.startswith("#")) + 2
+    fields = lines[number - 1].split(",")
+    fields[column] = value
+    lines[number - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    _assert_usage_error(capsys, ["fit", str(path)], f"error: {path}:{number}: {problem}")
+
+
 def test_negative_absolute_temperature_exits_2_before_compute(tmp_path, capsys):
     # used to exit 2 from inside the run, after the output directory was made
     doc = yaml.safe_load(packaged_scenario_path("fig4").read_text())
@@ -720,6 +736,71 @@ def test_cold_start_leaves_scipy_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "scipy modules: []" in proc.stdout
     assert '"coherence_time"' in proc.stdout
+
+
+# Each command imports only what it runs; the package resolves every public
+# name on demand.
+LAZY_START = """\
+import sys
+
+def loaded(*names):
+    return [name for name in names if name in sys.modules]
+
+import nvecho
+assert not loaded("numpy"), loaded("numpy")
+from nvecho.cli import main
+assert main(["parse-seq", sys.argv[1]]) == 0
+assert not loaded("numpy", "yaml"), loaded("numpy", "yaml")
+assert main(["fit", sys.argv[2], "--deterministic"]) == 0
+assert not loaded("nvecho.config", "nvecho.scenarios"), loaded("nvecho.config", "nvecho.scenarios")
+missing = [name for name in nvecho.__all__ if getattr(nvecho, name, None) is None]
+assert not missing, missing
+print("lazy start ok")
+"""
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path, monkeypatch):
+    script = tmp_path / "seq.txt"
+    script.write_text("pair 0 -1\nevolve 1ms ms=0\n")
+    csv = _decay_csv(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", LAZY_START, str(script), str(csv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "lazy start ok" in proc.stdout
+    # the package hands out the defining module's current attribute
+    import nvecho
+    import nvecho.scenarios
+
+    def patched(*args, **kwargs):
+        return None
+
+    monkeypatch.setattr(nvecho.scenarios, "run_scenario", patched)
+    assert nvecho.run_scenario is patched
+    assert set(nvecho.__all__) <= set(dir(nvecho))
+
+
+BLAS_DEFAULT = """\
+import os
+import sys
+
+from nvecho.cli import main
+
+assert main(["parse-seq", sys.argv[1]]) == 0
+print(os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_cli_starts_openblas_with_one_thread_unless_told(tmp_path, preset, expected):
+    script = tmp_path / "seq.txt"
+    script.write_text("pair 0 -1\nevolve 1ms ms=0\n")
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run([sys.executable, "-c", BLAS_DEFAULT, str(script)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == expected
 
 
 # Runs nvecho commands in one interpreter; with "blocked", any import of

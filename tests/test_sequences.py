@@ -253,6 +253,17 @@ def test_scans_reject_empty_and_non_finite_inputs():
             phase_sweep(seq, (src,), [0.0, bad, math.pi])
 
 
+def test_scans_name_a_missing_or_doubled_key():
+    # each used to surface as a bare TypeError from the build_sequence call
+    src = temperature_source(lorentzian(0.0, 5.0))
+    with pytest.raises(ValueError, match="kind unbalanced_echo needs a total_time"):
+        scans([("unbalanced_echo", {}, "flip_fraction", [0.1])], (src,))
+    with pytest.raises(ValueError, match="kind unbalanced_echo needs a flip_fraction"):
+        scans([("unbalanced_echo", {}, "total_time", [1e-3])], (src,))
+    with pytest.raises(ValueError, match="keys fix total_time, the axis the scan runs along"):
+        scans([("ramsey", {"total_time": 1e-3}, "total_time", [1e-3])], (src,))
+
+
 ECHO_SOURCE = (temperature_source(lorentzian(0.0, 5.0)),)
 
 
