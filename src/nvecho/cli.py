@@ -138,18 +138,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    from .scenarios import load_packaged_scenario
+    from .config import load_packaged_scenario
 
     return _run_config_scenario(load_packaged_scenario(args.figure), args)
 
 
 # --------------------------------------------------------------------- fit
 
-def _detect_fit_kind(path: Path) -> str:
+def _detect_fit_kind(path: Path, schema, header) -> str:
     from .estimator import RATES_SCHEMA
-    from .sequences import read_metadata_csv
 
-    schema, _, header, _ = read_metadata_csv(path)
     if schema == RATES_SCHEMA:
         return "vee"
     kind = _FIT_KINDS_BY_LABEL.get(header[0])
@@ -162,24 +160,27 @@ def _detect_fit_kind(path: Path) -> str:
 
 
 def _cmd_fit(args) -> int:
-    from .estimator import RateTable, fit_cosine, fit_exponential, fit_vee
-    from .sequences import read_signal_csv
+    from .estimator import RATE_COLUMNS, RateTable, fit_cosine, fit_exponential, fit_vee
+    from .sequences import SIGNAL_COLUMNS, read_metadata_csv, signal_from_csv
 
     path = Path(args.input)
-    kind = args.kind if args.kind != "auto" else _detect_fit_kind(path)
+    # one parse serves the detection and the fit, whichever table the file holds
+    parsed = read_metadata_csv(path, SIGNAL_COLUMNS | RATE_COLUMNS)
+    schema, _, header, _ = parsed
+    kind = args.kind if args.kind != "auto" else _detect_fit_kind(path, schema, header)
     if args.skip is not None and kind != "exponential":
         raise ValueError(f"--skip applies to an exponential fit, not a {kind} fit")
     if (args.pair is not None or args.ms_pairing is not None) and kind != "vee":
         raise ValueError(f"--pair and --ms-pairing apply to a vee fit, not a {kind} fit")
     if kind == "vee":
-        table = RateTable.read_csv(path)
+        table = RateTable.from_csv(path, *parsed)
         if args.pair is not None or args.ms_pairing is not None:
             table = table.filter(pair=args.pair, ms_pairing=args.ms_pairing)
         if not table.rows:
             raise ValueError(f"{path}: no rows left after filtering")
         result = fit_vee(table)
     else:
-        signal = read_signal_csv(path)
+        signal = signal_from_csv(path, *parsed)
         if kind == "exponential":
             skip = DEFAULT_SKIP if args.skip is None else args.skip
             result = fit_exponential(signal.x, signal.y, skip_initial=skip)

@@ -13,7 +13,7 @@ the library keyword it sets and the conversion on the way.
 model; ``_SOURCE_KINDS`` hold the keys of each source kind,
 its builder and its default name; ``_SEQUENCE_KEYS`` are checked against the
 pipeline and the kind that read them (``PIPELINE_NEEDS``,
-``sequences.KINDS``).  One reader (``_normalize_mapping``) reads every
+``pulses.KINDS``).  One reader (``_normalize_mapping``) reads every
 section and one printer (``_dump_mapping``) prints it in table order.
 
 Parsing validates the whole document and raises one ConfigError listing every
@@ -26,6 +26,15 @@ form; parse -> print -> parse is a fixed point.  A parsed config keeps the model
 (``ScenarioConfig.built``); one built or changed in code is parsed from its
 canonical mapping (``config_document``) before use, so a key or kind no
 table knows is printed as it is and reported at its dotted path.
+
+Reference scenario configs ship as package data (``SCENARIO_DIR``);
+``load_packaged_scenario`` finds them by name (fig1c, fig1d, fig2, fig4, s5
+plus the fig2c/fig2d aliases, which both resolve to the two-branch fig2
+table).  Loading a config imports only the modules that build its models:
+the sequence kinds come from the numpy-free ``pulses``, ``script`` is
+imported only to check a ``sequence.script`` block, and the scan, fit and
+run layers are not imported at all.  YAML is parsed by ``response.load_yaml``
+(libyaml where PyYAML has it).
 """
 
 from __future__ import annotations
@@ -41,21 +50,23 @@ from typing import Callable, NamedTuple
 import numpy as np
 import yaml
 
+from .catalog import SCENARIO_ALIASES, SCENARIO_NAMES
 from .noise import (DEFAULT_SAMPLES, DEFAULT_SEED, Distribution, field_source,
                     residual_field_source, strain_source, temperature_source)
+from .pulses import KINDS
 from .response import (
     DEFAULT_DATA_FILE,
     LinearResponse,
     PRESSURE_PER_STRAIN_GPA,
     load_response_set,
+    load_yaml,
 )
-from .script import ScriptError, parse_sequence_script
-from .sequences import KINDS
 from .spin_model import SpinSystemParams
 from .units import QuantityError, angular, format_quantity, parse_quantity
 
 SCHEMA = "nvecho-scenario/1"
 DATA_DIR_ENV = "NVECHO_DATA_DIR"
+SCENARIO_DIR = Path(__file__).parent / "data" / "scenarios"
 
 _BACKEND_DEFAULTS = {"samples": DEFAULT_SAMPLES, "seed": DEFAULT_SEED}
 _OUTPUT_DEFAULTS = {"directory": "."}
@@ -68,7 +79,7 @@ class Needs(NamedTuple):
 
 # What each pipeline reads from its sequence block; ``compare.times`` asks for
 # the block too.  A block also holds the keys of the kind it is built as
-# (``sequences.KINDS``), and nothing else; a script block holds only its
+# (``pulses.KINDS``), and nothing else; a script block holds only its
 # script.  A block no template names holds unbalanced echoes, and where the
 # pipeline sweeps ``flip_fractions`` it sets their flip fraction.
 PIPELINE_NEEDS = {
@@ -432,6 +443,8 @@ def _normalize_pair(value, path, col):
 
 
 def _script(text, path, col):
+    from .script import ScriptError, parse_sequence_script  # only a script block needs it
+
     if _string(text, path, col) is None:
         return None
     try:
@@ -629,7 +642,7 @@ def parse_config(data, base_dir=None) -> ScenarioConfig:
     """Parse and validate YAML text or an already-loaded mapping."""
     if isinstance(data, (str, bytes)):
         try:
-            raw = yaml.safe_load(data)
+            raw = load_yaml(data)
         except yaml.YAMLError as exc:
             raise ConfigError((f"config is not valid YAML: {exc}",)) from None
     else:
@@ -671,6 +684,24 @@ def parse_config(data, base_dir=None) -> ScenarioConfig:
 def load_config(path) -> ScenarioConfig:
     path = Path(path)
     return parse_config(path.read_text(encoding="utf-8"), base_dir=path.parent)
+
+
+class ScenarioError(ValueError):
+    """No packaged scenario has the given name."""
+
+
+def packaged_scenario_path(name: str) -> Path:
+    """The packaged config of a scenario name or alias (``catalog``)."""
+    canonical = SCENARIO_ALIASES.get(name, name)
+    path = SCENARIO_DIR / f"{canonical}.yaml"
+    if not path.exists():
+        known = sorted(SCENARIO_NAMES) + sorted(SCENARIO_ALIASES)
+        raise ScenarioError(f"unknown scenario {name!r}; expected one of {known}")
+    return path
+
+
+def load_packaged_scenario(name: str) -> ScenarioConfig:
+    return load_config(packaged_scenario_path(name))
 
 
 # ------------------------------------------------------------------ dumping

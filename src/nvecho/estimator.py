@@ -235,19 +235,28 @@ class RateTable:
                            deterministic)
 
     @classmethod
-    def read_csv(cls, path) -> "RateTable":
-        def row(header, parts):
-            if tuple(header) != _RATES_HEADER:
-                return parts  # refused below, with the schema
-            return RateRow(tuple(parts[0:2]), tuple(parts[2:4]), *parts[4:])
-
-        schema, metadata, header, rows = read_metadata_csv(
-            path, {RATES_SCHEMA: (int,) * 4 + (float,) * 2 + (lambda f: float(f) if f else None,)},
-            row)
+    def from_csv(cls, path, schema, metadata, header, rows) -> "RateTable":
+        """The table of a file that ``read_metadata_csv`` read with
+        ``RATE_COLUMNS``; ValueError unless it holds one."""
         if schema != RATES_SCHEMA or tuple(header) != _RATES_HEADER:
             raise ValueError(f"{path}: not a rate-table file ({RATES_SCHEMA}), "
                              f"schema {schema!r}")
         return cls(rows=rows, metadata=metadata)
+
+    @classmethod
+    def read_csv(cls, path) -> "RateTable":
+        return cls.from_csv(path, *read_metadata_csv(path, RATE_COLUMNS))
+
+
+def _rate_row(header, parts):
+    if tuple(header) != _RATES_HEADER:
+        return parts  # refused by RateTable.from_csv, with the schema
+    return RateRow(tuple(parts[0:2]), tuple(parts[2:4]), *parts[4:])
+
+
+# what ``read_metadata_csv`` converts in a rate table's rows, and makes them into
+RATE_COLUMNS = {RATES_SCHEMA: ((int,) * 4 + (float,) * 2 + (lambda f: float(f) if f else None,),
+                               _rate_row)}
 
 
 # ------------------------------------------------------------------ vee fit
@@ -290,7 +299,10 @@ def _solve_vee(x, y):
     """
     ones = np.ones_like(x)
     candidates = []
-    grid = np.unique(x)
+    # the distinct flip fractions, sorted, as np.unique gives them (which
+    # would import numpy.ma)
+    grid = np.sort(x)
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     for lo, hi in zip(grid[:-1], grid[1:]):
         side = np.where(x <= lo, -1.0, 1.0)
         design = np.column_stack([side * x, -side, ones])

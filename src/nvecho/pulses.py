@@ -1,16 +1,34 @@
 """Pulse sequences as plain data: segments of free evolution on one pair.
 
 A ``PulseSequence`` is a transition pair and its ``Segment``s; its kind and
-total time follow from them.  The module is pure Python, so a sequence
-script parses without loading numpy.
+total time follow from them.  Builders produce the four standard
+experiments:
+
+* ``ramsey`` - free evolution on one single-quantum branch.
+* ``dq_ramsey`` - free evolution on the m_I = -1 <-> +1 double-quantum pair.
+* ``unbalanced_echo`` - free evolution interrupted by one electron flip a
+  time ``flip_time`` before readout.  The hyperfine interaction acts only
+  while the electron is flipped, with a pair-dependent sign, so the flip
+  fraction tunes the net sensitivity to correlated quadrupole/hyperfine
+  noise; on the (0, -1) branch the fraction equal to the slope ratio
+  cancels temperature noise completely.
+* ``nuclear_echo`` - a nuclear pi pulse at the midpoint, refocusing every
+  static energy shift.
+
+``KINDS`` maps each kind to its builder, the sequence-block keys it reads
+and its refusal rule; ``build_sequence``, ``sequences.scans`` and the config
+check read it.  The module is pure Python, so a sequence script parses and
+a config is checked against the kinds without loading the simulation layer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 PROJECTIONS = (-1, 0, 1)
+DOUBLE_QUANTUM_PAIR = (-1, +1)
 
 
 def check_projection(m, name):
@@ -74,3 +92,100 @@ class PulseSequence:
         if len(segs) == 2 and segs[0].m_S != segs[1].m_S:
             return "unbalanced_echo"
         return "custom"
+
+
+# --------------------------------------------------------------- builders
+
+def _needs_m_i_zero(keys):
+    if 0 not in keys["pair"]:
+        return "pair", ("a single-quantum ramsey needs a pair involving m_I = 0; "
+                        "the (-1, +1) pair is kind dq_ramsey")
+
+
+def _flip_changes_manifold(keys):
+    if keys["ms_free"] == keys["ms_flipped"]:
+        return "ms_flipped", (f"must differ from ms_free ({keys['ms_free']}): "
+                              "the electron flip must change the manifold")
+
+
+def _refuse(rule, keys) -> None:
+    refusal = rule(keys)
+    if refusal is not None:
+        raise ValueError(f"{refusal[0]}: {refusal[1]}")
+
+
+def build_ramsey(duration: float, pair=(0, -1), m_S: int = 0) -> PulseSequence:
+    _refuse(_needs_m_i_zero, {"pair": pair})
+    return PulseSequence(tuple(pair), (Segment(duration, m_S),))
+
+
+def build_dq_ramsey(duration: float, m_S: int = 0) -> PulseSequence:
+    return PulseSequence(DOUBLE_QUANTUM_PAIR, (Segment(duration, m_S),))
+
+
+def build_unbalanced_echo(total_time: float, flip_time: float, pair=(0, -1),
+                          ms_free: int = 0, ms_flipped: int = 1) -> PulseSequence:
+    if not (math.isfinite(total_time) and math.isfinite(flip_time)):
+        raise ValueError(f"total time and flip time must be finite, got t={total_time!r}, "
+                         f"tau={flip_time!r}")
+    if not 0 <= flip_time <= total_time:
+        raise ValueError("flip time must lie within the sequence: 0 <= tau <= t")
+    _refuse(_flip_changes_manifold, {"ms_free": ms_free, "ms_flipped": ms_flipped})
+    return PulseSequence(
+        tuple(pair),
+        (Segment(total_time - flip_time, ms_free), Segment(flip_time, ms_flipped)),
+    )
+
+
+def build_nuclear_echo(total_time: float, pair=(0, -1), m_S: int = 0) -> PulseSequence:
+    half = total_time / 2.0
+    return PulseSequence(
+        tuple(pair), (Segment(half, m_S, sign=+1), Segment(half, m_S, sign=-1)))
+
+
+class SequenceKind(NamedTuple):
+    """One kind of ``KINDS``: ``build(total_time, **keys)``, the block keys
+    it reads with their defaults (None when a block must give the key), and
+    the rule that names the key and the reason a block cannot be built."""
+
+    build: Callable
+    keys: dict
+    rule: Callable = lambda keys: None
+
+    def read(self, block: dict) -> dict:
+        """The keys of ``block`` that this kind reads."""
+        return {key: block[key] for key in self.keys if key in block}
+
+
+# Single-manifold kinds evolve in ``ms``; the unbalanced echo evolves in
+# ``ms_free`` and flips into ``ms_flipped`` for the final ``flip_fraction``.
+KINDS = {
+    "ramsey": SequenceKind(lambda t, pair, ms: build_ramsey(t, pair, ms),
+                           {"pair": (0, -1), "ms": 0}, _needs_m_i_zero),
+    "dq_ramsey": SequenceKind(lambda t, ms: build_dq_ramsey(t, ms), {"ms": 0}),
+    "unbalanced_echo": SequenceKind(
+        lambda t, pair, ms_free, ms_flipped, flip_fraction: build_unbalanced_echo(
+            t, flip_fraction * t, pair, ms_free, ms_flipped),
+        {"pair": (0, -1), "ms_free": 0, "ms_flipped": 1, "flip_fraction": None},
+        _flip_changes_manifold),
+    "nuclear_echo": SequenceKind(lambda t, pair, ms: build_nuclear_echo(t, pair, ms),
+                                 {"pair": (0, -1), "ms": 0}),
+}
+
+
+def build_sequence(kind: str, total_time: float | None = None, **keys) -> PulseSequence:
+    """The named experiment over ``total_time`` from the block keys its kind
+    reads (``KINDS``); a key it lacks takes the kind's default, and a key
+    with no default, like ``total_time``, must be given."""
+    spec = KINDS.get(kind)
+    if spec is None:
+        raise ValueError(f"cannot build sequence kind {kind!r}; expected one of {tuple(KINDS)}")
+    unread = sorted(set(keys) - set(spec.keys))
+    if unread:
+        raise ValueError(f"kind {kind} does not read {', '.join(unread)}")
+    keys = spec.keys | keys
+    missing = [key for key, value in ({"total_time": total_time} | keys).items()
+               if value is None]
+    if missing:
+        raise ValueError(f"kind {kind} needs a {missing[0]}")
+    return spec.build(total_time, **keys)

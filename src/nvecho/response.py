@@ -19,6 +19,10 @@ constants: ``einstein_curve`` puts one Einstein mode at a given temperature
 with the slope target at ``CALIBRATION_T0_K``, and ``fit_mode_temperature``
 finds the hyperfine mode's temperature from ``DEFAULT_RATIO_CURVE``.  See
 ``data/quasiharmonic_default.yaml`` for the calibration provenance.
+
+``load_yaml`` is the package's one YAML reader (data files, scenario
+configs, CSV metadata): libyaml's ``CSafeLoader`` where PyYAML has it, else
+the pure-Python ``SafeLoader``.
 """
 
 from __future__ import annotations
@@ -66,6 +70,17 @@ CALIBRATION_BASE_VALUES = (angular(-4.945e6), angular(-2.16e6), angular(2.87e9))
 RATIO_TOLERANCE = 0.02
 
 DEFAULT_DATA_FILE = Path(__file__).parent / "data" / "quasiharmonic_default.yaml"
+
+# libyaml's parser where PyYAML was built with it: the same documents as the
+# pure-Python SafeLoader, parsed several times faster
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def load_yaml(text):
+    """The document of YAML ``text`` as ``yaml.safe_load`` reads it, parsed
+    by ``YAML_LOADER``; the config, the response data file and CSV metadata
+    are all read through it."""
+    return yaml.load(text, Loader=YAML_LOADER)
 
 
 class CalibrationError(RuntimeError):
@@ -415,7 +430,7 @@ def load_response_set(path=None) -> QuasiharmonicSet:
     YAML, another schema, a missing model or key, a bad value."""
     path = Path(path or DEFAULT_DATA_FILE)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = load_yaml(path.read_text())
         if not isinstance(raw, dict) or raw.get("schema") != "nvecho-response/1":
             raise ValueError("not a mapping of schema nvecho-response/1")
         models = raw["models"]

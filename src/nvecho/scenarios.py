@@ -15,11 +15,9 @@ Each pipeline composes simulation and fitting into one reproducible run:
   the quasiharmonic lattice model).
 
 The config checks the sequence keys each pipeline needs before any compute
-starts (``config.PIPELINE_NEEDS``); the pipelines read them unchecked.
-
-Reference scenario configs ship as package data; ``load_packaged_scenario``
-finds them by name (fig1c, fig1d, fig2, fig4, s5 plus the fig2c/fig2d
-aliases, which both resolve to the two-branch fig2 table).
+starts (``config.PIPELINE_NEEDS``); the pipelines read them unchecked.  The
+packaged reference configs are found and loaded by ``config``
+(``load_packaged_scenario``), which imports none of this run layer.
 """
 
 from __future__ import annotations
@@ -31,28 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import SCENARIO_ALIASES, SCENARIO_NAMES
-from .config import (
-    ScenarioConfig,
-    block_kind,
-    load_config,
-    realize_grid,
-)
+from .config import ScenarioConfig, block_kind, realize_grid
 from .estimator import RateTable, fit_exponential, fit_vee
+from .pulses import KINDS, build_sequence
 from .script import parse_sequence_script
-from .sequences import (
-    KINDS,
-    build_sequence,
-    scans,
-    simulate_amplitude,
-    write_signal_csv,
-)
-
-SCENARIO_DIR = Path(__file__).parent / "data" / "scenarios"
-
-
-class ScenarioError(ValueError):
-    """No packaged scenario has the given name."""
+from .sequences import scans, simulate_amplitude, write_signal_csv
 
 
 @dataclass
@@ -64,19 +45,6 @@ class ScenarioResult:
     artifacts: tuple
     signals: dict = field(default_factory=dict)
     fits: dict = field(default_factory=dict)
-
-
-def packaged_scenario_path(name: str) -> Path:
-    canonical = SCENARIO_ALIASES.get(name, name)
-    path = SCENARIO_DIR / f"{canonical}.yaml"
-    if not path.exists():
-        known = sorted(SCENARIO_NAMES) + sorted(SCENARIO_ALIASES)
-        raise ScenarioError(f"unknown scenario {name!r}; expected one of {known}")
-    return path
-
-
-def load_packaged_scenario(name: str) -> ScenarioConfig:
-    return load_config(packaged_scenario_path(name))
 
 
 # ------------------------------------------------------------ run machinery

@@ -1,27 +1,14 @@
-"""Pulse sequences on the nuclear transitions and their ensemble signals.
+"""Ensemble signals of pulse sequences, and the files that hold them.
 
-Builders produce the four standard experiments:
-
-* ``ramsey`` - free evolution on one single-quantum branch.
-* ``dq_ramsey`` - free evolution on the m_I = -1 <-> +1 double-quantum pair.
-* ``unbalanced_echo`` - free evolution interrupted by one electron flip a
-  time ``flip_time`` before readout.  The hyperfine interaction acts only
-  while the electron is flipped, with a pair-dependent sign, so the flip
-  fraction tunes the net sensitivity to correlated quadrupole/hyperfine
-  noise; on the (0, -1) branch the fraction equal to the slope ratio
-  cancels temperature noise completely.
-* ``nuclear_echo`` - a nuclear pi pulse at the midpoint, refocusing every
-  static energy shift.
-
-``KINDS`` maps each kind to its builder, the sequence-block keys it reads
-and its refusal rule; ``build_sequence``, ``scans`` and the config check
-read it.  ``simulate_family`` averages the phase factor over the noise
-ensemble for a whole family of sequences at once.  The sources choose how:
-when every source enters the phase linearly the average is exact, and
-otherwise (a quasiharmonic temperature source) it is a Monte Carlo
-estimate.  ``simulate_amplitude`` is its one-sequence case, and ``scans``
-evaluates decay scans and flip-location sweeps, any number of them, as one
-family call.
+The sequences and their builders are plain data (``pulses``).
+``simulate_family`` averages the phase factor over the noise ensemble for a
+whole family of sequences at once.  The sources choose how: when every
+source enters the phase linearly the average is exact, and otherwise (a
+quasiharmonic temperature source) it is a Monte Carlo estimate.
+``simulate_amplitude`` is its one-sequence case, and ``scans`` evaluates
+decay scans and flip-location sweeps, any number of them, as one family
+call.  Signals and rate tables are written as ``#``-metadata CSV
+(``write_metadata_csv``), whose metadata values YAML reads back.
 """
 
 from __future__ import annotations
@@ -30,117 +17,21 @@ import datetime as _dt
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
 
 from .noise import (DEFAULT_SAMPLES, DEFAULT_SEED, MonteCarloResult, dephasing_factor,
                     monte_carlo_attenuation)
-from .pulses import PulseSequence, Segment
+from .pulses import KINDS, PulseSequence, build_sequence
+from .response import load_yaml
 from .spin_model import (
-    DOUBLE_QUANTUM_PAIR,
     SpinSystemParams,
     accumulated_phase,
     default_params,
     phase_coefficients,
     stack_coefficients,
 )
-
-
-def _needs_m_i_zero(keys):
-    if 0 not in keys["pair"]:
-        return "pair", ("a single-quantum ramsey needs a pair involving m_I = 0; "
-                        "the (-1, +1) pair is kind dq_ramsey")
-
-
-def _flip_changes_manifold(keys):
-    if keys["ms_free"] == keys["ms_flipped"]:
-        return "ms_flipped", (f"must differ from ms_free ({keys['ms_free']}): "
-                              "the electron flip must change the manifold")
-
-
-def _refuse(rule, keys) -> None:
-    refusal = rule(keys)
-    if refusal is not None:
-        raise ValueError(f"{refusal[0]}: {refusal[1]}")
-
-
-def build_ramsey(duration: float, pair=(0, -1), m_S: int = 0) -> PulseSequence:
-    _refuse(_needs_m_i_zero, {"pair": pair})
-    return PulseSequence(tuple(pair), (Segment(duration, m_S),))
-
-
-def build_dq_ramsey(duration: float, m_S: int = 0) -> PulseSequence:
-    return PulseSequence(DOUBLE_QUANTUM_PAIR, (Segment(duration, m_S),))
-
-
-def build_unbalanced_echo(total_time: float, flip_time: float, pair=(0, -1),
-                          ms_free: int = 0, ms_flipped: int = 1) -> PulseSequence:
-    if not (math.isfinite(total_time) and math.isfinite(flip_time)):
-        raise ValueError(f"total time and flip time must be finite, got t={total_time!r}, "
-                         f"tau={flip_time!r}")
-    if not 0 <= flip_time <= total_time:
-        raise ValueError("flip time must lie within the sequence: 0 <= tau <= t")
-    _refuse(_flip_changes_manifold, {"ms_free": ms_free, "ms_flipped": ms_flipped})
-    return PulseSequence(
-        tuple(pair),
-        (Segment(total_time - flip_time, ms_free), Segment(flip_time, ms_flipped)),
-    )
-
-
-def build_nuclear_echo(total_time: float, pair=(0, -1), m_S: int = 0) -> PulseSequence:
-    half = total_time / 2.0
-    return PulseSequence(
-        tuple(pair), (Segment(half, m_S, sign=+1), Segment(half, m_S, sign=-1)))
-
-
-class SequenceKind(NamedTuple):
-    """One kind of ``KINDS``: ``build(total_time, **keys)``, the block keys
-    it reads with their defaults (None when a block must give the key), and
-    the rule that names the key and the reason a block cannot be built."""
-
-    build: Callable
-    keys: dict
-    rule: Callable = lambda keys: None
-
-    def read(self, block: dict) -> dict:
-        """The keys of ``block`` that this kind reads."""
-        return {key: block[key] for key in self.keys if key in block}
-
-
-# Single-manifold kinds evolve in ``ms``; the unbalanced echo evolves in
-# ``ms_free`` and flips into ``ms_flipped`` for the final ``flip_fraction``.
-KINDS = {
-    "ramsey": SequenceKind(lambda t, pair, ms: build_ramsey(t, pair, ms),
-                           {"pair": (0, -1), "ms": 0}, _needs_m_i_zero),
-    "dq_ramsey": SequenceKind(lambda t, ms: build_dq_ramsey(t, ms), {"ms": 0}),
-    "unbalanced_echo": SequenceKind(
-        lambda t, pair, ms_free, ms_flipped, flip_fraction: build_unbalanced_echo(
-            t, flip_fraction * t, pair, ms_free, ms_flipped),
-        {"pair": (0, -1), "ms_free": 0, "ms_flipped": 1, "flip_fraction": None},
-        _flip_changes_manifold),
-    "nuclear_echo": SequenceKind(lambda t, pair, ms: build_nuclear_echo(t, pair, ms),
-                                 {"pair": (0, -1), "ms": 0}),
-}
-
-
-def build_sequence(kind: str, total_time: float | None = None, **keys) -> PulseSequence:
-    """The named experiment over ``total_time`` from the block keys its kind
-    reads (``KINDS``); a key it lacks takes the kind's default, and a key
-    with no default, like ``total_time``, must be given."""
-    spec = KINDS.get(kind)
-    if spec is None:
-        raise ValueError(f"cannot build sequence kind {kind!r}; expected one of {tuple(KINDS)}")
-    unread = sorted(set(keys) - set(spec.keys))
-    if unread:
-        raise ValueError(f"kind {kind} does not read {', '.join(unread)}")
-    keys = spec.keys | keys
-    missing = [key for key, value in ({"total_time": total_time} | keys).items()
-               if value is None]
-    if missing:
-        raise ValueError(f"kind {kind} needs a {missing[0]}")
-    return spec.build(total_time, **keys)
 
 
 @dataclass(frozen=True)
@@ -296,28 +187,42 @@ def scans(specs, sources, **kwargs) -> list:
 _CSV_SCHEMA = "nvecho-signal/1"
 
 
+def _metadata_value(value) -> str:
+    """``value`` as a ``# key: value`` line prints it, so that YAML reads it
+    back: YAML 1.1 reads a float only with a dot (5e-05 prints as 5.0e-05)
+    and names its infinities and nan .inf, -.inf and .nan."""
+    if not isinstance(value, float):
+        return f"{value}"
+    text = repr(float(value))
+    if not math.isfinite(value):
+        return {"inf": ".inf", "-inf": "-.inf", "nan": ".nan"}[text]
+    return text if "." in text else text.replace("e", ".0e")
+
+
 def write_metadata_csv(path, schema: str, metadata: dict, header, rows,
                        deterministic: bool = False) -> None:
     """CSV preceded by ``# schema`` and sorted ``# key: value`` lines; a
     ``# written:`` timestamp line unless ``deterministic``."""
-    lines = [f"# {schema}"] + [f"# {key}: {metadata[key]}" for key in sorted(metadata)]
+    lines = [f"# {schema}"] + [f"# {key}: {_metadata_value(metadata[key])}"
+                               for key in sorted(metadata)]
     if not deterministic:
         lines.append(f"# written: {_dt.datetime.now().isoformat()}")
     lines += [",".join(header)] + [",".join(row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_metadata_csv(path, columns=None, row=None):
+def read_metadata_csv(path, columns=None):
     """(schema, metadata, header, rows) of a ``write_metadata_csv`` file; the
     schema is None when the first line names none, and the timestamp line is
-    dropped.  Each row holds its fields as strings, or converted where
-    ``columns`` maps the file's schema to one converter per column, and
-    ``row(header, fields)`` then makes each converted row into a record.  A
-    metadata value that is not YAML, a missing header, a row whose width
-    differs from the header's, a field its converter refuses and a row that
-    ``row`` refuses raise ValueError, named with the file and line where
-    there is one."""
+    dropped.  Each row holds its fields as strings, or, where ``columns``
+    maps the file's schema to ``(converters, row)``, each field converted by
+    its column's converter and, where ``row`` is not None, the converted
+    fields made into a record by ``row(header, fields)``.  A metadata value
+    that is not YAML, a missing header, a row whose width differs from the
+    header's, a field its converter refuses and a row that ``row`` refuses
+    raise ValueError, named with the file and line where there is one."""
     schema, metadata, header, rows = None, {}, None, []
+    convert, row = (), None
     for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -326,9 +231,10 @@ def read_metadata_csv(path, columns=None, row=None):
             key, sep, value = (part.strip() for part in line[1:].partition(":"))
             if not sep and number == 1:
                 schema = key
+                convert, row = (columns or {}).get(schema, ((), None))
             elif sep and key != "written":
                 try:
-                    metadata[key] = yaml.safe_load(value)
+                    metadata[key] = load_yaml(value)
                 except yaml.YAMLError:
                     raise ValueError(f"{path}:{number}: metadata value of {key!r} "
                                      f"is not valid YAML: {value!r}") from None
@@ -339,13 +245,12 @@ def read_metadata_csv(path, columns=None, row=None):
             if len(fields) != len(header):
                 raise ValueError(f"{path}:{number}: row has {len(fields)} fields, "
                                  f"the header {len(header)}")
-            convert = (columns or {}).get(schema, ())
             for i, (name, read, field) in enumerate(zip(header, convert, fields)):
                 try:
                     fields[i] = read(field)
                 except ValueError:
                     raise ValueError(f"{path}:{number}: {name} {field!r} is not a number") from None
-            if convert and row is not None:
+            if row is not None:
                 try:
                     fields = row(header, fields)
                 except ValueError as exc:
@@ -356,14 +261,19 @@ def read_metadata_csv(path, columns=None, row=None):
     return schema, metadata, header, rows
 
 
+# what ``read_metadata_csv`` converts in a signal file's rows
+SIGNAL_COLUMNS = {_CSV_SCHEMA: ((float, float), None)}
+
+
 def write_signal_csv(signal: EnsembleSignal, path, deterministic: bool = False) -> None:
     write_metadata_csv(path, _CSV_SCHEMA, signal.metadata, (signal.x_label, signal.y_label),
                        ((repr(float(x)), repr(float(y))) for x, y in zip(signal.x, signal.y)),
                        deterministic)
 
 
-def read_signal_csv(path) -> EnsembleSignal:
-    schema, metadata, header, rows = read_metadata_csv(path, {_CSV_SCHEMA: (float, float)})
+def signal_from_csv(path, schema, metadata, header, rows) -> EnsembleSignal:
+    """The signal of a file that ``read_metadata_csv`` read with
+    ``SIGNAL_COLUMNS``; ValueError unless it holds one."""
     if schema != _CSV_SCHEMA or len(header) < 2 or not rows:
         raise ValueError(f"{path}: not a signal file ({_CSV_SCHEMA} with x, y columns "
                          f"and data), schema {schema!r}")
@@ -371,3 +281,7 @@ def read_signal_csv(path) -> EnsembleSignal:
         x=np.array([r[0] for r in rows]), y=np.array([r[1] for r in rows]),
         x_label=header[0], y_label=header[1], metadata=metadata,
     )
+
+
+def read_signal_csv(path) -> EnsembleSignal:
+    return signal_from_csv(path, *read_metadata_csv(path, SIGNAL_COLUMNS))

@@ -27,8 +27,6 @@ from .pulses import Segment, check_projection
 from .response import InteractionShift
 from .units import angular
 
-DOUBLE_QUANTUM_PAIR = (-1, +1)
-
 # The six single-quantum lines, ordered by electron manifold (0, -1, +1)
 # and nuclear branch.
 SINGLE_QUANTUM_LINES = (

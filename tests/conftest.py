@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from nvecho.scenarios import load_packaged_scenario, run_scenario
+from nvecho.config import load_packaged_scenario
+from nvecho.scenarios import run_scenario
 
 
 @pytest.fixture(scope="session")

@@ -33,15 +33,10 @@ from nvecho.response import (
     default_quasiharmonic_set,
     strain_response,
 )
-from nvecho.scenarios import load_packaged_scenario, run_scenario
-from nvecho.sequences import (
-    build_dq_ramsey,
-    build_ramsey,
-    build_unbalanced_echo,
-    scans,
-    simulate_amplitude,
-    simulate_family,
-)
+from nvecho.config import load_packaged_scenario
+from nvecho.pulses import build_dq_ramsey, build_ramsey, build_unbalanced_echo
+from nvecho.scenarios import run_scenario
+from nvecho.sequences import scans, simulate_amplitude, simulate_family
 from nvecho.spin_model import default_params, phase_coefficients, single_quantum_table
 from nvecho.units import TWO_PI, angular, cycles
 

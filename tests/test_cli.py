@@ -11,15 +11,16 @@ import numpy as np
 import pytest
 import yaml
 
+from nvecho import estimator, response, sequences
 from nvecho.cli import main
+from nvecho.config import packaged_scenario_path
 from nvecho.estimator import RateTable
 from nvecho.noise import lorentzian, temperature_source
+from nvecho.pulses import build_unbalanced_echo
 from nvecho.response import DEFAULT_DATA_FILE, load_response_set
-from nvecho.scenarios import packaged_scenario_path
 from nvecho.script import parse_sequence_script
 from nvecho.sequences import (
     EnsembleSignal,
-    build_unbalanced_echo,
     phase_sweep,
     read_signal_csv,
     scans,
@@ -608,6 +609,58 @@ def test_fit_metadata_that_is_not_yaml_exits_2(tmp_path, capsys):
     _assert_usage_error(capsys, ["fit", str(path)], "'backend' is not valid YAML")
 
 
+@pytest.mark.parametrize("loader", [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)],
+                         ids=["pure-python", "libyaml"])
+def test_yaml_that_is_not_valid_exits_2_under_either_loader(tmp_path, capsys, monkeypatch,
+                                                            loader):
+    monkeypatch.setattr(response, "YAML_LOADER", loader)
+    config = _write(tmp_path, "broken.yaml", "schema: [oops\n")
+    _assert_usage_error(capsys, ["simulate", str(config)], "not valid YAML")
+    path = _decay_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0], "# backend: [oops", *lines[1:]]) + "\n")
+    _assert_usage_error(capsys, ["fit", str(path)], "'backend' is not valid YAML")
+
+
+def test_fit_reads_its_csv_once(tmp_path, capsys, monkeypatch):
+    # the schema and x column that pick the fit come from the parse it fits
+    real, reads = sequences.read_metadata_csv, []
+
+    def counted(*args, **kwargs):
+        reads.append(args[0])
+        return real(*args, **kwargs)
+
+    for module in (sequences, estimator):
+        monkeypatch.setattr(module, "read_metadata_csv", counted)
+    for csv, kind in ((_decay_csv(tmp_path), "exponential"), (_rate_csv(tmp_path), "vee")):
+        reads.clear()
+        assert main(["fit", str(csv), "--deterministic"]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == kind
+        assert len(reads) == 1, reads
+
+
+FIT_IMPORTS = """\
+import sys
+
+from nvecho.cli import main
+
+assert main(sys.argv[1:]) == 0
+print("numpy.ma loaded:", "numpy.ma" in sys.modules)
+"""
+
+
+def test_rate_table_fit_leaves_numpy_ma_unloaded(tmp_path, capsys):
+    # np.unique imports numpy.ma; the vee solver finds the distinct flip
+    # fractions without it
+    assert main(["reproduce", "fig2", "--out", str(tmp_path), "--deterministic"]) == 0
+    rates = str(tmp_path / "fig2-rates.csv")
+    proc = subprocess.run([sys.executable, "-c", FIT_IMPORTS, "fit", rates, "--pair", "0,-1",
+                           "--deterministic"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert '"ratio"' in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "numpy.ma loaded: False"
+
+
 @pytest.mark.parametrize("table, kind, problem", [
     ("signal", "vee", "not a rate-table file"),
     ("rates", "exponential", "not a signal file"),
@@ -709,8 +762,9 @@ COLD_START = """\
 import sys
 
 import nvecho
+from nvecho.catalog import SCENARIO_NAMES
 from nvecho.cli import main
-from nvecho.scenarios import SCENARIO_NAMES, load_packaged_scenario
+from nvecho.config import load_packaged_scenario
 
 for name in SCENARIO_NAMES:
     load_packaged_scenario(name)

@@ -4,24 +4,31 @@ import copy
 import dataclasses
 import hashlib
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+from nvecho import response
+from nvecho.catalog import SCENARIO_ALIASES, SCENARIO_NAMES
 from nvecho.config import (
     PIPELINE_NEEDS,
     ConfigError,
     ScenarioConfig,
     dump_config,
     load_config,
+    load_packaged_scenario,
+    packaged_scenario_path,
     parse_config,
     realize_grid,
     resolve_data_file,
 )
 from nvecho.noise import NoiseSource
-from nvecho.response import LinearResponse, QuasiharmonicSet, default_quasiharmonic_set, save_response_set
-from nvecho.scenarios import load_packaged_scenario, run_scenario
+from nvecho.response import (DEFAULT_DATA_FILE, LinearResponse, QuasiharmonicSet,
+                             default_quasiharmonic_set, load_yaml, save_response_set)
+from nvecho.scenarios import run_scenario
 from nvecho.spin_model import default_params
 from nvecho.units import QuantityError, angular, parse_quantity
 
@@ -702,3 +709,56 @@ PACKAGED_DUMPS = {
 def test_packaged_configs_parse_and_print_unchanged(name):
     text = dump_config(load_packaged_scenario(name))
     assert hashlib.sha256(text.encode()).hexdigest() == PACKAGED_DUMPS[name]
+
+
+# Loads configs in a fresh interpreter and prints which of the run layer's
+# modules (and numpy.ma) that imported.
+CONFIG_IMPORTS = """\
+import sys
+
+from nvecho.config import load_packaged_scenario, parse_config
+
+for name in sys.argv[2:]:
+    load_packaged_scenario(name)
+if sys.argv[1]:
+    parse_config(sys.argv[1])
+layers = ("nvecho.scenarios", "nvecho.estimator", "nvecho.sequences", "nvecho.script",
+          "numpy.ma")
+print("loaded:", [name for name in layers if name in sys.modules])
+"""
+
+
+def _config_imports(text, *names):
+    proc = subprocess.run([sys.executable, "-c", CONFIG_IMPORTS, text, *names],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout.strip()
+
+
+def test_a_config_load_imports_only_the_model():
+    # every packaged scenario loads without the scan, fit, script or run layer
+    names = sorted(SCENARIO_NAMES) + sorted(SCENARIO_ALIASES)
+    assert _config_imports("", *names) == "loaded: []"
+    # a script block is checked by the script parser, and by nothing else of it
+    script = MINIMAL.replace("  kind: ramsey\n  total_time: 1 ms\n",
+                             "  script: |\n    pair 0 -1\n    evolve 1ms ms=0\n")
+    assert "script" in parse_config(script).sequence
+    assert _config_imports(script) == "loaded: ['nvecho.script']"
+
+
+_LOADERS = [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)]
+
+
+@pytest.mark.parametrize("path", [packaged_scenario_path(name) for name in SCENARIO_NAMES]
+                         + [DEFAULT_DATA_FILE], ids=lambda path: path.name)
+def test_libyaml_reads_what_the_pure_python_loader_reads(monkeypatch, path):
+    text = path.read_text(encoding="utf-8")
+    reads = []
+    for loader in _LOADERS:
+        monkeypatch.setattr(response, "YAML_LOADER", loader)
+        built = (response.load_response_set(path) if path == DEFAULT_DATA_FILE
+                 else parse_config(text, path.parent))
+        # repr, not ==: it tells 1 from 1.0 and True, and a str from a date
+        reads.append((repr(load_yaml(text)), repr(built)))
+    pure, libyaml = reads
+    assert pure == libyaml

@@ -23,9 +23,10 @@ from nvecho.estimator import (
     predict_echo_rate,
     predict_rate,
 )
+from nvecho.config import load_packaged_scenario
 from nvecho.noise import field_source, lorentzian, temperature_source
 from nvecho.response import LinearResponse, default_linear_response
-from nvecho.scenarios import load_packaged_scenario, run_scenario
+from nvecho.scenarios import run_scenario
 from nvecho.sequences import scans
 from nvecho.solvers import levenberg_marquardt, nnls
 from nvecho.spin_model import pair_sensitivity

@@ -33,8 +33,8 @@ from nvecho.noise import (
     strain_source,
     temperature_source,
 )
+from nvecho.pulses import KINDS, build_sequence
 from nvecho.response import default_linear_response, default_quasiharmonic_set
-from nvecho.sequences import KINDS, build_sequence
 from nvecho.spin_model import (
     PhaseCoefficients,
     Segment,

@@ -23,15 +23,9 @@ from hypothesis import example, given, settings, strategies as st
 from nvecho.config import PIPELINE_NEEDS, ScenarioConfig, dump_config, parse_config
 from nvecho.noise import CHUNK, field_source, lorentzian, temperature_source
 from nvecho.response import default_quasiharmonic_set
+from nvecho.pulses import KINDS, build_ramsey, build_sequence, build_unbalanced_echo
 from nvecho.script import format_sequence_script, parse_sequence_script
-from nvecho.sequences import (
-    KINDS,
-    build_ramsey,
-    build_sequence,
-    build_unbalanced_echo,
-    simulate_amplitude,
-    simulate_family,
-)
+from nvecho.sequences import simulate_amplitude, simulate_family
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=25)
 MC_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=5)

@@ -8,23 +8,22 @@ import numpy as np
 import pytest
 
 from nvecho import config, sequences
+from nvecho.catalog import SCENARIO_NAMES
 from nvecho.config import (
     ConfigError,
     ScenarioConfig,
+    ScenarioError,
     config_document,
     dump_config,
+    load_packaged_scenario,
+    packaged_scenario_path,
     parse_config,
     realize_grid,
 )
 from nvecho.estimator import RateTable, fit_exponential
-from nvecho.scenarios import (
-    SCENARIO_NAMES,
-    ScenarioError,
-    load_packaged_scenario,
-    packaged_scenario_path,
-    run_scenario,
-)
-from nvecho.sequences import KINDS, build_sequence, read_signal_csv, scans
+from nvecho.pulses import KINDS, build_sequence
+from nvecho.scenarios import run_scenario
+from nvecho.sequences import read_signal_csv, scans
 from nvecho.units import TWO_PI
 
 SAMPLE_RATIO = 36.924 / 204.0  # slope ratio used by the reference scenarios

@@ -4,13 +4,13 @@ import pytest
 
 from nvecho.noise import lorentzian, temperature_source
 from nvecho.script import ScriptError, format_sequence_script, parse_sequence_script
-from nvecho.sequences import (
+from nvecho.pulses import (
     build_dq_ramsey,
     build_nuclear_echo,
     build_ramsey,
     build_unbalanced_echo,
-    simulate_amplitude,
 )
+from nvecho.sequences import simulate_amplitude
 
 PROTECTION_SCRIPT = """\
 # coherence protection: flip the electron 252 us before readout

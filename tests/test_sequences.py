@@ -13,15 +13,17 @@ from nvecho.noise import (
     residual_field_source,
     temperature_source,
 )
-from nvecho.response import default_linear_response, default_quasiharmonic_set
-from nvecho.sequences import (
+from nvecho.pulses import (
     KINDS,
-    EnsembleSignal,
-    build_sequence,
     build_dq_ramsey,
     build_nuclear_echo,
     build_ramsey,
+    build_sequence,
     build_unbalanced_echo,
+)
+from nvecho.response import default_linear_response, default_quasiharmonic_set
+from nvecho.sequences import (
+    EnsembleSignal,
     phase_sweep,
     read_signal_csv,
     scans,
@@ -403,6 +405,23 @@ def test_signal_csv_round_trip(tmp_path):
     path3 = tmp_path / "sig3.csv"
     write_signal_csv(sig, path3, deterministic=False)
     assert "written:" in path3.read_text()
+
+
+def test_metadata_floats_read_back_as_floats(tmp_path):
+    # a float in exponent form used to be written as 5e-05, which YAML 1.1
+    # reads as a string
+    source = field_source(lorentzian(0.0, 0.1))
+    [sweep] = scans([("unbalanced_echo", {"total_time": 5e-05}, "flip_fraction", [0.1, 0.2])],
+                    [source])
+    values = {"total_time_s": 5e-05, "large": 1e+20, "numpy": np.float64(2.5e-07),
+              "plain": 0.18, "infinite": -math.inf}
+    sweep.metadata |= values
+    path = tmp_path / "sweep.csv"
+    write_signal_csv(sweep, path, deterministic=True)
+    assert "# total_time_s: 5.0e-05" in path.read_text()
+    metadata = read_signal_csv(path).metadata
+    for key, value in values.items():
+        assert type(metadata[key]) is float and metadata[key] == value, (key, metadata[key])
 
 
 def test_non_finite_durations_rejected():

@@ -13,9 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from nvecho.pulses import DOUBLE_QUANTUM_PAIR
 from nvecho.response import InteractionShift, default_linear_response
 from nvecho.spin_model import (
-    DOUBLE_QUANTUM_PAIR,
     Segment,
     SpinSystemParams,
     accumulated_phase,
