@@ -16,16 +16,14 @@ config's noise sources decide how the ensemble average is taken: the exact
 closed form when all of them are linear, Monte Carlo (``--samples``,
 ``--seed``) otherwise.  All artifact writers accept ``--deterministic`` to
 suppress timestamp lines so identical inputs give byte-identical outputs.
-Each subcommand imports only what it runs, and OpenBLAS starts with one
-thread unless ``OPENBLAS_NUM_THREADS`` is set: a thread pool costs more to
-start than a one-shot command's small fits gain from it.
+Each subcommand imports only what it runs.  OpenBLAS starts with one thread
+unless its thread count is set (``main``): a thread pool costs more to start
+than a one-shot command's small fits gain from it.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime as _dt
-import json
 import os
 import sys
 from pathlib import Path
@@ -161,7 +159,7 @@ def _detect_fit_kind(path: Path, schema, header) -> str:
 
 def _cmd_fit(args) -> int:
     from .estimator import RATE_COLUMNS, RateTable, fit_cosine, fit_exponential, fit_vee
-    from .sequences import SIGNAL_COLUMNS, read_metadata_csv, signal_from_csv
+    from .sequences import SIGNAL_COLUMNS, json_text, read_metadata_csv, signal_from_csv
 
     path = Path(args.input)
     # one parse serves the detection and the fit, whichever table the file holds
@@ -187,11 +185,8 @@ def _cmd_fit(args) -> int:
         else:
             result = fit_cosine(signal.x, signal.y)
 
-    payload = {"schema": "nvecho-fit/1", "kind": kind, "source": path.name}
-    payload.update(result.as_dict())
-    if not args.deterministic:
-        payload["written"] = _dt.datetime.now().isoformat()
-    text = json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    text = json_text({"schema": "nvecho-fit/1", "kind": kind, "source": path.name}
+                     | result.as_dict(), args.deterministic)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         params = ", ".join(f"{k} = {v:.6g}" for k, v in result.parameters.items())
@@ -248,9 +243,10 @@ def _cmd_parse_seq(args) -> int:
 # -------------------------------------------------------------------- entry
 
 def main(argv=None) -> int:
-    # a one-shot command's largest BLAS call is a ~100 x 3 least-squares
-    # fit: starting OpenBLAS's thread pool would cost more than it saves
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # a one-shot command's largest BLAS call is a ~100 x 3 least-squares fit:
+    # one thread, unless a variable OpenBLAS reads its thread count from is set
+    if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -58,6 +58,7 @@ from .response import (
     DEFAULT_DATA_FILE,
     LinearResponse,
     PRESSURE_PER_STRAIN_GPA,
+    dump_yaml,
     load_response_set,
     load_yaml,
 )
@@ -713,15 +714,6 @@ def config_document(config: ScenarioConfig) -> dict:
     return _dump_mapping({key: value for key, value in doc.items() if value}, _DOCUMENT_KEYS)
 
 
-class _Dumper(yaml.SafeDumper):
-    """Prints a numpy scalar, as a config built in code may hold, as the
-    plain number it holds."""
-
-
-_Dumper.add_multi_representer(np.generic, lambda dumper, value: dumper.represent_data(value.item()))
-
-
 def dump_config(config: ScenarioConfig) -> str:
     """Canonical YAML for a config; parse(dump(parse(x))) == parse(x)."""
-    return yaml.dump(config_document(config), Dumper=_Dumper, sort_keys=False,
-                     default_flow_style=False)
+    return dump_yaml(config_document(config), sort_keys=False)

@@ -132,14 +132,18 @@ def fit_exponential(times, amplitudes, skip_initial: int = DEFAULT_SKIP) -> FitR
     """Fit S(t) = c0 exp(-t / T2), skipping the first points.
 
     The skip discards early-time points where the ensemble
-    signal is not yet a single exponential.  Needs at least five points
-    after the skip and strictly decaying data.  Least squares from the
-    log-linear estimate, run to convergence; raises FitError when the
-    minimum runs off (T2 -> 0 or infinity) instead.
+    signal is not yet a single exponential.  Needs increasing times, an
+    integer skip, five points after it and strictly decaying data.  Least
+    squares from the log-linear estimate, run to convergence; raises
+    FitError when the minimum runs off (T2 -> 0 or infinity) instead.
     """
     times, amplitudes = _finite("times", times), _finite("amplitudes", amplitudes)
+    if isinstance(skip_initial, bool) or not isinstance(skip_initial, (int, np.integer)):
+        raise ValueError(f"skip_initial must be an integer, got {skip_initial!r}")
     if skip_initial < 0:
         raise ValueError("skip_initial must be >= 0")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must strictly increase")
     t = times[skip_initial:]
     y = amplitudes[skip_initial:]
     if t.size < 5:
@@ -225,12 +229,7 @@ class RateTable:
         return np.array([r.rate for r in self.rows])
 
     def write_csv(self, path, deterministic: bool = False) -> None:
-        rows = (
-            (str(r.pair[0]), str(r.pair[1]), str(r.ms_pairing[0]), str(r.ms_pairing[1]),
-             repr(float(r.tau_over_t)), repr(float(r.rate)),
-             "" if r.rate_error is None else repr(float(r.rate_error)))
-            for r in self.rows
-        )
+        rows = ((*r.pair, *r.ms_pairing, r.tau_over_t, r.rate, r.rate_error) for r in self.rows)
         write_metadata_csv(path, RATES_SCHEMA, self.metadata, _RATES_HEADER, rows,
                            deterministic)
 
@@ -415,6 +414,8 @@ def estimate_sigma(rates, coefficients, baseline=0.0, rate_errors=None,
     covariance.
     """
     rates = np.atleast_1d(_finite("rates", rates))
+    if rates.size == 0:
+        raise ValueError("rates are empty; need at least one")
     coeff = np.atleast_1d(_finite("coefficients", coefficients))
     baseline = _finite("baseline", baseline)
     if baseline.ndim > 1 or baseline.size not in (1, rates.size):

@@ -222,6 +222,9 @@ def residual_field_source(dq_coherence_time: float = 3.9e-3,
     width is sigma_B = 1 / (2 |gamma_n| T2_dq).  This lumps every noise
     channel that is not cancelled by the echo into one effective field.
     """
+    for name, value in (("dq_coherence_time", dq_coherence_time), ("gamma_n", gamma_n)):
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a plain number, got {value!r}")
     if not (math.isfinite(dq_coherence_time) and dq_coherence_time > 0):
         raise ValueError(f"coherence time must be positive and finite, got {dq_coherence_time!r}")
     if not (math.isfinite(gamma_n) and gamma_n != 0):

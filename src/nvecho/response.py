@@ -20,9 +20,9 @@ with the slope target at ``CALIBRATION_T0_K``, and ``fit_mode_temperature``
 finds the hyperfine mode's temperature from ``DEFAULT_RATIO_CURVE``.  See
 ``data/quasiharmonic_default.yaml`` for the calibration provenance.
 
-``load_yaml`` is the package's one YAML reader (data files, scenario
-configs, CSV metadata): libyaml's ``CSafeLoader`` where PyYAML has it, else
-the pure-Python ``SafeLoader``.
+``load_yaml`` and ``dump_yaml`` are the package's one YAML reader and printer
+(data files, scenario configs, CSV metadata); the reader is libyaml's
+``CSafeLoader`` where PyYAML has it, else the pure-Python ``SafeLoader``.
 """
 
 from __future__ import annotations
@@ -83,6 +83,32 @@ def load_yaml(text):
     return yaml.load(text, Loader=YAML_LOADER)
 
 
+class _Dumper(yaml.SafeDumper):
+    """``yaml.safe_dump``'s printer, which prints a numpy scalar as its number
+    and, in flow style, a multi-line string double-quoted on one line."""
+
+
+_Dumper.add_multi_representer(np.generic, lambda dumper, value: dumper.represent_data(value.item()))
+_Dumper.add_representer(str, lambda dumper, text: dumper.represent_scalar(
+    "tag:yaml.org,2002:str", text, '"' if dumper.default_flow_style and "\n" in text else None))
+
+
+def dump_yaml(data, sort_keys: bool = True, flow: bool = False) -> str:
+    """YAML text of ``data`` that ``load_yaml`` reads back, a tuple as a list:
+    a block-style document, or with ``flow`` one flow-style line without the
+    document end marker, as a ``# key: value`` metadata line holds it."""
+    text = yaml.dump(data, Dumper=_Dumper, sort_keys=sort_keys, default_flow_style=flow,
+                     width=math.inf if flow else None)
+    return text.removesuffix("\n").removesuffix("\n...") if flow else text
+
+
+def _require_finite(obj, what, names=None) -> None:
+    """Refuse ``obj`` unless its ``names`` fields (all by default) are finite."""
+    for name in names or [f.name for f in fields(obj)]:
+        if not np.all(np.isfinite(getattr(obj, name))):
+            raise ValueError(f"{what} {name} must be finite, got {getattr(obj, name)!r}")
+
+
 class CalibrationError(RuntimeError):
     """Calibration targets could not be met; message lists the residuals."""
 
@@ -131,6 +157,9 @@ class InteractionShift:
     d_quadrupole: float = 0.0
     d_hyperfine: float = 0.0
 
+    def __post_init__(self):
+        _require_finite(self, "interaction shift")
+
 
 @dataclass(frozen=True)
 class LinearResponse:
@@ -147,10 +176,7 @@ class LinearResponse:
     hyperfine_per_strain: float = HYPERFINE_PER_GPA * PRESSURE_PER_STRAIN_GPA
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"response slope {f.name} must be finite, "
-                                 f"got {getattr(self, f.name)!r}")
+        _require_finite(self, "response slope")
 
     def interaction_shift(self, d_temperature=0.0, strain=0.0) -> InteractionShift:
         return InteractionShift(
@@ -234,10 +260,7 @@ class QuasiharmonicSet:
     hyperfine_per_strain: float = HYPERFINE_PER_GPA * PRESSURE_PER_STRAIN_GPA
 
     def __post_init__(self):
-        for name in ("quadrupole_per_strain", "hyperfine_per_strain"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"response slope {name} must be finite, "
-                                 f"got {getattr(self, name)!r}")
+        _require_finite(self, "response slope", ("quadrupole_per_strain", "hyperfine_per_strain"))
 
 
 @dataclass(frozen=True)
@@ -258,6 +281,8 @@ def strain_response(epsilon: float, response: LinearResponse | None = None) -> S
     carries an extrapolation flag because the underlying slopes were only
     verified in that range.
     """
+    if isinstance(epsilon, bool):
+        raise ValueError(f"strain must be a plain number, got {epsilon!r}")
     if not math.isfinite(epsilon):
         raise ValueError(f"strain must be finite, got {epsilon!r}")
     if response is None:
@@ -421,7 +446,7 @@ def save_response_set(set_: QuasiharmonicSet, path, deterministic: bool = False)
             "bulk_modulus_GPa": BULK_MODULUS_GPA,
         },
     }
-    Path(path).write_text(yaml.safe_dump(payload, sort_keys=True))
+    Path(path).write_text(dump_yaml(payload))
 
 
 def load_response_set(path=None) -> QuasiharmonicSet:

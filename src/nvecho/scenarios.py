@@ -22,8 +22,6 @@ packaged reference configs are found and loaded by ``config``
 
 from __future__ import annotations
 
-import datetime as _dt
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,8 +30,8 @@ import numpy as np
 from .config import ScenarioConfig, block_kind, realize_grid
 from .estimator import RateTable, fit_exponential, fit_vee
 from .pulses import KINDS, build_sequence
-from .script import parse_sequence_script
-from .sequences import scans, simulate_amplitude, write_signal_csv
+from .script import format_projection, parse_sequence_script
+from .sequences import json_text, scans, simulate_amplitude, write_signal_csv
 
 
 @dataclass
@@ -63,11 +61,7 @@ class _Context:
 
     def write_json(self, label: str, payload: dict) -> None:
         path = self.out_dir / f"{self.config.name}-{label}.json"
-        doc = dict(payload)
-        if not self.deterministic:
-            doc["written"] = _dt.datetime.now().isoformat()
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
-                        encoding="utf-8")
+        path.write_text(json_text(payload, self.deterministic), encoding="utf-8")
         self.artifacts.append(path)
 
     def write_fits(self, fits: dict, numbers: dict) -> None:
@@ -200,10 +194,6 @@ def _run_pulse_sweep(ctx: _Context) -> ScenarioResult:
                       numbers, signals={"sweep": signal})
 
 
-def _pair_label(pair) -> str:
-    return f"{pair[0]:+d},{pair[1]:+d}".replace("+0", "0").replace("-0", "0")
-
-
 def _run_rate_table(ctx: _Context) -> ScenarioResult:
     cfg = ctx.config
     block = cfg.sequence
@@ -229,7 +219,7 @@ def _run_rate_table(ctx: _Context) -> ScenarioResult:
             table.add(pair, (keys["ms_free"], keys["ms_flipped"]), float(fraction), 1.0 / t2,
                       rate_error)
 
-    fits = {_pair_label(pair): fit_vee(table.filter(pair=pair)) for pair in pairs}
+    fits = {",".join(map(format_projection, p)): fit_vee(table.filter(pair=p)) for p in pairs}
     methods = [fit.settings["method"] for fit in fits.values()]
     numbers = {}
     summary_bits = []

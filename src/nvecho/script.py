@@ -166,13 +166,14 @@ def parse_sequence_script(text: str) -> PulseSequence:
     return PulseSequence(pair, tuple(segments))
 
 
-def _fmt_m(m: int) -> str:
+def format_projection(m: int) -> str:
+    """A spin projection as scripts and artifact labels print it: +1, 0, -1."""
     return f"{m:+d}" if m else "0"
 
 
 def format_sequence_script(sequence: PulseSequence) -> str:
     """Canonical script text for a sequence; inverse of parse_sequence_script."""
-    lines = [f"pair {_fmt_m(sequence.pair[0])} {_fmt_m(sequence.pair[1])}"]
+    lines = [f"pair {format_projection(sequence.pair[0])} {format_projection(sequence.pair[1])}"]
     current_ms = 0
     current_sign = 1
     for seg in sequence.segments:
@@ -180,7 +181,7 @@ def format_sequence_script(sequence: PulseSequence) -> str:
             lines.append("flip-n")
             current_sign = seg.sign
         if seg.m_S != current_ms:
-            lines.append(f"flip-e ms={_fmt_m(seg.m_S)}")
+            lines.append(f"flip-e ms={format_projection(seg.m_S)}")
             current_ms = seg.m_S
-        lines.append(f"evolve {seg.duration!r}s ms={_fmt_m(current_ms)}")
+        lines.append(f"evolve {seg.duration!r}s ms={format_projection(current_ms)}")
     return "\n".join(lines) + "\n"

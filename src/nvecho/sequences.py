@@ -7,14 +7,14 @@ source enters the phase linearly the average is exact, and otherwise (a
 quasiharmonic temperature source) it is a Monte Carlo estimate.
 ``simulate_amplitude`` is its one-sequence case, and ``scans`` evaluates
 decay scans and flip-location sweeps, any number of them, as one family
-call.  Signals and rate tables are written as ``#``-metadata CSV
-(``write_metadata_csv``), whose metadata values YAML reads back.
+call.  ``write_metadata_csv`` prints signals and rate tables as
+``#``-metadata CSV, and ``json_text`` prints every JSON artifact.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-import math
+import json
 from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 
@@ -24,7 +24,7 @@ import yaml
 from .noise import (DEFAULT_SAMPLES, DEFAULT_SEED, MonteCarloResult, dephasing_factor,
                     monte_carlo_attenuation)
 from .pulses import KINDS, PulseSequence, build_sequence
-from .response import load_yaml
+from .response import dump_yaml, load_yaml
 from .spin_model import (
     SpinSystemParams,
     accumulated_phase,
@@ -187,28 +187,31 @@ def scans(specs, sources, **kwargs) -> list:
 _CSV_SCHEMA = "nvecho-signal/1"
 
 
-def _metadata_value(value) -> str:
-    """``value`` as a ``# key: value`` line prints it, so that YAML reads it
-    back: YAML 1.1 reads a float only with a dot (5e-05 prints as 5.0e-05)
-    and names its infinities and nan .inf, -.inf and .nan."""
-    if not isinstance(value, float):
-        return f"{value}"
-    text = repr(float(value))
-    if not math.isfinite(value):
-        return {"inf": ".inf", "-inf": "-.inf", "nan": ".nan"}[text]
-    return text if "." in text else text.replace("e", ".0e")
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, (int, np.integer)) else repr(float(value))
 
 
 def write_metadata_csv(path, schema: str, metadata: dict, header, rows,
                        deterministic: bool = False) -> None:
-    """CSV preceded by ``# schema`` and sorted ``# key: value`` lines; a
-    ``# written:`` timestamp line unless ``deterministic``."""
-    lines = [f"# {schema}"] + [f"# {key}: {_metadata_value(metadata[key])}"
+    """CSV of rows of ints, floats and Nones (empty fields), preceded by ``#
+    schema``, sorted ``# key: value`` lines, each value one line of flow YAML,
+    and a ``# written:`` timestamp line unless ``deterministic``."""
+    lines = [f"# {schema}"] + [f"# {key}: {dump_yaml(metadata[key], flow=True)}"
                                for key in sorted(metadata)]
     if not deterministic:
         lines.append(f"# written: {_dt.datetime.now().isoformat()}")
-    lines += [",".join(header)] + [",".join(row) for row in rows]
+    lines += [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def json_text(payload: dict, deterministic: bool = False) -> str:
+    """A JSON artifact's UTF-8 text of ``payload``, keys sorted and indented
+    by 2, plus a ``written`` timestamp unless ``deterministic``."""
+    if not deterministic:
+        payload = payload | {"written": _dt.datetime.now().isoformat()}
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def read_metadata_csv(path, columns=None):
@@ -267,8 +270,7 @@ SIGNAL_COLUMNS = {_CSV_SCHEMA: ((float, float), None)}
 
 def write_signal_csv(signal: EnsembleSignal, path, deterministic: bool = False) -> None:
     write_metadata_csv(path, _CSV_SCHEMA, signal.metadata, (signal.x_label, signal.y_label),
-                       ((repr(float(x)), repr(float(y))) for x, y in zip(signal.x, signal.y)),
-                       deterministic)
+                       zip(signal.x, signal.y), deterministic)
 
 
 def signal_from_csv(path, schema, metadata, header, rows) -> EnsembleSignal:

@@ -25,7 +25,8 @@ class QuantityError(ValueError):
     """A config value failed unit parsing."""
 
 
-# dimension -> {suffix: factor to the canonical base unit}
+# dimension -> {suffix: factor to the base unit}; the first suffix is the
+# base unit, which a config is printed in
 _SCALES = {
     "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
     "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6, "ns": 1e-9},
@@ -34,17 +35,6 @@ _SCALES = {
     "frequency_per_K": {"Hz/K": 1.0, "kHz/K": 1e3, "MHz/K": 1e6},
     "frequency_per_G": {"Hz/G": 1.0, "kHz/G": 1e3, "MHz/G": 1e6},
     "frequency_per_GPa": {"Hz/GPa": 1.0, "kHz/GPa": 1e3, "MHz/GPa": 1e6},
-}
-
-# canonical unit used when printing a config back out
-_CANONICAL = {
-    "frequency": "Hz",
-    "time": "s",
-    "temperature": "K",
-    "field": "G",
-    "frequency_per_K": "Hz/K",
-    "frequency_per_G": "Hz/G",
-    "frequency_per_GPa": "Hz/GPa",
 }
 
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -92,8 +82,7 @@ def parse_quantity(text: str | float, dimension: str) -> float:
 
 def format_quantity(value: float, dimension: str) -> str:
     """Canonical text for a base-unit value; inverse of parse_quantity."""
-    unit = _CANONICAL[dimension]
-    return f"{float(value)!r} {unit}"
+    return f"{float(value)!r} {next(iter(_SCALES[dimension]))}"
 
 
 def angular(frequency_hz: float) -> float:

@@ -502,6 +502,14 @@ def _assert_usage_error(capsys, argv, problem):
     assert "Traceback" not in err
 
 
+def test_fit_refuses_times_that_do_not_increase(tmp_path, capsys):
+    times = np.array([1e-4, 2e-4, 3e-4, 3e-4, 5e-4, 6e-4, 7e-4, 8e-4, 9e-4])
+    path = tmp_path / "stalled.csv"
+    write_signal_csv(EnsembleSignal(times, np.exp(-times / 5e-4), "total_time_s", "amplitude"),
+                     path, deterministic=True)
+    _assert_usage_error(capsys, ["fit", str(path)], "times must strictly increase")
+
+
 def test_config_that_is_not_yaml_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("name: [x\n")
@@ -833,6 +841,9 @@ def test_each_command_imports_only_what_it_runs(tmp_path, monkeypatch):
     assert set(nvecho.__all__) <= set(dir(nvecho))
 
 
+# what OpenBLAS reads its thread count from, in the order it reads them
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 BLAS_DEFAULT = """\
 import os
 import sys
@@ -840,17 +851,22 @@ import sys
 from nvecho.cli import main
 
 assert main(["parse-seq", sys.argv[1]]) == 0
-print(os.environ["OPENBLAS_NUM_THREADS"])
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
 """
 
 
-@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+@pytest.mark.parametrize("preset, expected", [
+    (None, "1"), ("3", "3"),
+    # OpenBLAS reads OMP_NUM_THREADS when neither of the other two is set
+    pytest.param({"OMP_NUM_THREADS": "3"}, "None", id="OMP_NUM_THREADS=3-None"),
+])
 def test_cli_starts_openblas_with_one_thread_unless_told(tmp_path, preset, expected):
     script = tmp_path / "seq.txt"
     script.write_text("pair 0 -1\nevolve 1ms ms=0\n")
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARIABLES}
+    if isinstance(preset, str):
+        preset = {"OPENBLAS_NUM_THREADS": preset}
+    env |= preset or {}
     proc = subprocess.run([sys.executable, "-c", BLAS_DEFAULT, str(script)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -129,6 +129,12 @@ def test_fit_exponential_errors():
         fit_exponential(times[:7], np.exp(-times[:7]))  # only 4 left after skip
     res = fit_exponential(times[:7], np.exp(-times[:7]), skip_initial=0)
     assert res["coherence_time"] == pytest.approx(1.0, rel=1e-8)
+    # equal times used to fit a coherence time, and a fractional skip to
+    # raise TypeError from a slice
+    with pytest.raises(ValueError, match="times must strictly increase"):
+        fit_exponential(np.full(8, 1e-3), np.exp(-np.arange(8.0)), skip_initial=0)
+    with pytest.raises(ValueError, match="skip_initial must be an integer, got 2.5"):
+        fit_exponential(times, np.exp(-times), skip_initial=2.5)
 
 
 def _decay(t, c0, t2):
@@ -419,6 +425,8 @@ def test_estimate_sigma_zero_coefficient_rejected():
     ({"coefficients": [1.0, 2.0, math.inf]}, "coefficients must be finite"),
     ({"baseline": [0.1, 0.2]}, "baseline needs one value or one per rate"),
     ({"baseline": [[0.1], [0.2], [0.3]]}, "baseline needs one value or one per rate"),
+    # used to say that every noise source needs a nonzero coefficient
+    ({"rates": [], "coefficients": []}, "rates are empty"),
 ])
 def test_estimate_sigma_names_bad_inputs(kwargs, name):
     good = {"rates": [1.0, 2.0, 3.0], "coefficients": [1.0, 2.0, 3.0], "baseline": 0.0}

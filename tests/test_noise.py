@@ -179,6 +179,9 @@ def test_residual_field_source_rejects_degenerate_inputs():
     for bad in (0.0, math.nan):
         with pytest.raises(ValueError, match="gamma_n must be finite and nonzero"):
             residual_field_source(gamma_n=bad)
+    # a bool used to be read as 1, which the config refuses
+    with pytest.raises(ValueError, match="dq_coherence_time must be a plain number, got True"):
+        residual_field_source(True)
 
 
 def test_dephasing_factor_is_product_of_characteristic_functions():

@@ -13,6 +13,7 @@ from nvecho.response import (
     CALIBRATION_T0_K,
     DEFAULT_RATIO_CURVE,
     CalibrationError,
+    InteractionShift,
     LinearResponse,
     QuasiharmonicResponse,
     bose_einstein,
@@ -391,6 +392,21 @@ def test_strain_linearity():
     b = strain_response(0.008)
     assert math.isclose(2 * a.d_quadrupole, b.d_quadrupole, rel_tol=1e-12)
     assert math.isclose(2 * a.d_hyperfine, b.d_hyperfine, rel_tol=1e-12)
+
+
+def test_strain_refuses_a_bool():
+    # True used to be read as a strain of 1, which the config refuses
+    with pytest.raises(ValueError, match="strain must be a plain number, got True"):
+        strain_response(True)
+
+
+def test_interaction_shift_must_be_finite():
+    # a NaN shift used to be accepted and make every transition frequency NaN
+    with pytest.raises(ValueError, match="d_quadrupole must be finite"):
+        InteractionShift(math.nan, 0.0)
+    with pytest.raises(ValueError, match="d_hyperfine must be finite"):
+        InteractionShift(np.zeros(3), np.array([0.0, math.inf, 0.0]))
+    assert InteractionShift(np.zeros(3), np.ones(3)).d_hyperfine.shape == (3,)
 
 
 @pytest.mark.parametrize("strain", [math.nan, math.inf, -math.inf])

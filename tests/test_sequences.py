@@ -25,9 +25,11 @@ from nvecho.response import default_linear_response, default_quasiharmonic_set
 from nvecho.sequences import (
     EnsembleSignal,
     phase_sweep,
+    read_metadata_csv,
     read_signal_csv,
     scans,
     simulate_amplitude,
+    write_metadata_csv,
     write_signal_csv,
 )
 from nvecho.units import TWO_PI
@@ -422,6 +424,24 @@ def test_metadata_floats_read_back_as_floats(tmp_path):
     metadata = read_signal_csv(path).metadata
     for key, value in values.items():
         assert type(metadata[key]) is float and metadata[key] == value, (key, metadata[key])
+
+
+def test_metadata_values_read_back_as_written(tmp_path):
+    # values used to be printed by hand: a tuple read back as the string
+    # '(0, -1)', a float inside a list as '5e-05' and the string '1.0' as 1.0
+    values = {"pair": (0, -1), "times": [5e-05, 1e-3], "number_like": "1.0",
+              "comment_like": "a #b", "colon": "a: b", "numpy": np.float64(2.5e-07),
+              "count": np.int64(7), "nested": {"b": [1e+20, -math.inf]}, "up": math.inf,
+              "note": "two\nlines", "missing": math.nan}
+    path = tmp_path / "table.csv"
+    write_metadata_csv(path, "test/1", values, ("x", "n"),
+                       [(0.5, 3), (np.float64(1e-05), None)], deterministic=True)
+    schema, metadata, header, rows = read_metadata_csv(path)
+    assert (schema, header, rows) == ("test/1", ["x", "n"], [["0.5", "3"], ["1e-05", ""]])
+    assert math.isnan(metadata.pop("missing"))
+    assert metadata == {key: value for key, value in values.items() if key != "missing"} | {
+        "pair": [0, -1]}
+    assert type(metadata["numpy"]) is float and type(metadata["count"]) is int
 
 
 def test_non_finite_durations_rejected():
