@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -118,13 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_config_scenario(config, args) -> int:
     from .scenarios import run_scenario
 
-    result = run_scenario(
-        config,
-        out_dir=args.out,
-        deterministic=args.deterministic,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    result = run_scenario(config, out_dir=args.out, deterministic=args.deterministic,
+                          samples=args.samples, seed=args.seed)
     print(result.summary)
     return 0
 
@@ -244,8 +240,10 @@ def _cmd_parse_seq(args) -> int:
 
 def main(argv=None) -> int:
     # a one-shot command's largest BLAS call is a ~100 x 3 least-squares fit:
-    # one thread, unless a variable OpenBLAS reads its thread count from is set
-    if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    # one thread, unless a variable OpenBLAS reads its thread count from holds
+    # a count >= 1 as OpenBLAS reads it (the leading integer, as atoi does)
+    if not any(int(re.match(r"\s*\+?(\d*)", os.environ.get(name, ""))[1] or 0)
+               for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = build_parser().parse_args(argv)
     try:

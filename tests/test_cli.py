@@ -859,6 +859,10 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"))
     (None, "1"), ("3", "3"),
     # OpenBLAS reads OMP_NUM_THREADS when neither of the other two is set
     pytest.param({"OMP_NUM_THREADS": "3"}, "None", id="OMP_NUM_THREADS=3-None"),
+    # and takes an empty value or a count below 1 as unset
+    pytest.param({"OMP_NUM_THREADS": ""}, "1", id="OMP_NUM_THREADS=-1"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": " "}, "1",
+                 id="OPENBLAS_NUM_THREADS=0-1"),
 ])
 def test_cli_starts_openblas_with_one_thread_unless_told(tmp_path, preset, expected):
     script = tmp_path / "seq.txt"
