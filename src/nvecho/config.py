@@ -51,8 +51,8 @@ import numpy as np
 import yaml
 
 from .catalog import SCENARIO_ALIASES, SCENARIO_NAMES
-from .noise import (DEFAULT_SAMPLES, DEFAULT_SEED, Distribution, field_source,
-                    residual_field_source, strain_source, temperature_source)
+from .noise import (DEFAULT_SAMPLES, DEFAULT_SEED, DISTRIBUTION_KINDS, Distribution,
+                    field_source, residual_field_source, strain_source, temperature_source)
 from .pulses import KINDS
 from .response import (
     DEFAULT_DATA_FILE,
@@ -345,8 +345,7 @@ def _drawn(dimension):
     location = _measured(dimension, "location")
     return {
         "name": _NAME,
-        "distribution": Key(_one_of(("lorentzian", "gaussian", "delta")), sets="kind",
-                            required=True),
+        "distribution": Key(_one_of(DISTRIBUTION_KINDS), sets="kind", required=True),
         "location": location,
         "scale": location._replace(
             read=_checked(location.read, lambda v: v >= 0, "scale must be >= 0"), sets="scale"),

@@ -28,6 +28,7 @@ bits that member alone gives.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass, field as dataclass_field
@@ -35,8 +36,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .response import LinearResponse, QuasiharmonicSet, default_linear_response
-from .spin_model import PhaseCoefficients, stack_coefficients
-from .units import TWO_PI
+from .spin_model import PhaseCoefficients, SpinSystemParams, stack_coefficients
 
 CHUNK = 1 << 16
 DEFAULT_SAMPLES = 1 << 20  # Monte Carlo draws and seed of a run that names none
@@ -46,7 +46,7 @@ DEFAULT_SEED = 12345
 # location (and at T = 0) before evaluating the lattice model on the draws.
 TRUNCATION_WIDTHS = 50.0
 
-_KINDS = ("lorentzian", "gaussian", "delta")
+DISTRIBUTION_KINDS = ("lorentzian", "gaussian", "delta")
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,9 @@ class Distribution:
     scale: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in DISTRIBUTION_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}; "
-                             f"expected one of {_KINDS}")
+                             f"expected one of {DISTRIBUTION_KINDS}")
         if not (math.isfinite(self.location) and math.isfinite(self.scale)):
             raise ValueError(f"distribution location and scale must be finite, got "
                              f"location={self.location!r}, scale={self.scale!r}")
@@ -213,7 +213,7 @@ def strain_source(distribution: Distribution, response=None,
 
 
 def residual_field_source(dq_coherence_time: float = 3.9e-3,
-                          gamma_n: float = -TWO_PI * 307.7,
+                          gamma_n: float = SpinSystemParams.gamma_n,
                           name: str = "residual-field") -> NoiseSource:
     """Lorentzian field-like source reproducing a measured double-quantum
     coherence time.
@@ -385,8 +385,13 @@ def monte_carlo_attenuation(sources, coefficients, n_samples: int = DEFAULT_SAMP
     """
     from concurrent.futures import ThreadPoolExecutor  # kept off the cold import path
 
+    for name, value in (("n_samples", n_samples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
+        raise ValueError(f"n_samples must be positive, got {n_samples!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
     sources = tuple(sources)
     if not sources:
         raise ValueError("need at least one noise source; without one the "

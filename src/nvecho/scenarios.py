@@ -1,6 +1,7 @@
 """Named analysis pipelines driven by scenario configs.
 
-Each pipeline composes simulation and fitting into one reproducible run:
+Each pipeline composes simulation and fitting steps into one reproducible
+run:
 
 * ``simulate`` - one ensemble amplitude for a configured sequence.
 * ``decay_compare`` - the compare step: protected vs unprotected decay scans,
@@ -14,10 +15,15 @@ Each pipeline composes simulation and fitting into one reproducible run:
   protected scan at the sweep's optimum (large-inhomogeneity studies with
   the quasiharmonic lattice model).
 
-The config checks the sequence keys each pipeline needs before any compute
-starts (``config.PIPELINE_NEEDS``); the pipelines read them unchecked.  The
-packaged reference configs are found and loaded by ``config``
-(``load_packaged_scenario``), which imports none of this run layer.
+A run is its steps: each step writes its own artifacts and reports its
+numbers, its fits and one summary fragment into the run's context.
+``run_scenario`` then writes the run's one JSON document, the fits and the
+numbers or, where no step fitted, the numbers alone, and joins the
+fragments into the summary.  The config checks the sequence keys each
+pipeline needs before any compute starts (``config.PIPELINE_NEEDS``); the
+steps read them unchecked.  The packaged reference configs are found and
+loaded by ``config`` (``load_packaged_scenario``), which imports none of
+this run layer.
 """
 
 from __future__ import annotations
@@ -49,29 +55,41 @@ class ScenarioResult:
 
 @dataclass
 class _Context:
+    """One run: its config, where it writes, the models and keywords every
+    simulation takes, and what its steps wrote and reported."""
+
     config: ScenarioConfig
     out_dir: Path
     deterministic: bool
+    sources: tuple
+    keywords: dict  # the spin parameters and the Monte Carlo backend
     artifacts: list = field(default_factory=list)
+    signals: dict = field(default_factory=dict)
+    fits: dict = field(default_factory=dict)
+    numbers: dict = field(default_factory=dict)
+    fragments: list = field(default_factory=list)
+
+    def _artifact(self, label: str, suffix: str) -> Path:
+        path = self.out_dir / f"{self.config.name}-{label}.{suffix}"
+        self.artifacts.append(path)
+        return path
 
     def write_signal(self, label: str, signal) -> None:
-        path = self.out_dir / f"{self.config.name}-{label}.csv"
-        write_signal_csv(signal, path, deterministic=self.deterministic)
-        self.artifacts.append(path)
+        write_signal_csv(signal, self._artifact(label, "csv"), deterministic=self.deterministic)
+        self.signals[label] = signal
+
+    def write_table(self, label: str, table: RateTable) -> None:
+        table.write_csv(self._artifact(label, "csv"), deterministic=self.deterministic)
 
     def write_json(self, label: str, payload: dict) -> None:
-        path = self.out_dir / f"{self.config.name}-{label}.json"
-        path.write_text(json_text(payload, self.deterministic), encoding="utf-8")
-        self.artifacts.append(path)
+        self._artifact(label, "json").write_text(json_text(payload, self.deterministic),
+                                                 encoding="utf-8")
 
-    def write_fits(self, fits: dict, numbers: dict) -> None:
-        """The fits document: each fit under its label, and the run's numbers."""
-        self.write_json("fits", {label: fit.as_dict() for label, fit in fits.items()}
-                        | {"numbers": numbers})
-
-    def result(self, summary: str, numbers: dict, **kwargs) -> ScenarioResult:
-        return ScenarioResult(self.config.name, self.config.pipeline, summary, numbers,
-                              tuple(self.artifacts), **kwargs)
+    def report(self, fragment: str, numbers: dict, fits: dict | None = None) -> None:
+        """A step's summary fragment, its numbers and its fits."""
+        self.fragments.append(fragment)
+        self.numbers.update(numbers)
+        self.fits.update(fits or {})
 
 
 def run_scenario(config: ScenarioConfig, out_dir=None, deterministic: bool = False,
@@ -86,8 +104,18 @@ def run_scenario(config: ScenarioConfig, out_dir=None, deterministic: bool = Fal
     config = config.parsed(samples=samples, seed=seed)
     out = Path(out_dir) if out_dir is not None else Path(config.output["directory"])
     out.mkdir(parents=True, exist_ok=True)
-    ctx = _Context(config=config, out_dir=out, deterministic=deterministic)
-    return PIPELINES[config.pipeline](ctx)
+    ctx = _Context(config=config, out_dir=out, deterministic=deterministic,
+                   sources=config.built["sources"],
+                   keywords={"params": config.built["spin"]} | config.backend_kwargs())
+    PIPELINES[config.pipeline](ctx)
+    if ctx.fits:
+        ctx.write_json("fits", {label: fit.as_dict() for label, fit in ctx.fits.items()}
+                       | {"numbers": ctx.numbers})
+    else:
+        ctx.write_json("result", ctx.numbers)
+    return ScenarioResult(config.name, config.pipeline,
+                          f"{config.name}: " + ", ".join(ctx.fragments), ctx.numbers,
+                          tuple(ctx.artifacts), ctx.signals, ctx.fits)
 
 
 def _fmt_time(seconds: float) -> str:
@@ -110,107 +138,83 @@ def _mc_numbers(mc, index: int) -> dict:
     }
 
 
-# ----------------------------------------------------------- shared steps
+# --------------------------------------------------------------------- steps
 
-def _sweep(ctx: _Context, sources, params):
-    """The sweep step: amplitude versus flip fraction at the block's total
-    time, and the index of its peak."""
+def _simulate(ctx: _Context) -> None:
+    """One ensemble amplitude of the block's script or kind."""
     block = ctx.config.sequence
-    keys = KINDS["unbalanced_echo"].read(block) | {"total_time": block["total_time"]}
-    [signal] = scans([("unbalanced_echo", keys, "flip_fraction",
-                       realize_grid(block["flip_fractions"]))],
-                     sources, params=params, **ctx.config.backend_kwargs())
-    return signal, int(np.argmax(signal.y))
-
-
-def _compare(ctx: _Context, protected: dict, sources, params):
-    """The compare step: the protected scan of ``protected`` and the
-    unprotected one of ``sequence.compare``, each of the kind the config
-    builds the block as and both evaluated as one family, their exponential
-    fits, and the fitted coherence times and their ratio, the improvement."""
-    compare = ctx.config.sequence["compare"]
-    specs = []
-    for path, block in (("sequence", protected), ("sequence.compare", compare)):
-        kind = block_kind(ctx.config.pipeline, path, block)
-        specs.append((kind, KINDS[kind].read(block), "total_time", realize_grid(block["times"])))
-    signals = dict(zip(("protected", "unprotected"),
-                       scans(specs, sources, params=params, **ctx.config.backend_kwargs())))
-    fits = {label: fit_exponential(scan.x, scan.y) for label, scan in signals.items()}
-    t2_p, t2_u = (fits[label]["coherence_time"] for label in ("protected", "unprotected"))
-    return signals, fits, {"protected_T2_s": t2_p, "unprotected_T2_s": t2_u,
-                         "improvement": t2_p / t2_u}
-
-
-# ----------------------------------------------------------------- pipelines
-
-def _run_simulate(ctx: _Context) -> ScenarioResult:
-    cfg = ctx.config
-    block = cfg.sequence
     if "script" in block:
         sequence = parse_sequence_script(block["script"])
     else:
         kind = block["kind"]
         sequence = build_sequence(kind, block["total_time"], **KINDS[kind].read(block))
-    result = simulate_amplitude(sequence, cfg.noise_sources(),
-                                params=cfg.spin_params(), **cfg.backend_kwargs())
-    numbers = {
-        "kind": sequence.kind,
-        "total_time_s": float(sequence.total_time),
-        "amplitude": float(result.amplitude),
-        "base_phase_rad": float(result.base_phase),
-    }
-    numbers.update(_mc_numbers(result.monte_carlo, 0))
-    ctx.write_json("result", numbers)
-    return ctx.result(f"{cfg.name}: {sequence.kind} over {_fmt_time(sequence.total_time)}: "
-                      f"amplitude {result.amplitude:.6f}, "
-                      f"base phase {result.base_phase:.4f} rad", numbers)
+    result = simulate_amplitude(sequence, ctx.sources, **ctx.keywords)
+    ctx.report(f"{sequence.kind} over {_fmt_time(sequence.total_time)}: "
+               f"amplitude {result.amplitude:.6f}, base phase {result.base_phase:.4f} rad",
+               {"kind": sequence.kind,
+                "total_time_s": float(sequence.total_time),
+                "amplitude": float(result.amplitude),
+                "base_phase_rad": float(result.base_phase)}
+               | _mc_numbers(result.monte_carlo, 0))
 
 
-def _run_decay_compare(ctx: _Context) -> ScenarioResult:
-    cfg = ctx.config
-    signals, fits, numbers = _compare(ctx, cfg.sequence, cfg.noise_sources(), cfg.spin_params())
-    t2_p, t2_u, improvement = numbers.values()
-    ctx.write_signal("unprotected", signals["unprotected"])
-    ctx.write_signal("protected", signals["protected"])
-    ctx.write_fits(fits, numbers)
-    return ctx.result(f"{cfg.name}: unprotected T2* = {_fmt_time(t2_u)}, "
-                      f"protected T2* = {_fmt_time(t2_p)}, "
-                      f"improvement {improvement:.1f}x", numbers, signals=signals, fits=fits)
-
-
-def _run_pulse_sweep(ctx: _Context) -> ScenarioResult:
-    cfg = ctx.config
-    signal, peak = _sweep(ctx, cfg.noise_sources(), cfg.spin_params())
-    total_time = cfg.sequence["total_time"]
-    numbers = {
-        "total_time_s": float(total_time),
-        "argmax_flip_fraction": float(signal.x[peak]),
-        "peak_amplitude": float(signal.y[peak]),
-    }
+def _sweep(ctx: _Context) -> float:
+    """The sweep step: amplitude versus flip fraction at the block's total
+    time; returns the flip fraction of its peak."""
+    block = ctx.config.sequence
+    total_time = block["total_time"]
+    keys = KINDS["unbalanced_echo"].read(block) | {"total_time": total_time}
+    [signal] = scans([("unbalanced_echo", keys, "flip_fraction",
+                       realize_grid(block["flip_fractions"]))], ctx.sources, **ctx.keywords)
+    peak = int(np.argmax(signal.y))
+    fraction, amplitude = float(signal.x[peak]), float(signal.y[peak])
+    sampling = _mc_numbers(signal.monte_carlo, peak)
     ctx.write_signal("sweep", signal)
-    ctx.write_json("result", numbers)
-    return ctx.result(f"{cfg.name}: sweep at t = {_fmt_time(total_time)} peaks at "
-                      f"tau/t = {signal.x[peak]:.4f} (amplitude {signal.y[peak]:.4f})",
-                      numbers, signals={"sweep": signal})
+    ctx.report(f"sweep at t = {_fmt_time(total_time)} peaks at tau/t = {fraction:.4f} "
+               f"(amplitude {amplitude:.4f})"
+               + (f", truncated mass {sampling['truncated_mass']:.4f}" if sampling else ""),
+               {"total_time_s": float(total_time), "argmax_flip_fraction": fraction,
+                "peak_amplitude": amplitude} | sampling)
+    return fraction
 
 
-def _run_rate_table(ctx: _Context) -> ScenarioResult:
-    cfg = ctx.config
-    block = cfg.sequence
+def _compare(ctx: _Context, protected: dict) -> None:
+    """The compare step: the protected scan of ``protected`` and the
+    unprotected one of ``sequence.compare``, each of the kind the config
+    builds the block as and both evaluated as one family, their exponential
+    fits, and the fitted coherence times and their ratio, the improvement."""
+    specs = []
+    compare = ctx.config.sequence["compare"]
+    for path, block in (("sequence", protected), ("sequence.compare", compare)):
+        kind = block_kind(ctx.config.pipeline, path, block)
+        specs.append((kind, KINDS[kind].read(block), "total_time", realize_grid(block["times"])))
+    signals = dict(zip(("protected", "unprotected"), scans(specs, ctx.sources, **ctx.keywords)))
+    fits = {}
+    for label, signal in signals.items():
+        ctx.write_signal(label, signal)
+        fits[label] = fit_exponential(signal.x, signal.y)
+    t2_p, t2_u = (fits[label]["coherence_time"] for label in ("protected", "unprotected"))
+    ctx.report(f"unprotected T2* = {_fmt_time(t2_u)}, protected T2* = {_fmt_time(t2_p)}, "
+               f"improvement {t2_p / t2_u:.1f}x",
+               {"protected_T2_s": t2_p, "unprotected_T2_s": t2_u, "improvement": t2_p / t2_u},
+               fits)
+
+
+def _rate_table(ctx: _Context) -> None:
+    """Decay-rate tables over flip fraction, one family per nuclear branch,
+    and the vee or line fit of each branch."""
+    block = ctx.config.sequence
     pairs = block["pairs"] if "pairs" in block else (block["pair"],)
     fractions = realize_grid(block["flip_fractions"])
     times = realize_grid(block["times"])
     echo = KINDS["unbalanced_echo"]
     keys = echo.keys | echo.read(block)
-    sources = cfg.noise_sources()
-    params = cfg.spin_params()
 
-    table = RateTable(metadata={"scenario": cfg.name})
+    table = RateTable(metadata={"scenario": ctx.config.name})
     for pair in pairs:
         # one family per branch: the decay scan of every flip fraction
         signals = scans([("unbalanced_echo", keys | {"pair": pair, "flip_fraction": float(f)},
-                           "total_time", times) for f in fractions],
-                        sources, params=params, **cfg.backend_kwargs())
+                          "total_time", times) for f in fractions], ctx.sources, **ctx.keywords)
         for fraction, scan in zip(fractions, signals):
             fit = fit_exponential(scan.x, scan.y)
             t2 = fit["coherence_time"]
@@ -218,6 +222,7 @@ def _run_rate_table(ctx: _Context) -> ScenarioResult:
             rate_error = np.sqrt(t2_var) / t2**2 if np.isfinite(t2_var) else None
             table.add(pair, (keys["ms_free"], keys["ms_flipped"]), float(fraction), 1.0 / t2,
                       rate_error)
+    ctx.write_table("rates", table)
 
     fits = {",".join(map(format_projection, p)): fit_vee(table.filter(pair=p)) for p in pairs}
     methods = [fit.settings["method"] for fit in fits.values()]
@@ -238,45 +243,20 @@ def _run_rate_table(ctx: _Context) -> ScenarioResult:
             summary_bits.append(
                 f"line x-intercept {fit['x_intercept']:.4f} (pair {label})"
             )
-
-    path = ctx.out_dir / f"{cfg.name}-rates.csv"
-    table.write_csv(path, deterministic=ctx.deterministic)
-    ctx.artifacts.append(path)
-    ctx.write_fits(fits, numbers)
-    return ctx.result(f"{cfg.name}: " + ", ".join(summary_bits), numbers, fits=fits)
+    ctx.report(", ".join(summary_bits), numbers, fits)
 
 
-def _run_protection_study(ctx: _Context) -> ScenarioResult:
-    cfg = ctx.config
-    sources, params = cfg.noise_sources(), cfg.spin_params()
-    sweep, peak = _sweep(ctx, sources, params)
-    best_fraction = float(sweep.x[peak])
-    protected = cfg.sequence | {"kind": "unbalanced_echo", "flip_fraction": best_fraction}
-    signals, fits, compared = _compare(ctx, protected, sources, params)
-    t2_p, t2_u, improvement = compared.values()
-    numbers = {
-        "total_time_s": float(cfg.sequence["total_time"]),
-        "argmax_flip_fraction": best_fraction,
-        "peak_amplitude": float(sweep.y[peak]),
-    } | compared
-    numbers.update(_mc_numbers(sweep.monte_carlo, peak))
-    ctx.write_signal("sweep", sweep)
-    ctx.write_signal("protected", signals["protected"])
-    ctx.write_signal("unprotected", signals["unprotected"])
-    ctx.write_fits(fits, numbers)
-    truncated = numbers.get("truncated_mass")
-    trunc_note = "" if truncated is None else f", truncated mass {truncated:.4f}"
-    return ctx.result(f"{cfg.name}: optimum tau/t = {best_fraction:.4f}, "
-                      f"protected T2* = {_fmt_time(t2_p)}, "
-                      f"unprotected T2* = {_fmt_time(t2_u)}, "
-                      f"improvement {improvement:.0f}x{trunc_note}",
-                      numbers, signals={"sweep": sweep} | signals, fits=fits)
+def _protection_study(ctx: _Context) -> None:
+    """The sweep step, then the compare step with the protected echo at the
+    sweep's peak."""
+    fraction = _sweep(ctx)
+    _compare(ctx, ctx.config.sequence | {"kind": "unbalanced_echo", "flip_fraction": fraction})
 
 
 PIPELINES = {
-    "simulate": _run_simulate,
-    "decay_compare": _run_decay_compare,
-    "pulse_sweep": _run_pulse_sweep,
-    "rate_table_vee": _run_rate_table,
-    "protection_study": _run_protection_study,
+    "simulate": _simulate,
+    "decay_compare": lambda ctx: _compare(ctx, ctx.config.sequence),
+    "pulse_sweep": _sweep,
+    "rate_table_vee": _rate_table,
+    "protection_study": _protection_study,
 }

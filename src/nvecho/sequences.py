@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 
@@ -123,6 +125,10 @@ def phase_sweep(sequence: PulseSequence, sources, readout_phases,
         raise ValueError("need at least one readout phase")
     if not np.all(np.isfinite(phases)):
         raise ValueError("readout phases must be finite")
+    for name, value in (("contrast", contrast), ("maximum", maximum)):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                           and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
     res = simulate_amplitude(sequence, sources, **kwargs)
     y = maximum - 0.5 * contrast + 0.5 * contrast * np.real(
         np.exp(1j * phases) * res.mean_signal

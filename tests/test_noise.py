@@ -35,6 +35,7 @@ from nvecho.noise import (
 )
 from nvecho.pulses import KINDS, build_sequence
 from nvecho.response import default_linear_response, default_quasiharmonic_set
+from nvecho.sequences import simulate_amplitude
 from nvecho.spin_model import (
     PhaseCoefficients,
     Segment,
@@ -495,6 +496,29 @@ def test_monte_carlo_rejects_bad_arguments():
         monte_carlo_attenuation((src,), [c], n_samples=0, seed=SEED)
     with pytest.raises(ValueError, match="at least one noise source"):
         monte_carlo_attenuation((), [c], n_samples=100, seed=SEED)
+
+
+@pytest.mark.parametrize("keyword, bad, message", [
+    ("n_samples", True, "n_samples must be an integer"),  # ran 1 draw: amplitude 1.0
+    ("n_samples", 2.5, "n_samples must be an integer"),   # a TypeError from range
+    ("n_samples", -4, "n_samples must be positive"),
+    ("seed", 1.5, "seed must be an integer"),             # a TypeError from SeedSequence
+    ("seed", True, "seed must be an integer"),            # ran as seed 1
+    ("seed", -1, "seed must be non-negative"),            # numpy's message, no name
+])
+def test_monte_carlo_names_a_bad_sample_count_or_seed(keyword, bad, message):
+    hot = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
+    arguments = {"n_samples": 1000, "seed": SEED} | {keyword: bad}
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_attenuation((hot,), [echo_coefficients()], **arguments)
+    # the scan layer reaches it with the same keywords
+    with pytest.raises(ValueError, match=message):
+        simulate_amplitude(build_sequence("ramsey", 1e-5), (hot,), **arguments)
+    # numpy integers are integers
+    numpy_ints = monte_carlo_attenuation((hot,), [echo_coefficients()],
+                                         n_samples=np.int64(1000), seed=np.uint32(SEED))
+    plain = monte_carlo_attenuation((hot,), [echo_coefficients()], n_samples=1000, seed=SEED)
+    assert numpy_ints.attenuation.tobytes() == plain.attenuation.tobytes()
 
 
 def test_claims_give_each_member_once_across_threads():

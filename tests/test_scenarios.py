@@ -237,6 +237,39 @@ def test_sweep_point_matches_single_simulation(tmp_path):
     assert sweep.y[1] == single.numbers["amplitude"]
     assert sweep.monte_carlo.std_error[1] == single.numbers["std_error"]
     assert sweep.monte_carlo.n_retained == single.numbers["n_retained"]
+    # the sweep reports the sampling of its peak, here the simulated point
+    assert family.numbers["argmax_flip_fraction"] == 0.17
+    for key in SAMPLING:
+        assert family.numbers[key] == single.numbers[key], key
+
+
+SAMPLING = ("n_samples", "n_retained", "truncated_mass", "std_error")
+
+
+def test_protection_study_is_the_sweep_then_the_compare_step(tmp_path):
+    blocks = PROTECTION | {"backend": {"samples": 8192, "seed": 3}}
+    block = blocks["sequence"]
+    study = run_scenario(_config("protection_study", **blocks), out_dir=tmp_path / "study",
+                         deterministic=True)
+    sweep_block = {key: block[key] for key in
+                   ("pair", "ms_free", "ms_flipped", "total_time", "flip_fractions")}
+    sweep = run_scenario(_config("pulse_sweep", **blocks | {"sequence": sweep_block}),
+                         out_dir=tmp_path / "sweep", deterministic=True)
+    compare_block = {key: block[key] for key in ("pair", "ms_free", "ms_flipped", "times",
+                                                 "compare")}
+    compare_block |= {"kind": "unbalanced_echo",
+                      "flip_fraction": sweep.numbers["argmax_flip_fraction"]}
+    compare = run_scenario(_config("decay_compare", **blocks | {"sequence": compare_block}),
+                           out_dir=tmp_path / "compare", deterministic=True)
+
+    fragments = [run.summary.removeprefix("t: ") for run in (sweep, compare)]
+    assert study.summary == "t: " + ", ".join(fragments)
+    assert "truncated mass" in fragments[0]
+    assert study.numbers == sweep.numbers | compare.numbers
+    # a Monte Carlo sweep writes the sampling of its peak, as the study does
+    written = json.loads((tmp_path / "sweep" / "t-result.json").read_text())
+    for key in SAMPLING:
+        assert sweep.numbers[key] == written[key] == study.numbers[key], key
 
 
 def test_pipeline_and_block_errors(tmp_path):

@@ -255,6 +255,12 @@ def test_scans_reject_empty_and_non_finite_inputs():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             phase_sweep(seq, (src,), [0.0, bad, math.pi])
+    # a NaN contrast gave a NaN signal, an infinite maximum an infinite one,
+    # and a bool was read as 1
+    for name in ("contrast", "maximum"):
+        for bad in (math.nan, math.inf, -math.inf, True):
+            with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+                phase_sweep(seq, (src,), [0.0, math.pi], **{name: bad})
 
 
 def test_scans_name_a_missing_or_doubled_key():
