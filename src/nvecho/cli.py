@@ -93,8 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output data file (default: %(default)s)")
     p.add_argument("--quadrupole-slope", metavar="QTY",
                    help="quadrupole slope at 300 K, e.g. '39 Hz/K'")
-    p.add_argument("--zfs-slope", metavar="QTY",
-                   help="zero-field-splitting slope at 300 K, e.g. '-77.7 kHz/K'")
     p.add_argument("--deterministic", action="store_true",
                    help="omit the calibration date so output bytes are stable")
     p.set_defaults(func=_cmd_calibrate)
@@ -194,22 +192,13 @@ def _cmd_fit(args) -> int:
 
 # --------------------------------------------------------- calibrate-response
 
-def _slope_option(text: str | None) -> float | None:
-    if text is None:
-        return None
-    return angular(parse_quantity(text, "frequency_per_K"))
-
-
 def _cmd_calibrate(args) -> int:
     from .response import calibrate_response_set, save_response_set
 
     kwargs = {}
-    slope_q = _slope_option(args.quadrupole_slope)
-    if slope_q is not None:
-        kwargs["slope_quadrupole"] = slope_q
-    slope_d = _slope_option(args.zfs_slope)
-    if slope_d is not None:
-        kwargs["slope_zfs"] = slope_d
+    if args.quadrupole_slope is not None:
+        kwargs["slope_quadrupole"] = angular(parse_quantity(args.quadrupole_slope,
+                                                            "frequency_per_K"))
     calibrated = calibrate_response_set(**kwargs)
     save_response_set(calibrated, args.out, deterministic=args.deterministic)
     print(

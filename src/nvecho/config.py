@@ -22,10 +22,11 @@ than one error at a time.  That includes the sequence keys the pipeline
 needs, well-formed grids (times positive and strictly increasing, flip
 fractions in [0, 1]) and, at ``spin`` or ``sources[i]``, a model that
 refuses values which each parsed.  ``dump_config`` prints the canonical
-form; parse -> print -> parse is a fixed point.  A parsed config keeps the models it built
-(``ScenarioConfig.built``); one built or changed in code is parsed from its
-canonical mapping (``config_document``) before use, so a key or kind no
-table knows is printed as it is and reported at its dotted path.
+form; parse -> print -> parse is a fixed point.  ``build`` parses a
+config's canonical mapping (``config_document``) and returns the models it
+builds, so a config parsed, built or changed in code is checked the same
+way, and a key or kind no table knows is printed as it is and reported at
+its dotted path.
 
 Reference scenario configs ship as package data (``SCENARIO_DIR``);
 ``load_packaged_scenario`` finds them by name (fig1c, fig1d, fig2, fig4, s5
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -58,6 +59,7 @@ from .response import (
     DEFAULT_DATA_FILE,
     LinearResponse,
     PRESSURE_PER_STRAIN_GPA,
+    QuasiharmonicSet,
     dump_yaml,
     load_response_set,
     load_yaml,
@@ -591,40 +593,15 @@ class ScenarioConfig:
     backend: dict = field(default_factory=lambda: dict(_BACKEND_DEFAULTS))
     output: dict = field(default_factory=lambda: dict(_OUTPUT_DEFAULTS))
     base_dir: Path | None = field(default=None, compare=False)
-    # what parse_config built: "spin", "response", "sources", and the
-    # "document" and "base_dir" it built them from
-    built: dict | None = field(default=None, compare=False, repr=False)
 
-    def parsed(self, **backend) -> ScenarioConfig:
-        """This config as ``parse_config`` reads it, with each backend key in
-        ``backend`` that is not None set: parsed anew unless it still prints
-        to the document, in the directory, that its models were built from."""
-        document = config_document(self)
-        # repr, not ==: a parse tells True, 1, 1.0 and np.int64(1) apart
-        kept = (self.built is not None and self.built["base_dir"] == self.base_dir
-                and repr(document) == repr(self.built["document"]))
-        config = self if kept else parse_config(document, self.base_dir)
-        col = _Collector()
-        given = {key: value for key, value in backend.items() if value is not None}
-        config = replace(config, backend=_DOCUMENT_KEYS["backend"].read(
-            config.backend | given, "backend", col))
-        if col.problems:
-            raise ConfigError(col.problems)
-        return replace(config, built=config.built | {"document": config_document(config)})
 
-    def spin_params(self) -> SpinSystemParams:
-        return self.parsed().built["spin"]
+class Models(NamedTuple):
+    """What a config builds: its spin parameters, its response model and its
+    noise sources."""
 
-    def response_model(self):
-        return self.parsed().built["response"]
-
-    def noise_sources(self) -> tuple:
-        return self.parsed().built["sources"]
-
-    def backend_kwargs(self) -> dict:
-        """Monte Carlo keywords of ``simulate_family``; the sources decide
-        whether they are used."""
-        return {"n_samples": self.backend["samples"], "seed": self.backend["seed"]}
+    spin: SpinSystemParams
+    response: LinearResponse | QuasiharmonicSet
+    sources: tuple
 
 
 def _build(col, build, path, *inputs):
@@ -638,8 +615,9 @@ def _build(col, build, path, *inputs):
     return None
 
 
-def parse_config(data, base_dir=None) -> ScenarioConfig:
-    """Parse and validate YAML text or an already-loaded mapping."""
+def _parse(data, base_dir) -> tuple[ScenarioConfig, Models]:
+    """YAML text or an already-loaded mapping, validated, and the models it
+    builds."""
     if isinstance(data, (str, bytes)):
         try:
             raw = load_yaml(data)
@@ -676,9 +654,19 @@ def parse_config(data, base_dir=None) -> ScenarioConfig:
         raise ConfigError(col.problems)
     del doc["schema"]
     config = ScenarioConfig(**doc, base_dir=None if base_dir is None else Path(base_dir))
-    return replace(config, built={"spin": spin, "response": response, "sources": tuple(sources),
-                                  "document": config_document(config),
-                                  "base_dir": config.base_dir})
+    return config, Models(spin, response, tuple(sources))
+
+
+def parse_config(data, base_dir=None) -> ScenarioConfig:
+    """Parse and validate YAML text or an already-loaded mapping."""
+    return _parse(data, base_dir)[0]
+
+
+def build(config: ScenarioConfig) -> tuple[ScenarioConfig, Models]:
+    """``config`` as ``parse_config`` reads its canonical mapping, and the
+    models it builds; a config built or changed in code is checked like a
+    file, so a key or kind no table knows is reported at its dotted path."""
+    return _parse(config_document(config), config.base_dir)
 
 
 def load_config(path) -> ScenarioConfig:

@@ -63,10 +63,12 @@ DEFAULT_RATIO_CURVE = (
 )
 
 # The shipped set's anchor temperature (K), where the slope targets hold, the
-# base values of its quadrupole, hyperfine and zfs curves (rad/s), and the
-# relative miss of any ratio target that fails a calibration.
+# base values of its quadrupole, hyperfine and zfs curves (rad/s), the zfs
+# slope at the anchor (rad/s per K), and the relative miss of any ratio
+# target that fails a calibration.
 CALIBRATION_T0_K = 300.0
 CALIBRATION_BASE_VALUES = (angular(-4.945e6), angular(-2.16e6), angular(2.87e9))
+CALIBRATION_ZFS_SLOPE = angular(-77.7e3)
 RATIO_TOLERANCE = 0.02
 
 DEFAULT_DATA_FILE = Path(__file__).parent / "data" / "quasiharmonic_default.yaml"
@@ -357,12 +359,9 @@ def fit_mode_temperature(reference: QuasiharmonicResponse, slope_at_T0: float,
     return float(np.exp(log_theta))
 
 
-def calibrate_response_set(
-    slope_quadrupole: float = angular(39.0),
-    slope_zfs: float = angular(-77.7e3),
-) -> QuasiharmonicSet:
-    """Calibrate the full quadrupole/hyperfine/zfs set from the slopes at
-    ``CALIBRATION_T0_K``.
+def calibrate_response_set(slope_quadrupole: float = angular(39.0)) -> QuasiharmonicSet:
+    """Calibrate the full quadrupole/hyperfine/zfs set from the quadrupole
+    slope at ``CALIBRATION_T0_K``.
 
     The quadrupole and zfs curves sit on the reference mode; the hyperfine
     curve's mode temperature is fitted so the pair's slope ratio follows
@@ -377,7 +376,7 @@ def calibrate_response_set(
     quadrupole = einstein_curve(REFERENCE_MODE_K, slope_quadrupole, base_q)
     slope_a = slope_quadrupole * dict(DEFAULT_RATIO_CURVE)[CALIBRATION_T0_K]
     hyperfine = einstein_curve(fit_mode_temperature(quadrupole, slope_a), slope_a, base_a)
-    zfs = einstein_curve(REFERENCE_MODE_K, slope_zfs, base_zfs)
+    zfs = einstein_curve(REFERENCE_MODE_K, CALIBRATION_ZFS_SLOPE, base_zfs)
     return QuasiharmonicSet(quadrupole=quadrupole, hyperfine=hyperfine, zfs=zfs)
 
 

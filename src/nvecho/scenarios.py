@@ -28,12 +28,12 @@ this run layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, block_kind, realize_grid
+from .config import ScenarioConfig, block_kind, build, realize_grid
 from .estimator import RateTable, fit_exponential, fit_vee
 from .pulses import KINDS, build_sequence
 from .script import format_projection, parse_sequence_script
@@ -96,17 +96,23 @@ def run_scenario(config: ScenarioConfig, out_dir=None, deterministic: bool = Fal
                  samples: int | None = None, seed: int | None = None) -> ScenarioResult:
     """Execute a config's pipeline, writing artifacts and returning fits.
 
-    ``samples`` and ``seed`` override the config's backend block.  The run
-    uses the models ``parse_config`` built; a config built or changed in
-    code is parsed first, so one its pipeline cannot run raises
-    ``ConfigError`` before any compute.
+    ``samples`` and ``seed`` override the config's backend block.  The config
+    and the overrides are parsed once (``config.build``), whether the config
+    was parsed, built or changed in code, so one its pipeline cannot run
+    raises ``ConfigError`` before any compute.
     """
-    config = config.parsed(samples=samples, seed=seed)
+    given = {key: value for key, value in (("samples", samples), ("seed", seed))
+             if value is not None}
+    backend = config.backend or {}  # an empty block is an absent one
+    if isinstance(backend, dict):  # the parse reports any other block
+        backend = backend | given
+    config, models = build(replace(config, backend=backend))
     out = Path(out_dir) if out_dir is not None else Path(config.output["directory"])
     out.mkdir(parents=True, exist_ok=True)
     ctx = _Context(config=config, out_dir=out, deterministic=deterministic,
-                   sources=config.built["sources"],
-                   keywords={"params": config.built["spin"]} | config.backend_kwargs())
+                   sources=models.sources,
+                   keywords={"params": models.spin, "n_samples": config.backend["samples"],
+                             "seed": config.backend["seed"]})
     PIPELINES[config.pipeline](ctx)
     if ctx.fits:
         ctx.write_json("fits", {label: fit.as_dict() for label, fit in ctx.fits.items()}

@@ -417,6 +417,12 @@ def test_fit_vee_pair_filter_selects_branch(tmp_path, capsys):
     assert main(["fit", str(csv), "--pair", "0,-1", "--deterministic"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["parameters"]["ratio"] == pytest.approx(0.181, rel=1e-6)
+    for pair, problem in (("0", "expected two comma-separated projections"),
+                          ("a,b", "projections must be integers")):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", str(csv), "--pair", pair])
+        assert exc.value.code == 2
+        assert problem in capsys.readouterr().err
 
 
 def test_fit_vee_mixed_table_without_filter_fails(tmp_path, capsys):
@@ -430,7 +436,8 @@ def test_fit_refuses_flags_its_model_does_not_read(tmp_path, capsys):
     for args, problem in (([rates, "--skip", "7"], "--skip applies to an exponential fit"),
                           ([decay, "--pair", "0,-1"], "--pair and --ms-pairing apply to a vee"),
                           ([decay, "--ms-pairing", "0,1"], "--pair and --ms-pairing"),
-                          ([rates, "--kind", "exponential", "--pair", "0,-1"], "--pair")):
+                          ([rates, "--kind", "exponential", "--pair", "0,-1"], "--pair"),
+                          ([rates, "--pair", "1,0"], "no rows left after filtering")):
         out = tmp_path / "fit.json"
         assert main(["fit", str(args[0]), *args[1:], "--out", str(out)]) == 2
         assert problem in capsys.readouterr().err

@@ -17,6 +17,7 @@ from nvecho.config import (
     PIPELINE_NEEDS,
     ConfigError,
     ScenarioConfig,
+    build,
     dump_config,
     load_config,
     load_packaged_scenario,
@@ -84,25 +85,23 @@ def test_minimal_config_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.name == "smoke"
     assert cfg.pipeline == "simulate"
-    assert cfg.spin_params() == default_params()
-    assert cfg.response_model() == LinearResponse()
-    assert cfg.noise_sources() == ()
-    assert cfg.backend_kwargs() == {"n_samples": 1 << 20, "seed": 12345}
+    built, models = build(cfg)
+    assert built == cfg
+    assert models == (default_params(), LinearResponse(), ())
+    assert cfg.backend == {"samples": 1 << 20, "seed": 12345}
     assert realize_grid(cfg.sequence.get("times")) is None
 
 
 def test_full_config_builds_models():
     cfg = parse_config(FULL)
-    params = cfg.spin_params()
+    _, (params, resp, sources) = build(cfg)
     assert params.quadrupole == angular(-4.945e6)
     assert params.hyperfine == angular(-2.16e6)
     assert params.field_gauss == 239.0
 
-    resp = cfg.response_model()
     assert resp.quadrupole_per_K == angular(36.924)
     assert resp.hyperfine_per_K == angular(204.0)
 
-    sources = cfg.noise_sources()
     assert len(sources) == 2
     assert sources[0].slopes == (resp.quadrupole_per_K, resp.hyperfine_per_K, 0.0)
     assert sources[0].distribution.kind == "lorentzian"
@@ -132,6 +131,11 @@ def test_bare_numbers_rejected():
     cfg["spin"] = {"quadrupole": -4.945e6}
     with pytest.raises(ConfigError, match="spin.quadrupole"):
         parse_config(cfg)
+    # nor does a quantity parse in a dimension it does not know, or a malformed number
+    with pytest.raises(QuantityError, match="unknown dimension 'speed'"):
+        parse_quantity("1 m/s", "speed")
+    with pytest.raises(QuantityError, match="bad number '1.2.3'"):
+        parse_quantity("1.2.3 Hz", "frequency")
 
 
 def dict_minimal():
@@ -199,12 +203,12 @@ def test_quasiharmonic_data_file(tmp_path):
     cfg = dict_minimal()
     cfg["response"] = {"model": "quasiharmonic", "data_file": "set.yaml"}
     parsed = parse_config(cfg, base_dir=tmp_path)
-    model = parsed.response_model()
+    model = build(parsed)[1].response
     assert isinstance(model, QuasiharmonicSet)
     assert model.quadrupole.reference_T == 300.0
     # a config moved to another directory reads its data file from there
     with pytest.raises(ConfigError, match="response.data_file: .*set.yaml"):
-        dataclasses.replace(parsed, base_dir=tmp_path / "elsewhere").response_model()
+        build(dataclasses.replace(parsed, base_dir=tmp_path / "elsewhere"))
 
     missing = dict_minimal()
     missing["response"] = {"model": "quasiharmonic", "data_file": "nope.yaml"}
@@ -216,7 +220,7 @@ def test_package_data_file_resolves_without_base_dir():
     cfg = dict_minimal()
     cfg["response"] = {"model": "quasiharmonic", "data_file": "quasiharmonic_default.yaml"}
     parsed = parse_config(cfg)
-    assert isinstance(parsed.response_model(), QuasiharmonicSet)
+    assert isinstance(build(parsed)[1].response, QuasiharmonicSet)
 
 
 def test_env_var_data_dir(tmp_path, monkeypatch):
@@ -225,7 +229,7 @@ def test_env_var_data_dir(tmp_path, monkeypatch):
     assert resolve_data_file("alt.yaml") == tmp_path / "alt.yaml"
     cfg = dict_minimal()
     cfg["response"] = {"model": "quasiharmonic", "data_file": "alt.yaml"}
-    assert isinstance(parse_config(cfg).response_model(), QuasiharmonicSet)
+    assert isinstance(build(parse_config(cfg))[1].response, QuasiharmonicSet)
 
 
 def test_grid_validation():
@@ -288,9 +292,7 @@ def test_source_validation():
 
     cfg["sources"] = [{"kind": "strain", "distribution": "gaussian",
                        "location": 0.0, "scale": 1e-5}]
-    parsed = parse_config(cfg)
-    resp = parsed.response_model()
-    sources = parsed.noise_sources()
+    _, (_, resp, sources) = build(parse_config(cfg))
     assert sources[0].slopes == (resp.quadrupole_per_strain, resp.hyperfine_per_strain, 0.0)
     assert sources[0].distribution.scale == 1e-5
 
@@ -300,7 +302,7 @@ def test_quasiharmonic_temperature_source_is_nonlinear():
     cfg["response"] = {"model": "quasiharmonic", "data_file": "quasiharmonic_default.yaml"}
     cfg["sources"] = [{"kind": "temperature", "distribution": "lorentzian",
                        "location": "300 K", "scale": "25 K"}]
-    src = parse_config(cfg).noise_sources()[0]
+    src = build(parse_config(cfg))[1].sources[0]
     assert isinstance(src, NoiseSource)
     assert not src.is_linear
     assert src.distribution.location == 300.0
@@ -309,7 +311,7 @@ def test_quasiharmonic_temperature_source_is_nonlinear():
 def test_backend_and_output_validation():
     cfg = dict_minimal()
     cfg["backend"] = {"samples": 4096}
-    assert parse_config(cfg).backend_kwargs() == {"n_samples": 4096, "seed": 12345}
+    assert parse_config(cfg).backend == {"samples": 4096, "seed": 12345}
 
     # the sources choose closed form or Monte Carlo; there is no method key
     cfg["backend"] = {"method": "closed_form"}
@@ -711,17 +713,17 @@ def test_packaged_configs_parse_and_print_unchanged(name):
     assert hashlib.sha256(text.encode()).hexdigest() == PACKAGED_DUMPS[name]
 
 
-# Loads configs in a fresh interpreter and prints which of the run layer's
-# modules (and numpy.ma) that imported.
+# Loads and builds configs in a fresh interpreter and prints which of the run
+# layer's modules (and numpy.ma) that imported.
 CONFIG_IMPORTS = """\
 import sys
 
-from nvecho.config import load_packaged_scenario, parse_config
+from nvecho.config import build, load_packaged_scenario, parse_config
 
 for name in sys.argv[2:]:
-    load_packaged_scenario(name)
+    build(load_packaged_scenario(name))
 if sys.argv[1]:
-    parse_config(sys.argv[1])
+    build(parse_config(sys.argv[1]))
 layers = ("nvecho.scenarios", "nvecho.estimator", "nvecho.sequences", "nvecho.script",
           "numpy.ma")
 print("loaded:", [name for name in layers if name in sys.modules])

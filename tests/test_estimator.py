@@ -206,6 +206,13 @@ def test_rate_table_validation_and_csv(tmp_path):
     assert again.rows[0].rate_error == 12.0
     assert again.rows[1].rate_error is None
     assert again.metadata["sigma_T_K"] == 5.0
+    # the schema line alone does not make a rate table: its header must too
+    lines = path.read_text().splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[header] = lines[header].replace("rate_per_s", "rate")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="not a rate-table file"):
+        RateTable.read_csv(path)
 
 
 def _vee_table(x, rates, pair=(0, -1), pairing=(0, 1)):
@@ -427,6 +434,8 @@ def test_estimate_sigma_zero_coefficient_rejected():
     ({"baseline": [[0.1], [0.2], [0.3]]}, "baseline needs one value or one per rate"),
     # used to say that every noise source needs a nonzero coefficient
     ({"rates": [], "coefficients": []}, "rates are empty"),
+    ({"coefficients": [[1.0], [2.0]]}, "one row per rate"),
+    ({"source_names": ("temperature", "strain")}, "one name per source"),
 ])
 def test_estimate_sigma_names_bad_inputs(kwargs, name):
     good = {"rates": [1.0, 2.0, 3.0], "coefficients": [1.0, 2.0, 3.0], "baseline": 0.0}

@@ -18,6 +18,7 @@ import pytest
 from scipy.integrate import quad
 
 from nvecho import noise
+from nvecho.config import build
 from nvecho.estimator import fit_exponential
 from nvecho.noise import (
     CHUNK,
@@ -459,8 +460,8 @@ def quadrature_attenuation(source, coefficients, tol=1e-4, panels=4000, nodes=20
 @pytest.mark.parametrize("name", ["fig4", "s5"])
 def test_monte_carlo_matches_quadrature_over_scenario_grids(name, protection_runs):
     config, result, _ = protection_runs[name]
-    (src,) = config.noise_sources()
-    params, block = config.spin_params(), config.sequence
+    _, (params, _, (src,)) = build(config)
+    block = config.sequence
     compare, best = block["compare"], result.numbers["argmax_flip_fraction"]
     echo, ramsey = KINDS["unbalanced_echo"].read(block), KINDS[compare["kind"]].read(compare)
     families = {

@@ -206,15 +206,16 @@ def test_default_set_hyperfine_slope_from_ratio():
 
 
 def test_calibration_file_records_the_targets_it_used(tmp_path):
-    # the slopes are the only targets a caller sets; the anchor temperature
-    # and the ratio curve are the module's constants, which the file names
-    set_ = calibrate_response_set(slope_quadrupole=TWO_PI * 41.0, slope_zfs=-TWO_PI * 70e3)
+    # the quadrupole slope is the only target a caller sets; the anchor
+    # temperature, the zfs slope and the ratio curve are the module's
+    # constants, which the file names
+    set_ = calibrate_response_set(slope_quadrupole=TWO_PI * 41.0)
     save_response_set(set_, tmp_path / "set.yaml", deterministic=True)
     doc = yaml.safe_load((tmp_path / "set.yaml").read_text())
     targets = doc["calibration"]["targets"]
     assert CALIBRATION_T0_K == 300.0
     assert math.isclose(targets["slope_quadrupole_at_300K_Hz_per_K"], 41.0, rel_tol=1e-9)
-    assert math.isclose(targets["slope_zfs_at_300K_Hz_per_K"], -70e3, rel_tol=1e-9)
+    assert math.isclose(targets["slope_zfs_at_300K_Hz_per_K"], -77.7e3, rel_tol=1e-9)
     assert targets["ratio_hyperfine_to_quadrupole"] == [list(p) for p in DEFAULT_RATIO_CURVE]
     assert all(model["reference_T_K"] == CALIBRATION_T0_K for model in doc["models"].values())
     with pytest.raises(TypeError):

@@ -13,6 +13,7 @@ from nvecho.config import (
     ConfigError,
     ScenarioConfig,
     ScenarioError,
+    build,
     config_document,
     dump_config,
     load_packaged_scenario,
@@ -295,35 +296,38 @@ def test_pipeline_and_block_errors(tmp_path):
         with pytest.raises(ConfigError) as parsed:
             parse_config(dump_config(built))
         assert parsed.value.problems == excinfo.value.problems
+    # the overrides leave a backend block that is no mapping to the parse
+    built = ScenarioConfig(name="t", pipeline="simulate",
+                           sequence={"kind": "ramsey", "total_time": 1e-3}, backend=[4096])
+    for overrides in ({}, {"samples": 4096}):
+        with pytest.raises(ConfigError, match="backend: must be a mapping"):
+            run_scenario(built, out_dir=tmp_path / "out", **overrides)
     assert not (tmp_path / "out").exists()
 
 
 def test_a_run_loads_its_response_file_once(tmp_path, monkeypatch):
-    # the parse used to load it to check it, the run to parse the config
-    # again, and each noise_sources() call to build it anew
+    # a run parses its config, overrides merged, once: one model build
     document = config_document(load_packaged_scenario("fig4"))
     document["backend"] = document.get("backend", {}) | {"samples": 4096}
+    cfg = parse_config(document)
     loads = []
     real = config.load_response_set
     monkeypatch.setattr(config, "load_response_set",
                         lambda *args: loads.append(args) or real(*args))
     for overrides in ({}, {"samples": 2048, "seed": 7}):
         loads.clear()
-        cfg = parse_config(document)
         result = run_scenario(cfg, out_dir=tmp_path / str(len(overrides)), deterministic=True,
                               **overrides)
         assert len(loads) == 1
         assert result.numbers["n_samples"] == overrides.get("samples", 4096)
-        assert cfg.noise_sources() is cfg.noise_sources()
-        assert cfg.response_model() is cfg.response_model()
 
 
 def test_models_follow_a_config_changed_after_parsing(tmp_path):
     cfg = load_packaged_scenario("fig1d")
-    source = cfg.noise_sources()[0]
+    source = build(cfg)[1].sources[0]
     cfg.sources[0]["scale"] *= 2
-    assert cfg.noise_sources()[0].distribution.scale == 2 * source.distribution.scale
-    assert dataclasses.replace(cfg, sources=()).noise_sources() == ()
+    assert build(cfg)[1].sources[0].distribution.scale == 2 * source.distribution.scale
+    assert build(dataclasses.replace(cfg, sources=()))[1].sources == ()
     # a block changed in place is checked again before any compute
     cfg.sequence["total_time"] = -1.0
     with pytest.raises(ConfigError, match="sequence.total_time"):
@@ -377,11 +381,13 @@ def test_compare_step_is_one_family_equal_to_two_scans(tmp_path, monkeypatch, na
     signals = run_scenario(cfg, out_dir=tmp_path, deterministic=True).signals
     blocks = {"protected": cfg.sequence, "unprotected": cfg.sequence["compare"]}
     assert families == [sum(realize_grid(block["times"]).size for block in blocks.values())]
+    models = build(cfg)[1]
     for label, block in blocks.items():
         kind = block["kind"]
         [alone] = scans([(kind, KINDS[kind].read(block), "total_time",
-                          realize_grid(block["times"]))], cfg.noise_sources(),
-                        params=cfg.spin_params(), **cfg.backend_kwargs())
+                          realize_grid(block["times"]))], models.sources,
+                        params=models.spin, n_samples=cfg.backend["samples"],
+                        seed=cfg.backend["seed"])
         fused = signals[label]
         assert fused.x.tobytes() == alone.x.tobytes()
         assert fused.y.tobytes() == alone.y.tobytes()
@@ -406,9 +412,10 @@ def test_rate_table_is_one_family_per_pair(tmp_path, monkeypatch):
     # each row of the table is bit-identical to its own decay scan
     table = RateTable.read_csv(tmp_path / "fig2-rates.csv")
     times = realize_grid(cfg.sequence["times"])
+    models = build(cfg)[1]
     for row in table.rows[::10]:
         [scan] = scans([("unbalanced_echo", {"flip_fraction": row.tau_over_t, "pair": row.pair},
-                         "total_time", times)], cfg.noise_sources(), params=cfg.spin_params())
+                         "total_time", times)], models.sources, params=models.spin)
         assert row.rate == 1.0 / fit_exponential(scan.x, scan.y)["coherence_time"]
     assert "vee ratio" in result.summary
 

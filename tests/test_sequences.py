@@ -15,6 +15,7 @@ from nvecho.noise import (
 )
 from nvecho.pulses import (
     KINDS,
+    PulseSequence,
     build_dq_ramsey,
     build_nuclear_echo,
     build_ramsey,
@@ -82,6 +83,12 @@ def test_builder_validation():
         build_ramsey(1e-4, pair=(-1, +1))  # double-quantum pair on the SQ builder
     with pytest.raises(ValueError):
         build_dq_ramsey(-1e-4)
+    with pytest.raises(ValueError, match="cannot build sequence kind 'hahn_echo'"):
+        build_sequence("hahn_echo", 1e-3)
+    with pytest.raises(ValueError, match="kind ramsey does not read flip_fraction"):
+        build_sequence("ramsey", 1e-3, flip_fraction=0.2)
+    with pytest.raises(ValueError, match="at least one segment"):
+        PulseSequence((0, -1), ())
 
 
 def test_ramsey_amplitude_closed_form():
@@ -448,6 +455,10 @@ def test_metadata_values_read_back_as_written(tmp_path):
     assert metadata == {key: value for key, value in values.items() if key != "missing"} | {
         "pair": [0, -1]}
     assert type(metadata["numpy"]) is float and type(metadata["count"]) is int
+    # a file of metadata lines alone holds no table
+    path.write_text("# test/1\n# pair: [0, -1]\n")
+    with pytest.raises(ValueError, match="table.csv: no header line"):
+        read_metadata_csv(path)
 
 
 def test_non_finite_durations_rejected():
