@@ -3,9 +3,11 @@
 Subcommands:
 
 * ``simulate CONFIG``  - run a scenario config, whatever its pipeline.
-* ``fit CSV``          - fit a signal or rate-table CSV and emit FitResult JSON.
-* ``calibrate-response`` - calibrate the quasiharmonic response set and write
-  its data file.
+* ``fit CSV``          - fit a signal or rate-table CSV and emit FitResult JSON;
+  the file alone decides the model (``_fit_kind``), and ``--pair`` keeps one
+  transition pair of a rate table.
+* ``calibrate-response`` - rebuild the shipped quasiharmonic response set
+  from ``response``'s calibration constants and write its data file.
 * ``reproduce NAME``   - run a packaged reference scenario by name.
 * ``parse-seq FILE``   - parse a pulse-sequence script and print its canonical
   form (``-`` reads stdin).
@@ -16,9 +18,12 @@ config's noise sources decide how the ensemble average is taken: the exact
 closed form when all of them are linear, Monte Carlo (``--samples``,
 ``--seed``) otherwise.  All artifact writers accept ``--deterministic`` to
 suppress timestamp lines so identical inputs give byte-identical outputs.
-Each subcommand imports only what it runs.  OpenBLAS starts with one thread
-unless its thread count is set (``main``): a thread pool costs more to start
-than a one-shot command's small fits gain from it.
+Every flag has a caller: the benchmark (``perfbench``) and CI set ``--out``,
+``--deterministic`` and ``--pair``, and ``--samples`` and ``--seed``
+override the package data ``reproduce`` runs.  Each subcommand imports only
+what it runs.  OpenBLAS starts with one thread unless its thread count is
+set (``main``): a thread pool costs more to start than a one-shot command's
+small fits gain from it.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ import re
 import sys
 from pathlib import Path
 
-from .catalog import DEFAULT_SKIP, SCENARIO_ALIASES, SCENARIO_NAMES
-from .units import angular, cycles, parse_quantity
+from .catalog import SCENARIO_ALIASES, SCENARIO_NAMES
+from .units import cycles
 
 _FIT_KINDS_BY_LABEL = {"total_time_s": "exponential", "readout_phase_rad": "cosine"}
 
@@ -73,14 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a CSV and emit FitResult JSON")
     p.add_argument("input", help="signal or rate-table CSV")
-    p.add_argument("--kind", choices=("auto", "exponential", "cosine", "vee"),
-                   default="auto", help="fit model (default: infer from the file)")
-    p.add_argument("--skip", type=int, metavar="N",
-                   help=f"initial points to skip in the exponential fit (default {DEFAULT_SKIP})")
     p.add_argument("--pair", type=_pair_argument, metavar="A,B",
                    help="restrict a rate table to one transition pair, e.g. '0,-1'")
-    p.add_argument("--ms-pairing", type=_pair_argument, metavar="A,B",
-                   help="restrict a rate table to one electron pairing, e.g. '0,+1'")
     p.add_argument("--out", metavar="FILE",
                    help="write the fit JSON here instead of stdout")
     p.add_argument("--deterministic", action="store_true",
@@ -88,11 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("calibrate-response",
-                       help="calibrate the quasiharmonic response set")
+                       help="rebuild the shipped quasiharmonic response set")
     p.add_argument("--out", metavar="FILE", default="quasiharmonic_calibrated.yaml",
                    help="output data file (default: %(default)s)")
-    p.add_argument("--quadrupole-slope", metavar="QTY",
-                   help="quadrupole slope at 300 K, e.g. '39 Hz/K'")
     p.add_argument("--deterministic", action="store_true",
                    help="omit the calibration date so output bytes are stable")
     p.set_defaults(func=_cmd_calibrate)
@@ -137,17 +134,17 @@ def _cmd_reproduce(args) -> int:
 
 # --------------------------------------------------------------------- fit
 
-def _detect_fit_kind(path: Path, schema, header) -> str:
+def _fit_kind(path: Path, schema, header) -> str:
+    """The model a file is fitted with: vee for a rate table, else the one
+    its signal's x column names."""
     from .estimator import RATES_SCHEMA
 
     if schema == RATES_SCHEMA:
         return "vee"
     kind = _FIT_KINDS_BY_LABEL.get(header[0])
     if kind is None:
-        raise ValueError(
-            f"{path}: cannot infer a fit model from x column {header[0]!r}; "
-            "pass --kind explicitly"
-        )
+        raise ValueError(f"{path}: no fit model for x column {header[0]!r}; expected one of "
+                         f"{sorted(_FIT_KINDS_BY_LABEL)} or a {RATES_SCHEMA} rate table")
     return kind
 
 
@@ -156,28 +153,23 @@ def _cmd_fit(args) -> int:
     from .sequences import SIGNAL_COLUMNS, json_text, read_metadata_csv, signal_from_csv
 
     path = Path(args.input)
-    # one parse serves the detection and the fit, whichever table the file holds
+    # one parse serves the choice of model and the fit, whichever table the file holds
     parsed = read_metadata_csv(path, SIGNAL_COLUMNS | RATE_COLUMNS)
     schema, _, header, _ = parsed
-    kind = args.kind if args.kind != "auto" else _detect_fit_kind(path, schema, header)
-    if args.skip is not None and kind != "exponential":
-        raise ValueError(f"--skip applies to an exponential fit, not a {kind} fit")
-    if (args.pair is not None or args.ms_pairing is not None) and kind != "vee":
-        raise ValueError(f"--pair and --ms-pairing apply to a vee fit, not a {kind} fit")
+    kind = _fit_kind(path, schema, header)
+    if args.pair is not None and kind != "vee":
+        raise ValueError(f"--pair applies to a vee fit, not a {kind} fit")
     if kind == "vee":
         table = RateTable.from_csv(path, *parsed)
-        if args.pair is not None or args.ms_pairing is not None:
-            table = table.filter(pair=args.pair, ms_pairing=args.ms_pairing)
+        if args.pair is not None:
+            table = table.filter(pair=args.pair)
         if not table.rows:
             raise ValueError(f"{path}: no rows left after filtering")
         result = fit_vee(table)
     else:
         signal = signal_from_csv(path, *parsed)
-        if kind == "exponential":
-            skip = DEFAULT_SKIP if args.skip is None else args.skip
-            result = fit_exponential(signal.x, signal.y, skip_initial=skip)
-        else:
-            result = fit_cosine(signal.x, signal.y)
+        fit = fit_exponential if kind == "exponential" else fit_cosine
+        result = fit(signal.x, signal.y)
 
     text = json_text({"schema": "nvecho-fit/1", "kind": kind, "source": path.name}
                      | result.as_dict(), args.deterministic)
@@ -195,11 +187,7 @@ def _cmd_fit(args) -> int:
 def _cmd_calibrate(args) -> int:
     from .response import calibrate_response_set, save_response_set
 
-    kwargs = {}
-    if args.quadrupole_slope is not None:
-        kwargs["slope_quadrupole"] = angular(parse_quantity(args.quadrupole_slope,
-                                                            "frequency_per_K"))
-    calibrated = calibrate_response_set(**kwargs)
+    calibrated = calibrate_response_set()
     save_response_set(calibrated, args.out, deterministic=args.deterministic)
     print(
         f"calibrated response set -> {args.out}: slopes at 300 K are "

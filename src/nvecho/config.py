@@ -16,17 +16,17 @@ pipeline and the kind that read them (``PIPELINE_NEEDS``,
 ``pulses.KINDS``).  One reader (``_normalize_mapping``) reads every
 section and one printer (``_dump_mapping``) prints it in table order.
 
-Parsing validates the whole document and raises one ConfigError listing every
-problem with its dotted path, so a config is fixed in one edit cycle rather
-than one error at a time.  That includes the sequence keys the pipeline
-needs, well-formed grids (times positive and strictly increasing, flip
-fractions in [0, 1]) and, at ``spin`` or ``sources[i]``, a model that
-refuses values which each parsed.  ``dump_config`` prints the canonical
-form; parse -> print -> parse is a fixed point.  ``build`` parses a
-config's canonical mapping (``config_document``) and returns the models it
-builds, so a config parsed, built or changed in code is checked the same
-way, and a key or kind no table knows is printed as it is and reported at
-its dotted path.
+Parsing validates the whole document and raises one ConfigError listing
+every problem with its dotted path, so a config is fixed in one edit cycle
+rather than one error at a time.  That includes the sequence keys the
+pipeline needs, well-formed grids (times positive, strictly increasing and,
+where the pipeline fits them, long enough to fit; flip fractions in [0, 1])
+and, at ``spin`` or ``sources[i]``, a model that refuses values which each
+parsed.  ``dump_config`` prints the canonical form; parse -> print -> parse
+is a fixed point.  ``build`` parses a config's canonical mapping
+(``config_document``) and returns the models it builds, so a config parsed,
+built or changed in code is checked the same way, and a key or kind no table
+knows is printed as it is and reported at its dotted path.
 
 Reference scenario configs ship as package data (``SCENARIO_DIR``);
 ``load_packaged_scenario`` finds them by name (fig1c, fig1d, fig2, fig4, s5
@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .catalog import SCENARIO_ALIASES, SCENARIO_NAMES
+from .catalog import DEFAULT_SKIP, MIN_FIT_POINTS, SCENARIO_ALIASES, SCENARIO_NAMES
 from .noise import (DEFAULT_SAMPLES, DEFAULT_SEED, DISTRIBUTION_KINDS, Distribution,
                     field_source, residual_field_source, strain_source, temperature_source)
 from .pulses import KINDS
@@ -81,10 +81,12 @@ class Needs(NamedTuple):
 
 
 # What each pipeline reads from its sequence block; ``compare.times`` asks for
-# the block too.  A block also holds the keys of the kind it is built as
-# (``pulses.KINDS``), and nothing else; a script block holds only its
-# script.  A block no template names holds unbalanced echoes, and where the
-# pipeline sweeps ``flip_fractions`` it sets their flip fraction.
+# the block too.  A pipeline fits an exponential to the decay over each
+# ``times`` grid it reads, so the grid needs ``_FITTED_TIMES`` points.  A
+# block also holds the keys of the kind it is built as (``pulses.KINDS``),
+# and nothing else; a script block holds only its script.  A block no
+# template names holds unbalanced echoes, and where the pipeline sweeps
+# ``flip_fractions`` it sets their flip fraction.
 PIPELINE_NEEDS = {
     "simulate": Needs(("kind|script", "total_time|script"), {"sequence": None}),
     "decay_compare": Needs(("times", "compare.times"),
@@ -94,6 +96,7 @@ PIPELINE_NEEDS = {
     "protection_study": Needs(("total_time", "flip_fractions", "times", "compare.times"),
                               {"sequence.compare": "ramsey"}),
 }
+_FITTED_TIMES = DEFAULT_SKIP + MIN_FIT_POINTS
 
 
 def block_kind(pipeline: str, path: str, block: dict):
@@ -522,9 +525,10 @@ def _lookup(root, dotted):
 def _check_needs(pipeline, raw, sequence, col) -> None:
     """Report an unknown pipeline; each sequence key it needs that the raw
     ``sequence`` block lacks, or gives with its alternative; and per block,
-    a block it does not read, another kind in a block of swept echoes, each
-    key that neither the pipeline nor the block's kind reads (a script's
-    reads none), a key the kind needs, and the key that breaks its rule."""
+    a block it does not read, a ``times`` grid too short to fit, another kind
+    in a block of swept echoes, each key that neither the pipeline nor the
+    block's kind reads (a script's reads none), a key the kind needs, and
+    the key that breaks its rule."""
     needs = PIPELINE_NEEDS.get(pipeline)
     if needs is None:
         col.add("pipeline", f"unknown pipeline {pipeline!r}; "
@@ -548,6 +552,10 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
         if path not in needs.templates and not read:
             col.add(path, f"pipeline {pipeline!r} does not read this block")
             continue
+        times = realize_grid(norm.get("times")) if "times" in read else None
+        if times is not None and times.size < _FITTED_TIMES:
+            col.add(f"{path}.times", f"needs >= {_FITTED_TIMES} points: pipeline {pipeline!r} "
+                                     f"fits a decay to them after skipping {DEFAULT_SKIP}")
         if "kind" in block and "kind" not in norm:
             continue  # a malformed kind is reported already
         if "script" in block and "script" in read:

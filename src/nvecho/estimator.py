@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .catalog import DEFAULT_SKIP
+from .catalog import DEFAULT_SKIP, MIN_FIT_POINTS
 from .noise import delta, field_source, lorentzian, temperature_source
 from .sequences import read_metadata_csv, write_metadata_csv
 from .solvers import FitError, levenberg_marquardt, nnls
@@ -133,9 +133,9 @@ def fit_exponential(times, amplitudes, skip_initial: int = DEFAULT_SKIP) -> FitR
 
     The skip discards early-time points where the ensemble
     signal is not yet a single exponential.  Needs increasing times, an
-    integer skip, five points after it and strictly decaying data.  Least
-    squares from the log-linear estimate, run to convergence; raises
-    FitError when the minimum runs off (T2 -> 0 or infinity) instead.
+    integer skip, ``MIN_FIT_POINTS`` points after it and strictly decaying
+    data.  Least squares from the log-linear estimate, run to convergence;
+    raises FitError when the minimum runs off (T2 -> 0 or infinity) instead.
     """
     times, amplitudes = _finite("times", times), _finite("amplitudes", amplitudes)
     if isinstance(skip_initial, bool) or not isinstance(skip_initial, (int, np.integer)):
@@ -146,10 +146,9 @@ def fit_exponential(times, amplitudes, skip_initial: int = DEFAULT_SKIP) -> FitR
         raise ValueError("times must strictly increase")
     t = times[skip_initial:]
     y = amplitudes[skip_initial:]
-    if t.size < 5:
-        raise ValueError(
-            f"exponential fit needs >= 5 points after skipping {skip_initial}, got {t.size}"
-        )
+    if t.size < MIN_FIT_POINTS:
+        raise ValueError(f"exponential fit needs >= {MIN_FIT_POINTS} points after skipping "
+                         f"{skip_initial}, got {t.size}")
     positive = y > 0
     if positive.sum() < 3:
         raise FitError("too few positive amplitudes to fit a decay")
@@ -212,13 +211,10 @@ class RateTable:
                                  float(tau_over_t), float(rate),
                                  None if rate_error is None else float(rate_error)))
 
-    def filter(self, pair=None, ms_pairing=None) -> "RateTable":
-        rows = [
-            r for r in self.rows
-            if (pair is None or r.pair == tuple(pair))
-            and (ms_pairing is None or r.ms_pairing == tuple(ms_pairing))
-        ]
-        return RateTable(rows=rows, metadata=dict(self.metadata))
+    def filter(self, pair) -> "RateTable":
+        """The rows of one transition pair."""
+        return RateTable(rows=[r for r in self.rows if r.pair == tuple(pair)],
+                         metadata=dict(self.metadata))
 
     @property
     def tau_over_t(self) -> np.ndarray:
@@ -355,6 +351,8 @@ def fit_vee(table: RateTable) -> FitResult:
     x, y = x[order], y[order]
 
     if _vee_dispatch(table) == "line":
+        if x[0] == x[-1]:
+            raise ValueError("line fit needs at least 2 distinct flip fractions")
         design = np.column_stack([x, np.ones_like(x)])
         (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
         if slope == 0:

@@ -63,11 +63,12 @@ DEFAULT_RATIO_CURVE = (
 )
 
 # The shipped set's anchor temperature (K), where the slope targets hold, the
-# base values of its quadrupole, hyperfine and zfs curves (rad/s), the zfs
-# slope at the anchor (rad/s per K), and the relative miss of any ratio
-# target that fails a calibration.
+# base values of its quadrupole, hyperfine and zfs curves (rad/s), the
+# quadrupole and zfs slopes at the anchor (rad/s per K), and the relative
+# miss of any ratio target that fails a calibration.
 CALIBRATION_T0_K = 300.0
 CALIBRATION_BASE_VALUES = (angular(-4.945e6), angular(-2.16e6), angular(2.87e9))
+CALIBRATION_QUADRUPOLE_SLOPE = angular(39.0)
 CALIBRATION_ZFS_SLOPE = angular(-77.7e3)
 RATIO_TOLERANCE = 0.02
 
@@ -359,22 +360,19 @@ def fit_mode_temperature(reference: QuasiharmonicResponse, slope_at_T0: float,
     return float(np.exp(log_theta))
 
 
-def calibrate_response_set(slope_quadrupole: float = angular(39.0)) -> QuasiharmonicSet:
-    """Calibrate the full quadrupole/hyperfine/zfs set from the quadrupole
-    slope at ``CALIBRATION_T0_K``.
+def calibrate_response_set() -> QuasiharmonicSet:
+    """Calibrate the shipped quadrupole/hyperfine/zfs set from the module's
+    constants.
 
-    The quadrupole and zfs curves sit on the reference mode; the hyperfine
+    The quadrupole and zfs curves sit on the reference mode with their
+    slopes at ``CALIBRATION_T0_K``; the hyperfine slope there is the
+    quadrupole slope times the ratio-curve value at T0, and the hyperfine
     curve's mode temperature is fitted so the pair's slope ratio follows
-    ``DEFAULT_RATIO_CURVE``.  The hyperfine slope at T0 is the quadrupole
-    slope times the ratio-curve value at T0, so the quadrupole slope must
-    not be zero.
+    ``DEFAULT_RATIO_CURVE``.
     """
-    if slope_quadrupole == 0.0:
-        raise ValueError("quadrupole slope must be nonzero: the calibration fits "
-                         "the hyperfine/quadrupole slope ratio")
     base_q, base_a, base_zfs = CALIBRATION_BASE_VALUES
-    quadrupole = einstein_curve(REFERENCE_MODE_K, slope_quadrupole, base_q)
-    slope_a = slope_quadrupole * dict(DEFAULT_RATIO_CURVE)[CALIBRATION_T0_K]
+    quadrupole = einstein_curve(REFERENCE_MODE_K, CALIBRATION_QUADRUPOLE_SLOPE, base_q)
+    slope_a = CALIBRATION_QUADRUPOLE_SLOPE * dict(DEFAULT_RATIO_CURVE)[CALIBRATION_T0_K]
     hyperfine = einstein_curve(fit_mode_temperature(quadrupole, slope_a), slope_a, base_a)
     zfs = einstein_curve(REFERENCE_MODE_K, CALIBRATION_ZFS_SLOPE, base_zfs)
     return QuasiharmonicSet(quadrupole=quadrupole, hyperfine=hyperfine, zfs=zfs)

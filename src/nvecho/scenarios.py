@@ -98,8 +98,8 @@ def run_scenario(config: ScenarioConfig, out_dir=None, deterministic: bool = Fal
 
     ``samples`` and ``seed`` override the config's backend block.  The config
     and the overrides are parsed once (``config.build``), whether the config
-    was parsed, built or changed in code, so one its pipeline cannot run
-    raises ``ConfigError`` before any compute.
+    was parsed, built or changed in code, so a config whose pipeline cannot
+    run raises ``ConfigError`` before any compute.
     """
     given = {key: value for key, value in (("samples", samples), ("seed", seed))
              if value is not None}

@@ -349,14 +349,6 @@ def test_fit_json_to_stdout_when_no_out(tmp_path, capsys):
     assert doc["kind"] == "exponential"
 
 
-def test_fit_skip_option_is_recorded(tmp_path, capsys):
-    csv = _decay_csv(tmp_path)
-    assert main(["fit", str(csv), "--skip", "5", "--deterministic"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["settings"]["skip_initial"] == 5
-    assert doc["points_used"] == 7
-
-
 def test_fit_autodetects_cosine(tmp_path, capsys):
     seq = build_unbalanced_echo(1.4e-3, 0.18 * 1.4e-3)
     source = temperature_source(lorentzian(0.0, 5.0))
@@ -417,6 +409,10 @@ def test_fit_vee_pair_filter_selects_branch(tmp_path, capsys):
     assert main(["fit", str(csv), "--pair", "0,-1", "--deterministic"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["parameters"]["ratio"] == pytest.approx(0.181, rel=1e-6)
+    # the branch geometry of the filtered table decides vee or line
+    assert doc["settings"]["method"] == "vee"
+    assert main(["fit", str(csv), "--pair", "0,1", "--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["settings"]["method"] == "line"
     for pair, problem in (("0", "expected two comma-separated projections"),
                           ("a,b", "projections must be integers")):
         with pytest.raises(SystemExit) as exc:
@@ -433,10 +429,7 @@ def test_fit_vee_mixed_table_without_filter_fails(tmp_path, capsys):
 
 def test_fit_refuses_flags_its_model_does_not_read(tmp_path, capsys):
     decay, rates = _decay_csv(tmp_path), _rate_csv(tmp_path)
-    for args, problem in (([rates, "--skip", "7"], "--skip applies to an exponential fit"),
-                          ([decay, "--pair", "0,-1"], "--pair and --ms-pairing apply to a vee"),
-                          ([decay, "--ms-pairing", "0,1"], "--pair and --ms-pairing"),
-                          ([rates, "--kind", "exponential", "--pair", "0,-1"], "--pair"),
+    for args, problem in (([decay, "--pair", "0,-1"], "--pair applies to a vee fit"),
                           ([rates, "--pair", "1,0"], "no rows left after filtering")):
         out = tmp_path / "fit.json"
         assert main(["fit", str(args[0]), *args[1:], "--out", str(out)]) == 2
@@ -444,14 +437,28 @@ def test_fit_refuses_flags_its_model_does_not_read(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_fit_method_flag_is_gone(tmp_path, capsys):
-    # the branch geometry of the filtered table decides vee or line
-    csv = _rate_csv(tmp_path, both_branches=True)
+# flags that nothing set: the file decides the fit model and its skip, the
+# table's branch geometry vee or line, and the module's constants the calibration
+GONE_FLAGS = {
+    "--method": ["fit", "{rates}", "--method", "vee"],
+    "--robust": ["fit", "{rates}", "--robust"],
+    "--kind": ["fit", "{rates}", "--kind", "vee"],
+    "--skip": ["fit", "{decay}", "--skip", "5"],
+    "--ms-pairing": ["fit", "{rates}", "--ms-pairing", "0,1"],
+    "calibrate-response --quadrupole-slope": ["calibrate-response", "--out", "{cal}",
+                                              "--quadrupole-slope", "39 Hz/K"],
+}
+
+
+@pytest.mark.parametrize("argv", GONE_FLAGS.values(), ids=GONE_FLAGS.keys())
+def test_fit_method_flag_is_gone(tmp_path, capsys, argv):
+    files = {"rates": _rate_csv(tmp_path), "decay": _decay_csv(tmp_path),
+             "cal": tmp_path / "cal.yaml"}
     with pytest.raises(SystemExit) as exc:
-        main(["fit", str(csv), "--method", "vee"])
+        main([arg.format(**files) for arg in argv])
     assert exc.value.code == 2
-    assert main(["fit", str(csv), "--pair", "0,1", "--deterministic"]) == 0
-    assert json.loads(capsys.readouterr().out)["settings"]["method"] == "line"
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not files["cal"].exists()
 
 
 def test_fit_robust_flag_is_gone(tmp_path, capsys):
@@ -485,8 +492,7 @@ def test_fit_rejects_undetectable_csv(tmp_path, capsys):
                        np.linspace(0, 0.5, 6))], [source])
     path = tmp_path / "sweep.csv"
     write_signal_csv(signal, path, deterministic=True)
-    assert main(["fit", str(path)]) == 2
-    assert "--kind" in capsys.readouterr().err
+    _assert_usage_error(capsys, ["fit", str(path)], "no fit model for x column 'flip_fraction'")
 
 
 def test_fit_failure_exits_one(tmp_path, capsys):
@@ -617,6 +623,22 @@ def test_negative_absolute_temperature_exits_2_before_compute(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("name", ["fig1c", "fig4"])
+def test_short_fitted_grids_exit_2_before_compute(tmp_path, capsys, name):
+    # 6 times leave the fit 3 after its skip of 3: fig1c used to write its
+    # protected scan and then exit 2 from the fit, fig4 to run both Monte
+    # Carlo families first
+    doc = yaml.safe_load(packaged_scenario_path(name).read_text())
+    doc["sequence"]["times"]["count"] = doc["sequence"]["compare"]["times"]["count"] = 6
+    cfg = _write(tmp_path, "short.yaml", yaml.safe_dump(doc))
+    out_dir = tmp_path / "artifacts"
+    assert main(["simulate", str(cfg), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    for path in ("sequence.times", "sequence.compare.times"):
+        assert f"{path}: needs >= 8 points" in err
+    assert not out_dir.exists()
+
+
 def test_fit_metadata_that_is_not_yaml_exits_2(tmp_path, capsys):
     path = _decay_csv(tmp_path)
     lines = path.read_text().splitlines()
@@ -676,16 +698,6 @@ def test_rate_table_fit_leaves_numpy_ma_unloaded(tmp_path, capsys):
     assert proc.stdout.splitlines()[-1] == "numpy.ma loaded: False"
 
 
-@pytest.mark.parametrize("table, kind, problem", [
-    ("signal", "vee", "not a rate-table file"),
-    ("rates", "exponential", "not a signal file"),
-    ("rates", "cosine", "not a signal file"),
-])
-def test_fit_refuses_a_file_of_the_other_schema(tmp_path, capsys, table, kind, problem):
-    path = _decay_csv(tmp_path) if table == "signal" else _rate_csv(tmp_path)
-    _assert_usage_error(capsys, ["fit", str(path), "--kind", kind], problem)
-
-
 # -------------------------------------------------------- calibrate-response
 
 def test_calibrate_response_writes_loadable_set(tmp_path, capsys):
@@ -714,22 +726,6 @@ def test_packaged_response_set_is_the_default_calibration(tmp_path):
     dated = [line for line in lines if line.startswith("  date: ")]
     assert len(dated) == 1
     assert out.read_text() == "".join(line for line in lines if line not in dated)
-
-
-def test_calibrate_response_zero_quadrupole_slope_exits_2(tmp_path, capsys):
-    out = tmp_path / "cal.yaml"
-    _assert_usage_error(capsys, ["calibrate-response", "--out", str(out),
-                                 "--quadrupole-slope", "0Hz/K"], "quadrupole slope")
-    assert not out.exists()
-
-
-def test_calibrate_response_custom_slope(tmp_path, capsys):
-    out = tmp_path / "cal.yaml"
-    rc = main(["calibrate-response", "--out", str(out), "--deterministic",
-               "--quadrupole-slope", "36.924 Hz/K"])
-    assert rc == 0
-    loaded = load_response_set(out)
-    assert loaded.quadrupole.slope_at(300.0) == pytest.approx(TWO_PI * 36.924, rel=1e-9)
 
 
 # ----------------------------------------------------------------- reproduce

@@ -251,11 +251,29 @@ def test_grid_validation():
         parse_config(cfg)
 
     cfg["pipeline"] = "rate_table_vee"
-    cfg["sequence"] = {"pair": [0, -1], "times": ["1 ms", "2 ms"],
-                       "flip_fractions": [0.0, 0.25, 0.5]}
+    times = [f"{k} ms" for k in range(1, 9)]
+    cfg["sequence"] = {"pair": [0, -1], "times": times, "flip_fractions": [0.0, 0.25, 0.5]}
     parsed = parse_config(cfg)
-    assert realize_grid(parsed.sequence["times"]).tolist() == [1e-3, 2e-3]
+    assert realize_grid(parsed.sequence["times"]).tolist() == [k * 1e-3 for k in range(1, 9)]
     assert realize_grid(parsed.sequence["flip_fractions"]).tolist() == [0.0, 0.25, 0.5]
+
+    # each times grid a pipeline fits must hold the fit's skip and its five
+    # points; a shorter one used to fail in the fit, after the other grids ran
+    cfg["sequence"]["times"] = times[:7]
+    with pytest.raises(ConfigError, match=r"sequence.times: needs >= 8 points: pipeline "
+                                          r"'rate_table_vee' fits a decay to them after "
+                                          r"skipping 3"):
+        parse_config(cfg)
+    short = {"start": "1 ms", "stop": "6 ms", "count": 6}
+    for pipeline, sequence in (("decay_compare", COMPLETE["decay_compare"]),
+                               ("protection_study", COMPLETE["protection_study"])):
+        assert _problem_paths(_pipeline_doc(pipeline, sequence | {"times": short})) \
+            == ["sequence.times"]
+        assert _problem_paths(_pipeline_doc(pipeline, sequence | {"compare": {"times": short}})) \
+            == ["sequence.compare.times"]
+        assert _problem_paths(_pipeline_doc(pipeline, sequence | {
+            "times": short, "compare": {"times": times[:7]}})) \
+            == ["sequence.times", "sequence.compare.times"]
 
     cfg["sequence"] = {"phases": [0.0, 1.0]}
     with pytest.raises(ConfigError, match="sequence.phases: unknown key"):
@@ -373,16 +391,19 @@ sources:
 
 # ---------------------------------------------------------- pipeline needs
 
+# the shortest grids an exponential fit takes: DEFAULT_SKIP + MIN_FIT_POINTS points
+FIT_TIMES = {"start": "1 ms", "stop": "8 ms", "count": 8}
+FIT_COMPARE_TIMES = {"start": "10 us", "stop": "80 us", "count": 8}
+
 # a complete sequence block per pipeline; the tests below take keys out
 COMPLETE = {
     "simulate": {"kind": "unbalanced_echo", "flip_fraction": 0.18, "total_time": "1 ms"},
-    "decay_compare": {"flip_fraction": 0.18, "times": ["1 ms", "2 ms"],
-                      "compare": {"times": ["10 us", "20 us"]}},
+    "decay_compare": {"flip_fraction": 0.18, "times": FIT_TIMES,
+                      "compare": {"times": FIT_COMPARE_TIMES}},
     "pulse_sweep": {"total_time": "1 ms", "flip_fractions": [0.1, 0.2]},
-    "rate_table_vee": {"pair": [0, -1], "flip_fractions": [0.1, 0.2],
-                       "times": ["1 ms", "2 ms"]},
+    "rate_table_vee": {"pair": [0, -1], "flip_fractions": [0.1, 0.2], "times": FIT_TIMES},
     "protection_study": {"total_time": "1 ms", "flip_fractions": [0.1, 0.2],
-                         "times": ["1 ms", "2 ms"], "compare": {"times": ["10 us", "20 us"]}},
+                         "times": FIT_TIMES, "compare": {"times": FIT_COMPARE_TIMES}},
 }
 
 # every key of the table, plus the flip fraction of unbalanced-echo templates
@@ -671,7 +692,7 @@ def test_source_keys_and_kinds_no_table_knows_are_rejected(tmp_path, part, built
 def test_integer_keys_take_any_integer(tmp_path):
     # numpy integers used to be refused here while backend.samples took them
     plain = {"pairs": [[0, -1], [0, 1]], "ms_free": 0, "ms_flipped": 1,
-             "flip_fractions": {"start": 0.1, "stop": 0.2, "count": 5}, "times": ["1 ms", "2 ms"]}
+             "flip_fractions": {"start": 0.1, "stop": 0.2, "count": 5}, "times": FIT_TIMES}
     numpy = plain | {"pairs": [[np.int64(0), np.int64(-1)], [np.int32(0), 1]],
                      "ms_free": np.int64(0), "ms_flipped": np.int8(1),
                      "flip_fractions": plain["flip_fractions"] | {"count": np.int64(5)}}

@@ -291,6 +291,11 @@ def test_fit_vee_line_branch_reports_baseline_bias():
     assert res["ratio"] == pytest.approx(0.25, rel=1e-9)
     assert res["x_intercept"] == pytest.approx(-0.25, rel=1e-9)
     assert any("baseline" in w for w in res.warnings)
+    # one flip fraction leaves the line's two unknowns one equation: it used
+    # to return lstsq's minimum-norm answer, a ratio of 1 / (tau/t)
+    for x in ([0.2], [0.2, 0.2, 0.2]):
+        with pytest.raises(ValueError, match="line fit needs at least 2 distinct flip fractions"):
+            fit_vee(_vee_table(x, [1000.0 * (0.2 + 0.2) + 50.0] * len(x), pair=(0, +1)))
 
 
 def test_fit_vee_dispatch_follows_flip_sign():

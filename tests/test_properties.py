@@ -20,6 +20,7 @@ from dataclasses import fields
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from nvecho.catalog import DEFAULT_SKIP, MIN_FIT_POINTS
 from nvecho.config import PIPELINE_NEEDS, ScenarioConfig, dump_config, parse_config
 from nvecho.noise import CHUNK, field_source, lorentzian, temperature_source
 from nvecho.response import default_quasiharmonic_set
@@ -33,6 +34,7 @@ MC_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examp
 PAIRS = [(0, -1), (0, 1), (-1, 1), (1, 0)]
 SQ_PAIRS = [(0, -1), (0, 1)]
 PROJECTIONS = [-1, 0, 1]
+FIT_POINTS = DEFAULT_SKIP + MIN_FIT_POINTS
 
 
 def _finite(low, high):
@@ -63,16 +65,18 @@ def _grid(values, positive_values):
 
 
 def _increasing_times():
-    """Time grids as the pipelines need them: positive and strictly increasing."""
-    listed = st.lists(_finite(1e-7, 1e-1), min_size=1, max_size=4, unique=True).map(
+    """Time grids as the pipelines need them: positive, strictly increasing and
+    long enough to fit."""
+    listed = st.lists(_finite(1e-7, 1e-1), min_size=FIT_POINTS, max_size=FIT_POINTS + 2,
+                      unique=True).map(
         lambda values: [f"{v!r} s" for v in sorted(values)])
     ends = st.tuples(_finite(1e-7, 1e-1), _finite(1e-7, 1e-1)).map(sorted).filter(
         lambda e: e[1] - e[0] > 1e-7).map(
         lambda e: {"start": f"{e[0]!r} s", "stop": f"{e[1]!r} s"})
     linear = st.tuples(ends, st.fixed_dictionaries(
-        {"count": st.integers(1, 50)}, optional={"spacing": st.just("linear")}))
+        {"count": st.integers(FIT_POINTS, 50)}, optional={"spacing": st.just("linear")}))
     log = st.tuples(ends, st.fixed_dictionaries(
-        {"count": st.integers(1, 50), "spacing": st.just("log")}))
+        {"count": st.integers(FIT_POINTS, 50), "spacing": st.just("log")}))
     return st.one_of(listed, st.one_of(linear, log).map(lambda parts: parts[0] | parts[1]))
 
 
@@ -134,7 +138,10 @@ _documents = st.fixed_dictionaries(
         }),
         "output": st.fixed_dictionaries({}, optional={"directory": _names}),
     },
-)
+).filter(lambda doc: doc.get("response", {}).get("model") != "quasiharmonic" or not any(
+    # the quasiharmonic set reads a temperature location as absolute
+    src["kind"] == "temperature" and src.get("location", "0").startswith("-")
+    for src in doc.get("sources", ())))
 
 # what each sequence key holds
 _VALUES = {

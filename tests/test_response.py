@@ -10,7 +10,9 @@ import yaml
 from scipy.optimize import least_squares
 
 from nvecho.response import (
+    CALIBRATION_QUADRUPOLE_SLOPE,
     CALIBRATION_T0_K,
+    CALIBRATION_ZFS_SLOPE,
     DEFAULT_RATIO_CURVE,
     CalibrationError,
     InteractionShift,
@@ -192,34 +194,40 @@ def test_calibrate_zero_slope_flat_curve():
 
 
 def test_calibrate_slope_round_trip():
-    # the calibrator must hit an arbitrary slope target to 1%
-    model = einstein_curve(REFERENCE_MODE_K, TWO_PI * 204.0, 0.0)
+    # an Einstein curve hits an arbitrary slope target, and the calibrated
+    # set its slope constants, to 1%
+    set_ = calibrate_response_set()
     h = 0.05
-    fd = (model.shift_at(300.0 + h) - model.shift_at(300.0 - h)) / (2 * h)
-    assert abs(fd - TWO_PI * 204.0) <= 0.01 * TWO_PI * 204.0
+    for model, target in ((einstein_curve(REFERENCE_MODE_K, TWO_PI * 204.0, 0.0), TWO_PI * 204.0),
+                          (set_.quadrupole, CALIBRATION_QUADRUPOLE_SLOPE),
+                          (set_.zfs, CALIBRATION_ZFS_SLOPE)):
+        fd = (model.shift_at(300.0 + h) - model.shift_at(300.0 - h)) / (2 * h)
+        assert abs(fd - target) <= 0.01 * abs(target)
 
 
 def test_default_set_hyperfine_slope_from_ratio():
-    # hyperfine slope target is slope_quadrupole * ratio_curve(300 K)
-    set_ = calibrate_response_set(slope_quadrupole=TWO_PI * 39.0)
-    assert math.isclose(set_.hyperfine.slope_at(300.0), TWO_PI * 39.0 * 5.8, rel_tol=1e-6)
+    # hyperfine slope target is the quadrupole slope * ratio_curve(300 K)
+    set_ = calibrate_response_set()
+    assert math.isclose(set_.hyperfine.slope_at(300.0), CALIBRATION_QUADRUPOLE_SLOPE * 5.8,
+                        rel_tol=1e-6)
 
 
 def test_calibration_file_records_the_targets_it_used(tmp_path):
-    # the quadrupole slope is the only target a caller sets; the anchor
-    # temperature, the zfs slope and the ratio curve are the module's
-    # constants, which the file names
-    set_ = calibrate_response_set(slope_quadrupole=TWO_PI * 41.0)
+    # the anchor temperature, the quadrupole and zfs slopes and the ratio
+    # curve are the module's constants, which the file names; no caller sets one
+    set_ = calibrate_response_set()
     save_response_set(set_, tmp_path / "set.yaml", deterministic=True)
     doc = yaml.safe_load((tmp_path / "set.yaml").read_text())
     targets = doc["calibration"]["targets"]
     assert CALIBRATION_T0_K == 300.0
-    assert math.isclose(targets["slope_quadrupole_at_300K_Hz_per_K"], 41.0, rel_tol=1e-9)
+    assert CALIBRATION_QUADRUPOLE_SLOPE == TWO_PI * 39.0
+    assert math.isclose(targets["slope_quadrupole_at_300K_Hz_per_K"], 39.0, rel_tol=1e-9)
     assert math.isclose(targets["slope_zfs_at_300K_Hz_per_K"], -77.7e3, rel_tol=1e-9)
     assert targets["ratio_hyperfine_to_quadrupole"] == [list(p) for p in DEFAULT_RATIO_CURVE]
     assert all(model["reference_T_K"] == CALIBRATION_T0_K for model in doc["models"].values())
-    with pytest.raises(TypeError):
-        calibrate_response_set(T0=275.0)
+    for keyword in ("T0", "slope_quadrupole", "slope_zfs"):
+        with pytest.raises(TypeError):
+            calibrate_response_set(**{keyword: 275.0})
 
 
 def test_default_set_slopes():
@@ -331,12 +339,6 @@ def test_calibrate_infeasible_targets_raise():
                   ((250.0, 100.0), (300.0, 1.0), (350.0, 0.01))):
         with pytest.raises(CalibrationError):
             _infeasible(steep)
-
-
-def test_calibrate_zero_quadrupole_slope_is_refused():
-    # the ratio fit divides by the quadrupole slope; a zero one is named
-    with pytest.raises(ValueError, match="quadrupole slope"):
-        calibrate_response_set(slope_quadrupole=0.0)
 
 
 def test_data_file_round_trip(tmp_path):

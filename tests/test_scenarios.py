@@ -276,7 +276,7 @@ def test_protection_study_is_the_sweep_then_the_compare_step(tmp_path):
 def test_pipeline_and_block_errors(tmp_path):
     # run_scenario refuses a hand-built config its pipeline cannot run, before
     # any compute, with the problems parse_config reports for its YAML
-    times = (1e-3, 2e-3, 3e-3)
+    times = tuple(k * 1e-3 for k in range(1, 9))
     cases = (
         ("renormalize", {}, "pipeline"),
         ("decay_compare", {"kind": "unbalanced_echo", "flip_fraction": 0.18, "times": times},
@@ -286,6 +286,8 @@ def test_pipeline_and_block_errors(tmp_path):
         ("pulse_sweep", {"flip_fractions": (0.1, 0.2)}, "sequence.total_time"),
         ("rate_table_vee", {"flip_fractions": (0.1, 0.2), "times": times}, "sequence.pair"),
         ("rate_table_vee", {"pair": (0, -1), "flip_fractions": (0.1, 0.2), "times": ()},
+         "sequence.times"),
+        ("rate_table_vee", {"pair": (0, -1), "flip_fractions": (0.1, 0.2), "times": times[:3]},
          "sequence.times"),
     )
     for pipeline, sequence, path in cases:
