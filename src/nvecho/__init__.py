@@ -32,7 +32,7 @@ _EXPORTS = {
     "scenarios": ("ScenarioResult", "run_scenario"),
     "script": ("ScriptError", "format_sequence_script", "parse_sequence_script"),
     "sequences": ("EnsembleSignal", "phase_sweep", "read_signal_csv", "scans",
-                  "simulate_amplitude", "simulate_family", "write_signal_csv"),
+                  "simulate_family", "write_signal_csv"),
     "spin_model": ("SpinSystemParams", "default_params", "single_quantum_table",
                    "transition_frequency"),
     "units": ("TWO_PI", "angular", "cycles", "format_quantity", "parse_quantity"),

@@ -280,9 +280,10 @@ def _vee_dispatch(table: RateTable) -> str:
     return "vee" if free * flipped < 0 else "line"
 
 
-def _solve_vee(x, y):
+def _solve_vee(x, y, grid):
     """Global least-squares vee, rate = slope |x - ratio| + baseline with
-    slope > 0, baseline >= 0 and the ratio on the grid's span.
+    slope > 0, baseline >= 0 and the ratio on the span of ``grid``, the
+    distinct values of ``x``, sorted.
 
     Once the side of each point is fixed, the model is linear in (slope,
     slope * ratio, baseline), so every face of the bounded problem has a
@@ -294,10 +295,6 @@ def _solve_vee(x, y):
     """
     ones = np.ones_like(x)
     candidates = []
-    # the distinct flip fractions, sorted, as np.unique gives them (which
-    # would import numpy.ma)
-    grid = np.sort(x)
-    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     for lo, hi in zip(grid[:-1], grid[1:]):
         side = np.where(x <= lo, -1.0, 1.0)
         design = np.column_stack([side * x, -side, ones])
@@ -349,9 +346,12 @@ def fit_vee(table: RateTable) -> FitResult:
     y = table.rates
     order = np.argsort(x)
     x, y = x[order], y[order]
+    # the distinct flip fractions, as np.unique gives them (which would
+    # import numpy.ma)
+    grid = x[np.concatenate(([True], x[1:] != x[:-1]))]
 
     if _vee_dispatch(table) == "line":
-        if x[0] == x[-1]:
+        if grid.size < 2:
             raise ValueError("line fit needs at least 2 distinct flip fractions")
         design = np.column_stack([x, np.ones_like(x)])
         (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -376,11 +376,11 @@ def fit_vee(table: RateTable) -> FitResult:
             settings={"method": "line"},
         )
 
-    if x.size < 6:
-        raise ValueError("vee fit needs at least 6 grid points")
-    slope, ratio, baseline = _solve_vee(x, y)
-    eps = (x[-1] - x[0]) / (2 * (x.size - 1))
-    if not (x[0] + eps < ratio < x[-1] - eps) or np.sum(x < ratio) == 0 or np.sum(x > ratio) == 0:
+    if grid.size < 6:
+        raise ValueError(f"vee fit needs at least 6 distinct flip fractions, got {grid.size}")
+    slope, ratio, baseline = _solve_vee(x, y, grid)
+    eps = (x[-1] - x[0]) / (2 * (grid.size - 1))
+    if not x[0] + eps < ratio < x[-1] - eps:
         raise FitError(
             f"vertex at {ratio:.3f} is not straddled by the flip-fraction grid "
             f"[{x[0]:.3f}, {x[-1]:.3f}]; extend the grid past the vertex"

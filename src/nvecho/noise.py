@@ -250,8 +250,9 @@ def dephasing_factor(sources, coefficients) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MonteCarloResult:
-    """Per-member estimates ((G,) arrays) and the draws they share; ``std_error``
-    is sqrt((1 - |m|^2)/N), the RMS error of the complex mean m, not of |m|."""
+    """Per-member estimates ((G,) arrays, one value per family member) and
+    the draws they share; ``std_error`` is sqrt((1 - |m|^2)/N), the RMS error
+    of the complex mean m, not of |m|."""
 
     attenuation: np.ndarray
     std_error: np.ndarray
@@ -259,10 +260,6 @@ class MonteCarloResult:
     seed: int
     n_retained: int
     truncated_mass: dict = dataclass_field(default_factory=dict)
-
-    @property
-    def amplitude(self) -> np.ndarray:
-        return np.hypot(self.attenuation.real, self.attenuation.imag)
 
 
 def _thread_count(members: int) -> int:

@@ -24,6 +24,7 @@ a config is checked against the kinds without loading the simulation layer.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -32,8 +33,20 @@ DOUBLE_QUANTUM_PAIR = (-1, +1)
 
 
 def check_projection(m, name):
-    if m not in PROJECTIONS:
+    """ValueError unless ``m`` is an integer, not a bool, in -1, 0, +1."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m not in PROJECTIONS:
         raise ValueError(f"{name} must be one of -1, 0, +1, got {m}")
+
+
+def check_pair(pair):
+    """The (reference, target) m_I levels of a transition pair; ValueError
+    unless they are two distinct projections."""
+    ref, target = pair
+    check_projection(ref, "pair[0]")
+    check_projection(target, "pair[1]")
+    if ref == target:
+        raise ValueError("transition pair must connect two distinct m_I levels")
+    return ref, target
 
 
 @dataclass(frozen=True)
@@ -49,10 +62,12 @@ class Segment:
     sign: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration >= 0):
-            raise ValueError(f"segment duration must be finite and >= 0, got {self.duration!r}")
+        if isinstance(self.duration, bool) or not (math.isfinite(self.duration)
+                                                   and self.duration >= 0):
+            raise ValueError(f"segment duration must be a finite number >= 0, "
+                             f"got {self.duration!r}")
         check_projection(self.m_S, "m_S")
-        if self.sign not in (-1, 1):
+        if isinstance(self.sign, bool) or self.sign not in (-1, 1):
             raise ValueError("segment sign must be +1 or -1")
 
 
@@ -65,6 +80,7 @@ class PulseSequence:
     segments: tuple
 
     def __post_init__(self):
+        check_pair(self.pair)
         if not self.segments:
             raise ValueError("sequence needs at least one segment")
         if self.total_time <= 0:

@@ -37,7 +37,7 @@ from .config import ScenarioConfig, block_kind, build, realize_grid
 from .estimator import RateTable, fit_exponential, fit_vee
 from .pulses import KINDS, build_sequence
 from .script import format_projection, parse_sequence_script
-from .sequences import json_text, scans, simulate_amplitude, write_signal_csv
+from .sequences import json_text, scans, simulate_family, write_signal_csv
 
 
 @dataclass
@@ -154,13 +154,14 @@ def _simulate(ctx: _Context) -> None:
     else:
         kind = block["kind"]
         sequence = build_sequence(kind, block["total_time"], **KINDS[kind].read(block))
-    result = simulate_amplitude(sequence, ctx.sources, **ctx.keywords)
+    result = simulate_family([sequence], ctx.sources, **ctx.keywords)
+    amplitude, base_phase = float(result.amplitude[0]), float(result.base_phase[0])
     ctx.report(f"{sequence.kind} over {_fmt_time(sequence.total_time)}: "
-               f"amplitude {result.amplitude:.6f}, base phase {result.base_phase:.4f} rad",
+               f"amplitude {amplitude:.6f}, base phase {base_phase:.4f} rad",
                {"kind": sequence.kind,
                 "total_time_s": float(sequence.total_time),
-                "amplitude": float(result.amplitude),
-                "base_phase_rad": float(result.base_phase)}
+                "amplitude": amplitude,
+                "base_phase_rad": base_phase}
                | _mc_numbers(result.monte_carlo, 0))
 
 

@@ -5,10 +5,10 @@ The sequences and their builders are plain data (``pulses``).
 whole family of sequences at once.  The sources choose how: when every
 source enters the phase linearly the average is exact, and otherwise (a
 quasiharmonic temperature source) it is a Monte Carlo estimate.
-``simulate_amplitude`` is its one-sequence case, and ``scans`` evaluates
-decay scans and flip-location sweeps, any number of them, as one family
-call.  ``write_metadata_csv`` prints signals and rate tables as
-``#``-metadata CSV, and ``json_text`` prints every JSON artifact.
+It is the one evaluator: a single sequence is a family of one, and
+``scans`` evaluates decay scans and flip-location sweeps, any number of
+them, as one family call.  ``write_metadata_csv`` prints signals and rate
+tables as ``#``-metadata CSV, and ``json_text`` prints every JSON artifact.
 """
 
 from __future__ import annotations
@@ -38,22 +38,24 @@ from .spin_model import (
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Ensemble-averaged signal: mean = e^{i base_phase} * attenuation.
+    """Ensemble-averaged signal of a family of G sequences: mean = e^{i
+    base_phase} * attenuation, each field a (G,) array with one value per
+    family member (a one-sequence family reads member 0)."""
 
-    Fields are (G,) arrays for a family and scalars for one sequence."""
-
-    attenuation: complex  # real from the closed form, complex from Monte Carlo
-    base_phase: float
+    attenuation: np.ndarray  # real from the closed form, complex from Monte Carlo
+    base_phase: np.ndarray
     monte_carlo: MonteCarloResult | None = None
 
     @property
-    def amplitude(self) -> float:
-        # hypot rounds like abs(complex); numpy's complex abs can differ by an ulp
+    def amplitude(self) -> np.ndarray:
+        # hypot of the parts gives a member the same bits whatever the family
+        # size; numpy's complex abs can differ from it by an ulp
         return np.hypot(self.attenuation.real, self.attenuation.imag)
 
     @property
-    def mean_signal(self) -> complex:
-        # numpy's complex product rounds arrays and scalars apart; this does not
+    def mean_signal(self) -> np.ndarray:
+        # real arithmetic gives a member the same bits whatever the family
+        # size; numpy's complex product can round a long family apart
         cos, sin = np.cos(self.base_phase), np.sin(self.base_phase)
         re, im = self.attenuation.real, self.attenuation.imag
         return (cos * re - sin * im) + 1j * (sin * re + cos * im)
@@ -79,15 +81,6 @@ def simulate_family(sequences, sources, params: SpinSystemParams | None = None,
         return SimulationResult(attenuation=dephasing_factor(sources, coeffs), base_phase=base)
     mc = monte_carlo_attenuation(sources, coeffs, n_samples=n_samples, seed=seed)
     return SimulationResult(attenuation=mc.attenuation, base_phase=base, monte_carlo=mc)
-
-
-def simulate_amplitude(sequence: PulseSequence, sources, **kwargs) -> SimulationResult:
-    """One sequence's ensemble average: ``simulate_family`` with G = 1, its
-    keywords (params, n_samples, seed) included."""
-    family = simulate_family([sequence], sources, **kwargs)
-    return SimulationResult(attenuation=family.attenuation[0].item(),
-                            base_phase=float(family.base_phase[0]),
-                            monte_carlo=family.monte_carlo)
 
 
 def _average_metadata(result: SimulationResult) -> dict:
@@ -129,14 +122,14 @@ def phase_sweep(sequence: PulseSequence, sources, readout_phases,
         if isinstance(value, bool) or not (isinstance(value, numbers.Real)
                                            and math.isfinite(value)):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
-    res = simulate_amplitude(sequence, sources, **kwargs)
+    res = simulate_family([sequence], sources, **kwargs)
     y = maximum - 0.5 * contrast + 0.5 * contrast * np.real(
-        np.exp(1j * phases) * res.mean_signal
+        np.exp(1j * phases) * res.mean_signal[0]
     )
     return EnsembleSignal(
         x=phases, y=y, x_label="readout_phase_rad", y_label="population",
         metadata={"kind": sequence.kind, "total_time_s": sequence.total_time,
-                  "amplitude": res.amplitude} | _average_metadata(res),
+                  "amplitude": res.amplitude[0]} | _average_metadata(res),
     )
 
 

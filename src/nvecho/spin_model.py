@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pulses import Segment, check_projection
+from .pulses import Segment, check_pair, check_projection
 from .response import InteractionShift
 from .units import angular
 
@@ -70,15 +70,6 @@ def default_params() -> SpinSystemParams:
     return SpinSystemParams()
 
 
-def _validate_pair(pair):
-    ref, target = pair
-    check_projection(ref, "pair[0]")
-    check_projection(target, "pair[1]")
-    if ref == target:
-        raise ValueError("transition pair must connect two distinct m_I levels")
-    return ref, target
-
-
 def pair_sensitivity(pair, m_S: int, gamma_n: float) -> tuple:
     """Per-channel frequency sensitivities of a transition.
 
@@ -87,7 +78,7 @@ def pair_sensitivity(pair, m_S: int, gamma_n: float) -> tuple:
     in m_I^2, the hyperfine channel to m_S times the change in m_I, and the
     field channel to gamma_n times the change in m_I.
     """
-    ref, target = _validate_pair(pair)
+    ref, target = check_pair(pair)
     check_projection(m_S, "m_S")
     d_mi = target - ref
     d_mi2 = target * target - ref * ref

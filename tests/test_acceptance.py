@@ -36,7 +36,7 @@ from nvecho.response import (
 from nvecho.config import load_packaged_scenario
 from nvecho.pulses import build_dq_ramsey, build_ramsey, build_unbalanced_echo
 from nvecho.scenarios import run_scenario
-from nvecho.sequences import scans, simulate_amplitude, simulate_family
+from nvecho.sequences import scans, simulate_family
 from nvecho.spin_model import default_params, phase_coefficients, single_quantum_table
 from nvecho.units import TWO_PI, angular, cycles
 
@@ -68,7 +68,7 @@ def test_criterion_1_unbalanced_echo_cancellation():
     worst = 0.0
     for t in np.linspace(1e-4, 10e-3, 34):
         seq = build_unbalanced_echo(float(t), ratio * float(t))
-        amp = simulate_amplitude(seq, (source,)).amplitude
+        amp = simulate_family([seq], (source,)).amplitude[0]
         worst = max(worst, abs(amp - 1.0))
     if worst > 1e-12:
         failures.append(f"worst |amplitude - 1| = {worst:.3e} exceeds 1e-12")
@@ -213,8 +213,9 @@ def test_criterion_6_backend_equivalence():
                         for t in grid_t for f in fractions)
         ]
         closed = np.abs(dephasing_factor((source,), coefficients))
-        sampled = monte_carlo_attenuation((source,), coefficients,
-                                          n_samples=1 << 20, seed=321).amplitude
+        mean = monte_carlo_attenuation((source,), coefficients,
+                                       n_samples=1 << 20, seed=321).attenuation
+        sampled = np.hypot(mean.real, mean.imag)
         worst = float(np.max(np.abs(closed - sampled)))
         details.append(f"{label} {worst:.2e}")
         if worst > 5e-3:
@@ -264,17 +265,17 @@ def test_criterion_7_property_suite():
         failures.append("(w4 + w5 - w3 - w6)/4 does not equal |A|")
 
     # double-quantum immunity to temperature noise in the m_S = 0 manifold
-    dq_amp = simulate_amplitude(
-        build_dq_ramsey(2e-3), (temperature_source(lorentzian(0.0, 25.0)),)
-    ).amplitude
+    dq_amp = simulate_family(
+        [build_dq_ramsey(2e-3)], (temperature_source(lorentzian(0.0, 25.0)),)
+    ).amplitude[0]
     if abs(dq_amp - 1.0) > 1e-12:
         failures.append(f"DQ amplitude {dq_amp!r} is not immune to temperature noise")
 
     # Lorentzian exponentiality: A(2t) = A(t)^2
     source = temperature_source(lorentzian(0.0, 5.0))
     for t in (2e-4, 8e-4):
-        a1 = simulate_amplitude(build_ramsey(t), (source,)).amplitude
-        a2 = simulate_amplitude(build_ramsey(2 * t), (source,)).amplitude
+        a1 = simulate_family([build_ramsey(t)], (source,)).amplitude[0]
+        a2 = simulate_family([build_ramsey(2 * t)], (source,)).amplitude[0]
         if abs(a2 - a1 * a1) > 1e-9:
             failures.append(f"A(2t) != A(t)^2 at t = {t}")
 
@@ -339,7 +340,7 @@ def test_criterion_7_property_suite():
     hot = temperature_source(lorentzian(300.0, 25.0), response=qset)
     seq = build_unbalanced_echo(2e-3, 0.172 * 2e-3)
     kwargs = {"n_samples": 1 << 18, "seed": 99}
-    alone = simulate_amplitude(seq, (hot,), **kwargs).mean_signal
+    alone = simulate_family([seq], (hot,), **kwargs).mean_signal[0]
     family = [build_unbalanced_echo(2e-3, f * 2e-3) for f in (0.1, 0.172, 0.3)]
     if simulate_family(family, (hot,), **kwargs).mean_signal[1] != alone:
         failures.append("the sequence family changed a Monte Carlo point")

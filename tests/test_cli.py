@@ -24,7 +24,7 @@ from nvecho.sequences import (
     phase_sweep,
     read_signal_csv,
     scans,
-    simulate_amplitude,
+    simulate_family,
     write_signal_csv,
 )
 from nvecho.units import TWO_PI
@@ -359,9 +359,9 @@ def test_fit_autodetects_cosine(tmp_path, capsys):
     assert main(["fit", str(path), "--deterministic"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "cosine"
-    res = simulate_amplitude(seq, [source])
-    assert doc["parameters"]["contrast"] == pytest.approx(0.8 * res.amplitude, rel=1e-9)
-    wrapped = math.remainder(doc["parameters"]["phase"] - res.base_phase, 2.0 * math.pi)
+    res = simulate_family([seq], [source])
+    assert doc["parameters"]["contrast"] == pytest.approx(0.8 * res.amplitude[0], rel=1e-9)
+    wrapped = math.remainder(doc["parameters"]["phase"] - res.base_phase[0], 2.0 * math.pi)
     assert abs(wrapped) < 1e-9
 
 
@@ -493,6 +493,18 @@ def test_fit_rejects_undetectable_csv(tmp_path, capsys):
     path = tmp_path / "sweep.csv"
     write_signal_csv(signal, path, deterministic=True)
     _assert_usage_error(capsys, ["fit", str(path)], "no fit model for x column 'flip_fraction'")
+
+
+def test_fit_vee_counts_distinct_flip_fractions(tmp_path, capsys):
+    # six rows at two flip fractions used to fit a vee and exit 0
+    table = RateTable()
+    for x, rate in ((0.1, 300.0), (0.1, 310.0), (0.1, 305.0),
+                    (0.3, 900.0), (0.3, 890.0), (0.3, 905.0)):
+        table.add((0, -1), (0, 1), x, rate)
+    path = tmp_path / "two.csv"
+    table.write_csv(path, deterministic=True)
+    _assert_usage_error(capsys, ["fit", str(path), "--deterministic"],
+                        "vee fit needs at least 6 distinct flip fractions, got 2")
 
 
 def test_fit_failure_exits_one(tmp_path, capsys):

@@ -342,6 +342,11 @@ def test_fit_vee_requires_straddled_vertex():
         fit_vee(table)
     with pytest.raises(ValueError):
         fit_vee(_vee_table(np.linspace(0, 0.4, 5), np.ones(5)))
+    # six rows at two flip fractions are two grid points: the vee used to fit
+    # with ratio 0.151, baseline 0 and variances near 5e18
+    two = _vee_table([0.1] * 3 + [0.3] * 3, [300.0, 310.0, 305.0, 900.0, 890.0, 905.0])
+    with pytest.raises(ValueError, match="at least 6 distinct flip fractions, got 2"):
+        fit_vee(two)
 
 
 def _rss(x, y, slope, ratio, baseline):

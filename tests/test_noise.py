@@ -36,7 +36,7 @@ from nvecho.noise import (
 )
 from nvecho.pulses import KINDS, build_sequence
 from nvecho.response import default_linear_response, default_quasiharmonic_set
-from nvecho.sequences import simulate_amplitude
+from nvecho.sequences import simulate_family
 from nvecho.spin_model import (
     PhaseCoefficients,
     Segment,
@@ -514,7 +514,7 @@ def test_monte_carlo_names_a_bad_sample_count_or_seed(keyword, bad, message):
         monte_carlo_attenuation((hot,), [echo_coefficients()], **arguments)
     # the scan layer reaches it with the same keywords
     with pytest.raises(ValueError, match=message):
-        simulate_amplitude(build_sequence("ramsey", 1e-5), (hot,), **arguments)
+        simulate_family([build_sequence("ramsey", 1e-5)], (hot,), **arguments)
     # numpy integers are integers
     numpy_ints = monte_carlo_attenuation((hot,), [echo_coefficients()],
                                          n_samples=np.int64(1000), seed=np.uint32(SEED))

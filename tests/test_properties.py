@@ -26,7 +26,7 @@ from nvecho.noise import CHUNK, field_source, lorentzian, temperature_source
 from nvecho.response import default_quasiharmonic_set
 from nvecho.pulses import KINDS, build_ramsey, build_sequence, build_unbalanced_echo
 from nvecho.script import format_sequence_script, parse_sequence_script
-from nvecho.sequences import simulate_amplitude, simulate_family
+from nvecho.sequences import simulate_family
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=25)
 MC_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=5)
@@ -288,10 +288,10 @@ def test_printed_scripts_are_canonical(script):
 def test_closed_form_ramsey_is_exponential(t, pair, m_S, temperature_width, field_width):
     sources = (temperature_source(lorentzian(0.0, temperature_width)),
                field_source(lorentzian(0.0, field_width)))
-    one = simulate_amplitude(build_ramsey(t, pair, m_S), sources)
-    two = simulate_amplitude(build_ramsey(2 * t, pair, m_S), sources)
+    one = simulate_family([build_ramsey(t, pair, m_S)], sources)
+    two = simulate_family([build_ramsey(2 * t, pair, m_S)], sources)
     assert one.monte_carlo is None and two.monte_carlo is None
-    assert math.isclose(two.amplitude, one.amplitude ** 2, rel_tol=1e-9, abs_tol=1e-300)
+    assert math.isclose(two.amplitude[0], one.amplitude[0] ** 2, rel_tol=1e-9, abs_tol=1e-300)
 
 
 @MC_SETTINGS
@@ -312,9 +312,9 @@ def test_monte_carlo_point_is_batch_invariant(total_time, fractions, width, with
     kwargs = {"n_samples": CHUNK + 17, "seed": seed}
     batch = simulate_family(family, sources, **kwargs)
     for g, seq in enumerate(family):
-        alone = simulate_amplitude(seq, sources, **kwargs)
-        assert alone.attenuation == batch.attenuation[g]
-        assert alone.base_phase == batch.base_phase[g]
-        assert alone.mean_signal == batch.mean_signal[g]
+        alone = simulate_family([seq], sources, **kwargs)
+        assert alone.attenuation[0] == batch.attenuation[g]
+        assert alone.base_phase[0] == batch.base_phase[g]
+        assert alone.mean_signal[0] == batch.mean_signal[g]
         assert alone.monte_carlo.std_error[0] == batch.monte_carlo.std_error[g]
         assert alone.monte_carlo.n_retained == batch.monte_carlo.n_retained

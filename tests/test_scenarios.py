@@ -24,6 +24,7 @@ from nvecho.config import (
 from nvecho.estimator import RateTable, fit_exponential
 from nvecho.pulses import KINDS, build_sequence
 from nvecho.scenarios import run_scenario
+from nvecho.script import parse_sequence_script
 from nvecho.sequences import read_signal_csv, scans
 from nvecho.units import TWO_PI
 
@@ -362,6 +363,9 @@ def test_missing_times_computes_nothing(tmp_path, monkeypatch):
         parse_config(dump_config(built))
 
 
+LINEAR_SOURCES = [{"kind": "temperature", "distribution": "lorentzian",
+                   "location": "0 K", "scale": "5 K"}]
+
 MC_COMPARE = {
     "response": PROTECTION["response"],
     "sources": PROTECTION["sources"],
@@ -425,10 +429,30 @@ def test_rate_table_is_one_family_per_pair(tmp_path, monkeypatch):
 def test_simulate_builds_a_script_or_a_kind(tmp_path):
     script = _config("simulate", sequence={"script": "pair 0 -1\nevolve 1ms ms=0\n"})
     assert run_scenario(script, out_dir=tmp_path, deterministic=True).numbers["kind"] == "ramsey"
-    block = _config("simulate", sequence={"kind": "unbalanced_echo", "pair": [0, -1],
-                                          "total_time": "1 ms", "flip_fraction": 0.25}).sequence
-    seq = build_sequence("unbalanced_echo", 1e-3, **KINDS["unbalanced_echo"].read(block))
+    kind = _config("simulate", sources=LINEAR_SOURCES,
+                   sequence={"kind": "unbalanced_echo", "pair": [0, -1],
+                             "total_time": "1 ms", "flip_fraction": 0.25})
+    seq = build_sequence("unbalanced_echo", kind.sequence["total_time"],
+                         **KINDS["unbalanced_echo"].read(kind.sequence))
     assert seq.segments[1].duration / seq.total_time == pytest.approx(0.25, rel=1e-12)
+    # a run's numbers are member 0 of its sequence's family of one, bit for bit
+    hot = _config("simulate", response=PROTECTION["response"], sources=PROTECTION["sources"],
+                  sequence={"kind": "ramsey", "total_time": "20 us"},
+                  backend={"samples": 4096 + 17, "seed": 7})
+    runs = ((script, parse_sequence_script(script.sequence["script"])), (kind, seq),
+            (hot, build_sequence("ramsey", hot.sequence["total_time"])))
+    for cfg, sequence in runs:
+        numbers = run_scenario(cfg, out_dir=tmp_path / "runs", deterministic=True).numbers
+        models = build(cfg)[1]
+        family = sequences.simulate_family([sequence], models.sources, params=models.spin,
+                                           n_samples=cfg.backend["samples"],
+                                           seed=cfg.backend["seed"])
+        assert numbers["amplitude"] == family.amplitude[0]
+        assert numbers["base_phase_rad"] == family.base_phase[0]
+        assert ("std_error" in numbers) == (family.monte_carlo is not None) == (cfg is hot)
+        if cfg is hot:
+            assert numbers["std_error"] == family.monte_carlo.std_error[0]
+            assert numbers["n_retained"] == family.monte_carlo.n_retained
     # blocks it cannot build are refused when the config is parsed
     with pytest.raises(ConfigError, match="sequence.flip_fraction: kind unbalanced_echo needs"):
         _config("simulate", sequence={"kind": "unbalanced_echo", "total_time": "1 ms"})

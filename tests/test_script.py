@@ -10,7 +10,7 @@ from nvecho.pulses import (
     build_ramsey,
     build_unbalanced_echo,
 )
-from nvecho.sequences import simulate_amplitude
+from nvecho.sequences import simulate_family
 
 PROTECTION_SCRIPT = """\
 # coherence protection: flip the electron 252 us before readout
@@ -41,10 +41,10 @@ def test_protection_script_is_unbalanced_echo():
 
 def test_script_matches_builder_in_simulation():
     src = temperature_source(lorentzian(0.0, 5.0))
-    scripted = simulate_amplitude(parse_sequence_script(PROTECTION_SCRIPT), (src,))
-    built = simulate_amplitude(build_unbalanced_echo(1.4e-3, 0.252e-3), (src,))
-    assert scripted.attenuation == built.attenuation
-    assert scripted.base_phase == built.base_phase
+    scripted = simulate_family([parse_sequence_script(PROTECTION_SCRIPT)], (src,))
+    built = simulate_family([build_unbalanced_echo(1.4e-3, 0.252e-3)], (src,))
+    assert scripted.attenuation[0] == built.attenuation[0]
+    assert scripted.base_phase[0] == built.base_phase[0]
 
 
 def test_dq_pair_classifies_as_dq_ramsey():

@@ -16,6 +16,7 @@ from nvecho.noise import (
 from nvecho.pulses import (
     KINDS,
     PulseSequence,
+    Segment,
     build_dq_ramsey,
     build_nuclear_echo,
     build_ramsey,
@@ -29,7 +30,7 @@ from nvecho.sequences import (
     read_metadata_csv,
     read_signal_csv,
     scans,
-    simulate_amplitude,
+    simulate_family,
     write_metadata_csv,
     write_signal_csv,
 )
@@ -89,31 +90,49 @@ def test_builder_validation():
         build_sequence("ramsey", 1e-3, flip_fraction=0.2)
     with pytest.raises(ValueError, match="at least one segment"):
         PulseSequence((0, -1), ())
+    # what the config and the script parser refuse: a bool read as 1 built a
+    # 1 s ramsey, and a bad pair printed a script the parser refuses
+    with pytest.raises(ValueError, match="duration must be a finite number >= 0, got True"):
+        build_sequence("ramsey", True)
+    with pytest.raises(ValueError, match="segment sign must be"):
+        Segment(1e-3, 0, sign=True)
+    with pytest.raises(ValueError, match=r"m_S must be one of -1, 0, \+1, got True"):
+        build_ramsey(1e-3, m_S=True)
+    with pytest.raises(ValueError, match=r"pair\[1\] must be one of -1, 0, \+1, got 5"):
+        PulseSequence((0, 5), (Segment(1e-3, 0),))
+    with pytest.raises(ValueError, match=r"pair\[0\] must be one of -1, 0, \+1, got 0.5"):
+        build_nuclear_echo(1e-3, pair=(0.5, -1))  # failed in the script printer
+    with pytest.raises(ValueError, match=r"pair\[0\] must be one of -1, 0, \+1, got True"):
+        build_ramsey(1e-3, pair=(True, 0))
+    with pytest.raises(ValueError, match=r"pair\[1\] must be one of -1, 0, \+1, got -1.0"):
+        build_ramsey(1e-3, pair=(0, -1.0))  # the config refuses a float too
+    with pytest.raises(ValueError, match="transition pair must connect two distinct m_I levels"):
+        build_sequence("nuclear_echo", 1e-3, pair=(1, 1))
 
 
 def test_ramsey_amplitude_closed_form():
     resp = default_linear_response()
     src = temperature_source(lorentzian(0.0, 5.0), response=resp)
     t = 1e-4
-    result = simulate_amplitude(build_ramsey(t), (src,))
+    result = simulate_family([build_ramsey(t)], (src,))
     expected = math.exp(-5.0 * TWO_PI * 39.0 * t)
-    assert result.amplitude == pytest.approx(expected, rel=1e-12)
+    assert result.amplitude[0] == pytest.approx(expected, rel=1e-12)
     # base phase carries the bare transition frequency
-    assert result.base_phase == pytest.approx(TWO_PI * (4.945e6 - 307.7 * 239) * t, rel=1e-9)
+    assert result.base_phase[0] == pytest.approx(TWO_PI * (4.945e6 - 307.7 * 239) * t, rel=1e-9)
 
 
 def test_location_offset_moves_base_phase_not_amplitude():
     src = temperature_source(lorentzian(2.0, 5.0))
     t = 1e-4
-    res = simulate_amplitude(build_ramsey(t), (src,))
-    res0 = simulate_amplitude(build_ramsey(t), (temperature_source(lorentzian(0.0, 5.0)),))
-    assert res.amplitude == pytest.approx(res0.amplitude, rel=1e-12)
+    res = simulate_family([build_ramsey(t)], (src,))
+    res0 = simulate_family([build_ramsey(t)], (temperature_source(lorentzian(0.0, 5.0)),))
+    assert res.amplitude[0] == pytest.approx(res0.amplitude[0], rel=1e-12)
     # (0, -1) branch: phase grows by -c_T * location with c_T = -t * slope_Q
-    assert res.base_phase - res0.base_phase == pytest.approx(
+    assert res.base_phase[0] - res0.base_phase[0] == pytest.approx(
         -t * TWO_PI * 39.0 * 2.0, rel=1e-9
     )
-    assert res.mean_signal == pytest.approx(
-        np.exp(1j * res.base_phase) * res.attenuation, rel=1e-12
+    assert res.mean_signal[0] == pytest.approx(
+        np.exp(1j * res.base_phase[0]) * res.attenuation[0], rel=1e-12
     )
 
 
@@ -122,19 +141,19 @@ def test_unbalanced_echo_full_cancellation():
     src = temperature_source(lorentzian(0.0, 5.0), response=resp)
     t = 1e-3
     tau = t * resp.quadrupole_per_K / resp.hyperfine_per_K
-    result = simulate_amplitude(build_unbalanced_echo(t, tau), (src,))
-    assert result.amplitude == pytest.approx(1.0, abs=1e-12)
+    result = simulate_family([build_unbalanced_echo(t, tau)], (src,))
+    assert result.amplitude[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_residual_field_sets_protected_ceiling():
     src = residual_field_source(dq_coherence_time=3.9e-3)
     gamma_n_mag = TWO_PI * 307.7
     t2 = 1.0 / (gamma_n_mag * src.distribution.scale)
-    result = simulate_amplitude(build_ramsey(t2), (src,))
-    assert result.amplitude == pytest.approx(1.0 / math.e, rel=1e-12)
+    result = simulate_family([build_ramsey(t2)], (src,))
+    assert result.amplitude[0] == pytest.approx(1.0 / math.e, rel=1e-12)
     # double-quantum branch decays twice as fast
-    result_dq = simulate_amplitude(build_dq_ramsey(t2 / 2), (src,))
-    assert result_dq.amplitude == pytest.approx(1.0 / math.e, rel=1e-12)
+    result_dq = simulate_family([build_dq_ramsey(t2 / 2)], (src,))
+    assert result_dq.amplitude[0] == pytest.approx(1.0 / math.e, rel=1e-12)
 
 
 def test_nuclear_echo_refocuses_every_linear_source():
@@ -142,9 +161,40 @@ def test_nuclear_echo_refocuses_every_linear_source():
         temperature_source(lorentzian(0.4, 8.0)),
         field_source(gaussian(0.0, 0.3)),
     )
-    result = simulate_amplitude(build_nuclear_echo(1e-3, pair=(0, -1), m_S=0), sources)
-    assert result.amplitude == pytest.approx(1.0, abs=1e-12)
-    assert result.base_phase == pytest.approx(0.0, abs=1e-9)
+    result = simulate_family([build_nuclear_echo(1e-3, pair=(0, -1), m_S=0)], sources)
+    assert result.amplitude[0] == pytest.approx(1.0, abs=1e-12)
+    assert result.base_phase[0] == pytest.approx(0.0, abs=1e-9)
+
+
+# the package's public names, which hold one evaluator, simulate_family
+PUBLIC_NAMES = (
+    "ConfigError", "EnsembleSignal", "FitError", "FitResult", "InteractionShift",
+    "LinearResponse", "NoiseSource", "PulseSequence", "QuasiharmonicSet", "RateTable",
+    "ScenarioConfig", "ScenarioResult", "ScriptError", "SpinSystemParams", "TWO_PI",
+    "angular", "build_dq_ramsey", "build_nuclear_echo", "build_ramsey", "build_sequence",
+    "build_unbalanced_echo", "calibrate_response_set", "cycles", "default_linear_response",
+    "default_params", "default_quasiharmonic_set", "delta", "dephasing_factor", "dump_config",
+    "estimate_sigma", "field_source", "fit_cosine", "fit_exponential", "fit_vee",
+    "format_quantity", "format_sequence_script", "gaussian", "load_config",
+    "load_packaged_scenario", "load_response_set", "lorentzian", "parse_config",
+    "parse_quantity", "parse_sequence_script", "phase_sweep", "predict_echo_rate",
+    "predict_rate", "read_signal_csv", "residual_field_source", "run_scenario",
+    "save_response_set", "scans", "simulate_family", "single_quantum_table",
+    "strain_response", "strain_source", "temperature_source", "transition_frequency",
+    "write_signal_csv",
+)
+
+
+def test_simulate_family_is_the_one_evaluator():
+    # a single sequence is a family of one; its wrapper and the second
+    # amplitude property are gone
+    import nvecho
+    from nvecho import sequences
+
+    assert not hasattr(nvecho, "simulate_amplitude")
+    assert not hasattr(sequences, "simulate_amplitude")
+    assert not hasattr(MonteCarloResult, "amplitude")
+    assert nvecho.__all__ == list(PUBLIC_NAMES)
 
 
 def test_sources_choose_closed_form_or_monte_carlo():
@@ -152,15 +202,15 @@ def test_sources_choose_closed_form_or_monte_carlo():
     hot = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
     seq = build_ramsey(1e-4)
     # all-linear ensembles take the exact characteristic-function product
-    assert simulate_amplitude(seq, linear).monte_carlo is None
+    assert simulate_family([seq], linear).monte_carlo is None
     # one quasiharmonic source sends the whole ensemble through Monte Carlo
-    mixed = simulate_amplitude(seq, linear + (hot,), n_samples=1 << 14, seed=SEED)
+    mixed = simulate_family([seq], linear + (hot,), n_samples=1 << 14, seed=SEED)
     assert isinstance(mixed.monte_carlo, MonteCarloResult)
     assert mixed.monte_carlo.n_samples == 1 << 14
-    assert 0.0 < mixed.amplitude < 1.0
+    assert 0.0 < mixed.amplitude[0] < 1.0
     # and there is no keyword to override the choice
     with pytest.raises(TypeError):
-        simulate_amplitude(seq, linear, backend="monte_carlo")
+        simulate_family([seq], linear, backend="monte_carlo")
 
 
 def test_scan_metadata_names_the_average():
@@ -186,11 +236,11 @@ def test_phase_sweep_readout():
     # fringe peaks where phi cancels the accumulated phase.
     src = temperature_source(lorentzian(0.0, 5.0))
     seq = build_ramsey(1e-4)
-    res = simulate_amplitude(seq, (src,))
-    phases = -res.base_phase + np.array([0.0, math.pi / 2, math.pi])
+    res = simulate_family([seq], (src,))
+    phases = -res.base_phase[0] + np.array([0.0, math.pi / 2, math.pi])
     signal = phase_sweep(seq, (src,), phases)
     assert isinstance(signal, EnsembleSignal)
-    amp = res.amplitude
+    amp = res.amplitude[0]
     assert signal.y[0] == pytest.approx(0.5 + 0.5 * amp, rel=1e-9)
     assert signal.y[1] == pytest.approx(0.5, abs=1e-9)
     assert signal.y[2] == pytest.approx(0.5 - 0.5 * amp, rel=1e-9)
@@ -200,9 +250,9 @@ def test_phase_sweep_readout():
 
 def test_phase_sweep_without_noise_reaches_unit_contrast():
     seq = build_ramsey(2e-4)
-    res = simulate_amplitude(seq, ())
-    assert res.amplitude == 1.0
-    phases = -res.base_phase + np.array([0.0, math.pi])
+    res = simulate_family([seq], ())
+    assert res.amplitude[0] == 1.0
+    phases = -res.base_phase[0] + np.array([0.0, math.pi])
     signal = phase_sweep(seq, (), phases)
     assert signal.y[0] == pytest.approx(1.0, rel=1e-12)
     assert signal.y[1] == pytest.approx(0.0, abs=1e-12)
@@ -351,8 +401,8 @@ def test_ramsey_rate_with_both_couplings():
     src = temperature_source(lorentzian(0.0, 5.0))
     t2 = 1.0 / (TWO_PI * 243.0 * 5.0)
     assert t2 == pytest.approx(131e-6, rel=0.01)
-    res = simulate_amplitude(build_ramsey(t2, pair=(0, +1), m_S=+1), (src,))
-    assert res.amplitude == pytest.approx(1.0 / math.e, rel=1e-9)
+    res = simulate_family([build_ramsey(t2, pair=(0, +1), m_S=+1)], (src,))
+    assert res.amplitude[0] == pytest.approx(1.0 / math.e, rel=1e-9)
 
 
 def test_unprotected_rate_with_residual_share():
@@ -363,16 +413,16 @@ def test_unprotected_rate_with_residual_share():
         residual_field_source(dq_coherence_time=3.9e-3),
     )
     t = 7.4e-4
-    res = simulate_amplitude(build_ramsey(t), sources)
-    rate = -math.log(res.amplitude) / t
+    res = simulate_family([build_ramsey(t)], sources)
+    rate = -math.log(res.amplitude[0]) / t
     assert rate == pytest.approx(TWO_PI * 39.0 * 5.0 + 1.0 / 7.8e-3, rel=1e-9)
     assert 1.0 / rate == pytest.approx(0.74e-3, rel=0.01)
 
 
 def test_dq_ramsey_immune_to_quadrupole_noise():
     src = temperature_source(lorentzian(0.0, 8.0))
-    res = simulate_amplitude(build_dq_ramsey(1e-3), (src,))
-    assert res.amplitude == pytest.approx(1.0, abs=1e-12)
+    res = simulate_family([build_dq_ramsey(1e-3)], (src,))
+    assert res.amplitude[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalized_collapse_of_location_sweeps():
@@ -464,4 +514,4 @@ def test_metadata_values_read_back_as_written(tmp_path):
 def test_non_finite_durations_rejected():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            simulate_amplitude(build_ramsey(bad), [])
+            simulate_family([build_ramsey(bad)], [])
