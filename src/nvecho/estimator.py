@@ -138,6 +138,11 @@ def fit_exponential(times, amplitudes, skip_initial: int = DEFAULT_SKIP) -> FitR
     raises FitError when the minimum runs off (T2 -> 0 or infinity) instead.
     """
     times, amplitudes = _finite("times", times), _finite("amplitudes", amplitudes)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-d array, got shape {times.shape}")
+    if amplitudes.shape != times.shape:
+        raise ValueError(f"amplitudes must have the shape of times {times.shape}, "
+                         f"got {amplitudes.shape}")
     if isinstance(skip_initial, bool) or not isinstance(skip_initial, (int, np.integer)):
         raise ValueError(f"skip_initial must be an integer, got {skip_initial!r}")
     if skip_initial < 0:
@@ -451,7 +456,12 @@ def estimate_sigma(rates, coefficients, baseline=0.0, rate_errors=None,
             sigma = nnls(coeff, excess)
         resid = coeff @ sigma - excess
 
-    if rate_errors is not None:
+    rank = int(np.linalg.matrix_rank(coeff))
+    if rank < coeff.shape[1]:
+        warnings += (f"coefficients have rank {rank} for {coeff.shape[1]} sources: the widths "
+                     "are not determined by these rates and their covariance is NaN",)
+        cov = np.full((coeff.shape[1],) * 2, np.nan)
+    elif rate_errors is not None:
         w2 = 1.0 / rate_errors ** 2
         info = coeff.T @ (coeff * w2[:, None])
         try:

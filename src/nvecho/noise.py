@@ -23,6 +23,15 @@ per member.  The closed form is one vectorised real product over the
 family; ``monte_carlo_attenuation`` says how the Monte Carlo path shares
 its draws and threads across the family and still gives every member the
 bits that member alone gives.
+
+The Monte Carlo path sums each member's e^{i phase} without a complex
+exponential (``_member_sums``): each phase is reduced to a multiple of
+2pi/256 plus a remainder of at most pi/256, whose cos and sin are short
+polynomials, and the remainders are summed per multiple and turned by a
+table of e^{2 pi i j/256}.  The sum is within 5e-16 per draw of the exact
+sum of e^{i phase} over the same draws (1.2e-16 measured), far below the
+sampling error, and is made of exactly rounded operations in a fixed
+order, so it does not depend on the thread count or on the batch.
 """
 
 from __future__ import annotations
@@ -62,6 +71,9 @@ class Distribution:
         if self.kind not in DISTRIBUTION_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}; "
                              f"expected one of {DISTRIBUTION_KINDS}")
+        for name, value in (("location", self.location), ("scale", self.scale)):
+            if isinstance(value, bool):
+                raise ValueError(f"distribution {name} must be a plain number, got {value!r}")
         if not (math.isfinite(self.location) and math.isfinite(self.scale)):
             raise ValueError(f"distribution location and scale must be finite, got "
                              f"location={self.location!r}, scale={self.scale!r}")
@@ -252,7 +264,9 @@ def dephasing_factor(sources, coefficients) -> np.ndarray:
 class MonteCarloResult:
     """Per-member estimates ((G,) arrays, one value per family member) and
     the draws they share; ``std_error`` is sqrt((1 - |m|^2)/N), the RMS error
-    of the complex mean m, not of |m|."""
+    of the complex mean m, not of |m|.  Each ``attenuation`` is within 5e-16
+    of the exact mean of e^{i (phase - phase(locations))} over the retained
+    draws (``_member_sums``)."""
 
     attenuation: np.ndarray
     std_error: np.ndarray
@@ -284,39 +298,125 @@ def _claims(size: int):
     return claim
 
 
-def _member_sums(channels, claim, sums, terms, product):
+# ``_member_sums`` sums e^{i phase} as e^{2 pi i k/_BINS} e^{i r}, with
+# k = rint(phase _BINS/2pi) and |r| <= pi/_BINS.  _STEP_HI + _STEP_LO is
+# 2pi/_BINS to within 2e-27, and _STEP_HI has 27 significant bits, so
+# k * _STEP_HI is exact and r is within 2e-18 of its exact value while
+# |k| <= _MAX_TURN, that is for |phase| <= 1.6e6 rad.
+_BINS = 256
+_BLOCK = 1 << 14  # draws a thread reduces at a time
+_TWO_PI_HI = math.floor(math.tau * 2**24) / 2**24
+_TWO_PI_LO = 2.4492935982947064e-16  # 2pi - math.tau, what math.tau rounds off
+_STEP_HI = _TWO_PI_HI / _BINS
+_STEP_LO = (math.tau - _TWO_PI_HI + _TWO_PI_LO) / _BINS
+_MAX_TURN = 2.0**26
+
+
+def _unit_circle():
+    """cos and sin of 2 pi j/_BINS for j = 0.._BINS-1, each within 1.2e-16 of
+    the exact value: libm evaluates the first octant, where the angle is
+    below pi/4, and the rest follows by exact reflections and quarter turns.
+    (numpy's cos and sin give the same table but cost 0.4 MiB more RSS at
+    import.)"""
+    angles = [j * _STEP_HI + j * _STEP_LO for j in range(_BINS // 8 + 1)]
+    c, s = [math.cos(a) for a in angles], [math.sin(a) for a in angles]
+    c, s = c + s[-2:0:-1], s + c[-2:0:-1]
+    minus_c, minus_s = [-v for v in c], [-v for v in s]
+    return np.array(c + minus_s + minus_c + s), np.array(s + c + minus_s + minus_c)
+
+
+_COS, _SIN = _unit_circle()
+
+
+def _workspace(kept: int):
+    """One thread's buffers for ``_member_sums`` on a chunk of ``kept``
+    draws: 32 bytes per draw of a block, at most 512 KiB."""
+    n = min(kept, _BLOCK)
+    return np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=np.intp)
+
+
+def _bin_block(phase, turn, term, index, cos_bins, sin_bins) -> complex:
+    """Add one block of ``phase`` into the per-bin sums: cos r and sin r of
+    the draws with k = j mod _BINS to ``cos_bins[j]`` and ``sin_bins[j]``.
+    Return the sum of e^{i phase} over the draws with |k| > _MAX_TURN (or a
+    non-finite phase), which are not binned.  Overwrites every array it is
+    given but the bins."""
+    np.multiply(phase, _BINS / math.tau, out=turn)
+    np.rint(turn, out=turn)
+    outside = 0j
+    if not (turn.min() >= -_MAX_TURN and turn.max() <= _MAX_TURN):
+        inside = np.abs(turn) <= _MAX_TURN
+        outside = complex(np.exp(1j * phase[~inside]).sum())
+        n = np.count_nonzero(inside)
+        phase[:n], turn[:n] = phase[inside], turn[inside]
+        phase, turn, term, index = phase[:n], turn[:n], term[:n], index[:n]
+    np.copyto(index, turn, casting="unsafe")
+    np.bitwise_and(index, _BINS - 1, out=index)
+    r, r2 = phase, turn
+    np.multiply(turn, _STEP_HI, out=term)
+    np.subtract(phase, term, out=r)
+    np.multiply(turn, _STEP_LO, out=term)
+    np.subtract(r, term, out=r)
+    np.multiply(r, r, out=r2)
+    # cos r and sin r: the next Taylor terms, r^8/8! and r^7/7!, are below
+    # 1e-17 for |r| <= pi/_BINS
+    np.multiply(r2, -1 / 720, out=term)
+    np.add(term, 1 / 24, out=term)
+    np.multiply(term, r2, out=term)
+    np.add(term, -0.5, out=term)
+    np.multiply(term, r2, out=term)
+    np.add(term, 1.0, out=term)
+    cos_bins += np.bincount(index, weights=term, minlength=_BINS)
+    np.multiply(r2, 1 / 120, out=term)
+    np.add(term, -1 / 6, out=term)
+    np.multiply(term, r2, out=term)
+    np.multiply(term, r, out=term)
+    np.add(term, r, out=term)
+    sin_bins += np.bincount(index, weights=term, minlength=_BINS)
+    return outside
+
+
+def _member_sums(channels, claim, sums, workspace):
     """Write into ``sums[g]`` the sum of e^{i (phase - phase(locations))}
     over one chunk for each member g this thread claims by calling
-    ``claim`` (``_claims``).
+    ``claim`` (``_claims``), using the buffers of ``workspace``
+    (``_workspace``).
 
-    Every term, and so every sum, is bit-identical to ``phase = zeros;
-    phase += sum(c[g] * channel ...); exp(1j * phase)``, and the loop
-    allocates no arrays.  The phase builds up in the imaginary row of the
-    complex buffer ``terms``.  The real row holds each later source's partial
-    sum, with ``product`` for a second channel (None when no source after the
-    first has one), and is then zeroed.  ``1j * phase`` has the imaginary
-    part 0 + phase and a signed zero as its real part, whose exponential is 1
-    either way, so adding 0 to the first source's partial sum and zeroing
-    the real row give exactly its operand without the complex product.
+    The phase is ``sum(c[g] * channel ...)`` over each source's channels,
+    those sums added in source order, built one block of _BLOCK draws at a
+    time and binned by ``_bin_block``.  The bins are then contracted with
+    the table e^{2 pi i j/_BINS}.  Every operation on the draws is an
+    exactly rounded numpy ufunc or a sum in a fixed order, so a member's sum
+    depends only on its coefficients and the chunk's draws, whichever SIMD
+    loops numpy runs.  It is within 5e-16 per draw of the exact sum of
+    e^{i phase} (1.2e-16 measured); a phase beyond the binned range goes
+    through ``np.exp``.  Phases that are all zero sum to exactly
+    ``kept + 0j``.
     """
-    scratch, phase = terms.real, terms.imag
+    phase, partial, temp, index = workspace
     first, *later = channels
+    kept = len(first[0][1])
     for g in iter(claim, None):
-        (c, channel), *rest = first
-        np.multiply(c[g], channel, out=phase)
-        for c, channel in rest:
-            np.multiply(c[g], channel, out=scratch)
-            np.add(phase, scratch, out=phase)
-        np.add(phase, 0.0, out=phase)
-        for (c, channel), *rest in later:
-            np.multiply(c[g], channel, out=scratch)
+        cos_bins, sin_bins = np.zeros(_BINS), np.zeros(_BINS)
+        outside = 0j
+        for start in range(0, kept, _BLOCK):
+            block = slice(start, min(start + _BLOCK, kept))
+            n = block.stop - start
+            ph, p, t = phase[:n], partial[:n], temp[:n]
+            (c, channel), *rest = first
+            np.multiply(c[g], channel[block], out=ph)
             for c, channel in rest:
-                np.multiply(c[g], channel, out=product)
-                np.add(scratch, product, out=scratch)
-            np.add(phase, scratch, out=phase)
-        scratch.fill(0.0)
-        np.exp(terms, out=terms)
-        sums[g] = complex(terms.sum())
+                np.multiply(c[g], channel[block], out=p)
+                np.add(ph, p, out=ph)
+            for (c, channel), *rest in later:
+                np.multiply(c[g], channel[block], out=p)
+                for c, channel in rest:
+                    np.multiply(c[g], channel[block], out=t)
+                    np.add(p, t, out=p)
+                np.add(ph, p, out=ph)
+            outside += _bin_block(ph, p, t, index[:n], cos_bins, sin_bins)
+        sums[g] = complex((cos_bins * _COS - sin_bins * _SIN).sum(),
+                          (cos_bins * _SIN + sin_bins * _COS).sum()) + outside
 
 
 def _chunk_channels(sources, windows, grid, seed, k, n_k):
@@ -349,14 +449,12 @@ def _chunk_sums(sources, windows, grid, seed, k, n_k, pool, n_threads):
     size = grid.quadrupole.size
     claim = _claims(size)
     sums = [None] * size
-    two_channels_later = any(len(pairs) > 1 for pairs in channels[1:])
     # Allocated in the calling thread: glibc gives each worker thread its own
     # malloc arena, and allocating there kept ~2 MiB more of fig4's RSS.
-    buffers = [(np.empty(kept, dtype=complex), np.empty(kept) if two_channels_later else None)
-               for _ in range(n_threads)]
-    futures = [pool.submit(_member_sums, channels, claim, sums, *pair)
-               for pair in buffers[1:]]
-    _member_sums(channels, claim, sums, *buffers[0])
+    workspaces = [_workspace(kept) for _ in range(n_threads)]
+    futures = [pool.submit(_member_sums, channels, claim, sums, workspace)
+               for workspace in workspaces[1:]]
+    _member_sums(channels, claim, sums, workspaces[0])
     for future in futures:
         future.result()
     return sums, kept
@@ -374,11 +472,13 @@ def monte_carlo_attenuation(sources, coefficients, n_samples: int = DEFAULT_SAMP
     per member, in chunk order, so a member's estimate does not depend on
     the rest of the family.  One thread per CPU the process may run on (at
     most one per member) shares each chunk's channels: the threads claim
-    members one at a time and each holds 16 bytes per retained draw of the
-    chunk (24 when a source after the first has two channels).  A member's
-    sum is computed by the same code whichever thread claims it and is
-    added to its total in chunk order, so the estimate does not depend on
-    the thread count either.  ``sources`` must not be empty.
+    members one at a time and each holds 32 bytes per draw of a block of
+    16,384 draws, 512 KiB, whatever the sources (``_workspace``).  A
+    member's sum is computed by the same code whichever thread claims it and
+    is added to its total in chunk order, so the estimate does not depend
+    on the thread count either.  Each member's sum is within 5e-16 per draw
+    of the exact sum over the same draws (``_member_sums``).  ``sources``
+    must not be empty.
     """
     from concurrent.futures import ThreadPoolExecutor  # kept off the cold import path
 

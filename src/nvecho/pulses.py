@@ -41,7 +41,11 @@ def check_projection(m, name):
 def check_pair(pair):
     """The (reference, target) m_I levels of a transition pair; ValueError
     unless they are two distinct projections."""
-    ref, target = pair
+    try:
+        ref, target = pair
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise ValueError(f"transition pair must be two m_I levels (reference, target), "
+                         f"got {pair!r}") from None
     check_projection(ref, "pair[0]")
     check_projection(target, "pair[1]")
     if ref == target:
@@ -130,6 +134,13 @@ def _refuse(rule, keys) -> None:
         raise ValueError(f"{refusal[0]}: {refusal[1]}")
 
 
+def _check_not_bool(name, value) -> None:
+    """ValueError for a bool, which arithmetic would turn into 0 or 1 s
+    before ``Segment`` could refuse it."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number of seconds, got {value!r}")
+
+
 def build_ramsey(duration: float, pair=(0, -1), m_S: int = 0) -> PulseSequence:
     _refuse(_needs_m_i_zero, {"pair": pair})
     return PulseSequence(tuple(pair), (Segment(duration, m_S),))
@@ -141,6 +152,7 @@ def build_dq_ramsey(duration: float, m_S: int = 0) -> PulseSequence:
 
 def build_unbalanced_echo(total_time: float, flip_time: float, pair=(0, -1),
                           ms_free: int = 0, ms_flipped: int = 1) -> PulseSequence:
+    _check_not_bool("total_time", total_time)
     if not (math.isfinite(total_time) and math.isfinite(flip_time)):
         raise ValueError(f"total time and flip time must be finite, got t={total_time!r}, "
                          f"tau={flip_time!r}")
@@ -154,6 +166,7 @@ def build_unbalanced_echo(total_time: float, flip_time: float, pair=(0, -1),
 
 
 def build_nuclear_echo(total_time: float, pair=(0, -1), m_S: int = 0) -> PulseSequence:
+    _check_not_bool("total_time", total_time)
     half = total_time / 2.0
     return PulseSequence(
         tuple(pair), (Segment(half, m_S, sign=+1), Segment(half, m_S, sign=-1)))

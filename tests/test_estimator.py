@@ -137,6 +137,20 @@ def test_fit_exponential_errors():
         fit_exponential(times, np.exp(-times), skip_initial=2.5)
 
 
+@pytest.mark.parametrize("times, amplitudes, message", [
+    (np.linspace(0.0, 1.0, 10), np.ones(8), r"amplitudes must have the shape of times \(10,\), got \(8,\)"),
+    (np.linspace(0.0, 1.0, 10), np.ones(12), r"amplitudes must have the shape of times \(10,\), got \(12,\)"),
+    (np.linspace(0.0, 1.0, 10), 0.5, r"amplitudes must have the shape of times \(10,\), got \(\)"),
+    (np.ones((2, 2)), np.ones((2, 2)), r"times must be a 1-d array, got shape \(2, 2\)"),
+    (1e-3, 0.5, r"times must be a 1-d array, got shape \(\)"),
+], ids=["short", "long", "scalar-amplitudes", "2-d", "scalars"])
+def test_fit_exponential_refuses_mismatched_shapes(times, amplitudes, message):
+    # these raised IndexError from a boolean mask, or reported "too few
+    # positive amplitudes" for a 2-d array
+    with pytest.raises(ValueError, match=message):
+        fit_exponential(times, amplitudes)
+
+
 def _decay(t, c0, t2):
     return c0 * np.exp(-t / t2)
 
@@ -428,6 +442,21 @@ def test_estimate_sigma_below_baseline_warns():
     res = estimate_sigma([100.0], [TWO_PI * 39.0], baseline=150.0)
     assert res["sigma_0"] == 0.0
     assert any("baseline" in w for w in res.warnings)
+
+
+@pytest.mark.parametrize("rate_errors", [None, [1.0, 2.0, 3.0]])
+def test_estimate_sigma_warns_on_a_rank_deficient_system(rate_errors):
+    # two identical columns: only the sum of the widths is determined, and the
+    # NaN covariance came with no warning
+    res = estimate_sigma([100.0, 200.0, 300.0], [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]],
+                         rate_errors=rate_errors)
+    assert res["sigma_0"] + res["sigma_1"] == pytest.approx(100.0, rel=1e-12)
+    assert np.isnan(res.covariance).all()
+    assert res.warnings == ("coefficients have rank 1 for 2 sources: the widths are not "
+                            "determined by these rates and their covariance is NaN",)
+    full = estimate_sigma([100.0, 210.0, 300.0], [[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]],
+                          rate_errors=rate_errors)
+    assert not full.warnings and np.isfinite(full.covariance).all()
 
 
 def test_estimate_sigma_zero_coefficient_rejected():

@@ -186,6 +186,20 @@ def test_residual_field_source_rejects_degenerate_inputs():
         residual_field_source(True)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: lorentzian(True, 1.0), "location"),
+    (lambda: lorentzian(0.0, True), "scale"),
+    (lambda: gaussian(True, 1.0), "location"),
+    (lambda: gaussian(0.0, True), "scale"),
+    (lambda: delta(True), "location"),
+], ids=["lorentzian-location", "lorentzian-scale", "gaussian-location", "gaussian-scale",
+        "delta"])
+def test_distributions_refuse_a_bool(call, name):
+    # a bool was read as 1, which the config refuses
+    with pytest.raises(ValueError, match=f"distribution {name} must be a plain number, got True"):
+        call()
+
+
 def test_dephasing_factor_is_product_of_characteristic_functions():
     c = echo_coefficients()
     resp = default_linear_response()
@@ -299,6 +313,26 @@ def test_monte_carlo_does_not_depend_on_the_thread_count(sources, size, monkeypa
 QUASIHARMONIC = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
 
 
+# Bound on |kernel sum - exact sum| per retained draw, for the real and the
+# imaginary part alike: the e^{2 pi i j/256} table is within 1.2e-16, the
+# polynomials within 1.2e-16, and the bins and the contraction add rounding.
+# Largest measured in the tests below: 1.14e-16 per draw ("two-channels-last";
+# "linear" 1.11e-16, phases beyond the binned range 2.4e-17), so the bound
+# has a margin of 4.4x.
+KERNEL_BOUND_PER_DRAW = 5e-16
+
+
+def kernel_sums(channels, size):
+    sums = [None] * size
+    kept = channels[0][0][1].size
+    noise._member_sums(channels, noise._claims(size), sums, noise._workspace(kept))
+    return sums
+
+
+def exact_sum(phase):
+    return math.fsum(np.cos(phase)), math.fsum(np.sin(phase))
+
+
 @pytest.mark.parametrize("sources", [
     (QUASIHARMONIC,),
     (temperature_source(lorentzian(0.0, 5.0)),),
@@ -306,27 +340,56 @@ QUASIHARMONIC = temperature_source(lorentzian(300.0, 25.0), response=default_qua
     (QUASIHARMONIC, field_source(delta(0.0))),
     (field_source(gaussian(0.0, 0.05)), strain_source(delta(1e-6)), QUASIHARMONIC),
 ], ids=["quasiharmonic", "linear", "delta", "quasiharmonic-delta", "two-channels-last"])
-def test_member_kernel_matches_the_naive_sum_byte_for_byte(sources):
+def test_member_kernel_matches_the_exact_sum_within_its_bound(sources):
     # a t = 0 member (every coefficient 0), negative coefficients and delta
-    # sources make exact zeros and -0.0 products in the phase
+    # sources make exact zeros and -0.0 products in the phase; the linear
+    # Cauchy source reaches phases of 3e4 rad
     family = [echo_coefficients(t=0.0, tau=0.0), echo_coefficients(t=2e-4, tau=0.0),
               echo_coefficients(t=2e-3, tau=0.36e-3), echo_coefficients(t=3e-5, tau=3e-5),
               PhaseCoefficients(quadrupole=-1e-3, hyperfine=2e-3, field=-0.0)]
     grid = stack_coefficients(family)
     windows = [src.truncation_window() for src in sources]
     channels, kept = noise._chunk_channels(sources, windows, grid, SEED, 0, 4099)
-    terms = np.empty(kept, dtype=complex)
-    product = np.empty(kept) if any(len(pairs) > 1 for pairs in channels[1:]) else None
-    sums = [None] * len(family)
-    for g in range(len(family)):
-        noise._member_sums(channels, iter([g, None]).__next__, sums, terms, product)
+    sums = kernel_sums(channels, len(family))
+    for g, got in enumerate(sums):
         phase = np.zeros(kept)
         for pairs in channels:
             phase += sum(c[g] * channel for c, channel in pairs)
-        expected = np.exp(1j * phase)
-        # every term, signed zeros included, and the sum
-        assert terms.tobytes() == expected.tobytes()
-        assert np.array(sums[g]).tobytes() == np.array(complex(expected.sum())).tobytes()
+        re, im = exact_sum(phase)
+        assert abs(got.real - re) <= KERNEL_BOUND_PER_DRAW * kept
+        assert abs(got.imag - im) <= KERNEL_BOUND_PER_DRAW * kept
+        if not phase.any():  # the t = 0 member, and every member of "delta"
+            assert np.array(got).tobytes() == np.array(complex(kept, 0.0)).tobytes()
+
+
+def test_member_kernel_sums_phases_beyond_its_binned_range():
+    # past |phase| = 2^26 * 2 pi/256 = 1.6e6 rad the kernel hands a draw to
+    # np.exp; the blocks here hold such draws among binned ones, in the
+    # first and in the last, partial, block
+    edge = 2.0**26 * math.tau / 256
+    rng = np.random.default_rng(SEED)
+    channel = 1e4 * rng.standard_cauchy(3 * noise._BLOCK + 5)
+    channel[[0, 1, 2, 3, 4, -1, -2]] = [edge, -edge, np.nextafter(edge, np.inf), 1e300, -0.0,
+                                        -3e9, 5e-324]
+    coefficients = np.array([1.0, -3.0, 0.5, -0.0])
+    assert (np.abs(channel) > edge).sum() > 10
+    sums = kernel_sums([((coefficients, channel),)], coefficients.size)
+    for c, got in zip(coefficients, sums):
+        re, im = exact_sum(c * channel)
+        assert abs(got.real - re) <= KERNEL_BOUND_PER_DRAW * channel.size
+        assert abs(got.imag - im) <= KERNEL_BOUND_PER_DRAW * channel.size
+    # a zero coefficient makes every phase a signed zero
+    assert np.array(sums[-1]).tobytes() == np.array(complex(channel.size, 0.0)).tobytes()
+
+
+def test_member_kernel_keeps_signed_zeros_out_of_the_sum():
+    # phases of -0.0 and +0.0 in any mix sum to kept + 0j, with a +0.0
+    # imaginary part, as e^{i 0} = 1 + 0j does
+    channel = np.array([0.0, -0.0] * 9000)
+    coefficients = np.array([1.0, -1.0, -0.0])
+    sums = kernel_sums([((coefficients, channel),)], coefficients.size)
+    for got in sums:
+        assert np.array(got).tobytes() == np.array(complex(channel.size, 0.0)).tobytes()
 
 
 # tracemalloc peak of the call below before the member loop was split across

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nvecho.estimator import predict_echo_rate
 from nvecho.noise import (
     MonteCarloResult,
     field_source,
@@ -22,6 +23,7 @@ from nvecho.pulses import (
     build_ramsey,
     build_sequence,
     build_unbalanced_echo,
+    check_pair,
 )
 from nvecho.response import default_linear_response, default_quasiharmonic_set
 from nvecho.sequences import (
@@ -108,6 +110,27 @@ def test_builder_validation():
         build_ramsey(1e-3, pair=(0, -1.0))  # the config refuses a float too
     with pytest.raises(ValueError, match="transition pair must connect two distinct m_I levels"):
         build_sequence("nuclear_echo", 1e-3, pair=(1, 1))
+
+
+def test_nuclear_echo_refuses_a_bool_time():
+    # the bool was halved into two 0.5 s segments before Segment saw it
+    with pytest.raises(ValueError, match="total_time must be a number of seconds, got True"):
+        build_nuclear_echo(True)
+
+
+def test_unbalanced_echo_refuses_a_bool_time():
+    # the bool became a 1 s free segment, total_time - flip_time
+    with pytest.raises(ValueError, match="total_time must be a number of seconds, got True"):
+        build_unbalanced_echo(True, 0.0)
+
+
+@pytest.mark.parametrize("pair", [0.5, None, (0,), (0, 1, -1)])
+def test_a_pair_that_is_not_two_levels_is_refused(pair):
+    # "cannot unpack non-iterable float" came from inside check_pair
+    with pytest.raises(ValueError, match="transition pair must be two m_I levels"):
+        check_pair(pair)
+    with pytest.raises(ValueError, match="transition pair must be two m_I levels"):
+        predict_echo_rate(pair, 0.1)
 
 
 def test_ramsey_amplitude_closed_form():
