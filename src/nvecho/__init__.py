@@ -20,21 +20,19 @@ _EXPORTS = {
     "config": ("ConfigError", "ScenarioConfig", "dump_config", "load_config",
                "load_packaged_scenario", "parse_config"),
     "estimator": ("FitError", "FitResult", "RateTable", "estimate_sigma", "fit_cosine",
-                  "fit_exponential", "fit_vee", "predict_echo_rate", "predict_rate"),
+                  "fit_exponential", "fit_vee", "predict_echo_rate"),
     "noise": ("NoiseSource", "delta", "dephasing_factor", "field_source", "gaussian",
               "lorentzian", "residual_field_source", "strain_source", "temperature_source"),
     "pulses": ("PulseSequence", "build_dq_ramsey", "build_nuclear_echo", "build_ramsey",
                "build_sequence", "build_unbalanced_echo"),
-    "response": ("InteractionShift", "LinearResponse", "QuasiharmonicSet",
-                 "calibrate_response_set", "default_linear_response",
-                 "default_quasiharmonic_set", "load_response_set", "save_response_set",
-                 "strain_response"),
+    "response": ("LinearResponse", "QuasiharmonicSet", "calibrate_response_set",
+                 "default_linear_response", "default_quasiharmonic_set",
+                 "load_response_set", "save_response_set"),
     "scenarios": ("ScenarioResult", "run_scenario"),
     "script": ("ScriptError", "format_sequence_script", "parse_sequence_script"),
     "sequences": ("EnsembleSignal", "phase_sweep", "read_signal_csv", "scans",
                   "simulate_family", "write_signal_csv"),
-    "spin_model": ("SpinSystemParams", "default_params", "single_quantum_table",
-                   "transition_frequency"),
+    "spin_model": ("SpinSystemParams", "default_params"),
     "units": ("TWO_PI", "angular", "cycles", "format_quantity", "parse_quantity"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

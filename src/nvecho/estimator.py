@@ -481,15 +481,6 @@ def estimate_sigma(rates, coefficients, baseline=0.0, rate_errors=None,
 
 # ------------------------------------------------------------- rate algebra
 
-def predict_rate(pair, m_S: int, sigma_T: float = 0.0, sigma_B: float = 0.0,
-                 response=None, params: SpinSystemParams | None = None) -> float:
-    """Free-evolution dephasing rate for Lorentzian temperature and field
-    ensembles: |sensitivity . slopes| sigma_T + |Zeeman sensitivity| sigma_B,
-    the echo rate with no flip."""
-    return predict_echo_rate(pair, 0.0, ms_free=m_S, ms_flipped=m_S, sigma_T=sigma_T,
-                             sigma_B=sigma_B, response=response, params=params)
-
-
 def predict_echo_rate(pair, flip_fraction: float, ms_free: int = 0,
                       ms_flipped: int = 1, sigma_T: float = 0.0,
                       sigma_B: float = 0.0, response=None,
@@ -500,7 +491,8 @@ def predict_echo_rate(pair, flip_fraction: float, ms_free: int = 0,
 
     The temperature coefficient interpolates between the two manifolds'
     sensitivities; on the cancelling branch it crosses zero at the slope
-    ratio, producing the vee.  The field term is untouched by the flip.
+    ratio, producing the vee.  The field term is untouched by the flip.  At
+    flip fraction 0 it is the free-evolution rate in ``ms_free``.
     """
     if not 0.0 <= flip_fraction <= 1.0:
         raise ValueError("flip fraction must lie in [0, 1]")

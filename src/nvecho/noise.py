@@ -46,6 +46,7 @@ import numpy as np
 
 from .response import LinearResponse, QuasiharmonicSet, default_linear_response
 from .spin_model import PhaseCoefficients, SpinSystemParams, stack_coefficients
+from .units import check_number
 
 CHUNK = 1 << 16
 DEFAULT_SAMPLES = 1 << 20  # Monte Carlo draws and seed of a run that names none
@@ -71,12 +72,8 @@ class Distribution:
         if self.kind not in DISTRIBUTION_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}; "
                              f"expected one of {DISTRIBUTION_KINDS}")
-        for name, value in (("location", self.location), ("scale", self.scale)):
-            if isinstance(value, bool):
-                raise ValueError(f"distribution {name} must be a plain number, got {value!r}")
-        if not (math.isfinite(self.location) and math.isfinite(self.scale)):
-            raise ValueError(f"distribution location and scale must be finite, got "
-                             f"location={self.location!r}, scale={self.scale!r}")
+        check_number("distribution location", self.location)
+        check_number("distribution scale", self.scale)
         if self.scale < 0:
             raise ValueError("distribution scale must be >= 0")
         if self.kind == "delta" and self.scale != 0:

@@ -37,7 +37,7 @@ import numpy as np
 import yaml
 
 from .solvers import FitError, levenberg_marquardt
-from .units import K_B_OVER_HBAR, TWO_PI, angular, cycles
+from .units import K_B_OVER_HBAR, angular, check_number, cycles
 
 # Diamond bulk modulus; converts hydrostatic strain to pressure via P = -3*K*eps.
 BULK_MODULUS_GPA = 443.0
@@ -106,10 +106,10 @@ def dump_yaml(data, sort_keys: bool = True, flow: bool = False) -> str:
 
 
 def _require_finite(obj, what, names=None) -> None:
-    """Refuse ``obj`` unless its ``names`` fields (all by default) are finite."""
+    """Refuse ``obj`` unless its ``names`` fields (all by default) are finite
+    numbers."""
     for name in names or [f.name for f in fields(obj)]:
-        if not np.all(np.isfinite(getattr(obj, name))):
-            raise ValueError(f"{what} {name} must be finite, got {getattr(obj, name)!r}")
+        check_number(f"{what} {name}", getattr(obj, name))
 
 
 class CalibrationError(RuntimeError):
@@ -154,17 +154,6 @@ def bose_einstein_slope(omega: float, T):
 
 
 @dataclass(frozen=True)
-class InteractionShift:
-    """Additive shifts of the two interactions, rad/s (fields may be arrays)."""
-
-    d_quadrupole: float = 0.0
-    d_hyperfine: float = 0.0
-
-    def __post_init__(self):
-        _require_finite(self, "interaction shift")
-
-
-@dataclass(frozen=True)
 class LinearResponse:
     """Constant-slope environmental response of the interactions.
 
@@ -180,14 +169,6 @@ class LinearResponse:
 
     def __post_init__(self):
         _require_finite(self, "response slope")
-
-    def interaction_shift(self, d_temperature=0.0, strain=0.0) -> InteractionShift:
-        return InteractionShift(
-            d_quadrupole=self.quadrupole_per_K * d_temperature
-            + self.quadrupole_per_strain * strain,
-            d_hyperfine=self.hyperfine_per_K * d_temperature
-            + self.hyperfine_per_strain * strain,
-        )
 
 
 def default_linear_response() -> LinearResponse:
@@ -264,40 +245,6 @@ class QuasiharmonicSet:
 
     def __post_init__(self):
         _require_finite(self, "response slope", ("quadrupole_per_strain", "hyperfine_per_strain"))
-
-
-@dataclass(frozen=True)
-class StrainShift:
-    """Result of the hydrostatic-strain channel."""
-
-    d_quadrupole: float
-    d_hyperfine: float
-    pressure_GPa: float
-    extrapolated: bool  # |eps| beyond the 2% range the slopes were measured in
-
-
-def strain_response(epsilon: float, response: LinearResponse | None = None) -> StrainShift:
-    """Interaction shifts for a hydrostatic strain epsilon (dimensionless).
-
-    Positive epsilon is tensile; the pressure conversion P = -3*K*eps with
-    K = 443 GPa is exposed on the result.  Outside |eps| <= 0.02 the result
-    carries an extrapolation flag because the underlying slopes were only
-    verified in that range.
-    """
-    if isinstance(epsilon, bool):
-        raise ValueError(f"strain must be a plain number, got {epsilon!r}")
-    if not math.isfinite(epsilon):
-        raise ValueError(f"strain must be finite, got {epsilon!r}")
-    if response is None:
-        response = default_linear_response()
-    pressure = PRESSURE_PER_STRAIN_GPA * epsilon
-    shift = response.interaction_shift(strain=epsilon)
-    return StrainShift(
-        d_quadrupole=shift.d_quadrupole,
-        d_hyperfine=shift.d_hyperfine,
-        pressure_GPa=pressure,
-        extrapolated=abs(epsilon) > 0.02,
-    )
 
 
 # --------------------------------------------------------------- calibration

@@ -12,31 +12,20 @@ two m_I levels is minus the time integral of their energy difference.  A
 pulse sequence is a list of segments, each a duration in one electron
 manifold with the sign that nuclear pi pulses leave, and its phase is linear
 in Q, A and B: each coupling is weighted by the time spent in each manifold
-(``phase_coefficients``).
+(``phase_coefficients``).  A line's frequency is the magnitude of the phase
+that one second in its manifold accumulates on its pair.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .pulses import Segment, check_pair, check_projection
-from .response import InteractionShift
-from .units import angular
+from .units import angular, check_number
 
-# The six single-quantum lines, ordered by electron manifold (0, -1, +1)
-# and nuclear branch.
-SINGLE_QUANTUM_LINES = (
-    (1, (0, +1), 0),
-    (2, (0, -1), 0),
-    (3, (0, +1), -1),
-    (4, (0, -1), -1),
-    (5, (0, +1), +1),
-    (6, (0, -1), +1),
-)
 
 @dataclass(frozen=True)
 class SpinSystemParams:
@@ -49,8 +38,7 @@ class SpinSystemParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            check_number(f.name, getattr(self, f.name))
         if self.quadrupole == 0:
             raise ValueError("quadrupole coupling must be nonzero")
         if abs(self.hyperfine) >= abs(self.quadrupole):
@@ -83,35 +71,6 @@ def pair_sensitivity(pair, m_S: int, gamma_n: float) -> tuple:
     d_mi = target - ref
     d_mi2 = target * target - ref * ref
     return (d_mi2, m_S * d_mi, gamma_n * d_mi)
-
-
-def transition_frequency(params: SpinSystemParams, pair, m_S: int,
-                         shift: InteractionShift | None = None) -> float:
-    """|E(target) - E(reference)| for a (reference, target) m_I pair, rad/s:
-    the pair's sensitivities times (Q + dQ, A + dA, B).  The electron-only
-    terms (zfs, electron Zeeman) are common to a manifold's nuclear levels
-    and cancel."""
-    s_q, s_a, s_b = pair_sensitivity(pair, m_S, params.gamma_n)
-    d_q, d_a = (0.0, 0.0) if shift is None else (shift.d_quadrupole, shift.d_hyperfine)
-    return abs(s_q * (params.quadrupole + d_q) + s_a * (params.hyperfine + d_a)
-               + s_b * params.field_gauss)
-
-
-@dataclass(frozen=True)
-class TransitionRecord:
-    index: int
-    pair: tuple
-    m_S: int
-    frequency: float  # rad/s
-
-
-def single_quantum_table(params: SpinSystemParams,
-                         shift: InteractionShift | None = None) -> tuple:
-    """All six single-quantum lines as (index, pair, m_S, frequency) records."""
-    return tuple(
-        TransitionRecord(idx, pair, m_S, transition_frequency(params, pair, m_S, shift))
-        for idx, pair, m_S in SINGLE_QUANTUM_LINES
-    )
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ point of plain repr round-tripping.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 
 TWO_PI = 2.0 * math.pi
@@ -78,6 +79,15 @@ def parse_quantity(text: str | float, dimension: str) -> float:
     if not math.isfinite(value):
         raise QuantityError(f"quantity {text!r} is not finite")
     return value
+
+
+def check_number(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is one finite real number:
+    a bool would count as 0 or 1, and an array is not one number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a plain number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def format_quantity(value: float, dimension: str) -> str:

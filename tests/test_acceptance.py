@@ -16,7 +16,7 @@ from nvecho.estimator import (
     fit_cosine,
     fit_exponential,
     fit_vee,
-    predict_rate,
+    predict_echo_rate,
 )
 from nvecho.noise import (
     dephasing_factor,
@@ -31,13 +31,13 @@ from nvecho.response import (
     LinearResponse,
     default_linear_response,
     default_quasiharmonic_set,
-    strain_response,
+    PRESSURE_PER_STRAIN_GPA,
 )
 from nvecho.config import load_packaged_scenario
-from nvecho.pulses import build_dq_ramsey, build_ramsey, build_unbalanced_echo
+from nvecho.pulses import Segment, build_dq_ramsey, build_ramsey, build_unbalanced_echo
 from nvecho.scenarios import run_scenario
 from nvecho.sequences import scans, simulate_family
-from nvecho.spin_model import default_params, phase_coefficients, single_quantum_table
+from nvecho.spin_model import accumulated_phase, default_params, phase_coefficients
 from nvecho.units import TWO_PI, angular, cycles
 
 
@@ -49,6 +49,18 @@ def _report(number: int, detail: str, failures: list, started: float,
     status = "PASS" if not failures else "FAIL"
     print(f"[acceptance] criterion {number}: {status} - {detail} [{elapsed:.1f} s]")
     assert not failures, f"criterion {number}: " + "; ".join(failures)
+
+
+# The six single-quantum lines (index, pair, m_S), ordered by electron
+# manifold (0, -1, +1) and nuclear branch.
+SIX_LINES = (
+    (1, (0, +1), 0),
+    (2, (0, -1), 0),
+    (3, (0, +1), -1),
+    (4, (0, -1), -1),
+    (5, (0, +1), +1),
+    (6, (0, -1), +1),
+)
 
 
 def _window(failures, label, value, low, high):
@@ -121,10 +133,12 @@ def test_criterion_4_rate_ratio_checks():
     sigma_T, sigma_B = 5.0, 0.05
     baseline = abs(params.gamma_n) * sigma_B
     cases = ((-1, -1), (1, -1), (1, 0), (1, 1))
-    excess = {
-        (mi, ms): predict_rate((0, mi), ms, sigma_T, sigma_B, response) - baseline
-        for mi, ms in cases
-    }
+
+    def free_rate(mi, ms):  # the echo rate with no flip
+        return predict_echo_rate((0, mi), 0.0, ms_free=ms, ms_flipped=ms, sigma_T=sigma_T,
+                                 sigma_B=sigma_B, response=response)
+
+    excess = {(mi, ms): free_rate(mi, ms) - baseline for mi, ms in cases}
     ratio_states = excess[(-1, -1)] / excess[(1, -1)]
     ratio_manifolds = excess[(1, 0)] / excess[(1, 1)]
     if round(ratio_states, 2) != 1.44:
@@ -140,7 +154,7 @@ def test_criterion_4_rate_ratio_checks():
                field_source(lorentzian(0.0, sigma_B)))
     worst = 0.0
     for mi, ms in cases:
-        rate = predict_rate((0, mi), ms, sigma_T, sigma_B, response)
+        rate = free_rate(mi, ms)
         t2 = 1.0 / rate
         times = np.geomspace(t2 / 20.0, 4.0 * t2, 14)
         [scan] = scans([("ramsey", {"pair": (0, mi), "ms": ms}, "total_time", times)], sources)
@@ -238,27 +252,29 @@ def test_criterion_7_property_suite():
                 + ms * (params.hyperfine + da) * mi
                 + params.gamma_n * params.field_gauss * mi)
 
-    from nvecho.response import InteractionShift
+    # a line's frequency is the phase of one second on its pair and manifold,
+    # its shift entering through the same coefficients
+    def line_frequency(pair, ms, dq=0.0, da=0.0):
+        c = phase_coefficients(params, pair, [Segment(1.0, ms)])
+        return abs(accumulated_phase(params, c) + c.quadrupole * dq + c.hyperfine * da)
 
-    shift = InteractionShift(d_quadrupole=angular(3.1e3), d_hyperfine=angular(-2.4e3))
+    d_q, d_a = angular(3.1e3), angular(-2.4e3)
     brute = sorted(
-        abs(energy(b, ms, shift.d_quadrupole, shift.d_hyperfine)
-            - energy(a, ms, shift.d_quadrupole, shift.d_hyperfine))
+        abs(energy(b, ms, d_q, d_a) - energy(a, ms, d_q, d_a))
         for ms in (-1, 0, 1) for a, b in ((0, 1), (0, -1))
     )
-    table = sorted(r.frequency for r in single_quantum_table(params, shift))
-    if not np.allclose(brute, table, rtol=1e-12, atol=0.0):
+    freq = {index: line_frequency(pair, ms, d_q, d_a) for index, pair, ms in SIX_LINES}
+    if not np.allclose(brute, sorted(freq.values()), rtol=1e-12, atol=0.0):
         failures.append("six-line multiset disagrees with brute-force differencing")
     anchors_hz = sorted((5018540.3, 4871459.7, 2858540.3,
                          7031459.7, 7178540.3, 2711459.7))
-    plain = sorted(cycles(r.frequency) for r in single_quantum_table(params))
+    plain = sorted(cycles(line_frequency(pair, ms)) for _, pair, ms in SIX_LINES)
     if not np.allclose(plain, anchors_hz, rtol=0.0, atol=1e-3):
         failures.append("unshifted six-line frequencies moved off their anchors")
 
     # pairwise identities under the same shift
-    freq = {r.index: r.frequency for r in single_quantum_table(params, shift)}
-    q_mag = abs(params.quadrupole + shift.d_quadrupole)
-    a_mag = abs(params.hyperfine + shift.d_hyperfine)
+    q_mag = abs(params.quadrupole + d_q)
+    a_mag = abs(params.hyperfine + d_a)
     if abs((freq[1] + freq[2]) / 2.0 - q_mag) > 1e-6 * q_mag:
         failures.append("(w1 + w2)/2 does not equal |Q|")
     if abs((freq[4] + freq[5] - freq[3] - freq[6]) / 4.0 - a_mag) > 1e-6 * a_mag:
@@ -355,20 +371,21 @@ def test_criterion_7_property_suite():
 def test_criterion_8_strain_channel():
     started = time.perf_counter()
     failures = []
-    shift = strain_response(0.02)
-    if abs(shift.pressure_GPa - (-26.58)) > 1e-12 * 26.58:
-        failures.append(f"pressure {shift.pressure_GPa:.6f} GPa is not -26.58 GPa")
+    # a strain source shifts the interactions by its slopes times the strain
+    source = strain_source(lorentzian(0.0, 1e-3))
+    epsilon = 0.02
+    pressure = PRESSURE_PER_STRAIN_GPA * epsilon
+    if abs(pressure - (-26.58)) > 1e-12 * 26.58:
+        failures.append(f"pressure {pressure:.6f} GPa is not -26.58 GPa")
+    d_quadrupole, d_hyperfine, _ = (slope * epsilon for slope in source.slopes)
     expected_q = angular(1.60e3) * (-26.58)
     expected_a = angular(4.33e3) * (-26.58)
-    if abs(shift.d_quadrupole - expected_q) > 1e-10 * abs(expected_q):
+    if abs(d_quadrupole - expected_q) > 1e-10 * abs(expected_q):
         failures.append("quadrupole strain shift off its slope")
-    if abs(shift.d_hyperfine - expected_a) > 1e-10 * abs(expected_a):
+    if abs(d_hyperfine - expected_a) > 1e-10 * abs(expected_a):
         failures.append("hyperfine strain shift off its slope")
-    if shift.extrapolated:
-        failures.append("2% strain is inside the measured range, not extrapolated")
 
     strain_ratio = 1.60 / 4.33
-    source = strain_source(lorentzian(0.0, 1e-3))
     fractions = np.linspace(0.2, 0.5, 301)
     [sweep] = scans([("unbalanced_echo", {"total_time": 1e-3}, "flip_fraction", fractions)],
                     (source,))
@@ -378,5 +395,5 @@ def test_criterion_8_strain_channel():
             f"strain-only optimum {argmax:.4f} is not at the slope ratio "
             f"{strain_ratio:.4f}"
         )
-    _report(8, f"P = {shift.pressure_GPa:.2f} GPa, optimum tau/t = {argmax:.3f} "
+    _report(8, f"P = {pressure:.2f} GPa, optimum tau/t = {argmax:.3f} "
                f"(ratio {strain_ratio:.4f})", failures, started, 5.0)

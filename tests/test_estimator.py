@@ -21,7 +21,6 @@ from nvecho.estimator import (
     fit_exponential,
     fit_vee,
     predict_echo_rate,
-    predict_rate,
 )
 from nvecho.config import load_packaged_scenario
 from nvecho.noise import field_source, lorentzian, temperature_source
@@ -563,8 +562,14 @@ def test_nnls_agrees_with_scipy_on_rank_deficient_problems():
 
 # ------------------------------------------------------------- rate algebra
 
+def _free_rate(pair, m_S, sigma_T=0.0, sigma_B=0.0, response=None):
+    """The predicted free-evolution rate: the echo rate with no flip."""
+    return predict_echo_rate(pair, 0.0, ms_free=m_S, ms_flipped=m_S, sigma_T=sigma_T,
+                             sigma_B=sigma_B, response=response)
+
+
 def test_predict_rate_zero_widths():
-    assert predict_rate((0, -1), 0) == 0.0
+    assert _free_rate((0, -1), 0) == 0.0
 
 
 def test_predict_rate_excess_ratio_identities():
@@ -575,7 +580,7 @@ def test_predict_rate_excess_ratio_identities():
     sigma_T, sigma_B = 5.0, 0.05
     base = gn * sigma_B
     excess = {
-        (mi, ms): predict_rate((0, mi), ms, sigma_T, sigma_B, resp) - base
+        (mi, ms): _free_rate((0, mi), ms, sigma_T, sigma_B, resp) - base
         for mi, ms in ((-1, -1), (1, -1), (1, 0), (1, 1))
     }
     ratio_states = excess[(-1, -1)] / excess[(1, -1)]
@@ -589,9 +594,9 @@ def test_predict_rate_excess_ratio_identities():
 def test_predict_rate_double_quantum():
     gn = TWO_PI * 307.7
     resp = default_linear_response()
-    assert predict_rate((-1, 1), 0, sigma_B=0.1) == pytest.approx(2 * gn * 0.1, rel=1e-12)
+    assert _free_rate((-1, 1), 0, sigma_B=0.1) == pytest.approx(2 * gn * 0.1, rel=1e-12)
     expected = 2 * gn * 0.1 + 2 * resp.hyperfine_per_K * 5.0
-    assert predict_rate((-1, 1), 1, sigma_T=5.0, sigma_B=0.1) == pytest.approx(
+    assert _free_rate((-1, 1), 1, sigma_T=5.0, sigma_B=0.1) == pytest.approx(
         expected, rel=1e-12
     )
 

@@ -1,6 +1,7 @@
 """Every number of the packaged scenarios, pinned: each run's artifacts
 against the ``reproduce --deterministic`` artifacts checked in under
-``data/reference``.
+``data/reference``, and its summary line, exactly, against
+``<name>-summary.txt`` there.
 
 A run writes the same artifact names, every ``#`` metadata line and CSV
 header exactly, and every number within ``RTOL`` of the reference or the
@@ -135,25 +136,32 @@ def artifact_mismatches(ref_path: Path, got_path: Path) -> list:
 
 
 @pytest.fixture(scope="module")
-def artifacts(protection_runs, tmp_path_factory):
-    """Each packaged scenario's artifact paths, fig4 and s5 from the shared
-    runs and the others run here."""
-    runs = {name: result.artifacts for name, (_, result, _) in protection_runs.items()}
+def runs(protection_runs, tmp_path_factory):
+    """Each packaged scenario's result, fig4 and s5 from the shared runs and
+    the others run here."""
+    results = {name: result for name, (_, result, _) in protection_runs.items()}
     for name in SCENARIO_NAMES:
-        if name not in runs:
-            out = tmp_path_factory.mktemp(name)
-            runs[name] = run_scenario(load_packaged_scenario(name), out_dir=out,
-                                      deterministic=True).artifacts
-    return runs
+        if name not in results:
+            results[name] = run_scenario(load_packaged_scenario(name),
+                                         out_dir=tmp_path_factory.mktemp(name),
+                                         deterministic=True)
+    return results
 
 
-def test_reference_covers_every_packaged_scenario(artifacts):
-    written = sorted(Path(path).name for paths in artifacts.values() for path in paths)
-    assert written == sorted(path.name for path in REFERENCE.iterdir())
+def test_reference_covers_every_packaged_scenario(runs):
+    written = [Path(path).name for result in runs.values() for path in result.artifacts]
+    summaries = [f"{name}-summary.txt" for name in runs]
+    assert sorted(written + summaries) == sorted(path.name for path in REFERENCE.iterdir())
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
-def test_artifacts_match_the_reference(name, artifacts):
-    mismatches = [line for path in artifacts[name]
+def test_artifacts_match_the_reference(name, runs):
+    mismatches = [line for path in runs[name].artifacts
                   for line in artifact_mismatches(REFERENCE / Path(path).name, Path(path))]
     assert not mismatches, "\n".join(mismatches)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_summary_matches_the_reference(name, runs):
+    # the reference holds the line `nvecho reproduce <name>` prints
+    assert runs[name].summary + "\n" == (REFERENCE / f"{name}-summary.txt").read_text()

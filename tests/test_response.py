@@ -15,8 +15,8 @@ from nvecho.response import (
     CALIBRATION_ZFS_SLOPE,
     DEFAULT_RATIO_CURVE,
     CalibrationError,
-    InteractionShift,
     LinearResponse,
+    PRESSURE_PER_STRAIN_GPA,
     QuasiharmonicResponse,
     bose_einstein,
     bose_einstein_slope,
@@ -29,8 +29,11 @@ from nvecho.response import (
     fit_mode_temperature,
     load_response_set,
     save_response_set,
-    strain_response,
 )
+from nvecho.noise import delta, lorentzian, strain_source, temperature_source
+from nvecho.pulses import build_unbalanced_echo
+from nvecho.sequences import simulate_family
+from nvecho.spin_model import accumulated_phase, default_params, phase_coefficients
 from nvecho.units import K_B_OVER_HBAR, TWO_PI
 
 
@@ -369,54 +372,42 @@ def test_packaged_data_file_matches_calibrator():
 
 
 # ------------------------------------------------------------------- strain
+# A strain source shifts (dQ, dA) by its slopes times the strain.
+
+def _strain_shift(epsilon):
+    d_quadrupole, d_hyperfine, _ = strain_source(lorentzian(0.0, 1e-3)).slopes
+    return d_quadrupole * epsilon, d_hyperfine * epsilon
+
 
 def test_strain_compressive_example():
     # epsilon = -1% compressive -> P = +13.29 GPa through P = -3*K*epsilon
-    shift = strain_response(-0.01)
-    assert math.isclose(shift.pressure_GPa, 13.29, rel_tol=1e-12)
-    assert math.isclose(shift.d_quadrupole, TWO_PI * 21264.0, rel_tol=1e-12)
-    assert math.isclose(shift.d_hyperfine, TWO_PI * 57545.7, rel_tol=1e-12)
-    assert not shift.extrapolated
+    assert math.isclose(PRESSURE_PER_STRAIN_GPA * -0.01, 13.29, rel_tol=1e-12)
+    d_quadrupole, d_hyperfine = _strain_shift(-0.01)
+    assert math.isclose(d_quadrupole, TWO_PI * 21264.0, rel_tol=1e-12)
+    assert math.isclose(d_hyperfine, TWO_PI * 57545.7, rel_tol=1e-12)
 
 
 def test_strain_two_percent_tensile():
-    shift = strain_response(0.02)
-    assert math.isclose(shift.pressure_GPa, -26.58, rel_tol=1e-12)
-    assert not shift.extrapolated
-
-
-def test_strain_extrapolation_flag():
-    assert strain_response(0.03).extrapolated
-    assert strain_response(-0.021).extrapolated
+    assert math.isclose(PRESSURE_PER_STRAIN_GPA * 0.02, -26.58, rel_tol=1e-12)
 
 
 def test_strain_linearity():
-    a = strain_response(0.004)
-    b = strain_response(0.008)
-    assert math.isclose(2 * a.d_quadrupole, b.d_quadrupole, rel_tol=1e-12)
-    assert math.isclose(2 * a.d_hyperfine, b.d_hyperfine, rel_tol=1e-12)
+    a = _strain_shift(0.004)
+    b = _strain_shift(0.008)
+    assert math.isclose(2 * a[0], b[0], rel_tol=1e-12)
+    assert math.isclose(2 * a[1], b[1], rel_tol=1e-12)
 
 
 def test_strain_refuses_a_bool():
-    # True used to be read as a strain of 1, which the config refuses
-    with pytest.raises(ValueError, match="strain must be a plain number, got True"):
-        strain_response(True)
-
-
-def test_interaction_shift_must_be_finite():
-    # a NaN shift used to be accepted and make every transition frequency NaN
-    with pytest.raises(ValueError, match="d_quadrupole must be finite"):
-        InteractionShift(math.nan, 0.0)
-    with pytest.raises(ValueError, match="d_hyperfine must be finite"):
-        InteractionShift(np.zeros(3), np.array([0.0, math.inf, 0.0]))
-    assert InteractionShift(np.zeros(3), np.ones(3)).d_hyperfine.shape == (3,)
+    # True would be read as a strain of 1, which the config refuses
+    with pytest.raises(ValueError, match="location must be a plain number, got True"):
+        strain_source(lorentzian(True, 1e-3))
 
 
 @pytest.mark.parametrize("strain", [math.nan, math.inf, -math.inf])
 def test_strain_must_be_finite(strain):
-    # a NaN used to return NaN shifts flagged as not extrapolated
-    with pytest.raises(ValueError, match="strain must be finite"):
-        strain_response(strain)
+    with pytest.raises(ValueError, match="location must be finite"):
+        strain_source(lorentzian(strain, 1e-3))
 
 
 # ------------------------------------------------------------------- linear
@@ -431,18 +422,19 @@ def test_linear_response_defaults():
 
 
 def test_linear_interaction_shift_composes_channels():
+    # a run's phase at the sources' locations is the phase of the couplings
+    # shifted by each source's slopes times its location, summed over sources
     lin = default_linear_response()
-    shift = lin.interaction_shift(d_temperature=2.0, strain=-0.001)
-    assert math.isclose(
-        shift.d_quadrupole,
-        2.0 * lin.quadrupole_per_K + (-0.001) * lin.quadrupole_per_strain,
-        rel_tol=1e-12,
-    )
-    assert math.isclose(
-        shift.d_hyperfine,
-        2.0 * lin.hyperfine_per_K + (-0.001) * lin.hyperfine_per_strain,
-        rel_tol=1e-12,
-    )
+    sources = (temperature_source(delta(2.0), lin), strain_source(delta(-0.001), lin))
+    seq = build_unbalanced_echo(1e-3, 0.4e-3)
+    got = simulate_family([seq], sources).base_phase[0]
+    p = default_params()
+    shifted = replace(p, quadrupole=p.quadrupole + 2.0 * lin.quadrupole_per_K
+                      - 0.001 * lin.quadrupole_per_strain,
+                      hyperfine=p.hyperfine + 2.0 * lin.hyperfine_per_K
+                      - 0.001 * lin.hyperfine_per_strain)
+    expected = accumulated_phase(shifted, phase_coefficients(p, seq.pair, seq.segments))
+    assert math.isclose(got, expected, rel_tol=1e-12)
 
 
 def test_quasiharmonic_set_interaction_shift_vectorized():

@@ -191,20 +191,18 @@ def test_nuclear_echo_refocuses_every_linear_source():
 
 # the package's public names, which hold one evaluator, simulate_family
 PUBLIC_NAMES = (
-    "ConfigError", "EnsembleSignal", "FitError", "FitResult", "InteractionShift",
-    "LinearResponse", "NoiseSource", "PulseSequence", "QuasiharmonicSet", "RateTable",
-    "ScenarioConfig", "ScenarioResult", "ScriptError", "SpinSystemParams", "TWO_PI",
-    "angular", "build_dq_ramsey", "build_nuclear_echo", "build_ramsey", "build_sequence",
+    "ConfigError", "EnsembleSignal", "FitError", "FitResult", "LinearResponse",
+    "NoiseSource", "PulseSequence", "QuasiharmonicSet", "RateTable", "ScenarioConfig",
+    "ScenarioResult", "ScriptError", "SpinSystemParams", "TWO_PI", "angular",
+    "build_dq_ramsey", "build_nuclear_echo", "build_ramsey", "build_sequence",
     "build_unbalanced_echo", "calibrate_response_set", "cycles", "default_linear_response",
-    "default_params", "default_quasiharmonic_set", "delta", "dephasing_factor", "dump_config",
-    "estimate_sigma", "field_source", "fit_cosine", "fit_exponential", "fit_vee",
-    "format_quantity", "format_sequence_script", "gaussian", "load_config",
+    "default_params", "default_quasiharmonic_set", "delta", "dephasing_factor",
+    "dump_config", "estimate_sigma", "field_source", "fit_cosine", "fit_exponential",
+    "fit_vee", "format_quantity", "format_sequence_script", "gaussian", "load_config",
     "load_packaged_scenario", "load_response_set", "lorentzian", "parse_config",
     "parse_quantity", "parse_sequence_script", "phase_sweep", "predict_echo_rate",
-    "predict_rate", "read_signal_csv", "residual_field_source", "run_scenario",
-    "save_response_set", "scans", "simulate_family", "single_quantum_table",
-    "strain_response", "strain_source", "temperature_source", "transition_frequency",
-    "write_signal_csv",
+    "read_signal_csv", "residual_field_source", "run_scenario", "save_response_set",
+    "scans", "simulate_family", "strain_source", "temperature_source", "write_signal_csv",
 )
 
 
@@ -217,6 +215,24 @@ def test_simulate_family_is_the_one_evaluator():
     assert not hasattr(nvecho, "simulate_amplitude")
     assert not hasattr(sequences, "simulate_amplitude")
     assert not hasattr(MonteCarloResult, "amplitude")
+    assert nvecho.__all__ == list(PUBLIC_NAMES)
+
+
+def test_each_quantity_has_one_path():
+    # line frequencies and strain shifts come from the phase coefficients and
+    # the sources' slopes, the free-evolution rate from predict_echo_rate;
+    # the second paths to them are gone
+    import nvecho
+    from nvecho import estimator, response, spin_model
+
+    gone = {spin_model: ("SINGLE_QUANTUM_LINES", "TransitionRecord", "single_quantum_table",
+                         "transition_frequency"),
+            response: ("InteractionShift", "StrainShift", "strain_response"),
+            estimator: ("predict_rate",)}
+    for module, names in gone.items():
+        for name in names:
+            assert not hasattr(module, name) and not hasattr(nvecho, name), name
+    assert not hasattr(response.LinearResponse, "interaction_shift")
     assert nvecho.__all__ == list(PUBLIC_NAMES)
 
 

@@ -3,18 +3,23 @@
 Expected frequencies are frozen by hand from the secular level formula
 E(m_I; m_S) = Q m_I^2 + m_S A m_I + gamma_n B m_I with the default
 constants (|Q| = 4.945 MHz, |A_zz| = 2.16 MHz, |gamma_n| B = 73540.3 Hz).
-The linear phase model (``phase_coefficients``, ``accumulated_phase``) is
-checked against a brute-force oracle that differences per-level energies
-with per-segment offsets, so it meets independent arithmetic.
+A line's frequency is the magnitude of the phase of one second on its pair
+and manifold, so the frequencies and the phases are both checked through
+the linear phase model (``phase_coefficients``, ``accumulated_phase``),
+against a brute-force oracle that differences per-level energies with
+per-segment offsets, so it meets independent arithmetic.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from nvecho.noise import lorentzian
 from nvecho.pulses import DOUBLE_QUANTUM_PAIR
-from nvecho.response import InteractionShift, default_linear_response
+from nvecho.response import LinearResponse, default_linear_response
 from nvecho.spin_model import (
     Segment,
     SpinSystemParams,
@@ -22,9 +27,7 @@ from nvecho.spin_model import (
     default_params,
     pair_sensitivity,
     phase_coefficients,
-    single_quantum_table,
     stack_coefficients,
-    transition_frequency,
 )
 from nvecho.units import TWO_PI, angular
 
@@ -72,6 +75,18 @@ def _phase(p, pair, segments):
     return accumulated_phase(p, phase_coefficients(p, pair, segments))
 
 
+def _line_frequency(p, pair, m_S, d_q=0.0, d_a=0.0):
+    """|phase| of one second on ``pair`` in manifold ``m_S``, rad/s, with
+    (dQ, dA) shifts entering through the phase coefficients."""
+    c = phase_coefficients(p, pair, [Segment(1.0, m_S)])
+    return abs(accumulated_phase(p, c) + c.quadrupole * d_q + c.hyperfine * d_a)
+
+
+def _six_lines(p, d_q=0.0, d_a=0.0):
+    return {index: _line_frequency(p, pair, m_S, d_q, d_a)
+            for index, (pair, m_S, _) in EXPECTED_LINES_HZ.items()}
+
+
 def test_level_energy_examples():
     p = default_params()
     assert _energy(p, 0, 0) == 0.0
@@ -91,48 +106,43 @@ def test_level_energy_with_shift():
     assert _energy(p, +1, +1, angular(120.0), angular(-300.0)) == pytest.approx(
         expected, rel=1e-12)
     # every pair and manifold: the transition frequency is the level difference
-    shift = InteractionShift(d_quadrupole=angular(120.0), d_hyperfine=angular(-300.0))
+    d_q, d_a = angular(120.0), angular(-300.0)
     for pair in ((0, +1), (0, -1), (-1, +1), (+1, 0)):
         for m_S in (-1, 0, 1):
-            levels = [_energy(p, m, m_S, shift.d_quadrupole, shift.d_hyperfine) for m in pair]
-            assert transition_frequency(p, pair, m_S, shift) == pytest.approx(
+            levels = [_energy(p, m, m_S, d_q, d_a) for m in pair]
+            assert _line_frequency(p, pair, m_S, d_q, d_a) == pytest.approx(
                 abs(levels[1] - levels[0]), rel=1e-12), (pair, m_S)
 
 
 def test_six_line_frequencies():
     p = default_params()
     for pair, m_S, expected_hz in EXPECTED_LINES_HZ.values():
-        freq = transition_frequency(p, pair, m_S)
+        freq = _line_frequency(p, pair, m_S)
         assert freq == pytest.approx(TWO_PI * expected_hz, rel=1e-12), (pair, m_S)
 
 
 def test_transition_frequency_is_orientation_free():
     p = default_params()
-    assert transition_frequency(p, (0, +1), -1) == transition_frequency(p, (+1, 0), -1)
+    assert _line_frequency(p, (0, +1), -1) == _line_frequency(p, (+1, 0), -1)
 
 
 def test_double_quantum_frequency():
     p = default_params()
     assert DOUBLE_QUANTUM_PAIR == (-1, +1)
-    assert transition_frequency(p, (-1, +1), 0) == pytest.approx(
+    assert _line_frequency(p, (-1, +1), 0) == pytest.approx(
         TWO_PI * 2 * ZEEMAN_HZ, rel=1e-12
     )
     # m_S = +1 manifold picks up twice the hyperfine on top of the Zeeman part
-    assert transition_frequency(p, (-1, +1), +1) == pytest.approx(
+    assert _line_frequency(p, (-1, +1), +1) == pytest.approx(
         TWO_PI * (2 * A_HZ + 2 * ZEEMAN_HZ), rel=1e-12
     )
 
 
 def test_single_quantum_table_ordering_and_identities():
     p = default_params()
-    table = single_quantum_table(p)
-    assert [rec.index for rec in table] == [1, 2, 3, 4, 5, 6]
-    by_index = {rec.index: rec for rec in table}
-    for idx, (pair, m_S, expected_hz) in EXPECTED_LINES_HZ.items():
-        rec = by_index[idx]
-        assert rec.pair == pair and rec.m_S == m_S
-        assert rec.frequency == pytest.approx(TWO_PI * expected_hz, rel=1e-12)
-    w = {rec.index: rec.frequency for rec in table}
+    w = _six_lines(p)
+    for idx, (_, _, expected_hz) in EXPECTED_LINES_HZ.items():
+        assert w[idx] == pytest.approx(TWO_PI * expected_hz, rel=1e-12)
     assert (w[1] + w[2]) / 2 == pytest.approx(TWO_PI * Q_HZ, rel=1e-12)
     assert (w[4] + w[5] - w[3] - w[6]) / 4 == pytest.approx(TWO_PI * A_HZ, rel=1e-12)
 
@@ -142,11 +152,8 @@ def test_table_identities_survive_finite_shifts():
     # finite shifts, and stay blind to field offsets.  Both couplings are
     # negative, so a positive signed shift shrinks the magnitude.
     p = default_params()
-    shift = InteractionShift(
-        d_quadrupole=angular(75.0), d_hyperfine=angular(-140.0)
-    )
     p_shifted = SpinSystemParams(field_gauss=p.field_gauss + 0.5)
-    w = {rec.index: rec.frequency for rec in single_quantum_table(p_shifted, shift)}
+    w = _six_lines(p_shifted, angular(75.0), angular(-140.0))
     assert (w[1] + w[2]) / 2 == pytest.approx(TWO_PI * Q_HZ - angular(75.0), rel=1e-12)
     assert (w[4] + w[5] - w[3] - w[6]) / 4 == pytest.approx(
         TWO_PI * A_HZ - angular(-140.0), rel=1e-12
@@ -165,14 +172,37 @@ def test_parameter_validation():
             SpinSystemParams(**{name: bad})
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: LinearResponse(quadrupole_per_K=True), "quadrupole_per_K"),
+    (lambda: SpinSystemParams(field_gauss=True), "field_gauss"),
+    (lambda: SpinSystemParams(field_gauss=np.array([239.0])), "field_gauss"),
+    (lambda: lorentzian(0.0, np.array([1.0])), "scale"),
+], ids=["bool-slope", "bool-field", "array-field", "array-width"])
+def test_a_bool_or_an_array_is_not_a_number(build, field):
+    # a bool used to be taken as 1, and a one-element array to raise numpy's
+    # TypeError from inside the check
+    with pytest.raises(ValueError, match=f"{field} must be a plain number"):
+        build()
+
+
+def test_spin_model_loads_without_the_response_layer():
+    # the couplings and the phase need neither the response models, their
+    # solver nor PyYAML
+    code = ("import sys, nvecho.spin_model; print(sorted({'nvecho.response', "
+            "'nvecho.solvers', 'yaml'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_spin_projection_validation():
     p = default_params()
     with pytest.raises(ValueError, match="pair"):
-        transition_frequency(p, (2, 0), 0)
+        _line_frequency(p, (2, 0), 0)
     with pytest.raises(ValueError, match="m_S"):
-        transition_frequency(p, (0, 1), -2)
+        _line_frequency(p, (0, 1), -2)
     with pytest.raises(ValueError):
-        transition_frequency(p, (0, 0), 0)  # degenerate pair
+        _line_frequency(p, (0, 0), 0)  # degenerate pair
     with pytest.raises(ValueError):
         Segment(duration=-1e-6, m_S=0)
     with pytest.raises(ValueError):
@@ -228,8 +258,7 @@ def test_temperature_phase_cancellation_at_slope_ratio():
     scale = abs(t * resp.quadrupole_per_K * d_T)
     assert abs(d_phi) < 1e-12 * scale
     # The brute-force phase agrees too, up to rounding of the large base phase.
-    shift = resp.interaction_shift(d_temperature=d_T)
-    offsets = [(shift.d_quadrupole, shift.d_hyperfine, 0.0)] * 2
+    offsets = [(resp.quadrupole_per_K * d_T, resp.hyperfine_per_K * d_T, 0.0)] * 2
     phi = _oracle_phase(p, (0, -1), segments, offsets)
     phi0 = _oracle_phase(p, (0, -1), segments)
     assert abs(phi - phi0) < 1e-12 * abs(phi0)
@@ -241,15 +270,14 @@ def test_temperature_phase_no_cancellation_other_branch():
     t = 1e-3
     tau = t * resp.quadrupole_per_K / resp.hyperfine_per_K
     d_T = 0.8
-    shift = resp.interaction_shift(d_temperature=d_T)
+    d_q, d_a = resp.quadrupole_per_K * d_T, resp.hyperfine_per_K * d_T
     segments = (Segment(t - tau, 0), Segment(tau, +1))
-    phi = _oracle_phase(p, (0, +1), segments, [(shift.d_quadrupole, shift.d_hyperfine, 0.0)] * 2)
+    phi = _oracle_phase(p, (0, +1), segments, [(d_q, d_a, 0.0)] * 2)
     phi0 = _oracle_phase(p, (0, +1), segments)
     expected = -(t * resp.quadrupole_per_K + tau * resp.hyperfine_per_K) * d_T
     assert phi - phi0 == pytest.approx(expected, rel=1e-10)
     c = phase_coefficients(p, (0, +1), segments)
-    assert c.quadrupole * shift.d_quadrupole + c.hyperfine * shift.d_hyperfine \
-        == pytest.approx(expected, rel=1e-12)
+    assert c.quadrupole * d_q + c.hyperfine * d_a == pytest.approx(expected, rel=1e-12)
 
 
 def _random_sequence(rng):
