@@ -21,25 +21,23 @@ Both paths evaluate a whole family of sequences (a sweep or a decay scan)
 at once, given as a list of PhaseCoefficients, and return one attenuation
 per member.  The closed form is one vectorised real product over the
 family; ``monte_carlo_attenuation`` says how the Monte Carlo path shares
-its draws and threads across the family and still gives every member the
-bits that member alone gives.
+its draws across the family and still gives every member the bits that
+member alone gives.
 
 The Monte Carlo path sums each member's e^{i phase} without a complex
 exponential (``_member_sums``): each phase is reduced to a multiple of
-2pi/256 plus a remainder of at most pi/256, whose cos and sin are short
+2pi/4096 plus a remainder of at most pi/4096, whose cos and sin are short
 polynomials, and the remainders are summed per multiple and turned by a
-table of e^{2 pi i j/256}.  The sum is within 5e-16 per draw of the exact
+table of e^{2 pi i j/4096}.  The sum is within 5e-16 per draw of the exact
 sum of e^{i phase} over the same draws (1.2e-16 measured), far below the
 sampling error, and is made of exactly rounded operations in a fixed
-order, so it does not depend on the thread count or on the batch.
+order, so it does not depend on the batch or on the CPU.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
-import threading
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -231,12 +229,11 @@ def residual_field_source(dq_coherence_time: float = 3.9e-3,
     width is sigma_B = 1 / (2 |gamma_n| T2_dq).  This lumps every noise
     channel that is not cancelled by the echo into one effective field.
     """
-    for name, value in (("dq_coherence_time", dq_coherence_time), ("gamma_n", gamma_n)):
-        if isinstance(value, bool):
-            raise ValueError(f"{name} must be a plain number, got {value!r}")
-    if not (math.isfinite(dq_coherence_time) and dq_coherence_time > 0):
+    check_number("dq_coherence_time", dq_coherence_time)
+    check_number("gamma_n", gamma_n)
+    if not dq_coherence_time > 0:
         raise ValueError(f"coherence time must be positive and finite, got {dq_coherence_time!r}")
-    if not (math.isfinite(gamma_n) and gamma_n != 0):
+    if gamma_n == 0:
         raise ValueError(f"gamma_n must be finite and nonzero, got {gamma_n!r}")
     scale = 1.0 / (2.0 * abs(gamma_n) * dq_coherence_time)
     return field_source(lorentzian(0.0, scale), name=name)
@@ -263,7 +260,8 @@ class MonteCarloResult:
     the draws they share; ``std_error`` is sqrt((1 - |m|^2)/N), the RMS error
     of the complex mean m, not of |m|.  Each ``attenuation`` is within 5e-16
     of the exact mean of e^{i (phase - phase(locations))} over the retained
-    draws (``_member_sums``)."""
+    draws, and its bits depend only on the member's coefficients, the
+    sources, ``n_samples`` and ``seed`` (``_member_sums``)."""
 
     attenuation: np.ndarray
     std_error: np.ndarray
@@ -273,40 +271,20 @@ class MonteCarloResult:
     truncated_mass: dict = dataclass_field(default_factory=dict)
 
 
-def _thread_count(members: int) -> int:
-    """Threads that share a chunk's family members: one per CPU this process
-    may run on, at most one per member."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, members))
-
-
-def _claims(size: int):
-    """A function the threads share that returns each member index 0..size-1
-    exactly once, then None; a lock makes each claim atomic on every Python
-    build, with or without the GIL."""
-    members, lock = iter(range(size)), threading.Lock()
-
-    def claim():
-        with lock:
-            return next(members, None)
-    return claim
-
-
 # ``_member_sums`` sums e^{i phase} as e^{2 pi i k/_BINS} e^{i r}, with
 # k = rint(phase _BINS/2pi) and |r| <= pi/_BINS.  _STEP_HI + _STEP_LO is
-# 2pi/_BINS to within 2e-27, and _STEP_HI has 27 significant bits, so
-# k * _STEP_HI is exact and r is within 2e-18 of its exact value while
-# |k| <= _MAX_TURN, that is for |phase| <= 1.6e6 rad.
-_BINS = 256
-_BLOCK = 1 << 14  # draws a thread reduces at a time
-_TWO_PI_HI = math.floor(math.tau * 2**24) / 2**24
+# 2pi/_BINS to within 3e-27, and _STEP_HI has 23 significant bits, so
+# k * _STEP_HI is exact and r is within 1e-17 of its exact value while
+# |k| <= _MAX_TURN, that is for |phase| <= 1.6e6 rad.  A member whose
+# |phase| provably stays within _PHASE_LIMIT skips the range check.
+_BINS = 4096
+_BLOCK = 1 << 14  # draws reduced at a time
+_TWO_PI_HI = math.floor(math.tau * 2**20) / 2**20
 _TWO_PI_LO = 2.4492935982947064e-16  # 2pi - math.tau, what math.tau rounds off
 _STEP_HI = _TWO_PI_HI / _BINS
 _STEP_LO = (math.tau - _TWO_PI_HI + _TWO_PI_LO) / _BINS
-_MAX_TURN = 2.0**26
+_MAX_TURN = 2.0**30
+_PHASE_LIMIT = (1 - 1e-9) * _MAX_TURN * math.tau / _BINS
 
 
 def _unit_circle():
@@ -325,23 +303,17 @@ def _unit_circle():
 _COS, _SIN = _unit_circle()
 
 
-def _workspace(kept: int):
-    """One thread's buffers for ``_member_sums`` on a chunk of ``kept``
-    draws: 32 bytes per draw of a block, at most 512 KiB."""
-    n = min(kept, _BLOCK)
-    return np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=np.intp)
-
-
-def _bin_block(phase, turn, term, index, cos_bins, sin_bins) -> complex:
+def _bin_block(phase, turn, term, index, cos_bins, sin_bins, checked) -> complex:
     """Add one block of ``phase`` into the per-bin sums: cos r and sin r of
     the draws with k = j mod _BINS to ``cos_bins[j]`` and ``sin_bins[j]``.
-    Return the sum of e^{i phase} over the draws with |k| > _MAX_TURN (or a
-    non-finite phase), which are not binned.  Overwrites every array it is
-    given but the bins."""
+    When ``checked``, return the sum of e^{i phase} over the draws with
+    |k| > _MAX_TURN (or a non-finite phase), which are not binned; else
+    every |k| must be at most _MAX_TURN, and 0j is returned.  Overwrites
+    every array it is given but the bins."""
     np.multiply(phase, _BINS / math.tau, out=turn)
     np.rint(turn, out=turn)
     outside = 0j
-    if not (turn.min() >= -_MAX_TURN and turn.max() <= _MAX_TURN):
+    if checked and not (turn.min() >= -_MAX_TURN and turn.max() <= _MAX_TURN):
         inside = np.abs(turn) <= _MAX_TURN
         outside = complex(np.exp(1j * phase[~inside]).sum())
         n = np.count_nonzero(inside)
@@ -355,45 +327,49 @@ def _bin_block(phase, turn, term, index, cos_bins, sin_bins) -> complex:
     np.multiply(turn, _STEP_LO, out=term)
     np.subtract(r, term, out=r)
     np.multiply(r, r, out=r2)
-    # cos r and sin r: the next Taylor terms, r^8/8! and r^7/7!, are below
-    # 1e-17 for |r| <= pi/_BINS
-    np.multiply(r2, -1 / 720, out=term)
-    np.add(term, 1 / 24, out=term)
-    np.multiply(term, r2, out=term)
+    # cos r and sin r: the next Taylor terms, r^6/6! and r^5/5!, are below
+    # 3e-22 and 2.2e-18 for |r| <= pi/_BINS
+    np.multiply(r2, 1 / 24, out=term)
     np.add(term, -0.5, out=term)
     np.multiply(term, r2, out=term)
     np.add(term, 1.0, out=term)
     cos_bins += np.bincount(index, weights=term, minlength=_BINS)
-    np.multiply(r2, 1 / 120, out=term)
-    np.add(term, -1 / 6, out=term)
-    np.multiply(term, r2, out=term)
+    np.multiply(r2, -1 / 6, out=term)
     np.multiply(term, r, out=term)
     np.add(term, r, out=term)
     sin_bins += np.bincount(index, weights=term, minlength=_BINS)
     return outside
 
 
-def _member_sums(channels, claim, sums, workspace):
-    """Write into ``sums[g]`` the sum of e^{i (phase - phase(locations))}
-    over one chunk for each member g this thread claims by calling
-    ``claim`` (``_claims``), using the buffers of ``workspace``
-    (``_workspace``).
+def _member_sums(channels) -> list:
+    """The sum of e^{i (phase - phase(locations))} over one chunk for each
+    family member, in member order.
 
     The phase is ``sum(c[g] * channel ...)`` over each source's channels,
     those sums added in source order, built one block of _BLOCK draws at a
-    time and binned by ``_bin_block``.  The bins are then contracted with
-    the table e^{2 pi i j/_BINS}.  Every operation on the draws is an
-    exactly rounded numpy ufunc or a sum in a fixed order, so a member's sum
-    depends only on its coefficients and the chunk's draws, whichever SIMD
-    loops numpy runs.  It is within 5e-16 per draw of the exact sum of
-    e^{i phase} (1.2e-16 measured); a phase beyond the binned range goes
-    through ``np.exp``.  Phases that are all zero sum to exactly
-    ``kept + 0j``.
+    time in buffers of 32 bytes per draw of a block, at most 512 KiB, and
+    binned by ``_bin_block``.  The bins are then contracted with the table
+    e^{2 pi i j/_BINS}.  A member whose bound ``sum(|c[g]| * max|channel|)``
+    is finite and within _PHASE_LIMIT skips the per-block range check; any
+    other member is checked, and a phase beyond the binned range goes
+    through ``np.exp``.  Every operation on the draws is an exactly rounded
+    numpy ufunc or a sum in a fixed order, so a member's sum depends only on
+    its coefficients and the chunk's draws, whichever SIMD loops numpy runs,
+    and skipping the check does not change it.  It is within 5e-16 per draw
+    of the exact sum of e^{i phase} (1.2e-16 measured).  Phases that are all
+    zero sum to exactly ``kept + 0j``.
     """
-    phase, partial, temp, index = workspace
     first, *later = channels
     kept = len(first[0][1])
-    for g in iter(claim, None):
+    n = min(kept, _BLOCK)
+    phase, partial, temp = np.empty(n), np.empty(n), np.empty(n)
+    index = np.empty(n, dtype=np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound is checked
+        bounds = sum(np.abs(c) * np.abs(channel).max(initial=0.0)
+                     for pairs in channels for c, channel in pairs)
+    sums = []
+    for g, bound in enumerate(bounds):
+        checked = not bound <= _PHASE_LIMIT
         cos_bins, sin_bins = np.zeros(_BINS), np.zeros(_BINS)
         outside = 0j
         for start in range(0, kept, _BLOCK):
@@ -411,9 +387,10 @@ def _member_sums(channels, claim, sums, workspace):
                     np.multiply(c[g], channel[block], out=t)
                     np.add(p, t, out=p)
                 np.add(ph, p, out=ph)
-            outside += _bin_block(ph, p, t, index[:n], cos_bins, sin_bins)
-        sums[g] = complex((cos_bins * _COS - sin_bins * _SIN).sum(),
-                          (cos_bins * _SIN + sin_bins * _COS).sum()) + outside
+            outside += _bin_block(ph, p, t, index[:n], cos_bins, sin_bins, checked)
+        sums.append(complex((cos_bins * _COS - sin_bins * _SIN).sum(),
+                            (cos_bins * _SIN + sin_bins * _COS).sum()) + outside)
+    return sums
 
 
 def _chunk_channels(sources, windows, grid, seed, k, n_k):
@@ -431,32 +408,6 @@ def _chunk_channels(sources, windows, grid, seed, k, n_k):
     return channels, int(mask.sum())
 
 
-def _chunk_sums(sources, windows, grid, seed, k, n_k, pool, n_threads):
-    """Per-member sums of e^{i (phase - phase(locations))} over chunk k's
-    retained joint draws, and the retained count.
-
-    The chunk is drawn, masked and turned into response channels in the
-    calling thread.  Then ``n_threads`` threads, the calling one and
-    ``n_threads - 1`` on ``pool``, each with buffers of its own, claim the
-    members one at a time (``_claims``) and write each sum at its member's
-    index; a member no thread summed stays None and fails the caller's
-    addition.  The chunk's arrays are freed on return, before the next chunk
-    is drawn."""
-    channels, kept = _chunk_channels(sources, windows, grid, seed, k, n_k)
-    size = grid.quadrupole.size
-    claim = _claims(size)
-    sums = [None] * size
-    # Allocated in the calling thread: glibc gives each worker thread its own
-    # malloc arena, and allocating there kept ~2 MiB more of fig4's RSS.
-    workspaces = [_workspace(kept) for _ in range(n_threads)]
-    futures = [pool.submit(_member_sums, channels, claim, sums, workspace)
-               for workspace in workspaces[1:]]
-    _member_sums(channels, claim, sums, workspaces[0])
-    for future in futures:
-        future.result()
-    return sums, kept
-
-
 def monte_carlo_attenuation(sources, coefficients, n_samples: int = DEFAULT_SAMPLES,
                             seed: int = DEFAULT_SEED) -> MonteCarloResult:
     """Sampled estimate of <e^{i (phase - phase(locations))}> for every
@@ -467,18 +418,12 @@ def monte_carlo_attenuation(sources, coefficients, n_samples: int = DEFAULT_SAMP
     source falls outside its physical window, and evaluates each source's
     response channels once.  Only then is the phase contracted and averaged
     per member, in chunk order, so a member's estimate does not depend on
-    the rest of the family.  One thread per CPU the process may run on (at
-    most one per member) shares each chunk's channels: the threads claim
-    members one at a time and each holds 32 bytes per draw of a block of
-    16,384 draws, 512 KiB, whatever the sources (``_workspace``).  A
-    member's sum is computed by the same code whichever thread claims it and
-    is added to its total in chunk order, so the estimate does not depend
-    on the thread count either.  Each member's sum is within 5e-16 per draw
-    of the exact sum over the same draws (``_member_sums``).  ``sources``
-    must not be empty.
+    the rest of the family.  The members are summed one after another on
+    the calling thread, in buffers of 32 bytes per draw of a block of
+    16,384 draws, 512 KiB, whatever the sources.  Each member's sum is
+    within 5e-16 per draw of the exact sum over the same draws
+    (``_member_sums``).  ``sources`` must not be empty.
     """
-    from concurrent.futures import ThreadPoolExecutor  # kept off the cold import path
-
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -492,16 +437,14 @@ def monte_carlo_attenuation(sources, coefficients, n_samples: int = DEFAULT_SAMP
                          "attenuation is exactly 1")
     grid = stack_coefficients(coefficients)
     windows = [src.truncation_window() for src in sources]
-    size = grid.quadrupole.size
-    totals = [0j] * size
+    totals = [0j] * grid.quadrupole.size
     retained = 0
-    n_threads = _thread_count(size)
-    with ThreadPoolExecutor(max_workers=max(1, n_threads - 1)) as pool:
-        for k, start in enumerate(range(0, n_samples, CHUNK)):
-            sums, kept = _chunk_sums(sources, windows, grid, seed, k,
-                                     min(CHUNK, n_samples - start), pool, n_threads)
-            totals = [total + z for total, z in zip(totals, sums)]
-            retained += kept
+    for k, start in enumerate(range(0, n_samples, CHUNK)):
+        channels, kept = _chunk_channels(sources, windows, grid, seed, k,
+                                         min(CHUNK, n_samples - start))
+        totals = [total + z for total, z in zip(totals, _member_sums(channels))]
+        retained += kept
+        del channels  # freed before the next chunk is drawn
     if retained == 0:
         raise ValueError("all samples fell outside the truncation windows")
     means = [total / retained for total in totals]

@@ -28,6 +28,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from .units import check_number
+
 PROJECTIONS = (-1, 0, 1)
 DOUBLE_QUANTUM_PAIR = (-1, +1)
 
@@ -134,28 +136,21 @@ def _refuse(rule, keys) -> None:
         raise ValueError(f"{refusal[0]}: {refusal[1]}")
 
 
-def _check_not_bool(name, value) -> None:
-    """ValueError for a bool, which arithmetic would turn into 0 or 1 s
-    before ``Segment`` could refuse it."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number of seconds, got {value!r}")
-
-
 def build_ramsey(duration: float, pair=(0, -1), m_S: int = 0) -> PulseSequence:
+    check_number("duration", duration)
     _refuse(_needs_m_i_zero, {"pair": pair})
     return PulseSequence(tuple(pair), (Segment(duration, m_S),))
 
 
 def build_dq_ramsey(duration: float, m_S: int = 0) -> PulseSequence:
+    check_number("duration", duration)
     return PulseSequence(DOUBLE_QUANTUM_PAIR, (Segment(duration, m_S),))
 
 
 def build_unbalanced_echo(total_time: float, flip_time: float, pair=(0, -1),
                           ms_free: int = 0, ms_flipped: int = 1) -> PulseSequence:
-    _check_not_bool("total_time", total_time)
-    if not (math.isfinite(total_time) and math.isfinite(flip_time)):
-        raise ValueError(f"total time and flip time must be finite, got t={total_time!r}, "
-                         f"tau={flip_time!r}")
+    check_number("total_time", total_time)
+    check_number("flip_time", flip_time)
     if not 0 <= flip_time <= total_time:
         raise ValueError("flip time must lie within the sequence: 0 <= tau <= t")
     _refuse(_flip_changes_manifold, {"ms_free": ms_free, "ms_flipped": ms_flipped})
@@ -166,7 +161,7 @@ def build_unbalanced_echo(total_time: float, flip_time: float, pair=(0, -1),
 
 
 def build_nuclear_echo(total_time: float, pair=(0, -1), m_S: int = 0) -> PulseSequence:
-    _check_not_bool("total_time", total_time)
+    check_number("total_time", total_time)
     half = total_time / 2.0
     return PulseSequence(
         tuple(pair), (Segment(half, m_S, sign=+1), Segment(half, m_S, sign=-1)))

@@ -8,9 +8,6 @@ the standard error, validated ahead of time.
 """
 
 import math
-import os
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -175,12 +172,16 @@ def test_residual_field_source_width():
 
 def test_residual_field_source_rejects_degenerate_inputs():
     # an infinite coherence time used to build a zero-width source ("no dephasing")
-    for bad in (math.inf, math.nan, 0.0):
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"dq_coherence_time must be finite, got {bad}"):
+            residual_field_source(dq_coherence_time=bad)
+    for bad in (0.0, -1e-3):
         with pytest.raises(ValueError, match="coherence time must be positive and finite"):
             residual_field_source(dq_coherence_time=bad)
-    for bad in (0.0, math.nan):
-        with pytest.raises(ValueError, match="gamma_n must be finite and nonzero"):
-            residual_field_source(gamma_n=bad)
+    with pytest.raises(ValueError, match="gamma_n must be finite, got nan"):
+        residual_field_source(gamma_n=math.nan)
+    with pytest.raises(ValueError, match="gamma_n must be finite and nonzero"):
+        residual_field_source(gamma_n=0.0)
     # a bool used to be read as 1, which the config refuses
     with pytest.raises(ValueError, match="dq_coherence_time must be a plain number, got True"):
         residual_field_source(True)
@@ -282,50 +283,21 @@ def test_monte_carlo_batch_matches_single_points(sources):
         assert alone.truncated_mass == batch.truncated_mass
 
 
-@pytest.mark.parametrize("sources", [
-    (temperature_source(lorentzian(0.0, 5.0)), field_source(gaussian(0.0, 0.05))),
-    (temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set()),),
-], ids=["linear", "quasiharmonic"])
-@pytest.mark.parametrize("size", [1, 2, 7])
-def test_monte_carlo_does_not_depend_on_the_thread_count(sources, size, monkeypatch):
-    family = [echo_coefficients(t=t, tau=f * t)
-              for t in (2e-5, 1e-4, 3e-4) for f in (0.0, 0.17, 0.5)][:size]
-    assert 1 <= noise._thread_count(size) <= min(size, os.cpu_count())
-    n = CHUNK + 17  # a partial last chunk
-    results = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # interleave the threads as often as the interpreter can
-    try:
-        for threads in (1, 2, 3):  # 3 leaves empty slices when size is 1 or 2
-            monkeypatch.setattr(noise, "_thread_count", lambda members, n=threads: n)
-            results.append(monte_carlo_attenuation(sources, family, n_samples=n, seed=SEED))
-    finally:
-        sys.setswitchinterval(interval)
-    first = results[0]
-    assert first.attenuation.shape == (size,)
-    for other in results[1:]:
-        assert other.attenuation.tobytes() == first.attenuation.tobytes()
-        assert other.std_error.tobytes() == first.std_error.tobytes()
-        assert other.n_retained == first.n_retained
-        assert other.truncated_mass == first.truncated_mass
-
-
 QUASIHARMONIC = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
 
 
 # Bound on |kernel sum - exact sum| per retained draw, for the real and the
-# imaginary part alike: the e^{2 pi i j/256} table is within 1.2e-16, the
+# imaginary part alike: the e^{2 pi i j/4096} table is within 1.2e-16, the
 # polynomials within 1.2e-16, and the bins and the contraction add rounding.
 # Largest measured in the tests below: 1.14e-16 per draw ("two-channels-last";
-# "linear" 1.11e-16, phases beyond the binned range 2.4e-17), so the bound
+# "linear" 1.11e-16, phases beyond the binned range 5.0e-17), so the bound
 # has a margin of 4.4x.
 KERNEL_BOUND_PER_DRAW = 5e-16
 
 
 def kernel_sums(channels, size):
-    sums = [None] * size
-    kept = channels[0][0][1].size
-    noise._member_sums(channels, noise._claims(size), sums, noise._workspace(kept))
+    sums = noise._member_sums(channels)
+    assert len(sums) == size
     return sums
 
 
@@ -363,10 +335,10 @@ def test_member_kernel_matches_the_exact_sum_within_its_bound(sources):
 
 
 def test_member_kernel_sums_phases_beyond_its_binned_range():
-    # past |phase| = 2^26 * 2 pi/256 = 1.6e6 rad the kernel hands a draw to
-    # np.exp; the blocks here hold such draws among binned ones, in the
-    # first and in the last, partial, block
-    edge = 2.0**26 * math.tau / 256
+    # past |phase| = _MAX_TURN * 2 pi/_BINS = 1.6e6 rad the kernel hands a
+    # draw to np.exp; the blocks here hold such draws among binned ones, in
+    # the first and in the last, partial, block
+    edge = noise._MAX_TURN * math.tau / noise._BINS
     rng = np.random.default_rng(SEED)
     channel = 1e4 * rng.standard_cauchy(3 * noise._BLOCK + 5)
     channel[[0, 1, 2, 3, 4, -1, -2]] = [edge, -edge, np.nextafter(edge, np.inf), 1e300, -0.0,
@@ -380,6 +352,37 @@ def test_member_kernel_sums_phases_beyond_its_binned_range():
         assert abs(got.imag - im) <= KERNEL_BOUND_PER_DRAW * channel.size
     # a zero coefficient makes every phase a signed zero
     assert np.array(sums[-1]).tobytes() == np.array(complex(channel.size, 0.0)).tobytes()
+
+
+@pytest.mark.parametrize("sources", [
+    (QUASIHARMONIC,),
+    (temperature_source(lorentzian(0.0, 5.0)),),
+    (field_source(gaussian(0.0, 0.05)), strain_source(delta(1e-6)), QUASIHARMONIC),
+], ids=["quasiharmonic", "linear", "two-channels-last"])
+def test_member_kernel_skips_the_range_check_with_the_same_bits(sources, monkeypatch):
+    # a member whose phase bound, sum |c| * max |channel|, is within
+    # _PHASE_LIMIT skips the per-block range check; forcing the check on
+    # gives it the same bytes.  In "linear" the Cauchy draws put one member's
+    # bound past the limit (6e7 rad) and one just under it (1.3e6 rad)
+    family = [echo_coefficients(t=0.0, tau=0.0), echo_coefficients(t=2e-4, tau=0.0),
+              echo_coefficients(t=2e-3, tau=0.36e-3), echo_coefficients(t=3e-5, tau=3e-5),
+              PhaseCoefficients(quadrupole=-1e-3, hyperfine=2e-3, field=-0.0)]
+    grid = stack_coefficients(family)
+    windows = [src.truncation_window() for src in sources]
+    channels, kept = noise._chunk_channels(sources, windows, grid, SEED, 0,
+                                           2 * noise._BLOCK + 5)  # a partial last block
+    real = noise._bin_block
+    checked = []
+    monkeypatch.setattr(noise, "_bin_block", lambda *args: checked.append(args[-1]) or real(*args))
+    fast = kernel_sums(channels, len(family))
+    blocks = -(-kept // noise._BLOCK)
+    assert len(checked) == blocks * len(family)
+    assert not any(checked[blocks:2 * blocks])  # member 1 is under the limit in every set
+    checked.clear()
+    monkeypatch.setattr(noise, "_PHASE_LIMIT", -math.inf)
+    slow = kernel_sums(channels, len(family))
+    assert all(checked)
+    assert np.array(fast).tobytes() == np.array(slow).tobytes()
 
 
 def test_member_kernel_keeps_signed_zeros_out_of_the_sum():
@@ -397,12 +400,7 @@ def test_member_kernel_keeps_signed_zeros_out_of_the_sum():
 PEAK_BEFORE_THREADS = 4_141_792
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_monte_carlo_peak_memory(threads, monkeypatch):
-    # each thread adds its own buffers, 16 bytes per retained draw (24 when a
-    # source after the first has two channels), so the count is pinned; two
-    # is what a 2-CPU host uses for this family
-    monkeypatch.setattr(noise, "_thread_count", lambda members: threads)
+def test_monte_carlo_peak_memory():
     src = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
     family = [echo_coefficients(t=2e-3, tau=f * 2e-3) for f in np.linspace(0.1, 0.25, 8)]
     monte_carlo_attenuation((src,), family, n_samples=CHUNK, seed=SEED)  # first-call set-up
@@ -413,27 +411,6 @@ def test_monte_carlo_peak_memory(threads, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BEFORE_THREADS
-
-
-def test_monte_carlo_memory_per_thread(monkeypatch):
-    # each thread beyond the first adds one complex buffer, 16 bytes per
-    # retained draw of a chunk, when no source after the first has two channels
-    family = [echo_coefficients(t=2e-3, tau=f * 2e-3) for f in np.linspace(0.1, 0.25, 8)]
-    windows = [QUASIHARMONIC.truncation_window()]
-    grid = stack_coefficients(family)
-    kept = max(noise._chunk_channels((QUASIHARMONIC,), windows, grid, SEED, k, CHUNK)[1]
-               for k in range(2))
-    peaks = {}
-    for threads in (1, 3):
-        monkeypatch.setattr(noise, "_thread_count", lambda members, n=threads: n)
-        monte_carlo_attenuation((QUASIHARMONIC,), family, n_samples=CHUNK, seed=SEED)
-        tracemalloc.start()
-        try:
-            monte_carlo_attenuation((QUASIHARMONIC,), family, n_samples=2 * CHUNK, seed=SEED)
-            peaks[threads] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert (peaks[3] - peaks[1]) / 2 <= 16 * kept + 64 * 1024
 
 
 def test_truncation_mass_absolute_temperature():
@@ -583,28 +560,6 @@ def test_monte_carlo_names_a_bad_sample_count_or_seed(keyword, bad, message):
                                          n_samples=np.int64(1000), seed=np.uint32(SEED))
     plain = monte_carlo_attenuation((hot,), [echo_coefficients()], n_samples=1000, seed=SEED)
     assert numpy_ints.attenuation.tobytes() == plain.attenuation.tobytes()
-
-
-def test_claims_give_each_member_once_across_threads():
-    claim = noise._claims(20_000)
-    claimed = [[] for _ in range(4)]
-    threads = [threading.Thread(target=lambda out: out.extend(iter(claim, None)), args=(out,))
-               for out in claimed]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert sorted(g for out in claimed for g in out) == list(range(20_000))
-    assert claim() is None
-
-
-def test_a_member_no_thread_sums_fails_loudly(monkeypatch):
-    real = noise._claims
-    monkeypatch.setattr(noise, "_claims", lambda size: real(size - 1))  # never hands out the last
-    family = [echo_coefficients(t=t, tau=0.0) for t in (1e-5, 2e-5, 3e-5)]
-    with pytest.raises(TypeError):
-        monte_carlo_attenuation((field_source(gaussian(0.0, 0.05)),), family,
-                                n_samples=100, seed=SEED)
 
 
 def test_zero_scale_is_a_point_mass():

@@ -17,8 +17,14 @@ import sys
 import numpy as np
 import pytest
 
-from nvecho.noise import lorentzian
-from nvecho.pulses import DOUBLE_QUANTUM_PAIR
+from nvecho.noise import lorentzian, residual_field_source
+from nvecho.pulses import (
+    DOUBLE_QUANTUM_PAIR,
+    build_dq_ramsey,
+    build_nuclear_echo,
+    build_ramsey,
+    build_unbalanced_echo,
+)
 from nvecho.response import LinearResponse, default_linear_response
 from nvecho.spin_model import (
     Segment,
@@ -177,7 +183,14 @@ def test_parameter_validation():
     (lambda: SpinSystemParams(field_gauss=True), "field_gauss"),
     (lambda: SpinSystemParams(field_gauss=np.array([239.0])), "field_gauss"),
     (lambda: lorentzian(0.0, np.array([1.0])), "scale"),
-], ids=["bool-slope", "bool-field", "array-field", "array-width"])
+    (lambda: build_ramsey(np.array([1e-3])), "duration"),
+    (lambda: build_dq_ramsey(np.array([1e-3])), "duration"),
+    (lambda: build_unbalanced_echo(2e-3, np.array([0.3e-3])), "flip_time"),
+    (lambda: build_nuclear_echo(np.array([1e-3])), "total_time"),
+    (lambda: residual_field_source(np.array([3.9e-3])), "dq_coherence_time"),
+], ids=["bool-slope", "bool-field", "array-field", "array-width", "array-ramsey",
+        "array-dq-ramsey", "array-unbalanced-echo", "array-nuclear-echo",
+        "array-residual-field"])
 def test_a_bool_or_an_array_is_not_a_number(build, field):
     # a bool used to be taken as 1, and a one-element array to raise numpy's
     # TypeError from inside the check
