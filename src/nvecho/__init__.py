@@ -30,8 +30,8 @@ _EXPORTS = {
                  "load_response_set", "save_response_set"),
     "scenarios": ("ScenarioResult", "run_scenario"),
     "script": ("ScriptError", "format_sequence_script", "parse_sequence_script"),
-    "sequences": ("EnsembleSignal", "phase_sweep", "read_signal_csv", "scans",
-                  "simulate_family", "write_signal_csv"),
+    "sequences": ("EnsembleSignal", "read_signal_csv", "scans", "simulate_family",
+                  "write_signal_csv"),
     "spin_model": ("SpinSystemParams", "default_params"),
     "units": ("TWO_PI", "angular", "cycles", "format_quantity", "parse_quantity"),
 }

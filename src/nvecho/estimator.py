@@ -128,12 +128,12 @@ def fit_cosine(phases, signal) -> FitResult:
 
 # -------------------------------------------------------------- exponential
 
-def fit_exponential(times, amplitudes, skip_initial: int = DEFAULT_SKIP) -> FitResult:
-    """Fit S(t) = c0 exp(-t / T2), skipping the first points.
+def fit_exponential(times, amplitudes) -> FitResult:
+    """Fit S(t) = c0 exp(-t / T2), skipping the first ``DEFAULT_SKIP`` points.
 
     The skip discards early-time points where the ensemble
-    signal is not yet a single exponential.  Needs increasing times, an
-    integer skip, ``MIN_FIT_POINTS`` points after it and strictly decaying
+    signal is not yet a single exponential.  Needs increasing times,
+    ``MIN_FIT_POINTS`` points after the skip and strictly decaying
     data.  Least squares from the log-linear estimate, run to convergence;
     raises FitError when the minimum runs off (T2 -> 0 or infinity) instead.
     """
@@ -143,17 +143,13 @@ def fit_exponential(times, amplitudes, skip_initial: int = DEFAULT_SKIP) -> FitR
     if amplitudes.shape != times.shape:
         raise ValueError(f"amplitudes must have the shape of times {times.shape}, "
                          f"got {amplitudes.shape}")
-    if isinstance(skip_initial, bool) or not isinstance(skip_initial, (int, np.integer)):
-        raise ValueError(f"skip_initial must be an integer, got {skip_initial!r}")
-    if skip_initial < 0:
-        raise ValueError("skip_initial must be >= 0")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must strictly increase")
-    t = times[skip_initial:]
-    y = amplitudes[skip_initial:]
+    t = times[DEFAULT_SKIP:]
+    y = amplitudes[DEFAULT_SKIP:]
     if t.size < MIN_FIT_POINTS:
         raise ValueError(f"exponential fit needs >= {MIN_FIT_POINTS} points after skipping "
-                         f"{skip_initial}, got {t.size}")
+                         f"{DEFAULT_SKIP}, got {t.size}")
     positive = y > 0
     if positive.sum() < 3:
         raise FitError("too few positive amplitudes to fit a decay")
@@ -175,7 +171,7 @@ def fit_exponential(times, amplitudes, skip_initial: int = DEFAULT_SKIP) -> FitR
         covariance=_covariance_from_jacobian(jac, res, 2),
         residual_norm=float(np.linalg.norm(res)),
         points_used=int(t.size),
-        settings={"skip_initial": skip_initial},
+        settings={"skip_initial": DEFAULT_SKIP},
     )
 
 
@@ -347,6 +343,8 @@ def fit_vee(table: RateTable) -> FitResult:
     baseline / slope as bias, which is faithfully reported.  The branch
     geometry of the table, one pair and one ms pairing, decides which.
     """
+    if not table.rows:
+        raise ValueError("fit_vee needs a rate table with rows; the table is empty")
     x = table.tau_over_t
     y = table.rates
     order = np.argsort(x)

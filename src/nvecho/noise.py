@@ -25,12 +25,14 @@ its draws across the family and still gives every member the bits that
 member alone gives.
 
 The Monte Carlo path sums each member's e^{i phase} without a complex
-exponential (``_member_sums``): each phase is reduced to a multiple of
-2pi/4096 plus a remainder of at most pi/4096, whose cos and sin are short
-polynomials, and the remainders are summed per multiple and turned by a
-table of e^{2 pi i j/4096}.  The sum is within 5e-16 per draw of the exact
-sum of e^{i phase} over the same draws (1.2e-16 measured), far below the
-sampling error, and is made of exactly rounded operations in a fixed
+exponential (``_member_sums``).  A member's phase is the sum of its
+coefficient times a response channel over one flat list of terms, every
+source's in source order, added in list order.  Each phase is reduced to a
+multiple of 2pi/4096 plus a remainder of at most pi/4096, whose cos and sin
+are short polynomials, and the remainders are summed per multiple and turned
+by a table of e^{2 pi i j/4096}.  The sum is within 5e-16 per draw of the
+exact sum of e^{i phase} over the same draws (1.2e-16 measured), far below
+the sampling error, and is made of exactly rounded operations in a fixed
 order, so it does not depend on the batch or on the CPU.
 """
 
@@ -341,32 +343,33 @@ def _bin_block(phase, turn, term, index, cos_bins, sin_bins, checked) -> complex
     return outside
 
 
-def _member_sums(channels) -> list:
+def _member_sums(terms) -> list:
     """The sum of e^{i (phase - phase(locations))} over one chunk for each
     family member, in member order.
 
-    The phase is ``sum(c[g] * channel ...)`` over each source's channels,
-    those sums added in source order, built one block of _BLOCK draws at a
-    time in buffers of 32 bytes per draw of a block, at most 512 KiB, and
-    binned by ``_bin_block``.  The bins are then contracted with the table
-    e^{2 pi i j/_BINS}.  A member whose bound ``sum(|c[g]| * max|channel|)``
-    is finite and within _PHASE_LIMIT skips the per-block range check; any
-    other member is checked, and a phase beyond the binned range goes
-    through ``np.exp``.  Every operation on the draws is an exactly rounded
-    numpy ufunc or a sum in a fixed order, so a member's sum depends only on
-    its coefficients and the chunk's draws, whichever SIMD loops numpy runs,
-    and skipping the check does not change it.  It is within 5e-16 per draw
-    of the exact sum of e^{i phase} (1.2e-16 measured).  Phases that are all
-    zero sum to exactly ``kept + 0j``.
+    The phase of member g is built from the flat list of (coefficient,
+    channel) ``terms`` in list order: the first term's product c[g] *
+    channel, then each later term's product added to it.  It is built one
+    block of _BLOCK draws at a time in buffers of 32 bytes per draw of a
+    block, at most 512 KiB, and binned by ``_bin_block``.  The bins are
+    then contracted with the table e^{2 pi i j/_BINS}.  A member whose
+    bound ``sum(|c[g]| * max|channel|)`` is finite and within _PHASE_LIMIT
+    skips the per-block range check; any other member is checked, and a
+    phase beyond the binned range goes through ``np.exp``.  Every operation
+    on the draws is an exactly rounded numpy ufunc or a sum in a fixed
+    order, so a member's sum depends only on its coefficients and the
+    chunk's draws, whichever SIMD loops numpy runs, and skipping the check
+    does not change it.  It is within 5e-16 per draw of the exact sum of
+    e^{i phase} (1.2e-16 measured).  Phases that are all zero sum to
+    exactly ``kept + 0j``.
     """
-    first, *later = channels
-    kept = len(first[0][1])
+    (c0, channel0), *rest = terms
+    kept = len(channel0)
     n = min(kept, _BLOCK)
-    phase, partial, temp = np.empty(n), np.empty(n), np.empty(n)
+    phase, product, temp = np.empty(n), np.empty(n), np.empty(n)
     index = np.empty(n, dtype=np.intp)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound is checked
-        bounds = sum(np.abs(c) * np.abs(channel).max(initial=0.0)
-                     for pairs in channels for c, channel in pairs)
+        bounds = sum(np.abs(c) * np.abs(channel).max(initial=0.0) for c, channel in terms)
     sums = []
     for g, bound in enumerate(bounds):
         checked = not bound <= _PHASE_LIMIT
@@ -375,17 +378,10 @@ def _member_sums(channels) -> list:
         for start in range(0, kept, _BLOCK):
             block = slice(start, min(start + _BLOCK, kept))
             n = block.stop - start
-            ph, p, t = phase[:n], partial[:n], temp[:n]
-            (c, channel), *rest = first
-            np.multiply(c[g], channel[block], out=ph)
+            ph, p, t = phase[:n], product[:n], temp[:n]
+            np.multiply(c0[g], channel0[block], out=ph)
             for c, channel in rest:
                 np.multiply(c[g], channel[block], out=p)
-                np.add(ph, p, out=ph)
-            for (c, channel), *rest in later:
-                np.multiply(c[g], channel[block], out=p)
-                for c, channel in rest:
-                    np.multiply(c[g], channel[block], out=t)
-                    np.add(p, t, out=p)
                 np.add(ph, p, out=ph)
             outside += _bin_block(ph, p, t, index[:n], cos_bins, sin_bins, checked)
         sums.append(complex((cos_bins * _COS - sin_bins * _SIN).sum(),
@@ -394,9 +390,9 @@ def _member_sums(channels) -> list:
 
 
 def _chunk_channels(sources, windows, grid, seed, k, n_k):
-    """Each source's (coefficient, channel) pairs on chunk k's retained joint
-    draws, and the retained count; the draws and the mask are freed on
-    return."""
+    """The (coefficient, channel) terms of every source, in source order, on
+    chunk k's retained joint draws, and the retained count; the draws and
+    the mask are freed on return."""
     draws = []
     mask = np.ones(n_k, dtype=bool)
     for j, (src, win) in enumerate(zip(sources, windows)):
@@ -404,8 +400,9 @@ def _chunk_channels(sources, windows, grid, seed, k, n_k):
         if win is not None:
             mask &= (x >= win[0]) & (x <= win[1])
         draws.append(x)
-    channels = [src.deviation_channels(grid, x[mask]) for src, x in zip(sources, draws)]
-    return channels, int(mask.sum())
+    terms = [term for src, x in zip(sources, draws)
+             for term in src.deviation_channels(grid, x[mask])]
+    return terms, int(mask.sum())
 
 
 def monte_carlo_attenuation(sources, coefficients, n_samples: int = DEFAULT_SAMPLES,
@@ -440,11 +437,11 @@ def monte_carlo_attenuation(sources, coefficients, n_samples: int = DEFAULT_SAMP
     totals = [0j] * grid.quadrupole.size
     retained = 0
     for k, start in enumerate(range(0, n_samples, CHUNK)):
-        channels, kept = _chunk_channels(sources, windows, grid, seed, k,
-                                         min(CHUNK, n_samples - start))
-        totals = [total + z for total, z in zip(totals, _member_sums(channels))]
+        terms, kept = _chunk_channels(sources, windows, grid, seed, k,
+                                      min(CHUNK, n_samples - start))
+        totals = [total + z for total, z in zip(totals, _member_sums(terms))]
         retained += kept
-        del channels  # freed before the next chunk is drawn
+        del terms  # freed before the next chunk is drawn
     if retained == 0:
         raise ValueError("all samples fell outside the truncation windows")
     means = [total / retained for total in totals]

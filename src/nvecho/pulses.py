@@ -23,7 +23,6 @@ a config is checked against the kinds without loading the simulation layer.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -68,13 +67,13 @@ class Segment:
     sign: int = 1
 
     def __post_init__(self):
-        if isinstance(self.duration, bool) or not (math.isfinite(self.duration)
-                                                   and self.duration >= 0):
-            raise ValueError(f"segment duration must be a finite number >= 0, "
-                             f"got {self.duration!r}")
+        check_number("segment duration", self.duration)
+        if self.duration < 0:
+            raise ValueError(f"segment duration must be >= 0, got {self.duration!r}")
         check_projection(self.m_S, "m_S")
-        if isinstance(self.sign, bool) or self.sign not in (-1, 1):
-            raise ValueError("segment sign must be +1 or -1")
+        if (isinstance(self.sign, bool) or not isinstance(self.sign, numbers.Integral)
+                or self.sign not in (-1, 1)):
+            raise ValueError(f"segment sign must be +1 or -1, got {self.sign!r}")
 
 
 @dataclass(frozen=True)
@@ -167,6 +166,11 @@ def build_nuclear_echo(total_time: float, pair=(0, -1), m_S: int = 0) -> PulseSe
         tuple(pair), (Segment(half, m_S, sign=+1), Segment(half, m_S, sign=-1)))
 
 
+def _build_flip_fraction_echo(t, pair, ms_free, ms_flipped, flip_fraction):
+    check_number("flip_fraction", flip_fraction)  # a bool would flip for all or none of t
+    return build_unbalanced_echo(t, flip_fraction * t, pair, ms_free, ms_flipped)
+
+
 class SequenceKind(NamedTuple):
     """One kind of ``KINDS``: ``build(total_time, **keys)``, the block keys
     it reads with their defaults (None when a block must give the key), and
@@ -188,8 +192,7 @@ KINDS = {
                            {"pair": (0, -1), "ms": 0}, _needs_m_i_zero),
     "dq_ramsey": SequenceKind(lambda t, ms: build_dq_ramsey(t, ms), {"ms": 0}),
     "unbalanced_echo": SequenceKind(
-        lambda t, pair, ms_free, ms_flipped, flip_fraction: build_unbalanced_echo(
-            t, flip_fraction * t, pair, ms_free, ms_flipped),
+        _build_flip_fraction_echo,
         {"pair": (0, -1), "ms_free": 0, "ms_flipped": 1, "flip_fraction": None},
         _flip_changes_manifold),
     "nuclear_echo": SequenceKind(lambda t, pair, ms: build_nuclear_echo(t, pair, ms),

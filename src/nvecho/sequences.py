@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-import math
-import numbers
 from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 
@@ -25,7 +23,7 @@ import yaml
 
 from .noise import (DEFAULT_SAMPLES, DEFAULT_SEED, MonteCarloResult, dephasing_factor,
                     monte_carlo_attenuation)
-from .pulses import KINDS, PulseSequence, build_sequence
+from .pulses import KINDS, build_sequence
 from .response import dump_yaml, load_yaml
 from .spin_model import (
     SpinSystemParams,
@@ -51,14 +49,6 @@ class SimulationResult:
         # hypot of the parts gives a member the same bits whatever the family
         # size; numpy's complex abs can differ from it by an ulp
         return np.hypot(self.attenuation.real, self.attenuation.imag)
-
-    @property
-    def mean_signal(self) -> np.ndarray:
-        # real arithmetic gives a member the same bits whatever the family
-        # size; numpy's complex product can round a long family apart
-        cos, sin = np.cos(self.base_phase), np.sin(self.base_phase)
-        re, im = self.attenuation.real, self.attenuation.imag
-        return (cos * re - sin * im) + 1j * (sin * re + cos * im)
 
 
 def simulate_family(sequences, sources, params: SpinSystemParams | None = None,
@@ -102,35 +92,6 @@ class EnsembleSignal:
     y_label: str
     metadata: dict = dataclass_field(default_factory=dict)
     monte_carlo: MonteCarloResult | None = None  # per-point bookkeeping of MC scans
-
-
-def phase_sweep(sequence: PulseSequence, sources, readout_phases,
-                contrast: float = 1.0, maximum: float = 1.0, **kwargs) -> EnsembleSignal:
-    """Fringe signal versus readout phase phi,
-
-        S(phi) = maximum - contrast/2 + (contrast/2) Re[e^{i phi} <e^{i phase}>],
-
-    so a noiseless ensemble swings between ``maximum`` and
-    ``maximum - contrast`` and full dephasing leaves the constant midpoint.
-    """
-    phases = np.asarray(readout_phases, dtype=float)
-    if phases.size == 0:
-        raise ValueError("need at least one readout phase")
-    if not np.all(np.isfinite(phases)):
-        raise ValueError("readout phases must be finite")
-    for name, value in (("contrast", contrast), ("maximum", maximum)):
-        if isinstance(value, bool) or not (isinstance(value, numbers.Real)
-                                           and math.isfinite(value)):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-    res = simulate_family([sequence], sources, **kwargs)
-    y = maximum - 0.5 * contrast + 0.5 * contrast * np.real(
-        np.exp(1j * phases) * res.mean_signal[0]
-    )
-    return EnsembleSignal(
-        x=phases, y=y, x_label="readout_phase_rad", y_label="population",
-        metadata={"kind": sequence.kind, "total_time_s": sequence.total_time,
-                  "amplitude": res.amplitude[0]} | _average_metadata(res),
-    )
 
 
 # each axis a scan runs along: the x label of its signals, which also names a

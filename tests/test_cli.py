@@ -21,7 +21,6 @@ from nvecho.response import DEFAULT_DATA_FILE, load_response_set
 from nvecho.script import parse_sequence_script
 from nvecho.sequences import (
     EnsembleSignal,
-    phase_sweep,
     read_signal_csv,
     scans,
     simulate_family,
@@ -353,13 +352,16 @@ def test_fit_autodetects_cosine(tmp_path, capsys):
     seq = build_unbalanced_echo(1.4e-3, 0.18 * 1.4e-3)
     source = temperature_source(lorentzian(0.0, 5.0))
     phases = np.linspace(0.0, 2.0 * math.pi, 25)
-    signal = phase_sweep(seq, [source], phases, contrast=0.8, maximum=1.0)
+    # the fringe of contrast 0.8 and maximum 1.0 that the ensemble mean,
+    # amplitude times e^{i base_phase}, gives at each readout phase
+    res = simulate_family([seq], [source])
+    fringe = 0.6 + 0.4 * res.amplitude[0] * np.cos(phases + res.base_phase[0])
     path = tmp_path / "fringe.csv"
-    write_signal_csv(signal, path, deterministic=True)
+    write_signal_csv(EnsembleSignal(phases, fringe, "readout_phase_rad", "population"), path,
+                     deterministic=True)
     assert main(["fit", str(path), "--deterministic"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "cosine"
-    res = simulate_family([seq], [source])
     assert doc["parameters"]["contrast"] == pytest.approx(0.8 * res.amplitude[0], rel=1e-9)
     wrapped = math.remainder(doc["parameters"]["phase"] - res.base_phase[0], 2.0 * math.pi)
     assert abs(wrapped) < 1e-9

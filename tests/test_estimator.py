@@ -126,14 +126,12 @@ def test_fit_exponential_errors():
         fit_exponential(times, np.exp(+times))
     with pytest.raises(ValueError):
         fit_exponential(times[:7], np.exp(-times[:7]))  # only 4 left after skip
-    res = fit_exponential(times[:7], np.exp(-times[:7]), skip_initial=0)
+    res = fit_exponential(times[:8], np.exp(-times[:8]))
     assert res["coherence_time"] == pytest.approx(1.0, rel=1e-8)
-    # equal times used to fit a coherence time, and a fractional skip to
-    # raise TypeError from a slice
+    assert res.points_used == 5
+    # equal times used to fit a coherence time
     with pytest.raises(ValueError, match="times must strictly increase"):
-        fit_exponential(np.full(8, 1e-3), np.exp(-np.arange(8.0)), skip_initial=0)
-    with pytest.raises(ValueError, match="skip_initial must be an integer, got 2.5"):
-        fit_exponential(times, np.exp(-times), skip_initial=2.5)
+        fit_exponential(np.full(8, 1e-3), np.exp(-np.arange(8.0)))
 
 
 @pytest.mark.parametrize("times, amplitudes, message", [
@@ -360,6 +358,12 @@ def test_fit_vee_requires_straddled_vertex():
     two = _vee_table([0.1] * 3 + [0.3] * 3, [300.0, 310.0, 305.0, 900.0, 890.0, 905.0])
     with pytest.raises(ValueError, match="at least 6 distinct flip fractions, got 2"):
         fit_vee(two)
+
+
+def test_fit_vee_refuses_an_empty_table():
+    # an empty table used to raise numpy's IndexError from the grid mask
+    with pytest.raises(ValueError, match="the table is empty"):
+        fit_vee(RateTable())
 
 
 def _rss(x, y, slope, ratio, baseline):

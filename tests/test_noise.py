@@ -289,14 +289,14 @@ QUASIHARMONIC = temperature_source(lorentzian(300.0, 25.0), response=default_qua
 # Bound on |kernel sum - exact sum| per retained draw, for the real and the
 # imaginary part alike: the e^{2 pi i j/4096} table is within 1.2e-16, the
 # polynomials within 1.2e-16, and the bins and the contraction add rounding.
-# Largest measured in the tests below: 1.14e-16 per draw ("two-channels-last";
-# "linear" 1.11e-16, phases beyond the binned range 5.0e-17), so the bound
-# has a margin of 4.4x.
+# Largest measured in the tests below: 1.11e-16 per draw ("linear";
+# "two-channels-last" 5.7e-17, phases beyond the binned range 5.0e-17), so
+# the bound has a margin of 4.5x.
 KERNEL_BOUND_PER_DRAW = 5e-16
 
 
-def kernel_sums(channels, size):
-    sums = noise._member_sums(channels)
+def kernel_sums(terms, size):
+    sums = noise._member_sums(terms)
     assert len(sums) == size
     return sums
 
@@ -321,12 +321,14 @@ def test_member_kernel_matches_the_exact_sum_within_its_bound(sources):
               PhaseCoefficients(quadrupole=-1e-3, hyperfine=2e-3, field=-0.0)]
     grid = stack_coefficients(family)
     windows = [src.truncation_window() for src in sources]
-    channels, kept = noise._chunk_channels(sources, windows, grid, SEED, 0, 4099)
-    sums = kernel_sums(channels, len(family))
+    terms, kept = noise._chunk_channels(sources, windows, grid, SEED, 0, 4099)
+    sums = kernel_sums(terms, len(family))
     for g, got in enumerate(sums):
-        phase = np.zeros(kept)
-        for pairs in channels:
-            phase += sum(c[g] * channel for c, channel in pairs)
+        # the kernel's term order: the first product, then each later one added
+        (c, channel), *rest = terms
+        phase = c[g] * channel
+        for c, channel in rest:
+            phase = phase + c[g] * channel
         re, im = exact_sum(phase)
         assert abs(got.real - re) <= KERNEL_BOUND_PER_DRAW * kept
         assert abs(got.imag - im) <= KERNEL_BOUND_PER_DRAW * kept
@@ -345,7 +347,7 @@ def test_member_kernel_sums_phases_beyond_its_binned_range():
                                         -3e9, 5e-324]
     coefficients = np.array([1.0, -3.0, 0.5, -0.0])
     assert (np.abs(channel) > edge).sum() > 10
-    sums = kernel_sums([((coefficients, channel),)], coefficients.size)
+    sums = kernel_sums([(coefficients, channel)], coefficients.size)
     for c, got in zip(coefficients, sums):
         re, im = exact_sum(c * channel)
         assert abs(got.real - re) <= KERNEL_BOUND_PER_DRAW * channel.size
@@ -369,18 +371,18 @@ def test_member_kernel_skips_the_range_check_with_the_same_bits(sources, monkeyp
               PhaseCoefficients(quadrupole=-1e-3, hyperfine=2e-3, field=-0.0)]
     grid = stack_coefficients(family)
     windows = [src.truncation_window() for src in sources]
-    channels, kept = noise._chunk_channels(sources, windows, grid, SEED, 0,
-                                           2 * noise._BLOCK + 5)  # a partial last block
+    terms, kept = noise._chunk_channels(sources, windows, grid, SEED, 0,
+                                        2 * noise._BLOCK + 5)  # a partial last block
     real = noise._bin_block
     checked = []
     monkeypatch.setattr(noise, "_bin_block", lambda *args: checked.append(args[-1]) or real(*args))
-    fast = kernel_sums(channels, len(family))
+    fast = kernel_sums(terms, len(family))
     blocks = -(-kept // noise._BLOCK)
     assert len(checked) == blocks * len(family)
     assert not any(checked[blocks:2 * blocks])  # member 1 is under the limit in every set
     checked.clear()
     monkeypatch.setattr(noise, "_PHASE_LIMIT", -math.inf)
-    slow = kernel_sums(channels, len(family))
+    slow = kernel_sums(terms, len(family))
     assert all(checked)
     assert np.array(fast).tobytes() == np.array(slow).tobytes()
 
@@ -390,7 +392,7 @@ def test_member_kernel_keeps_signed_zeros_out_of_the_sum():
     # imaginary part, as e^{i 0} = 1 + 0j does
     channel = np.array([0.0, -0.0] * 9000)
     coefficients = np.array([1.0, -1.0, -0.0])
-    sums = kernel_sums([((coefficients, channel),)], coefficients.size)
+    sums = kernel_sums([(coefficients, channel)], coefficients.size)
     for got in sums:
         assert np.array(got).tobytes() == np.array(complex(channel.size, 0.0)).tobytes()
 

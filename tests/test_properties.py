@@ -313,8 +313,7 @@ def test_monte_carlo_point_is_batch_invariant(total_time, fractions, width, with
     batch = simulate_family(family, sources, **kwargs)
     for g, seq in enumerate(family):
         alone = simulate_family([seq], sources, **kwargs)
-        assert alone.attenuation[0] == batch.attenuation[g]
-        assert alone.base_phase[0] == batch.base_phase[g]
-        assert alone.mean_signal[0] == batch.mean_signal[g]
+        assert alone.attenuation[0].tobytes() == batch.attenuation[g].tobytes()
+        assert alone.base_phase[0].tobytes() == batch.base_phase[g].tobytes()
         assert alone.monte_carlo.std_error[0] == batch.monte_carlo.std_error[g]
         assert alone.monte_carlo.n_retained == batch.monte_carlo.n_retained

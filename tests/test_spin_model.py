@@ -178,23 +178,33 @@ def test_parameter_validation():
             SpinSystemParams(**{name: bad})
 
 
-@pytest.mark.parametrize("build, field", [
-    (lambda: LinearResponse(quadrupole_per_K=True), "quadrupole_per_K"),
-    (lambda: SpinSystemParams(field_gauss=True), "field_gauss"),
-    (lambda: SpinSystemParams(field_gauss=np.array([239.0])), "field_gauss"),
-    (lambda: lorentzian(0.0, np.array([1.0])), "scale"),
-    (lambda: build_ramsey(np.array([1e-3])), "duration"),
-    (lambda: build_dq_ramsey(np.array([1e-3])), "duration"),
-    (lambda: build_unbalanced_echo(2e-3, np.array([0.3e-3])), "flip_time"),
-    (lambda: build_nuclear_echo(np.array([1e-3])), "total_time"),
-    (lambda: residual_field_source(np.array([3.9e-3])), "dq_coherence_time"),
+def _not_a_number(field):
+    return f"{field} must be a plain number"
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LinearResponse(quadrupole_per_K=True), _not_a_number("quadrupole_per_K")),
+    (lambda: SpinSystemParams(field_gauss=True), _not_a_number("field_gauss")),
+    (lambda: SpinSystemParams(field_gauss=np.array([239.0])), _not_a_number("field_gauss")),
+    (lambda: lorentzian(0.0, np.array([1.0])), _not_a_number("scale")),
+    (lambda: build_ramsey(np.array([1e-3])), _not_a_number("duration")),
+    (lambda: build_dq_ramsey(np.array([1e-3])), _not_a_number("duration")),
+    (lambda: build_unbalanced_echo(2e-3, np.array([0.3e-3])), _not_a_number("flip_time")),
+    (lambda: build_nuclear_echo(np.array([1e-3])), _not_a_number("total_time")),
+    (lambda: residual_field_source(np.array([3.9e-3])), _not_a_number("dq_coherence_time")),
+    (lambda: Segment(np.array([1e-3]), 0), _not_a_number("segment duration")),
+    (lambda: Segment(1e-3, 0, sign=np.array([-1])),
+     r"segment sign must be \+1 or -1, got array\(\[-1\]\)"),
+    (lambda: Segment(1e-3, 0, sign=1.0), r"segment sign must be \+1 or -1, got 1.0"),
 ], ids=["bool-slope", "bool-field", "array-field", "array-width", "array-ramsey",
         "array-dq-ramsey", "array-unbalanced-echo", "array-nuclear-echo",
-        "array-residual-field"])
-def test_a_bool_or_an_array_is_not_a_number(build, field):
+        "array-residual-field", "array-segment-duration", "array-segment-sign",
+        "float-segment-sign"])
+def test_a_bool_or_an_array_is_not_a_number(build, message):
     # a bool used to be taken as 1, and a one-element array to raise numpy's
-    # TypeError from inside the check
-    with pytest.raises(ValueError, match=f"{field} must be a plain number"):
+    # TypeError from inside the check; a segment took a float or an array
+    # sign, and simulate_family ran on it
+    with pytest.raises(ValueError, match=message):
         build()
 
 
