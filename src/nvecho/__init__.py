@@ -23,8 +23,7 @@ _EXPORTS = {
                   "fit_exponential", "fit_vee", "predict_echo_rate"),
     "noise": ("NoiseSource", "delta", "dephasing_factor", "field_source", "gaussian",
               "lorentzian", "residual_field_source", "strain_source", "temperature_source"),
-    "pulses": ("PulseSequence", "build_dq_ramsey", "build_nuclear_echo", "build_ramsey",
-               "build_sequence", "build_unbalanced_echo"),
+    "pulses": ("PulseSequence", "build_sequence"),
     "response": ("LinearResponse", "QuasiharmonicSet", "calibrate_response_set",
                  "default_linear_response", "default_quasiharmonic_set",
                  "load_response_set", "save_response_set"),

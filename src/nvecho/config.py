@@ -13,8 +13,10 @@ the library keyword it sets and the conversion on the way.
 model; ``_SOURCE_KINDS`` hold the keys of each source kind,
 its builder and its default name; ``_SEQUENCE_KEYS`` are checked against the
 pipeline and the kind that read them (``PIPELINE_NEEDS``,
-``pulses.KINDS``).  One reader (``_normalize_mapping``) reads every
-section and one printer (``_dump_mapping``) prints it in table order.
+``pulses.KINDS``): every block a pipeline builds names its kind, except a
+swept block, which holds unbalanced echoes.  One reader
+(``_normalize_mapping``) reads every section and one printer
+(``_dump_mapping``) prints it in table order.
 
 Parsing validates the whole document and raises one ConfigError listing
 every problem with its dotted path, so a config is fixed in one edit cycle
@@ -75,35 +77,24 @@ _BACKEND_DEFAULTS = {"samples": DEFAULT_SAMPLES, "seed": DEFAULT_SEED}
 _OUTPUT_DEFAULTS = {"directory": "."}
 
 
-class Needs(NamedTuple):
-    keys: tuple  # dotted paths below ``sequence``; "a|b" for exactly one of the two
-    templates: dict = {}  # block built from a kind -> its kind when it names none
-
-
-# What each pipeline reads from its sequence block; ``compare.times`` asks for
-# the block too.  A pipeline fits an exponential to the decay over each
-# ``times`` grid it reads, so the grid needs ``_FITTED_TIMES`` points.  A
-# block also holds the keys of the kind it is built as (``pulses.KINDS``),
-# and nothing else; a script block holds only its script.  A block no
-# template names holds unbalanced echoes, and where the pipeline sweeps
-# ``flip_fractions`` it sets their flip fraction.
+# What each pipeline reads from its sequence block, as dotted paths below
+# ``sequence``, "a|b" for exactly one of the two; ``compare.times`` asks for
+# the compare block too.  A pipeline fits an exponential to the decay over
+# each ``times`` grid it reads, so the grid needs ``_FITTED_TIMES`` points.
+# A block also holds the keys of the kind it is built as (``pulses.KINDS``),
+# and nothing else; a script block holds only its script.  Every block a
+# pipeline builds from a kind names it, except a swept one: where the
+# pipeline sweeps ``flip_fractions``, the block holds unbalanced echoes and
+# the sweep sets their flip fraction.
 PIPELINE_NEEDS = {
-    "simulate": Needs(("kind|script", "total_time|script"), {"sequence": None}),
-    "decay_compare": Needs(("times", "compare.times"),
-                           {"sequence": "unbalanced_echo", "sequence.compare": "ramsey"}),
-    "pulse_sweep": Needs(("total_time", "flip_fractions")),
-    "rate_table_vee": Needs(("pair|pairs", "flip_fractions", "times")),
-    "protection_study": Needs(("total_time", "flip_fractions", "times", "compare.times"),
-                              {"sequence.compare": "ramsey"}),
+    "simulate": ("kind|script", "total_time|script"),
+    "decay_compare": ("kind", "times", "compare.kind", "compare.times"),
+    "pulse_sweep": ("total_time", "flip_fractions"),
+    "rate_table_vee": ("pair|pairs", "flip_fractions", "times"),
+    "protection_study": ("total_time", "flip_fractions", "times", "compare.kind",
+                         "compare.times"),
 }
 _FITTED_TIMES = DEFAULT_SKIP + MIN_FIT_POINTS
-
-
-def block_kind(pipeline: str, path: str, block: dict):
-    """The kind the sequence block at ``path`` ("sequence" or
-    "sequence.compare") is built as: its own ``kind``, else the pipeline's
-    template for it, else an unbalanced echo (None: the block must name one)."""
-    return block.get("kind", PIPELINE_NEEDS[pipeline].templates.get(path, "unbalanced_echo"))
 
 
 class ConfigError(ValueError):
@@ -536,7 +527,7 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
         return
     root = {"sequence": raw}
     needed = set()
-    for need in needs.keys:
+    for need in needs:
         options = [f"sequence.{key}" for key in need.split("|")]
         needed.update(options)
         given = [path for path in options if _lookup(root, path) is not None]
@@ -549,7 +540,7 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
         if not isinstance(block, dict):
             continue
         read = {key[len(path) + 1:] for key in needed if key.startswith(f"{path}.")}
-        if path not in needs.templates and not read:
+        if not read:
             col.add(path, f"pipeline {pipeline!r} does not read this block")
             continue
         times = realize_grid(norm.get("times")) if "times" in read else None
@@ -561,10 +552,10 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
         if "script" in block and "script" in read:
             kind, keys, what = None, {}, "a script"
         else:
-            kind = block_kind(pipeline, path, norm)
+            swept = "flip_fractions" in read  # the pipeline sets the flip fraction
+            kind = norm.get("kind", "unbalanced_echo" if swept else None)
             if kind is None:
                 continue  # the missing kind is reported already
-            swept = "flip_fractions" in read  # the pipeline sets the flip fraction
             if swept and kind != "unbalanced_echo":
                 col.add(f"{path}.kind", f"pipeline {pipeline!r} builds unbalanced echoes "
                                         f"from this block, not {kind!r}")

@@ -19,6 +19,7 @@ from .noise import delta, field_source, lorentzian, temperature_source
 from .sequences import read_metadata_csv, write_metadata_csv
 from .solvers import FitError, levenberg_marquardt, nnls
 from .spin_model import Segment, SpinSystemParams, default_params, phase_coefficients
+from .units import check_number
 
 @dataclass(frozen=True)
 class FitResult:
@@ -189,10 +190,12 @@ class RateRow:
     rate_error: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate > 0):
+        # a bool would count as 0 or 1; each number is stored as a float
+        for name in ("tau_over_t", "rate") + (() if self.rate_error is None else ("rate_error",)):
+            check_number(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if self.rate <= 0:
             raise ValueError(f"rates must be positive and finite, got {self.rate}")
-        if self.rate_error is not None and not math.isfinite(self.rate_error):
-            raise ValueError(f"rate errors must be finite, got {self.rate_error}")
         if not 0.0 <= self.tau_over_t <= 1.0:
             raise ValueError("tau_over_t must lie in [0, 1]")
 
@@ -208,9 +211,7 @@ class RateTable:
     metadata: dict = dataclass_field(default_factory=dict)
 
     def add(self, pair, ms_pairing, tau_over_t, rate, rate_error=None):
-        self.rows.append(RateRow(tuple(pair), tuple(ms_pairing),
-                                 float(tau_over_t), float(rate),
-                                 None if rate_error is None else float(rate_error)))
+        self.rows.append(RateRow(tuple(pair), tuple(ms_pairing), tau_over_t, rate, rate_error))
 
     def filter(self, pair) -> "RateTable":
         """The rows of one transition pair."""
@@ -492,6 +493,7 @@ def predict_echo_rate(pair, flip_fraction: float, ms_free: int = 0,
     ratio, producing the vee.  The field term is untouched by the flip.  At
     flip fraction 0 it is the free-evolution rate in ``ms_free``.
     """
+    check_number("flip_fraction", flip_fraction)
     if not 0.0 <= flip_fraction <= 1.0:
         raise ValueError("flip fraction must lie in [0, 1]")
     sources = (temperature_source(lorentzian(0.0, sigma_T), response),

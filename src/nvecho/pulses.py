@@ -1,22 +1,25 @@
 """Pulse sequences as plain data: segments of free evolution on one pair.
 
 A ``PulseSequence`` is a transition pair and its ``Segment``s; its kind and
-total time follow from them.  Builders produce the four standard
-experiments:
+total time follow from them.  ``build_sequence`` builds the four standard
+experiments from the keys of a config's sequence block:
 
-* ``ramsey`` - free evolution on one single-quantum branch.
-* ``dq_ramsey`` - free evolution on the m_I = -1 <-> +1 double-quantum pair.
-* ``unbalanced_echo`` - free evolution interrupted by one electron flip a
-  time ``flip_time`` before readout.  The hyperfine interaction acts only
-  while the electron is flipped, with a pair-dependent sign, so the flip
-  fraction tunes the net sensitivity to correlated quadrupole/hyperfine
-  noise; on the (0, -1) branch the fraction equal to the slope ratio
-  cancels temperature noise completely.
+* ``ramsey`` - free evolution in manifold ``ms`` on one single-quantum
+  ``pair``.
+* ``dq_ramsey`` - free evolution in ``ms`` on the m_I = -1 <-> +1
+  double-quantum pair.
+* ``unbalanced_echo`` - free evolution in ``ms_free``, then one electron
+  flip into ``ms_flipped`` for the final ``flip_fraction`` of the total
+  time.  The hyperfine interaction acts only while the electron is flipped,
+  with a pair-dependent sign, so the flip fraction tunes the net
+  sensitivity to correlated quadrupole/hyperfine noise; on the (0, -1)
+  branch the fraction equal to the slope ratio cancels temperature noise
+  completely.
 * ``nuclear_echo`` - a nuclear pi pulse at the midpoint, refocusing every
   static energy shift.
 
-``KINDS`` maps each kind to its builder, the sequence-block keys it reads
-and its refusal rule; ``build_sequence``, ``sequences.scans`` and the config
+``KINDS`` maps each kind to its one builder, the block keys it reads and
+its refusal rule; ``build_sequence``, ``sequences.scans`` and the config
 check read it.  The module is pure Python, so a sequence script parses and
 a config is checked against the kinds without loading the simulation layer.
 """
@@ -129,46 +132,22 @@ def _flip_changes_manifold(keys):
                               "the electron flip must change the manifold")
 
 
-def _refuse(rule, keys) -> None:
-    refusal = rule(keys)
-    if refusal is not None:
-        raise ValueError(f"{refusal[0]}: {refusal[1]}")
+def _ramsey(t, pair, ms):
+    return PulseSequence(tuple(pair), (Segment(t, ms),))
 
 
-def build_ramsey(duration: float, pair=(0, -1), m_S: int = 0) -> PulseSequence:
-    check_number("duration", duration)
-    _refuse(_needs_m_i_zero, {"pair": pair})
-    return PulseSequence(tuple(pair), (Segment(duration, m_S),))
-
-
-def build_dq_ramsey(duration: float, m_S: int = 0) -> PulseSequence:
-    check_number("duration", duration)
-    return PulseSequence(DOUBLE_QUANTUM_PAIR, (Segment(duration, m_S),))
-
-
-def build_unbalanced_echo(total_time: float, flip_time: float, pair=(0, -1),
-                          ms_free: int = 0, ms_flipped: int = 1) -> PulseSequence:
-    check_number("total_time", total_time)
-    check_number("flip_time", flip_time)
-    if not 0 <= flip_time <= total_time:
-        raise ValueError("flip time must lie within the sequence: 0 <= tau <= t")
-    _refuse(_flip_changes_manifold, {"ms_free": ms_free, "ms_flipped": ms_flipped})
-    return PulseSequence(
-        tuple(pair),
-        (Segment(total_time - flip_time, ms_free), Segment(flip_time, ms_flipped)),
-    )
-
-
-def build_nuclear_echo(total_time: float, pair=(0, -1), m_S: int = 0) -> PulseSequence:
-    check_number("total_time", total_time)
-    half = total_time / 2.0
-    return PulseSequence(
-        tuple(pair), (Segment(half, m_S, sign=+1), Segment(half, m_S, sign=-1)))
-
-
-def _build_flip_fraction_echo(t, pair, ms_free, ms_flipped, flip_fraction):
+def _unbalanced_echo(t, pair, ms_free, ms_flipped, flip_fraction):
     check_number("flip_fraction", flip_fraction)  # a bool would flip for all or none of t
-    return build_unbalanced_echo(t, flip_fraction * t, pair, ms_free, ms_flipped)
+    if not 0 <= flip_fraction <= 1:
+        raise ValueError(f"flip_fraction must lie in [0, 1], got {flip_fraction!r}")
+    flip_time = flip_fraction * t
+    return PulseSequence(tuple(pair), (Segment(t - flip_time, ms_free),
+                                       Segment(flip_time, ms_flipped)))
+
+
+def _nuclear_echo(t, pair, ms):
+    half = t / 2.0
+    return PulseSequence(tuple(pair), (Segment(half, ms, sign=+1), Segment(half, ms, sign=-1)))
 
 
 class SequenceKind(NamedTuple):
@@ -188,22 +167,21 @@ class SequenceKind(NamedTuple):
 # Single-manifold kinds evolve in ``ms``; the unbalanced echo evolves in
 # ``ms_free`` and flips into ``ms_flipped`` for the final ``flip_fraction``.
 KINDS = {
-    "ramsey": SequenceKind(lambda t, pair, ms: build_ramsey(t, pair, ms),
-                           {"pair": (0, -1), "ms": 0}, _needs_m_i_zero),
-    "dq_ramsey": SequenceKind(lambda t, ms: build_dq_ramsey(t, ms), {"ms": 0}),
+    "ramsey": SequenceKind(_ramsey, {"pair": (0, -1), "ms": 0}, _needs_m_i_zero),
+    "dq_ramsey": SequenceKind(lambda t, ms: _ramsey(t, DOUBLE_QUANTUM_PAIR, ms), {"ms": 0}),
     "unbalanced_echo": SequenceKind(
-        _build_flip_fraction_echo,
+        _unbalanced_echo,
         {"pair": (0, -1), "ms_free": 0, "ms_flipped": 1, "flip_fraction": None},
         _flip_changes_manifold),
-    "nuclear_echo": SequenceKind(lambda t, pair, ms: build_nuclear_echo(t, pair, ms),
-                                 {"pair": (0, -1), "ms": 0}),
+    "nuclear_echo": SequenceKind(_nuclear_echo, {"pair": (0, -1), "ms": 0}),
 }
 
 
 def build_sequence(kind: str, total_time: float | None = None, **keys) -> PulseSequence:
     """The named experiment over ``total_time`` from the block keys its kind
     reads (``KINDS``); a key it lacks takes the kind's default, and a key
-    with no default, like ``total_time``, must be given."""
+    with no default, like ``total_time``, must be given.  A block the kind's
+    rule refuses raises the ValueError that the config check reports."""
     spec = KINDS.get(kind)
     if spec is None:
         raise ValueError(f"cannot build sequence kind {kind!r}; expected one of {tuple(KINDS)}")
@@ -215,4 +193,15 @@ def build_sequence(kind: str, total_time: float | None = None, **keys) -> PulseS
                if value is None]
     if missing:
         raise ValueError(f"kind {kind} needs a {missing[0]}")
+    check_number("total_time", total_time)
+    if total_time <= 0:
+        raise ValueError(f"total_time must be > 0, got {total_time!r}")
+    if "pair" in keys:  # each checked before the rule reads it
+        check_pair(keys["pair"])
+    for key in ("ms", "ms_free", "ms_flipped"):
+        if key in keys:
+            check_projection(keys[key], key)
+    refusal = spec.rule(keys)
+    if refusal is not None:
+        raise ValueError(f"{refusal[0]}: {refusal[1]}")
     return spec.build(total_time, **keys)

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ScenarioConfig, block_kind, build, realize_grid
+from .config import ScenarioConfig, build, realize_grid
 from .estimator import RateTable, fit_exponential, fit_vee
 from .pulses import KINDS, build_sequence
 from .script import format_projection, parse_sequence_script
@@ -187,14 +187,12 @@ def _sweep(ctx: _Context) -> float:
 
 def _compare(ctx: _Context, protected: dict) -> None:
     """The compare step: the protected scan of ``protected`` and the
-    unprotected one of ``sequence.compare``, each of the kind the config
-    builds the block as and both evaluated as one family, their exponential
-    fits, and the fitted coherence times and their ratio, the improvement."""
-    specs = []
+    unprotected one of ``sequence.compare``, each of the kind its block
+    names and both evaluated as one family, their exponential fits, and the
+    fitted coherence times and their ratio, the improvement."""
     compare = ctx.config.sequence["compare"]
-    for path, block in (("sequence", protected), ("sequence.compare", compare)):
-        kind = block_kind(ctx.config.pipeline, path, block)
-        specs.append((kind, KINDS[kind].read(block), "total_time", realize_grid(block["times"])))
+    specs = [(block["kind"], KINDS[block["kind"]].read(block), "total_time",
+              realize_grid(block["times"])) for block in (protected, compare)]
     signals = dict(zip(("protected", "unprotected"), scans(specs, ctx.sources, **ctx.keywords)))
     fits = {}
     for label, signal in signals.items():

@@ -34,7 +34,7 @@ from nvecho.response import (
     PRESSURE_PER_STRAIN_GPA,
 )
 from nvecho.config import load_packaged_scenario
-from nvecho.pulses import Segment, build_dq_ramsey, build_ramsey, build_unbalanced_echo
+from nvecho.pulses import Segment, build_sequence
 from nvecho.scenarios import run_scenario
 from nvecho.sequences import scans, simulate_family
 from nvecho.spin_model import accumulated_phase, default_params, phase_coefficients
@@ -79,7 +79,7 @@ def test_criterion_1_unbalanced_echo_cancellation():
     source = temperature_source(lorentzian(0.0, 5.0), response=response)
     worst = 0.0
     for t in np.linspace(1e-4, 10e-3, 34):
-        seq = build_unbalanced_echo(float(t), ratio * float(t))
+        seq = build_sequence("unbalanced_echo", float(t), flip_fraction=ratio)
         amp = simulate_family([seq], (source,)).amplitude[0]
         worst = max(worst, abs(amp - 1.0))
     if worst > 1e-12:
@@ -223,7 +223,7 @@ def test_criterion_6_backend_equivalence():
         source = temperature_source(dist)
         coefficients = [
             phase_coefficients(params, seq.pair, seq.segments)
-            for seq in (build_unbalanced_echo(float(t), float(f) * float(t))
+            for seq in (build_sequence("unbalanced_echo", float(t), flip_fraction=float(f))
                         for t in grid_t for f in fractions)
         ]
         closed = np.abs(dephasing_factor((source,), coefficients))
@@ -282,7 +282,7 @@ def test_criterion_7_property_suite():
 
     # double-quantum immunity to temperature noise in the m_S = 0 manifold
     dq_amp = simulate_family(
-        [build_dq_ramsey(2e-3)], (temperature_source(lorentzian(0.0, 25.0)),)
+        [build_sequence("dq_ramsey", 2e-3)], (temperature_source(lorentzian(0.0, 25.0)),)
     ).amplitude[0]
     if abs(dq_amp - 1.0) > 1e-12:
         failures.append(f"DQ amplitude {dq_amp!r} is not immune to temperature noise")
@@ -290,8 +290,8 @@ def test_criterion_7_property_suite():
     # Lorentzian exponentiality: A(2t) = A(t)^2
     source = temperature_source(lorentzian(0.0, 5.0))
     for t in (2e-4, 8e-4):
-        a1 = simulate_family([build_ramsey(t)], (source,)).amplitude[0]
-        a2 = simulate_family([build_ramsey(2 * t)], (source,)).amplitude[0]
+        a1 = simulate_family([build_sequence("ramsey", t)], (source,)).amplitude[0]
+        a2 = simulate_family([build_sequence("ramsey", 2 * t)], (source,)).amplitude[0]
         if abs(a2 - a1 * a1) > 1e-9:
             failures.append(f"A(2t) != A(t)^2 at t = {t}")
 
@@ -354,10 +354,10 @@ def test_criterion_7_property_suite():
 
     # a Monte Carlo point does not depend on the family it is evaluated in
     hot = temperature_source(lorentzian(300.0, 25.0), response=qset)
-    seq = build_unbalanced_echo(2e-3, 0.172 * 2e-3)
+    seq = build_sequence("unbalanced_echo", 2e-3, flip_fraction=0.172)
     kwargs = {"n_samples": 1 << 18, "seed": 99}
     alone = simulate_family([seq], (hot,), **kwargs)
-    family = [build_unbalanced_echo(2e-3, f * 2e-3) for f in (0.1, 0.172, 0.3)]
+    family = [build_sequence("unbalanced_echo", 2e-3, flip_fraction=f) for f in (0.1, 0.172, 0.3)]
     batch = simulate_family(family, (hot,), **kwargs)
     if (batch.attenuation[1].tobytes() != alone.attenuation[0].tobytes()
             or batch.base_phase[1].tobytes() != alone.base_phase[0].tobytes()):

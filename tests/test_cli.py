@@ -16,7 +16,7 @@ from nvecho.cli import main
 from nvecho.config import packaged_scenario_path
 from nvecho.estimator import RateTable
 from nvecho.noise import lorentzian, temperature_source
-from nvecho.pulses import build_unbalanced_echo
+from nvecho.pulses import build_sequence
 from nvecho.response import DEFAULT_DATA_FILE, load_response_set
 from nvecho.script import parse_sequence_script
 from nvecho.sequences import (
@@ -349,7 +349,7 @@ def test_fit_json_to_stdout_when_no_out(tmp_path, capsys):
 
 
 def test_fit_autodetects_cosine(tmp_path, capsys):
-    seq = build_unbalanced_echo(1.4e-3, 0.18 * 1.4e-3)
+    seq = build_sequence("unbalanced_echo", 1.4e-3, flip_fraction=0.18)
     source = temperature_source(lorentzian(0.0, 5.0))
     phases = np.linspace(0.0, 2.0 * math.pi, 25)
     # the fringe of contrast 0.8 and maximum 1.0 that the ensemble mean,
@@ -379,7 +379,7 @@ def test_fit_refuses_non_finite_data(tmp_path, capsys):
     rates = _rate_csv(tmp_path)
     rates.write_text(rates.read_text().replace(",807.5381,", ",nan,"))
     for args, problem in (([path], "signal[3] is nan"),
-                          ([rates, "--pair", "0,-1"], "rates must be positive and finite")):
+                          ([rates, "--pair", "0,-1"], "rate must be finite, got nan")):
         assert main(["fit", *map(str, args), "--deterministic"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and problem in err
@@ -909,7 +909,7 @@ for argv in json.loads(sys.argv[2]):
     assert main(argv) == 0, argv
 """
 
-# a quasiharmonic decay_compare whose blocks name no kind, at few samples
+# a quasiharmonic decay_compare at few samples
 QH_COMPARE_YAML = """\
 schema: nvecho-scenario/1
 name: cli-qh
@@ -923,10 +923,12 @@ sources:
     location: 300 K
     scale: 5 K
 sequence:
+  kind: unbalanced_echo
   pair: [0, -1]
   flip_fraction: 0.18
   times: {start: 50 us, stop: 15 ms, count: 12, spacing: log}
   compare:
+    kind: ramsey
     pair: [0, +1]
     ms: +1
     times: {start: 10 us, stop: 500 us, count: 12, spacing: log}

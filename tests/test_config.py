@@ -269,10 +269,11 @@ def test_grid_validation():
                                ("protection_study", COMPLETE["protection_study"])):
         assert _problem_paths(_pipeline_doc(pipeline, sequence | {"times": short})) \
             == ["sequence.times"]
-        assert _problem_paths(_pipeline_doc(pipeline, sequence | {"compare": {"times": short}})) \
+        compare = sequence["compare"] | {"times": short}
+        assert _problem_paths(_pipeline_doc(pipeline, sequence | {"compare": compare})) \
             == ["sequence.compare.times"]
         assert _problem_paths(_pipeline_doc(pipeline, sequence | {
-            "times": short, "compare": {"times": times[:7]}})) \
+            "times": short, "compare": sequence["compare"] | {"times": times[:7]}})) \
             == ["sequence.times", "sequence.compare.times"]
 
     cfg["sequence"] = {"phases": [0.0, 1.0]}
@@ -398,18 +399,20 @@ FIT_COMPARE_TIMES = {"start": "10 us", "stop": "80 us", "count": 8}
 # a complete sequence block per pipeline; the tests below take keys out
 COMPLETE = {
     "simulate": {"kind": "unbalanced_echo", "flip_fraction": 0.18, "total_time": "1 ms"},
-    "decay_compare": {"flip_fraction": 0.18, "times": FIT_TIMES,
-                      "compare": {"times": FIT_COMPARE_TIMES}},
+    "decay_compare": {"kind": "unbalanced_echo", "flip_fraction": 0.18, "times": FIT_TIMES,
+                      "compare": {"kind": "ramsey", "times": FIT_COMPARE_TIMES}},
     "pulse_sweep": {"total_time": "1 ms", "flip_fractions": [0.1, 0.2]},
     "rate_table_vee": {"pair": [0, -1], "flip_fractions": [0.1, 0.2], "times": FIT_TIMES},
     "protection_study": {"total_time": "1 ms", "flip_fractions": [0.1, 0.2],
-                         "times": FIT_TIMES, "compare": {"times": FIT_COMPARE_TIMES}},
+                         "times": FIT_TIMES,
+                         "compare": {"kind": "ramsey", "times": FIT_COMPARE_TIMES}},
 }
 
-# every key of the table, plus the flip fraction of unbalanced-echo templates
+# every key of the table, plus the flip fraction of the unbalanced echoes
+# that the complete blocks name
 NEEDED = [(pipeline, need) for pipeline, needs in PIPELINE_NEEDS.items()
-          for need in needs.keys] + [("simulate", "flip_fraction"),
-                                     ("decay_compare", "flip_fraction")]
+          for need in needs] + [("simulate", "flip_fraction"),
+                                ("decay_compare", "flip_fraction")]
 
 
 def _pipeline_doc(pipeline, sequence):
@@ -456,8 +459,8 @@ def test_each_needed_key_is_reported_by_its_dotted_path(pipeline, need):
 # the compare block given below is reported where the pipeline reads none
 EMPTY_BLOCK_PROBLEMS = {
     "simulate": ["sequence.kind", "sequence.total_time", "sequence.compare"],
-    "decay_compare": ["sequence.times", "sequence.compare.times",
-                      "sequence.flip_fraction", "sequence.compare.flip_fraction"],
+    "decay_compare": ["sequence.kind", "sequence.times", "sequence.compare.times",
+                      "sequence.compare.flip_fraction"],
     "pulse_sweep": ["sequence.total_time", "sequence.flip_fractions", "sequence.compare"],
     "rate_table_vee": ["sequence.pair", "sequence.flip_fractions", "sequence.times",
                        "sequence.compare"],
@@ -490,7 +493,8 @@ def test_unknown_pipeline_and_malformed_grids():
     for fractions in ([0.1, 1.5], {"start": 0.0, "stop": 1.5, "count": 4}):
         with pytest.raises(ConfigError, match=r"sequence.flip_fractions: must lie in \[0, 1\]"):
             parse_config(_pipeline_doc("rate_table_vee", rates | {"flip_fractions": fractions}))
-    compare = COMPLETE["decay_compare"] | {"compare": {"times": ["20 us", "10 us"]}}
+    compare = COMPLETE["decay_compare"] | {"compare": {"kind": "ramsey",
+                                                       "times": ["20 us", "10 us"]}}
     assert _problem_paths(_pipeline_doc("decay_compare", compare)) == ["sequence.compare.times"]
 
     built = parse_config(_pipeline_doc("rate_table_vee", rates))

@@ -239,7 +239,7 @@ FITS = {
                     lambda x: np.exp(-x / 1e-3)),
     "cosine": (fit_cosine, ("phases", "signal"), np.linspace(0.0, 2 * math.pi, 12),
                lambda x: 0.6 + 0.4 * np.cos(x + 0.3)),
-    "vee": (lambda x, y: fit_vee(_vee_table(x, y)), ("tau_over_t", "rates"),
+    "vee": (lambda x, y: fit_vee(_vee_table(x, y)), ("tau_over_t", "rate"),
             np.linspace(0.05, 0.35, 12), lambda x: 6408.85 * np.abs(x - 0.181) + 128.2),
 }
 
@@ -266,8 +266,22 @@ def test_fits_refuse_non_finite_data_before_any_solver(capfd, kind, bad, axis):
 def test_rate_rows_refuse_non_finite_errors():
     table = RateTable()
     for rate_error in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="rate errors must be finite"):
+        with pytest.raises(ValueError, match="rate_error must be finite"):
             table.add((0, -1), (0, 1), 0.1, 500.0, rate_error=rate_error)
+    assert not table.rows
+
+
+@pytest.mark.parametrize("field, args", [
+    ("tau_over_t", (True, 5.0)),
+    ("tau_over_t", (np.array([0.1]), 5.0)),
+    ("rate", (0.1, True)),
+    ("rate_error", (0.1, 500.0, False)),
+], ids=["bool-tau-over-t", "array-tau-over-t", "bool-rate", "bool-rate-error"])
+def test_rate_rows_refuse_a_bool_or_an_array(field, args):
+    # True was taken as 1.0 and added a row at flip fraction 1
+    table = RateTable()
+    with pytest.raises(ValueError, match=f"{field} must be a plain number, got "):
+        table.add((0, -1), (0, 1), *args)
     assert not table.rows
 
 
@@ -626,3 +640,10 @@ def test_predict_echo_rate_vee_shape():
     assert left == pytest.approx(right, rel=1e-9)
     with pytest.raises(ValueError):
         predict_echo_rate((0, -1), 1.5)
+
+
+@pytest.mark.parametrize("fraction", [True, np.array([0.1])], ids=["bool", "array"])
+def test_predict_echo_rate_names_a_fraction_that_is_not_a_number(fraction):
+    # the refusal came from the echo's free segment, as a duration of 1 - f
+    with pytest.raises(ValueError, match="flip_fraction must be a plain number, got "):
+        predict_echo_rate((0, -1), fraction)

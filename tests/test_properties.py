@@ -24,7 +24,7 @@ from nvecho.catalog import DEFAULT_SKIP, MIN_FIT_POINTS
 from nvecho.config import PIPELINE_NEEDS, ScenarioConfig, dump_config, parse_config
 from nvecho.noise import CHUNK, field_source, lorentzian, temperature_source
 from nvecho.response import default_quasiharmonic_set
-from nvecho.pulses import KINDS, build_ramsey, build_sequence, build_unbalanced_echo
+from nvecho.pulses import KINDS, build_sequence
 from nvecho.script import format_sequence_script, parse_sequence_script
 from nvecho.sequences import simulate_family
 
@@ -174,9 +174,10 @@ def _kind_keys(kind, block=None, exclude=()):
 def _block(draw, needs, path):
     """A ``path`` block of a pipeline: one option of each key the pipeline
     reads there and, unless that is a script, keys of the kind the block is
-    built as.  A block no template names holds swept unbalanced echoes."""
+    built as: the kind it names or, where the pipeline sweeps its flip
+    fractions, an unbalanced echo."""
     prefix = path.partition(".")[2] + "." if "." in path else ""
-    read = [need[len(prefix):].split("|") for need in needs.keys
+    read = [need[len(prefix):].split("|") for need in needs
             if need.startswith(prefix) and "." not in need[len(prefix):]]
     if any("script" in options for options in read) and draw(st.booleans()):
         return {"script": draw(_VALUES["script"])}
@@ -184,14 +185,12 @@ def _block(draw, needs, path):
     for options in read:
         key = draw(st.sampled_from([key for key in options if key != "script"]))
         block[key] = draw(_VALUES[key])
-    if path in needs.templates:
-        if "kind" not in block and draw(st.booleans()):
-            block["kind"] = draw(_VALUES["kind"])
-        kind, swept = block.get("kind", needs.templates[path]), ()
-    else:
+    if "flip_fractions" in block:
         if draw(st.booleans()):
             block["kind"] = "unbalanced_echo"
         kind, swept = "unbalanced_echo", ("flip_fraction",)
+    else:
+        kind, swept = block["kind"], ()
     taken = [key for options in read for key in options]
     return block | draw(_kind_keys(kind, block, exclude=(*taken, *swept)))
 
@@ -201,7 +200,7 @@ def _configs(draw):
     doc = draw(_documents)
     needs = PIPELINE_NEEDS[doc["pipeline"]]
     sequence = draw(_block(needs, "sequence"))
-    if "sequence.compare" in needs.templates:
+    if any(need.startswith("compare.") for need in needs):
         sequence["compare"] = draw(_block(needs, "sequence.compare"))
     return doc | {"sequence": sequence}
 
@@ -288,8 +287,8 @@ def test_printed_scripts_are_canonical(script):
 def test_closed_form_ramsey_is_exponential(t, pair, m_S, temperature_width, field_width):
     sources = (temperature_source(lorentzian(0.0, temperature_width)),
                field_source(lorentzian(0.0, field_width)))
-    one = simulate_family([build_ramsey(t, pair, m_S)], sources)
-    two = simulate_family([build_ramsey(2 * t, pair, m_S)], sources)
+    one = simulate_family([build_sequence("ramsey", t, pair=pair, ms=m_S)], sources)
+    two = simulate_family([build_sequence("ramsey", 2 * t, pair=pair, ms=m_S)], sources)
     assert one.monte_carlo is None and two.monte_carlo is None
     assert math.isclose(two.amplitude[0], one.amplitude[0] ** 2, rel_tol=1e-9, abs_tol=1e-300)
 
@@ -308,7 +307,7 @@ def test_monte_carlo_point_is_batch_invariant(total_time, fractions, width, with
                                   response=default_quasiharmonic_set()),)
     if with_field:
         sources += (field_source(lorentzian(0.0, 0.1)),)
-    family = [build_unbalanced_echo(total_time, f * total_time) for f in fractions]
+    family = [build_sequence("unbalanced_echo", total_time, flip_fraction=f) for f in fractions]
     kwargs = {"n_samples": CHUNK + 17, "seed": seed}
     batch = simulate_family(family, sources, **kwargs)
     for g, seq in enumerate(family):

@@ -31,7 +31,7 @@ from nvecho.response import (
     save_response_set,
 )
 from nvecho.noise import delta, lorentzian, strain_source, temperature_source
-from nvecho.pulses import build_unbalanced_echo
+from nvecho.pulses import build_sequence
 from nvecho.sequences import simulate_family
 from nvecho.spin_model import accumulated_phase, default_params, phase_coefficients
 from nvecho.units import K_B_OVER_HBAR, TWO_PI
@@ -426,7 +426,7 @@ def test_linear_interaction_shift_composes_channels():
     # shifted by each source's slopes times its location, summed over sources
     lin = default_linear_response()
     sources = (temperature_source(delta(2.0), lin), strain_source(delta(-0.001), lin))
-    seq = build_unbalanced_echo(1e-3, 0.4e-3)
+    seq = build_sequence("unbalanced_echo", 1e-3, flip_fraction=0.4)
     got = simulate_family([seq], sources).base_phase[0]
     p = default_params()
     shifted = replace(p, quadrupole=p.quadrupole + 2.0 * lin.quadrupole_per_K

@@ -1,5 +1,6 @@
 """Scenario pipelines: packaged configs, artifacts, and key numbers."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -94,16 +95,27 @@ def test_decay_compare_reference_numbers(tmp_path):
         result.numbers["improvement"], rel=1e-12)
 
 
-def test_decay_compare_kinds_default_to_the_config_templates(tmp_path):
-    # a block that names no kind is built as its pipeline template says: the
-    # compare step scans an unbalanced echo against a Ramsey
-    cfg = load_packaged_scenario("fig1c")
-    named = run_scenario(cfg, out_dir=tmp_path / "named", deterministic=True)
-    sequence = {k: v for k, v in cfg.sequence.items() if k != "kind"}
-    sequence["compare"] = {k: v for k, v in sequence["compare"].items() if k != "kind"}
-    unnamed = run_scenario(dataclasses.replace(cfg, sequence=sequence),
-                           out_dir=tmp_path / "unnamed", deterministic=True)
-    assert unnamed.numbers == named.numbers
+def test_a_block_the_compare_step_builds_names_its_kind(tmp_path, monkeypatch):
+    # a block that named no kind used to be built as a pipeline default, an
+    # unbalanced echo or a Ramsey; it is reported at its kind before any compute
+    calls = []
+    real = sequences.simulate_family
+    monkeypatch.setattr(sequences, "simulate_family",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    for name, path in (("fig1c", "sequence.kind"), ("fig1c", "sequence.compare.kind"),
+                       ("fig4", "sequence.compare.kind")):
+        cfg = load_packaged_scenario(name)
+        sequence = copy.deepcopy(cfg.sequence)
+        block = sequence["compare"] if "compare" in path else sequence
+        del block["kind"]
+        with pytest.raises(ConfigError) as excinfo:
+            run_scenario(dataclasses.replace(cfg, sequence=sequence), out_dir=tmp_path / "out")
+        assert excinfo.value.problems == (
+            f"{path}: pipeline {cfg.pipeline!r} needs {path}",)
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+    # a swept block names none: the sweep builds unbalanced echoes
+    assert "kind" not in load_packaged_scenario("fig4").sequence
 
 
 def test_pulse_sweep_reference_peak(tmp_path):
@@ -280,10 +292,10 @@ def test_pipeline_and_block_errors(tmp_path):
     times = tuple(k * 1e-3 for k in range(1, 9))
     cases = (
         ("renormalize", {}, "pipeline"),
-        ("decay_compare", {"kind": "unbalanced_echo", "flip_fraction": 0.18, "times": times},
-         "sequence.compare.times"),
-        ("decay_compare", {"flip_fraction": 0.18, "times": times, "compare": {"kind": "ramsey"}},
-         "sequence.compare.times"),
+        ("decay_compare", {"kind": "unbalanced_echo", "flip_fraction": 0.18, "times": times,
+                           "compare": {"kind": "ramsey"}}, "sequence.compare.times"),
+        ("decay_compare", {"flip_fraction": 0.18, "times": times,
+                           "compare": {"kind": "ramsey", "times": times}}, "sequence.kind"),
         ("pulse_sweep", {"flip_fractions": (0.1, 0.2)}, "sequence.total_time"),
         ("rate_table_vee", {"flip_fractions": (0.1, 0.2), "times": times}, "sequence.pair"),
         ("rate_table_vee", {"pair": (0, -1), "flip_fractions": (0.1, 0.2), "times": ()},

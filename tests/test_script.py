@@ -4,12 +4,7 @@ import pytest
 
 from nvecho.noise import lorentzian, temperature_source
 from nvecho.script import ScriptError, format_sequence_script, parse_sequence_script
-from nvecho.pulses import (
-    build_dq_ramsey,
-    build_nuclear_echo,
-    build_ramsey,
-    build_unbalanced_echo,
-)
+from nvecho.pulses import build_sequence
 from nvecho.sequences import simulate_family
 
 PROTECTION_SCRIPT = """\
@@ -42,7 +37,8 @@ def test_protection_script_is_unbalanced_echo():
 def test_script_matches_builder_in_simulation():
     src = temperature_source(lorentzian(0.0, 5.0))
     scripted = simulate_family([parse_sequence_script(PROTECTION_SCRIPT)], (src,))
-    built = simulate_family([build_unbalanced_echo(1.4e-3, 0.252e-3)], (src,))
+    built = simulate_family([build_sequence("unbalanced_echo", 1.4e-3, flip_fraction=0.18)],
+                            (src,))
     assert scripted.attenuation[0] == built.attenuation[0]
     assert scripted.base_phase[0] == built.base_phase[0]
 
@@ -60,7 +56,7 @@ def test_nuclear_echo_classification():
     assert seq.kind == "nuclear_echo"
     assert seq.segments[0].duration == pytest.approx(0.5e-3, rel=1e-15)
     assert [seg.sign for seg in seq.segments] == [1, -1]
-    built = build_nuclear_echo(1e-3, pair=(0, -1), m_S=0)
+    built = build_sequence("nuclear_echo", 1e-3, pair=(0, -1), ms=0)
     assert seq.segments == built.segments
 
 
@@ -135,11 +131,11 @@ def test_parse_print_parse_is_fixed_point():
 @pytest.mark.parametrize(
     "seq",
     [
-        build_ramsey(5e-4, pair=(0, +1), m_S=-1),
-        build_dq_ramsey(1e-3),
-        build_unbalanced_echo(1.4e-3, 0.252e-3),
-        build_unbalanced_echo(2e-3, 0.0),
-        build_nuclear_echo(4e-4, pair=(0, -1), m_S=1),
+        build_sequence("ramsey", 5e-4, pair=(0, +1), ms=-1),
+        build_sequence("dq_ramsey", 1e-3),
+        build_sequence("unbalanced_echo", 1.4e-3, flip_fraction=0.18),
+        build_sequence("unbalanced_echo", 2e-3, flip_fraction=0.0),
+        build_sequence("nuclear_echo", 4e-4, pair=(0, -1), ms=1),
     ],
 )
 def test_builders_round_trip_through_printer(seq):

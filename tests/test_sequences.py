@@ -18,11 +18,7 @@ from nvecho.pulses import (
     KINDS,
     PulseSequence,
     Segment,
-    build_dq_ramsey,
-    build_nuclear_echo,
-    build_ramsey,
     build_sequence,
-    build_unbalanced_echo,
     check_pair,
 )
 from nvecho.response import default_linear_response, default_quasiharmonic_set
@@ -41,7 +37,7 @@ SEED = 12345
 
 
 def test_builders_and_invariants():
-    seq = build_unbalanced_echo(1e-3, 0.18e-3)
+    seq = build_sequence("unbalanced_echo", 1e-3, flip_fraction=0.18)
     assert seq.kind == "unbalanced_echo"
     assert seq.pair == (0, -1)
     assert len(seq.segments) == 2
@@ -49,13 +45,13 @@ def test_builders_and_invariants():
     assert seq.total_time == pytest.approx(1e-3, rel=1e-12)
     assert seq.segments[1].duration / seq.total_time == pytest.approx(0.18, rel=1e-12)
 
-    ram = build_ramsey(5e-4, pair=(0, +1))
+    ram = build_sequence("ramsey", 5e-4, pair=(0, +1))
     assert ram.kind == "ramsey" and ram.total_time == 5e-4
 
-    dq = build_dq_ramsey(5e-4)
+    dq = build_sequence("dq_ramsey", 5e-4)
     assert dq.pair == (-1, +1)
 
-    echo = build_nuclear_echo(4e-4, pair=(0, -1), m_S=0)
+    echo = build_sequence("nuclear_echo", 4e-4, pair=(0, -1), ms=0)
     assert [seg.sign for seg in echo.segments] == [1, -1]
     assert echo.total_time == pytest.approx(4e-4, rel=1e-12)
 
@@ -73,18 +69,17 @@ def test_built_sequences_classify_as_their_kind(kind):
 
 
 def test_builder_validation():
-    with pytest.raises(ValueError):
-        build_unbalanced_echo(1e-3, -1e-6)
-    with pytest.raises(ValueError):
-        build_unbalanced_echo(1e-3, 1.1e-3)  # flip time beyond total time
-    with pytest.raises(ValueError):
-        build_unbalanced_echo(1e-3, 0.2e-3, ms_free=1, ms_flipped=1)
-    with pytest.raises(ValueError):
-        build_unbalanced_echo(0.0, 0.0)
-    with pytest.raises(ValueError):
-        build_ramsey(1e-4, pair=(-1, +1))  # double-quantum pair on the SQ builder
-    with pytest.raises(ValueError):
-        build_dq_ramsey(-1e-4)
+    for fraction in (-1e-3, 1.1):  # a flip time outside the sequence
+        with pytest.raises(ValueError, match=r"flip_fraction must lie in \[0, 1\]"):
+            build_sequence("unbalanced_echo", 1e-3, flip_fraction=fraction)
+    with pytest.raises(ValueError, match="ms_flipped: must differ from ms_free"):
+        build_sequence("unbalanced_echo", 1e-3, flip_fraction=0.2, ms_free=1, ms_flipped=1)
+    with pytest.raises(ValueError, match="total_time must be > 0, got 0.0"):
+        build_sequence("unbalanced_echo", 0.0, flip_fraction=0.0)
+    with pytest.raises(ValueError, match="pair: a single-quantum ramsey needs a pair"):
+        build_sequence("ramsey", 1e-4, pair=(-1, +1))  # the double-quantum pair
+    with pytest.raises(ValueError, match="total_time must be > 0, got -0.0001"):
+        build_sequence("dq_ramsey", -1e-4)
     with pytest.raises(ValueError, match="cannot build sequence kind 'hahn_echo'"):
         build_sequence("hahn_echo", 1e-3)
     with pytest.raises(ValueError, match="kind ramsey does not read flip_fraction"):
@@ -93,20 +88,20 @@ def test_builder_validation():
         PulseSequence((0, -1), ())
     # what the config and the script parser refuse: a bool read as 1 built a
     # 1 s ramsey, and a bad pair printed a script the parser refuses
-    with pytest.raises(ValueError, match="duration must be a plain number, got True"):
+    with pytest.raises(ValueError, match="total_time must be a plain number, got True"):
         build_sequence("ramsey", True)
     with pytest.raises(ValueError, match="segment sign must be"):
         Segment(1e-3, 0, sign=True)
-    with pytest.raises(ValueError, match=r"m_S must be one of -1, 0, \+1, got True"):
-        build_ramsey(1e-3, m_S=True)
+    with pytest.raises(ValueError, match=r"ms must be one of -1, 0, \+1, got True"):
+        build_sequence("ramsey", 1e-3, ms=True)
     with pytest.raises(ValueError, match=r"pair\[1\] must be one of -1, 0, \+1, got 5"):
         PulseSequence((0, 5), (Segment(1e-3, 0),))
     with pytest.raises(ValueError, match=r"pair\[0\] must be one of -1, 0, \+1, got 0.5"):
-        build_nuclear_echo(1e-3, pair=(0.5, -1))  # failed in the script printer
+        build_sequence("nuclear_echo", 1e-3, pair=(0.5, -1))  # failed in the script printer
     with pytest.raises(ValueError, match=r"pair\[0\] must be one of -1, 0, \+1, got True"):
-        build_ramsey(1e-3, pair=(True, 0))
+        build_sequence("ramsey", 1e-3, pair=(True, 0))
     with pytest.raises(ValueError, match=r"pair\[1\] must be one of -1, 0, \+1, got -1.0"):
-        build_ramsey(1e-3, pair=(0, -1.0))  # the config refuses a float too
+        build_sequence("ramsey", 1e-3, pair=(0, -1.0))  # the config refuses a float too
     with pytest.raises(ValueError, match="transition pair must connect two distinct m_I levels"):
         build_sequence("nuclear_echo", 1e-3, pair=(1, 1))
 
@@ -114,13 +109,13 @@ def test_builder_validation():
 def test_nuclear_echo_refuses_a_bool_time():
     # the bool was halved into two 0.5 s segments before Segment saw it
     with pytest.raises(ValueError, match="total_time must be a plain number, got True"):
-        build_nuclear_echo(True)
+        build_sequence("nuclear_echo", True)
 
 
 def test_unbalanced_echo_refuses_a_bool_time():
     # the bool became a 1 s free segment, total_time - flip_time
     with pytest.raises(ValueError, match="total_time must be a plain number, got True"):
-        build_unbalanced_echo(True, 0.0)
+        build_sequence("unbalanced_echo", True, flip_fraction=0.0)
 
 
 def test_a_bool_flip_fraction_is_refused():
@@ -131,6 +126,20 @@ def test_a_bool_flip_fraction_is_refused():
             scans([("unbalanced_echo", {"flip_fraction": flip}, "total_time", [1e-3])], (src,))
         with pytest.raises(ValueError, match="flip_fraction must be a plain number"):
             build_sequence("unbalanced_echo", 1e-3, flip_fraction=flip)
+
+
+@pytest.mark.parametrize("kind, keys, name", [
+    ("unbalanced_echo", {"ms_free": True, "ms_flipped": 1}, "ms_free"),
+    ("unbalanced_echo", {"ms_free": True, "ms_flipped": 0}, "ms_free"),
+    ("unbalanced_echo", {"ms_flipped": 2}, "ms_flipped"),
+    ("ramsey", {"ms": 1.0}, "ms"),
+], ids=["bool-equal", "bool-distinct", "out-of-range", "float"])
+def test_a_manifold_that_is_not_a_projection_names_its_key(kind, keys, name):
+    # the rule compared True with 1 and refused equal manifolds, and Segment
+    # named m_S, not the block key
+    keys = keys | ({"flip_fraction": 0.2} if kind == "unbalanced_echo" else {})
+    with pytest.raises(ValueError, match=rf"^{name} must be one of -1, 0, \+1, got "):
+        build_sequence(kind, 1e-3, **keys)
 
 
 @pytest.mark.parametrize("pair", [0.5, None, (0,), (0, 1, -1)])
@@ -146,7 +155,7 @@ def test_ramsey_amplitude_closed_form():
     resp = default_linear_response()
     src = temperature_source(lorentzian(0.0, 5.0), response=resp)
     t = 1e-4
-    result = simulate_family([build_ramsey(t)], (src,))
+    result = simulate_family([build_sequence("ramsey", t)], (src,))
     expected = math.exp(-5.0 * TWO_PI * 39.0 * t)
     assert result.amplitude[0] == pytest.approx(expected, rel=1e-12)
     # base phase carries the bare transition frequency
@@ -156,8 +165,9 @@ def test_ramsey_amplitude_closed_form():
 def test_location_offset_moves_base_phase_not_amplitude():
     src = temperature_source(lorentzian(2.0, 5.0))
     t = 1e-4
-    res = simulate_family([build_ramsey(t)], (src,))
-    res0 = simulate_family([build_ramsey(t)], (temperature_source(lorentzian(0.0, 5.0)),))
+    seq = build_sequence("ramsey", t)
+    res = simulate_family([seq], (src,))
+    res0 = simulate_family([seq], (temperature_source(lorentzian(0.0, 5.0)),))
     assert res.amplitude[0] == pytest.approx(res0.amplitude[0], rel=1e-12)
     # (0, -1) branch: phase grows by -c_T * location with c_T = -t * slope_Q
     assert res.base_phase[0] - res0.base_phase[0] == pytest.approx(
@@ -169,8 +179,8 @@ def test_unbalanced_echo_full_cancellation():
     resp = default_linear_response()
     src = temperature_source(lorentzian(0.0, 5.0), response=resp)
     t = 1e-3
-    tau = t * resp.quadrupole_per_K / resp.hyperfine_per_K
-    result = simulate_family([build_unbalanced_echo(t, tau)], (src,))
+    ratio = resp.quadrupole_per_K / resp.hyperfine_per_K
+    result = simulate_family([build_sequence("unbalanced_echo", t, flip_fraction=ratio)], (src,))
     assert result.amplitude[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -178,10 +188,10 @@ def test_residual_field_sets_protected_ceiling():
     src = residual_field_source(dq_coherence_time=3.9e-3)
     gamma_n_mag = TWO_PI * 307.7
     t2 = 1.0 / (gamma_n_mag * src.distribution.scale)
-    result = simulate_family([build_ramsey(t2)], (src,))
+    result = simulate_family([build_sequence("ramsey", t2)], (src,))
     assert result.amplitude[0] == pytest.approx(1.0 / math.e, rel=1e-12)
     # double-quantum branch decays twice as fast
-    result_dq = simulate_family([build_dq_ramsey(t2 / 2)], (src,))
+    result_dq = simulate_family([build_sequence("dq_ramsey", t2 / 2)], (src,))
     assert result_dq.amplitude[0] == pytest.approx(1.0 / math.e, rel=1e-12)
 
 
@@ -190,7 +200,8 @@ def test_nuclear_echo_refocuses_every_linear_source():
         temperature_source(lorentzian(0.4, 8.0)),
         field_source(gaussian(0.0, 0.3)),
     )
-    result = simulate_family([build_nuclear_echo(1e-3, pair=(0, -1), m_S=0)], sources)
+    result = simulate_family([build_sequence("nuclear_echo", 1e-3, pair=(0, -1), ms=0)],
+                             sources)
     assert result.amplitude[0] == pytest.approx(1.0, abs=1e-12)
     assert result.base_phase[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -200,8 +211,7 @@ PUBLIC_NAMES = (
     "ConfigError", "EnsembleSignal", "FitError", "FitResult", "LinearResponse",
     "NoiseSource", "PulseSequence", "QuasiharmonicSet", "RateTable", "ScenarioConfig",
     "ScenarioResult", "ScriptError", "SpinSystemParams", "TWO_PI", "angular",
-    "build_dq_ramsey", "build_nuclear_echo", "build_ramsey", "build_sequence",
-    "build_unbalanced_echo", "calibrate_response_set", "cycles", "default_linear_response",
+    "build_sequence", "calibrate_response_set", "cycles", "default_linear_response",
     "default_params", "default_quasiharmonic_set", "delta", "dephasing_factor",
     "dump_config", "estimate_sigma", "field_source", "fit_cosine", "fit_exponential",
     "fit_vee", "format_quantity", "format_sequence_script", "gaussian", "load_config",
@@ -256,10 +266,28 @@ def test_what_no_run_reaches_is_gone():
     assert nvecho.__all__ == list(PUBLIC_NAMES)
 
 
+def test_each_kind_has_one_builder():
+    # the per-kind builders took m_S and an absolute flip time, and a block
+    # that named no kind was built as the kind its pipeline defaulted to
+    import nvecho
+    from nvecho import config, pulses
+
+    assert [name for name in dir(pulses) if name.startswith("build")] == ["build_sequence"]
+    for name in ("build_ramsey", "build_dq_ramsey", "build_unbalanced_echo", "build_nuclear_echo"):
+        assert not hasattr(nvecho, name), name
+    for module, names in ((pulses, ("_build_flip_fraction_echo", "_refuse")),
+                          (config, ("Needs", "block_kind"))):
+        for name in names:
+            assert not hasattr(module, name), name
+    assert all(isinstance(need, str) for needs in config.PIPELINE_NEEDS.values()
+               for need in needs)
+    assert nvecho.__all__ == list(PUBLIC_NAMES)
+
+
 def test_sources_choose_closed_form_or_monte_carlo():
     linear = (temperature_source(lorentzian(0.0, 5.0)), field_source(gaussian(0.0, 0.3)))
     hot = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
-    seq = build_ramsey(1e-4)
+    seq = build_sequence("ramsey", 1e-4)
     # all-linear ensembles take the exact characteristic-function product
     assert simulate_family([seq], linear).monte_carlo is None
     # one quasiharmonic source sends the whole ensemble through Monte Carlo
@@ -364,9 +392,9 @@ ECHO_SOURCE = (temperature_source(lorentzian(0.0, 5.0)),)
                   ECHO_SOURCE),
     lambda: scans([("unbalanced_echo", {"total_time": math.nan}, "flip_fraction", [0.1, 0.2])],
                   ECHO_SOURCE),
-    lambda: build_unbalanced_echo(math.nan, 0.1e-3),
-    lambda: build_unbalanced_echo(1e-3, math.nan),
-    lambda: build_unbalanced_echo(math.inf, math.inf),
+    lambda: build_sequence("unbalanced_echo", math.nan, flip_fraction=0.1),
+    lambda: build_sequence("unbalanced_echo", 1e-3, flip_fraction=math.nan),
+    lambda: build_sequence("unbalanced_echo", math.inf, flip_fraction=1.0),
 ], ids=["nan-time", "inf-time", "nan-flip-fraction", "nan-sweep-fraction",
         "inf-sweep-time", "nan-sweep-time", "nan-echo-time", "nan-flip-time",
         "inf-echo-times"])
@@ -418,7 +446,7 @@ def test_ramsey_rate_with_both_couplings():
     src = temperature_source(lorentzian(0.0, 5.0))
     t2 = 1.0 / (TWO_PI * 243.0 * 5.0)
     assert t2 == pytest.approx(131e-6, rel=0.01)
-    res = simulate_family([build_ramsey(t2, pair=(0, +1), m_S=+1)], (src,))
+    res = simulate_family([build_sequence("ramsey", t2, pair=(0, +1), ms=+1)], (src,))
     assert res.amplitude[0] == pytest.approx(1.0 / math.e, rel=1e-9)
 
 
@@ -430,7 +458,7 @@ def test_unprotected_rate_with_residual_share():
         residual_field_source(dq_coherence_time=3.9e-3),
     )
     t = 7.4e-4
-    res = simulate_family([build_ramsey(t)], sources)
+    res = simulate_family([build_sequence("ramsey", t)], sources)
     rate = -math.log(res.amplitude[0]) / t
     assert rate == pytest.approx(TWO_PI * 39.0 * 5.0 + 1.0 / 7.8e-3, rel=1e-9)
     assert 1.0 / rate == pytest.approx(0.74e-3, rel=0.01)
@@ -438,7 +466,7 @@ def test_unprotected_rate_with_residual_share():
 
 def test_dq_ramsey_immune_to_quadrupole_noise():
     src = temperature_source(lorentzian(0.0, 8.0))
-    res = simulate_family([build_dq_ramsey(1e-3)], (src,))
+    res = simulate_family([build_sequence("dq_ramsey", 1e-3)], (src,))
     assert res.amplitude[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -531,4 +559,4 @@ def test_metadata_values_read_back_as_written(tmp_path):
 def test_non_finite_durations_rejected():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            simulate_family([build_ramsey(bad)], [])
+            simulate_family([build_sequence("ramsey", bad)], [])

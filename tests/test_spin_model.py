@@ -18,13 +18,7 @@ import numpy as np
 import pytest
 
 from nvecho.noise import lorentzian, residual_field_source
-from nvecho.pulses import (
-    DOUBLE_QUANTUM_PAIR,
-    build_dq_ramsey,
-    build_nuclear_echo,
-    build_ramsey,
-    build_unbalanced_echo,
-)
+from nvecho.pulses import DOUBLE_QUANTUM_PAIR, build_sequence
 from nvecho.response import LinearResponse, default_linear_response
 from nvecho.spin_model import (
     Segment,
@@ -187,10 +181,11 @@ def _not_a_number(field):
     (lambda: SpinSystemParams(field_gauss=True), _not_a_number("field_gauss")),
     (lambda: SpinSystemParams(field_gauss=np.array([239.0])), _not_a_number("field_gauss")),
     (lambda: lorentzian(0.0, np.array([1.0])), _not_a_number("scale")),
-    (lambda: build_ramsey(np.array([1e-3])), _not_a_number("duration")),
-    (lambda: build_dq_ramsey(np.array([1e-3])), _not_a_number("duration")),
-    (lambda: build_unbalanced_echo(2e-3, np.array([0.3e-3])), _not_a_number("flip_time")),
-    (lambda: build_nuclear_echo(np.array([1e-3])), _not_a_number("total_time")),
+    (lambda: build_sequence("ramsey", np.array([1e-3])), _not_a_number("total_time")),
+    (lambda: build_sequence("dq_ramsey", np.array([1e-3])), _not_a_number("total_time")),
+    (lambda: build_sequence("unbalanced_echo", 2e-3, flip_fraction=np.array([0.15])),
+     _not_a_number("flip_fraction")),
+    (lambda: build_sequence("nuclear_echo", np.array([1e-3])), _not_a_number("total_time")),
     (lambda: residual_field_source(np.array([3.9e-3])), _not_a_number("dq_coherence_time")),
     (lambda: Segment(np.array([1e-3]), 0), _not_a_number("segment duration")),
     (lambda: Segment(1e-3, 0, sign=np.array([-1])),
