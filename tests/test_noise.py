@@ -8,6 +8,9 @@ the standard error, validated ahead of time.
 """
 
 import math
+import os
+import pickle
+import threading
 import tracemalloc
 
 import numpy as np
@@ -402,17 +405,142 @@ def test_member_kernel_keeps_signed_zeros_out_of_the_sum():
 PEAK_BEFORE_THREADS = 4_141_792
 
 
-def test_monte_carlo_peak_memory():
+FORK = os.fork
+
+
+def use_cpus(monkeypatch, n):
+    """Let ``monte_carlo_attenuation`` see ``n`` CPUs, and return the list
+    that each fork the parent makes appends to."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or FORK())
+    return forks
+
+
+def test_monte_carlo_peak_memory(monkeypatch):
+    # one CPU sums the family in this process; two split it, and the bound
+    # holds for this process's share
     src = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
     family = [echo_coefficients(t=2e-3, tau=f * 2e-3) for f in np.linspace(0.1, 0.25, 8)]
-    monte_carlo_attenuation((src,), family, n_samples=CHUNK, seed=SEED)  # first-call set-up
-    tracemalloc.start()
+    for cpus in (1, 2):
+        forks = use_cpus(monkeypatch, cpus)
+        monte_carlo_attenuation((src,), family, n_samples=CHUNK, seed=SEED)  # first-call set-up
+        tracemalloc.start()
+        try:
+            monte_carlo_attenuation((src,), family, n_samples=2 * CHUNK, seed=SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(forks) == 2 * (cpus - 1)
+        assert peak <= PEAK_BEFORE_THREADS, cpus
+
+
+def assert_no_child_left():
+    # every child was reaped: none is left running, blocked or a zombie
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def result_bytes(result):
+    return (result.attenuation.tobytes(), result.std_error.tobytes(), result.n_samples,
+            result.seed, result.n_retained, result.truncated_mass)
+
+
+SPLIT_FAMILIES = {
+    "one-member": ((QUASIHARMONIC,), [echo_coefficients(t=2e-4, tau=0.0)]),
+    "two-members": ((QUASIHARMONIC,), [echo_coefficients(t=2e-4, tau=0.0),
+                                       echo_coefficients(t=2e-3, tau=0.36e-3)]),
+    "quasiharmonic": ((QUASIHARMONIC,), [echo_coefficients(t=t, tau=f * t)
+                                         for t in (2e-5, 1e-4, 2e-3)
+                                         for f in (0.0, 0.17, 0.5)]),
+    # the flat term order: a linear term, a strain term, then two curves
+    "three-sources": ((field_source(gaussian(0.0, 0.05)), strain_source(lorentzian(0.0, 1e-6)),
+                       QUASIHARMONIC),
+                      [echo_coefficients(t=t, tau=f * t) for t in (2e-5, 1e-4)
+                       for f in (0.0, 0.17, 0.5)]),
+}
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("family", SPLIT_FAMILIES)
+def test_monte_carlo_split_keeps_the_bits(family, cpus, monkeypatch):
+    sources, coefficients = SPLIT_FAMILIES[family]
+    n = CHUNK + 17  # an unequal final chunk
+    use_cpus(monkeypatch, 1)
+    alone = monte_carlo_attenuation(sources, coefficients, n_samples=n, seed=SEED)
+    forks = use_cpus(monkeypatch, cpus)
+    split = monte_carlo_attenuation(sources, coefficients, n_samples=n, seed=SEED)
+    assert len(forks) == min(cpus, len(coefficients)) - 1
+    assert result_bytes(split) == result_bytes(alone)
+    assert_no_child_left()
+
+
+def test_monte_carlo_sums_in_this_process_while_another_thread_runs(monkeypatch):
+    # a forked child holds only the forking thread
+    forks = use_cpus(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30.0,))
+    other.start()
     try:
-        monte_carlo_attenuation((src,), family, n_samples=2 * CHUNK, seed=SEED)
-        peak = tracemalloc.get_traced_memory()[1]
+        monte_carlo_attenuation((QUASIHARMONIC,), SPLIT_FAMILIES["two-members"][1],
+                                n_samples=1000, seed=SEED)
     finally:
-        tracemalloc.stop()
-    assert peak <= PEAK_BEFORE_THREADS
+        release.set()
+        other.join(30.0)
+    assert not other.is_alive()
+    assert forks == []
+
+
+def fail_in(where, failure, monkeypatch):
+    """Make ``noise._slice_sums`` call ``failure`` in the parent or in every
+    forked child; the patch is made before the fork, so children have it."""
+    parent, real = os.getpid(), noise._slice_sums
+
+    def slice_sums(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            failure()
+        return real(*args)
+
+    monkeypatch.setattr(noise, "_slice_sums", slice_sums)
+
+
+def raise_value_error():
+    raise ValueError("a slice could not be summed")
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_monte_carlo_split_raises_what_a_slice_raises(where, monkeypatch):
+    forks = use_cpus(monkeypatch, 3)
+    fail_in(where, raise_value_error, monkeypatch)
+    with pytest.raises(ValueError, match="^a slice could not be summed$"):
+        monte_carlo_attenuation(*SPLIT_FAMILIES["quasiharmonic"], n_samples=CHUNK, seed=SEED)
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_monte_carlo_split_names_a_child_that_sends_no_result(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    fail_in("child", lambda: os._exit(7), monkeypatch)
+    with pytest.raises(RuntimeError, match="ended without a result, exit status 7$"):
+        monte_carlo_attenuation(*SPLIT_FAMILIES["quasiharmonic"], n_samples=1000, seed=SEED)
+    assert_no_child_left()
+
+
+def test_monte_carlo_split_reads_a_result_larger_than_the_pipe_buffer(monkeypatch):
+    # the child's share of 6000 members pickles to more than a pipe holds
+    # (64 KiB on Linux), so the child blocks until the parent reads it
+    family = [echo_coefficients(t=t, tau=0.0) for t in np.linspace(1e-6, 1e-4, 6000)]
+    sources = (temperature_source(lorentzian(0.0, 5.0)),)
+    windows = [src.truncation_window() for src in sources]
+    share = noise._slice_sums(sources, windows, stack_coefficients(family[3000:]), SEED, 8)
+    assert len(pickle.dumps((True, share))) > 1 << 16
+    use_cpus(monkeypatch, 1)
+    alone = monte_carlo_attenuation(sources, family, n_samples=8, seed=SEED)
+    forks = use_cpus(monkeypatch, 2)
+    split = monte_carlo_attenuation(sources, family, n_samples=8, seed=SEED)
+    assert len(forks) == 1
+    assert result_bytes(split) == result_bytes(alone)
+    assert_no_child_left()
 
 
 def test_truncation_mass_absolute_temperature():
