@@ -1,9 +1,11 @@
 """Names and defaults read where the numerics that use them are not loaded.
 
 The packaged scenario names and their aliases (``scenarios``), from which
-the CLI builds its parser without loading numpy, and the exponential fit's
+the CLI builds its parser without loading numpy; the exponential fit's
 skip and point count (``estimator``), against which ``config`` checks each
-fitted ``times`` grid without importing the fit.
+fitted ``times`` grid without importing the fit; and the Monte Carlo draws
+and seed of a run that names none (``noise``), which ``sequences`` takes as
+its defaults without importing the ensemble averages.
 """
 
 SCENARIO_NAMES = ("fig1c", "fig1d", "fig2", "fig4", "s5")
@@ -11,3 +13,6 @@ SCENARIO_ALIASES = {"fig2c": "fig2", "fig2d": "fig2"}
 
 DEFAULT_SKIP = 3  # initial points an exponential fit skips
 MIN_FIT_POINTS = 5  # points an exponential fit needs after its skip
+
+DEFAULT_SAMPLES = 1 << 20  # Monte Carlo draws and seed of a run that names none
+DEFAULT_SEED = 12345

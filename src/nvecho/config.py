@@ -53,9 +53,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 import yaml
 
-from .catalog import DEFAULT_SKIP, MIN_FIT_POINTS, SCENARIO_ALIASES, SCENARIO_NAMES
-from .noise import (DEFAULT_SAMPLES, DEFAULT_SEED, DISTRIBUTION_KINDS, Distribution,
-                    field_source, residual_field_source, strain_source, temperature_source)
+from .catalog import (DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_SKIP, MIN_FIT_POINTS,
+                      SCENARIO_ALIASES, SCENARIO_NAMES)
+from .noise import (DISTRIBUTION_KINDS, Distribution, field_source, residual_field_source,
+                    strain_source, temperature_source)
 from .pulses import KINDS
 from .response import (
     DEFAULT_DATA_FILE,

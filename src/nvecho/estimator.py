@@ -15,10 +15,11 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .catalog import DEFAULT_SKIP, MIN_FIT_POINTS
-from .noise import delta, field_source, lorentzian, temperature_source
+from .response import default_linear_response
 from .sequences import read_metadata_csv, write_metadata_csv
 from .solvers import FitError, levenberg_marquardt, nnls
-from .spin_model import Segment, SpinSystemParams, default_params, phase_coefficients
+from .spin_model import (PhaseCoefficients, Segment, SpinSystemParams, default_params,
+                         phase_coefficients)
 from .units import check_number
 
 @dataclass(frozen=True)
@@ -258,27 +259,28 @@ RATE_COLUMNS = {RATES_SCHEMA: ((int,) * 4 + (float,) * 2 + (lambda f: float(f) i
 
 # ------------------------------------------------------------------ vee fit
 
-def _echo_coefficients(sources, pair, flip_fraction: float, ms_free: int, ms_flipped: int,
-                       params: SpinSystemParams | None = None) -> np.ndarray:
-    """Each linear source's phase coefficient over a unit-time unbalanced
-    echo that flips from ``ms_free`` to ``ms_flipped`` for the final
-    ``flip_fraction``."""
+def _unit_echo(pair, flip_fraction: float, ms_free: int, ms_flipped: int,
+               params: SpinSystemParams | None = None) -> PhaseCoefficients:
+    """The phase coefficients of a unit-time unbalanced echo that flips from
+    ``ms_free`` to ``ms_flipped`` for the final ``flip_fraction``."""
     segments = (Segment(1.0 - flip_fraction, ms_free), Segment(flip_fraction, ms_flipped))
-    coefficients = phase_coefficients(params or default_params(), pair, segments)
-    return np.array([src.phase_coefficient(coefficients) for src in sources])
+    return phase_coefficients(params or default_params(), pair, segments)
 
 
 def _vee_dispatch(table: RateTable) -> str:
     """The table's branch: a vee when the temperature term vanishes inside
     (0, 1), that is when its coefficient under the default linear response
-    changes sign between the two manifolds, and a line otherwise."""
+    changes sign between the two manifolds, and a line otherwise.  The
+    coefficient is read from the response's slopes, not from a noise
+    source, so that a fit does not import ``noise``."""
     pairs = {r.pair for r in table.rows}
     pairings = {r.ms_pairing for r in table.rows}
     if len(pairs) != 1 or len(pairings) != 1:
         raise ValueError("fit_vee needs a table filtered to one pair and one ms pairing")
     (pair,), (pairing,) = pairs, pairings
-    thermometer = (temperature_source(delta(0.0)),)
-    free, flipped = (_echo_coefficients(thermometer, pair, f, *pairing)[0] for f in (0.0, 1.0))
+    slopes = default_linear_response()
+    free, flipped = (c.quadrupole * slopes.quadrupole_per_K + c.hyperfine * slopes.hyperfine_per_K
+                     for c in (_unit_echo(pair, f, *pairing) for f in (0.0, 1.0)))
     return "vee" if free * flipped < 0 else "line"
 
 
@@ -493,10 +495,13 @@ def predict_echo_rate(pair, flip_fraction: float, ms_free: int = 0,
     ratio, producing the vee.  The field term is untouched by the flip.  At
     flip fraction 0 it is the free-evolution rate in ``ms_free``.
     """
+    from .noise import field_source, lorentzian, temperature_source
+
     check_number("flip_fraction", flip_fraction)
     if not 0.0 <= flip_fraction <= 1.0:
         raise ValueError("flip fraction must lie in [0, 1]")
     sources = (temperature_source(lorentzian(0.0, sigma_T), response),
                field_source(lorentzian(0.0, sigma_B)))
-    coefficients = _echo_coefficients(sources, pair, flip_fraction, ms_free, ms_flipped, params)
-    return float(sum(src.distribution.scale * abs(c) for src, c in zip(sources, coefficients)))
+    coefficients = _unit_echo(pair, flip_fraction, ms_free, ms_flipped, params)
+    return float(sum(src.distribution.scale * abs(src.phase_coefficient(coefficients))
+                     for src in sources))

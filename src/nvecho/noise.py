@@ -34,9 +34,9 @@ by a table of e^{2 pi i j/4096}.  The sum is within 5e-16 per draw of the
 exact sum of e^{i phase} over the same draws (1.2e-16 measured), far below
 the sampling error, and is made of exactly rounded operations in a fixed
 order, so it does not depend on the batch or on the CPU.  A family's
-members are cut into slices summed in forked processes, one per CPU, and
-each member is summed whole in one of them, so the split does not change
-its bits either (``monte_carlo_attenuation``).
+chunks are cut into ranges summed in forked processes, one per CPU, and
+added in chunk order, so the split does not change the bits either
+(``monte_carlo_attenuation``).
 """
 
 from __future__ import annotations
@@ -47,13 +47,12 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from .catalog import DEFAULT_SAMPLES, DEFAULT_SEED
 from .response import LinearResponse, QuasiharmonicSet, default_linear_response
 from .spin_model import PhaseCoefficients, SpinSystemParams, stack_coefficients
 from .units import check_number
 
 CHUNK = 1 << 16
-DEFAULT_SAMPLES = 1 << 20  # Monte Carlo draws and seed of a run that names none
-DEFAULT_SEED = 12345
 
 # Absolute-temperature ensembles are clipped this many scale widths from the
 # location (and at T = 0) before evaluating the lattice model on the draws.
@@ -408,48 +407,40 @@ def _chunk_channels(sources, windows, grid, seed, k, n_k):
     return terms, int(mask.sum())
 
 
-def _slice_sums(sources, windows, grid, seed, n_samples):
-    """Each member's sum of e^{i (phase - phase(locations))} over every
-    chunk, for the members of ``grid`` in member order, and the retained
-    count."""
-    totals = [0j] * grid.quadrupole.size
-    retained = 0
-    for k, start in enumerate(range(0, n_samples, CHUNK)):
+def _chunk_sums(sources, windows, grid, seed, n_samples, chunks):
+    """Yield ``(member sums, kept)`` for each chunk index in ``chunks``, in
+    order: every member's sum of e^{i (phase - phase(locations))} over the
+    chunk's retained draws, and their count.  A chunk's channels are freed
+    before the next chunk is drawn."""
+    for k in chunks:
         terms, kept = _chunk_channels(sources, windows, grid, seed, k,
-                                      min(CHUNK, n_samples - start))
-        totals = [total + z for total, z in zip(totals, _member_sums(terms))]
+                                      min(CHUNK, n_samples - k * CHUNK))
+        sums = _member_sums(terms)
+        del terms
+        yield sums, kept
+
+
+def _add_chunks(per_chunk, totals, retained=0):
+    """Add each chunk's ``(member sums, kept)`` of ``per_chunk``, in order,
+    to the members' ``totals`` and the ``retained`` count."""
+    for sums, kept in per_chunk:
+        totals = [total + z for total, z in zip(totals, sums)]
         retained += kept
-        del terms  # freed before the next chunk is drawn
     return totals, retained
 
 
-def _process_count(members: int) -> int:
-    """How many processes sum a family of ``members``: one per CPU this
-    process may run on, at most one per member.  1 where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing, or where another Python thread
-    runs, because a forked child holds only the thread that forked it."""
-    import os
-    import threading
-
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() > 1:
-        return 1
-    return min(len(os.sched_getaffinity(0)), members)
-
-
-def _child_sums(write: int, sources, windows, part, seed, n_samples):
-    """In a forked child: pickle ``(True, _slice_sums(...))`` for the
-    members of ``part``, or ``(False, exception)``, into the pipe ``write``,
-    then end the process.  Never returns, so no caller's code runs twice; a
-    reply that cannot be pickled ends it with status 1 and nothing sent."""
+def _child_sums(write: int, *args):
+    """In a forked child: pickle ``(True, list(_chunk_sums(*args)))``, or
+    ``(False, exception)``, into the pipe ``write``, then end the process.
+    Never returns, so no caller's code runs twice; a reply that cannot be
+    pickled ends it with status 1 and nothing sent."""
     import os
     import pickle
 
     status = 1
     try:
         try:
-            reply = (True, _slice_sums(sources, windows, part, seed, n_samples))
+            reply = (True, list(_chunk_sums(*args)))
         except Exception as exc:  # raised again in the parent
             reply = (False, exc)
         data = pickle.dumps(reply)
@@ -460,25 +451,33 @@ def _child_sums(write: int, sources, windows, part, seed, n_samples):
         os._exit(status)
 
 
-def _split_sums(sources, windows, grid, seed, n_samples, n):
-    """``_slice_sums`` of the whole family, its members cut into ``n``
-    contiguous slices: slice 0 is summed here and each other slice in a
-    child forked for it, which sends its result back through a pipe.  A
-    member's sum depends only on its coefficients and the chunk's draws, so
-    every member keeps the bits the whole family gives it on one process.
-    A child's exception is raised again here; every child is reaped before
-    this returns or raises, and killed first if its result was not read."""
+def _family_sums(sources, windows, grid, seed, n_samples):
+    """Each member's sum over the family's chunks, and the retained count.
+    The chunks are cut into one contiguous range per CPU this process may
+    run on, at most one per chunk: the first range is summed here and each
+    other range in a child forked for it, which sends its per-chunk sums
+    back through a pipe.  Every chunk is drawn once, and its sums are added
+    in chunk order, as on one process.  One process sums every chunk where
+    ``os.fork`` or ``os.sched_getaffinity`` is missing, or where another
+    Python thread runs, because a forked child holds only the thread that
+    forked it.  A child's exception is raised again here; every child is
+    reaped before this returns or raises, and killed first if its result
+    was not read."""
     import os
     import pickle
     import signal
+    import threading
 
-    members = grid.quadrupole.size
-    edges = [members * i // n for i in range(n + 1)]
-    parts = [PhaseCoefficients(grid.quadrupole[a:b], grid.hyperfine[a:b], grid.field[a:b])
-             for a, b in zip(edges, edges[1:])]
-    children = []  # (pid, read end) of each child not yet reaped, in slice order
+    chunks = -(-n_samples // CHUNK)
+    n = 1
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        n = min(len(os.sched_getaffinity(0)), chunks)
+    edges = [chunks * i // n for i in range(n + 1)]
+    ranges = [range(a, b) for a, b in zip(edges, edges[1:])]
+    children = []  # (pid, read end) of each child not yet reaped, in range order
     try:
-        for part in parts[1:]:
+        for part in ranges[1:]:
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -487,10 +486,12 @@ def _split_sums(sources, windows, grid, seed, n_samples, n):
                 os.close(write)
                 raise
             if pid == 0:
-                _child_sums(write, sources, windows, part, seed, n_samples)
+                _child_sums(write, sources, windows, grid, seed, n_samples, part)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        results = [_slice_sums(sources, windows, parts[0], seed, n_samples)]
+        totals, retained = _add_chunks(
+            _chunk_sums(sources, windows, grid, seed, n_samples, ranges[0]),
+            [0j] * grid.quadrupole.size)
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -503,16 +504,13 @@ def _split_sums(sources, windows, grid, seed, n_samples, n):
             done, value = pickle.loads(data)
             if not done:
                 raise value
-            results.append(value)
+            totals, retained = _add_chunks(value, totals, retained)
     finally:
         for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if len({kept for _, kept in results}) != 1:
-        raise RuntimeError("the slices of a Monte Carlo family retained different "
-                           f"draw counts: {[kept for _, kept in results]}")
-    return [total for totals, _ in results for total in totals], results[0][1]
+    return totals, retained
 
 
 def monte_carlo_attenuation(sources, coefficients, n_samples: int = DEFAULT_SAMPLES,
@@ -525,17 +523,18 @@ def monte_carlo_attenuation(sources, coefficients, n_samples: int = DEFAULT_SAMP
     source falls outside its physical window, and evaluates each source's
     response channels once.  Only then is the phase contracted and averaged
     per member, in chunk order, so a member's estimate does not depend on
-    the rest of the family.  The members are cut into one contiguous slice
+    the rest of the family.  The chunks are cut into one contiguous range
     per CPU this process may run on (``os.sched_getaffinity``), at most one
-    per member; the first slice is summed in this process and each other
-    slice in a process forked for it, which draws every chunk itself
-    (``_split_sums``).  With one CPU or one member, without ``os.fork``, or
-    while another Python thread runs, the whole family is summed in this
-    process.  Either way every member gets the same bits.  Each process sums
-    its members one after another, in buffers of 32 bytes per draw of a
-    block of 16,384 draws, 512 KiB, whatever the sources.  Each member's sum
-    is within 5e-16 per draw of the exact sum over the same draws
-    (``_member_sums``).  ``sources`` must not be empty.
+    per chunk, so a family of one member splits too; the first range is
+    summed in this process and each other range in a process forked for it.
+    Every chunk is drawn once, and each member's chunk sums are added in
+    chunk order (``_family_sums``).  With one CPU or one chunk, without
+    ``os.fork``, or while another Python thread runs, every chunk is summed
+    in this process.  Either way every member gets the same bits.  Each
+    process sums a chunk's members one after another, in buffers of 32
+    bytes per draw of a block of 16,384 draws, 512 KiB, whatever the
+    sources.  Each member's sum is within 5e-16 per draw of the exact sum
+    over the same draws (``_member_sums``).  ``sources`` must not be empty.
     """
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -550,11 +549,7 @@ def monte_carlo_attenuation(sources, coefficients, n_samples: int = DEFAULT_SAMP
                          "attenuation is exactly 1")
     grid = stack_coefficients(coefficients)
     windows = [src.truncation_window() for src in sources]
-    n = _process_count(grid.quadrupole.size)
-    if n > 1:
-        totals, retained = _split_sums(sources, windows, grid, seed, n_samples, n)
-    else:
-        totals, retained = _slice_sums(sources, windows, grid, seed, n_samples)
+    totals, retained = _family_sums(sources, windows, grid, seed, n_samples)
     if retained == 0:
         raise ValueError("all samples fell outside the truncation windows")
     means = [total / retained for total in totals]

@@ -17,12 +17,12 @@ import datetime as _dt
 import json
 from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import yaml
 
-from .noise import (DEFAULT_SAMPLES, DEFAULT_SEED, MonteCarloResult, dephasing_factor,
-                    monte_carlo_attenuation)
+from .catalog import DEFAULT_SAMPLES, DEFAULT_SEED
 from .pulses import KINDS, build_sequence
 from .response import dump_yaml, load_yaml
 from .spin_model import (
@@ -32,6 +32,9 @@ from .spin_model import (
     phase_coefficients,
     stack_coefficients,
 )
+
+if TYPE_CHECKING:  # the ensemble averages are imported where a family is evaluated
+    from .noise import MonteCarloResult
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,8 @@ def simulate_family(sequences, sources, params: SpinSystemParams | None = None,
     Monte Carlo estimate from ``n_samples`` draws keyed by ``seed``, which all
     sequences share, and ``monte_carlo`` holds its bookkeeping.
     """
+    from .noise import dephasing_factor, monte_carlo_attenuation
+
     if params is None:
         params = default_params()
     sources = tuple(sources)

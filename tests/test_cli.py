@@ -690,13 +690,15 @@ def test_fit_reads_its_csv_once(tmp_path, capsys, monkeypatch):
         assert len(reads) == 1, reads
 
 
+# argv: the module to look for, then the CLI arguments
 FIT_IMPORTS = """\
 import sys
 
 from nvecho.cli import main
 
-assert main(sys.argv[1:]) == 0
-print("numpy.ma loaded:", "numpy.ma" in sys.modules)
+module = sys.argv[1]
+assert main(sys.argv[2:]) == 0
+print(module, "loaded:", module in sys.modules)
 """
 
 
@@ -705,11 +707,27 @@ def test_rate_table_fit_leaves_numpy_ma_unloaded(tmp_path, capsys):
     # fractions without it
     assert main(["reproduce", "fig2", "--out", str(tmp_path), "--deterministic"]) == 0
     rates = str(tmp_path / "fig2-rates.csv")
-    proc = subprocess.run([sys.executable, "-c", FIT_IMPORTS, "fit", rates, "--pair", "0,-1",
-                           "--deterministic"], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", FIT_IMPORTS, "numpy.ma", "fit", rates,
+                           "--pair", "0,-1", "--deterministic"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert '"ratio"' in proc.stdout
     assert proc.stdout.splitlines()[-1] == "numpy.ma loaded: False"
+
+
+@pytest.mark.parametrize("name, csv, options, key", [
+    ("fig1c", "fig1c-protected.csv", [], "coherence_time"),
+    ("fig2", "fig2-rates.csv", ["--pair", "0,-1"], "ratio"),
+], ids=["signal", "rate-table"])
+def test_fit_leaves_the_noise_module_unloaded(tmp_path, name, csv, options, key):
+    # a fit reads a table and fits it; the noise sources are imported only
+    # where a family is evaluated
+    assert main(["reproduce", name, "--out", str(tmp_path), "--deterministic"]) == 0
+    proc = subprocess.run([sys.executable, "-c", FIT_IMPORTS, "nvecho.noise", "fit",
+                           str(tmp_path / csv), *options, "--deterministic"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert f'"{key}"' in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "nvecho.noise loaded: False"
 
 
 # -------------------------------------------------------- calibrate-response

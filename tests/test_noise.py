@@ -418,8 +418,8 @@ def use_cpus(monkeypatch, n):
 
 
 def test_monte_carlo_peak_memory(monkeypatch):
-    # one CPU sums the family in this process; two split it, and the bound
-    # holds for this process's share
+    # one CPU sums every chunk in this process; two split the two chunks of
+    # the second call, and the bound holds for this process's range
     src = temperature_source(lorentzian(300.0, 25.0), response=default_quasiharmonic_set())
     family = [echo_coefficients(t=2e-3, tau=f * 2e-3) for f in np.linspace(0.1, 0.25, 8)]
     for cpus in (1, 2):
@@ -431,7 +431,7 @@ def test_monte_carlo_peak_memory(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(forks) == 2 * (cpus - 1)
+        assert len(forks) == cpus - 1  # the set-up call's one chunk is not split
         assert peak <= PEAK_BEFORE_THREADS, cpus
 
 
@@ -445,6 +445,9 @@ def result_bytes(result):
     return (result.attenuation.tobytes(), result.std_error.tobytes(), result.n_samples,
             result.seed, result.n_retained, result.truncated_mass)
 
+
+# four chunks, the last unequal: 3 CPUs sum chunks 0, 1 and 2-3
+SPLIT_SAMPLES = 3 * CHUNK + 17
 
 SPLIT_FAMILIES = {
     "one-member": ((QUASIHARMONIC,), [echo_coefficients(t=2e-4, tau=0.0)]),
@@ -465,14 +468,39 @@ SPLIT_FAMILIES = {
 @pytest.mark.parametrize("family", SPLIT_FAMILIES)
 def test_monte_carlo_split_keeps_the_bits(family, cpus, monkeypatch):
     sources, coefficients = SPLIT_FAMILIES[family]
-    n = CHUNK + 17  # an unequal final chunk
     use_cpus(monkeypatch, 1)
-    alone = monte_carlo_attenuation(sources, coefficients, n_samples=n, seed=SEED)
+    alone = monte_carlo_attenuation(sources, coefficients, n_samples=SPLIT_SAMPLES, seed=SEED)
     forks = use_cpus(monkeypatch, cpus)
-    split = monte_carlo_attenuation(sources, coefficients, n_samples=n, seed=SEED)
-    assert len(forks) == min(cpus, len(coefficients)) - 1
+    split = monte_carlo_attenuation(sources, coefficients, n_samples=SPLIT_SAMPLES, seed=SEED)
+    assert len(forks) == min(cpus, 4) - 1
     assert result_bytes(split) == result_bytes(alone)
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("family", ["one-member", "quasiharmonic"])
+def test_monte_carlo_split_draws_each_chunk_once(family, monkeypatch):
+    # the parent draws only its own chunk range; a child's draws are made in
+    # the child's copy of the list, so only the parent's appear here.  A
+    # family of one member splits too, and keeps its bits
+    sources, coefficients = SPLIT_FAMILIES[family]
+    parent, real = os.getpid(), noise._chunk_channels
+    drawn = []
+
+    def chunk_channels(sources, windows, grid, seed, k, n_k):
+        drawn.append((os.getpid(), k))
+        return real(sources, windows, grid, seed, k, n_k)
+
+    monkeypatch.setattr(noise, "_chunk_channels", chunk_channels)
+    runs = []
+    for cpus, chunks in ((1, [0, 1, 2, 3]), (2, [0, 1])):
+        drawn.clear()
+        forks = use_cpus(monkeypatch, cpus)
+        runs.append(monte_carlo_attenuation(sources, coefficients, n_samples=SPLIT_SAMPLES,
+                                            seed=SEED))
+        assert len(forks) == cpus - 1
+        assert drawn == [(parent, k) for k in chunks]
+        assert_no_child_left()
+    assert result_bytes(runs[1]) == result_bytes(runs[0])
 
 
 def test_monte_carlo_sums_in_this_process_while_another_thread_runs(monkeypatch):
@@ -483,7 +511,7 @@ def test_monte_carlo_sums_in_this_process_while_another_thread_runs(monkeypatch)
     other.start()
     try:
         monte_carlo_attenuation((QUASIHARMONIC,), SPLIT_FAMILIES["two-members"][1],
-                                n_samples=1000, seed=SEED)
+                                n_samples=SPLIT_SAMPLES, seed=SEED)
     finally:
         release.set()
         other.join(30.0)
@@ -492,28 +520,29 @@ def test_monte_carlo_sums_in_this_process_while_another_thread_runs(monkeypatch)
 
 
 def fail_in(where, failure, monkeypatch):
-    """Make ``noise._slice_sums`` call ``failure`` in the parent or in every
+    """Make ``noise._chunk_sums`` call ``failure`` in the parent or in every
     forked child; the patch is made before the fork, so children have it."""
-    parent, real = os.getpid(), noise._slice_sums
+    parent, real = os.getpid(), noise._chunk_sums
 
-    def slice_sums(*args):
+    def chunk_sums(*args):
         if (os.getpid() == parent) == (where == "parent"):
             failure()
         return real(*args)
 
-    monkeypatch.setattr(noise, "_slice_sums", slice_sums)
+    monkeypatch.setattr(noise, "_chunk_sums", chunk_sums)
 
 
 def raise_value_error():
-    raise ValueError("a slice could not be summed")
+    raise ValueError("a chunk range could not be summed")
 
 
 @pytest.mark.parametrize("where", ["child", "parent"])
 def test_monte_carlo_split_raises_what_a_slice_raises(where, monkeypatch):
     forks = use_cpus(monkeypatch, 3)
     fail_in(where, raise_value_error, monkeypatch)
-    with pytest.raises(ValueError, match="^a slice could not be summed$"):
-        monte_carlo_attenuation(*SPLIT_FAMILIES["quasiharmonic"], n_samples=CHUNK, seed=SEED)
+    with pytest.raises(ValueError, match="^a chunk range could not be summed$"):
+        monte_carlo_attenuation(*SPLIT_FAMILIES["quasiharmonic"], n_samples=SPLIT_SAMPLES,
+                                seed=SEED)
     assert len(forks) == 2
     assert_no_child_left()
 
@@ -522,17 +551,21 @@ def test_monte_carlo_split_names_a_child_that_sends_no_result(monkeypatch):
     use_cpus(monkeypatch, 2)
     fail_in("child", lambda: os._exit(7), monkeypatch)
     with pytest.raises(RuntimeError, match="ended without a result, exit status 7$"):
-        monte_carlo_attenuation(*SPLIT_FAMILIES["quasiharmonic"], n_samples=1000, seed=SEED)
+        monte_carlo_attenuation(*SPLIT_FAMILIES["quasiharmonic"], n_samples=SPLIT_SAMPLES,
+                                seed=SEED)
     assert_no_child_left()
 
 
 def test_monte_carlo_split_reads_a_result_larger_than_the_pipe_buffer(monkeypatch):
-    # the child's share of 6000 members pickles to more than a pipe holds
-    # (64 KiB on Linux), so the child blocks until the parent reads it
+    # two chunks of 4 draws: the child's chunk, the sums of 6000 members,
+    # pickles to more than a pipe holds (64 KiB on Linux), so the child
+    # blocks until the parent reads it
+    monkeypatch.setattr(noise, "CHUNK", 4)
     family = [echo_coefficients(t=t, tau=0.0) for t in np.linspace(1e-6, 1e-4, 6000)]
     sources = (temperature_source(lorentzian(0.0, 5.0)),)
     windows = [src.truncation_window() for src in sources]
-    share = noise._slice_sums(sources, windows, stack_coefficients(family[3000:]), SEED, 8)
+    share = list(noise._chunk_sums(sources, windows, stack_coefficients(family), SEED, 8,
+                                   range(1, 2)))
     assert len(pickle.dumps((True, share))) > 1 << 16
     use_cpus(monkeypatch, 1)
     alone = monte_carlo_attenuation(sources, family, n_samples=8, seed=SEED)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from nvecho import config, sequences
+from nvecho import config, noise, sequences
 from nvecho.catalog import SCENARIO_NAMES
 from nvecho.config import (
     ConfigError,
@@ -361,8 +361,8 @@ def test_hand_built_numpy_values_run(tmp_path):
 
 def test_missing_times_computes_nothing(tmp_path, monkeypatch):
     calls = []
-    real = sequences.monte_carlo_attenuation
-    monkeypatch.setattr(sequences, "monte_carlo_attenuation",
+    real = noise.monte_carlo_attenuation
+    monkeypatch.setattr(noise, "monte_carlo_attenuation",
                         lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     complete = _config("protection_study", **PROTECTION)
     built = dataclasses.replace(complete, sequence={
