@@ -33,10 +33,13 @@ are short polynomials, and the remainders are summed per multiple and turned
 by a table of e^{2 pi i j/4096}.  The sum is within 5e-16 per draw of the
 exact sum of e^{i phase} over the same draws (1.2e-16 measured), far below
 the sampling error, and is made of exactly rounded operations in a fixed
-order, so it does not depend on the batch or on the CPU.  A family's
-chunks are cut into ranges summed in forked processes, one per CPU, and
-added in chunk order, so the split does not change the bits either
-(``monte_carlo_attenuation``).
+order, so, given the draws, it does not depend on the batch or on the CPU.
+A family's chunks are cut into ranges summed in forked processes, one per
+CPU, and added in chunk order, so the split does not change the bits either
+(``monte_carlo_attenuation``).  The draws and the channels do follow the
+CPU: Lorentzian sampling (``np.tan``) and the Bose-Einstein occupation
+(``np.expm1``) run numpy's AVX-512 loops where the CPU has them, and those
+differ in the last bits from numpy's AVX2 and baseline loops, which agree.
 """
 
 from __future__ import annotations
@@ -264,8 +267,10 @@ class MonteCarloResult:
     the draws they share; ``std_error`` is sqrt((1 - |m|^2)/N), the RMS error
     of the complex mean m, not of |m|.  Each ``attenuation`` is within 5e-16
     of the exact mean of e^{i (phase - phase(locations))} over the retained
-    draws, and its bits depend only on the member's coefficients, the
-    sources, ``n_samples`` and ``seed`` (``_member_sums``)."""
+    draws.  Its bits depend only on the member's coefficients, the sources,
+    ``n_samples``, ``seed`` and whether numpy runs its AVX-512 loops for the
+    draws and channels (module docstring), not on the family or on how the
+    chunks are split (``_member_sums``)."""
 
     attenuation: np.ndarray
     std_error: np.ndarray

@@ -5,20 +5,23 @@ hyperfine interactions move with the environment:
 
 * :class:`LinearResponse` - constant slopes (rad/s per K, per unit strain),
   valid for small excursions around the operating point.
-* :class:`QuasiharmonicResponse` - an explicit lattice model whose shift is
-  a first-order thermal-expansion term plus a sum of Einstein modes weighted
-  by their Bose-Einstein occupation.  Used for wide temperature ensembles
-  where the local slopes themselves drift.  The calibrated set also carries
-  the electronic zero-field splitting's curve.
+* :class:`QuasiharmonicResponse` - one Einstein mode, whose shift is its
+  weight times the change of the mode's Bose-Einstein occupation from the
+  reference temperature.  Used for wide temperature ensembles where the local
+  slopes themselves drift.  The calibrated set also carries the electronic
+  zero-field splitting's curve.
 
-The quasiharmonic coefficients shipped with the package are calibrated
+The quasiharmonic curves shipped with the package are calibrated
 surrogates: they are pinned to the measured local slopes and to a target
 curve for the hyperfine/quadrupole slope ratio, not derived from first
 principles.  ``calibrate_response_set`` builds them from the module's
 constants: ``einstein_curve`` puts one Einstein mode at a given temperature
 with the slope target at ``CALIBRATION_T0_K``, and ``fit_mode_temperature``
 finds the hyperfine mode's temperature from ``DEFAULT_RATIO_CURVE``.  See
-``data/quasiharmonic_default.yaml`` for the calibration provenance.
+``data/quasiharmonic_default.yaml`` for the calibration provenance.  The data
+file format keeps a base value, a first-order thermal-expansion term and a
+list of modes per curve; the loader ignores the base values and refuses,
+naming the key, a curve with other than one mode or a nonzero expansion term.
 
 ``load_yaml`` and ``dump_yaml`` are the package's one YAML reader and printer
 (data files, scenario configs, CSV metadata); the reader is libyaml's
@@ -63,11 +66,11 @@ DEFAULT_RATIO_CURVE = (
 )
 
 # The shipped set's anchor temperature (K), where the slope targets hold, the
-# base values of its quadrupole, hyperfine and zfs curves (rad/s), the
-# quadrupole and zfs slopes at the anchor (rad/s per K), and the relative
-# miss of any ratio target that fails a calibration.
+# base values (Hz) that the data file records for its curves and no model
+# reads, the quadrupole and zfs slopes at the anchor (rad/s per K), and the
+# relative miss of any ratio target that fails a calibration.
 CALIBRATION_T0_K = 300.0
-CALIBRATION_BASE_VALUES = (angular(-4.945e6), angular(-2.16e6), angular(2.87e9))
+CALIBRATION_BASE_VALUES = {"quadrupole": -4.945e6, "hyperfine": -2.16e6, "zfs": 2.87e9}
 CALIBRATION_QUADRUPOLE_SLOPE = angular(39.0)
 CALIBRATION_ZFS_SLOPE = angular(-77.7e3)
 RATIO_TOLERANCE = 0.02
@@ -129,12 +132,12 @@ def bose_einstein(omega: float, T):
     omega : float
         Mode angular frequency, rad/s.  Must be positive.
     T : float or ndarray
-        Temperature in K.  T = 0 gives 0; negative T is rejected.
+        Temperature in K.  T = 0 gives 0; a negative or NaN T is rejected.
     """
     if omega <= 0:
         raise ValueError("mode frequency must be positive")
     T = np.asarray(T, dtype=float)
-    if np.any(T < 0):
+    if not np.all(T >= 0):
         raise ValueError("temperature must be >= 0 K")
     # at T = 0, omega / 0 = inf is clamped to 700 and its occupation replaced by 0
     with np.errstate(over="ignore", divide="ignore"):
@@ -145,8 +148,8 @@ def bose_einstein(omega: float, T):
 def bose_einstein_slope(omega: float, T):
     """d n / dT for a Bose-Einstein occupation; rad/s-free, units 1/K."""
     T = np.asarray(T, dtype=float)
-    if np.any(T <= 0):
-        raise ValueError("slope defined for T > 0")
+    if not np.all((T > 0) & np.isfinite(T)):
+        raise ValueError("slope defined for finite T > 0")
     u = omega / (K_B_OVER_HBAR * T)
     eu = np.exp(np.minimum(u, 700.0))
     out = (u / T) * eu / (eu - 1.0) ** 2
@@ -177,60 +180,35 @@ def default_linear_response() -> LinearResponse:
 
 @dataclass(frozen=True)
 class QuasiharmonicResponse:
-    """Quasiharmonic temperature dependence of one interaction strength.
+    """Quasiharmonic temperature dependence of one interaction strength:
+    one Einstein mode of angular frequency ``omega`` (rad/s),
 
-    shift(T) = first_order * (q_ex(T) - q_ex(reference_T))
-             + sum_i b_i * (n(omega_i, T) - n(omega_i, reference_T))
+        shift(T) = weight * (n(omega, T) - n(omega, reference_T))
 
-    where q_ex is a cubic polynomial in T describing the thermal-expansion
-    coordinate (zero at T = 0) and n is the Bose-Einstein occupation.  The
-    zero-point contribution of each mode is absorbed into b_i, so only
-    occupation differences appear.
+    with n the Bose-Einstein occupation.  The mode's zero-point contribution
+    is absorbed into ``weight`` (rad/s), so only occupation differences
+    appear.
     """
 
-    base_value: float          # interaction strength at reference_T, rad/s
-    first_order: float         # rad/s per unit q_ex
-    thermal_expansion: tuple   # (c1, c2, c3): q_ex(T) = c1*T + c2*T^2 + c3*T^3
-    modes: tuple               # ((omega_i rad/s, b_i rad/s), ...)
-    reference_T: float         # K
+    omega: float        # rad/s
+    weight: float       # rad/s
+    reference_T: float  # K
 
     def __post_init__(self):
-        values = (self.base_value, self.first_order, *self.thermal_expansion,
-                  *(x for mode in self.modes for x in mode), self.reference_T)
-        if not all(math.isfinite(x) for x in values):
-            raise ValueError("quasiharmonic coefficients, modes and reference "
-                             f"temperature must be finite, got modes={self.modes!r}, "
-                             f"reference_T={self.reference_T!r}")
-        for omega, _ in self.modes:
-            if omega <= 0:
-                raise ValueError("all mode frequencies must be positive")
+        _require_finite(self, "quasiharmonic")
+        if self.omega <= 0:
+            raise ValueError("mode frequency must be positive")
         if self.reference_T < 0:
             raise ValueError("reference temperature must be >= 0 K")
 
-    def _q_ex(self, T):
-        c1, c2, c3 = self.thermal_expansion
-        return c1 * T + c2 * T**2 + c3 * T**3
-
     def shift_at(self, T):
-        """Shift relative to reference_T, rad/s.  Accepts scalars or arrays.
-        The thermal-expansion term is skipped when ``first_order`` is 0."""
-        T = np.asarray(T, dtype=float)
-        if self.first_order:
-            out = self.first_order * (self._q_ex(T) - self._q_ex(self.reference_T))
-        else:
-            out = np.zeros_like(T)
-        for omega, b in self.modes:
-            out = out + b * (bose_einstein(omega, T) - bose_einstein(omega, self.reference_T))
-        return float(out) if out.ndim == 0 else out
+        """Shift relative to reference_T, rad/s.  Accepts scalars or arrays."""
+        return self.weight * (bose_einstein(self.omega, T)
+                              - bose_einstein(self.omega, self.reference_T))
 
     def slope_at(self, T):
         """Analytic d shift / dT, rad/s per K."""
-        T = np.asarray(T, dtype=float)
-        c1, c2, c3 = self.thermal_expansion
-        out = self.first_order * (c1 + 2 * c2 * T + 3 * c3 * T**2)
-        for omega, b in self.modes:
-            out = out + b * bose_einstein_slope(omega, T)
-        return float(out) if out.ndim == 0 else out
+        return self.weight * bose_einstein_slope(self.omega, T)
 
 
 @dataclass(frozen=True)
@@ -249,18 +227,12 @@ class QuasiharmonicSet:
 
 # --------------------------------------------------------------- calibration
 
-def einstein_curve(theta_K: float, slope_at_T0: float,
-                   base_value: float) -> QuasiharmonicResponse:
+def einstein_curve(theta_K: float, slope_at_T0: float) -> QuasiharmonicResponse:
     """One Einstein mode at ``theta_K``, weighted so the curve's slope at
     ``CALIBRATION_T0_K`` is ``slope_at_T0``."""
     omega = einstein_mode_frequency(theta_K)
-    return QuasiharmonicResponse(
-        base_value=base_value,
-        first_order=0.0,
-        thermal_expansion=(0.0, 0.0, 0.0),
-        modes=((omega, slope_at_T0 / bose_einstein_slope(omega, CALIBRATION_T0_K)),),
-        reference_T=CALIBRATION_T0_K,
-    )
+    return QuasiharmonicResponse(omega, slope_at_T0 / bose_einstein_slope(omega, CALIBRATION_T0_K),
+                                 CALIBRATION_T0_K)
 
 
 def fit_mode_temperature(reference: QuasiharmonicResponse, slope_at_T0: float,
@@ -276,17 +248,15 @@ def fit_mode_temperature(reference: QuasiharmonicResponse, slope_at_T0: float,
         ``RATIO_TOLERANCE`` relative; the message lists per-point residuals.
     """
     T0 = CALIBRATION_T0_K
-    om_ref, b_ref = reference.modes[0]
     Ts = np.array([T for T, _ in ratio_curve], dtype=float)
     targets = np.array([r for _, r in ratio_curve], dtype=float)
+    reference_slopes = reference.slope_at(Ts)
 
     def residuals(log_theta):
         theta = float(np.exp(log_theta[0]))
         omega = einstein_mode_frequency(theta)
         weight = slope_at_T0 / bose_einstein_slope(omega, T0)
-        model_ratio = (weight * bose_einstein_slope(omega, Ts)) / (
-            b_ref * bose_einstein_slope(om_ref, Ts)
-        )
+        model_ratio = weight * bose_einstein_slope(omega, Ts) / reference_slopes
         # d ln(ratio) / d ln(theta), from d ln(dn/dT) / d ln(theta) = 1 - u coth(u / 2)
         d_log = theta / T0 / np.tanh(theta / (2 * T0)) - theta / Ts / np.tanh(theta / (2 * Ts))
         return (model_ratio - targets) / targets, (model_ratio * d_log / targets)[:, None]
@@ -317,40 +287,41 @@ def calibrate_response_set() -> QuasiharmonicSet:
     curve's mode temperature is fitted so the pair's slope ratio follows
     ``DEFAULT_RATIO_CURVE``.
     """
-    base_q, base_a, base_zfs = CALIBRATION_BASE_VALUES
-    quadrupole = einstein_curve(REFERENCE_MODE_K, CALIBRATION_QUADRUPOLE_SLOPE, base_q)
+    quadrupole = einstein_curve(REFERENCE_MODE_K, CALIBRATION_QUADRUPOLE_SLOPE)
     slope_a = CALIBRATION_QUADRUPOLE_SLOPE * dict(DEFAULT_RATIO_CURVE)[CALIBRATION_T0_K]
-    hyperfine = einstein_curve(fit_mode_temperature(quadrupole, slope_a), slope_a, base_a)
-    zfs = einstein_curve(REFERENCE_MODE_K, CALIBRATION_ZFS_SLOPE, base_zfs)
+    hyperfine = einstein_curve(fit_mode_temperature(quadrupole, slope_a), slope_a)
+    zfs = einstein_curve(REFERENCE_MODE_K, CALIBRATION_ZFS_SLOPE)
     return QuasiharmonicSet(quadrupole=quadrupole, hyperfine=hyperfine, zfs=zfs)
 
 
 # ----------------------------------------------------------------- data file
 
-def _model_to_dict(model: QuasiharmonicResponse) -> dict:
+def _model_to_dict(model: QuasiharmonicResponse, base_value_Hz: float) -> dict:
+    # the format's expansion term, written as the zero the model implies
     return {
-        "base_value_Hz": cycles(model.base_value),
-        "first_order_Hz_per_qex": cycles(model.first_order),
-        "thermal_expansion": list(model.thermal_expansion),
-        "modes": [
-            {"einstein_temperature_K": omega / K_B_OVER_HBAR, "weight_Hz": cycles(b)}
-            for omega, b in model.modes
-        ],
+        "base_value_Hz": base_value_Hz,
+        "first_order_Hz_per_qex": 0.0,
+        "thermal_expansion": [0.0, 0.0, 0.0],
+        "modes": [{"einstein_temperature_K": model.omega / K_B_OVER_HBAR,
+                   "weight_Hz": cycles(model.weight)}],
         "reference_T_K": model.reference_T,
     }
 
 
-def _model_from_dict(d: dict) -> QuasiharmonicResponse:
-    return QuasiharmonicResponse(
-        base_value=angular(d["base_value_Hz"]),
-        first_order=angular(d["first_order_Hz_per_qex"]),
-        thermal_expansion=tuple(d["thermal_expansion"]),
-        modes=tuple(
-            (einstein_mode_frequency(m["einstein_temperature_K"]), angular(m["weight_Hz"]))
-            for m in d["modes"]
-        ),
-        reference_T=d["reference_T_K"],
-    )
+def _model_from_dict(models: dict, name: str) -> QuasiharmonicResponse:
+    """The curve of data-file model ``name``.  Its base value is ignored;
+    other than one mode, or a nonzero expansion term, is refused."""
+    d = models[name]
+    modes = d["modes"]
+    if not isinstance(modes, list) or len(modes) != 1:
+        raise ValueError(f"models.{name}.modes must hold exactly one mode, got {modes!r}")
+    for key, zero in (("first_order_Hz_per_qex", 0.0), ("thermal_expansion", [0.0, 0.0, 0.0])):
+        if d.get(key, zero) != zero:
+            raise ValueError(f"models.{name}.{key} must be {zero}, got {d[key]!r}: "
+                             "the model has no thermal-expansion term")
+    (mode,) = modes
+    return QuasiharmonicResponse(einstein_mode_frequency(mode["einstein_temperature_K"]),
+                                 angular(mode["weight_Hz"]), d["reference_T_K"])
 
 
 def save_response_set(set_: QuasiharmonicSet, path, deterministic: bool = False) -> None:
@@ -379,11 +350,8 @@ def save_response_set(set_: QuasiharmonicSet, path, deterministic: bool = False)
     payload = {
         "schema": "nvecho-response/1",
         "calibration": calibration,
-        "models": {
-            "quadrupole": _model_to_dict(set_.quadrupole),
-            "hyperfine": _model_to_dict(set_.hyperfine),
-            "zfs": _model_to_dict(set_.zfs),
-        },
+        "models": {name: _model_to_dict(getattr(set_, name), base_value)
+                   for name, base_value in CALIBRATION_BASE_VALUES.items()},
         "strain": {
             "quadrupole_per_GPa_Hz": cycles(QUADRUPOLE_PER_GPA),
             "hyperfine_per_GPa_Hz": cycles(HYPERFINE_PER_GPA),
@@ -408,9 +376,9 @@ def load_response_set(path=None) -> QuasiharmonicSet:
         per_strain_a = angular(strain.get("hyperfine_per_GPa_Hz", cycles(HYPERFINE_PER_GPA)))
         k = strain.get("bulk_modulus_GPa", BULK_MODULUS_GPA)
         return QuasiharmonicSet(
-            quadrupole=_model_from_dict(models["quadrupole"]),
-            hyperfine=_model_from_dict(models["hyperfine"]),
-            zfs=_model_from_dict(models["zfs"]),
+            quadrupole=_model_from_dict(models, "quadrupole"),
+            hyperfine=_model_from_dict(models, "hyperfine"),
+            zfs=_model_from_dict(models, "zfs"),
             quadrupole_per_strain=per_strain_q * (-3.0 * k),
             hyperfine_per_strain=per_strain_a * (-3.0 * k),
         )

@@ -564,22 +564,32 @@ sequence:
 """
 
 
-def _without_base_value(doc):
-    del doc["models"]["quadrupole"]["base_value_Hz"]
-    return yaml.safe_dump(doc)
+def _with_quadrupole(**keys):
+    # the packaged file with keys of its quadrupole model replaced
+    def edit(doc):
+        doc["models"]["quadrupole"].update(keys)
+        return yaml.safe_dump(doc)
+    return edit
 
 
 @pytest.mark.parametrize("text, problem", [
     (lambda doc: yaml.safe_dump({**doc, "models": {}}), "lacks 'quadrupole'"),
     (lambda doc: "schema: [oops\n", "is not valid YAML"),
-    (_without_base_value, "lacks 'base_value_Hz'"),
     (lambda doc: "- 1\n- 2\n", "not a mapping of schema nvecho-response/1"),
     (lambda doc: yaml.safe_dump({**doc, "strain": {**doc["strain"],
                                                    "quadrupole_per_GPa_Hz": math.nan}}),
      "quadrupole_per_strain must be finite"),
-], ids=["no-models", "not-yaml", "no-base-value", "top-level-list", "nan-strain-slope"])
+    (_with_quadrupole(modes=[{"einstein_temperature_K": 1000.0, "weight_Hz": 9.0e4}] * 2),
+     "models.quadrupole.modes must hold exactly one mode"),
+    (_with_quadrupole(first_order_Hz_per_qex=1.0),
+     "models.quadrupole.first_order_Hz_per_qex must be 0.0, got 1.0"),
+    (_with_quadrupole(thermal_expansion=[1.0e-4, 0, 0]),
+     "models.quadrupole.thermal_expansion must be [0.0, 0.0, 0.0], got [0.0001, 0, 0]"),
+], ids=["no-models", "not-yaml", "top-level-list", "nan-strain-slope", "two-modes",
+        "first-order-term", "thermal-expansion"])
 def test_response_data_file_problems_exit_2_before_compute(tmp_path, capsys, text, problem):
-    # each used to exit 1 with a traceback, or 0 with an amplitude of nan
+    # each used to exit 1 with a traceback, or 0 with an amplitude of nan; a
+    # second mode or an expansion term is physics the model would drop
     (tmp_path / "set.yaml").write_text(text(yaml.safe_load(DEFAULT_DATA_FILE.read_text())))
     cfg = _write(tmp_path, "strain.yaml", STRAIN_ON_FILE_YAML)
     out_dir = tmp_path / "artifacts"

@@ -87,8 +87,20 @@ def test_bose_einstein_equals_the_guarded_formula(T):
 
 
 def test_bose_einstein_rejects_negative_temperature():
-    with pytest.raises(ValueError):
-        bose_einstein(einstein_mode_frequency(1000.0), -1.0)
+    # a NaN passed the `T < 0` check, and `T > 0` then read it as 0 K
+    omega = einstein_mode_frequency(1000.0)
+    for T in (-1.0, math.nan, -math.inf, np.array([300.0, math.nan]), np.array([-0.5, 300.0])):
+        with pytest.raises(ValueError, match="temperature must be >= 0 K"):
+            bose_einstein(omega, T)
+    with pytest.raises(ValueError, match="temperature must be >= 0 K"):
+        default_quasiharmonic_set().quadrupole.shift_at(math.nan)
+    assert bose_einstein(omega, np.array([])).shape == (0,)
+    # the slope needs a finite T > 0: at inf it was nan, with a RuntimeWarning
+    for T in (0.0, -1.0, math.nan, math.inf, np.array([300.0, math.inf])):
+        with pytest.raises(ValueError, match="slope defined for finite T > 0"):
+            bose_einstein_slope(omega, T)
+    with pytest.raises(ValueError, match="slope defined for finite T > 0"):
+        default_quasiharmonic_set().quadrupole.slope_at(math.nan)
 
 
 def test_bose_einstein_slope_matches_finite_difference():
@@ -100,13 +112,7 @@ def test_bose_einstein_slope_matches_finite_difference():
 # ---------------------------------------------------------- quasiharmonic
 
 def single_mode_model(theta_K, weight, reference_T=0.0):
-    return QuasiharmonicResponse(
-        base_value=0.0,
-        first_order=0.0,
-        thermal_expansion=(0.0, 0.0, 0.0),
-        modes=((einstein_mode_frequency(theta_K), weight),),
-        reference_T=reference_T,
-    )
+    return QuasiharmonicResponse(einstein_mode_frequency(theta_K), weight, reference_T)
 
 
 def test_single_mode_shift_from_zero():
@@ -123,56 +129,17 @@ def test_shift_vanishes_at_reference():
     assert model.shift_at(300.0) == 0.0
 
 
-def test_first_order_term_and_gradient():
-    # model with both first-order (lattice coordinate) and mode terms;
-    # analytic slope must match a central finite difference to 1e-6 relative
-    model = QuasiharmonicResponse(
-        base_value=0.0,
-        first_order=TWO_PI * 3.0,
-        thermal_expansion=(1e-4, 2e-7, -1e-11),
-        modes=((einstein_mode_frequency(900.0), TWO_PI * 5e4),),
-        reference_T=300.0,
-    )
-    h = 0.01
-    fd = (model.shift_at(310.0 + h) - model.shift_at(310.0 - h)) / (2 * h)
-    assert math.isclose(model.slope_at(310.0), fd, rel_tol=1e-6)
-
-
-def test_zero_first_order_skips_thermal_expansion(monkeypatch):
-    # the shipped calibration leaves first_order at 0, so the cubic is skipped
-    model = default_quasiharmonic_set().hyperfine
-    assert model.first_order == 0.0
-    T = np.array([250.0, 300.0, 350.0])
-    (omega, b), = model.modes
-    expected = b * (bose_einstein(omega, T) - bose_einstein(omega, model.reference_T))
-
-    def not_called(self, T):
-        raise AssertionError("thermal-expansion polynomial evaluated")
-
-    monkeypatch.setattr(QuasiharmonicResponse, "_q_ex", not_called)
-    assert np.array_equal(model.shift_at(T), expected)
-    assert model.shift_at(300.0) == 0.0
-
-
 def test_mode_frequencies_must_be_positive():
-    with pytest.raises(ValueError):
-        QuasiharmonicResponse(
-            base_value=0.0,
-            first_order=0.0,
-            thermal_expansion=(0.0, 0.0, 0.0),
-            modes=((-1.0, TWO_PI * 10.0),),
-            reference_T=300.0,
-        )
+    with pytest.raises(ValueError, match="mode frequency must be positive"):
+        QuasiharmonicResponse(-1.0, TWO_PI * 10.0, 300.0)
 
 
 def test_non_finite_inputs_rejected():
     # NaN slipped past the `< 0` / `<= 0` checks and gave NaN shifts
     with pytest.raises(ValueError, match="finite"):
         single_mode_model(600.0, TWO_PI * 100.0, reference_T=math.nan)
-    with pytest.raises(ValueError, match="finite"):
-        QuasiharmonicResponse(base_value=0.0, first_order=0.0,
-                              thermal_expansion=(0.0, 0.0, 0.0),
-                              modes=((math.nan, TWO_PI * 10.0),), reference_T=300.0)
+    with pytest.raises(ValueError, match="omega must be finite"):
+        QuasiharmonicResponse(math.nan, TWO_PI * 10.0, 300.0)
     with pytest.raises(ValueError, match="quadrupole_per_K must be finite"):
         LinearResponse(quadrupole_per_K=math.nan)
     with pytest.raises(ValueError, match="hyperfine_per_strain must be finite"):
@@ -190,9 +157,8 @@ def test_vectorized_shift():
 # ------------------------------------------------------------- calibration
 
 def test_calibrate_zero_slope_flat_curve():
-    model = einstein_curve(REFERENCE_MODE_K, 0.0, 0.0)
-    assert model.first_order == 0.0
-    assert all(b == 0.0 for _, b in model.modes)
+    model = einstein_curve(REFERENCE_MODE_K, 0.0)
+    assert model.weight == 0.0
     assert model.shift_at(350.0) == 0.0
 
 
@@ -201,7 +167,7 @@ def test_calibrate_slope_round_trip():
     # set its slope constants, to 1%
     set_ = calibrate_response_set()
     h = 0.05
-    for model, target in ((einstein_curve(REFERENCE_MODE_K, TWO_PI * 204.0, 0.0), TWO_PI * 204.0),
+    for model, target in ((einstein_curve(REFERENCE_MODE_K, TWO_PI * 204.0), TWO_PI * 204.0),
                           (set_.quadrupole, CALIBRATION_QUADRUPOLE_SLOPE),
                           (set_.zfs, CALIBRATION_ZFS_SLOPE)):
         fd = (model.shift_at(300.0 + h) - model.shift_at(300.0 - h)) / (2 * h)
@@ -283,7 +249,7 @@ def test_linear_vs_quasiharmonic_small_excursion():
 def _ratio_residuals(curve, slope, reference, T0=300.0):
     """The calibrator's relative ratio misses as a function of log(theta),
     and their derivative."""
-    om_ref, b_ref = reference.modes[0]
+    om_ref, b_ref = reference.omega, reference.weight
     Ts = np.array([T for T, _ in curve])
     targets = np.array([r for _, r in curve])
 
@@ -312,21 +278,20 @@ def test_calibrator_agrees_with_least_squares(bend, rel):
     # ~1e-10 of theta, and no solver pins the mode closer than that
     curve = tuple((T, r * bend ** ((T - 300.0) / 50.0)) for T, r in DEFAULT_RATIO_CURVE)
     slope = TWO_PI * 39.0
-    reference = einstein_curve(REFERENCE_MODE_K, slope, 0.0)
-    varied = einstein_curve(fit_mode_temperature(reference, slope * 5.8, curve),
-                            slope * 5.8, 0.0)
+    reference = einstein_curve(REFERENCE_MODE_K, slope)
+    varied = einstein_curve(fit_mode_temperature(reference, slope * 5.8, curve), slope * 5.8)
     residuals, jacobian = _ratio_residuals(curve, slope * 5.8, reference)
     fit = least_squares(residuals, [math.log(1000.0)], jac=jacobian, method="lm",
                         xtol=1e-15, ftol=1e-15, gtol=1e-15)
     omega = einstein_mode_frequency(float(np.exp(fit.x[0])))
-    assert varied.modes[0][0] == pytest.approx(omega, rel=rel)
-    ours = residuals([math.log(varied.modes[0][0] / K_B_OVER_HBAR)])
+    assert varied.omega == pytest.approx(omega, rel=rel)
+    ours = residuals([math.log(varied.omega / K_B_OVER_HBAR)])
     assert ours @ ours <= (fit.fun @ fit.fun) * (1 + 1e-12) + 1e-30
 
 
 def _infeasible(ratio_curve, slope=TWO_PI * 204.0):
     # the reference mode carries the slope the curve's 300 K ratio implies
-    reference = einstein_curve(REFERENCE_MODE_K, slope / dict(ratio_curve)[300.0], 0.0)
+    reference = einstein_curve(REFERENCE_MODE_K, slope / dict(ratio_curve)[300.0])
     return fit_mode_temperature(reference, slope, ratio_curve)
 
 
@@ -349,9 +314,8 @@ def test_data_file_round_trip(tmp_path):
     path = tmp_path / "response.yaml"
     save_response_set(set_, path)
     loaded = load_response_set(path)
-    assert loaded.quadrupole.modes == set_.quadrupole.modes
-    assert loaded.hyperfine.modes == set_.hyperfine.modes
-    assert loaded.quadrupole.reference_T == set_.quadrupole.reference_T
+    for name in ("quadrupole", "hyperfine", "zfs"):
+        assert getattr(loaded, name) == getattr(set_, name)
     assert loaded.quadrupole_per_strain == set_.quadrupole_per_strain
     text = path.read_text()
     assert "calibration" in text and "date" in text
@@ -367,8 +331,10 @@ def test_quasiharmonic_set_rejects_non_finite_strain_slopes():
 def test_packaged_data_file_matches_calibrator():
     packaged = load_response_set()
     rebuilt = calibrate_response_set()
-    assert np.allclose(packaged.quadrupole.modes, rebuilt.quadrupole.modes, rtol=1e-9)
-    assert np.allclose(packaged.hyperfine.modes, rebuilt.hyperfine.modes, rtol=1e-9)
+    for name in ("quadrupole", "hyperfine", "zfs"):
+        ours, theirs = getattr(packaged, name), getattr(rebuilt, name)
+        assert np.allclose((ours.omega, ours.weight), (theirs.omega, theirs.weight), rtol=1e-9)
+        assert ours.reference_T == theirs.reference_T
 
 
 # ------------------------------------------------------------------- strain
