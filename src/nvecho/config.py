@@ -13,10 +13,10 @@ the library keyword it sets and the conversion on the way.
 model; ``_SOURCE_KINDS`` hold the keys of each source kind,
 its builder and its default name; ``_SEQUENCE_KEYS`` are checked against the
 pipeline and the kind that read them (``PIPELINE_NEEDS``,
-``pulses.KINDS``): every block a pipeline builds names its kind, except a
-swept block, which holds unbalanced echoes.  One reader
-(``_normalize_mapping``) reads every section and one printer
-(``_dump_mapping``) prints it in table order.
+``pulses.KINDS``, the one vocabulary of a sequence block): every block a
+pipeline builds names its kind, except a swept block, which holds
+unbalanced echoes.  One reader (``_normalize_mapping``) reads every section
+and one printer (``_dump_mapping``) prints it in table order.
 
 Parsing validates the whole document and raises one ConfigError listing
 every problem with its dotted path, so a config is fixed in one edit cycle
@@ -34,10 +34,9 @@ Reference scenario configs ship as package data (``SCENARIO_DIR``);
 ``load_packaged_scenario`` finds them by name (fig1c, fig1d, fig2, fig4, s5
 plus the fig2c/fig2d aliases, which both resolve to the two-branch fig2
 table).  Loading a config imports only the modules that build its models:
-the sequence kinds come from the numpy-free ``pulses``, ``script`` is
-imported only to check a ``sequence.script`` block, and the scan, fit and
-run layers are not imported at all.  YAML is parsed by ``response.load_yaml``
-(libyaml where PyYAML has it).
+the sequence kinds come from the numpy-free ``pulses``, and the scan, fit,
+script and run layers are not imported at all.  YAML is parsed by
+``response.load_yaml`` (libyaml where PyYAML has it).
 """
 
 from __future__ import annotations
@@ -83,12 +82,11 @@ _OUTPUT_DEFAULTS = {"directory": "."}
 # the compare block too.  A pipeline fits an exponential to the decay over
 # each ``times`` grid it reads, so the grid needs ``_FITTED_TIMES`` points.
 # A block also holds the keys of the kind it is built as (``pulses.KINDS``),
-# and nothing else; a script block holds only its script.  Every block a
-# pipeline builds from a kind names it, except a swept one: where the
-# pipeline sweeps ``flip_fractions``, the block holds unbalanced echoes and
-# the sweep sets their flip fraction.
+# and nothing else.  Every block a pipeline builds names its kind, except a
+# swept one: where the pipeline sweeps ``flip_fractions``, the block holds
+# unbalanced echoes and the sweep sets their flip fraction.
 PIPELINE_NEEDS = {
-    "simulate": ("kind|script", "total_time|script"),
+    "simulate": ("kind", "total_time"),
     "decay_compare": ("kind", "times", "compare.kind", "compare.times"),
     "pulse_sweep": ("total_time", "flip_fractions"),
     "rate_table_vee": ("pair|pairs", "flip_fractions", "times"),
@@ -439,19 +437,6 @@ def _normalize_pair(value, path, col):
     return (a, b)
 
 
-def _script(text, path, col):
-    from .script import ScriptError, parse_sequence_script  # only a script block needs it
-
-    if _string(text, path, col) is None:
-        return None
-    try:
-        parse_sequence_script(text)
-    except ScriptError as exc:
-        col.add(path, str(exc))
-        return None
-    return text
-
-
 def _pairs(value, path, col):
     if not isinstance(value, list) or not value:
         col.add(path, "must be a nonempty list of pairs")
@@ -474,7 +459,6 @@ def _grid(dimension, holds, message) -> Key:
 # hold is checked against its pipeline and its kind (``_check_needs``).
 _COMPARE_KEYS = {
     "kind": Key(_one_of(tuple(KINDS))),
-    "script": Key(_script),
     "pair": Key(_normalize_pair, list),
     "pairs": Key(_pairs, lambda pairs: [list(p) for p in pairs]),
     "ms": Key(_projection),
@@ -519,8 +503,8 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
     ``sequence`` block lacks, or gives with its alternative; and per block,
     a block it does not read, a ``times`` grid too short to fit, another kind
     in a block of swept echoes, each key that neither the pipeline nor the
-    block's kind reads (a script's reads none), a key the kind needs, and
-    the key that breaks its rule."""
+    block's kind reads, a key the kind needs, and the key that breaks its
+    rule."""
     needs = PIPELINE_NEEDS.get(pipeline)
     if needs is None:
         col.add("pipeline", f"unknown pipeline {pipeline!r}; "
@@ -550,19 +534,16 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
                                      f"fits a decay to them after skipping {DEFAULT_SKIP}")
         if "kind" in block and "kind" not in norm:
             continue  # a malformed kind is reported already
-        if "script" in block and "script" in read:
-            kind, keys, what = None, {}, "a script"
-        else:
-            swept = "flip_fractions" in read  # the pipeline sets the flip fraction
-            kind = norm.get("kind", "unbalanced_echo" if swept else None)
-            if kind is None:
-                continue  # the missing kind is reported already
-            if swept and kind != "unbalanced_echo":
-                col.add(f"{path}.kind", f"pipeline {pipeline!r} builds unbalanced echoes "
-                                        f"from this block, not {kind!r}")
-                kind = "unbalanced_echo"
-            keys = {k: v for k, v in KINDS[kind].keys.items() if not swept or k != "flip_fraction"}
-            what = f"its swept {kind}" if swept else f"kind {kind}"
+        swept = "flip_fractions" in read  # the pipeline sets the flip fraction
+        kind = norm.get("kind", "unbalanced_echo" if swept else None)
+        if kind is None:
+            continue  # the missing kind is reported already
+        if swept and kind != "unbalanced_echo":
+            col.add(f"{path}.kind", f"pipeline {pipeline!r} builds unbalanced echoes "
+                                    f"from this block, not {kind!r}")
+            kind = "unbalanced_echo"
+        keys = {k: v for k, v in KINDS[kind].keys.items() if not swept or k != "flip_fraction"}
+        what = f"its swept {kind}" if swept else f"kind {kind}"
         for key in norm:
             if key not in read | {"kind", "compare"} | keys.keys():
                 col.add(f"{path}.{key}", f"read by neither pipeline {pipeline!r} nor {what}")
@@ -570,7 +551,7 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
             if default is None and key not in block:
                 col.add(f"{path}.{key}", f"kind {kind} needs a {key}")
         # a malformed value is reported already, not also as a refused build
-        if kind is not None and all(key in norm for key in keys if key in block):
+        if all(key in norm for key in keys if key in block):
             refusal = KINDS[kind].rule(keys | KINDS[kind].read(norm))
             if refusal is not None:
                 col.add(f"{path}.{refusal[0]}", refusal[1])

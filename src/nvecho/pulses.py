@@ -20,8 +20,8 @@ experiments from the keys of a config's sequence block:
 
 ``KINDS`` maps each kind to its one builder, the block keys it reads and
 its refusal rule; ``build_sequence``, ``sequences.scans`` and the config
-check read it.  The module is pure Python, so a sequence script parses and
-a config is checked against the kinds without loading the simulation layer.
+check read it.  The module is pure Python, so a config is checked against
+the kinds, and a script parsed, without loading the simulation layer.
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ from .units import check_number
 
 PROJECTIONS = (-1, 0, 1)
 DOUBLE_QUANTUM_PAIR = (-1, +1)
+
+
+def format_projection(m: int) -> str:
+    """A spin projection as scripts and artifact labels print it: +1, 0, -1."""
+    return f"{m:+d}" if m else "0"
 
 
 def check_projection(m, name):

@@ -21,7 +21,9 @@ finds the hyperfine mode's temperature from ``DEFAULT_RATIO_CURVE``.  See
 ``data/quasiharmonic_default.yaml`` for the calibration provenance.  The data
 file format keeps a base value, a first-order thermal-expansion term and a
 list of modes per curve; the loader ignores the base values and refuses,
-naming the key, a curve with other than one mode or a nonzero expansion term.
+naming the key, a curve with other than one mode, a nonzero expansion term,
+or a mode whose temperature or weight is not a finite number or whose
+temperature is not > 0 K.
 
 ``load_yaml`` and ``dump_yaml`` are the package's one YAML reader and printer
 (data files, scenario configs, CSV metadata); the reader is libyaml's
@@ -124,6 +126,10 @@ def einstein_mode_frequency(theta_K: float) -> float:
     return K_B_OVER_HBAR * theta_K
 
 
+# above this u = hbar omega / k_B T, the occupation 1 / expm1(u) <= 1 / u is finite
+_SMALLEST_U = 1.0 / np.finfo(float).max
+
+
 def bose_einstein(omega: float, T):
     """Bose-Einstein occupation of a mode at angular frequency omega (rad/s).
 
@@ -132,16 +138,23 @@ def bose_einstein(omega: float, T):
     omega : float
         Mode angular frequency, rad/s.  Must be positive.
     T : float or ndarray
-        Temperature in K.  T = 0 gives 0; a negative or NaN T is rejected.
+        Temperature in K.  T = 0 gives 0; a T whose occupation is not finite
+        is rejected: negative, NaN, inf, or above about 1.4e297 K.
     """
     if omega <= 0:
         raise ValueError("mode frequency must be positive")
     T = np.asarray(T, dtype=float)
-    if not np.all(T >= 0):
-        raise ValueError("temperature must be >= 0 K")
-    # at T = 0, omega / 0 = inf is clamped to 700 and its occupation replaced by 0
     with np.errstate(over="ignore", divide="ignore"):
-        n = np.where(T > 0, 1.0 / np.expm1(np.minimum(omega / (K_B_OVER_HBAR * T), 700.0)), 0.0)
+        # at T = 0, u = inf is clamped to 700 and its occupation replaced by 0
+        u = np.minimum(omega / (K_B_OVER_HBAR * T), 700.0)
+        # one comparison refuses every T whose occupation is not finite (u NaN,
+        # negative or tiny); only then a second lets T = -0.0 (u = -inf) pass
+        if not (np.all(u > _SMALLEST_U) or np.all((u > _SMALLEST_U) | (T == 0))):
+            raise ValueError("temperature must be >= 0 K with a finite occupation")
+        n = np.expm1(u)
+        del u  # a chunk of draws is large: each step frees its input
+        n = 1.0 / n
+    n = np.where(T > 0, n, 0.0)
     return float(n) if n.ndim == 0 else n
 
 
@@ -310,7 +323,8 @@ def _model_to_dict(model: QuasiharmonicResponse, base_value_Hz: float) -> dict:
 
 def _model_from_dict(models: dict, name: str) -> QuasiharmonicResponse:
     """The curve of data-file model ``name``.  Its base value is ignored;
-    other than one mode, or a nonzero expansion term, is refused."""
+    other than one mode, a nonzero expansion term, or a mode value the
+    curve cannot take is refused, naming its key."""
     d = models[name]
     modes = d["modes"]
     if not isinstance(modes, list) or len(modes) != 1:
@@ -320,6 +334,11 @@ def _model_from_dict(models: dict, name: str) -> QuasiharmonicResponse:
             raise ValueError(f"models.{name}.{key} must be {zero}, got {d[key]!r}: "
                              "the model has no thermal-expansion term")
     (mode,) = modes
+    for key in ("einstein_temperature_K", "weight_Hz"):
+        check_number(f"models.{name}.modes[0].{key}", mode[key])
+    if mode["einstein_temperature_K"] <= 0:
+        raise ValueError(f"models.{name}.modes[0].einstein_temperature_K must be > 0 K, "
+                         f"got {mode['einstein_temperature_K']!r}")
     return QuasiharmonicResponse(einstein_mode_frequency(mode["einstein_temperature_K"]),
                                  angular(mode["weight_Hz"]), d["reference_T_K"])
 

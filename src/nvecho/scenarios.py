@@ -35,8 +35,7 @@ import numpy as np
 
 from .config import ScenarioConfig, build, realize_grid
 from .estimator import RateTable, fit_exponential, fit_vee
-from .pulses import KINDS, build_sequence
-from .script import format_projection, parse_sequence_script
+from .pulses import KINDS, build_sequence, format_projection
 from .sequences import json_text, scans, simulate_family, write_signal_csv
 
 
@@ -147,13 +146,10 @@ def _mc_numbers(mc, index: int) -> dict:
 # --------------------------------------------------------------------- steps
 
 def _simulate(ctx: _Context) -> None:
-    """One ensemble amplitude of the block's script or kind."""
+    """One ensemble amplitude of the block's kind."""
     block = ctx.config.sequence
-    if "script" in block:
-        sequence = parse_sequence_script(block["script"])
-    else:
-        kind = block["kind"]
-        sequence = build_sequence(kind, block["total_time"], **KINDS[kind].read(block))
+    kind = block["kind"]
+    sequence = build_sequence(kind, block["total_time"], **KINDS[kind].read(block))
     result = simulate_family([sequence], ctx.sources, **ctx.keywords)
     amplitude, base_phase = float(result.amplitude[0]), float(result.base_phase[0])
     ctx.report(f"{sequence.kind} over {_fmt_time(sequence.total_time)}: "

@@ -17,14 +17,15 @@ in m_S = 0.
 Errors carry 1-based line and column positions of the offending token.
 ``format_sequence_script`` is the canonical printer: parse -> print -> parse
 is a fixed point, with durations emitted in seconds via repr so no precision
-is lost.
+is lost.  Only ``nvecho parse-seq`` reads scripts; a config names its
+sequence by a ``pulses.KINDS`` kind.
 """
 
 from __future__ import annotations
 
 import re
 
-from .pulses import PROJECTIONS, PulseSequence, Segment
+from .pulses import PROJECTIONS, PulseSequence, Segment, format_projection
 from .units import QuantityError, parse_quantity
 
 _TOKEN = re.compile(r"\S+")
@@ -164,11 +165,6 @@ def parse_sequence_script(text: str) -> PulseSequence:
         )
 
     return PulseSequence(pair, tuple(segments))
-
-
-def format_projection(m: int) -> str:
-    """A spin projection as scripts and artifact labels print it: +1, 0, -1."""
-    return f"{m:+d}" if m else "0"
 
 
 def format_sequence_script(sequence: PulseSequence) -> str:

@@ -564,11 +564,19 @@ sequence:
 """
 
 
-def _with_quadrupole(**keys):
-    # the packaged file with keys of its quadrupole model replaced
+def _with_model(name, **keys):
+    # the packaged file with keys of its model ``name`` replaced
     def edit(doc):
-        doc["models"]["quadrupole"].update(keys)
+        doc["models"][name].update(keys)
         return yaml.safe_dump(doc)
+    return edit
+
+
+def _hyperfine_mode_at(theta):
+    # the packaged file with its hyperfine mode at temperature ``theta``
+    def edit(doc):
+        [mode] = doc["models"]["hyperfine"]["modes"]
+        return _with_model("hyperfine", modes=[mode | {"einstein_temperature_K": theta}])(doc)
     return edit
 
 
@@ -579,14 +587,18 @@ def _with_quadrupole(**keys):
     (lambda doc: yaml.safe_dump({**doc, "strain": {**doc["strain"],
                                                    "quadrupole_per_GPa_Hz": math.nan}}),
      "quadrupole_per_strain must be finite"),
-    (_with_quadrupole(modes=[{"einstein_temperature_K": 1000.0, "weight_Hz": 9.0e4}] * 2),
+    (_with_model("quadrupole", modes=[{"einstein_temperature_K": 1000.0, "weight_Hz": 9.0e4}] * 2),
      "models.quadrupole.modes must hold exactly one mode"),
-    (_with_quadrupole(first_order_Hz_per_qex=1.0),
+    (_with_model("quadrupole", first_order_Hz_per_qex=1.0),
      "models.quadrupole.first_order_Hz_per_qex must be 0.0, got 1.0"),
-    (_with_quadrupole(thermal_expansion=[1.0e-4, 0, 0]),
+    (_with_model("quadrupole", thermal_expansion=[1.0e-4, 0, 0]),
      "models.quadrupole.thermal_expansion must be [0.0, 0.0, 0.0], got [0.0001, 0, 0]"),
+    (_hyperfine_mode_at(math.inf),
+     "models.hyperfine.modes[0].einstein_temperature_K must be finite, got inf"),
+    (_hyperfine_mode_at(-5.0),
+     "models.hyperfine.modes[0].einstein_temperature_K must be > 0 K, got -5.0"),
 ], ids=["no-models", "not-yaml", "top-level-list", "nan-strain-slope", "two-modes",
-        "first-order-term", "thermal-expansion"])
+        "first-order-term", "thermal-expansion", "infinite-mode", "negative-mode"])
 def test_response_data_file_problems_exit_2_before_compute(tmp_path, capsys, text, problem):
     # each used to exit 1 with a traceback, or 0 with an amplitude of nan; a
     # second mode or an expansion term is physics the model would drop
@@ -722,6 +734,17 @@ def test_rate_table_fit_leaves_numpy_ma_unloaded(tmp_path, capsys):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert '"ratio"' in proc.stdout
     assert proc.stdout.splitlines()[-1] == "numpy.ma loaded: False"
+
+
+def test_reproduce_leaves_the_script_parser_unloaded(tmp_path):
+    # a config names its sequence by a pulses.KINDS kind; only parse-seq
+    # reads a script
+    proc = subprocess.run([sys.executable, "-c", FIT_IMPORTS, "nvecho.script", "reproduce",
+                           "fig1d", "--out", str(tmp_path), "--deterministic"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "fig1d-result.json").exists()
+    assert proc.stdout.splitlines()[-1] == "nvecho.script loaded: False"
 
 
 @pytest.mark.parametrize("name, csv, options, key", [

@@ -281,17 +281,6 @@ def test_grid_validation():
         parse_config(cfg)
 
 
-def test_script_sequence_block():
-    cfg = dict_minimal()
-    cfg["sequence"] = {"script": "pair 0 -1\nevolve 1ms ms=0\n"}
-    parsed = parse_config(cfg)
-    assert "script" in parsed.sequence
-
-    cfg["sequence"] = {"script": "pair 0 -1\nwiggle\n"}
-    with pytest.raises(ConfigError, match="line 2"):
-        parse_config(cfg)
-
-
 def test_source_validation():
     cfg = dict_minimal()
     cfg["sources"] = [{"kind": "humidity", "distribution": "lorentzian",
@@ -480,7 +469,7 @@ def test_unknown_pipeline_and_malformed_grids():
     assert _problem_paths(_pipeline_doc("renormalize", {})) == ["pipeline"]
     with pytest.raises(ConfigError, match="unknown pipeline 'renormalize'"):
         parse_config(dump_config(ScenarioConfig(name="n", pipeline="renormalize")))
-    # a script is given by the script key, not by a kind
+    # a script is not a kind
     assert _problem_paths(_pipeline_doc("simulate", {"kind": "script", "total_time": "1 ms"})) \
         == ["sequence.kind"]
 
@@ -574,23 +563,38 @@ def test_blocks_and_kinds_a_pipeline_does_not_read_are_rejected():
         parse_config(dump_config(built))
 
 
-def test_script_only_where_the_pipeline_runs_one():
-    script = "pair 0 -1\nevolve 1ms ms=0\n"
-    for pipeline, sequence in COMPLETE.items():
-        if pipeline != "simulate":
-            assert _problem_paths(_pipeline_doc(pipeline, sequence | {"script": script})) \
-                == ["sequence.script"]
-        # a pipeline that reads no compare block reports the whole block
-        compare = sequence.get("compare", {}) | {"script": script}
-        assert _problem_paths(_pipeline_doc(pipeline, sequence | {"compare": compare})) \
-            == ["sequence.compare.script" if "compare" in sequence else "sequence.compare"]
-    with pytest.raises(ConfigError, match="sequence.script: read by neither pipeline "
-                                          "'decay_compare' nor kind unbalanced_echo"):
-        parse_config(_pipeline_doc("decay_compare", COMPLETE["decay_compare"]
-                                   | {"script": script}))
-
-
 SCRIPT = "pair 0 -1\nevolve 1ms ms=0\n"
+
+
+def _with_script(sequence, path):
+    sequence = copy.deepcopy(sequence)
+    block = sequence.setdefault("compare", {}) if path == "sequence.compare.script" else sequence
+    block["script"] = SCRIPT
+    return sequence
+
+
+def test_script_sequence_block(tmp_path):
+    # pulses.KINDS is the one vocabulary of a sequence block: a script, in
+    # either block, is an unknown key to every pipeline, in a file and in a
+    # config built in code, before any compute
+    for pipeline, sequence in COMPLETE.items():
+        complete = parse_config(_pipeline_doc(pipeline, sequence))
+        for path in ("sequence.script", "sequence.compare.script"):
+            # a pipeline that reads no compare block reports the block too
+            unread = ["sequence.compare"] if path == "sequence.compare.script" \
+                and "compare" not in sequence else []
+            doc = _pipeline_doc(pipeline, _with_script(sequence, path))
+            assert _problem_paths(doc) == [path, *unread]
+            with pytest.raises(ConfigError, match=f"{path}: unknown key"):
+                parse_config(doc)
+            built = dataclasses.replace(complete, sequence=_with_script(complete.sequence, path))
+            with pytest.raises(ConfigError) as excinfo:
+                run_scenario(built, out_dir=tmp_path / "out")
+            assert [problem.split(": ")[0] for problem in excinfo.value.problems] \
+                == [path, *unread]
+            assert not (tmp_path / "out").exists()
+
+
 RAMSEY = {"kind": "ramsey", "total_time": "1 ms"}
 TIMES = (["1 ms", "2 ms"], (1e-3, 2e-3))
 PAIRS = {key: value for key, value in COMPLETE["rate_table_vee"].items() if key != "pair"} \
@@ -604,8 +608,6 @@ UNREAD = [
     ("simulate", RAMSEY | {"kind": "dq_ramsey"}, "sequence.pair", [-1, 1], (-1, 1)),
     ("simulate", COMPLETE["simulate"], "sequence.ms", 1, 1),
     ("simulate", RAMSEY, "sequence.times", *TIMES),
-    ("simulate", {"script": SCRIPT}, "sequence.kind", "ramsey", "ramsey"),
-    ("simulate", {"script": SCRIPT}, "sequence.total_time", "1 ms", 1e-3),
     ("pulse_sweep", COMPLETE["pulse_sweep"], "sequence.times", *TIMES),
     ("protection_study", COMPLETE["protection_study"], "sequence.flip_fraction", 0.2, 0.2),
     ("rate_table_vee", COMPLETE["rate_table_vee"], "sequence.total_time", "1 ms", 1e-3),
@@ -763,14 +765,10 @@ def _config_imports(text, *names):
 
 
 def test_a_config_load_imports_only_the_model():
-    # every packaged scenario loads without the scan, fit, script or run layer
+    # every packaged scenario, and a simulate block, loads without the scan,
+    # fit, script or run layer
     names = sorted(SCENARIO_NAMES) + sorted(SCENARIO_ALIASES)
-    assert _config_imports("", *names) == "loaded: []"
-    # a script block is checked by the script parser, and by nothing else of it
-    script = MINIMAL.replace("  kind: ramsey\n  total_time: 1 ms\n",
-                             "  script: |\n    pair 0 -1\n    evolve 1ms ms=0\n")
-    assert "script" in parse_config(script).sequence
-    assert _config_imports(script) == "loaded: ['nvecho.script']"
+    assert _config_imports(MINIMAL, *names) == "loaded: []"
 
 
 _LOADERS = [yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)]

@@ -146,7 +146,6 @@ _documents = st.fixed_dictionaries(
 # what each sequence key holds
 _VALUES = {
     "kind": st.sampled_from(sorted(KINDS)),
-    "script": st.deferred(lambda: _scripts()),
     "pair": st.sampled_from(PAIRS).map(list),
     "pairs": st.lists(st.sampled_from(PAIRS).map(list), min_size=1, max_size=3),
     "ms": st.sampled_from(PROJECTIONS),
@@ -173,17 +172,15 @@ def _kind_keys(kind, block=None, exclude=()):
 @st.composite
 def _block(draw, needs, path):
     """A ``path`` block of a pipeline: one option of each key the pipeline
-    reads there and, unless that is a script, keys of the kind the block is
-    built as: the kind it names or, where the pipeline sweeps its flip
-    fractions, an unbalanced echo."""
+    reads there and keys of the kind the block is built as: the kind it
+    names or, where the pipeline sweeps its flip fractions, an unbalanced
+    echo."""
     prefix = path.partition(".")[2] + "." if "." in path else ""
     read = [need[len(prefix):].split("|") for need in needs
             if need.startswith(prefix) and "." not in need[len(prefix):]]
-    if any("script" in options for options in read) and draw(st.booleans()):
-        return {"script": draw(_VALUES["script"])}
     block = {}
     for options in read:
-        key = draw(st.sampled_from([key for key in options if key != "script"]))
+        key = draw(st.sampled_from(options))
         block[key] = draw(_VALUES[key])
     if "flip_fractions" in block:
         if draw(st.booleans()):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nvecho.config import parse_config
+from nvecho.config import PIPELINE_NEEDS, parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "tests" / "data" / "reference"
@@ -84,3 +84,22 @@ def test_the_scenario_table_prints_the_reference_numbers(name, pattern, key, uni
     digits = len(printed.partition(".")[2])
     reference = _reference_numbers(name)[key]
     assert round(reference / unit, digits) == float(printed), (printed, reference)
+
+
+PIPELINE_TABLE = TEXT.partition("| pipeline | sequence keys it needs |")[2].partition("\n\n")[0]
+
+
+def _needs_text(needs):
+    """The README's words for a pipeline's needs: "a|b" is "`a` or `b`",
+    and the compare block's keys are named after "`compare` with its"."""
+    own = [" or ".join(f"`{key}`" for key in need.split("|")) for need in needs
+           if not need.startswith("compare.")]
+    compare = [f"`{need.removeprefix('compare.')}`" for need in needs
+               if need.startswith("compare.")]
+    return ", ".join(own + ([f"`compare` with its {' and '.join(compare)}"] if compare else []))
+
+
+def test_the_pipeline_table_is_the_needs_table():
+    rows = [line for line in PIPELINE_TABLE.splitlines() if line.startswith("| `")]
+    assert rows == [f"| `{pipeline}` | {_needs_text(needs)} |"
+                    for pipeline, needs in PIPELINE_NEEDS.items()]

@@ -94,6 +94,13 @@ def test_bose_einstein_rejects_negative_temperature():
             bose_einstein(omega, T)
     with pytest.raises(ValueError, match="temperature must be >= 0 K"):
         default_quasiharmonic_set().quadrupole.shift_at(math.nan)
+    # inf, and a T where k_B T / hbar overflows, returned inf without a warning
+    for T in (math.inf, 1e300, np.array([300.0, math.inf])):
+        with pytest.raises(ValueError, match="with a finite occupation"):
+            default_quasiharmonic_set().quadrupole.shift_at(T)
+    assert math.isfinite(default_quasiharmonic_set().quadrupole.shift_at(1e296))
+    # -0.0 is 0 K
+    assert bose_einstein(omega, -0.0) == 0.0
     assert bose_einstein(omega, np.array([])).shape == (0,)
     # the slope needs a finite T > 0: at inf it was nan, with a RuntimeWarning
     for T in (0.0, -1.0, math.nan, math.inf, np.array([300.0, math.inf])):

@@ -25,7 +25,6 @@ from nvecho.config import (
 from nvecho.estimator import RateTable, fit_exponential
 from nvecho.pulses import KINDS, build_sequence
 from nvecho.scenarios import run_scenario
-from nvecho.script import parse_sequence_script
 from nvecho.sequences import read_signal_csv, scans
 from nvecho.units import TWO_PI
 
@@ -438,9 +437,7 @@ def test_rate_table_is_one_family_per_pair(tmp_path, monkeypatch):
     assert "vee ratio" in result.summary
 
 
-def test_simulate_builds_a_script_or_a_kind(tmp_path):
-    script = _config("simulate", sequence={"script": "pair 0 -1\nevolve 1ms ms=0\n"})
-    assert run_scenario(script, out_dir=tmp_path, deterministic=True).numbers["kind"] == "ramsey"
+def test_simulate_builds_a_kind(tmp_path):
     kind = _config("simulate", sources=LINEAR_SOURCES,
                    sequence={"kind": "unbalanced_echo", "pair": [0, -1],
                              "total_time": "1 ms", "flip_fraction": 0.25})
@@ -451,8 +448,7 @@ def test_simulate_builds_a_script_or_a_kind(tmp_path):
     hot = _config("simulate", response=PROTECTION["response"], sources=PROTECTION["sources"],
                   sequence={"kind": "ramsey", "total_time": "20 us"},
                   backend={"samples": 4096 + 17, "seed": 7})
-    runs = ((script, parse_sequence_script(script.sequence["script"])), (kind, seq),
-            (hot, build_sequence("ramsey", hot.sequence["total_time"])))
+    runs = ((kind, seq), (hot, build_sequence("ramsey", hot.sequence["total_time"])))
     for cfg, sequence in runs:
         numbers = run_scenario(cfg, out_dir=tmp_path / "runs", deterministic=True).numbers
         models = build(cfg)[1]
@@ -468,9 +464,9 @@ def test_simulate_builds_a_script_or_a_kind(tmp_path):
     # blocks it cannot build are refused when the config is parsed
     with pytest.raises(ConfigError, match="sequence.flip_fraction: kind unbalanced_echo needs"):
         _config("simulate", sequence={"kind": "unbalanced_echo", "total_time": "1 ms"})
-    with pytest.raises(ConfigError, match="needs sequence.kind or sequence.script"):
+    with pytest.raises(ConfigError, match=r"pipeline 'simulate' needs sequence\.kind$"):
         _config("simulate", sequence={"total_time": "1 ms"})
-    with pytest.raises(ConfigError, match="needs sequence.total_time or sequence.script"):
+    with pytest.raises(ConfigError, match=r"pipeline 'simulate' needs sequence\.total_time$"):
         _config("simulate", sequence={"kind": "ramsey"})
 
 
