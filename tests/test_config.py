@@ -573,12 +573,10 @@ def _with_script(sequence, path):
     return sequence
 
 
-def test_script_sequence_block(tmp_path):
-    # pulses.KINDS is the one vocabulary of a sequence block: a script, in
-    # either block, is an unknown key to every pipeline, in a file and in a
-    # config built in code, before any compute
+def test_script_only_where_the_pipeline_runs_one():
+    # pulses.KINDS is the one vocabulary of a sequence block, so no pipeline
+    # runs a script: in either block it is an unknown key to every pipeline
     for pipeline, sequence in COMPLETE.items():
-        complete = parse_config(_pipeline_doc(pipeline, sequence))
         for path in ("sequence.script", "sequence.compare.script"):
             # a pipeline that reads no compare block reports the block too
             unread = ["sequence.compare"] if path == "sequence.compare.script" \
@@ -587,6 +585,16 @@ def test_script_sequence_block(tmp_path):
             assert _problem_paths(doc) == [path, *unread]
             with pytest.raises(ConfigError, match=f"{path}: unknown key"):
                 parse_config(doc)
+
+
+def test_script_sequence_block(tmp_path):
+    # a config built in code that gives a script, in either block, is refused
+    # the same way, before any compute
+    for pipeline, sequence in COMPLETE.items():
+        complete = parse_config(_pipeline_doc(pipeline, sequence))
+        for path in ("sequence.script", "sequence.compare.script"):
+            unread = ["sequence.compare"] if path == "sequence.compare.script" \
+                and "compare" not in sequence else []
             built = dataclasses.replace(complete, sequence=_with_script(complete.sequence, path))
             with pytest.raises(ConfigError) as excinfo:
                 run_scenario(built, out_dir=tmp_path / "out")
