@@ -78,18 +78,18 @@ _OUTPUT_DEFAULTS = {"directory": "."}
 
 
 # What each pipeline reads from its sequence block, as dotted paths below
-# ``sequence``, "a|b" for exactly one of the two; ``compare.times`` asks for
-# the compare block too.  A pipeline fits an exponential to the decay over
-# each ``times`` grid it reads, so the grid needs ``_FITTED_TIMES`` points.
-# A block also holds the keys of the kind it is built as (``pulses.KINDS``),
-# and nothing else.  Every block a pipeline builds names its kind, except a
-# swept one: where the pipeline sweeps ``flip_fractions``, the block holds
-# unbalanced echoes and the sweep sets their flip fraction.
+# ``sequence``; ``compare.times`` asks for the compare block too.  A
+# pipeline fits an exponential to the decay over each ``times`` grid it
+# reads, so the grid needs ``_FITTED_TIMES`` points.  A block also holds the
+# keys of the kind it is built as (``pulses.KINDS``), and nothing else.
+# Every block a pipeline builds names its kind, except a swept one: where
+# the pipeline sweeps ``flip_fractions``, the block holds unbalanced echoes,
+# and the sweep sets each kind key whose plural it reads (``pairs`` too).
 PIPELINE_NEEDS = {
     "simulate": ("kind", "total_time"),
     "decay_compare": ("kind", "times", "compare.kind", "compare.times"),
     "pulse_sweep": ("total_time", "flip_fractions"),
-    "rate_table_vee": ("pair|pairs", "flip_fractions", "times"),
+    "rate_table_vee": ("pairs", "flip_fractions", "times"),
     "protection_study": ("total_time", "flip_fractions", "times", "compare.kind",
                          "compare.times"),
 }
@@ -500,26 +500,21 @@ def _lookup(root, dotted):
 
 def _check_needs(pipeline, raw, sequence, col) -> None:
     """Report an unknown pipeline; each sequence key it needs that the raw
-    ``sequence`` block lacks, or gives with its alternative; and per block,
-    a block it does not read, a ``times`` grid too short to fit, another kind
-    in a block of swept echoes, each key that neither the pipeline nor the
-    block's kind reads, a key the kind needs, and the key that breaks its
-    rule."""
+    ``sequence`` block lacks; and per block, a block it does not read, a
+    ``times`` grid too short to fit, another kind in a block of swept echoes,
+    each key that neither the pipeline nor the block's kind reads (a kind key
+    the pipeline sweeps included), a key the kind needs, and the key that
+    breaks its rule."""
     needs = PIPELINE_NEEDS.get(pipeline)
     if needs is None:
         col.add("pipeline", f"unknown pipeline {pipeline!r}; "
                             f"expected one of {sorted(PIPELINE_NEEDS)}")
         return
     root = {"sequence": raw}
-    needed = set()
-    for need in needs:
-        options = [f"sequence.{key}" for key in need.split("|")]
-        needed.update(options)
-        given = [path for path in options if _lookup(root, path) is not None]
-        if not given:
-            col.add(options[0], f"pipeline {pipeline!r} needs {' or '.join(options)}")
-        elif len(given) > 1:
-            col.add(given[0], f"pipeline {pipeline!r} reads {' or '.join(options)}, not both")
+    needed = [f"sequence.{key}" for key in needs]
+    for path in needed:
+        if _lookup(root, path) is None:
+            col.add(path, f"pipeline {pipeline!r} needs {path}")
     for path in ("sequence", "sequence.compare"):
         block, norm = _lookup(root, path), _lookup({"sequence": sequence}, path)
         if not isinstance(block, dict):
@@ -542,7 +537,7 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
             col.add(f"{path}.kind", f"pipeline {pipeline!r} builds unbalanced echoes "
                                     f"from this block, not {kind!r}")
             kind = "unbalanced_echo"
-        keys = {k: v for k, v in KINDS[kind].keys.items() if not swept or k != "flip_fraction"}
+        keys = {k: v for k, v in KINDS[kind].keys.items() if f"{k}s" not in read}
         what = f"its swept {kind}" if swept else f"kind {kind}"
         for key in norm:
             if key not in read | {"kind", "compare"} | keys.keys():

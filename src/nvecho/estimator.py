@@ -15,11 +15,11 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .catalog import DEFAULT_SKIP, MIN_FIT_POINTS
+from .pulses import build_sequence, check_pair
 from .response import default_linear_response
 from .sequences import read_metadata_csv, write_metadata_csv
 from .solvers import FitError, levenberg_marquardt, nnls
-from .spin_model import (PhaseCoefficients, Segment, SpinSystemParams, default_params,
-                         phase_coefficients)
+from .spin_model import PhaseCoefficients, SpinSystemParams, default_params, phase_coefficients
 from .units import check_number
 
 @dataclass(frozen=True)
@@ -181,8 +181,8 @@ def fit_exponential(times, amplitudes) -> FitResult:
 
 @dataclass(frozen=True)
 class RateRow:
-    """One measured decay rate: which pair, which electron pairing, where
-    the flip sits, and the rate in 1/s."""
+    """One decay rate in 1/s, of the unit-time unbalanced echo that its pair,
+    ms pairing and flip fraction build; refused where the echo is."""
 
     pair: tuple
     ms_pairing: tuple
@@ -199,6 +199,7 @@ class RateRow:
             raise ValueError(f"rates must be positive and finite, got {self.rate}")
         if not 0.0 <= self.tau_over_t <= 1.0:
             raise ValueError("tau_over_t must lie in [0, 1]")
+        _unit_echo(self.pair, self.tau_over_t, *self.ms_pairing)
 
 
 RATES_SCHEMA = "nvecho-rates/1"
@@ -259,12 +260,14 @@ RATE_COLUMNS = {RATES_SCHEMA: ((int,) * 4 + (float,) * 2 + (lambda f: float(f) i
 
 # ------------------------------------------------------------------ vee fit
 
-def _unit_echo(pair, flip_fraction: float, ms_free: int, ms_flipped: int,
+def _unit_echo(pair, flip_fraction: float, ms_free: int, ms_flipped: int, *,
                params: SpinSystemParams | None = None) -> PhaseCoefficients:
     """The phase coefficients of a unit-time unbalanced echo that flips from
-    ``ms_free`` to ``ms_flipped`` for the final ``flip_fraction``."""
-    segments = (Segment(1.0 - flip_fraction, ms_free), Segment(flip_fraction, ms_flipped))
-    return phase_coefficients(params or default_params(), pair, segments)
+    ``ms_free`` to ``ms_flipped`` for the final ``flip_fraction``; ValueError
+    where ``build_sequence`` refuses the echo."""
+    echo = build_sequence("unbalanced_echo", 1.0, pair=check_pair(pair), ms_free=ms_free,
+                          ms_flipped=ms_flipped, flip_fraction=flip_fraction)
+    return phase_coefficients(params or default_params(), echo.pair, echo.segments)
 
 
 def _vee_dispatch(table: RateTable) -> str:
@@ -493,15 +496,13 @@ def predict_echo_rate(pair, flip_fraction: float, ms_free: int = 0,
     The temperature coefficient interpolates between the two manifolds'
     sensitivities; on the cancelling branch it crosses zero at the slope
     ratio, producing the vee.  The field term is untouched by the flip.  At
-    flip fraction 0 it is the free-evolution rate in ``ms_free``.
+    flip fraction 0 it is the free-evolution rate in ``ms_free``, whichever
+    other manifold the flip would enter.
     """
     from .noise import field_source, lorentzian, temperature_source
 
-    check_number("flip_fraction", flip_fraction)
-    if not 0.0 <= flip_fraction <= 1.0:
-        raise ValueError("flip fraction must lie in [0, 1]")
+    coefficients = _unit_echo(pair, flip_fraction, ms_free, ms_flipped, params=params)
     sources = (temperature_source(lorentzian(0.0, sigma_T), response),
                field_source(lorentzian(0.0, sigma_B)))
-    coefficients = _unit_echo(pair, flip_fraction, ms_free, ms_flipped, params)
     return float(sum(src.distribution.scale * abs(src.phase_coefficient(coefficients))
                      for src in sources))

@@ -323,8 +323,8 @@ def _model_to_dict(model: QuasiharmonicResponse, base_value_Hz: float) -> dict:
 
 def _model_from_dict(models: dict, name: str) -> QuasiharmonicResponse:
     """The curve of data-file model ``name``.  Its base value is ignored;
-    other than one mode, a nonzero expansion term, or a mode value the
-    curve cannot take is refused, naming its key."""
+    other than one mode, a nonzero expansion term, or a mode value or
+    reference temperature the curve cannot take is refused, naming its key."""
     d = models[name]
     modes = d["modes"]
     if not isinstance(modes, list) or len(modes) != 1:
@@ -339,6 +339,9 @@ def _model_from_dict(models: dict, name: str) -> QuasiharmonicResponse:
     if mode["einstein_temperature_K"] <= 0:
         raise ValueError(f"models.{name}.modes[0].einstein_temperature_K must be > 0 K, "
                          f"got {mode['einstein_temperature_K']!r}")
+    check_number(f"models.{name}.reference_T_K", d["reference_T_K"])
+    if d["reference_T_K"] < 0:
+        raise ValueError(f"models.{name}.reference_T_K must be >= 0 K, got {d['reference_T_K']!r}")
     return QuasiharmonicResponse(einstein_mode_frequency(mode["einstein_temperature_K"]),
                                  angular(mode["weight_Hz"]), d["reference_T_K"])
 

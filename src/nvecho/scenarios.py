@@ -205,7 +205,7 @@ def _rate_table(ctx: _Context) -> None:
     """Decay-rate tables over flip fraction, one family per nuclear branch,
     and the vee or line fit of each branch."""
     block = ctx.config.sequence
-    pairs = block["pairs"] if "pairs" in block else (block["pair"],)
+    pairs = block["pairs"]
     fractions = realize_grid(block["flip_fractions"])
     times = realize_grid(block["times"])
     echo = KINDS["unbalanced_echo"]

@@ -134,9 +134,9 @@ def test_criterion_4_rate_ratio_checks():
     baseline = abs(params.gamma_n) * sigma_B
     cases = ((-1, -1), (1, -1), (1, 0), (1, 1))
 
-    def free_rate(mi, ms):  # the echo rate with no flip
-        return predict_echo_rate((0, mi), 0.0, ms_free=ms, ms_flipped=ms, sigma_T=sigma_T,
-                                 sigma_B=sigma_B, response=response)
+    def free_rate(mi, ms):  # the echo rate with no flip: the flipped manifold is held for no time
+        return predict_echo_rate((0, mi), 0.0, ms_free=ms, ms_flipped=0 if ms else 1,
+                                 sigma_T=sigma_T, sigma_B=sigma_B, response=response)
 
     excess = {(mi, ms): free_rate(mi, ms) - baseline for mi, ms in cases}
     ratio_states = excess[(-1, -1)] / excess[(1, -1)]

@@ -128,7 +128,7 @@ sources:
   - kind: residual_field
     dq_coherence_time: 3.9 ms
 sequence:
-  pair: [0, -1]
+  pairs: [[0, -1]]
   flip_fractions: {start: 0.05, stop: 0.35, count: 7}
   times: {start: 50 us, stop: 2 ms, count: 12, spacing: log}
 output:
@@ -597,8 +597,13 @@ def _hyperfine_mode_at(theta):
      "models.hyperfine.modes[0].einstein_temperature_K must be finite, got inf"),
     (_hyperfine_mode_at(-5.0),
      "models.hyperfine.modes[0].einstein_temperature_K must be > 0 K, got -5.0"),
+    (_with_model("hyperfine", reference_T_K=math.inf),
+     "models.hyperfine.reference_T_K must be finite, got inf"),
+    (_with_model("hyperfine", reference_T_K=-5.0),
+     "models.hyperfine.reference_T_K must be >= 0 K, got -5.0"),
 ], ids=["no-models", "not-yaml", "top-level-list", "nan-strain-slope", "two-modes",
-        "first-order-term", "thermal-expansion", "infinite-mode", "negative-mode"])
+        "first-order-term", "thermal-expansion", "infinite-mode", "negative-mode",
+        "infinite-reference", "negative-reference"])
 def test_response_data_file_problems_exit_2_before_compute(tmp_path, capsys, text, problem):
     # each used to exit 1 with a traceback, or 0 with an amplitude of nan; a
     # second mode or an expansion term is physics the model would drop
@@ -610,6 +615,24 @@ def test_response_data_file_problems_exit_2_before_compute(tmp_path, capsys, tex
     assert "response.data_file" in err and problem in err and str(tmp_path / "set.yaml") in err
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("column, value, problem", [
+    (1, "7", "pair[1] must be one of -1, 0, +1, got 7"),
+    (2, "-2", "ms_free must be one of -1, 0, +1, got -2"),
+    (3, "0", "ms_flipped: must differ from ms_free (0): the electron flip must change the "
+             "manifold"),
+], ids=["pair", "ms_free", "one-manifold"])
+def test_fit_names_the_line_of_an_echo_it_cannot_build(tmp_path, capsys, column, value, problem):
+    # the row used to be read, and the fit to refuse its pair with no file or
+    # line, or to fit a line through rates a flip within one manifold cannot move
+    path = _rate_csv(tmp_path)
+    lines = path.read_text().splitlines()
+    fields = lines[-1].split(",")
+    fields[column] = value
+    lines[-1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    _assert_usage_error(capsys, ["fit", str(path)], f"{path}:{len(lines)}: {problem}")
 
 
 def test_fit_short_row_exits_2(tmp_path, capsys):

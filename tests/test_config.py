@@ -14,6 +14,8 @@ import yaml
 from nvecho import response
 from nvecho.catalog import SCENARIO_ALIASES, SCENARIO_NAMES
 from nvecho.config import (
+    _COMPARE_KEYS,
+    _SEQUENCE_KEYS,
     PIPELINE_NEEDS,
     ConfigError,
     ScenarioConfig,
@@ -252,7 +254,7 @@ def test_grid_validation():
 
     cfg["pipeline"] = "rate_table_vee"
     times = [f"{k} ms" for k in range(1, 9)]
-    cfg["sequence"] = {"pair": [0, -1], "times": times, "flip_fractions": [0.0, 0.25, 0.5]}
+    cfg["sequence"] = {"pairs": [[0, -1]], "times": times, "flip_fractions": [0.0, 0.25, 0.5]}
     parsed = parse_config(cfg)
     assert realize_grid(parsed.sequence["times"]).tolist() == [k * 1e-3 for k in range(1, 9)]
     assert realize_grid(parsed.sequence["flip_fractions"]).tolist() == [0.0, 0.25, 0.5]
@@ -391,7 +393,7 @@ COMPLETE = {
     "decay_compare": {"kind": "unbalanced_echo", "flip_fraction": 0.18, "times": FIT_TIMES,
                       "compare": {"kind": "ramsey", "times": FIT_COMPARE_TIMES}},
     "pulse_sweep": {"total_time": "1 ms", "flip_fractions": [0.1, 0.2]},
-    "rate_table_vee": {"pair": [0, -1], "flip_fractions": [0.1, 0.2], "times": FIT_TIMES},
+    "rate_table_vee": {"pairs": [[0, -1]], "flip_fractions": [0.1, 0.2], "times": FIT_TIMES},
     "protection_study": {"total_time": "1 ms", "flip_fractions": [0.1, 0.2],
                          "times": FIT_TIMES,
                          "compare": {"kind": "ramsey", "times": FIT_COMPARE_TIMES}},
@@ -415,6 +417,15 @@ def _problem_paths(doc):
     return [problem.split(": ")[0] for problem in excinfo.value.problems]
 
 
+def test_each_need_is_one_sequence_key():
+    # a need is a key of its block's table, not a choice between keys
+    for pipeline, needs in PIPELINE_NEEDS.items():
+        for need in needs:
+            block, _, key = need.rpartition(".")
+            assert key in {"": _SEQUENCE_KEYS, "compare": _COMPARE_KEYS}.get(block, {}), \
+                (pipeline, need)
+
+
 def test_complete_blocks_parse():
     assert COMPLETE.keys() == PIPELINE_NEEDS.keys()
     for pipeline, sequence in COMPLETE.items():
@@ -424,18 +435,17 @@ def test_complete_blocks_parse():
 
 def _without(sequence, need):
     sequence = copy.deepcopy(sequence)
-    for dotted in need.split("|"):
-        *parents, key = dotted.split(".")
-        block = sequence
-        for parent in parents:
-            block = block[parent]
-        block.pop(key, None)
+    *parents, key = need.split(".")
+    block = sequence
+    for parent in parents:
+        block = block[parent]
+    block.pop(key, None)
     return sequence
 
 
 @pytest.mark.parametrize("pipeline,need", NEEDED)
 def test_each_needed_key_is_reported_by_its_dotted_path(pipeline, need):
-    path = "sequence." + need.split("|")[0]
+    path = "sequence." + need
     sequence = _without(COMPLETE[pipeline], need)
     assert path in _problem_paths(_pipeline_doc(pipeline, sequence))
     # a hand-built config is checked by parsing its printed form
@@ -451,7 +461,7 @@ EMPTY_BLOCK_PROBLEMS = {
     "decay_compare": ["sequence.kind", "sequence.times", "sequence.compare.times",
                       "sequence.compare.flip_fraction"],
     "pulse_sweep": ["sequence.total_time", "sequence.flip_fractions", "sequence.compare"],
-    "rate_table_vee": ["sequence.pair", "sequence.flip_fractions", "sequence.times",
+    "rate_table_vee": ["sequence.pairs", "sequence.flip_fractions", "sequence.times",
                        "sequence.compare"],
     "protection_study": ["sequence.total_time", "sequence.flip_fractions", "sequence.times",
                          "sequence.compare.times", "sequence.compare.flip_fraction"],
@@ -525,7 +535,7 @@ def test_blocks_build_sequence_refuses_are_rejected():
     assert parse_config(_pipeline_doc("simulate", {"kind": "dq_ramsey", "ms": 1,
                                                    "total_time": "1 ms"}))
     assert parse_config(_pipeline_doc("rate_table_vee", COMPLETE["rate_table_vee"]
-                                      | {"kind": "unbalanced_echo", "pair": [-1, 1]}))
+                                      | {"kind": "unbalanced_echo", "pairs": [[-1, 1]]}))
     assert parse_config(_pipeline_doc("simulate", {"kind": "ramsey", "ms": 1, "total_time": "1 ms"}))
     # a malformed value is reported once, not also as a refused build
     assert _problem_paths(_pipeline_doc("simulate", echo | {"ms_free": 1, "ms_flipped": 2})) \
@@ -605,8 +615,6 @@ def test_script_sequence_block(tmp_path):
 
 RAMSEY = {"kind": "ramsey", "total_time": "1 ms"}
 TIMES = (["1 ms", "2 ms"], (1e-3, 2e-3))
-PAIRS = {key: value for key, value in COMPLETE["rate_table_vee"].items() if key != "pair"} \
-    | {"pairs": [[0, -1], [0, 1]]}
 
 # a block that parses, plus one key that no part of the run reads: (pipeline,
 # block, the key's dotted path, its YAML value, its value in a built config)
@@ -619,7 +627,8 @@ UNREAD = [
     ("pulse_sweep", COMPLETE["pulse_sweep"], "sequence.times", *TIMES),
     ("protection_study", COMPLETE["protection_study"], "sequence.flip_fraction", 0.2, 0.2),
     ("rate_table_vee", COMPLETE["rate_table_vee"], "sequence.total_time", "1 ms", 1e-3),
-    ("rate_table_vee", PAIRS, "sequence.pair", [0, -1], (0, -1)),  # "pair|pairs": one of them
+    # the pipeline sets each swept echo's pair from ``pairs``
+    ("rate_table_vee", COMPLETE["rate_table_vee"], "sequence.pair", [0, -1], (0, -1)),
     ("decay_compare", COMPLETE["decay_compare"], "sequence.compare.total_time", "1 ms", 1e-3),
     ("decay_compare", COMPLETE["decay_compare"], "sequence.compare.flip_fractions",
      [0.1, 0.2], (0.1, 0.2)),
@@ -648,6 +657,24 @@ def test_keys_no_part_of_the_run_reads_are_rejected(tmp_path, pipeline, sequence
     with pytest.raises(ConfigError) as excinfo:
         run_scenario(built, out_dir=tmp_path / "out")
     assert [problem.split(": ")[0] for problem in excinfo.value.problems] == [path]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_rate_table_names_its_branches_only_by_pairs(tmp_path):
+    # ``pair`` used to stand for a one-branch ``pairs``; the sweep sets it
+    block = {key: value for key, value in COMPLETE["rate_table_vee"].items() if key != "pairs"}
+    path = tmp_path / "rates.yaml"
+    path.write_text(yaml.safe_dump(_pipeline_doc("rate_table_vee", block | {"pair": [0, -1]})))
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    problems = [problem.split(": ")[0] for problem in excinfo.value.problems]
+    assert problems == ["sequence.pairs", "sequence.pair"]
+    complete = parse_config(_pipeline_doc("rate_table_vee", COMPLETE["rate_table_vee"]))
+    sequence = {key: value for key, value in complete.sequence.items() if key != "pairs"}
+    built = dataclasses.replace(complete, sequence=sequence | {"pair": (0, -1)})
+    with pytest.raises(ConfigError) as excinfo:
+        run_scenario(built, out_dir=tmp_path / "out")
+    assert [problem.split(": ")[0] for problem in excinfo.value.problems] == problems
     assert not (tmp_path / "out").exists()
 
 

@@ -226,6 +226,26 @@ def test_rate_table_validation_and_csv(tmp_path):
         RateTable.read_csv(path)
 
 
+@pytest.mark.parametrize("pair, pairing, problem", [
+    ((0, 7), (0, 1), r"pair\[1\] must be one of -1, 0, \+1, got 7"),
+    ((0, 0), (0, 1), "distinct m_I levels"),
+    ((0,), (0, 1), "transition pair must be two m_I levels"),
+    ((0, -1), (2, 1), r"ms_free must be one of -1, 0, \+1, got 2"),
+    ((0, -1), (0, True), r"ms_flipped must be one of -1, 0, \+1, got True"),
+    ((0, -1), (1, 1), "ms_flipped: must differ from ms_free"),
+], ids=["pair-level", "pair-equal", "pair-short", "ms-free", "ms-flipped-bool", "one-manifold"])
+def test_rate_rows_refuse_echoes_the_fit_cannot_build(pair, pairing, problem):
+    # each used to be stored, and fit_vee then refused a pair level or fitted
+    # a line through rates that a flip within one manifold cannot move
+    with pytest.raises(ValueError, match=problem):
+        RateTable().add(pair, pairing, 0.1, 500.0)
+
+
+def test_predict_echo_rate_refuses_a_flip_within_one_manifold():
+    with pytest.raises(ValueError, match="ms_flipped: must differ from ms_free"):
+        predict_echo_rate((0, -1), 0.1, ms_free=1, ms_flipped=1)
+
+
 def _vee_table(x, rates, pair=(0, -1), pairing=(0, 1)):
     table = RateTable()
     for xi, yi in zip(x, rates):
@@ -581,9 +601,10 @@ def test_nnls_agrees_with_scipy_on_rank_deficient_problems():
 # ------------------------------------------------------------- rate algebra
 
 def _free_rate(pair, m_S, sigma_T=0.0, sigma_B=0.0, response=None):
-    """The predicted free-evolution rate: the echo rate with no flip."""
-    return predict_echo_rate(pair, 0.0, ms_free=m_S, ms_flipped=m_S, sigma_T=sigma_T,
-                             sigma_B=sigma_B, response=response)
+    """The predicted free-evolution rate: the echo rate with no flip, whose
+    flipped manifold is held for no time."""
+    return predict_echo_rate(pair, 0.0, ms_free=m_S, ms_flipped=0 if m_S else 1,
+                             sigma_T=sigma_T, sigma_B=sigma_B, response=response)
 
 
 def test_predict_rate_zero_widths():

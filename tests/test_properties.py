@@ -171,25 +171,22 @@ def _kind_keys(kind, block=None, exclude=()):
 
 @st.composite
 def _block(draw, needs, path):
-    """A ``path`` block of a pipeline: one option of each key the pipeline
-    reads there and keys of the kind the block is built as: the kind it
-    names or, where the pipeline sweeps its flip fractions, an unbalanced
-    echo."""
+    """A ``path`` block of a pipeline: each key the pipeline reads there and
+    keys of the kind the block is built as: the kind it names or, where the
+    pipeline sweeps its flip fractions, an unbalanced echo, less each key
+    whose plural the pipeline sweeps."""
     prefix = path.partition(".")[2] + "." if "." in path else ""
-    read = [need[len(prefix):].split("|") for need in needs
+    read = [need[len(prefix):] for need in needs
             if need.startswith(prefix) and "." not in need[len(prefix):]]
-    block = {}
-    for options in read:
-        key = draw(st.sampled_from(options))
-        block[key] = draw(_VALUES[key])
+    block = {key: draw(_VALUES[key]) for key in read}
     if "flip_fractions" in block:
         if draw(st.booleans()):
             block["kind"] = "unbalanced_echo"
-        kind, swept = "unbalanced_echo", ("flip_fraction",)
+        kind = "unbalanced_echo"
     else:
-        kind, swept = block["kind"], ()
-    taken = [key for options in read for key in options]
-    return block | draw(_kind_keys(kind, block, exclude=(*taken, *swept)))
+        kind = block["kind"]
+    swept = [key for key in KINDS[kind].keys if f"{key}s" in read]
+    return block | draw(_kind_keys(kind, block, exclude=(*read, *swept)))
 
 
 @st.composite

@@ -90,10 +90,9 @@ PIPELINE_TABLE = TEXT.partition("| pipeline | sequence keys it needs |")[2].part
 
 
 def _needs_text(needs):
-    """The README's words for a pipeline's needs: "a|b" is "`a` or `b`",
-    and the compare block's keys are named after "`compare` with its"."""
-    own = [" or ".join(f"`{key}`" for key in need.split("|")) for need in needs
-           if not need.startswith("compare.")]
+    """The README's words for a pipeline's needs: the compare block's keys
+    are named after "`compare` with its"."""
+    own = [f"`{need}`" for need in needs if not need.startswith("compare.")]
     compare = [f"`{need.removeprefix('compare.')}`" for need in needs
                if need.startswith("compare.")]
     return ", ".join(own + ([f"`compare` with its {' and '.join(compare)}"] if compare else []))

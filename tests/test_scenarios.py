@@ -296,11 +296,11 @@ def test_pipeline_and_block_errors(tmp_path):
         ("decay_compare", {"flip_fraction": 0.18, "times": times,
                            "compare": {"kind": "ramsey", "times": times}}, "sequence.kind"),
         ("pulse_sweep", {"flip_fractions": (0.1, 0.2)}, "sequence.total_time"),
-        ("rate_table_vee", {"flip_fractions": (0.1, 0.2), "times": times}, "sequence.pair"),
-        ("rate_table_vee", {"pair": (0, -1), "flip_fractions": (0.1, 0.2), "times": ()},
+        ("rate_table_vee", {"flip_fractions": (0.1, 0.2), "times": times}, "sequence.pairs"),
+        ("rate_table_vee", {"pairs": ((0, -1),), "flip_fractions": (0.1, 0.2), "times": ()},
          "sequence.times"),
-        ("rate_table_vee", {"pair": (0, -1), "flip_fractions": (0.1, 0.2), "times": times[:3]},
-         "sequence.times"),
+        ("rate_table_vee", {"pairs": ((0, -1),), "flip_fractions": (0.1, 0.2),
+                            "times": times[:3]}, "sequence.times"),
     )
     for pipeline, sequence, path in cases:
         built = ScenarioConfig(name="t", pipeline=pipeline, sequence=sequence)
