@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "config": ("ConfigError", "ScenarioConfig", "dump_config", "load_config",
                "load_packaged_scenario", "parse_config"),
-    "estimator": ("FitError", "FitResult", "RateTable", "estimate_sigma", "fit_cosine",
-                  "fit_exponential", "fit_vee", "predict_echo_rate"),
+    "estimator": ("FitError", "FitResult", "estimate_sigma", "fit_cosine", "fit_exponential",
+                  "fit_vee", "predict_echo_rate"),
     "noise": ("NoiseSource", "delta", "dephasing_factor", "field_source", "gaussian",
               "lorentzian", "residual_field_source", "strain_source", "temperature_source"),
     "pulses": ("PulseSequence", "build_sequence"),
@@ -29,7 +29,7 @@ _EXPORTS = {
                  "load_response_set", "save_response_set"),
     "scenarios": ("ScenarioResult", "run_scenario"),
     "script": ("ScriptError", "format_sequence_script", "parse_sequence_script"),
-    "sequences": ("EnsembleSignal", "read_signal_csv", "scans", "simulate_family",
+    "sequences": ("EnsembleSignal", "RateTable", "read_csv", "scans", "simulate_family",
                   "write_signal_csv"),
     "spin_model": ("SpinSystemParams", "default_params"),
     "units": ("TWO_PI", "angular", "cycles", "format_quantity", "parse_quantity"),

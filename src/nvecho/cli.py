@@ -4,7 +4,8 @@ Subcommands:
 
 * ``simulate CONFIG``  - run a scenario config, whatever its pipeline.
 * ``fit CSV``          - fit a signal or rate-table CSV and emit FitResult JSON;
-  the file alone decides the model (``_fit_kind``), and ``--pair`` keeps one
+  ``sequences.read_csv``, which knows the CSV format, reads the file, its
+  data alone decides the model (``_fit_kind``), and ``--pair`` keeps one
   transition pair of a rate table.
 * ``calibrate-response`` - rebuild the shipped quasiharmonic response set
   from ``response``'s calibration constants and write its data file.
@@ -134,42 +135,38 @@ def _cmd_reproduce(args) -> int:
 
 # --------------------------------------------------------------------- fit
 
-def _fit_kind(path: Path, schema, header) -> str:
-    """The model a file is fitted with: vee for a rate table, else the one
-    its signal's x column names."""
-    from .estimator import RATES_SCHEMA
+def _fit_kind(path: Path, data) -> str:
+    """The model a file's data is fitted with: vee for a rate table, else
+    the one its signal's x column names."""
+    from .sequences import RateTable
 
-    if schema == RATES_SCHEMA:
+    if isinstance(data, RateTable):
         return "vee"
-    kind = _FIT_KINDS_BY_LABEL.get(header[0])
+    kind = _FIT_KINDS_BY_LABEL.get(data.x_label)
     if kind is None:
-        raise ValueError(f"{path}: no fit model for x column {header[0]!r}; expected one of "
-                         f"{sorted(_FIT_KINDS_BY_LABEL)} or a {RATES_SCHEMA} rate table")
+        raise ValueError(f"{path}: no fit model for x column {data.x_label!r}; expected one "
+                         f"of {sorted(_FIT_KINDS_BY_LABEL)} or a rate table")
     return kind
 
 
 def _cmd_fit(args) -> int:
-    from .estimator import RATE_COLUMNS, RateTable, fit_cosine, fit_exponential, fit_vee
-    from .sequences import SIGNAL_COLUMNS, json_text, read_metadata_csv, signal_from_csv
+    from .estimator import fit_cosine, fit_exponential, fit_vee
+    from .sequences import json_text, read_csv
 
     path = Path(args.input)
-    # one parse serves the choice of model and the fit, whichever table the file holds
-    parsed = read_metadata_csv(path, SIGNAL_COLUMNS | RATE_COLUMNS)
-    schema, _, header, _ = parsed
-    kind = _fit_kind(path, schema, header)
+    data = read_csv(path)  # one parse serves the choice of model and the fit
+    kind = _fit_kind(path, data)
     if args.pair is not None and kind != "vee":
         raise ValueError(f"--pair applies to a vee fit, not a {kind} fit")
     if kind == "vee":
-        table = RateTable.from_csv(path, *parsed)
         if args.pair is not None:
-            table = table.filter(pair=args.pair)
-        if not table.rows:
+            data = data.filter(pair=args.pair)
+        if not data.rows:
             raise ValueError(f"{path}: no rows left after filtering")
-        result = fit_vee(table)
+        result = fit_vee(data)
     else:
-        signal = signal_from_csv(path, *parsed)
         fit = fit_exponential if kind == "exponential" else fit_cosine
-        result = fit(signal.x, signal.y)
+        result = fit(data.x, data.y)
 
     text = json_text({"schema": "nvecho-fit/1", "kind": kind, "source": path.name}
                      | result.as_dict(), args.deterministic)

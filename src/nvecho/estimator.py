@@ -5,6 +5,9 @@ fits for signal amplitude, exponential fits for coherence times, the
 vee fit of decay rate versus flip fraction that yields the slope ratio of
 the two couplings, inhomogeneity decomposition from measured rates, and
 the dephasing rates the linear model predicts for Lorentzian ensembles.
+A rate table, its rows and its CSV file belong to ``sequences``, which
+reads and writes every ``#``-metadata CSV; ``RateTable`` is imported here
+for the vee fit.
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .catalog import DEFAULT_SKIP, MIN_FIT_POINTS
-from .pulses import build_sequence, check_pair
+from .pulses import build_sequence
 from .response import default_linear_response
-from .sequences import read_metadata_csv, write_metadata_csv
+from .sequences import RateTable
 from .solvers import FitError, levenberg_marquardt, nnls
 from .spin_model import PhaseCoefficients, SpinSystemParams, default_params, phase_coefficients
-from .units import check_number
 
 @dataclass(frozen=True)
 class FitResult:
@@ -177,87 +179,6 @@ def fit_exponential(times, amplitudes) -> FitResult:
     )
 
 
-# --------------------------------------------------------------- rate table
-
-@dataclass(frozen=True)
-class RateRow:
-    """One decay rate in 1/s, of the unit-time unbalanced echo that its pair,
-    ms pairing and flip fraction build; refused where the echo is."""
-
-    pair: tuple
-    ms_pairing: tuple
-    tau_over_t: float
-    rate: float
-    rate_error: float | None = None
-
-    def __post_init__(self):
-        # a bool would count as 0 or 1; each number is stored as a float
-        for name in ("tau_over_t", "rate") + (() if self.rate_error is None else ("rate_error",)):
-            check_number(name, getattr(self, name))
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.rate <= 0:
-            raise ValueError(f"rates must be positive and finite, got {self.rate}")
-        if not 0.0 <= self.tau_over_t <= 1.0:
-            raise ValueError("tau_over_t must lie in [0, 1]")
-        _unit_echo(self.pair, self.tau_over_t, *self.ms_pairing)
-
-
-RATES_SCHEMA = "nvecho-rates/1"
-_RATES_HEADER = ("pair_reference", "pair_target", "ms_free", "ms_flipped",
-                 "tau_over_t", "rate_per_s", "rate_error")
-
-
-@dataclass
-class RateTable:
-    rows: list = dataclass_field(default_factory=list)
-    metadata: dict = dataclass_field(default_factory=dict)
-
-    def add(self, pair, ms_pairing, tau_over_t, rate, rate_error=None):
-        self.rows.append(RateRow(tuple(pair), tuple(ms_pairing), tau_over_t, rate, rate_error))
-
-    def filter(self, pair) -> "RateTable":
-        """The rows of one transition pair."""
-        return RateTable(rows=[r for r in self.rows if r.pair == tuple(pair)],
-                         metadata=dict(self.metadata))
-
-    @property
-    def tau_over_t(self) -> np.ndarray:
-        return np.array([r.tau_over_t for r in self.rows])
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.array([r.rate for r in self.rows])
-
-    def write_csv(self, path, deterministic: bool = False) -> None:
-        rows = ((*r.pair, *r.ms_pairing, r.tau_over_t, r.rate, r.rate_error) for r in self.rows)
-        write_metadata_csv(path, RATES_SCHEMA, self.metadata, _RATES_HEADER, rows,
-                           deterministic)
-
-    @classmethod
-    def from_csv(cls, path, schema, metadata, header, rows) -> "RateTable":
-        """The table of a file that ``read_metadata_csv`` read with
-        ``RATE_COLUMNS``; ValueError unless it holds one."""
-        if schema != RATES_SCHEMA or tuple(header) != _RATES_HEADER:
-            raise ValueError(f"{path}: not a rate-table file ({RATES_SCHEMA}), "
-                             f"schema {schema!r}")
-        return cls(rows=rows, metadata=metadata)
-
-    @classmethod
-    def read_csv(cls, path) -> "RateTable":
-        return cls.from_csv(path, *read_metadata_csv(path, RATE_COLUMNS))
-
-
-def _rate_row(header, parts):
-    if tuple(header) != _RATES_HEADER:
-        return parts  # refused by RateTable.from_csv, with the schema
-    return RateRow(tuple(parts[0:2]), tuple(parts[2:4]), *parts[4:])
-
-
-# what ``read_metadata_csv`` converts in a rate table's rows, and makes them into
-RATE_COLUMNS = {RATES_SCHEMA: ((int,) * 4 + (float,) * 2 + (lambda f: float(f) if f else None,),
-                               _rate_row)}
-
-
 # ------------------------------------------------------------------ vee fit
 
 def _unit_echo(pair, flip_fraction: float, ms_free: int, ms_flipped: int, *,
@@ -265,7 +186,7 @@ def _unit_echo(pair, flip_fraction: float, ms_free: int, ms_flipped: int, *,
     """The phase coefficients of a unit-time unbalanced echo that flips from
     ``ms_free`` to ``ms_flipped`` for the final ``flip_fraction``; ValueError
     where ``build_sequence`` refuses the echo."""
-    echo = build_sequence("unbalanced_echo", 1.0, pair=check_pair(pair), ms_free=ms_free,
+    echo = build_sequence("unbalanced_echo", 1.0, pair=pair, ms_free=ms_free,
                           ms_flipped=ms_flipped, flip_fraction=flip_fraction)
     return phase_coefficients(params or default_params(), echo.pair, echo.segments)
 

@@ -184,20 +184,21 @@ KINDS = {
 
 def build_sequence(kind: str, total_time: float | None = None, **keys) -> PulseSequence:
     """The named experiment over ``total_time`` from the block keys its kind
-    reads (``KINDS``); a key it lacks takes the kind's default, and a key
-    with no default, like ``total_time``, must be given.  A block the kind's
-    rule refuses raises the ValueError that the config check reports."""
+    reads (``KINDS``); a key it lacks takes the kind's default, a key with
+    no default, like ``total_time``, must be given, and a None given is
+    checked as the key's value.  A block the kind's rule refuses raises the
+    ValueError that the config check reports."""
     spec = KINDS.get(kind)
     if spec is None:
         raise ValueError(f"cannot build sequence kind {kind!r}; expected one of {tuple(KINDS)}")
     unread = sorted(set(keys) - set(spec.keys))
     if unread:
         raise ValueError(f"kind {kind} does not read {', '.join(unread)}")
-    keys = spec.keys | keys
-    missing = [key for key, value in ({"total_time": total_time} | keys).items()
-               if value is None]
+    missing = [key for key, default in ({"total_time": total_time} | spec.keys).items()
+               if default is None and key not in keys]
     if missing:
         raise ValueError(f"kind {kind} needs a {missing[0]}")
+    keys = spec.keys | keys
     check_number("total_time", total_time)
     if total_time <= 0:
         raise ValueError(f"total_time must be > 0, got {total_time!r}")

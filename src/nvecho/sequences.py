@@ -7,8 +7,10 @@ source enters the phase linearly the average is exact, and otherwise (a
 quasiharmonic temperature source) it is a Monte Carlo estimate.
 It is the one evaluator: a single sequence is a family of one, and
 ``scans`` evaluates decay scans and flip-location sweeps, any number of
-them, as one family call.  ``write_metadata_csv`` prints signals and rate
-tables as ``#``-metadata CSV, and ``json_text`` prints every JSON artifact.
+them, as one family call.  The ``#``-metadata CSV format lives here alone:
+``write_metadata_csv`` prints signals and rate tables (``RateTable``) in it,
+one schema each, and ``read_csv`` returns the one a file holds.
+``json_text`` prints every JSON artifact.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .spin_model import (
     phase_coefficients,
     stack_coefficients,
 )
+from .units import check_number
 
 if TYPE_CHECKING:  # the ensemble averages are imported where a family is evaluated
     from .noise import MonteCarloResult
@@ -147,9 +150,15 @@ def scans(specs, sources, **kwargs) -> list:
     return signals
 
 
-# -------------------------------------------------------------- signal files
+# ---------------------------------------------------------------- CSV files
 
-_CSV_SCHEMA = "nvecho-signal/1"
+_SIGNAL_SCHEMA = "nvecho-signal/1"
+_RATES_SCHEMA = "nvecho-rates/1"
+_RATES_HEADER = ("pair_reference", "pair_target", "ms_free", "ms_flipped",
+                 "tau_over_t", "rate_per_s", "rate_error")
+# what ``read_csv`` converts each column of a schema's rows with
+_COLUMNS = {_SIGNAL_SCHEMA: (float, float),
+            _RATES_SCHEMA: (int,) * 4 + (float,) * 2 + (lambda f: float(f) if f else None,)}
 
 
 def _cell(value) -> str:
@@ -179,18 +188,77 @@ def json_text(payload: dict, deterministic: bool = False) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def read_metadata_csv(path, columns=None):
-    """(schema, metadata, header, rows) of a ``write_metadata_csv`` file; the
-    schema is None when the first line names none, and the timestamp line is
-    dropped.  Each row holds its fields as strings, or, where ``columns``
-    maps the file's schema to ``(converters, row)``, each field converted by
-    its column's converter and, where ``row`` is not None, the converted
-    fields made into a record by ``row(header, fields)``.  A metadata value
-    that is not YAML, a missing header, a row whose width differs from the
-    header's, a field its converter refuses and a row that ``row`` refuses
-    raise ValueError, named with the file and line where there is one."""
+def write_signal_csv(signal: EnsembleSignal, path, deterministic: bool = False) -> None:
+    write_metadata_csv(path, _SIGNAL_SCHEMA, signal.metadata, (signal.x_label, signal.y_label),
+                       zip(signal.x, signal.y), deterministic)
+
+
+@dataclass(frozen=True)
+class RateRow:
+    """One decay rate in 1/s, of the unit-time unbalanced echo that its pair,
+    ms pairing and flip fraction build; refused where the echo is."""
+
+    pair: tuple
+    ms_pairing: tuple
+    tau_over_t: float
+    rate: float
+    rate_error: float | None = None
+
+    def __post_init__(self):
+        # a bool would count as 0 or 1; each number is stored as a float
+        for name in ("tau_over_t", "rate") + (() if self.rate_error is None else ("rate_error",)):
+            check_number(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if self.rate <= 0:
+            raise ValueError(f"rates must be positive and finite, got {self.rate}")
+        if self.rate_error is not None and self.rate_error < 0:  # an exact fit gives 0
+            raise ValueError(f"rate_error must be >= 0, got {self.rate_error}")
+        if not 0.0 <= self.tau_over_t <= 1.0:
+            raise ValueError("tau_over_t must lie in [0, 1]")
+        ms_free, ms_flipped = self.ms_pairing
+        build_sequence("unbalanced_echo", 1.0, pair=self.pair, ms_free=ms_free,
+                       ms_flipped=ms_flipped, flip_fraction=self.tau_over_t)
+
+
+@dataclass
+class RateTable:
+    """Decay rates of unit-time unbalanced echoes, a ``RateRow`` each, and
+    the metadata their file carries."""
+
+    rows: list = dataclass_field(default_factory=list)
+    metadata: dict = dataclass_field(default_factory=dict)
+
+    def add(self, pair, ms_pairing, tau_over_t, rate, rate_error=None):
+        self.rows.append(RateRow(tuple(pair), tuple(ms_pairing), tau_over_t, rate, rate_error))
+
+    def filter(self, pair) -> "RateTable":
+        """The rows of one transition pair."""
+        return RateTable(rows=[r for r in self.rows if r.pair == tuple(pair)],
+                         metadata=dict(self.metadata))
+
+    @property
+    def tau_over_t(self) -> np.ndarray:
+        return np.array([r.tau_over_t for r in self.rows])
+
+    @property
+    def rates(self) -> np.ndarray:
+        return np.array([r.rate for r in self.rows])
+
+    def write_csv(self, path, deterministic: bool = False) -> None:
+        rows = ((*r.pair, *r.ms_pairing, r.tau_over_t, r.rate, r.rate_error) for r in self.rows)
+        write_metadata_csv(path, _RATES_SCHEMA, self.metadata, _RATES_HEADER, rows,
+                           deterministic)
+
+
+def read_csv(path) -> EnsembleSignal | RateTable:
+    """The signal or rate table of a ``write_metadata_csv`` file, as its
+    ``# schema`` line names; its ``# written:`` line is dropped.  A file of
+    neither schema, or a rate table whose header is not ``_RATES_HEADER``, is
+    refused at its header line.  A metadata value that is not YAML, a row
+    whose width differs from the header's, a field that is not a number and
+    a rate row that builds no echo raise ValueError named ``path:line``, and
+    a file with no header or no row one named ``path``."""
     schema, metadata, header, rows = None, {}, None, []
-    convert, row = (), None
     for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -199,7 +267,6 @@ def read_metadata_csv(path, columns=None):
             key, sep, value = (part.strip() for part in line[1:].partition(":"))
             if not sep and number == 1:
                 schema = key
-                convert, row = (columns or {}).get(schema, ((), None))
             elif sep and key != "written":
                 try:
                     metadata[key] = load_yaml(value)
@@ -207,48 +274,32 @@ def read_metadata_csv(path, columns=None):
                     raise ValueError(f"{path}:{number}: metadata value of {key!r} "
                                      f"is not valid YAML: {value!r}") from None
         elif header is None:
-            header = [h.strip() for h in line.split(",")]
+            header = tuple(h.strip() for h in line.split(","))
+            columns = _COLUMNS.get(schema, ())
+            if len(header) != len(columns) or schema == _RATES_SCHEMA and header != _RATES_HEADER:
+                raise ValueError(f"{path}:{number}: header {','.join(header)!r} under schema "
+                                 f"{schema!r} is neither a signal's ({_SIGNAL_SCHEMA}, two "
+                                 f"columns x,y) nor a rate table's ({_RATES_SCHEMA}, "
+                                 f"{','.join(_RATES_HEADER)})")
         else:
             fields = line.split(",")
             if len(fields) != len(header):
                 raise ValueError(f"{path}:{number}: row has {len(fields)} fields, "
                                  f"the header {len(header)}")
-            for i, (name, read, field) in enumerate(zip(header, convert, fields)):
+            for i, (name, read, field) in enumerate(zip(header, columns, fields)):
                 try:
                     fields[i] = read(field)
                 except ValueError:
                     raise ValueError(f"{path}:{number}: {name} {field!r} is not a number") from None
-            if row is not None:
+            if schema == _RATES_SCHEMA:
                 try:
-                    fields = row(header, fields)
+                    fields = RateRow(tuple(fields[:2]), tuple(fields[2:4]), *fields[4:])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{number}: {exc}") from None
             rows.append(fields)
-    if header is None:
-        raise ValueError(f"{path}: no header line")
-    return schema, metadata, header, rows
-
-
-# what ``read_metadata_csv`` converts in a signal file's rows
-SIGNAL_COLUMNS = {_CSV_SCHEMA: ((float, float), None)}
-
-
-def write_signal_csv(signal: EnsembleSignal, path, deterministic: bool = False) -> None:
-    write_metadata_csv(path, _CSV_SCHEMA, signal.metadata, (signal.x_label, signal.y_label),
-                       zip(signal.x, signal.y), deterministic)
-
-
-def signal_from_csv(path, schema, metadata, header, rows) -> EnsembleSignal:
-    """The signal of a file that ``read_metadata_csv`` read with
-    ``SIGNAL_COLUMNS``; ValueError unless it holds one."""
-    if schema != _CSV_SCHEMA or len(header) < 2 or not rows:
-        raise ValueError(f"{path}: not a signal file ({_CSV_SCHEMA} with x, y columns "
-                         f"and data), schema {schema!r}")
-    return EnsembleSignal(
-        x=np.array([r[0] for r in rows]), y=np.array([r[1] for r in rows]),
-        x_label=header[0], y_label=header[1], metadata=metadata,
-    )
-
-
-def read_signal_csv(path) -> EnsembleSignal:
-    return signal_from_csv(path, *read_metadata_csv(path, SIGNAL_COLUMNS))
+    if not rows:
+        raise ValueError(f"{path}: no {'data row' if header else 'header line'}")
+    if schema == _RATES_SCHEMA:
+        return RateTable(rows=rows, metadata=metadata)
+    return EnsembleSignal(x=np.array([r[0] for r in rows]), y=np.array([r[1] for r in rows]),
+                          x_label=header[0], y_label=header[1], metadata=metadata)

@@ -11,17 +11,18 @@ import numpy as np
 import pytest
 import yaml
 
-from nvecho import estimator, response, sequences
+from nvecho import response, sequences
 from nvecho.cli import main
-from nvecho.config import packaged_scenario_path
+from nvecho.config import load_packaged_scenario, packaged_scenario_path
 from nvecho.estimator import RateTable
 from nvecho.noise import lorentzian, temperature_source
 from nvecho.pulses import build_sequence
 from nvecho.response import DEFAULT_DATA_FILE, load_response_set
+from nvecho.scenarios import run_scenario
 from nvecho.script import parse_sequence_script
 from nvecho.sequences import (
     EnsembleSignal,
-    read_signal_csv,
+    read_csv,
     scans,
     simulate_family,
     write_signal_csv,
@@ -232,7 +233,7 @@ def test_simulate_runs_rate_table_vee(tmp_path, capsys):
     assert main(["simulate", str(cfg), "--out", str(out_dir), "--deterministic"]) == 0
     summary = capsys.readouterr().out.strip()
     assert summary.startswith("cli-rates: vee ratio 0.19")
-    table = RateTable.read_csv(out_dir / "cli-rates-rates.csv")
+    table = read_csv(out_dir / "cli-rates-rates.csv")
     assert len(table.rows) == 7
     assert table.metadata["scenario"] == "cli-rates"
 
@@ -277,7 +278,7 @@ def test_simulate_matches_sweep_point_bit_for_bit(tmp_path, capsys):
     cfg = _write(tmp_path, "sweep.yaml", sweep_yaml)
     assert main(["simulate", str(cfg), "--out", str(tmp_path / "family"),
                  "--deterministic"]) == 0
-    signal = read_signal_csv(tmp_path / "family" / "cli-mc-sweep.csv")
+    signal = read_csv(tmp_path / "family" / "cli-mc-sweep.csv")
     assert signal.y[1] == single["amplitude"]
 
 
@@ -658,6 +659,7 @@ def test_fit_short_row_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("column, value, problem", [
     (4, "1.5", "tau_over_t must lie in [0, 1]"),
     (5, "-2.0", "rates must be positive and finite, got -2.0"),
+    (6, "-1.0", "rate_error must be >= 0, got -1.0"),
 ])
 def test_fit_refused_rate_row_names_file_and_line(tmp_path, capsys, column, value, problem):
     path = _rate_csv(tmp_path)
@@ -719,15 +721,14 @@ def test_yaml_that_is_not_valid_exits_2_under_either_loader(tmp_path, capsys, mo
 
 
 def test_fit_reads_its_csv_once(tmp_path, capsys, monkeypatch):
-    # the schema and x column that pick the fit come from the parse it fits
-    real, reads = sequences.read_metadata_csv, []
+    # the table or signal that picks the fit is the one it fits
+    real, reads = sequences.read_csv, []
 
     def counted(*args, **kwargs):
         reads.append(args[0])
         return real(*args, **kwargs)
 
-    for module in (sequences, estimator):
-        monkeypatch.setattr(module, "read_metadata_csv", counted)
+    monkeypatch.setattr(sequences, "read_csv", counted)
     for csv, kind in ((_decay_csv(tmp_path), "exponential"), (_rate_csv(tmp_path), "vee")):
         reads.clear()
         assert main(["fit", str(csv), "--deterministic"]) == 0
@@ -784,6 +785,28 @@ def test_fit_leaves_the_noise_module_unloaded(tmp_path, name, csv, options, key)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert f'"{key}"' in proc.stdout
     assert proc.stdout.splitlines()[-1] == "nvecho.noise loaded: False"
+
+
+@pytest.mark.parametrize("name", ["fig1c", "fig2", "fig4", "s5"])
+def test_fit_of_each_written_csv_is_the_runs_own_fit(tmp_path, capsys, request, name):
+    # a CSV reads back as the data the run fitted, so fitting it repeats the
+    # run's fit bit for bit: each decay by its CSV, each rate-table branch by
+    # its pair
+    if name in ("fig4", "s5"):  # the Monte Carlo runs, made once a session
+        result = request.getfixturevalue("protection_runs")[name][1]
+    else:
+        result = run_scenario(load_packaged_scenario(name), out_dir=tmp_path, deterministic=True)
+    csvs = {path.stem.removeprefix(f"{name}-"): path for path in result.artifacts
+            if path.suffix == ".csv"}
+    fitted = set()
+    for label, fit in result.fits.items():
+        argv = [csvs[label]] if label in csvs else [csvs["rates"], "--pair", label]
+        fitted.add(argv[0])
+        assert main(["fit", *map(str, argv), "--deterministic"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc["schema"], doc["kind"], doc["source"]
+        assert doc == fit.as_dict(), label
+    assert fitted == {path for label, path in csvs.items() if label != "sweep"}
 
 
 # -------------------------------------------------------- calibrate-response

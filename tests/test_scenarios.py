@@ -22,10 +22,10 @@ from nvecho.config import (
     parse_config,
     realize_grid,
 )
-from nvecho.estimator import RateTable, fit_exponential
+from nvecho.estimator import fit_exponential
 from nvecho.pulses import KINDS, build_sequence
 from nvecho.scenarios import run_scenario
-from nvecho.sequences import read_signal_csv, scans
+from nvecho.sequences import read_csv, scans
 from nvecho.units import TWO_PI
 
 SAMPLE_RATIO = 36.924 / 204.0  # slope ratio used by the reference scenarios
@@ -86,7 +86,7 @@ def test_decay_compare_reference_numbers(tmp_path):
     assert "improvement" in result.summary
 
     for label in ("protected", "unprotected"):
-        signal = read_signal_csv(tmp_path / f"fig1c-{label}.csv")
+        signal = read_csv(tmp_path / f"fig1c-{label}.csv")
         assert signal.y.shape == (28,)
         assert not (tmp_path / f"fig1c-{label}.json").exists()
     fits = json.loads((tmp_path / "fig1c-fits.json").read_text())
@@ -137,7 +137,7 @@ def test_rate_table_reference_fits(tmp_path):
         -(SAMPLE_RATIO + baseline / slope), abs=1e-4)
     assert result.numbers["vee_baseline_per_s"] == pytest.approx(baseline, rel=1e-3)
 
-    table = RateTable.read_csv(tmp_path / "fig2-rates.csv")
+    table = read_csv(tmp_path / "fig2-rates.csv")
     assert len(table.rows) == 42
     assert len(table.filter(pair=(0, -1)).rows) == 21
     fits = json.loads((tmp_path / "fig2-fits.json").read_text())
@@ -427,7 +427,7 @@ def test_rate_table_is_one_family_per_pair(tmp_path, monkeypatch):
     result = run_scenario(cfg, out_dir=tmp_path, deterministic=True)
     assert families == [21 * 16, 21 * 16]
     # each row of the table is bit-identical to its own decay scan
-    table = RateTable.read_csv(tmp_path / "fig2-rates.csv")
+    table = read_csv(tmp_path / "fig2-rates.csv")
     times = realize_grid(cfg.sequence["times"])
     models = build(cfg)[1]
     for row in table.rows[::10]:

@@ -24,11 +24,9 @@ from nvecho.pulses import (
 from nvecho.response import default_linear_response, default_quasiharmonic_set
 from nvecho.sequences import (
     EnsembleSignal,
-    read_metadata_csv,
-    read_signal_csv,
+    read_csv,
     scans,
     simulate_family,
-    write_metadata_csv,
     write_signal_csv,
 )
 from nvecho.units import TWO_PI
@@ -216,7 +214,7 @@ PUBLIC_NAMES = (
     "dump_config", "estimate_sigma", "field_source", "fit_cosine", "fit_exponential",
     "fit_vee", "format_quantity", "format_sequence_script", "gaussian", "load_config",
     "load_packaged_scenario", "load_response_set", "lorentzian", "parse_config",
-    "parse_quantity", "parse_sequence_script", "predict_echo_rate", "read_signal_csv",
+    "parse_quantity", "parse_sequence_script", "predict_echo_rate", "read_csv",
     "residual_field_source", "run_scenario", "save_response_set", "scans",
     "simulate_family", "strain_source", "temperature_source", "write_signal_csv",
 )
@@ -365,6 +363,19 @@ def test_scans_reject_empty_and_non_finite_inputs():
                   (src,))
 
 
+@pytest.mark.parametrize("kind, keys, problem", [
+    ("ramsey", {"pair": None}, "transition pair must be two m_I levels"),
+    ("ramsey", {"ms": None}, r"ms must be one of -1, 0, \+1, got None"),
+    ("unbalanced_echo", {"flip_fraction": None}, "flip_fraction must be a plain number"),
+], ids=["pair", "ms", "flip_fraction"])
+def test_a_key_given_as_none_is_checked_as_its_value(kind, keys, problem):
+    # a None was reported as a missing key ("kind ramsey needs a pair"),
+    # although the kind has a default for it; an omitted key with no default
+    # is still missing (test_scans_name_a_missing_or_doubled_key)
+    with pytest.raises(ValueError, match=problem):
+        build_sequence(kind, 1e-3, **keys)
+
+
 def test_scans_name_a_missing_or_doubled_key():
     # each used to surface as a bare TypeError from the build_sequence call
     src = temperature_source(lorentzian(0.0, 5.0))
@@ -504,7 +515,7 @@ def test_signal_csv_round_trip(tmp_path):
     write_signal_csv(sig, path, deterministic=True)
     text = path.read_text()
     assert "total_time_s" in text and "# flip_fraction: 0.18" in text
-    again = read_signal_csv(path)
+    again = read_csv(path)
     assert np.allclose(again.x, sig.x) and np.allclose(again.y, sig.y)
     assert again.x_label == sig.x_label and again.y_label == sig.y_label
     assert again.metadata["flip_fraction"] == 0.18
@@ -529,7 +540,7 @@ def test_metadata_floats_read_back_as_floats(tmp_path):
     path = tmp_path / "sweep.csv"
     write_signal_csv(sweep, path, deterministic=True)
     assert "# total_time_s: 5.0e-05" in path.read_text()
-    metadata = read_signal_csv(path).metadata
+    metadata = read_csv(path).metadata
     for key, value in values.items():
         assert type(metadata[key]) is float and metadata[key] == value, (key, metadata[key])
 
@@ -542,18 +553,23 @@ def test_metadata_values_read_back_as_written(tmp_path):
               "count": np.int64(7), "nested": {"b": [1e+20, -math.inf]}, "up": math.inf,
               "note": "two\nlines", "missing": math.nan}
     path = tmp_path / "table.csv"
-    write_metadata_csv(path, "test/1", values, ("x", "n"),
-                       [(0.5, 3), (np.float64(1e-05), None)], deterministic=True)
-    schema, metadata, header, rows = read_metadata_csv(path)
-    assert (schema, header, rows) == ("test/1", ["x", "n"], [["0.5", "3"], ["1e-05", ""]])
+    write_signal_csv(EnsembleSignal(np.array([0.5, 1e-05]), np.array([3.0, 0.25]), "x", "n",
+                                    metadata=values), path, deterministic=True)
+    again = read_csv(path)
+    assert (again.x_label, again.y_label) == ("x", "n")
+    assert again.x.tolist() == [0.5, 1e-05] and again.y.tolist() == [3.0, 0.25]
+    metadata = again.metadata
     assert math.isnan(metadata.pop("missing"))
     assert metadata == {key: value for key, value in values.items() if key != "missing"} | {
         "pair": [0, -1]}
     assert type(metadata["numpy"]) is float and type(metadata["count"]) is int
-    # a file of metadata lines alone holds no table
-    path.write_text("# test/1\n# pair: [0, -1]\n")
+    # a file of metadata lines alone holds no table, and a header alone no data
+    path.write_text("# nvecho-signal/1\n# pair: [0, -1]\n")
     with pytest.raises(ValueError, match="table.csv: no header line"):
-        read_metadata_csv(path)
+        read_csv(path)
+    path.write_text("# nvecho-signal/1\nx,n\n")
+    with pytest.raises(ValueError, match="table.csv: no data row"):
+        read_csv(path)
 
 
 def test_non_finite_durations_rejected():
