@@ -23,8 +23,8 @@ Every flag has a caller: the benchmark (``perfbench``) and CI set ``--out``,
 ``--deterministic`` and ``--pair``, and ``--samples`` and ``--seed``
 override the package data ``reproduce`` runs.  Each subcommand imports only
 what it runs.  OpenBLAS starts with one thread unless its thread count is
-set (``main``): a thread pool costs more to start than a one-shot command's
-small fits gain from it.
+set (``main``): no command calls BLAS, and a thread pool costs about 70 ms
+to start when numpy is imported.
 """
 
 from __future__ import annotations
@@ -213,9 +213,10 @@ def _cmd_parse_seq(args) -> int:
 # -------------------------------------------------------------------- entry
 
 def main(argv=None) -> int:
-    # a one-shot command's largest BLAS call is a ~100 x 3 least-squares fit:
-    # one thread, unless a variable OpenBLAS reads its thread count from holds
-    # a count >= 1 as OpenBLAS reads it (the leading integer, as atoi does)
+    # no command calls BLAS, so OpenBLAS's thread pool would only cost its
+    # start at numpy's import: one thread, unless a variable OpenBLAS reads its
+    # thread count from holds a count >= 1 as OpenBLAS reads it (the leading
+    # integer, as atoi does)
     if not any(int(re.match(r"\s*\+?(\d*)", os.environ.get(name, ""))[1] or 0)
                for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"

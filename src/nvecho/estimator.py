@@ -5,6 +5,10 @@ fits for signal amplitude, exponential fits for coherence times, the
 vee fit of decay rate versus flip fraction that yields the slope ratio of
 the two couplings, inhomogeneity decomposition from measured rates, and
 the dephasing rates the linear model predicts for Lorentzian ensembles.
+Every linear solve, start value and covariance goes through the one
+Householder QR of ``solvers`` (``lstsq``, ``inverse_gram``, ``rank``) and
+every sum through its ``dot`` and ``matvec``, so no fit calls BLAS or
+LAPACK, and a fit's bytes do not follow OpenBLAS's kernel or threads.
 A rate table, its rows and its CSV file belong to ``sequences``, which
 reads and writes every ``#``-metadata CSV; ``RateTable`` is imported here
 for the vee fit.
@@ -21,7 +25,8 @@ from .catalog import DEFAULT_SKIP, MIN_FIT_POINTS
 from .pulses import build_sequence
 from .response import default_linear_response
 from .sequences import RateTable
-from .solvers import FitError, levenberg_marquardt, nnls
+from .solvers import (FitError, dot, inverse_gram, levenberg_marquardt, lstsq, matvec, nnls,
+                      norm, rank)
 from .spin_model import PhaseCoefficients, SpinSystemParams, default_params, phase_coefficients
 
 @dataclass(frozen=True)
@@ -55,16 +60,17 @@ class FitResult:
 
 
 def _covariance_from_jacobian(jac, residuals, n_params):
-    """s^2 (J^T J)^-1 with the usual residual-variance scale."""
-    n = residuals.size
-    dof = max(n - n_params, 1)
-    s2 = float(residuals @ residuals) / dof
-    jtj = jac.T @ jac
-    try:
-        cov = s2 * np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        cov = np.full((n_params, n_params), np.nan)
-    return cov
+    """s^2 (J^T J)^-1 with the usual residual-variance scale, as s^2 R^-1
+    R^-T from the QR of J; all NaN where a pivot of R is zero."""
+    dof = max(residuals.size - n_params, 1)
+    return dot(residuals, residuals) / dof * inverse_gram(jac)
+
+
+def _propagate(jac, cov) -> np.ndarray:
+    """J C J^T: the covariance of parameters that ``jac`` maps from ones of
+    covariance ``cov``."""
+    jc = np.array([[dot(row, column) for column in cov.T] for row in jac])
+    return np.array([[dot(a, b) for b in jac] for a in jc])
 
 
 def _finite(name, values) -> np.ndarray:
@@ -97,10 +103,10 @@ def fit_cosine(phases, signal) -> FitResult:
             "extend the readout-phase scan"
         )
     design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
-    coef, *_ = np.linalg.lstsq(design, signal, rcond=None)
+    coef = lstsq(design, signal)
     offset, a, b = coef
     amplitude = math.hypot(a, b)
-    residuals = signal - design @ coef
+    residuals = signal - matvec(design, coef)
     cov_lin = _covariance_from_jacobian(design, residuals, 3)
 
     warnings = ()
@@ -115,7 +121,7 @@ def fit_cosine(phases, signal) -> FitResult:
             [0.0, b / amplitude**2, -a / amplitude**2],
             [1.0, a / amplitude, b / amplitude],
         ])
-    cov = jac @ cov_lin @ jac.T
+    cov = _propagate(jac, cov_lin)
     parameters = {
         "contrast": 2 * amplitude,
         "phase": phi0,
@@ -124,7 +130,7 @@ def fit_cosine(phases, signal) -> FitResult:
     return FitResult(
         parameters=parameters,
         covariance=cov,
-        residual_norm=float(np.linalg.norm(residuals)),
+        residual_norm=norm(residuals),
         points_used=phases.size,
         warnings=warnings,
     )
@@ -157,7 +163,8 @@ def fit_exponential(times, amplitudes) -> FitResult:
     positive = y > 0
     if positive.sum() < 3:
         raise FitError("too few positive amplitudes to fit a decay")
-    slope, intercept = np.polyfit(t[positive], np.log(y[positive]), 1)
+    slope, intercept = lstsq(np.column_stack([t[positive], np.ones(positive.sum())]),
+                             np.log(y[positive]))
     if slope >= 0:
         raise FitError("amplitudes do not decay with time; cannot fit an exponential")
 
@@ -173,7 +180,7 @@ def fit_exponential(times, amplitudes) -> FitResult:
     return FitResult(
         parameters={"initial_amplitude": float(c0), "coherence_time": float(t2)},
         covariance=_covariance_from_jacobian(jac, res, 2),
-        residual_norm=float(np.linalg.norm(res)),
+        residual_norm=norm(res),
         points_used=int(t.size),
         settings={"skip_initial": DEFAULT_SKIP},
     )
@@ -227,17 +234,17 @@ def _solve_vee(x, y, grid):
         side = np.where(x <= lo, -1.0, 1.0)
         design = np.column_stack([side * x, -side, ones])
         for columns in (3, 2):
-            coef = np.linalg.lstsq(design[:, :columns], y, rcond=None)[0]
+            coef = lstsq(design[:, :columns], y)
             if coef[0] > 0 and lo <= coef[1] / coef[0] <= hi:
                 candidates.append((coef[0], coef[1] / coef[0], coef[2] if columns == 3 else 0.0))
     for vertex in grid:
         design = np.column_stack([np.abs(x - vertex), ones])
         for columns in (2, 1):
-            coef = np.linalg.lstsq(design[:, :columns], y, rcond=None)[0]
+            coef = lstsq(design[:, :columns], y)
             if coef[0] > 0:
                 candidates.append((coef[0], vertex, coef[1] if columns == 2 else 0.0))
     feasible = [c for c in candidates if c[2] >= 0]
-    rss = [float(r @ r) for r in (a * np.abs(x - v) + b - y for a, v, b in feasible)]
+    rss = [dot(r, r) for r in (a * np.abs(x - v) + b - y for a, v, b in feasible)]
     if not rss or min(rss) >= float(np.sum((y - np.mean(y)) ** 2)):
         raise FitError("rate does not rise on both sides of any flip fraction; no vee to fit")
     best = feasible[int(np.argmin(rss))]
@@ -284,10 +291,10 @@ def fit_vee(table: RateTable) -> FitResult:
         if grid.size < 2:
             raise ValueError("line fit needs at least 2 distinct flip fractions")
         design = np.column_stack([x, np.ones_like(x)])
-        (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
+        slope, intercept = lstsq(design, y)
         if slope == 0:
             raise FitError("rate is flat in flip fraction; no intercept estimate")
-        residuals = y - design @ np.array([slope, intercept])
+        residuals = y - matvec(design, (slope, intercept))
         cov_lin = _covariance_from_jacobian(design, residuals, 2)
         ratio = intercept / slope
         jac = np.array([
@@ -298,8 +305,8 @@ def fit_vee(table: RateTable) -> FitResult:
         return FitResult(
             parameters={"ratio": float(ratio), "slope": float(slope),
                         "x_intercept": float(-ratio)},
-            covariance=jac @ cov_lin @ jac.T,
-            residual_norm=float(np.linalg.norm(residuals)),
+            covariance=_propagate(jac, cov_lin),
+            residual_norm=norm(residuals),
             points_used=int(x.size),
             warnings=("line-intercept ratio absorbs any constant baseline "
                       "as bias baseline/slope",),
@@ -322,7 +329,7 @@ def fit_vee(table: RateTable) -> FitResult:
         parameters={"ratio": float(ratio), "slope": float(slope),
                     "baseline": float(baseline)},
         covariance=_covariance_from_jacobian(jac, residuals, 3),
-        residual_norm=float(np.linalg.norm(residuals)),
+        residual_norm=norm(residuals),
         points_used=int(x.size),
         settings={"method": "vee"},
     )
@@ -379,26 +386,21 @@ def estimate_sigma(rates, coefficients, baseline=0.0, rate_errors=None,
             sigma = nnls(coeff * w[:, None], excess * w)
         else:
             sigma = nnls(coeff, excess)
-        resid = coeff @ sigma - excess
+        resid = matvec(coeff, sigma) - excess
 
-    rank = int(np.linalg.matrix_rank(coeff))
-    if rank < coeff.shape[1]:
-        warnings += (f"coefficients have rank {rank} for {coeff.shape[1]} sources: the widths "
-                     "are not determined by these rates and their covariance is NaN",)
+    coeff_rank = rank(coeff)
+    if coeff_rank < coeff.shape[1]:
+        warnings += (f"coefficients have rank {coeff_rank} for {coeff.shape[1]} sources: the "
+                     "widths are not determined by these rates and their covariance is NaN",)
         cov = np.full((coeff.shape[1],) * 2, np.nan)
     elif rate_errors is not None:
-        w2 = 1.0 / rate_errors ** 2
-        info = coeff.T @ (coeff * w2[:, None])
-        try:
-            cov = np.linalg.inv(info)
-        except np.linalg.LinAlgError:
-            cov = np.full((coeff.shape[1],) * 2, np.nan)
+        cov = inverse_gram(coeff / rate_errors[:, None])
     else:
         cov = _covariance_from_jacobian(coeff, resid, coeff.shape[1])
     return FitResult(
         parameters=dict(zip(names, (float(s) for s in sigma))),
         covariance=cov,
-        residual_norm=float(np.linalg.norm(resid)),
+        residual_norm=norm(resid),
         points_used=int(rates.size),
         warnings=warnings,
     )

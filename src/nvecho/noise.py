@@ -106,12 +106,20 @@ class Distribution:
         return 0.5 * (1.0 + math.erf((x - self.location) / (self.scale * math.sqrt(2.0))))
 
     def _sample_chunk(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` draws, each step of the transform written into their own
+        array: location + scale tan(pi (u - 0.5)), or location + scale z."""
+        if self.kind == "delta":
+            return np.full(n, self.location)
         if self.kind == "lorentzian":
-            u = rng.random(n)
-            return self.location + self.scale * np.tan(np.pi * (u - 0.5))
-        if self.kind == "gaussian":
-            return self.location + self.scale * rng.standard_normal(n)
-        return np.full(n, self.location)
+            x = rng.random(n)
+            np.subtract(x, 0.5, out=x)
+            np.multiply(np.pi, x, out=x)
+            np.tan(x, out=x)
+        else:
+            x = rng.standard_normal(n)
+        np.multiply(self.scale, x, out=x)
+        np.add(self.location, x, out=x)
+        return x
 
 
 def lorentzian(location: float, scale: float) -> Distribution:
@@ -173,9 +181,12 @@ class NoiseSource:
         loc = self.distribution.location
         if self.is_linear:
             return ((self.phase_coefficient(coefficients), x - loc),)
-        q, a = self.curves
-        return ((coefficients.quadrupole, q.shift_at(x) - q.shift_at(loc)),
-                (coefficients.hyperfine, a.shift_at(x) - a.shift_at(loc)))
+        channels = []
+        for curve in self.curves:  # each channel is the one array of its curve's shift
+            channel = curve.shift_at(x)
+            channel -= curve.shift_at(loc)
+            channels.append(channel)
+        return tuple(zip((coefficients.quadrupole, coefficients.hyperfine), channels))
 
     def location_phase(self, coefficients: PhaseCoefficients) -> float:
         """Deterministic phase contributed by the distribution's location."""
@@ -398,8 +409,9 @@ def _member_sums(terms) -> list:
 
 def _chunk_channels(sources, windows, grid, seed, k, n_k):
     """The (coefficient, channel) terms of every source, in source order, on
-    chunk k's retained joint draws, and the retained count; the draws and
-    the mask are freed on return."""
+    chunk k's retained joint draws, and the retained count.  Each source's
+    full draws are freed once they are masked, and its retained draws once
+    its channels are evaluated."""
     draws = []
     mask = np.ones(n_k, dtype=bool)
     for j, (src, win) in enumerate(zip(sources, windows)):
@@ -407,8 +419,10 @@ def _chunk_channels(sources, windows, grid, seed, k, n_k):
         if win is not None:
             mask &= (x >= win[0]) & (x <= win[1])
         draws.append(x)
-    terms = [term for src, x in zip(sources, draws)
-             for term in src.deviation_channels(grid, x[mask])]
+    del x  # the last full draws, freed below with their list entry
+    terms = []
+    for src in sources:
+        terms += src.deviation_channels(grid, draws.pop(0)[mask])
     return terms, int(mask.sum())
 
 

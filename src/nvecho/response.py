@@ -140,21 +140,27 @@ def bose_einstein(omega: float, T):
     T : float or ndarray
         Temperature in K.  T = 0 gives 0; a T whose occupation is not finite
         is rejected: negative, NaN, inf, or above about 1.4e297 K.
+
+    An array ``T``, such as a chunk of draws, takes one more array of its
+    size: each step of 1 / expm1(u) is written into the one it returns.
     """
     if omega <= 0:
         raise ValueError("mode frequency must be positive")
     T = np.asarray(T, dtype=float)
+    n = np.empty_like(T)
     with np.errstate(over="ignore", divide="ignore"):
-        # at T = 0, u = inf is clamped to 700 and its occupation replaced by 0
-        u = np.minimum(omega / (K_B_OVER_HBAR * T), 700.0)
+        # u = omega / (k_B T / hbar); at T = 0, u = inf is clamped to 700 and
+        # its occupation replaced by 0
+        np.multiply(K_B_OVER_HBAR, T, out=n)
+        np.divide(omega, n, out=n)
+        np.minimum(n, 700.0, out=n)
         # one comparison refuses every T whose occupation is not finite (u NaN,
         # negative or tiny); only then a second lets T = -0.0 (u = -inf) pass
-        if not (np.all(u > _SMALLEST_U) or np.all((u > _SMALLEST_U) | (T == 0))):
+        if not (np.all(n > _SMALLEST_U) or np.all((n > _SMALLEST_U) | (T == 0))):
             raise ValueError("temperature must be >= 0 K with a finite occupation")
-        n = np.expm1(u)
-        del u  # a chunk of draws is large: each step frees its input
-        n = 1.0 / n
-    n = np.where(T > 0, n, 0.0)
+        np.expm1(n, out=n)
+        np.divide(1.0, n, out=n)
+    np.copyto(n, 0.0, where=T == 0)  # once checked, every T is > 0 or a zero
     return float(n) if n.ndim == 0 else n
 
 
@@ -215,9 +221,12 @@ class QuasiharmonicResponse:
             raise ValueError("reference temperature must be >= 0 K")
 
     def shift_at(self, T):
-        """Shift relative to reference_T, rad/s.  Accepts scalars or arrays."""
-        return self.weight * (bose_einstein(self.omega, T)
-                              - bose_einstein(self.omega, self.reference_T))
+        """Shift relative to reference_T, rad/s.  Accepts scalars or arrays;
+        an array's shift is computed in the occupations' own array."""
+        shift = bose_einstein(self.omega, T)
+        shift -= bose_einstein(self.omega, self.reference_T)
+        shift *= self.weight
+        return shift
 
     def slope_at(self, T):
         """Analytic d shift / dT, rad/s per K."""

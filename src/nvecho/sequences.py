@@ -171,7 +171,16 @@ def write_metadata_csv(path, schema: str, metadata: dict, header, rows,
                        deterministic: bool = False) -> None:
     """CSV of rows of ints, floats and Nones (empty fields), preceded by ``#
     schema``, sorted ``# key: value`` lines, each value one line of flow YAML,
-    and a ``# written:`` timestamp line unless ``deterministic``."""
+    and a ``# written:`` timestamp line unless ``deterministic``.  A key that
+    ``read_csv`` would not read back as written is refused: one that is not
+    a nonempty string, is ``written``, or holds a ``:``, a line break or
+    surrounding space."""
+    for key in metadata:
+        if (not isinstance(key, str) or key in ("", "written") or ":" in key
+                or key.strip() != key or len(key.splitlines()) != 1):
+            raise ValueError(f"metadata key {key!r} would not read back: a key is a nonempty "
+                             "string other than 'written', without ':', a line break or "
+                             "surrounding space")
     lines = [f"# {schema}"] + [f"# {key}: {dump_yaml(metadata[key], flow=True)}"
                                for key in sorted(metadata)]
     if not deterministic:

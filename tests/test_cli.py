@@ -991,9 +991,9 @@ def test_cli_starts_openblas_with_one_thread_unless_told(tmp_path, preset, expec
     assert proc.stdout.splitlines()[-1] == expected
 
 
-# Runs nvecho commands in one interpreter; with "blocked", any import of
-# scipy raises ImportError.
-WITHOUT_SCIPY = """\
+# Runs nvecho commands in one interpreter, each printed before its output;
+# with "blocked", any import of scipy raises ImportError.
+COMMANDS = """\
 import json
 import sys
 
@@ -1005,6 +1005,34 @@ for argv in json.loads(sys.argv[2]):
     print("$ nvecho", *argv, flush=True)
     assert main(argv) == 0, argv
 """
+
+
+def test_fits_follow_no_blas_kernel(tmp_path):
+    # OpenBLAS's Prescott kernel moved the last digits of fig1c's fit
+    # covariance while every fit went through LAPACK; the fits make no BLAS
+    # call now, so each output has the default kernel's bytes
+    reference = Path(__file__).parent / "data" / "reference"
+    outputs = {}
+    for kernel in ("default", "Prescott"):
+        out = tmp_path / kernel
+        out.mkdir()
+        commands = [
+            ["fit", str(reference / "fig1c-protected.csv"), "--deterministic"],
+            ["fit", str(reference / "fig4-protected.csv"), "--deterministic"],
+            ["fit", str(reference / "fig2-rates.csv"), "--pair", "0,-1", "--deterministic"],
+            ["fit", str(reference / "fig2-rates.csv"), "--pair", "0,1", "--deterministic"],
+            ["calibrate-response", "--out", str(out / "cal.yaml"), "--deterministic"],
+        ]
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        if kernel != "default":
+            env["OPENBLAS_CORETYPE"] = kernel
+        proc = subprocess.run([sys.executable, "-c", COMMANDS, "available", json.dumps(commands)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outputs[kernel] = (proc.stdout.replace(str(out), "OUT"), (out / "cal.yaml").read_bytes())
+    assert outputs["default"][0].count('"covariance"') == 4
+    assert outputs["Prescott"] == outputs["default"]
+
 
 # a quasiharmonic decay_compare at few samples
 QH_COMPARE_YAML = """\
@@ -1057,7 +1085,7 @@ def test_every_command_runs_without_scipy(tmp_path):
             ["simulate", str(config), "--out", str(out / "qh"), "--deterministic"],
         ]
         proc = subprocess.run(
-            [sys.executable, "-c", WITHOUT_SCIPY, mode, json.dumps(commands)],
+            [sys.executable, "-c", COMMANDS, mode, json.dumps(commands)],
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -400,9 +400,11 @@ def test_member_kernel_keeps_signed_zeros_out_of_the_sum():
         assert np.array(got).tobytes() == np.array(complex(channel.size, 0.0)).tobytes()
 
 
-# tracemalloc peak of the call below before the member loop was split across
-# threads (numpy 2.4, Python 3.11): per-member temporaries on top of the draws
-PEAK_BEFORE_THREADS = 4_141_792
+# tracemalloc peak of the call below with each chunk's draws and channels
+# evaluated in place (numpy 2.4, Python 3.11): 2,050,036 B on one CPU and
+# 2,054,540 B on two, plus a margin of 128 KiB, a quarter of one float array
+# of a chunk's draws, so that one more such temporary fails it
+PEAK_BYTES = 2_054_540 + 128 * 1024
 
 
 FORK = os.fork
@@ -432,7 +434,7 @@ def test_monte_carlo_peak_memory(monkeypatch):
         finally:
             tracemalloc.stop()
         assert len(forks) == cpus - 1  # the set-up call's one chunk is not split
-        assert peak <= PEAK_BEFORE_THREADS, cpus
+        assert peak <= PEAK_BYTES, cpus
 
 
 def assert_no_child_left():

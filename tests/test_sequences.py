@@ -1,6 +1,7 @@
 """Pulse sequences, ensemble signal simulation, and signal file round trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -570,6 +571,18 @@ def test_metadata_values_read_back_as_written(tmp_path):
     path.write_text("# nvecho-signal/1\nx,n\n")
     with pytest.raises(ValueError, match="table.csv: no data row"):
         read_csv(path)
+
+
+@pytest.mark.parametrize("key", ["written", "a:b", "", "two\nlines", "carriage\rreturn",
+                                 " padded", "line\u2028separator", 7])
+def test_a_metadata_key_that_would_not_read_back_is_refused(tmp_path, key):
+    # a key named written was dropped as the timestamp line, and one holding
+    # a colon split at it: {"written": "by hand", "a:b": 1} read back as
+    # {"a": {"b": 1}}
+    signal = EnsembleSignal(np.array([0.5]), np.array([3.0]), "x", "n", metadata={key: 1})
+    with pytest.raises(ValueError, match=re.escape(f"metadata key {key!r} would not read back")):
+        write_signal_csv(signal, tmp_path / "signal.csv", deterministic=True)
+    assert not (tmp_path / "signal.csv").exists()
 
 
 def test_non_finite_durations_rejected():
