@@ -36,7 +36,7 @@ plus the fig2c/fig2d aliases, which both resolve to the two-branch fig2
 table).  Loading a config imports only the modules that build its models:
 the sequence kinds come from the numpy-free ``pulses``, and the scan, fit,
 script and run layers are not imported at all.  YAML is parsed by
-``response.load_yaml`` (libyaml where PyYAML has it).
+``yamlio.load_yaml`` (libyaml where PyYAML has it).
 """
 
 from __future__ import annotations
@@ -62,12 +62,11 @@ from .response import (
     LinearResponse,
     PRESSURE_PER_STRAIN_GPA,
     QuasiharmonicSet,
-    dump_yaml,
     load_response_set,
-    load_yaml,
 )
 from .spin_model import SpinSystemParams
 from .units import QuantityError, angular, format_quantity, parse_quantity
+from .yamlio import dump_yaml, load_yaml
 
 SCHEMA = "nvecho-scenario/1"
 DATA_DIR_ENV = "NVECHO_DATA_DIR"

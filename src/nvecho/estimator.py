@@ -5,36 +5,39 @@ fits for signal amplitude, exponential fits for coherence times, the
 vee fit of decay rate versus flip fraction that yields the slope ratio of
 the two couplings, inhomogeneity decomposition from measured rates, and
 the dephasing rates the linear model predicts for Lorentzian ensembles.
-Every linear solve, start value and covariance goes through the one
-Householder QR of ``solvers`` (``lstsq``, ``inverse_gram``, ``rank``) and
-every sum through its ``dot`` and ``matvec``, so no fit calls BLAS or
-LAPACK, and a fit's bytes do not follow OpenBLAS's kernel or threads.
-A rate table, its rows and its CSV file belong to ``sequences``, which
-reads and writes every ``#``-metadata CSV; ``RateTable`` is imported here
-for the vee fit.
+The fits take sequences of numbers and compute on Python floats, with
+``math``'s ``exp``, ``log``, ``cos`` and ``sin``; every linear solve, start
+value and covariance goes through the one Householder QR of ``solvers``
+(``lstsq``, ``inverse_gram``, ``rank``) and every sum through its ``dot``
+and ``matvec``.  So a fit imports no numpy, and its bytes follow neither
+OpenBLAS's kernel or threads nor numpy's SIMD loops.  A fit's covariance
+is a list of rows.  A rate table, its rows and its CSV file belong to
+``sequences``, which reads and writes every ``#``-metadata CSV;
+``RateTable`` is imported here for the vee fit.  The vee fit reads a
+table's branch from ``catalog``'s default slopes, so it loads neither the
+response models nor the noise sources.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 
-import numpy as np
-
-from .catalog import DEFAULT_SKIP, MIN_FIT_POINTS
+from .catalog import DEFAULT_SKIP, HYPERFINE_HZ_PER_K, MIN_FIT_POINTS, QUADRUPOLE_HZ_PER_K
 from .pulses import build_sequence
-from .response import default_linear_response
 from .sequences import RateTable
 from .solvers import (FitError, dot, inverse_gram, levenberg_marquardt, lstsq, matvec, nnls,
                       norm, rank)
 from .spin_model import PhaseCoefficients, SpinSystemParams, default_params, phase_coefficients
+from .units import angular
 
 @dataclass(frozen=True)
 class FitResult:
-    """Named parameters plus covariance in the same order."""
+    """Named parameters plus covariance (a list of rows) in the same order."""
 
     parameters: dict
-    covariance: np.ndarray
+    covariance: list
     residual_norm: float
     points_used: int
     warnings: tuple = ()
@@ -51,7 +54,7 @@ class FitResult:
         """JSON-ready form: plain floats and nested lists."""
         return {
             "parameters": {k: float(v) for k, v in self.parameters.items()},
-            "covariance": np.asarray(self.covariance, dtype=float).tolist(),
+            "covariance": [[float(v) for v in row] for row in self.covariance],
             "residual_norm": float(self.residual_norm),
             "points_used": int(self.points_used),
             "warnings": list(self.warnings),
@@ -59,26 +62,37 @@ class FitResult:
         }
 
 
-def _covariance_from_jacobian(jac, residuals, n_params):
+def _covariance_from_jacobian(jac, residuals, n_params) -> list:
     """s^2 (J^T J)^-1 with the usual residual-variance scale, as s^2 R^-1
     R^-T from the QR of J; all NaN where a pivot of R is zero."""
-    dof = max(residuals.size - n_params, 1)
-    return dot(residuals, residuals) / dof * inverse_gram(jac)
+    s2 = dot(residuals, residuals) / max(len(residuals) - n_params, 1)
+    return [[s2 * v for v in row] for row in inverse_gram(jac)]
 
 
-def _propagate(jac, cov) -> np.ndarray:
+def _propagate(jac, cov) -> list:
     """J C J^T: the covariance of parameters that ``jac`` maps from ones of
     covariance ``cov``."""
-    jc = np.array([[dot(row, column) for column in cov.T] for row in jac])
-    return np.array([[dot(a, b) for b in jac] for a in jc])
+    jc = [[dot(row, column) for column in zip(*cov)] for row in jac]
+    return [[dot(a, b) for b in jac] for a in jc]
 
 
-def _finite(name, values) -> np.ndarray:
-    """``values`` as a float array, refused if one is not finite."""
-    values = np.asarray(values, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(f"{name} must be finite; {name}[{bad[0]}] is {values.flat[bad[0]]}")
+def _shape(values) -> tuple:
+    """numpy's shape of ``values``: an array's own, a nested sequence's
+    from its first items, and () for one number."""
+    shape = getattr(values, "shape", None)
+    if shape is not None:
+        return tuple(shape)
+    if isinstance(values, Sequence) and not isinstance(values, str):
+        return (len(values),) + (_shape(values[0]) if values else ())
+    return ()
+
+
+def _finite(name, values) -> list:
+    """``values`` as a list of floats, refused if one is not finite."""
+    values = [float(v) for v in values]
+    for i, value in enumerate(values):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite; {name}[{i}] is {value}")
     return values
 
 
@@ -91,36 +105,37 @@ def fit_cosine(phases, signal) -> FitResult:
     (phi0), and ``maximum`` (c0, the signal at the fringe top).  Needs at
     least four points spanning a full period.
     """
-    phases, signal = _finite("phases", phases), _finite("signal", signal)
-    if phases.shape != signal.shape or phases.ndim != 1:
+    shape = _shape(phases)
+    if len(shape) != 1 or _shape(signal) != shape:
         raise ValueError("phases and signal must be 1D arrays of equal length")
-    if phases.size < 4:
+    phases, signal = _finite("phases", phases), _finite("signal", signal)
+    if len(phases) < 4:
         raise ValueError("cosine fit needs at least 4 points")
-    span = float(np.max(phases) - np.min(phases))
+    span = max(phases) - min(phases)
     if span < 2 * math.pi * (1 - 1e-9):
         raise FitError(
             f"phase span {span:.3f} rad is less than one period; "
             "extend the readout-phase scan"
         )
-    design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
+    design = [(1.0, math.cos(phase), math.sin(phase)) for phase in phases]
     coef = lstsq(design, signal)
     offset, a, b = coef
     amplitude = math.hypot(a, b)
-    residuals = signal - matvec(design, coef)
+    residuals = [s - fitted for s, fitted in zip(signal, matvec(design, coef))]
     cov_lin = _covariance_from_jacobian(design, residuals, 3)
 
     warnings = ()
     if amplitude < 1e-12 * max(1.0, abs(offset)):
         warnings = ("zero contrast: fringe phase is unconstrained",)
         phi0 = 0.0
-        jac = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        jac = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
     else:
         phi0 = math.atan2(-b, a)
-        jac = np.array([
+        jac = [
             [0.0, 2 * a / amplitude, 2 * b / amplitude],
             [0.0, b / amplitude**2, -a / amplitude**2],
             [1.0, a / amplitude, b / amplitude],
-        ])
+        ]
     cov = _propagate(jac, cov_lin)
     parameters = {
         "contrast": 2 * amplitude,
@@ -131,7 +146,7 @@ def fit_cosine(phases, signal) -> FitResult:
         parameters=parameters,
         covariance=cov,
         residual_norm=norm(residuals),
-        points_used=phases.size,
+        points_used=len(phases),
         warnings=warnings,
     )
 
@@ -147,41 +162,44 @@ def fit_exponential(times, amplitudes) -> FitResult:
     data.  Least squares from the log-linear estimate, run to convergence;
     raises FitError when the minimum runs off (T2 -> 0 or infinity) instead.
     """
+    shape = _shape(times)
+    if len(shape) != 1:
+        raise ValueError(f"times must be a 1-d array, got shape {shape}")
+    if _shape(amplitudes) != shape:
+        raise ValueError(f"amplitudes must have the shape of times {shape}, "
+                         f"got {_shape(amplitudes)}")
     times, amplitudes = _finite("times", times), _finite("amplitudes", amplitudes)
-    if times.ndim != 1:
-        raise ValueError(f"times must be a 1-d array, got shape {times.shape}")
-    if amplitudes.shape != times.shape:
-        raise ValueError(f"amplitudes must have the shape of times {times.shape}, "
-                         f"got {amplitudes.shape}")
-    if np.any(np.diff(times) <= 0):
+    if any(later <= earlier for earlier, later in zip(times, times[1:])):
         raise ValueError("times must strictly increase")
     t = times[DEFAULT_SKIP:]
     y = amplitudes[DEFAULT_SKIP:]
-    if t.size < MIN_FIT_POINTS:
+    if len(t) < MIN_FIT_POINTS:
         raise ValueError(f"exponential fit needs >= {MIN_FIT_POINTS} points after skipping "
-                         f"{DEFAULT_SKIP}, got {t.size}")
-    positive = y > 0
-    if positive.sum() < 3:
+                         f"{DEFAULT_SKIP}, got {len(t)}")
+    positive = [(ti, yi) for ti, yi in zip(t, y) if yi > 0]
+    if len(positive) < 3:
         raise FitError("too few positive amplitudes to fit a decay")
-    slope, intercept = lstsq(np.column_stack([t[positive], np.ones(positive.sum())]),
-                             np.log(y[positive]))
+    slope, intercept = lstsq([(ti, 1.0) for ti, _ in positive],
+                             [math.log(yi) for _, yi in positive])
     if slope >= 0:
         raise FitError("amplitudes do not decay with time; cannot fit an exponential")
 
     def residuals(p):
         c0, t2 = p
-        decay = np.exp(-t / t2)
-        return c0 * decay - y, np.column_stack([decay, c0 * t / t2**2 * decay])
+        decay = [math.exp(-ti / t2) for ti in t]
+        t2_squared = t2**2
+        return ([c0 * d - yi for d, yi in zip(decay, y)],
+                [(d, c0 * ti / t2_squared * d) for ti, d in zip(t, decay)])
 
     p0 = (math.exp(intercept), -1.0 / slope)
     (c0, t2), res, jac = levenberg_marquardt(residuals, p0)
     if t2 <= 0:
         raise FitError("fitted coherence time is not positive")
     return FitResult(
-        parameters={"initial_amplitude": float(c0), "coherence_time": float(t2)},
+        parameters={"initial_amplitude": c0, "coherence_time": t2},
         covariance=_covariance_from_jacobian(jac, res, 2),
         residual_norm=norm(res),
-        points_used=int(t.size),
+        points_used=len(t),
         settings={"skip_initial": DEFAULT_SKIP},
     )
 
@@ -202,17 +220,22 @@ def _vee_dispatch(table: RateTable) -> str:
     """The table's branch: a vee when the temperature term vanishes inside
     (0, 1), that is when its coefficient under the default linear response
     changes sign between the two manifolds, and a line otherwise.  The
-    coefficient is read from the response's slopes, not from a noise
-    source, so that a fit does not import ``noise``."""
+    coefficient is read from ``catalog``'s default slopes, not from the
+    response models or a noise source, so that a fit imports neither."""
     pairs = {r.pair for r in table.rows}
     pairings = {r.ms_pairing for r in table.rows}
     if len(pairs) != 1 or len(pairings) != 1:
         raise ValueError("fit_vee needs a table filtered to one pair and one ms pairing")
     (pair,), (pairing,) = pairs, pairings
-    slopes = default_linear_response()
-    free, flipped = (c.quadrupole * slopes.quadrupole_per_K + c.hyperfine * slopes.hyperfine_per_K
+    quadrupole_per_K, hyperfine_per_K = angular(QUADRUPOLE_HZ_PER_K), angular(HYPERFINE_HZ_PER_K)
+    free, flipped = (c.quadrupole * quadrupole_per_K + c.hyperfine * hyperfine_per_K
                      for c in (_unit_echo(pair, f, *pairing) for f in (0.0, 1.0)))
     return "vee" if free * flipped < 0 else "line"
+
+
+def _sign(value: float) -> float:
+    """-1.0, 0.0 or 1.0, as ``numpy.sign`` gives it."""
+    return 1.0 if value > 0 else -1.0 if value < 0 else 0.0
 
 
 def _solve_vee(x, y, grid):
@@ -228,26 +251,26 @@ def _solve_vee(x, y, grid):
     optimum, unless a flat line (slope 0) fits as well.  Returns
     (slope, ratio, baseline).
     """
-    ones = np.ones_like(x)
     candidates = []
     for lo, hi in zip(grid[:-1], grid[1:]):
-        side = np.where(x <= lo, -1.0, 1.0)
-        design = np.column_stack([side * x, -side, ones])
+        design = [(xi, -1.0, 1.0) if xi > lo else (-xi, 1.0, 1.0) for xi in x]
         for columns in (3, 2):
-            coef = lstsq(design[:, :columns], y)
+            coef = lstsq([row[:columns] for row in design], y)
             if coef[0] > 0 and lo <= coef[1] / coef[0] <= hi:
                 candidates.append((coef[0], coef[1] / coef[0], coef[2] if columns == 3 else 0.0))
     for vertex in grid:
-        design = np.column_stack([np.abs(x - vertex), ones])
+        design = [(abs(xi - vertex), 1.0) for xi in x]
         for columns in (2, 1):
-            coef = lstsq(design[:, :columns], y)
+            coef = lstsq([row[:columns] for row in design], y)
             if coef[0] > 0:
                 candidates.append((coef[0], vertex, coef[1] if columns == 2 else 0.0))
     feasible = [c for c in candidates if c[2] >= 0]
-    rss = [dot(r, r) for r in (a * np.abs(x - v) + b - y for a, v, b in feasible)]
-    if not rss or min(rss) >= float(np.sum((y - np.mean(y)) ** 2)):
+    rss = [dot(r, r) for r in ([a * abs(xi - v) + b - yi for xi, yi in zip(x, y)]
+                               for a, v, b in feasible)]
+    mean = math.fsum(y) / len(y)
+    if not rss or min(rss) >= math.fsum((yi - mean) * (yi - mean) for yi in y):
         raise FitError("rate does not rise on both sides of any flip fraction; no vee to fit")
-    best = feasible[int(np.argmin(rss))]
+    best = feasible[rss.index(min(rss))]
     if best[1] in grid:
         return best
     # Refine in the model's own parameters, which recovers the rounding of
@@ -256,8 +279,8 @@ def _solve_vee(x, y, grid):
 
     def residuals(p):
         slope, ratio, baseline = (*p, 0.0)[:3]
-        jac = np.column_stack([np.abs(x - ratio), -slope * np.sign(x - ratio), ones])
-        return slope * np.abs(x - ratio) + baseline - y, jac[:, :free]
+        return ([slope * abs(xi - ratio) + baseline - yi for xi, yi in zip(x, y)],
+                [(abs(xi - ratio), -slope * _sign(xi - ratio), 1.0)[:free] for xi in x])
 
     try:
         refined = (*levenberg_marquardt(residuals, best[:free])[0], 0.0)[:3]
@@ -276,61 +299,62 @@ def fit_vee(table: RateTable) -> FitResult:
     line; its x-intercept magnitude estimates the same ratio but absorbs
     baseline / slope as bias, which is faithfully reported.  The branch
     geometry of the table, one pair and one ms pairing, decides which.
+    The rows are fitted in the order of their flip fractions, rows of
+    equal flip fraction in table order.
     """
     if not table.rows:
         raise ValueError("fit_vee needs a rate table with rows; the table is empty")
-    x = table.tau_over_t
-    y = table.rates
-    order = np.argsort(x)
-    x, y = x[order], y[order]
-    # the distinct flip fractions, as np.unique gives them (which would
-    # import numpy.ma)
-    grid = x[np.concatenate(([True], x[1:] != x[:-1]))]
+    points = sorted(zip(table.tau_over_t, table.rates), key=lambda point: point[0])
+    x = [xi for xi, _ in points]
+    y = [yi for _, yi in points]
+    grid = [xi for i, xi in enumerate(x) if i == 0 or xi != x[i - 1]]  # distinct flip fractions
 
     if _vee_dispatch(table) == "line":
-        if grid.size < 2:
+        if len(grid) < 2:
             raise ValueError("line fit needs at least 2 distinct flip fractions")
-        design = np.column_stack([x, np.ones_like(x)])
+        design = [(xi, 1.0) for xi in x]
         slope, intercept = lstsq(design, y)
         if slope == 0:
             raise FitError("rate is flat in flip fraction; no intercept estimate")
-        residuals = y - matvec(design, (slope, intercept))
+        residuals = [yi - fitted for yi, fitted in zip(y, matvec(design, (slope, intercept)))]
         cov_lin = _covariance_from_jacobian(design, residuals, 2)
         ratio = intercept / slope
-        jac = np.array([
-            [-intercept / slope**2, 1.0 / slope],
+        try:
+            slope_squared = slope**2
+        except OverflowError:  # rates beyond 1e154 /s: inf, as numpy's power gave
+            slope_squared = math.inf
+        jac = [
+            [-intercept / slope_squared, 1.0 / slope],
             [1.0, 0.0],
-            [intercept / slope**2, -1.0 / slope],
-        ])
+            [intercept / slope_squared, -1.0 / slope],
+        ]
         return FitResult(
-            parameters={"ratio": float(ratio), "slope": float(slope),
-                        "x_intercept": float(-ratio)},
+            parameters={"ratio": ratio, "slope": slope, "x_intercept": -ratio},
             covariance=_propagate(jac, cov_lin),
             residual_norm=norm(residuals),
-            points_used=int(x.size),
+            points_used=len(x),
             warnings=("line-intercept ratio absorbs any constant baseline "
                       "as bias baseline/slope",),
             settings={"method": "line"},
         )
 
-    if grid.size < 6:
-        raise ValueError(f"vee fit needs at least 6 distinct flip fractions, got {grid.size}")
+    if len(grid) < 6:
+        raise ValueError(f"vee fit needs at least 6 distinct flip fractions, got {len(grid)}")
     slope, ratio, baseline = _solve_vee(x, y, grid)
-    eps = (x[-1] - x[0]) / (2 * (grid.size - 1))
+    eps = (x[-1] - x[0]) / (2 * (len(grid) - 1))
     if not x[0] + eps < ratio < x[-1] - eps:
         raise FitError(
             f"vertex at {ratio:.3f} is not straddled by the flip-fraction grid "
             f"[{x[0]:.3f}, {x[-1]:.3f}]; extend the grid past the vertex"
         )
-    residuals = slope * np.abs(x - ratio) + baseline - y
+    residuals = [slope * abs(xi - ratio) + baseline - yi for xi, yi in zip(x, y)]
     # Jacobian of the residuals in (ratio, slope, baseline) order
-    jac = np.column_stack([-slope * np.sign(x - ratio), np.abs(x - ratio), np.ones_like(x)])
+    jac = [(-slope * _sign(xi - ratio), abs(xi - ratio), 1.0) for xi in x]
     return FitResult(
-        parameters={"ratio": float(ratio), "slope": float(slope),
-                    "baseline": float(baseline)},
+        parameters={"ratio": ratio, "slope": slope, "baseline": baseline},
         covariance=_covariance_from_jacobian(jac, residuals, 3),
         residual_norm=norm(residuals),
-        points_used=int(x.size),
+        points_used=len(x),
         settings={"method": "vee"},
     )
 
@@ -348,60 +372,66 @@ def estimate_sigma(rates, coefficients, baseline=0.0, rate_errors=None,
     positive, finite error per rate; they weight the fit and give the
     covariance.
     """
-    rates = np.atleast_1d(_finite("rates", rates))
-    if rates.size == 0:
+    rates = _finite("rates", rates if _shape(rates) else [rates])
+    if not rates:
         raise ValueError("rates are empty; need at least one")
-    coeff = np.atleast_1d(_finite("coefficients", coefficients))
-    baseline = _finite("baseline", baseline)
-    if baseline.ndim > 1 or baseline.size not in (1, rates.size):
-        raise ValueError(f"baseline needs one value or one per rate ({rates.size}), "
-                         f"got shape {baseline.shape}")
-    if coeff.ndim == 1:
-        coeff = coeff[:, None]
-    coeff = np.abs(coeff)
-    if coeff.shape[0] != rates.size:
+    shape = _shape(coefficients)
+    if len(shape) < 2:  # one source: its coefficients are a column
+        coefficients = [[c] for c in (coefficients if shape else [coefficients])]
+    _finite("coefficients", [c for row in coefficients for c in row])
+    coeff = [[abs(float(c)) for c in row] for row in coefficients]
+    n_sources = len(coeff[0]) if coeff else 1
+    baseline_shape = _shape(baseline)
+    if len(baseline_shape) > 1 or baseline_shape and baseline_shape[0] not in (1, len(rates)):
+        raise ValueError(f"baseline needs one value or one per rate ({len(rates)}), "
+                         f"got shape {baseline_shape}")
+    baseline = _finite("baseline", baseline if baseline_shape else [baseline])
+    if len(coeff) != len(rates):
         raise ValueError("coefficients must have one row per rate")
-    if np.any(np.all(coeff == 0, axis=0)):
+    if any(all(row[j] == 0 for row in coeff) for j in range(n_sources)):
         raise ValueError("every noise source needs a nonzero coefficient")
     names = tuple(source_names) if source_names else tuple(
-        f"sigma_{j}" for j in range(coeff.shape[1])
+        f"sigma_{j}" for j in range(n_sources)
     )
-    if len(names) != coeff.shape[1]:
+    if len(names) != n_sources:
         raise ValueError("one name per source required")
     if rate_errors is not None:
-        rate_errors = np.atleast_1d(np.asarray(rate_errors, dtype=float))
-        if rate_errors.shape != rates.shape or not np.all(
-                np.isfinite(rate_errors) & (rate_errors > 0)):
+        errors_shape = _shape(rate_errors)
+        rate_errors = [float(e) for e in (rate_errors if errors_shape else [rate_errors])]
+        if len(errors_shape) > 1 or len(rate_errors) != len(rates) or not all(
+                math.isfinite(e) and e > 0 for e in rate_errors):
             raise ValueError("rate_errors needs one positive, finite error per rate")
-    excess = rates - baseline
+    excess = [r - b for r, b in zip(rates, baseline * len(rates) if len(baseline) == 1
+                                    else baseline)]
 
     warnings = ()
-    if np.all(excess <= 0):
-        sigma = np.zeros(coeff.shape[1])
-        resid = -excess
+    if all(e <= 0 for e in excess):
+        sigma = [0.0] * n_sources
+        resid = [-e for e in excess]
         warnings = ("rates do not exceed the baseline; widths set to zero",)
     else:
         if rate_errors is not None:
-            w = 1.0 / rate_errors
-            sigma = nnls(coeff * w[:, None], excess * w)
+            w = [1.0 / e for e in rate_errors]
+            sigma = nnls([[c * wi for c in row] for row, wi in zip(coeff, w)],
+                         [e * wi for e, wi in zip(excess, w)])
         else:
             sigma = nnls(coeff, excess)
-        resid = matvec(coeff, sigma) - excess
+        resid = [fitted - e for fitted, e in zip(matvec(coeff, sigma), excess)]
 
     coeff_rank = rank(coeff)
-    if coeff_rank < coeff.shape[1]:
-        warnings += (f"coefficients have rank {coeff_rank} for {coeff.shape[1]} sources: the "
+    if coeff_rank < n_sources:
+        warnings += (f"coefficients have rank {coeff_rank} for {n_sources} sources: the "
                      "widths are not determined by these rates and their covariance is NaN",)
-        cov = np.full((coeff.shape[1],) * 2, np.nan)
+        cov = [[math.nan] * n_sources for _ in range(n_sources)]
     elif rate_errors is not None:
-        cov = inverse_gram(coeff / rate_errors[:, None])
+        cov = inverse_gram([[c / e for c in row] for row, e in zip(coeff, rate_errors)])
     else:
-        cov = _covariance_from_jacobian(coeff, resid, coeff.shape[1])
+        cov = _covariance_from_jacobian(coeff, resid, n_sources)
     return FitResult(
-        parameters=dict(zip(names, (float(s) for s in sigma))),
+        parameters=dict(zip(names, sigma)),
         covariance=cov,
         residual_norm=norm(resid),
-        points_used=int(rates.size),
+        points_used=len(rates),
         warnings=warnings,
     )
 

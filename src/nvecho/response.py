@@ -25,9 +25,9 @@ naming the key, a curve with other than one mode, a nonzero expansion term,
 or a mode whose temperature or weight is not a finite number or whose
 temperature is not > 0 K.
 
-``load_yaml`` and ``dump_yaml`` are the package's one YAML reader and printer
-(data files, scenario configs, CSV metadata); the reader is libyaml's
-``CSafeLoader`` where PyYAML has it, else the pure-Python ``SafeLoader``.
+The data file is read and written through the package's one YAML reader
+and printer (``yamlio``).  The default linear slopes are ``catalog``'s, where
+the vee fit reads them without loading this module.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from .catalog import HYPERFINE_HZ_PER_K, QUADRUPOLE_HZ_PER_K
 from .solvers import FitError, levenberg_marquardt
 from .units import K_B_OVER_HBAR, angular, check_number, cycles
+from .yamlio import dump_yaml, load_yaml
 
 # Diamond bulk modulus; converts hydrostatic strain to pressure via P = -3*K*eps.
 BULK_MODULUS_GPA = 443.0
@@ -78,37 +80,6 @@ CALIBRATION_ZFS_SLOPE = angular(-77.7e3)
 RATIO_TOLERANCE = 0.02
 
 DEFAULT_DATA_FILE = Path(__file__).parent / "data" / "quasiharmonic_default.yaml"
-
-# libyaml's parser where PyYAML was built with it: the same documents as the
-# pure-Python SafeLoader, parsed several times faster
-YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-
-
-def load_yaml(text):
-    """The document of YAML ``text`` as ``yaml.safe_load`` reads it, parsed
-    by ``YAML_LOADER``; the config, the response data file and CSV metadata
-    are all read through it."""
-    return yaml.load(text, Loader=YAML_LOADER)
-
-
-class _Dumper(yaml.SafeDumper):
-    """``yaml.safe_dump``'s printer, which prints a numpy scalar as its number
-    and, in flow style, a multi-line string double-quoted on one line."""
-
-
-_Dumper.add_multi_representer(np.generic, lambda dumper, value: dumper.represent_data(value.item()))
-_Dumper.add_representer(str, lambda dumper, text: dumper.represent_scalar(
-    "tag:yaml.org,2002:str", text, '"' if dumper.default_flow_style and "\n" in text else None))
-
-
-def dump_yaml(data, sort_keys: bool = True, flow: bool = False) -> str:
-    """YAML text of ``data`` that ``load_yaml`` reads back, a tuple as a list:
-    a block-style document, or with ``flow`` one flow-style line without the
-    document end marker, as a ``# key: value`` metadata line holds it."""
-    text = yaml.dump(data, Dumper=_Dumper, sort_keys=sort_keys, default_flow_style=flow,
-                     width=math.inf if flow else None)
-    return text.removesuffix("\n").removesuffix("\n...") if flow else text
-
 
 def _require_finite(obj, what, names=None) -> None:
     """Refuse ``obj`` unless its ``names`` fields (all by default) are finite
@@ -184,8 +155,8 @@ class LinearResponse:
     bulk-modulus conversion P = -3*K*eps.
     """
 
-    quadrupole_per_K: float = angular(39.0)
-    hyperfine_per_K: float = angular(204.0)
+    quadrupole_per_K: float = angular(QUADRUPOLE_HZ_PER_K)
+    hyperfine_per_K: float = angular(HYPERFINE_HZ_PER_K)
     quadrupole_per_strain: float = QUADRUPOLE_PER_GPA * PRESSURE_PER_STRAIN_GPA
     hyperfine_per_strain: float = HYPERFINE_PER_GPA * PRESSURE_PER_STRAIN_GPA
 
@@ -275,13 +246,17 @@ def fit_mode_temperature(reference: QuasiharmonicResponse, slope_at_T0: float,
     reference_slopes = reference.slope_at(Ts)
 
     def residuals(log_theta):
-        theta = float(np.exp(log_theta[0]))
-        omega = einstein_mode_frequency(theta)
-        weight = slope_at_T0 / bose_einstein_slope(omega, T0)
-        model_ratio = weight * bose_einstein_slope(omega, Ts) / reference_slopes
-        # d ln(ratio) / d ln(theta), from d ln(dn/dT) / d ln(theta) = 1 - u coth(u / 2)
-        d_log = theta / T0 / np.tanh(theta / (2 * T0)) - theta / Ts / np.tanh(theta / (2 * Ts))
-        return (model_ratio - targets) / targets, (model_ratio * d_log / targets)[:, None]
+        # a trial point may overflow: numpy gives inf there, which the solver refuses
+        with np.errstate(all="ignore"):
+            theta = float(np.exp(log_theta[0]))
+            omega = einstein_mode_frequency(theta)
+            weight = slope_at_T0 / bose_einstein_slope(omega, T0)
+            model_ratio = weight * bose_einstein_slope(omega, Ts) / reference_slopes
+            # d ln(ratio) / d ln(theta), from d ln(dn/dT) / d ln(theta) = 1 - u coth(u / 2)
+            d_log = (theta / T0 / np.tanh(theta / (2 * T0))
+                     - theta / Ts / np.tanh(theta / (2 * Ts)))
+            jac = model_ratio * d_log / targets
+            return ((model_ratio - targets) / targets).tolist(), [[d] for d in jac.tolist()]
 
     try:
         (log_theta,), res, _ = levenberg_marquardt(residuals, [math.log(REFERENCE_MODE_K)])

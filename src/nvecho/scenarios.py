@@ -28,6 +28,7 @@ this run layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -219,8 +220,8 @@ def _rate_table(ctx: _Context) -> None:
         for fraction, scan in zip(fractions, signals):
             fit = fit_exponential(scan.x, scan.y)
             t2 = fit["coherence_time"]
-            t2_var = float(fit.covariance[1, 1])
-            rate_error = np.sqrt(t2_var) / t2**2 if np.isfinite(t2_var) else None
+            t2_var = fit.covariance[1][1]
+            rate_error = math.sqrt(t2_var) / t2**2 if math.isfinite(t2_var) else None
             table.add(pair, (keys["ms_free"], keys["ms_flipped"]), float(fraction), 1.0 / t2,
                       rate_error)
     ctx.write_table("rates", table)

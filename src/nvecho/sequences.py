@@ -9,24 +9,25 @@ It is the one evaluator: a single sequence is a family of one, and
 ``scans`` evaluates decay scans and flip-location sweeps, any number of
 them, as one family call.  The ``#``-metadata CSV format lives here alone:
 ``write_metadata_csv`` prints signals and rate tables (``RateTable``) in it,
-one schema each, and ``read_csv`` returns the one a file holds.
-``json_text`` prints every JSON artifact.
+one schema each, and ``read_csv`` returns the one a file holds, its numbers
+as Python floats.  ``json_text`` prints every JSON artifact.  numpy is
+imported where a family is evaluated, not with the module, so reading a CSV
+file or a rate table loads none.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import json
+import numbers
 from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
 import yaml
 
 from .catalog import DEFAULT_SAMPLES, DEFAULT_SEED
 from .pulses import KINDS, build_sequence
-from .response import dump_yaml, load_yaml
 from .spin_model import (
     SpinSystemParams,
     accumulated_phase,
@@ -35,8 +36,11 @@ from .spin_model import (
     stack_coefficients,
 )
 from .units import check_number
+from .yamlio import dump_yaml, load_yaml
 
-if TYPE_CHECKING:  # the ensemble averages are imported where a family is evaluated
+if TYPE_CHECKING:  # numpy and the ensemble averages are imported where a family is evaluated
+    import numpy as np
+
     from .noise import MonteCarloResult
 
 
@@ -54,6 +58,8 @@ class SimulationResult:
     def amplitude(self) -> np.ndarray:
         # hypot of the parts gives a member the same bits whatever the family
         # size; numpy's complex abs can differ from it by an ulp
+        import numpy as np
+
         return np.hypot(self.attenuation.real, self.attenuation.imag)
 
 
@@ -92,10 +98,11 @@ def _average_metadata(result: SimulationResult) -> dict:
 
 @dataclass
 class EnsembleSignal:
-    """A 1D scan: y(x) plus labels and free-form metadata."""
+    """A 1D scan: y(x) plus labels and free-form metadata; a scan's x and y
+    are arrays, a signal read from its file holds lists of floats."""
 
-    x: np.ndarray
-    y: np.ndarray
+    x: np.ndarray | list
+    y: np.ndarray | list
     x_label: str
     y_label: str
     metadata: dict = dataclass_field(default_factory=dict)
@@ -115,6 +122,8 @@ def scans(specs, sources, **kwargs) -> list:
     set to each value.  All specs are evaluated as one ``simulate_family``
     call, which takes ``kwargs``; every point is evaluated as in its own scan
     (batch invariance), so each signal equals the one its spec alone gives."""
+    import numpy as np
+
     parts = []
     for kind, keys, axis, values in specs:
         if axis not in _AXES:
@@ -164,7 +173,7 @@ _COLUMNS = {_SIGNAL_SCHEMA: (float, float),
 def _cell(value) -> str:
     if value is None:
         return ""
-    return str(value) if isinstance(value, (int, np.integer)) else repr(float(value))
+    return str(value) if isinstance(value, numbers.Integral) else repr(float(value))
 
 
 def write_metadata_csv(path, schema: str, metadata: dict, header, rows,
@@ -246,12 +255,12 @@ class RateTable:
                          metadata=dict(self.metadata))
 
     @property
-    def tau_over_t(self) -> np.ndarray:
-        return np.array([r.tau_over_t for r in self.rows])
+    def tau_over_t(self) -> list:
+        return [r.tau_over_t for r in self.rows]
 
     @property
-    def rates(self) -> np.ndarray:
-        return np.array([r.rate for r in self.rows])
+    def rates(self) -> list:
+        return [r.rate for r in self.rows]
 
     def write_csv(self, path, deterministic: bool = False) -> None:
         rows = ((*r.pair, *r.ms_pairing, r.tau_over_t, r.rate, r.rate_error) for r in self.rows)
@@ -264,9 +273,10 @@ def read_csv(path) -> EnsembleSignal | RateTable:
     ``# schema`` line names; its ``# written:`` line is dropped.  A file of
     neither schema, or a rate table whose header is not ``_RATES_HEADER``, is
     refused at its header line.  A metadata value that is not YAML, a row
-    whose width differs from the header's, a field that is not a number and
-    a rate row that builds no echo raise ValueError named ``path:line``, and
-    a file with no header or no row one named ``path``."""
+    whose width differs from the header's, a field that is not a number, a
+    signal's x or y that is NaN or infinite and a rate row that builds no
+    echo raise ValueError named ``path:line``, and a file with no header or
+    no row one named ``path``.  A signal's x and y are lists of floats."""
     schema, metadata, header, rows = None, {}, None, []
     for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -300,15 +310,18 @@ def read_csv(path) -> EnsembleSignal | RateTable:
                     fields[i] = read(field)
                 except ValueError:
                     raise ValueError(f"{path}:{number}: {name} {field!r} is not a number") from None
-            if schema == _RATES_SCHEMA:
-                try:
+            try:
+                if schema == _RATES_SCHEMA:
                     fields = RateRow(tuple(fields[:2]), tuple(fields[2:4]), *fields[4:])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{number}: {exc}") from None
+                else:
+                    for name, value in zip(header, fields):
+                        check_number(name, value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
             rows.append(fields)
     if not rows:
         raise ValueError(f"{path}: no {'data row' if header else 'header line'}")
     if schema == _RATES_SCHEMA:
         return RateTable(rows=rows, metadata=metadata)
-    return EnsembleSignal(x=np.array([r[0] for r in rows]), y=np.array([r[1] for r in rows]),
+    return EnsembleSignal(x=[r[0] for r in rows], y=[r[1] for r in rows],
                           x_label=header[0], y_label=header[1], metadata=metadata)

@@ -6,19 +6,22 @@
   problems with analytic Jacobians, run until the parameters stop moving.
 * :func:`nnls` - Lawson-Hanson nonnegative least squares.
 
-No solve calls BLAS or LAPACK: every sum over a vector is ``math.fsum`` of
-exactly rounded products (:func:`dot`), or runs in column order
-(:func:`matvec`), so a fit gives the same bits whatever BLAS kernel or
-thread count numpy was built with or started with.  Both iterative solvers
-raise :class:`FitError` when they cannot converge, so a fit that stops
-short of its minimum never reports numbers.
+Every solver works on Python floats: a vector is a sequence of numbers, a
+matrix a sequence of its rows, and each result a float, a list or a list
+of rows, so a fit imports no numpy.  No solve calls BLAS or LAPACK: every
+sum over a vector is ``math.fsum`` of exactly rounded products
+(:func:`dot`), or runs in column order (:func:`matvec`), so a fit gives the
+same bits whatever BLAS kernel, thread count or SIMD level numpy would have
+run.  Both iterative solvers raise :class:`FitError` when they cannot
+converge, so a fit that stops short of its minimum never reports numbers.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import operator
+import sys
+from itertools import chain
 
 GRADIENT_TOLERANCE = 1e-10
 STEP_TOLERANCE = 1.5e-8  # relative, about sqrt(machine epsilon)
@@ -34,11 +37,10 @@ def dot(u, v) -> float:
     """The sum of ``u * v``, exactly rounded (``math.fsum``), so it does not
     depend on the order of the terms; NaN or inf where a term or the sum is
     not finite."""
-    products = np.multiply(u, v).tolist()
     try:
-        return math.fsum(products)
+        return math.fsum(map(operator.mul, u, v))
     except (ValueError, OverflowError):  # inf - inf, or a finite sum beyond float max
-        return float(sum(products))
+        return float(sum(map(operator.mul, u, v)))
 
 
 def norm(u) -> float:
@@ -46,19 +48,26 @@ def norm(u) -> float:
     return math.sqrt(dot(u, u))
 
 
-def matvec(a, x) -> np.ndarray:
-    """The product of the matrix ``a`` and the vector ``x``, summed over the
-    columns of ``a`` in column order."""
-    a = np.asarray(a, dtype=float)
-    out = np.zeros(a.shape[0])
-    for column, value in zip(a.T, x):
-        out += column * value
+def matvec(a, x) -> list:
+    """The product of the matrix ``a`` and the vector ``x``, each entry
+    summed over the columns of ``a`` in column order."""
+    out = []
+    for row in a:
+        total = 0.0
+        for entry, value in zip(row, x):
+            total += entry * value
+        out.append(total)
     return out
 
 
-def _householder(a, b) -> list:
-    """Householder QR of the (m, n) matrix ``a``, column by column in order,
-    each reflection also applied to the later columns and to ``b``.
+def _columns(a) -> list:
+    """The columns of the matrix ``a``, each a list of floats."""
+    return [[float(v) for v in column] for column in zip(*a)]
+
+
+def _householder(columns, b) -> list:
+    """Householder QR of the matrix of ``columns``, column by column in
+    order, each reflection also applied to the later columns and to ``b``.
 
     Returns one entry per column: ``(pivot, row)``, the column's diagonal
     entry of R and the rest of its row of R followed by the entry of Q^T b
@@ -67,30 +76,30 @@ def _householder(a, b) -> list:
     span exactly), which takes no row of R.  Entries must be small enough
     that their squares neither overflow nor underflow.
     """
-    columns = np.column_stack([a, b]).T.astype(float, order="C")
+    columns = [list(column) for column in columns] + [[float(v) for v in b]]
     rows = []
     top = 0  # the row of R that the next pivot takes
-    for k, x in enumerate(columns[:-1]):
-        x = x[top:]
-        length = norm(x)
+    for k in range(len(columns) - 1):
+        v = columns[k][top:]
+        length = norm(v)
         if length == 0.0:
             rows.append(None)
             continue
-        pivot = -math.copysign(length, x[0])
-        v = x.copy()
+        pivot = -math.copysign(length, v[0])
         v[0] -= pivot
         vv = dot(v, v)
-        for y in columns[k + 1:, top:]:
-            y -= v * (2.0 * dot(v, y) / vv)
-        rows.append((pivot, columns[k + 1:, top].copy()))
+        for y in columns[k + 1:]:
+            s = 2.0 * dot(v, y[top:]) / vv
+            y[top:] = [yi - vi * s for yi, vi in zip(y[top:], v)]
+        rows.append((pivot, [y[top] for y in columns[k + 1:]]))
         top += 1
     return rows
 
 
-def _back_substitute(rows, c) -> np.ndarray:
+def _back_substitute(rows, c) -> list:
     """The x with R x = c for the ``_householder`` rows of R, with a zero
     component for each column that has no row."""
-    x = np.zeros(len(rows))
+    x = [0.0] * len(rows)
     for k in reversed(range(len(rows))):
         if rows[k] is not None:
             pivot, row = rows[k]
@@ -98,38 +107,45 @@ def _back_substitute(rows, c) -> np.ndarray:
     return x
 
 
-def lstsq(a, b) -> np.ndarray:
+def _solve(columns, b) -> list:
+    """argmin ||a x - b|| for the matrix ``a`` of ``columns``."""
+    rows = _householder(columns, b)
+    return _back_substitute(rows, [0.0 if row is None else row[1][-1] for row in rows])
+
+
+def lstsq(a, b) -> list:
     """argmin ||a x - b|| by Householder QR and back substitution.
 
     A column that is exactly zero gets a zero component, as the
     minimum-norm solution gives it; so does one that the earlier columns
     span exactly (see ``_householder``).
     """
-    rows = _householder(a, b)
-    return _back_substitute(rows, [0.0 if row is None else row[1][-1] for row in rows])
+    return _solve(_columns(a), b)
 
 
-def inverse_gram(a) -> np.ndarray:
-    """(a^T a)^-1 as R^-1 R^-T from the QR of ``a``; all NaN where a pivot
-    of R is zero."""
-    rows = _householder(a, np.zeros(len(a)))
+def inverse_gram(a) -> list:
+    """(a^T a)^-1 as R^-1 R^-T from the QR of ``a``, a list of rows; all NaN
+    where a pivot of R is zero."""
+    rows = _householder(_columns(a), [0.0] * len(a))
     n = len(rows)
     if any(row is None for row in rows):
-        return np.full((n, n), np.nan)
-    r_inv = np.column_stack([_back_substitute(rows, unit) for unit in np.eye(n)])
-    return np.array([[dot(r_inv[i], r_inv[j]) for j in range(n)] for i in range(n)])
+        return [[math.nan] * n for _ in range(n)]
+    r_inv = list(zip(*(_back_substitute(rows, [float(i == j) for i in range(n)])
+                       for j in range(n))))
+    return [[dot(r_inv[i], r_inv[j]) for j in range(n)] for i in range(n)]
 
 
 def rank(a) -> int:
     """The pivots of the QR of ``a`` above ``max(m, n)`` machine epsilons of
     the largest, the tolerance ``numpy.linalg.matrix_rank`` puts on singular
     values."""
-    pivots = [abs(row[0]) for row in _householder(a, np.zeros(len(a))) if row is not None]
-    tolerance = max(pivots, default=0.0) * max(np.shape(a)) * np.finfo(float).eps
+    columns = _columns(a)
+    pivots = [abs(row[0]) for row in _householder(columns, [0.0] * len(a)) if row is not None]
+    tolerance = max(pivots, default=0.0) * max(len(a), len(columns)) * sys.float_info.epsilon
     return sum(p > tolerance for p in pivots)
 
 
-def _scaled_gradient(jac, residuals, column_norms) -> float:
+def _scaled_gradient(columns, residuals, column_norms) -> float:
     """Largest |cosine| between the residual vector and a Jacobian column,
     given the columns' norms.
 
@@ -140,22 +156,40 @@ def _scaled_gradient(jac, residuals, column_norms) -> float:
     if r_norm == 0.0:
         return 0.0
     cosines = [abs(dot(column, residuals)) / (length * r_norm)
-               for column, length in zip(jac.T, column_norms) if length > 0]
+               for column, length in zip(columns, column_norms) if length > 0]
     return max(cosines, default=0.0)
 
 
+def _evaluate(fun, p):
+    """``fun(p)`` as ``(cost, r, J, the columns of J)``, r a list of floats
+    and cost its sum of squares; None where r or J is not finite, or where
+    ``fun`` divides by zero or overflows (Python floats raise there)."""
+    try:
+        r, jac = fun(p)
+    except (ZeroDivisionError, OverflowError):
+        return None
+    r, columns = [float(v) for v in r], _columns(jac)
+    if not all(map(math.isfinite, chain(r, *columns))):
+        return None
+    return dot(r, r), r, jac, columns
+
+
 def levenberg_marquardt(fun, p0):
-    """Minimize ||r(p)||^2 starting at ``p0``; ``fun(p)`` returns (r, J).
+    """Minimize ||r(p)||^2 starting at ``p0``; ``fun(p)`` returns (r, J), the
+    m residuals and the m rows of their Jacobian.
 
     Each step solves the damped Gauss-Newton system on unit-norm Jacobian
     columns (Marquardt's scaling), so the parameters' units do not matter;
-    a step is taken only if it lowers the residual sum of squares, and the
-    damping falls tenfold after a taken step and rises tenfold after a
-    refused one.  Converged means the scaled gradient is below
-    ``GRADIENT_TOLERANCE``, or no step changes the parameters any more
-    while the undamped step is below ``STEP_TOLERANCE`` of each of them
-    (the minimum is reached to working precision).  Returns ``(p, r, J)``
-    there.
+    a step is taken only if it lowers the residual sum of squares and the
+    model is finite there, and the damping falls tenfold after a taken step
+    and rises tenfold after a refused one.  A point where ``fun`` raises
+    ZeroDivisionError or OverflowError (Python floats raise where the model
+    divides by zero or overflows) counts as one where it is not finite.
+    Converged means the scaled gradient is below ``GRADIENT_TOLERANCE``, or
+    no step changes the parameters any more while the undamped step is
+    below ``STEP_TOLERANCE`` of each of them (the minimum is reached to
+    working precision).  Returns ``(p, r, J)`` there, p and r lists of
+    floats and J as ``fun`` returned it.
 
     Raises
     ------
@@ -164,43 +198,44 @@ def levenberg_marquardt(fun, p0):
         undamped one is still large (the minimum runs off to where the
         model overflows), or after ``MAX_ITERATIONS`` steps.
     """
-    p = np.array(p0, dtype=float)
-    with np.errstate(all="ignore"):
-        r, jac = fun(p)
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(jac))):
+    p = [float(v) for v in p0]
+    current = _evaluate(fun, p)
+    if current is None:
         raise FitError("model is not finite at the starting point")
-    cost = dot(r, r)
+    cost, r, jac, columns = current
     damping = 1e-3
+    n = len(p)
     for _ in range(MAX_ITERATIONS):
-        scale = np.array([norm(column) for column in jac.T])
-        if _scaled_gradient(jac, r, scale) < GRADIENT_TOLERANCE:
+        scale = [norm(column) for column in columns]
+        if _scaled_gradient(columns, r, scale) < GRADIENT_TOLERANCE:
             return p, r, jac
-        scale[scale == 0] = 1.0
-        system = np.vstack([jac / scale, math.sqrt(damping) * np.eye(p.size)])
-        rhs = np.concatenate([-r, np.zeros(p.size)])
-        trial = p + lstsq(system, rhs) / scale
-        if np.array_equal(trial, p):
+        scale = [s if s != 0 else 1.0 for s in scale]
+        scaled = [[v / s for v in column] for column, s in zip(columns, scale)]
+        root = math.sqrt(damping)
+        system = [column + [root if i == j else 0.0 for i in range(n)]
+                  for j, column in enumerate(scaled)]
+        step = _solve(system, [-v for v in r] + [0.0] * n)
+        trial = [pk + dk / sk for pk, dk, sk in zip(p, step, scale)]
+        if trial == p:
             # No step lowers the cost any more: converged if the undamped
             # step would move no parameter by more than STEP_TOLERANCE.
-            newton = lstsq(jac / scale, -r) / scale
-            if np.all(np.abs(newton) <= STEP_TOLERANCE * np.abs(p)):
+            newton = [dk / sk for dk, sk in zip(_solve(scaled, [-v for v in r]), scale)]
+            if all(abs(dk) <= STEP_TOLERANCE * abs(pk) for dk, pk in zip(newton, p)):
                 return p, r, jac
             raise FitError(
                 f"least squares did not converge: no step lowers the cost at "
-                f"{p.tolist()}, but the minimum lies further by {newton.tolist()}"
+                f"{p}, but the minimum lies further by {newton}"
             )
-        with np.errstate(all="ignore"):
-            r_trial, jac_trial = fun(trial)
-        cost_trial = dot(r_trial, r_trial)
-        if cost_trial < cost and np.all(np.isfinite(jac_trial)):
-            p, r, jac, cost = trial, r_trial, jac_trial, cost_trial
+        evaluated = _evaluate(fun, trial)
+        if evaluated is not None and evaluated[0] < cost:
+            p, (cost, r, jac, columns) = trial, evaluated
             damping = max(damping / 10.0, 1e-15)
         else:
             damping *= 10.0
     raise FitError(f"least squares did not converge in {MAX_ITERATIONS} iterations")
 
 
-def nnls(a, b) -> np.ndarray:
+def nnls(a, b) -> list:
     """Lawson-Hanson nonnegative least squares: argmin ||a x - b||, x >= 0.
 
     A column joins the passive set only if the solve with it gives it a
@@ -213,15 +248,15 @@ def nnls(a, b) -> np.ndarray:
     FitError
         After 3 solves per column, the bound Lawson and Hanson use.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = a.shape
+    rows = [[float(v) for v in row] for row in a]
+    columns = _columns(rows)
+    b = [float(v) for v in b]
+    m, n = len(rows), len(columns)
     max_steps = 3 * n
-    largest_column_sum = max((math.fsum(np.abs(column).tolist()) for column in a.T),
-                             default=0.0)
-    tolerance = 10 * np.finfo(float).eps * largest_column_sum * max(m, n)
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
+    largest_column_sum = max((math.fsum(map(abs, column)) for column in columns), default=0.0)
+    tolerance = 10 * sys.float_info.epsilon * largest_column_sum * max(m, n)
+    x = [0.0] * n
+    passive = [False] * n
     steps = 0
 
     def solve():
@@ -229,16 +264,18 @@ def nnls(a, b) -> np.ndarray:
         steps += 1
         if steps > max_steps:
             raise FitError(f"nonnegative least squares did not converge in {max_steps} steps")
-        trial = np.zeros(n)
-        trial[passive] = lstsq(a[:, passive], b)
+        chosen = [j for j in range(n) if passive[j]]
+        trial = [0.0] * n
+        for j, value in zip(chosen, _solve([columns[j] for j in chosen], b)):
+            trial[j] = value
         return trial
 
-    while not passive.all():
-        residual = b - matvec(a, x)
-        gradient = np.array([dot(column, residual) for column in a.T])
-        gradient[passive] = -np.inf
+    while not all(passive):
+        residual = [bi - fitted for bi, fitted in zip(b, matvec(rows, x))]
+        gradient = [-math.inf if passive[j] else dot(column, residual)
+                    for j, column in enumerate(columns)]
         while True:
-            j = int(np.argmax(gradient))
+            j = max(range(n), key=gradient.__getitem__)
             if gradient[j] <= tolerance:
                 return x
             passive[j] = True
@@ -246,14 +283,14 @@ def nnls(a, b) -> np.ndarray:
             if trial[j] > 0:
                 break
             passive[j] = False
-            gradient[j] = -np.inf
-        while not np.all(trial[passive] > 0):
+            gradient[j] = -math.inf
+        while not all(t > 0 for t, held in zip(trial, passive) if held):
             # walk back to the first passive component that reaches zero
-            blocking = passive & (trial <= 0)
-            alpha = np.min(x[blocking] / (x[blocking] - trial[blocking]))
-            x = x + alpha * (trial - x)
-            passive &= x > tolerance
-            x[~passive] = 0.0
+            alpha = min(xk / (xk - tk) for xk, tk, held in zip(x, trial, passive)
+                        if held and tk <= 0)
+            x = [xk + alpha * (tk - xk) for xk, tk in zip(x, trial)]
+            passive = [held and xk > tolerance for held, xk in zip(passive, x)]
+            x = [xk if held else 0.0 for xk, held in zip(x, passive)]
             trial = solve()
         x = trial
     return x

@@ -12,16 +12,16 @@ two m_I levels is minus the time integral of their energy difference.  A
 pulse sequence is a list of segments, each a duration in one electron
 manifold with the sign that nuclear pi pulses leave, and its phase is linear
 in Q, A and B: each coupling is weighted by the time spent in each manifold
-(``phase_coefficients``).  A line's frequency is the magnitude of the phase
-that one second in its manifold accumulates on its pair.
+(``phase_coefficients``, on Python floats).  A line's frequency is the
+magnitude of the phase that one second in its manifold accumulates on its
+pair.  numpy is imported only where a family's coefficients are stacked
+into arrays (``stack_coefficients``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .pulses import Segment, check_pair, check_projection
 from .units import angular, check_number
@@ -90,6 +90,8 @@ class PhaseCoefficients:
 
 def stack_coefficients(coefficients: Iterable[PhaseCoefficients]) -> PhaseCoefficients:
     """A family of G coefficient sets as one PhaseCoefficients of (G,) arrays."""
+    import numpy as np
+
     rows = [(c.quadrupole, c.hyperfine, c.field) for c in coefficients]
     return PhaseCoefficients(*np.array(rows, dtype=float).reshape(-1, 3).T)
 

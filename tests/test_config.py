@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from nvecho import response
+from nvecho import response, yamlio
 from nvecho.catalog import SCENARIO_ALIASES, SCENARIO_NAMES
 from nvecho.config import (
     _COMPARE_KEYS,
@@ -30,7 +30,7 @@ from nvecho.config import (
 )
 from nvecho.noise import NoiseSource
 from nvecho.response import (DEFAULT_DATA_FILE, LinearResponse, QuasiharmonicSet,
-                             default_quasiharmonic_set, load_yaml, save_response_set)
+                             default_quasiharmonic_set, save_response_set)
 from nvecho.scenarios import run_scenario
 from nvecho.spin_model import default_params
 from nvecho.units import QuantityError, angular, parse_quantity
@@ -815,10 +815,10 @@ def test_libyaml_reads_what_the_pure_python_loader_reads(monkeypatch, path):
     text = path.read_text(encoding="utf-8")
     reads = []
     for loader in _LOADERS:
-        monkeypatch.setattr(response, "YAML_LOADER", loader)
+        monkeypatch.setattr(yamlio, "YAML_LOADER", loader)
         built = (response.load_response_set(path) if path == DEFAULT_DATA_FILE
                  else parse_config(text, path.parent))
         # repr, not ==: it tells 1 from 1.0 and True, and a str from a date
-        reads.append((repr(load_yaml(text)), repr(built)))
+        reads.append((repr(yamlio.load_yaml(text)), repr(built)))
     pure, libyaml = reads
     assert pure == libyaml

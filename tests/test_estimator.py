@@ -34,6 +34,7 @@ from nvecho.units import TWO_PI
 
 
 def _assert_psd(cov):
+    cov = np.asarray(cov)
     assert np.allclose(cov, cov.T, atol=1e-10)
     assert np.min(np.linalg.eigvalsh(cov)) > -1e-9
 
@@ -346,6 +347,16 @@ def test_fit_vee_line_branch_reports_baseline_bias():
             fit_vee(_vee_table(x, [1000.0 * (0.2 + 0.2) + 50.0] * len(x), pair=(0, +1)))
 
 
+def test_fit_vee_line_of_rates_whose_slope_squared_overflows():
+    # Python's ** raises OverflowError where numpy's power gave inf: the line
+    # fit of rates near 1e300 /s raised it, where it used to report its
+    # parameters with a covariance of NaNs
+    x = np.linspace(0.0, 0.5, 11)
+    res = fit_vee(_vee_table(x, 1e300 * (x + 0.2), pair=(0, +1)))
+    assert res["ratio"] == pytest.approx(0.2, rel=1e-9)
+    assert np.isnan(res.covariance).all()
+
+
 def test_fit_vee_dispatch_follows_flip_sign():
     # Flip to m_S = -1 inverts the hyperfine sign, so the same (0, +1)
     # pair becomes the cancelling branch.
@@ -542,7 +553,7 @@ def test_estimate_sigma_two_sources_from_four_rates():
 def test_estimate_sigma_propagates_rate_errors():
     res = estimate_sigma([1000.0], [200.0], rate_errors=[20.0])
     assert res["sigma_0"] == pytest.approx(5.0, rel=1e-9)
-    assert math.sqrt(res.covariance[0, 0]) == pytest.approx(0.1, rel=1e-9)
+    assert math.sqrt(res.covariance[0][0]) == pytest.approx(0.1, rel=1e-9)
 
 
 def test_estimate_sigma_rejects_bad_rate_errors():
@@ -571,6 +582,28 @@ def test_levenberg_marquardt_converges_or_raises():
         levenberg_marquardt(lambda p: (np.array([np.inf]), np.array([[1.0]])), [0.0])
 
 
+def test_levenberg_marquardt_refuses_a_point_where_python_floats_raise():
+    # math.exp and ** raise OverflowError and a division by zero raises where
+    # numpy gave inf: such a trial point is refused like one where the model
+    # is not finite, and such a starting point is reported as one
+    calls = []
+
+    def line(p):
+        calls.append(p)
+        if len(calls) == 2:
+            raise OverflowError("math range error")
+        return [p[0] - 1.0, 2.0 * (p[0] - 1.0)], [[1.0], [2.0]]
+
+    p, r, _ = levenberg_marquardt(line, [5.0])
+    assert p[0] == pytest.approx(1.0, abs=1e-15) and len(calls) > 2
+    assert type(p[0]) is float and type(r[0]) is float
+    for error in (OverflowError, ZeroDivisionError):
+        def raising(p):
+            raise error
+        with pytest.raises(FitError, match="not finite at the starting point"):
+            levenberg_marquardt(raising, [0.0])
+
+
 def test_nnls_agrees_with_scipy():
     rng = np.random.default_rng(8)
     for m, n in ((8, 3), (20, 6), (6, 6), (4, 7), (30, 12)):
@@ -578,7 +611,7 @@ def test_nnls_agrees_with_scipy():
             a = rng.standard_normal((m, n))
             b = rng.standard_normal(m)
             expected, rnorm = scipy_nnls(a, b)
-            x = nnls(a, b)
+            x = np.asarray(nnls(a, b))
             assert np.all(x >= 0)
             assert np.linalg.norm(a @ x - b) == pytest.approx(rnorm, rel=1e-10, abs=1e-12)
             if m >= n:  # full column rank: the minimizer is unique
@@ -595,7 +628,7 @@ def test_nnls_agrees_with_scipy_on_rank_deficient_problems():
             a[:, -1] = a[:, 0]
             b = rng.standard_normal(m)
             expected, rnorm = scipy_nnls(a, b)
-            x = nnls(a, b)
+            x = np.asarray(nnls(a, b))
             assert np.all(x >= 0)
             assert np.linalg.norm(a @ x - b) == pytest.approx(rnorm, rel=1e-10, abs=1e-12)
             assert np.allclose(a @ x, a @ expected, rtol=1e-10, atol=1e-10)

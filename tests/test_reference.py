@@ -35,8 +35,9 @@ RTOL = 1e-9
 # accepts around the least-squares minimum of fig4's and s5's four fits,
 # T2* and c0 lie within 1.8e-8 of the reference and the covariance within
 # 7.7e-8; 500 fits each with the data moved by 1e-15 relative moved them by
-# up to 1.6e-8 and 4.8e-8 (s5 protected), and turning AVX-512 off moved s5's
-# protected covariance by 5.4e-9.  Held to FIT_RTOL, over 10x above those.
+# up to 1.6e-8 and 4.8e-8 (s5 protected), and, while the fits ran numpy's exp
+# and log, turning AVX-512 off moved s5's protected covariance by 5.4e-9.
+# Held to FIT_RTOL, over 10x above those.
 FIT_RTOL = 1e-6
 
 # The rounding noise of fits to exact, closed-form data moved by up to 50%

@@ -558,7 +558,7 @@ def test_metadata_values_read_back_as_written(tmp_path):
                                     metadata=values), path, deterministic=True)
     again = read_csv(path)
     assert (again.x_label, again.y_label) == ("x", "n")
-    assert again.x.tolist() == [0.5, 1e-05] and again.y.tolist() == [3.0, 0.25]
+    assert again.x == [0.5, 1e-05] and again.y == [3.0, 0.25]
     metadata = again.metadata
     assert math.isnan(metadata.pop("missing"))
     assert metadata == {key: value for key, value in values.items() if key != "missing"} | {
@@ -570,6 +570,24 @@ def test_metadata_values_read_back_as_written(tmp_path):
         read_csv(path)
     path.write_text("# nvecho-signal/1\nx,n\n")
     with pytest.raises(ValueError, match="table.csv: no data row"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("column, bad", [(0, "nan"), (1, "inf"), (1, "-inf")])
+def test_read_csv_refuses_a_signal_value_that_is_not_finite(tmp_path, column, bad):
+    # a NaN or infinite x or y was read, and the fit then refused it naming
+    # neither file nor line: "amplitudes must be finite; amplitudes[1] is inf"
+    path = tmp_path / "signal.csv"
+    write_signal_csv(EnsembleSignal([1e-3, 2e-3, 3e-3], [0.9, 0.8, 0.7], "total_time_s",
+                                    "amplitude"), path, deterministic=True)
+    lines = path.read_text().splitlines()
+    row = lines[3].split(",")  # the second data row, on line 4
+    row[column] = bad
+    lines[3] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    name = ("total_time_s", "amplitude")[column]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:4: {name} must be finite, got {float(bad)!r}")):
         read_csv(path)
 
 

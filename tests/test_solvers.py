@@ -105,7 +105,7 @@ def test_covariance_agrees_with_the_inverse_normal_matrix(system, noise):
     n = jac.shape[1]
     s2 = float(residuals @ residuals) / max(residuals.size - n, 1)
     expected = s2 * np.linalg.inv(jac.T @ jac)
-    got = _covariance_from_jacobian(jac, residuals, n)
+    got = np.asarray(_covariance_from_jacobian(jac, residuals, n))
     assert np.array_equal(got, got.T)
     assert _close(got, expected, np.abs(expected).max())
     assert _close(inverse_gram(jac), np.linalg.inv(jac.T @ jac),
@@ -119,8 +119,8 @@ def test_covariance_agrees_with_the_inverse_normal_matrix(system, noise):
     np.zeros((4, 3)),
 ], ids=["zero-last", "zero-first", "exact-multiple", "all-zero"])
 def test_covariance_of_a_singular_jacobian_is_nan(jac):
-    cov = _covariance_from_jacobian(jac, np.array([0.1, -0.2, 0.3, 0.0][:jac.shape[0]]),
-                                    jac.shape[1])
+    cov = np.asarray(_covariance_from_jacobian(
+        jac, np.array([0.1, -0.2, 0.3, 0.0][:jac.shape[0]]), jac.shape[1]))
     assert cov.shape == (jac.shape[1],) * 2 and np.isnan(cov).all()
 
 
