@@ -22,11 +22,13 @@ suppress timestamp lines so identical inputs give byte-identical outputs.
 Every flag has a caller: the benchmark (``perfbench``) and CI set ``--out``,
 ``--deterministic`` and ``--pair``, and ``--samples`` and ``--seed``
 override the package data ``reproduce`` runs.  Each subcommand imports only
-what it runs: ``parse-seq`` loads neither numpy nor PyYAML, and ``fit``
+what it runs: ``parse-seq`` loads neither numpy nor PyYAML, ``fit``
 computes on Python floats and loads no numpy, response models or noise
-sources.  OpenBLAS starts with one thread unless its thread count is set
-(``main``): no command calls BLAS, and a thread pool costs about 70 ms to
-start when numpy is imported.
+sources, and ``calibrate-response`` computes on Python floats too.  A
+config is loaded and checked without numpy, so ``simulate`` refuses a bad
+config before numpy is imported; only a run loads it.  OpenBLAS starts with
+one thread unless its thread count is set (``main``): no command calls
+BLAS, and a thread pool costs about 70 ms to start when numpy is imported.
 """
 
 from __future__ import annotations

@@ -35,7 +35,11 @@ Reference scenario configs ship as package data (``SCENARIO_DIR``);
 plus the fig2c/fig2d aliases, which both resolve to the two-branch fig2
 table).  Loading a config imports only the modules that build its models:
 the sequence kinds come from the numpy-free ``pulses``, and the scan, fit,
-script and run layers are not imported at all.  YAML is parsed by
+script and run layers are not imported at all.  Nor is numpy: building the
+models takes no array, and the grid checks run on Python floats, deciding a
+range from its endpoints wherever they settle what ``realize_grid`` would
+give (``_positive_increasing``, ``_fractions``).  ``realize_grid``, the one
+realizer a run uses, imports numpy when it is called.  YAML is parsed by
 ``yamlio.load_yaml`` (libyaml where PyYAML has it).
 """
 
@@ -49,7 +53,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
 import yaml
 
 from .catalog import (DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_SKIP, MIN_FIT_POINTS,
@@ -412,7 +415,11 @@ def _normalize_grid(spec, path, col, dimension):
 
 
 def realize_grid(spec):
-    """Materialize a normalized grid spec as a float array (None passes through)."""
+    """Materialize a normalized grid spec as a float array (None passes
+    through): a range with ``np.linspace`` or ``np.geomspace``, whose first
+    value is its start and, with two or more points, whose last is its stop."""
+    import numpy as np
+
     if spec is None:
         return None
     if isinstance(spec, dict):
@@ -444,14 +451,76 @@ def _pairs(value, path, col):
     return tuple(pairs) if None not in pairs else None
 
 
+def _grid_size(spec) -> int:
+    return spec["count"] if isinstance(spec, dict) else len(spec)
+
+
+def _grid_values(spec) -> list:
+    """A normalized grid's values as Python floats: a list as it is, a range
+    as ``realize_grid`` gives it."""
+    return realize_grid(spec).tolist() if isinstance(spec, dict) else list(spec)
+
+
+# Bounds within which the endpoints of a range decide its checks.  A
+# linspace point is within 5e-16 of the stop of its exact value, and a
+# geomspace point within 2e-12 relative, so a positive range is realized
+# strictly increasing when its points lie _LINEAR_APART of its stop apart
+# (linear) or _LOG_APART apart in log (log spacing).  A range of more than
+# _MAX_DECIDED points, more than memory holds, is left to the realized check.
+_LINEAR_APART = 1e-14
+_LOG_APART = 1e-10
+_MAX_DECIDED = 2**40
+
+
+def _spaced_apart(spec) -> bool:
+    """Whether the points of a range with ``0 < start < stop`` lie so far
+    apart that ``realize_grid`` gives them strictly increasing."""
+    start, stop, count = spec["start"], spec["stop"], spec["count"]
+    if count > _MAX_DECIDED:
+        return False
+    if spec["spacing"] == "log":
+        return math.log(stop) - math.log(start) > _LOG_APART * (count - 1)
+    return stop - start > _LINEAR_APART * stop * (count - 1)
+
+
+def _positive_increasing(spec) -> bool:
+    """Whether the grid's values are positive and strictly increasing.  A
+    range is decided from its endpoints where they settle it: realized, its
+    first value is its start and, with two or more points, its last is its
+    stop, and its points are in order when ``_spaced_apart``; only a range
+    whose points lie closer is realized with numpy and checked point by
+    point."""
+    if isinstance(spec, dict):
+        start, stop, count = spec["start"], spec["stop"], spec["count"]
+        if not start > 0 or (count > 1 and not stop > start):
+            return False
+        if count == 1 or _spaced_apart(spec):
+            return True
+    values = _grid_values(spec)
+    return values[0] > 0 and all(a < b for a, b in zip(values, values[1:]))
+
+
+def _fractions(spec) -> bool:
+    """Whether the grid's values lie in [0, 1].  A range is decided from its
+    endpoints: realized, its first value is its start and, with two or more
+    points, its last is its stop.  The points between stay within [0, 1]
+    when both do: a linspace point lies between the endpoints, and a
+    geomspace point is positive, and at most 1 where both endpoints are,
+    since faithfully rounded log10 and power keep 10^t <= 1 for t <= 0."""
+    if isinstance(spec, dict) and spec["count"] <= _MAX_DECIDED:
+        ends = (spec["start"],) if spec["count"] == 1 else (spec["start"], spec["stop"])
+        return all(0.0 <= end <= 1.0 for end in ends)
+    return all(0.0 <= v <= 1.0 for v in _grid_values(spec))
+
+
 def _grid(dimension, holds, message) -> Key:
-    """A grid key in ``dimension`` whose realized values must satisfy ``holds``."""
+    """A grid key in ``dimension`` whose values, as ``realize_grid`` gives
+    them, must satisfy ``holds``, which decides from the normalized grid."""
     def dump(spec):
         if isinstance(spec, dict):
             return _dump_mapping(spec, _range_keys(dimension))
         return list(spec) if dimension is None else [format_quantity(v, dimension) for v in spec]
-    return Key(_checked(partial(_normalize_grid, dimension=dimension),
-                        lambda grid: holds(realize_grid(grid)), message), dump)
+    return Key(_checked(partial(_normalize_grid, dimension=dimension), holds, message), dump)
 
 
 # each sequence key in canonical order, ``compare`` last.  What a block may
@@ -465,9 +534,8 @@ _COMPARE_KEYS = {
     "ms_flipped": Key(_projection),
     "flip_fraction": Key(_checked(_plain_number, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")),
     "total_time": _positive(_measured("time")),
-    "times": _grid("time", lambda v: v[0] > 0 and np.all(np.diff(v) > 0),
-                   "must be positive and strictly increasing"),
-    "flip_fractions": _grid(None, lambda v: np.all((v >= 0) & (v <= 1)), "must lie in [0, 1]"),
+    "times": _grid("time", _positive_increasing, "must be positive and strictly increasing"),
+    "flip_fractions": _grid(None, _fractions, "must lie in [0, 1]"),
 }
 _SEQUENCE_KEYS = _COMPARE_KEYS | {"compare": _section(_COMPARE_KEYS)}
 
@@ -522,8 +590,8 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
         if not read:
             col.add(path, f"pipeline {pipeline!r} does not read this block")
             continue
-        times = realize_grid(norm.get("times")) if "times" in read else None
-        if times is not None and times.size < _FITTED_TIMES:
+        times = norm.get("times") if "times" in read else None
+        if times is not None and _grid_size(times) < _FITTED_TIMES:
             col.add(f"{path}.times", f"needs >= {_FITTED_TIMES} points: pipeline {pipeline!r} "
                                      f"fits a decay to them after skipping {DEFAULT_SKIP}")
         if "kind" in block and "kind" not in norm:

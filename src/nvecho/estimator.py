@@ -133,7 +133,8 @@ def fit_cosine(phases, signal) -> FitResult:
         phi0 = math.atan2(-b, a)
         jac = [
             [0.0, 2 * a / amplitude, 2 * b / amplitude],
-            [0.0, b / amplitude**2, -a / amplitude**2],
+            # divided twice, not by amplitude**2, which overflows above 1.3e154
+            [0.0, b / amplitude / amplitude, -a / amplitude / amplitude],
             [1.0, a / amplitude, b / amplitude],
         ]
     cov = _propagate(jac, cov_lin)

@@ -40,20 +40,28 @@ CPU, and added in chunk order, so the split does not change the bits either
 CPU: Lorentzian sampling (``np.tan``) and the Bose-Einstein occupation
 (``np.expm1``) run numpy's AVX-512 loops where the CPU has them, and those
 differ in the last bits from numpy's AVX2 and baseline loops, which agree.
+
+Building a source takes no array, so numpy is imported where an ensemble is
+averaged, not with the module: a config load builds its sources, and
+checks their slopes, on Python floats.  The table of e^{2 pi i j/4096} is
+built on the first Monte Carlo average, before its chunks are forked out.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field as dataclass_field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .catalog import DEFAULT_SAMPLES, DEFAULT_SEED
 from .response import LinearResponse, QuasiharmonicSet, default_linear_response
 from .spin_model import PhaseCoefficients, SpinSystemParams, stack_coefficients
 from .units import check_number
+
+if TYPE_CHECKING:  # numpy is imported where an ensemble is averaged
+    import numpy as np
 
 CHUNK = 1 << 16
 
@@ -89,6 +97,8 @@ class Distribution:
 
         Real: every kind is symmetric about its location, so the sine part
         averages to zero."""
+        import numpy as np
+
         u = np.asarray(u, dtype=float)
         if self.kind == "lorentzian":
             out = np.exp(-self.scale * np.abs(u))
@@ -108,6 +118,8 @@ class Distribution:
     def _sample_chunk(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``n`` draws, each step of the transform written into their own
         array: location + scale tan(pi (u - 0.5)), or location + scale z."""
+        import numpy as np
+
         if self.kind == "delta":
             return np.full(n, self.location)
         if self.kind == "lorentzian":
@@ -135,6 +147,8 @@ def delta(location: float) -> Distribution:
 
 
 def _chunk_rng(seed: int, source_index: int, chunk_index: int) -> np.random.Generator:
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(source_index, chunk_index))
     return np.random.default_rng(ss)
 
@@ -154,8 +168,7 @@ class NoiseSource:
     curves: tuple | None = None
 
     def __post_init__(self):
-        if self.is_linear and not (np.shape(self.slopes) == (3,)
-                                   and np.isfinite(self.slopes).all()):
+        if self.is_linear and not _three_finite_numbers(self.slopes):
             raise ValueError(f"source {self.name!r} needs three finite slopes "
                              f"(dQ/dx, dA/dx, dB/dx), got {self.slopes!r}")
 
@@ -202,6 +215,16 @@ class NoiseSource:
             return None
         loc, scale = self.distribution.location, self.distribution.scale
         return (max(0.0, loc - TRUNCATION_WIDTHS * scale), loc + TRUNCATION_WIDTHS * scale)
+
+
+def _three_finite_numbers(values) -> bool:
+    """Whether ``values`` is a flat sequence (or 1-d array) of three finite
+    real numbers."""
+    try:
+        return len(values) == 3 and all(isinstance(v, numbers.Real) and math.isfinite(v)
+                                        for v in values)
+    except TypeError:  # no length
+        return False
 
 
 def _response(response, kind: str):
@@ -265,6 +288,8 @@ def dephasing_factor(sources, coefficients) -> np.ndarray:
     The same quantity as ``monte_carlo_attenuation``; the phase at the
     locations is ``NoiseSource.location_phase``.
     """
+    import numpy as np
+
     grid = stack_coefficients(coefficients)
     out = np.ones(grid.quadrupole.shape)
     for src in sources:
@@ -307,20 +332,20 @@ _MAX_TURN = 2.0**30
 _PHASE_LIMIT = (1 - 1e-9) * _MAX_TURN * math.tau / _BINS
 
 
+@functools.cache
 def _unit_circle():
     """cos and sin of 2 pi j/_BINS for j = 0.._BINS-1, each within 1.2e-16 of
     the exact value: libm evaluates the first octant, where the angle is
     below pi/4, and the rest follows by exact reflections and quarter turns.
     (numpy's cos and sin give the same table but cost 0.4 MiB more RSS at
-    import.)"""
+    import.)  Built on first use and kept, once per process."""
+    import numpy as np
+
     angles = [j * _STEP_HI + j * _STEP_LO for j in range(_BINS // 8 + 1)]
     c, s = [math.cos(a) for a in angles], [math.sin(a) for a in angles]
     c, s = c + s[-2:0:-1], s + c[-2:0:-1]
     minus_c, minus_s = [-v for v in c], [-v for v in s]
     return np.array(c + minus_s + minus_c + s), np.array(s + c + minus_s + minus_c)
-
-
-_COS, _SIN = _unit_circle()
 
 
 def _bin_block(phase, turn, term, index, cos_bins, sin_bins, checked) -> complex:
@@ -330,6 +355,8 @@ def _bin_block(phase, turn, term, index, cos_bins, sin_bins, checked) -> complex
     |k| > _MAX_TURN (or a non-finite phase), which are not binned; else
     every |k| must be at most _MAX_TURN, and 0j is returned.  Overwrites
     every array it is given but the bins."""
+    import numpy as np
+
     np.multiply(phase, _BINS / math.tau, out=turn)
     np.rint(turn, out=turn)
     outside = 0j
@@ -381,6 +408,9 @@ def _member_sums(terms) -> list:
     e^{i phase} (1.2e-16 measured).  Phases that are all zero sum to
     exactly ``kept + 0j``.
     """
+    import numpy as np
+
+    cos_table, sin_table = _unit_circle()
     (c0, channel0), *rest = terms
     kept = len(channel0)
     n = min(kept, _BLOCK)
@@ -402,8 +432,8 @@ def _member_sums(terms) -> list:
                 np.multiply(c[g], channel[block], out=p)
                 np.add(ph, p, out=ph)
             outside += _bin_block(ph, p, t, index[:n], cos_bins, sin_bins, checked)
-        sums.append(complex((cos_bins * _COS - sin_bins * _SIN).sum(),
-                            (cos_bins * _SIN + sin_bins * _COS).sum()) + outside)
+        sums.append(complex((cos_bins * cos_table - sin_bins * sin_table).sum(),
+                            (cos_bins * sin_table + sin_bins * cos_table).sum()) + outside)
     return sums
 
 
@@ -412,6 +442,8 @@ def _chunk_channels(sources, windows, grid, seed, k, n_k):
     chunk k's retained joint draws, and the retained count.  Each source's
     full draws are freed once they are masked, and its retained draws once
     its channels are evaluated."""
+    import numpy as np
+
     draws = []
     mask = np.ones(n_k, dtype=bool)
     for j, (src, win) in enumerate(zip(sources, windows)):
@@ -487,6 +519,7 @@ def _family_sums(sources, windows, grid, seed, n_samples):
     import signal
     import threading
 
+    _unit_circle()  # built here, so that each forked child inherits it
     chunks = -(-n_samples // CHUNK)
     n = 1
     if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -555,6 +588,8 @@ def monte_carlo_attenuation(sources, coefficients, n_samples: int = DEFAULT_SAMP
     sources.  Each member's sum is within 5e-16 per draw of the exact sum
     over the same draws (``_member_sums``).  ``sources`` must not be empty.
     """
+    import numpy as np
+
     for name, value in (("n_samples", n_samples), ("seed", seed)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -28,17 +28,26 @@ temperature is not > 0 K.
 The data file is read and written through the package's one YAML reader
 and printer (``yamlio``).  The default linear slopes are ``catalog``'s, where
 the vee fit reads them without loading this module.
+
+Loading the module, a data file or a curve imports no numpy, and neither
+does the calibration: ``bose_einstein_slope``, and through it ``slope_at``,
+``einstein_curve`` and ``fit_mode_temperature``, compute on Python floats
+with ``math``'s ``exp`` and ``tanh``, one temperature at a time, so the
+calibrated file does not follow numpy's SIMD level.  Only the occupation
+(``bose_einstein``, which ``shift_at`` evaluates on a chunk of draws)
+imports numpy, when it is called.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from .catalog import HYPERFINE_HZ_PER_K, QUADRUPOLE_HZ_PER_K
@@ -98,7 +107,7 @@ def einstein_mode_frequency(theta_K: float) -> float:
 
 
 # above this u = hbar omega / k_B T, the occupation 1 / expm1(u) <= 1 / u is finite
-_SMALLEST_U = 1.0 / np.finfo(float).max
+_SMALLEST_U = 1.0 / sys.float_info.max
 
 
 def bose_einstein(omega: float, T):
@@ -114,7 +123,11 @@ def bose_einstein(omega: float, T):
 
     An array ``T``, such as a chunk of draws, takes one more array of its
     size: each step of 1 / expm1(u) is written into the one it returns.
+    numpy is imported here, where the occupations are evaluated, and not
+    with the module.
     """
+    import numpy as np
+
     if omega <= 0:
         raise ValueError("mode frequency must be positive")
     T = np.asarray(T, dtype=float)
@@ -135,15 +148,17 @@ def bose_einstein(omega: float, T):
     return float(n) if n.ndim == 0 else n
 
 
-def bose_einstein_slope(omega: float, T):
-    """d n / dT for a Bose-Einstein occupation; rad/s-free, units 1/K."""
-    T = np.asarray(T, dtype=float)
-    if not np.all((T > 0) & np.isfinite(T)):
-        raise ValueError("slope defined for finite T > 0")
+def bose_einstein_slope(omega: float, T: float) -> float:
+    """d n / dT for a Bose-Einstein occupation at one temperature T (K);
+    rad/s-free, units 1/K.  Computed on Python floats with ``math.exp``, so
+    it loads no numpy and does not follow numpy's SIMD level."""
+    if isinstance(T, bool) or not (isinstance(T, numbers.Real) and 0 < T < math.inf):
+        raise ValueError(f"slope defined for finite T > 0, one temperature at a time; got {T!r}")
+    T = float(T)
     u = omega / (K_B_OVER_HBAR * T)
-    eu = np.exp(np.minimum(u, 700.0))
-    out = (u / T) * eu / (eu - 1.0) ** 2
-    return float(out) if out.ndim == 0 else out
+    eu = math.exp(min(u, 700.0))
+    # squared as a product: beyond e^355 it is inf, and the slope 0, where ** raises
+    return (u / T) * eu / ((eu - 1.0) * (eu - 1.0))
 
 
 @dataclass(frozen=True)
@@ -199,8 +214,8 @@ class QuasiharmonicResponse:
         shift *= self.weight
         return shift
 
-    def slope_at(self, T):
-        """Analytic d shift / dT, rad/s per K."""
+    def slope_at(self, T: float) -> float:
+        """Analytic d shift / dT at one temperature, rad/s per K."""
         return self.weight * bose_einstein_slope(self.omega, T)
 
 
@@ -241,22 +256,25 @@ def fit_mode_temperature(reference: QuasiharmonicResponse, slope_at_T0: float,
         ``RATIO_TOLERANCE`` relative; the message lists per-point residuals.
     """
     T0 = CALIBRATION_T0_K
-    Ts = np.array([T for T, _ in ratio_curve], dtype=float)
-    targets = np.array([r for _, r in ratio_curve], dtype=float)
-    reference_slopes = reference.slope_at(Ts)
+    Ts = [float(T) for T, _ in ratio_curve]
+    targets = [float(r) for _, r in ratio_curve]
+    reference_slopes = [reference.slope_at(T) for T in Ts]
 
     def residuals(log_theta):
-        # a trial point may overflow: numpy gives inf there, which the solver refuses
-        with np.errstate(all="ignore"):
-            theta = float(np.exp(log_theta[0]))
-            omega = einstein_mode_frequency(theta)
-            weight = slope_at_T0 / bose_einstein_slope(omega, T0)
-            model_ratio = weight * bose_einstein_slope(omega, Ts) / reference_slopes
-            # d ln(ratio) / d ln(theta), from d ln(dn/dT) / d ln(theta) = 1 - u coth(u / 2)
-            d_log = (theta / T0 / np.tanh(theta / (2 * T0))
-                     - theta / Ts / np.tanh(theta / (2 * Ts)))
-            jac = model_ratio * d_log / targets
-            return ((model_ratio - targets) / targets).tolist(), [[d] for d in jac.tolist()]
+        # a trial point may overflow or divide by zero: Python floats raise
+        # there, which the solver takes as a point where the model is not finite
+        theta = math.exp(log_theta[0])
+        omega = einstein_mode_frequency(theta)
+        weight = slope_at_T0 / bose_einstein_slope(omega, T0)
+        # d ln(ratio) / d ln(theta), from d ln(dn/dT) / d ln(theta) = 1 - u coth(u / 2)
+        d_log_T0 = theta / T0 / math.tanh(theta / (2 * T0))
+        res, jac = [], []
+        for T, reference_slope, target in zip(Ts, reference_slopes, targets):
+            model_ratio = weight * bose_einstein_slope(omega, T) / reference_slope
+            d_log = d_log_T0 - theta / T / math.tanh(theta / (2 * T))
+            res.append((model_ratio - target) / target)
+            jac.append([model_ratio * d_log / target])
+        return res, jac
 
     try:
         (log_theta,), res, _ = levenberg_marquardt(residuals, [math.log(REFERENCE_MODE_K)])
@@ -264,14 +282,14 @@ def fit_mode_temperature(reference: QuasiharmonicResponse, slope_at_T0: float,
         raise CalibrationError(
             f"ratio targets infeasible for a single varied mode: {exc}"
         ) from None
-    if np.max(np.abs(res)) > RATIO_TOLERANCE:
+    if max(abs(r) for r in res) > RATIO_TOLERANCE:
         lines = ", ".join(
             f"{T:.0f} K: {r * 100:+.1f}%" for T, r in zip(Ts, res)
         )
         raise CalibrationError(
             f"ratio targets infeasible for a single varied mode; residuals: {lines}"
         )
-    return float(np.exp(log_theta))
+    return math.exp(log_theta)
 
 
 def calibrate_response_set() -> QuasiharmonicSet:
@@ -337,7 +355,7 @@ def save_response_set(set_: QuasiharmonicSet, path, deterministic: bool = False)
     byte-identical files.
     """
     ratio = [
-        [T, float(set_.hyperfine.slope_at(T) / set_.quadrupole.slope_at(T))]
+        [T, set_.hyperfine.slope_at(T) / set_.quadrupole.slope_at(T)]
         for T, _ in DEFAULT_RATIO_CURVE
     ]
     calibration = {

@@ -743,3 +743,29 @@ def test_source_requires_matching_response_type():
         temperature_source(lorentzian(0.0, 5.0), response="linear")
     with pytest.raises(ValueError, match="three finite slopes"):
         NoiseSource(name="x", distribution=gaussian(0.0, 1.0), slopes=(1.0, math.nan, 0.0))
+
+
+def _numpy_slope_verdict(slopes):
+    """Whether numpy's shape and isfinite took ``slopes`` as three finite
+    slopes, or None where they raised."""
+    try:
+        return bool(np.shape(slopes) == (3,) and np.isfinite(slopes).all())
+    except (TypeError, ValueError):
+        return None
+
+
+@pytest.mark.parametrize("slopes", [
+    (1.0, -2.0, 0.0), [1, 2, 3], (True, 0.0, 0.0), (np.float32(1.0), np.int64(2), 3.0),
+    np.array([1.0, 2.0, 3.0]), (1.0, math.nan, 0.0), (math.inf, 0.0, 0.0),
+    np.array([1.0, np.nan, 0.0]), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0), (), None, 1.0, "abc",
+    np.array([[1.0], [2.0], [3.0]]), np.array(1.0), ((1.0,), 2.0, 3.0), ("1", "2", "3"),
+], ids=repr)
+def test_slopes_are_checked_without_numpy(slopes):
+    # the check runs on Python floats, with the verdicts and the message of
+    # numpy's; where numpy raised its own error the slopes are refused too
+    if _numpy_slope_verdict(slopes):
+        assert NoiseSource("x", gaussian(0.0, 1.0), slopes=slopes).is_linear
+    else:
+        with pytest.raises(ValueError, match=r"source 'x' needs three finite slopes "
+                                             r"\(dQ/dx, dA/dx, dB/dx\), got "):
+            NoiseSource("x", gaussian(0.0, 1.0), slopes=slopes)

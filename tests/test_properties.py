@@ -8,6 +8,8 @@ and fast:
   (``KINDS``), and the dump never emits a ``method`` key (the sources choose
   the ensemble average) or a ``formats`` key; the same config built in code
   with numpy scalars prints the same text;
+* the config's grid checks, which decide a range from its endpoints, give
+  the verdict that numpy's realized grid gives, spacing near rounding too;
 * sequence scripts round-trip through the canonical printer, kind included;
 * a closed-form Ramsey decay under Lorentzian noise obeys A(2t) = A(t)^2;
 * a Monte Carlo point is bit-identical whatever family it is evaluated in,
@@ -16,12 +18,14 @@ and fast:
 
 import math
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from nvecho.catalog import DEFAULT_SKIP, MIN_FIT_POINTS
-from nvecho.config import PIPELINE_NEEDS, ScenarioConfig, dump_config, parse_config
+from nvecho import config
+from nvecho.config import PIPELINE_NEEDS, ScenarioConfig, dump_config, parse_config, realize_grid
 from nvecho.noise import CHUNK, field_source, lorentzian, temperature_source
 from nvecho.response import default_quasiharmonic_set
 from nvecho.pulses import KINDS, build_sequence
@@ -225,6 +229,99 @@ def test_config_parse_dump_parse_is_a_fixed_point(doc):
     built = ScenarioConfig(**{f.name: _numpy_scalars(getattr(first, f.name))
                               for f in fields(first)})
     assert dump_config(built) == text
+
+
+# -------------------------------------------------------------- grid checks
+# A range is checked from its endpoints where they settle the verdict, and
+# realized only where they do not (time points within rounding of each
+# other); either way the verdict is the one numpy's realized grid gives.
+
+class _Realized(Exception):
+    """The check realized the grid."""
+
+
+def _unrealized_verdict(check, spec):
+    """``check``'s verdict on ``spec`` without realizing it, or None where
+    it realizes the grid to decide."""
+    def realize(spec):
+        raise _Realized
+
+    with mock.patch.object(config, "_grid_values", realize):
+        try:
+            return check(spec)
+        except _Realized:
+            return None
+
+
+def _checks_agree(check, spec, holds):
+    """``check`` gives ``holds``' verdict on the realized grid, with numpy
+    imported or without."""
+    expected = bool(holds(realize_grid(spec)))
+    assert check(spec) == expected, spec
+    assert _unrealized_verdict(check, spec) in (None, expected), spec
+    return expected
+
+
+def _numpy_increasing(values):
+    return values[0] > 0 and np.all(np.diff(values) > 0)
+
+
+def _numpy_fractions(values):
+    return np.all((values >= 0) & (values <= 1))
+
+
+@st.composite
+def _range(draw, start):
+    """A range from a draw of ``start`` to a stop a few ulps off, a stop
+    whose relative gap per point is about the checks' thresholds, or another
+    draw of ``start``."""
+    first = draw(start)
+    count = draw(st.one_of(st.integers(1, 20), st.integers(1, 10**4)))
+    how = draw(st.sampled_from(["ulps", "gap", "any"]))
+    if how == "ulps":
+        stop = first
+        for _ in range(draw(st.integers(0, 4))):
+            stop = math.nextafter(stop, draw(st.sampled_from([math.inf, -math.inf])))
+    elif how == "gap":
+        gap = 10.0 ** draw(st.floats(-17.0, -7.0))
+        stop = first * (1.0 + gap * max(count - 1, 1) * draw(st.sampled_from([1, -1])))
+    else:
+        stop = draw(start)
+    spacing = draw(st.sampled_from(["linear", "log"]))
+    if spacing == "log" and not (first > 0 and stop > 0):
+        spacing = "linear"  # the config refuses a log range without positive endpoints
+    return {"start": first, "stop": stop, "count": count, "spacing": spacing}
+
+
+_GRID_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+
+@_GRID_SETTINGS
+@given(_range(st.one_of(_finite(1e-7, 1e-1), _finite(-1e-3, 1e-3), st.just(1.0))))
+@example({"start": 1.0, "stop": math.nextafter(1.0, 2.0), "count": 2, "spacing": "linear"})
+@example({"start": 1.0, "stop": math.nextafter(1.0, 2.0), "count": 3, "spacing": "linear"})
+@example({"start": 1.0, "stop": math.nextafter(1.0, 2.0), "count": 3, "spacing": "log"})
+@example({"start": 1e-3, "stop": 2e-3, "count": 10**4, "spacing": "log"})
+def test_time_grid_check_gives_the_realized_verdict(spec):
+    _checks_agree(config._positive_increasing, spec, _numpy_increasing)
+
+
+@_GRID_SETTINGS
+@given(_range(st.one_of(_finite(0.0, 1.0), _finite(-0.1, 1.1), st.just(1.0),
+                        st.just(math.nextafter(1.0, 0.0)))))
+@example({"start": 0.5, "stop": 1.0, "count": 10**4, "spacing": "log"})
+@example({"start": 1.0, "stop": math.nextafter(1.0, 2.0), "count": 1, "spacing": "linear"})
+@example({"start": 0.0, "stop": 1.0, "count": 10**4, "spacing": "linear"})
+def test_fraction_grid_check_gives_the_realized_verdict(spec):
+    _checks_agree(config._fractions, spec, _numpy_fractions)
+
+
+@SETTINGS
+@given(st.lists(st.one_of(_finite(-1e-3, 1e-1), _finite(-0.1, 1.1)), min_size=1, max_size=6))
+def test_listed_grid_checks_give_the_realized_verdict(values):
+    for check, holds in ((config._positive_increasing, _numpy_increasing),
+                         (config._fractions, _numpy_fractions)):
+        _checks_agree(check, tuple(values), holds)
 
 
 # ------------------------------------------------------------------ scripts
