@@ -22,10 +22,11 @@ Parsing validates the whole document and raises one ConfigError listing
 every problem with its dotted path, so a config is fixed in one edit cycle
 rather than one error at a time.  That includes the sequence keys the
 pipeline needs, well-formed grids (times positive, strictly increasing and,
-where the pipeline fits them, long enough to fit; flip fractions in [0, 1])
-and, at ``spin`` or ``sources[i]``, a model that refuses values which each
-parsed.  ``dump_config`` prints the canonical form; parse -> print -> parse
-is a fixed point.  ``build`` parses a config's canonical mapping
+where the pipeline fits them, long enough to fit; flip fractions in [0, 1];
+a range of at most ``MAX_GRID_POINTS`` points) and, at ``spin`` or
+``sources[i]``, a model that refuses values which each parsed.
+``dump_config`` prints the canonical form; parse -> print -> parse is a
+fixed point.  ``build`` parses a config's canonical mapping
 (``config_document``) and returns the models it builds, so a config parsed,
 built or changed in code is checked the same way, and a key or kind no table
 knows is printed as it is and reported at its dotted path.
@@ -36,10 +37,9 @@ plus the fig2c/fig2d aliases, which both resolve to the two-branch fig2
 table).  Loading a config imports only the modules that build its models:
 the sequence kinds come from the numpy-free ``pulses``, and the scan, fit,
 script and run layers are not imported at all.  Nor is numpy: building the
-models takes no array, and the grid checks run on Python floats, deciding a
-range from its endpoints wherever they settle what ``realize_grid`` would
-give (``_positive_increasing``, ``_fractions``).  ``realize_grid``, the one
-realizer a run uses, imports numpy when it is called.  YAML is parsed by
+models takes no array, and ``realize_grid`` builds a grid's values on Python
+floats, the values the grid checks read and a run scans
+(``_positive_increasing``, ``_fractions``).  YAML is parsed by
 ``yamlio.load_yaml`` (libyaml where PyYAML has it).
 """
 
@@ -386,10 +386,17 @@ def _sources(block, path, col):
 
 # ---------------------------------------------------------------- sequences
 
+# A range's points are realized as a list (``realize_grid``), to check and to
+# run; the largest packaged grid has 101.
+MAX_GRID_POINTS = 10**6
+_grid_count = _checked(_positive_integer, lambda v: v <= MAX_GRID_POINTS,
+                       f"must be at most {MAX_GRID_POINTS}")
+
+
 def _range_keys(dimension):
     """The keys of a ``{start, stop, count, spacing}`` grid in ``dimension``."""
     end = _measured(dimension)._replace(required=True)
-    return {"start": end, "stop": end, "count": Key(_positive_integer, required=True),
+    return {"start": end, "stop": end, "count": Key(_grid_count, required=True),
             "spacing": Key(_one_of(("linear", "log")))}
 
 
@@ -414,19 +421,45 @@ def _normalize_grid(spec, path, col, dimension):
     return None
 
 
-def realize_grid(spec):
-    """Materialize a normalized grid spec as a float array (None passes
-    through): a range with ``np.linspace`` or ``np.geomspace``, whose first
-    value is its start and, with two or more points, whose last is its stop."""
-    import numpy as np
+def _spaced(start, stop, count) -> list:
+    """``count`` points from ``start`` to ``stop`` as ``np.linspace`` spaces
+    them: point i is ``i*step + start``, the last ``stop``; where the step
+    underflows to zero, point i is ``i/(count - 1)`` of the gap past start."""
+    delta = stop - start
+    div = max(count - 1, 1)
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(count)]
+    else:
+        points = [i * step + start for i in range(count)]
+    if count > 1:
+        points[-1] = stop
+    return points
 
+
+def _power_of_ten(y) -> float:
+    """``10.0 ** y``, inf where it overflows."""
+    try:
+        return 10.0 ** y
+    except OverflowError:
+        return math.inf
+
+
+def realize_grid(spec):
+    """A normalized grid spec's values as a list of Python floats (None
+    passes through): a list as it is, a range spaced as ``np.linspace``
+    spaces it and a log range as ``np.geomspace`` does with numpy's libm
+    loops, point i ``10 ** (i*step + log10(start))``.  A range's first value
+    is its start and, with two or more points, its last is its stop."""
     if spec is None:
         return None
-    if isinstance(spec, dict):
-        if spec["spacing"] == "log":
-            return np.geomspace(spec["start"], spec["stop"], spec["count"])
-        return np.linspace(spec["start"], spec["stop"], spec["count"])
-    return np.asarray(spec, dtype=float)
+    if not isinstance(spec, dict):
+        return list(spec)
+    start, stop, count = spec["start"], spec["stop"], spec["count"]
+    if spec["spacing"] == "log":
+        inner = _spaced(math.log10(start), math.log10(stop), count)[1:-1]
+        return [start, *map(_power_of_ten, inner), stop][:count]
+    return _spaced(start, stop, count)
 
 
 def _normalize_pair(value, path, col):
@@ -455,67 +488,20 @@ def _grid_size(spec) -> int:
     return spec["count"] if isinstance(spec, dict) else len(spec)
 
 
-def _grid_values(spec) -> list:
-    """A normalized grid's values as Python floats: a list as it is, a range
-    as ``realize_grid`` gives it."""
-    return realize_grid(spec).tolist() if isinstance(spec, dict) else list(spec)
-
-
-# Bounds within which the endpoints of a range decide its checks.  A
-# linspace point is within 5e-16 of the stop of its exact value, and a
-# geomspace point within 2e-12 relative, so a positive range is realized
-# strictly increasing when its points lie _LINEAR_APART of its stop apart
-# (linear) or _LOG_APART apart in log (log spacing).  A range of more than
-# _MAX_DECIDED points, more than memory holds, is left to the realized check.
-_LINEAR_APART = 1e-14
-_LOG_APART = 1e-10
-_MAX_DECIDED = 2**40
-
-
-def _spaced_apart(spec) -> bool:
-    """Whether the points of a range with ``0 < start < stop`` lie so far
-    apart that ``realize_grid`` gives them strictly increasing."""
-    start, stop, count = spec["start"], spec["stop"], spec["count"]
-    if count > _MAX_DECIDED:
-        return False
-    if spec["spacing"] == "log":
-        return math.log(stop) - math.log(start) > _LOG_APART * (count - 1)
-    return stop - start > _LINEAR_APART * stop * (count - 1)
-
-
 def _positive_increasing(spec) -> bool:
-    """Whether the grid's values are positive and strictly increasing.  A
-    range is decided from its endpoints where they settle it: realized, its
-    first value is its start and, with two or more points, its last is its
-    stop, and its points are in order when ``_spaced_apart``; only a range
-    whose points lie closer is realized with numpy and checked point by
-    point."""
-    if isinstance(spec, dict):
-        start, stop, count = spec["start"], spec["stop"], spec["count"]
-        if not start > 0 or (count > 1 and not stop > start):
-            return False
-        if count == 1 or _spaced_apart(spec):
-            return True
-    values = _grid_values(spec)
+    """Whether the grid's values are positive and strictly increasing."""
+    values = realize_grid(spec)
     return values[0] > 0 and all(a < b for a, b in zip(values, values[1:]))
 
 
 def _fractions(spec) -> bool:
-    """Whether the grid's values lie in [0, 1].  A range is decided from its
-    endpoints: realized, its first value is its start and, with two or more
-    points, its last is its stop.  The points between stay within [0, 1]
-    when both do: a linspace point lies between the endpoints, and a
-    geomspace point is positive, and at most 1 where both endpoints are,
-    since faithfully rounded log10 and power keep 10^t <= 1 for t <= 0."""
-    if isinstance(spec, dict) and spec["count"] <= _MAX_DECIDED:
-        ends = (spec["start"],) if spec["count"] == 1 else (spec["start"], spec["stop"])
-        return all(0.0 <= end <= 1.0 for end in ends)
-    return all(0.0 <= v <= 1.0 for v in _grid_values(spec))
+    """Whether the grid's values lie in [0, 1]."""
+    return all(0.0 <= v <= 1.0 for v in realize_grid(spec))
 
 
 def _grid(dimension, holds, message) -> Key:
     """A grid key in ``dimension`` whose values, as ``realize_grid`` gives
-    them, must satisfy ``holds``, which decides from the normalized grid."""
+    them, must satisfy ``holds``, a check of the normalized grid."""
     def dump(spec):
         if isinstance(spec, dict):
             return _dump_mapping(spec, _range_keys(dimension))

@@ -44,8 +44,16 @@ def dot(u, v) -> float:
 
 
 def norm(u) -> float:
-    """Euclidean norm of a vector, from :func:`dot`."""
-    return math.sqrt(dot(u, u))
+    """Euclidean norm of a vector, from :func:`dot`; where the squares of
+    finite entries sum past float max, from ``u`` scaled by its largest
+    entry, so a finite sum keeps its bits."""
+    total = dot(u, u)
+    if total == math.inf:
+        scale = max(abs(v) for v in u)
+        if math.isfinite(scale):
+            scaled = [v / scale for v in u]
+            return scale * math.sqrt(dot(scaled, scaled))
+    return math.sqrt(total)
 
 
 def matvec(a, x) -> list:

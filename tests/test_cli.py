@@ -13,7 +13,7 @@ import yaml
 
 from nvecho import sequences, yamlio
 from nvecho.cli import main
-from nvecho.config import load_packaged_scenario, packaged_scenario_path
+from nvecho.config import MAX_GRID_POINTS, load_packaged_scenario, packaged_scenario_path
 from nvecho.estimator import RateTable
 from nvecho.noise import lorentzian, temperature_source
 from nvecho.pulses import build_sequence
@@ -395,10 +395,13 @@ def test_fit_of_a_fringe_whose_square_overflows(tmp_path, capsys):
     write_signal_csv(EnsembleSignal(phases, fringe, "readout_phase_rad", "population"), path,
                      deterministic=True)
     assert main(["fit", str(path), "--deterministic"]) == 0
-    parameters = json.loads(capsys.readouterr().out)["parameters"]
+    fit = json.loads(capsys.readouterr().out)
+    parameters = fit["parameters"]
     assert parameters["contrast"] == pytest.approx(2e200, rel=1e-12)
     assert parameters["maximum"] == pytest.approx(2e200, rel=1e-12)
     assert abs(parameters["phase"]) < 1e-12
+    # its residuals, about 1e184, square past float max
+    assert math.isfinite(fit["residual_norm"])
 
 
 def _rate_csv(tmp_path, both_branches=False):
@@ -712,6 +715,19 @@ def test_short_fitted_grids_exit_2_before_compute(tmp_path, capsys, name):
     err = capsys.readouterr().err
     for path in ("sequence.times", "sequence.compare.times"):
         assert f"{path}: needs >= 8 points" in err
+    assert not out_dir.exists()
+
+
+def test_a_range_of_too_many_points_exits_2_before_compute(tmp_path, capsys):
+    # 2**35 log-spaced times used to end in numpy's memory error (256 GiB to
+    # realize them) and a traceback
+    doc = yaml.safe_load(COMPARE_YAML)
+    doc["sequence"]["times"] = {"start": "1 ms", "stop": "30 ms", "count": 2**35,
+                                "spacing": "log"}
+    cfg = _write(tmp_path, "huge.yaml", yaml.safe_dump(doc))
+    out_dir = tmp_path / "artifacts"
+    _assert_usage_error(capsys, ["simulate", str(cfg), "--out", str(out_dir)],
+                        f"sequence.times.count: must be at most {MAX_GRID_POINTS}")
     assert not out_dir.exists()
 
 

@@ -114,14 +114,14 @@ def test_full_config_builds_models():
     assert sources[1].distribution.scale == pytest.approx(expected_width, rel=1e-12)
 
     times = realize_grid(cfg.sequence["times"])
-    assert times.shape == (24,)
+    assert len(times) == 24
     assert times[0] == pytest.approx(50e-6, rel=1e-12)
     assert times[-1] == pytest.approx(15e-3, rel=1e-12)
     assert np.allclose(np.diff(np.log(times)), np.diff(np.log(times))[0])
 
     compare = cfg.sequence["compare"]
     ctimes = realize_grid(compare["times"])
-    assert ctimes.shape == (24,)
+    assert len(ctimes) == 24
     assert np.allclose(np.diff(ctimes), np.diff(ctimes)[0])
     assert cfg.sequence["flip_fraction"] == 0.18
     assert cfg.sequence["pair"] == (0, -1)
@@ -252,12 +252,19 @@ def test_grid_validation():
     with pytest.raises(ConfigError, match="spacing"):
         parse_config(cfg)
 
+    # a log range's points are powers of ten; one that rounds past float max
+    # is inf, refused as the grid's problem rather than raised
+    cfg["sequence"] = {"times": {"start": "1.7976931348623e308 s",
+                                 "stop": "1.7976931348623157e308 s", "count": 8, "spacing": "log"}}
+    with pytest.raises(ConfigError, match="sequence.times: must be positive and strictly increasing"):
+        parse_config(cfg)
+
     cfg["pipeline"] = "rate_table_vee"
     times = [f"{k} ms" for k in range(1, 9)]
     cfg["sequence"] = {"pairs": [[0, -1]], "times": times, "flip_fractions": [0.0, 0.25, 0.5]}
     parsed = parse_config(cfg)
-    assert realize_grid(parsed.sequence["times"]).tolist() == [k * 1e-3 for k in range(1, 9)]
-    assert realize_grid(parsed.sequence["flip_fractions"]).tolist() == [0.0, 0.25, 0.5]
+    assert realize_grid(parsed.sequence["times"]) == [k * 1e-3 for k in range(1, 9)]
+    assert realize_grid(parsed.sequence["flip_fractions"]) == [0.0, 0.25, 0.5]
 
     # each times grid a pipeline fits must hold the fit's skip and its five
     # points; a shorter one used to fail in the fit, after the other grids ran
@@ -775,19 +782,23 @@ def test_packaged_configs_parse_and_print_unchanged(name):
     assert hashlib.sha256(text.encode()).hexdigest() == PACKAGED_DUMPS[name]
 
 
-# Loads and builds configs in a fresh interpreter and prints which of the run
-# layer's modules (and numpy.ma) that imported.
+# Loads and builds configs in a fresh interpreter, realizes each of their
+# grids, and prints which of the run layer's modules (and numpy) that imported.
 CONFIG_IMPORTS = """\
 import sys
 
-from nvecho.config import build, load_packaged_scenario, parse_config
+from nvecho.config import build, load_packaged_scenario, parse_config, realize_grid
 
-for name in sys.argv[2:]:
-    build(load_packaged_scenario(name))
+configs = [load_packaged_scenario(name) for name in sys.argv[2:]]
 if sys.argv[1]:
-    build(parse_config(sys.argv[1]))
+    configs.append(parse_config(sys.argv[1]))
+for config in configs:
+    build(config)
+    for block in (config.sequence, config.sequence.get("compare", {})):
+        for key in ("times", "flip_fractions"):
+            realize_grid(block.get(key))
 layers = ("nvecho.scenarios", "nvecho.estimator", "nvecho.sequences", "nvecho.script",
-          "numpy.ma")
+          "numpy")
 print("loaded:", [name for name in layers if name in sys.modules])
 """
 
@@ -800,8 +811,8 @@ def _config_imports(text, *names):
 
 
 def test_a_config_load_imports_only_the_model():
-    # every packaged scenario, and a simulate block, loads without the scan,
-    # fit, script or run layer
+    # every packaged scenario, and a simulate block, loads and realizes its
+    # grids without numpy or the scan, fit, script or run layer
     names = sorted(SCENARIO_NAMES) + sorted(SCENARIO_ALIASES)
     assert _config_imports(MINIMAL, *names) == "loaded: []"
 

@@ -8,8 +8,10 @@ and fast:
   (``KINDS``), and the dump never emits a ``method`` key (the sources choose
   the ensemble average) or a ``formats`` key; the same config built in code
   with numpy scalars prints the same text;
-* the config's grid checks, which decide a range from its endpoints, give
-  the verdict that numpy's realized grid gives, spacing near rounding too;
+* ``realize_grid`` spaces a linear range as ``np.linspace`` does, bit for
+  bit, and a log range within an ulp of ``np.geomspace``, its endpoints
+  exact, spacing near rounding too, and the config's grid checks give the
+  verdict numpy gives on those realized values;
 * sequence scripts round-trip through the canonical printer, kind included;
 * a closed-form Ramsey decay under Lorentzian noise obeys A(2t) = A(t)^2;
 * a Monte Carlo point is bit-identical whatever family it is evaluated in,
@@ -18,7 +20,6 @@ and fast:
 
 import math
 from dataclasses import fields
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -231,50 +232,17 @@ def test_config_parse_dump_parse_is_a_fixed_point(doc):
     assert dump_config(built) == text
 
 
-# -------------------------------------------------------------- grid checks
-# A range is checked from its endpoints where they settle the verdict, and
-# realized only where they do not (time points within rounding of each
-# other); either way the verdict is the one numpy's realized grid gives.
-
-class _Realized(Exception):
-    """The check realized the grid."""
-
-
-def _unrealized_verdict(check, spec):
-    """``check``'s verdict on ``spec`` without realizing it, or None where
-    it realizes the grid to decide."""
-    def realize(spec):
-        raise _Realized
-
-    with mock.patch.object(config, "_grid_values", realize):
-        try:
-            return check(spec)
-        except _Realized:
-            return None
-
-
-def _checks_agree(check, spec, holds):
-    """``check`` gives ``holds``' verdict on the realized grid, with numpy
-    imported or without."""
-    expected = bool(holds(realize_grid(spec)))
-    assert check(spec) == expected, spec
-    assert _unrealized_verdict(check, spec) in (None, expected), spec
-    return expected
-
-
-def _numpy_increasing(values):
-    return values[0] > 0 and np.all(np.diff(values) > 0)
-
-
-def _numpy_fractions(values):
-    return np.all((values >= 0) & (values <= 1))
-
+# -------------------------------------------------------------- grid values
+# ``realize_grid`` builds a range on Python floats, and the config checks and
+# a run read the same values: a linear range is numpy's bit for bit, and a
+# log range numpy's where it runs libm's log10 and pow, as it does without
+# AVX-512.
 
 @st.composite
 def _range(draw, start):
     """A range from a draw of ``start`` to a stop a few ulps off, a stop
-    whose relative gap per point is about the checks' thresholds, or another
-    draw of ``start``."""
+    whose relative gap per point is about a rounding error or above, or
+    another draw of ``start``."""
     first = draw(start)
     count = draw(st.one_of(st.integers(1, 20), st.integers(1, 10**4)))
     how = draw(st.sampled_from(["ulps", "gap", "any"]))
@@ -294,6 +262,56 @@ def _range(draw, start):
 
 
 _GRID_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+
+
+@_GRID_SETTINGS
+@given(_range(st.one_of(_finite(1e-7, 1e-1), _finite(-1e-3, 1e-3), _finite(0.0, 1.0),
+                        _finite(-0.1, 1.1), st.just(1.0), st.just(math.nextafter(1.0, 0.0)))))
+@example({"start": 1.0, "stop": math.nextafter(1.0, 2.0), "count": 2, "spacing": "linear"})
+@example({"start": 1.0, "stop": math.nextafter(1.0, 2.0), "count": 3, "spacing": "linear"})
+@example({"start": 1.0, "stop": math.nextafter(1.0, 2.0), "count": 3, "spacing": "log"})
+@example({"start": 1e-3, "stop": 2e-3, "count": 10**4, "spacing": "log"})
+@example({"start": 0.5, "stop": 1.0, "count": 10**4, "spacing": "log"})
+@example({"start": 1.0, "stop": math.nextafter(1.0, 2.0), "count": 1, "spacing": "linear"})
+@example({"start": 0.0, "stop": 1.0, "count": 10**4, "spacing": "linear"})
+@example({"start": 0.0, "stop": 5e-324, "count": 4, "spacing": "linear"})  # a step below 5e-324
+def test_a_range_is_realized_as_numpy_spaces_it(spec):
+    start, stop, count = spec["start"], spec["stop"], spec["count"]
+    values = realize_grid(spec)
+    assert all(isinstance(v, float) for v in values)
+    if spec["spacing"] == "linear":
+        expected = np.linspace(start, stop, count).tolist()
+        assert [v.hex() for v in values] == [v.hex() for v in expected], spec
+        return
+    assert len(values) == count and values[0] == start and values[-1] == (stop, start)[count == 1]
+    # numpy's AVX-512 pow may round a point another way, by an ulp; its
+    # AVX-512 log10 may also round an end's log another way, which moves the
+    # points by a few ulps of the larger log, relative
+    expected = np.geomspace(start, stop, count).tolist()
+    if all(np.log10(end) == math.log10(end) for end in (start, stop)):
+        bounds = map(math.ulp, expected)
+    else:
+        relative = 8 * math.ulp(max(abs(math.log10(start)), abs(math.log10(stop)), 1.0))
+        bounds = (relative * e for e in expected)
+    assert all(abs(v - e) <= b for v, e, b in zip(values, expected, bounds)), spec
+
+
+# The checks read the values a run runs, so each gives the verdict numpy
+# gives on the realized grid, spacing near rounding too.
+
+def _checks_agree(check, spec, holds):
+    """``check`` gives ``holds``' verdict on the realized grid."""
+    expected = bool(holds(np.asarray(realize_grid(spec))))
+    assert check(spec) == expected, spec
+    return expected
+
+
+def _numpy_increasing(values):
+    return values[0] > 0 and np.all(np.diff(values) > 0)
+
+
+def _numpy_fractions(values):
+    return np.all((values >= 0) & (values <= 1))
 
 
 @_GRID_SETTINGS

@@ -3,9 +3,9 @@ against the ``reproduce --deterministic`` artifacts checked in under
 ``data/reference``, and its summary line, exactly, against
 ``<name>-summary.txt`` there.
 
-A run writes the same artifact names, every ``#`` metadata line and CSV
-header exactly, and every number within ``RTOL`` of the reference or the
-bound that ``BOUNDS`` names for it.  A JSON document may gain keys but not
+A run writes the same artifact names, every ``#`` metadata line, CSV
+header and grid column (``GRID_COLUMNS``) exactly, and every other number
+within ``RTOL`` of the reference or the bound that ``BOUNDS`` names for it.  A JSON document may gain keys but not
 lose or move one.  A change that means to move a number rewrites the
 reference files and names each moved value.
 """
@@ -45,6 +45,10 @@ FIT_RTOL = 1e-6
 # longer exact leaves residuals many orders above it.
 NOISE = "rounding noise"
 NOISE_CEILING = 1e-10
+
+# The grid each CSV is scanned over: ``config.realize_grid`` computes it on
+# Python floats, whatever numpy's SIMD level, so it is held exactly.
+GRID_COLUMNS = dict.fromkeys(("total_time_s", "flip_fraction", "tau_over_t"), 0.0)
 
 # Per artifact, the JSON keys (and everything below them) or CSV columns
 # held to another bound than RTOL: a relative tolerance, or NOISE.
@@ -131,7 +135,7 @@ def artifact_mismatches(ref_path: Path, got_path: Path) -> list:
     name = ref_path.name
     bounds = BOUNDS.get(name, {})
     if ref_path.suffix == ".csv":
-        return _csv_mismatches(name, ref_path, got_path, bounds)
+        return _csv_mismatches(name, ref_path, got_path, GRID_COLUMNS | bounds)
     return _json_mismatches(name, json.loads(ref_path.read_text()),
                             json.loads(got_path.read_text()), bounds)
 

@@ -397,7 +397,7 @@ def test_compare_step_is_one_family_equal_to_two_scans(tmp_path, monkeypatch, na
         families.append(len(family)) or real_family(family, *args, **kwargs)))
     signals = run_scenario(cfg, out_dir=tmp_path, deterministic=True).signals
     blocks = {"protected": cfg.sequence, "unprotected": cfg.sequence["compare"]}
-    assert families == [sum(realize_grid(block["times"]).size for block in blocks.values())]
+    assert families == [sum(len(realize_grid(block["times"])) for block in blocks.values())]
     models = build(cfg)[1]
     for label, block in blocks.items():
         kind = block["kind"]
