@@ -19,10 +19,11 @@ path (``monte_carlo_attenuation``).
 
 Both paths evaluate a whole family of sequences (a sweep or a decay scan)
 at once, given as a list of PhaseCoefficients, and return one attenuation
-per member.  The closed form is one vectorised real product over the
-family; ``monte_carlo_attenuation`` says how the Monte Carlo path shares
-its draws across the family and still gives every member the bits that
-member alone gives.
+per member.  The closed form is each member's real product on Python
+floats, with libm's ``exp``, so its bits do not follow numpy's SIMD level
+and it imports no numpy; ``monte_carlo_attenuation`` says how the Monte
+Carlo path shares its draws across the family and still gives every member
+the bits that member alone gives.
 
 The Monte Carlo path sums each member's e^{i phase} without a complex
 exponential (``_member_sums``).  A member's phase is the sum of its
@@ -41,10 +42,11 @@ CPU: Lorentzian sampling (``np.tan``) and the Bose-Einstein occupation
 (``np.expm1``) run numpy's AVX-512 loops where the CPU has them, and those
 differ in the last bits from numpy's AVX2 and baseline loops, which agree.
 
-Building a source takes no array, so numpy is imported where an ensemble is
-averaged, not with the module: a config load builds its sources, and
-checks their slopes, on Python floats.  The table of e^{2 pi i j/4096} is
-built on the first Monte Carlo average, before its chunks are forked out.
+Building a source takes no array, so numpy is imported where a Monte Carlo
+ensemble is averaged, not with the module: a config load builds its
+sources, and checks their slopes, on Python floats, and the closed form
+runs on them.  The table of e^{2 pi i j/4096} is built on the first Monte
+Carlo average, before its chunks are forked out.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .response import LinearResponse, QuasiharmonicSet, default_linear_response
 from .spin_model import PhaseCoefficients, SpinSystemParams, stack_coefficients
 from .units import check_number
 
-if TYPE_CHECKING:  # numpy is imported where an ensemble is averaged
+if TYPE_CHECKING:  # numpy is imported where a Monte Carlo ensemble is averaged
     import numpy as np
 
 CHUNK = 1 << 16
@@ -92,21 +94,17 @@ class Distribution:
         if self.kind == "delta" and self.scale != 0:
             raise ValueError("delta distribution must have zero scale")
 
-    def attenuation(self, u):
-        """E[e^{iu(x - location)}] evaluated at u (scalar or array).
+    def attenuation(self, u: float) -> float:
+        """E[e^{iu(x - location)}] evaluated at one u, with libm's ``exp``.
 
         Real: every kind is symmetric about its location, so the sine part
         averages to zero."""
-        import numpy as np
-
-        u = np.asarray(u, dtype=float)
         if self.kind == "lorentzian":
-            out = np.exp(-self.scale * np.abs(u))
-        elif self.kind == "gaussian":
-            out = np.exp(-0.5 * (self.scale * u) ** 2)
-        else:
-            out = np.ones(u.shape)
-        return float(out) if out.ndim == 0 else out
+            return math.exp(-self.scale * abs(u))
+        if self.kind == "gaussian":
+            v = self.scale * u
+            return math.exp(-0.5 * (v * v))
+        return 1.0
 
     def cdf(self, x: float) -> float:
         if self.scale == 0:  # any zero-width distribution is a point mass
@@ -280,20 +278,21 @@ def residual_field_source(dq_coherence_time: float = 3.9e-3,
     return field_source(lorentzian(0.0, scale), name=name)
 
 
-def dephasing_factor(sources, coefficients) -> np.ndarray:
+def dephasing_factor(sources, coefficients) -> list:
     """Exact <e^{i (phase - phase(locations))}> over linear sources for every
-    member of the ``coefficients`` family, as a (G,) real array: the product
-    of each source's ``Distribution.attenuation`` at its phase coefficient.
+    member of the ``coefficients`` family, as a list of G floats: per member,
+    the product of each source's ``Distribution.attenuation`` at its phase
+    coefficient, in source order, starting from 1.0.
 
     The same quantity as ``monte_carlo_attenuation``; the phase at the
     locations is ``NoiseSource.location_phase``.
     """
-    import numpy as np
-
-    grid = stack_coefficients(coefficients)
-    out = np.ones(grid.quadrupole.shape)
-    for src in sources:
-        out = out * src.distribution.attenuation(src.phase_coefficient(grid))
+    out = []
+    for c in coefficients:
+        value = 1.0
+        for src in sources:
+            value *= src.distribution.attenuation(src.phase_coefficient(c))
+        out.append(value)
     return out
 
 

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from .config import ScenarioConfig, build, realize_grid
 from .estimator import RateTable, fit_exponential, fit_vee
 from .pulses import KINDS, build_sequence, format_projection
@@ -170,7 +168,7 @@ def _sweep(ctx: _Context) -> float:
     keys = KINDS["unbalanced_echo"].read(block) | {"total_time": total_time}
     [signal] = scans([("unbalanced_echo", keys, "flip_fraction",
                        realize_grid(block["flip_fractions"]))], ctx.sources, **ctx.keywords)
-    peak = int(np.argmax(signal.y))
+    peak = signal.y.index(max(signal.y))  # the first peak, as np.argmax finds it
     fraction, amplitude = float(signal.x[peak]), float(signal.y[peak])
     sampling = _mc_numbers(signal.monte_carlo, peak)
     ctx.write_signal("sweep", signal)

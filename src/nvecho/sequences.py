@@ -11,8 +11,9 @@ them, as one family call.  The ``#``-metadata CSV format lives here alone:
 ``write_metadata_csv`` prints signals and rate tables (``RateTable``) in it,
 one schema each, and ``read_csv`` returns the one a file holds, its numbers
 as Python floats.  ``json_text`` prints every JSON artifact.  numpy is
-imported where a family is evaluated, not with the module, so reading a CSV
-file or a rate table loads none.
+imported only where a Monte Carlo family is averaged: the closed form runs
+on Python floats, and reading a CSV file or a rate table loads none.  A
+scan's x and y are lists of floats on either path, as a file's are.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .spin_model import (
 from .units import check_number
 from .yamlio import dump_yaml, load_yaml
 
-if TYPE_CHECKING:  # numpy and the ensemble averages are imported where a family is evaluated
+if TYPE_CHECKING:  # the ensemble averages are imported where a family is evaluated
     import numpy as np
 
     from .noise import MonteCarloResult
@@ -47,20 +48,25 @@ if TYPE_CHECKING:  # numpy and the ensemble averages are imported where a family
 @dataclass(frozen=True)
 class SimulationResult:
     """Ensemble-averaged signal of a family of G sequences: mean = e^{i
-    base_phase} * attenuation, each field a (G,) array with one value per
-    family member (a one-sequence family reads member 0)."""
+    base_phase} * attenuation, each field one value per family member (a
+    one-sequence family reads member 0).  The closed form gives lists of
+    floats, a real attenuation; Monte Carlo gives (G,) arrays, a complex
+    one."""
 
-    attenuation: np.ndarray  # real from the closed form, complex from Monte Carlo
-    base_phase: np.ndarray
+    attenuation: list | np.ndarray
+    base_phase: list | np.ndarray
     monte_carlo: MonteCarloResult | None = None
 
     @property
-    def amplitude(self) -> np.ndarray:
+    def amplitude(self) -> list:
+        """|attenuation| of each member, as a list of floats."""
+        if self.monte_carlo is None:
+            return [abs(a) for a in self.attenuation]
         # hypot of the parts gives a member the same bits whatever the family
         # size; numpy's complex abs can differ from it by an ulp
         import numpy as np
 
-        return np.hypot(self.attenuation.real, self.attenuation.imag)
+        return np.hypot(self.attenuation.real, self.attenuation.imag).tolist()
 
 
 def simulate_family(sequences, sources, params: SpinSystemParams | None = None,
@@ -69,9 +75,10 @@ def simulate_family(sequences, sources, params: SpinSystemParams | None = None,
     """Average e^{i phase} over the noise ensemble for every sequence: e^{i
     base_phase}, the deterministic phase at the distribution locations, times
     the attenuation about them.  When every source enters the phase linearly
-    the attenuation is the exact, real ``dephasing_factor``; otherwise it is a
-    Monte Carlo estimate from ``n_samples`` draws keyed by ``seed``, which all
-    sequences share, and ``monte_carlo`` holds its bookkeeping.
+    the attenuation is the exact, real ``dephasing_factor``, computed with the
+    base phase on Python floats; otherwise it is a Monte Carlo estimate from
+    ``n_samples`` draws keyed by ``seed``, which all sequences share, and
+    ``monte_carlo`` holds its bookkeeping.
     """
     from .noise import dephasing_factor, monte_carlo_attenuation
 
@@ -79,10 +86,12 @@ def simulate_family(sequences, sources, params: SpinSystemParams | None = None,
         params = default_params()
     sources = tuple(sources)
     coeffs = [phase_coefficients(params, seq.pair, seq.segments) for seq in sequences]
+    if all(src.is_linear for src in sources):
+        base = [accumulated_phase(params, c) + sum(src.location_phase(c) for src in sources)
+                for c in coeffs]
+        return SimulationResult(attenuation=dephasing_factor(sources, coeffs), base_phase=base)
     grid = stack_coefficients(coeffs)
     base = accumulated_phase(params, grid) + sum(src.location_phase(grid) for src in sources)
-    if all(src.is_linear for src in sources):
-        return SimulationResult(attenuation=dephasing_factor(sources, coeffs), base_phase=base)
     mc = monte_carlo_attenuation(sources, coeffs, n_samples=n_samples, seed=seed)
     return SimulationResult(attenuation=mc.attenuation, base_phase=base, monte_carlo=mc)
 
@@ -98,11 +107,11 @@ def _average_metadata(result: SimulationResult) -> dict:
 
 @dataclass
 class EnsembleSignal:
-    """A 1D scan: y(x) plus labels and free-form metadata; a scan's x and y
-    are arrays, a signal read from its file holds lists of floats."""
+    """A 1D scan: y(x) plus labels and free-form metadata; x and y are lists
+    of floats, whether the signal comes from a scan or from its file."""
 
-    x: np.ndarray | list
-    y: np.ndarray | list
+    x: list
+    y: list
     x_label: str
     y_label: str
     metadata: dict = dataclass_field(default_factory=dict)
@@ -121,24 +130,25 @@ def scans(specs, sources, **kwargs) -> list:
     "total_time" (a decay scan) or "flip_fraction" (a flip-location sweep),
     set to each value.  All specs are evaluated as one ``simulate_family``
     call, which takes ``kwargs``; every point is evaluated as in its own scan
-    (batch invariance), so each signal equals the one its spec alone gives."""
-    import numpy as np
-
+    (batch invariance), so each signal equals the one its spec alone gives.
+    Each value must be one finite real number (``check_number``), a bool
+    or a string is refused, and x and y are lists of floats."""
     parts = []
     for kind, keys, axis, values in specs:
         if axis not in _AXES:
             raise ValueError(f"cannot scan along {axis!r}; expected one of {tuple(_AXES)}")
         label, noun = _AXES[axis]
-        x = np.asarray(values, dtype=float)
-        if x.size == 0:
+        x = []
+        for value in values:
+            check_number(f"{noun}s", value)
+            x.append(float(value))
+        if not x:
             raise ValueError(f"need at least one {noun}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"{noun}s must be finite")
-        if axis == "total_time" and np.any(np.diff(x) <= 0):
+        if axis == "total_time" and any(b <= a for a, b in zip(x, x[1:])):
             raise ValueError("time grid must be strictly increasing")
         if axis in keys:
             raise ValueError(f"keys fix {axis}, the axis the scan runs along")
-        family = [build_sequence(kind, **keys, **{axis: float(v)}) for v in x]
+        family = [build_sequence(kind, **keys, **{axis: v}) for v in x]
         metadata = {"sequence": kind} | {_AXES[key][0]: keys[key] for key in _AXES if key in keys}
         if "pair" in KINDS[kind].keys:  # a dq_ramsey names no pair
             metadata["pair"] = list(family[0].pair)

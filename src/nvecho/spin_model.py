@@ -14,8 +14,9 @@ manifold with the sign that nuclear pi pulses leave, and its phase is linear
 in Q, A and B: each coupling is weighted by the time spent in each manifold
 (``phase_coefficients``, on Python floats).  A line's frequency is the
 magnitude of the phase that one second in its manifold accumulates on its
-pair.  numpy is imported only where a family's coefficients are stacked
-into arrays (``stack_coefficients``).
+pair.  The closed form takes each member's coefficients as they are;
+numpy is imported only where the Monte Carlo path stacks a family's
+coefficients into arrays (``stack_coefficients``).
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ class PhaseCoefficients:
 
     phase(dQ, dA, dB) = phase(0) + quadrupole * dQ + hyperfine * dA + field * dB
     with dQ, dA in rad/s and dB in gauss.  Exact, not just first order: the
-    level energies are linear in all three offsets.  A family of sequences
-    is one PhaseCoefficients whose fields are (G,) arrays (``stack_coefficients``).
+    level energies are linear in all three offsets.  The Monte Carlo path
+    takes a family of sequences as one PhaseCoefficients whose fields are
+    (G,) arrays (``stack_coefficients``).
     """
 
     quadrupole: float  # seconds

@@ -977,8 +977,19 @@ assert main(["simulate", sys.argv[4]]) == 2
 assert not loaded("numpy"), loaded("numpy")
 assert main(["calibrate-response", "--out", sys.argv[5], "--deterministic"]) == 0
 assert not loaded("numpy"), loaded("numpy")
+# a run whose sources are all linear takes the closed form on Python floats
+for name in ("fig1c", "fig1d", "fig2"):
+    assert main(["reproduce", name, "--out", sys.argv[6], "--deterministic"]) == 0
+    assert not loaded("numpy"), (name, loaded("numpy"))
+assert main(["simulate", sys.argv[7], "--out", sys.argv[6], "--deterministic"]) == 0
+assert not loaded("numpy"), loaded("numpy")
 missing = [name for name in nvecho.__all__ if getattr(nvecho, name, None) is None]
 assert not missing, missing
+assert not loaded("numpy"), loaded("numpy")
+# and a run with a Monte Carlo source loads it
+assert main(["reproduce", "fig4", "--out", sys.argv[6], "--samples", "4096",
+             "--deterministic"]) == 0
+assert loaded("numpy")
 print("lazy start ok")
 """
 
@@ -999,7 +1010,8 @@ def test_each_command_imports_only_what_it_runs(tmp_path, monkeypatch):
     config = tmp_path / "grids.yaml"
     config.write_text(grids)
     proc = subprocess.run([sys.executable, "-c", LAZY_START, str(script), str(csv), str(rates),
-                           str(config), str(tmp_path / "cal.yaml")],
+                           str(config), str(tmp_path / "cal.yaml"), str(tmp_path / "runs"),
+                           str(_write(tmp_path, "sim.yaml", SIMULATE_YAML))],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "lazy start ok" in proc.stdout

@@ -155,14 +155,12 @@ def _decay(t, c0, t2):
 
 
 def _oracle_decays(protection_runs, tmp_path):
-    """(label, times, amplitudes) of the packaged and seeded noisy decays."""
+    """(label, times, amplitudes) of the packaged and seeded noisy decays,
+    as arrays."""
     fig1c = run_scenario(load_packaged_scenario("fig1c"), out_dir=tmp_path, deterministic=True)
-    cases = [(f"fig1c {k}", fig1c.signals[k].x, fig1c.signals[k].y)
-             for k in ("protected", "unprotected")]
-    for name in ("fig4", "s5"):
-        _, result, _ = protection_runs[name]
-        cases += [(f"{name} {k}", result.signals[k].x, result.signals[k].y)
-                  for k in ("protected", "unprotected")]
+    runs = [("fig1c", fig1c)] + [(name, protection_runs[name][1]) for name in ("fig4", "s5")]
+    cases = [(f"{name} {k}", np.array(result.signals[k].x), np.array(result.signals[k].y))
+             for name, result in runs for k in ("protected", "unprotected")]
     rng = np.random.default_rng(2024)
     for i in range(8):
         times = np.geomspace(1e-4, 2e-2, int(rng.integers(9, 30)))

@@ -4,10 +4,12 @@ against the ``reproduce --deterministic`` artifacts checked in under
 ``<name>-summary.txt`` there.
 
 A run writes the same artifact names, every ``#`` metadata line, CSV
-header and grid column (``GRID_COLUMNS``) exactly, and every other number
-within ``RTOL`` of the reference or the bound that ``BOUNDS`` names for it.  A JSON document may gain keys but not
-lose or move one.  A change that means to move a number rewrites the
-reference files and names each moved value.
+header and grid column (``GRID_COLUMNS``) exactly.  A closed-form
+scenario's artifacts (``CLOSED_FORM``) keep every byte; in the others every
+other number lies within ``RTOL`` of the reference or the bound that
+``BOUNDS`` names for it, and a JSON document may gain keys but not lose or
+move one.  A change that means to move a number rewrites the reference
+files and names each moved value.
 """
 
 import json
@@ -22,10 +24,15 @@ from nvecho.scenarios import run_scenario
 
 REFERENCE = Path(__file__).parent / "data" / "reference"
 
+# The closed form runs on Python floats with libm's exp, and the fits on
+# Python floats too, so these scenarios' artifacts do not follow numpy's
+# SIMD level (NPY_DISABLE_CPU_FEATURES): each is held byte for byte.
+CLOSED_FORM = ("fig1c", "fig1d", "fig2")
+
 # Tight enough to catch any change of seed, samples, grid or fit setting
 # (seed 4242 alone moves fig4's improvement by 9e-4).  With numpy's AVX-512
-# and AVX2 loops turned off (NPY_DISABLE_CPU_FEATURES), every number but the
-# ones below moved by at most 1.1e-14.
+# and AVX2 loops turned off, every Monte Carlo number but the fits' below
+# moved by at most 1.1e-14.
 RTOL = 1e-9
 
 # A fit to Monte Carlo data stops at the first point where the solver's
@@ -40,39 +47,27 @@ RTOL = 1e-9
 # Held to FIT_RTOL, over 10x above those.
 FIT_RTOL = 1e-6
 
-# The rounding noise of fits to exact, closed-form data moved by up to 50%
-# there, so it is only held below NOISE_CEILING: a fit to data that is no
-# longer exact leaves residuals many orders above it.
-NOISE = "rounding noise"
-NOISE_CEILING = 1e-10
-
 # The grid each CSV is scanned over: ``config.realize_grid`` computes it on
 # Python floats, whatever numpy's SIMD level, so it is held exactly.
 GRID_COLUMNS = dict.fromkeys(("total_time_s", "flip_fraction", "tau_over_t"), 0.0)
 
-# Per artifact, the JSON keys (and everything below them) or CSV columns
-# held to another bound than RTOL: a relative tolerance, or NOISE.
+# Per artifact, the JSON keys (and everything below them) held to another
+# relative bound than RTOL.
 MONTE_CARLO_FIT = dict.fromkeys(
     ("protected", "unprotected", "improvement", "protected_T2_s", "unprotected_T2_s"), FIT_RTOL)
 BOUNDS = {
-    "fig1c-fits.json": {"covariance": NOISE, "residual_norm": NOISE},
-    "fig2-fits.json": {"covariance": NOISE, "residual_norm": NOISE},
-    "fig2-rates.csv": {"rate_error": NOISE},
     "fig4-fits.json": MONTE_CARLO_FIT,
     "s5-fits.json": MONTE_CARLO_FIT,
 }
 
 
 def _number_mismatch(where, ref, got, bound):
-    if bound == NOISE:
-        if max(abs(ref), abs(got)) > NOISE_CEILING:
-            return f"{where}: rounding noise {got!r} (reference {ref!r}) exceeds {NOISE_CEILING}"
-    elif not math.isclose(got, ref, rel_tol=bound, abs_tol=0.0):
+    if not math.isclose(got, ref, rel_tol=bound, abs_tol=0.0):
         return f"{where}: {got!r} differs from the reference {ref!r} by more than {bound}"
     return None
 
 
-def _json_mismatches(where, ref, got, bounds, bound=RTOL):
+def _json_mismatches(where, ref, got, bounds, bound):
     if isinstance(ref, dict):
         if not isinstance(got, dict):
             return [f"{where}: expected a mapping, got {got!r}"]
@@ -104,7 +99,7 @@ def _csv_parts(path):
     return metadata, table[0], table[1:]
 
 
-def _csv_mismatches(name, ref_path, got_path, bounds):
+def _csv_mismatches(name, ref_path, got_path, bounds, bound):
     ref_meta, ref_header, ref_rows = _csv_parts(ref_path)
     got_meta, got_header, got_rows = _csv_parts(got_path)
     if got_meta != ref_meta:
@@ -123,7 +118,7 @@ def _csv_mismatches(name, ref_path, got_path, bounds):
                 if ref != got:
                     out.append(f"{where}: {got!r} differs from the reference {ref!r}")
                 continue
-            found = _number_mismatch(where, float(ref), float(got), bounds.get(column, RTOL))
+            found = _number_mismatch(where, float(ref), float(got), bounds.get(column, bound))
             if found:
                 out.append(found)
     return out
@@ -133,11 +128,16 @@ def artifact_mismatches(ref_path: Path, got_path: Path) -> list:
     """How the artifact at ``got_path`` departs from the reference file of
     the same name, as one line per departure; empty when it matches."""
     name = ref_path.name
-    bounds = BOUNDS.get(name, {})
+    exact = name.partition("-")[0] in CLOSED_FORM
+    bounds, bound = BOUNDS.get(name, {}), 0.0 if exact else RTOL
     if ref_path.suffix == ".csv":
-        return _csv_mismatches(name, ref_path, got_path, GRID_COLUMNS | bounds)
-    return _json_mismatches(name, json.loads(ref_path.read_text()),
-                            json.loads(got_path.read_text()), bounds)
+        found = _csv_mismatches(name, ref_path, got_path, GRID_COLUMNS | bounds, bound)
+    else:
+        found = _json_mismatches(name, json.loads(ref_path.read_text()),
+                                 json.loads(got_path.read_text()), bounds, bound)
+    if exact and not found and got_path.read_bytes() != ref_path.read_bytes():
+        found = [f"{name}: the bytes differ from the reference"]
+    return found
 
 
 @pytest.fixture(scope="module")

@@ -406,8 +406,9 @@ def test_compare_step_is_one_family_equal_to_two_scans(tmp_path, monkeypatch, na
                         params=models.spin, n_samples=cfg.backend["samples"],
                         seed=cfg.backend["seed"])
         fused = signals[label]
-        assert fused.x.tobytes() == alone.x.tobytes()
-        assert fused.y.tobytes() == alone.y.tobytes()
+        assert type(fused.x) is type(fused.y) is type(alone.x) is type(alone.y) is list
+        assert [v.hex() for v in fused.x] == [v.hex() for v in alone.x]
+        assert [v.hex() for v in fused.y] == [v.hex() for v in alone.y]
         assert fused.metadata == alone.metadata
         assert (fused.monte_carlo is None) == (alone.monte_carlo is None) == (name != "monte_carlo")
         if fused.monte_carlo is not None:

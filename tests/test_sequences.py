@@ -419,6 +419,20 @@ def test_non_finite_echo_inputs_name_the_cause(call):
                    for wrong in ("within the sequence", "segment duration"))
 
 
+@pytest.mark.parametrize("axis, keys, values, problem", [
+    ("total_time", {"flip_fraction": 0.18}, [1e-4, True], "times must be a plain number, got True"),
+    ("total_time", {"flip_fraction": 0.18}, ["1e-3"], "times must be a plain number, got '1e-3'"),
+    ("total_time", {"flip_fraction": 0.18}, [[1e-3]], r"times must be a plain number, got \[0.001\]"),
+    ("flip_fraction", {"total_time": 2e-3}, [0.1, False],
+     "flip fractions must be a plain number, got False"),
+    ("flip_fraction", {"total_time": 2e-3}, [None], "flip fractions must be a plain number, got None"),
+], ids=["bool-time", "text-time", "nested-time", "bool-fraction", "none-fraction"])
+def test_scans_refuse_a_value_that_is_not_a_number(axis, keys, values, problem):
+    # numpy's float conversion read "1e-3" as a time, and True as 1 s
+    with pytest.raises(ValueError, match=problem):
+        scans([("unbalanced_echo", keys, axis, values)], ECHO_SOURCE)
+
+
 def test_a_point_has_the_same_bits_on_either_axis():
     # the echo at (t, f) closes a flip-fraction sweep at t and a decay scan
     # at f; both, fused or alone, sample it from the same draws
@@ -429,10 +443,11 @@ def test_a_point_has_the_same_bits_on_either_axis():
     fused = scans(specs, hot, n_samples=1 << 12, seed=7)
     alone = [signal for spec in specs for signal in scans([spec], hot, n_samples=1 << 12, seed=7)]
     point = {(s.monte_carlo.attenuation[1].tobytes(), s.monte_carlo.std_error[1].tobytes(),
-              s.y[1].tobytes()) for s in fused + alone}
+              s.y[1].hex()) for s in fused + alone}
     assert len(point) == 1
     for one, other in zip(fused, alone):
-        assert one.x.tobytes() == other.x.tobytes() and one.y.tobytes() == other.y.tobytes()
+        assert all(type(v) is float for v in one.x + one.y + other.x + other.y)
+        assert [v.hex() for v in one.x + one.y] == [v.hex() for v in other.x + other.y]
         assert one.metadata == other.metadata
     average = {"backend": "monte_carlo", "seed": 7, "n_samples": 1 << 12}
     assert [s.x_label for s in fused] == ["flip_fraction", "total_time_s"]
