@@ -25,9 +25,12 @@ override the package data ``reproduce`` runs.  Each subcommand imports only
 what it runs: ``parse-seq`` loads neither numpy nor PyYAML, ``fit``
 computes on Python floats and loads no numpy, response models or noise
 sources, and ``calibrate-response`` computes on Python floats too.  A
-config is loaded and checked without numpy, so ``simulate`` refuses a bad
-config before numpy is imported; only a run with a Monte Carlo source loads
-it, and a closed-form run computes on Python floats.  OpenBLAS starts with
+config is loaded and checked without numpy or the solvers, so ``simulate``
+refuses a bad config before numpy is imported; only a run with a Monte
+Carlo source loads it, a closed-form run computes on Python floats, and a
+run that fits nothing (``reproduce fig1d``) loads no estimator.  No command
+imports ``dataclasses`` or ``inspect``: the package's value types are
+``records`` classes, which generate no code.  OpenBLAS starts with
 one thread unless its thread count is set (``main``): no command calls
 BLAS, and a thread pool costs about 70 ms to start when numpy is imported.
 """

@@ -36,9 +36,9 @@ Reference scenario configs ship as package data (``SCENARIO_DIR``);
 plus the fig2c/fig2d aliases, which both resolve to the two-branch fig2
 table).  Loading a config imports only the modules that build its models:
 the sequence kinds come from the numpy-free ``pulses``, and the scan, fit,
-script and run layers are not imported at all.  Nor is numpy: building the
-models takes no array, and ``realize_grid`` builds a grid's values on Python
-floats, the values the grid checks read and a run scans
+solver, script and run layers are not imported at all.  Nor is numpy:
+building the models takes no array, and ``realize_grid`` builds a grid's
+values on Python floats, the values the grid checks read and a run scans
 (``_positive_increasing``, ``_fractions``).  YAML is parsed by
 ``yamlio.load_yaml`` (libyaml where PyYAML has it).
 """
@@ -48,7 +48,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -60,6 +59,7 @@ from .catalog import (DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_SKIP, MIN_FIT_POINT
 from .noise import (DISTRIBUTION_KINDS, Distribution, field_source, residual_field_source,
                     strain_source, temperature_source)
 from .pulses import KINDS
+from .records import Frozen
 from .response import (
     DEFAULT_DATA_FILE,
     LinearResponse,
@@ -607,21 +607,20 @@ def _check_needs(pipeline, raw, sequence, col) -> None:
 
 # ----------------------------------------------------------------- the type
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Frozen, uncompared=("base_dir",)):
     """Validated scenario description, quantities in base display units
     (Hz, s, K, G, GPa); angular 2*pi factors enter in the model builders."""
 
     name: str
     pipeline: str
     description: str = ""
-    spin: dict = field(default_factory=dict)
-    response: dict = field(default_factory=lambda: {"model": "linear"})
+    spin: dict = {}
+    response: dict = {"model": "linear"}
     sources: tuple = ()
-    sequence: dict = field(default_factory=dict)
-    backend: dict = field(default_factory=lambda: dict(_BACKEND_DEFAULTS))
-    output: dict = field(default_factory=lambda: dict(_OUTPUT_DEFAULTS))
-    base_dir: Path | None = field(default=None, compare=False)
+    sequence: dict = {}
+    backend: dict = _BACKEND_DEFAULTS
+    output: dict = _OUTPUT_DEFAULTS
+    base_dir: Path | None = None
 
 
 class Models(NamedTuple):

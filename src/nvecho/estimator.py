@@ -22,18 +22,17 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field as dataclass_field
 
 from .catalog import DEFAULT_SKIP, HYPERFINE_HZ_PER_K, MIN_FIT_POINTS, QUADRUPOLE_HZ_PER_K
 from .pulses import build_sequence
+from .records import Frozen
 from .sequences import RateTable
 from .solvers import (FitError, dot, inverse_gram, levenberg_marquardt, lstsq, matvec, nnls,
                       norm, rank)
 from .spin_model import PhaseCoefficients, SpinSystemParams, default_params, phase_coefficients
 from .units import angular
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Frozen):
     """Named parameters plus covariance (a list of rows) in the same order."""
 
     parameters: dict
@@ -41,9 +40,9 @@ class FitResult:
     residual_norm: float
     points_used: int
     warnings: tuple = ()
-    settings: dict = dataclass_field(default_factory=dict)
+    settings: dict = {}
 
-    def __post_init__(self):
+    def _check(self):
         if self.residual_norm < 0:
             raise ValueError("residual norm must be >= 0")
 

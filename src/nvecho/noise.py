@@ -54,10 +54,10 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING
 
 from .catalog import DEFAULT_SAMPLES, DEFAULT_SEED
+from .records import Frozen
 from .response import LinearResponse, QuasiharmonicSet, default_linear_response
 from .spin_model import PhaseCoefficients, SpinSystemParams, stack_coefficients
 from .units import check_number
@@ -74,8 +74,7 @@ TRUNCATION_WIDTHS = 50.0
 DISTRIBUTION_KINDS = ("lorentzian", "gaussian", "delta")
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Frozen):
     """Scalar noise distribution: lorentzian (scale = HWHM), gaussian
     (scale = standard deviation), or delta (no spread)."""
 
@@ -83,7 +82,7 @@ class Distribution:
     location: float = 0.0
     scale: float = 0.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in DISTRIBUTION_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}; "
                              f"expected one of {DISTRIBUTION_KINDS}")
@@ -151,8 +150,7 @@ def _chunk_rng(seed: int, source_index: int, chunk_index: int) -> np.random.Gene
     return np.random.default_rng(ss)
 
 
-@dataclass(frozen=True)
-class NoiseSource:
+class NoiseSource(Frozen):
     """One noise variable x and its coupling, which the factories take from
     the response.  A linear source carries ``slopes``: dQ/dx and dA/dx in
     rad/s and dB/dx in G per unit of x, an offset from the operating point.
@@ -165,7 +163,7 @@ class NoiseSource:
     slopes: tuple | None = None
     curves: tuple | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.is_linear and not _three_finite_numbers(self.slopes):
             raise ValueError(f"source {self.name!r} needs three finite slopes "
                              f"(dQ/dx, dA/dx, dB/dx), got {self.slopes!r}")
@@ -296,8 +294,7 @@ def dephasing_factor(sources, coefficients) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(Frozen):
     """Per-member estimates ((G,) arrays, one value per family member) and
     the draws they share; ``std_error`` is sqrt((1 - |m|^2)/N), the RMS error
     of the complex mean m, not of |m|.  Each ``attenuation`` is within 5e-16
@@ -312,7 +309,7 @@ class MonteCarloResult:
     n_samples: int
     seed: int
     n_retained: int
-    truncated_mass: dict = dataclass_field(default_factory=dict)
+    truncated_mass: dict = {}
 
 
 # ``_member_sums`` sums e^{i phase} as e^{2 pi i k/_BINS} e^{i r}, with

@@ -27,9 +27,9 @@ the kinds, and a script parsed, without loading the simulation layer.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from .records import Frozen
 from .units import check_number
 
 PROJECTIONS = (-1, 0, 1)
@@ -62,8 +62,7 @@ def check_pair(pair):
     return ref, target
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Frozen):
     """One stretch of free evolution: duration (s) and electron manifold.
 
     ``sign`` is -1 after an odd number of nuclear pi pulses, which swap the
@@ -74,7 +73,13 @@ class Segment:
     m_S: int
     sign: int = 1
 
-    def __post_init__(self):
+    def __init__(self, duration, m_S, sign=1):  # spelled out: a hot constructor
+        object.__setattr__(self, "duration", duration)
+        object.__setattr__(self, "m_S", m_S)
+        object.__setattr__(self, "sign", sign)
+        self._check()
+
+    def _check(self):
         check_number("segment duration", self.duration)
         if self.duration < 0:
             raise ValueError(f"segment duration must be >= 0, got {self.duration!r}")
@@ -84,15 +89,19 @@ class Segment:
             raise ValueError(f"segment sign must be +1 or -1, got {self.sign!r}")
 
 
-@dataclass(frozen=True)
-class PulseSequence:
+class PulseSequence(Frozen):
     """A transition pair and the segments of free evolution; its kind and
     total time follow from them."""
 
     pair: tuple
     segments: tuple
 
-    def __post_init__(self):
+    def __init__(self, pair, segments):  # spelled out: a hot constructor
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "segments", segments)
+        self._check()
+
+    def _check(self):
         check_pair(self.pair)
         if not self.segments:
             raise ValueError("sequence needs at least one segment")

@@ -29,13 +29,14 @@ The data file is read and written through the package's one YAML reader
 and printer (``yamlio``).  The default linear slopes are ``catalog``'s, where
 the vee fit reads them without loading this module.
 
-Loading the module, a data file or a curve imports no numpy, and neither
-does the calibration: ``bose_einstein_slope``, and through it ``slope_at``,
-``einstein_curve`` and ``fit_mode_temperature``, compute on Python floats
-with ``math``'s ``exp`` and ``tanh``, one temperature at a time, so the
-calibrated file does not follow numpy's SIMD level.  Only the occupation
-(``bose_einstein``, which ``shift_at`` evaluates on a chunk of draws)
-imports numpy, when it is called.
+Loading the module, a data file or a curve imports no numpy and no
+solver: ``fit_mode_temperature`` imports ``solvers`` where it fits.  Nor
+does the calibration import numpy: ``bose_einstein_slope``, and through it
+``slope_at``, ``einstein_curve`` and ``fit_mode_temperature``, compute on
+Python floats with ``math``'s ``exp`` and ``tanh``, one temperature at a
+time, so the calibrated file does not follow numpy's SIMD level.  Only the
+occupation (``bose_einstein``, which ``shift_at`` evaluates on a chunk of
+draws) imports numpy, when it is called.
 """
 
 from __future__ import annotations
@@ -44,14 +45,13 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 
 import yaml
 
 from .catalog import HYPERFINE_HZ_PER_K, QUADRUPOLE_HZ_PER_K
-from .solvers import FitError, levenberg_marquardt
+from .records import Frozen
 from .units import K_B_OVER_HBAR, angular, check_number, cycles
 from .yamlio import dump_yaml, load_yaml
 
@@ -93,7 +93,7 @@ DEFAULT_DATA_FILE = Path(__file__).parent / "data" / "quasiharmonic_default.yaml
 def _require_finite(obj, what, names=None) -> None:
     """Refuse ``obj`` unless its ``names`` fields (all by default) are finite
     numbers."""
-    for name in names or [f.name for f in fields(obj)]:
+    for name in names or obj._fields:
         check_number(f"{what} {name}", getattr(obj, name))
 
 
@@ -161,8 +161,7 @@ def bose_einstein_slope(omega: float, T: float) -> float:
     return (u / T) * eu / ((eu - 1.0) * (eu - 1.0))
 
 
-@dataclass(frozen=True)
-class LinearResponse:
+class LinearResponse(Frozen):
     """Constant-slope environmental response of the interactions.
 
     Temperature slopes are rad/s per K; strain slopes are rad/s per unit
@@ -175,7 +174,7 @@ class LinearResponse:
     quadrupole_per_strain: float = QUADRUPOLE_PER_GPA * PRESSURE_PER_STRAIN_GPA
     hyperfine_per_strain: float = HYPERFINE_PER_GPA * PRESSURE_PER_STRAIN_GPA
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite(self, "response slope")
 
 
@@ -183,8 +182,7 @@ def default_linear_response() -> LinearResponse:
     return LinearResponse()
 
 
-@dataclass(frozen=True)
-class QuasiharmonicResponse:
+class QuasiharmonicResponse(Frozen):
     """Quasiharmonic temperature dependence of one interaction strength:
     one Einstein mode of angular frequency ``omega`` (rad/s),
 
@@ -199,7 +197,7 @@ class QuasiharmonicResponse:
     weight: float       # rad/s
     reference_T: float  # K
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite(self, "quasiharmonic")
         if self.omega <= 0:
             raise ValueError("mode frequency must be positive")
@@ -219,8 +217,7 @@ class QuasiharmonicResponse:
         return self.weight * bose_einstein_slope(self.omega, T)
 
 
-@dataclass(frozen=True)
-class QuasiharmonicSet:
+class QuasiharmonicSet(Frozen):
     """Calibrated quadrupole/hyperfine/zfs curves plus the strain channel."""
 
     quadrupole: QuasiharmonicResponse
@@ -229,7 +226,7 @@ class QuasiharmonicSet:
     quadrupole_per_strain: float = QUADRUPOLE_PER_GPA * PRESSURE_PER_STRAIN_GPA
     hyperfine_per_strain: float = HYPERFINE_PER_GPA * PRESSURE_PER_STRAIN_GPA
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite(self, "response slope", ("quadrupole_per_strain", "hyperfine_per_strain"))
 
 
@@ -255,6 +252,8 @@ def fit_mode_temperature(reference: QuasiharmonicResponse, slope_at_T0: float,
         If the fitted ratio misses any target point by more than
         ``RATIO_TOLERANCE`` relative; the message lists per-point residuals.
     """
+    from .solvers import FitError, levenberg_marquardt  # not compiled for a config load
+
     T0 = CALIBRATION_T0_K
     Ts = [float(T) for T, _ in ratio_curve]
     targets = [float(r) for _, r in ratio_curve]

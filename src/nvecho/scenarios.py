@@ -21,38 +21,36 @@ numbers, its fits and one summary fragment into the run's context.
 numbers or, where no step fitted, the numbers alone, and joins the
 fragments into the summary.  The config checks the sequence keys each
 pipeline needs before any compute starts (``config.PIPELINE_NEEDS``); the
-steps read them unchecked.  The packaged reference configs are found and
-loaded by ``config`` (``load_packaged_scenario``), which imports none of
-this run layer.
+steps read them unchecked.  The steps that fit import the fits
+(``estimator``, and with it ``solvers``) when they run, so a sweep compiles
+neither.  The packaged reference configs are found and loaded by ``config``
+(``load_packaged_scenario``), which imports none of this run layer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .config import ScenarioConfig, build, realize_grid
-from .estimator import RateTable, fit_exponential, fit_vee
 from .pulses import KINDS, build_sequence, format_projection
-from .sequences import json_text, scans, simulate_family, write_signal_csv
+from .records import Record
+from .sequences import RateTable, json_text, scans, simulate_family, write_signal_csv
 
 
-@dataclass
-class ScenarioResult:
+class ScenarioResult(Record):
     name: str
     pipeline: str
     summary: str
     numbers: dict
     artifacts: tuple
-    signals: dict = field(default_factory=dict)
-    fits: dict = field(default_factory=dict)
+    signals: dict = {}
+    fits: dict = {}
 
 
 # ------------------------------------------------------------ run machinery
 
-@dataclass
-class _Context:
+class _Context(Record):
     """One run: its config, where it writes, the models and keywords every
     simulation takes, and what its steps wrote and reported."""
 
@@ -61,11 +59,11 @@ class _Context:
     deterministic: bool
     sources: tuple
     keywords: dict  # the spin parameters and the Monte Carlo backend
-    artifacts: list = field(default_factory=list)
-    signals: dict = field(default_factory=dict)
-    fits: dict = field(default_factory=dict)
-    numbers: dict = field(default_factory=dict)
-    fragments: list = field(default_factory=list)
+    artifacts: list = []
+    signals: dict = {}
+    fits: dict = {}
+    numbers: dict = {}
+    fragments: list = []
 
     def _artifact(self, label: str, suffix: str) -> Path:
         path = self.out_dir / f"{self.config.name}-{label}.{suffix}"
@@ -104,7 +102,7 @@ def run_scenario(config: ScenarioConfig, out_dir=None, deterministic: bool = Fal
     backend = config.backend or {}  # an empty block is an absent one
     if isinstance(backend, dict):  # the parse reports any other block
         backend = backend | given
-    config, models = build(replace(config, backend=backend))
+    config, models = build(config.replace(backend=backend))
     out = Path(out_dir) if out_dir is not None else Path(config.output["directory"])
     out.mkdir(parents=True, exist_ok=True)
     ctx = _Context(config=config, out_dir=out, deterministic=deterministic,
@@ -185,6 +183,8 @@ def _compare(ctx: _Context, protected: dict) -> None:
     unprotected one of ``sequence.compare``, each of the kind its block
     names and both evaluated as one family, their exponential fits, and the
     fitted coherence times and their ratio, the improvement."""
+    from .estimator import fit_exponential
+
     compare = ctx.config.sequence["compare"]
     specs = [(block["kind"], KINDS[block["kind"]].read(block), "total_time",
               realize_grid(block["times"])) for block in (protected, compare)]
@@ -203,6 +203,8 @@ def _compare(ctx: _Context, protected: dict) -> None:
 def _rate_table(ctx: _Context) -> None:
     """Decay-rate tables over flip fraction, one family per nuclear branch,
     and the vee or line fit of each branch."""
+    from .estimator import fit_exponential, fit_vee
+
     block = ctx.config.sequence
     pairs = block["pairs"]
     fractions = realize_grid(block["flip_fractions"])
@@ -249,6 +251,10 @@ def _rate_table(ctx: _Context) -> None:
 def _protection_study(ctx: _Context) -> None:
     """The sweep step, then the compare step with the protected echo at the
     sweep's peak."""
+    # the fits load before the sweep's Monte Carlo draws: loaded between the
+    # two steps, they raised a fig4 run's peak RSS by about 0.7 MiB
+    from . import estimator
+
     fraction = _sweep(ctx)
     _compare(ctx, ctx.config.sequence | {"kind": "unbalanced_echo", "flip_fraction": fraction})
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import datetime as _dt
 import json
 import numbers
-from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -29,6 +28,7 @@ import yaml
 
 from .catalog import DEFAULT_SAMPLES, DEFAULT_SEED
 from .pulses import KINDS, build_sequence
+from .records import Frozen, Record
 from .spin_model import (
     SpinSystemParams,
     accumulated_phase,
@@ -45,8 +45,7 @@ if TYPE_CHECKING:  # the ensemble averages are imported where a family is evalua
     from .noise import MonteCarloResult
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(Frozen):
     """Ensemble-averaged signal of a family of G sequences: mean = e^{i
     base_phase} * attenuation, each field one value per family member (a
     one-sequence family reads member 0).  The closed form gives lists of
@@ -105,8 +104,7 @@ def _average_metadata(result: SimulationResult) -> dict:
     return {"backend": "monte_carlo", "seed": mc.seed, "n_samples": mc.n_samples}
 
 
-@dataclass
-class EnsembleSignal:
+class EnsembleSignal(Record):
     """A 1D scan: y(x) plus labels and free-form metadata; x and y are lists
     of floats, whether the signal comes from a scan or from its file."""
 
@@ -114,7 +112,7 @@ class EnsembleSignal:
     y: list
     x_label: str
     y_label: str
-    metadata: dict = dataclass_field(default_factory=dict)
+    metadata: dict = {}
     monte_carlo: MonteCarloResult | None = None  # per-point bookkeeping of MC scans
 
 
@@ -164,8 +162,8 @@ def scans(specs, sources, **kwargs) -> list:
         signals.append(EnsembleSignal(
             x=x, y=amplitude[members], x_label=label, y_label="amplitude",
             metadata=metadata | average,
-            monte_carlo=None if mc is None else replace(
-                mc, attenuation=mc.attenuation[members], std_error=mc.std_error[members])))
+            monte_carlo=None if mc is None else mc.replace(
+                attenuation=mc.attenuation[members], std_error=mc.std_error[members])))
     return signals
 
 
@@ -221,8 +219,7 @@ def write_signal_csv(signal: EnsembleSignal, path, deterministic: bool = False) 
                        zip(signal.x, signal.y), deterministic)
 
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(Frozen):
     """One decay rate in 1/s, of the unit-time unbalanced echo that its pair,
     ms pairing and flip fraction build; refused where the echo is."""
 
@@ -232,7 +229,7 @@ class RateRow:
     rate: float
     rate_error: float | None = None
 
-    def __post_init__(self):
+    def _check(self):
         # a bool would count as 0 or 1; each number is stored as a float
         for name in ("tau_over_t", "rate") + (() if self.rate_error is None else ("rate_error",)):
             check_number(name, getattr(self, name))
@@ -248,13 +245,12 @@ class RateRow:
                        ms_flipped=ms_flipped, flip_fraction=self.tau_over_t)
 
 
-@dataclass
-class RateTable:
+class RateTable(Record):
     """Decay rates of unit-time unbalanced echoes, a ``RateRow`` each, and
     the metadata their file carries."""
 
-    rows: list = dataclass_field(default_factory=list)
-    metadata: dict = dataclass_field(default_factory=dict)
+    rows: list = []
+    metadata: dict = {}
 
     def add(self, pair, ms_pairing, tau_over_t, rate, rate_error=None):
         self.rows.append(RateRow(tuple(pair), tuple(ms_pairing), tau_over_t, rate, rate_error))

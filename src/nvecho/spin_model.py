@@ -21,15 +21,14 @@ coefficients into arrays (``stack_coefficients``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .pulses import Segment, check_pair, check_projection
+from .records import Frozen
 from .units import angular, check_number
 
 
-@dataclass(frozen=True)
-class SpinSystemParams:
+class SpinSystemParams(Frozen):
     """Static couplings of the electron-nuclear system, rad/s and gauss."""
 
     quadrupole: float = angular(-4.945e6)
@@ -37,9 +36,9 @@ class SpinSystemParams:
     gamma_n: float = angular(-307.7)    # rad/s per G
     field_gauss: float = 239.0
 
-    def __post_init__(self):
-        for f in fields(self):
-            check_number(f.name, getattr(self, f.name))
+    def _check(self):
+        for name in self._fields:
+            check_number(name, getattr(self, name))
         if self.quadrupole == 0:
             raise ValueError("quadrupole coupling must be nonzero")
         if abs(self.hyperfine) >= abs(self.quadrupole):
@@ -74,8 +73,7 @@ def pair_sensitivity(pair, m_S: int, gamma_n: float) -> tuple:
     return (d_mi2, m_S * d_mi, gamma_n * d_mi)
 
 
-@dataclass(frozen=True)
-class PhaseCoefficients:
+class PhaseCoefficients(Frozen):
     """Linear response of the accumulated phase to static offsets.
 
     phase(dQ, dA, dB) = phase(0) + quadrupole * dQ + hyperfine * dA + field * dB
@@ -88,6 +86,11 @@ class PhaseCoefficients:
     quadrupole: float  # seconds
     hyperfine: float   # seconds
     field: float       # rad per gauss
+
+    def __init__(self, quadrupole, hyperfine, field):  # spelled out: a hot constructor
+        object.__setattr__(self, "quadrupole", quadrupole)
+        object.__setattr__(self, "hyperfine", hyperfine)
+        object.__setattr__(self, "field", field)
 
 
 def stack_coefficients(coefficients: Iterable[PhaseCoefficients]) -> PhaseCoefficients:

@@ -802,6 +802,40 @@ def test_reproduce_leaves_the_script_parser_unloaded(tmp_path):
     assert proc.stdout.splitlines()[-1] == "nvecho.script loaded: False"
 
 
+CONFIG_LOADS = """\
+import sys
+
+from nvecho.catalog import SCENARIO_ALIASES, SCENARIO_NAMES
+from nvecho.config import build, load_packaged_scenario
+
+for name in SCENARIO_NAMES + tuple(SCENARIO_ALIASES):
+    build(load_packaged_scenario(name))
+print("loaded:", [name for name in sys.argv[1:] if name in sys.modules])
+"""
+
+
+def test_a_config_load_compiles_no_solver():
+    # the response calibration imports the solvers where it fits
+    layers = ("nvecho.solvers", "nvecho.estimator", "nvecho.scenarios", "nvecho.sequences",
+              "dataclasses", "inspect", "numpy")
+    proc = subprocess.run([sys.executable, "-c", CONFIG_LOADS, *layers],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded: []"
+
+
+@pytest.mark.parametrize("module", ["nvecho.estimator", "nvecho.solvers"])
+def test_a_sweep_compiles_no_fit(tmp_path, module):
+    # fig1d sweeps the flip fraction and fits nothing; the steps that fit
+    # import the estimator
+    proc = subprocess.run([sys.executable, "-c", FIT_IMPORTS, module, "reproduce", "fig1d",
+                           "--out", str(tmp_path), "--deterministic"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert (tmp_path / "fig1d-result.json").exists()
+    assert proc.stdout.splitlines()[-1] == f"{module} loaded: False"
+
+
 @pytest.mark.parametrize("name, csv, options, key", [
     ("fig1c", "fig1c-protected.csv", [], "coherence_time"),
     ("fig2", "fig2-rates.csv", ["--pair", "0,-1"], "ratio"),
@@ -986,6 +1020,9 @@ assert not loaded("numpy"), loaded("numpy")
 missing = [name for name in nvecho.__all__ if getattr(nvecho, name, None) is None]
 assert not missing, missing
 assert not loaded("numpy"), loaded("numpy")
+# no command, and no module of the package, builds its value types with
+# dataclasses or loads inspect; numpy, which a Monte Carlo run loads, imports inspect
+assert not loaded("dataclasses", "inspect"), loaded("dataclasses", "inspect")
 # and a run with a Monte Carlo source loads it
 assert main(["reproduce", "fig4", "--out", sys.argv[6], "--samples", "4096",
              "--deterministic"]) == 0

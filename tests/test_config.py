@@ -1,7 +1,6 @@
 """Scenario config parsing: units, validation aggregation, round trips."""
 
 import copy
-import dataclasses
 import hashlib
 import math
 import subprocess
@@ -210,7 +209,7 @@ def test_quasiharmonic_data_file(tmp_path):
     assert model.quadrupole.reference_T == 300.0
     # a config moved to another directory reads its data file from there
     with pytest.raises(ConfigError, match="response.data_file: .*set.yaml"):
-        build(dataclasses.replace(parsed, base_dir=tmp_path / "elsewhere"))
+        build(parsed.replace(base_dir=tmp_path / "elsewhere"))
 
     missing = dict_minimal()
     missing["response"] = {"model": "quasiharmonic", "data_file": "nope.yaml"}
@@ -612,7 +611,7 @@ def test_script_sequence_block(tmp_path):
         for path in ("sequence.script", "sequence.compare.script"):
             unread = ["sequence.compare"] if path == "sequence.compare.script" \
                 and "compare" not in sequence else []
-            built = dataclasses.replace(complete, sequence=_with_script(complete.sequence, path))
+            built = complete.replace(sequence=_with_script(complete.sequence, path))
             with pytest.raises(ConfigError) as excinfo:
                 run_scenario(built, out_dir=tmp_path / "out")
             assert [problem.split(": ")[0] for problem in excinfo.value.problems] \
@@ -678,7 +677,7 @@ def test_a_rate_table_names_its_branches_only_by_pairs(tmp_path):
     assert problems == ["sequence.pairs", "sequence.pair"]
     complete = parse_config(_pipeline_doc("rate_table_vee", COMPLETE["rate_table_vee"]))
     sequence = {key: value for key, value in complete.sequence.items() if key != "pairs"}
-    built = dataclasses.replace(complete, sequence=sequence | {"pair": (0, -1)})
+    built = complete.replace(sequence=sequence | {"pair": (0, -1)})
     with pytest.raises(ConfigError) as excinfo:
         run_scenario(built, out_dir=tmp_path / "out")
     assert [problem.split(": ")[0] for problem in excinfo.value.problems] == problems
@@ -730,7 +729,7 @@ def test_source_keys_and_kinds_no_table_knows_are_rejected(tmp_path, part, built
     doc = _pipeline_doc("simulate", RAMSEY) | {"sources": [TEMPERATURE | part]}
     assert _problem_paths(doc) == [path]
     parsed = parse_config(_pipeline_doc("simulate", RAMSEY) | {"sources": [TEMPERATURE]})
-    built = dataclasses.replace(parsed, sources=(parsed.sources[0] | built_part,))
+    built = parsed.replace(sources=(parsed.sources[0] | built_part,))
     with pytest.raises(ConfigError) as excinfo:
         run_scenario(built, out_dir=tmp_path / "out")
     assert [problem.split(": ")[0] for problem in excinfo.value.problems] == [path]
@@ -754,7 +753,7 @@ def test_integer_keys_take_any_integer(tmp_path):
     assert ramsey.sequence == parse_config(_pipeline_doc(
         "simulate", RAMSEY | {"ms": 1, "pair": [0, -1]})).sequence
     assert parse_config(yaml.safe_load(dump_config(ramsey))) == ramsey
-    built = dataclasses.replace(ramsey, sequence=ramsey.sequence | {"ms": np.int64(1)})
+    built = ramsey.replace(sequence=ramsey.sequence | {"ms": np.int64(1)})
     assert (run_scenario(built, out_dir=tmp_path / "numpy").numbers
             == run_scenario(ramsey, out_dir=tmp_path / "plain").numbers)
     # a bool or a float is no integer

@@ -19,7 +19,6 @@ and fast:
 """
 
 import math
-from dataclasses import fields
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -227,8 +226,8 @@ def test_config_parse_dump_parse_is_a_fixed_point(doc):
     assert second == first
     assert dump_config(second) == text
     assert "method" not in text and "formats" not in text
-    built = ScenarioConfig(**{f.name: _numpy_scalars(getattr(first, f.name))
-                              for f in fields(first)})
+    built = ScenarioConfig(**{name: _numpy_scalars(getattr(first, name))
+                              for name in first._fields})
     assert dump_config(built) == text
 
 

@@ -2,7 +2,6 @@
 shifts, Einstein-mode calibration, and the pressure-mediated strain channel."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -345,7 +344,7 @@ def test_quasiharmonic_set_rejects_non_finite_strain_slopes():
     set_ = default_quasiharmonic_set()
     for name in ("quadrupole_per_strain", "hyperfine_per_strain"):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            replace(set_, **{name: math.nan})
+            set_.replace(**{name: math.nan})
 
 
 def test_packaged_data_file_matches_calibrator():
@@ -415,10 +414,10 @@ def test_linear_interaction_shift_composes_channels():
     seq = build_sequence("unbalanced_echo", 1e-3, flip_fraction=0.4)
     got = simulate_family([seq], sources).base_phase[0]
     p = default_params()
-    shifted = replace(p, quadrupole=p.quadrupole + 2.0 * lin.quadrupole_per_K
-                      - 0.001 * lin.quadrupole_per_strain,
-                      hyperfine=p.hyperfine + 2.0 * lin.hyperfine_per_K
-                      - 0.001 * lin.hyperfine_per_strain)
+    shifted = p.replace(quadrupole=p.quadrupole + 2.0 * lin.quadrupole_per_K
+                        - 0.001 * lin.quadrupole_per_strain,
+                        hyperfine=p.hyperfine + 2.0 * lin.hyperfine_per_K
+                        - 0.001 * lin.hyperfine_per_strain)
     expected = accumulated_phase(shifted, phase_coefficients(p, seq.pair, seq.segments))
     assert math.isclose(got, expected, rel_tol=1e-12)
 

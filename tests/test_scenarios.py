@@ -1,7 +1,6 @@
 """Scenario pipelines: packaged configs, artifacts, and key numbers."""
 
 import copy
-import dataclasses
 import json
 import math
 
@@ -108,7 +107,7 @@ def test_a_block_the_compare_step_builds_names_its_kind(tmp_path, monkeypatch):
         block = sequence["compare"] if "compare" in path else sequence
         del block["kind"]
         with pytest.raises(ConfigError) as excinfo:
-            run_scenario(dataclasses.replace(cfg, sequence=sequence), out_dir=tmp_path / "out")
+            run_scenario(cfg.replace(sequence=sequence), out_dir=tmp_path / "out")
         assert excinfo.value.problems == (
             f"{path}: pipeline {cfg.pipeline!r} needs {path}",)
     assert calls == []
@@ -341,7 +340,7 @@ def test_models_follow_a_config_changed_after_parsing(tmp_path):
     source = build(cfg)[1].sources[0]
     cfg.sources[0]["scale"] *= 2
     assert build(cfg)[1].sources[0].distribution.scale == 2 * source.distribution.scale
-    assert build(dataclasses.replace(cfg, sources=()))[1].sources == ()
+    assert build(cfg.replace(sources=()))[1].sources == ()
     # a block changed in place is checked again before any compute
     cfg.sequence["total_time"] = -1.0
     with pytest.raises(ConfigError, match="sequence.total_time"):
@@ -351,7 +350,7 @@ def test_models_follow_a_config_changed_after_parsing(tmp_path):
 
 def test_hand_built_numpy_values_run(tmp_path):
     cfg = load_packaged_scenario("fig1d")
-    built = dataclasses.replace(cfg, sequence=cfg.sequence | {
+    built = cfg.replace(sequence=cfg.sequence | {
         "total_time": np.float64(cfg.sequence["total_time"]),
         "flip_fractions": realize_grid(cfg.sequence["flip_fractions"])})
     assert (run_scenario(built, out_dir=tmp_path / "numpy").numbers
@@ -364,7 +363,7 @@ def test_missing_times_computes_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr(noise, "monte_carlo_attenuation",
                         lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     complete = _config("protection_study", **PROTECTION)
-    built = dataclasses.replace(complete, sequence={
+    built = complete.replace(sequence={
         k: v for k, v in complete.sequence.items() if k != "times"})
     with pytest.raises(ValueError, match="sequence.times") as excinfo:
         run_scenario(built, out_dir=tmp_path)
