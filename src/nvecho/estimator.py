@@ -27,8 +27,8 @@ from .catalog import DEFAULT_SKIP, HYPERFINE_HZ_PER_K, MIN_FIT_POINTS, QUADRUPOL
 from .pulses import build_sequence
 from .records import Frozen
 from .sequences import RateTable
-from .solvers import (FitError, dot, inverse_gram, levenberg_marquardt, lstsq, matvec, nnls,
-                      norm, rank)
+from .solvers import (FitError, bisect_minimum, dot, inverse_gram, lstsq, matvec, nnls, norm,
+                      rank)
 from .spin_model import PhaseCoefficients, SpinSystemParams, default_params, phase_coefficients
 from .units import angular
 
@@ -159,8 +159,11 @@ def fit_exponential(times, amplitudes) -> FitResult:
     The skip discards early-time points where the ensemble
     signal is not yet a single exponential.  Needs increasing times,
     ``MIN_FIT_POINTS`` points after the skip and strictly decaying
-    data.  Least squares from the log-linear estimate, run to convergence;
-    raises FitError when the minimum runs off (T2 -> 0 or infinity) instead.
+    data.  Least squares by variable projection: with c0 projected out, the
+    cost in log T2 is bisected (``solvers.bisect_minimum``) from the
+    log-linear estimate down to two adjacent doubles, and one undamped
+    Gauss-Newton step in (c0, T2) from the lower one gives the fit, with no
+    tolerance.  Raises FitError when the minimum runs off (T2 -> 0 or inf).
     """
     shape = _shape(times)
     if len(shape) != 1:
@@ -179,8 +182,7 @@ def fit_exponential(times, amplitudes) -> FitResult:
     positive = [(ti, yi) for ti, yi in zip(t, y) if yi > 0]
     if len(positive) < 3:
         raise FitError("too few positive amplitudes to fit a decay")
-    slope, intercept = lstsq([(ti, 1.0) for ti, _ in positive],
-                             [math.log(yi) for _, yi in positive])
+    slope = lstsq([(ti, 1.0) for ti, _ in positive], [math.log(yi) for _, yi in positive])[0]
     if slope >= 0:
         raise FitError("amplitudes do not decay with time; cannot fit an exponential")
 
@@ -191,10 +193,34 @@ def fit_exponential(times, amplitudes) -> FitResult:
         return ([c0 * d - yi for d, yi in zip(decay, y)],
                 [(d, c0 * ti / t2_squared * d) for ti, d in zip(t, decay)])
 
-    p0 = (math.exp(intercept), -1.0 / slope)
-    (c0, t2), res, jac = levenberg_marquardt(residuals, p0)
-    if t2 <= 0:
-        raise FitError("fitted coherence time is not positive")
+    # With c0 = sum(y d) / sum(d^2), d = exp(-t / T2), the cost's slope in T2
+    # has the sign of -c0 h, h = sum(y d t) sum(d^2) - sum(y d) sum(d^2 t).
+    # Summed over the lags from the first time, h keeps its sign but drops
+    # the first point's terms, which as T2 -> 0 cancel to rounding.
+    lag = [ti - t[0] for ti in t]
+
+    def cost_slope(log_t2):
+        t2 = math.exp(log_t2)
+        decay = [math.exp(-ti / t2) for ti in lag]
+        y_decay = [yi * d for yi, d in zip(y, decay)]
+        squares = [d * d for d in decay]
+        y_sum = math.fsum(y_decay)
+        h = dot(y_decay, lag) * math.fsum(squares) - y_sum * dot(squares, lag)
+        return h if y_sum < 0 else -h
+
+    t2 = math.exp(bisect_minimum(cost_slope, math.log(-1.0 / slope))[0])
+    try:
+        # one Gauss-Newton step in (c0, T2) from the lower double's T2
+        decay = [math.exp(-ti / t2) for ti in t]
+        p = (dot(y, decay) / dot(decay, decay), t2)
+        res, jac = residuals(p)
+        c0, t2 = (pk + dk for pk, dk in zip(p, lstsq(jac, [-v for v in res])))
+        if t2 <= 0:
+            raise FitError("fitted coherence time is not positive")
+        res, jac = residuals((c0, t2))
+    except (ZeroDivisionError, OverflowError):
+        raise FitError(f"least squares did not converge: the model is not finite at its "
+                       f"minimum, T2 = {t2!r}") from None
     return FitResult(
         parameters={"initial_amplitude": c0, "coherence_time": t2},
         covariance=_covariance_from_jacobian(jac, res, 2),
@@ -273,19 +299,14 @@ def _solve_vee(x, y, grid):
     best = feasible[rss.index(min(rss))]
     if best[1] in grid:
         return best
-    # Refine in the model's own parameters, which recovers the rounding of
-    # ratio = (slope * ratio) / slope; a baseline at its bound stays at 0.
-    free = 3 if best[2] > 0 else 2
-
-    def residuals(p):
-        slope, ratio, baseline = (*p, 0.0)[:3]
-        return ([slope * abs(xi - ratio) + baseline - yi for xi, yi in zip(x, y)],
-                [(abs(xi - ratio), -slope * _sign(xi - ratio), 1.0)[:free] for xi in x])
-
-    try:
-        refined = (*levenberg_marquardt(residuals, best[:free])[0], 0.0)[:3]
-    except FitError:
-        return best
+    # One undamped Gauss-Newton step in the model's own parameters recovers
+    # the rounding of ratio = (slope * ratio) / slope; a baseline at its
+    # bound stays at 0.
+    slope, ratio, baseline = best
+    free = 3 if baseline > 0 else 2
+    res = [slope * abs(xi - ratio) + baseline - yi for xi, yi in zip(x, y)]
+    jac = [(abs(xi - ratio), -slope * _sign(xi - ratio), 1.0)[:free] for xi in x]
+    refined = (*(pk + dk for pk, dk in zip(best, lstsq(jac, [-v for v in res]))), 0.0)[:3]
     return refined if refined[0] > 0 and refined[2] >= 0 else best
 
 

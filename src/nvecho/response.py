@@ -244,15 +244,18 @@ def fit_mode_temperature(reference: QuasiharmonicResponse, slope_at_T0: float,
                          ratio_curve=DEFAULT_RATIO_CURVE) -> float:
     """Einstein temperature (K) of the mode whose ``einstein_curve`` with
     ``slope_at_T0`` has the slope ratio over ``reference`` that
-    ``ratio_curve``, a sequence of ``(temperature_K, ratio)`` points, asks for.
+    ``ratio_curve``, a sequence of ``(temperature_K, ratio)`` points, asks for:
+    the least-squares minimum of the relative ratio residuals in log theta,
+    bisected from ``REFERENCE_MODE_K`` and refined by one Gauss-Newton step.
 
     Raises
     ------
     CalibrationError
-        If the fitted ratio misses any target point by more than
+        If the least squares run off (theta -> 0 or infinity), or if the
+        fitted ratio misses any target point by more than
         ``RATIO_TOLERANCE`` relative; the message lists per-point residuals.
     """
-    from .solvers import FitError, levenberg_marquardt  # not compiled for a config load
+    from .solvers import FitError, bisect_minimum, dot, lstsq  # not compiled for a config load
 
     T0 = CALIBRATION_T0_K
     Ts = [float(T) for T, _ in ratio_curve]
@@ -260,9 +263,9 @@ def fit_mode_temperature(reference: QuasiharmonicResponse, slope_at_T0: float,
     reference_slopes = [reference.slope_at(T) for T in Ts]
 
     def residuals(log_theta):
-        # a trial point may overflow or divide by zero: Python floats raise
-        # there, which the solver takes as a point where the model is not finite
-        theta = math.exp(log_theta[0])
+        # a point may overflow or divide by zero: Python floats raise there,
+        # which the bisection takes as a point where the model is not finite
+        theta = math.exp(log_theta)
         omega = einstein_mode_frequency(theta)
         weight = slope_at_T0 / bose_einstein_slope(omega, T0)
         # d ln(ratio) / d ln(theta), from d ln(dn/dT) / d ln(theta) = 1 - u coth(u / 2)
@@ -275,9 +278,18 @@ def fit_mode_temperature(reference: QuasiharmonicResponse, slope_at_T0: float,
             jac.append([model_ratio * d_log / target])
         return res, jac
 
+    def cost_slope(log_theta):
+        res, jac = residuals(log_theta)
+        return dot(res, [row[0] for row in jac])
+
     try:
-        (log_theta,), res, _ = levenberg_marquardt(residuals, [math.log(REFERENCE_MODE_K)])
-    except FitError as exc:
+        log_theta = bisect_minimum(cost_slope, math.log(REFERENCE_MODE_K))[0]
+        # one Gauss-Newton step; lstsq takes none where the ratio is flat in
+        # theta, as it is to rounding towards theta -> 0
+        res, jac = residuals(log_theta)
+        log_theta += lstsq(jac, [-v for v in res])[0]
+        res, _ = residuals(log_theta)
+    except (FitError, ZeroDivisionError, OverflowError) as exc:
         raise CalibrationError(
             f"ratio targets infeasible for a single varied mode: {exc}"
         ) from None

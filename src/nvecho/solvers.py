@@ -2,8 +2,12 @@
 
 * :func:`lstsq` - linear least squares by Householder QR, the one solve
   every fit makes; :func:`inverse_gram` and :func:`rank` read the same QR.
-* :func:`levenberg_marquardt` - damped Gauss-Newton for small nonlinear
-  problems with analytic Jacobians, run until the parameters stop moving.
+* :func:`bisect_minimum` - the minimum of a cost of one parameter, from the
+  sign of its derivative, bisected down to two adjacent doubles.  Each
+  nonlinear fit has one nonlinear parameter once its linear ones are
+  projected out (variable projection: Golub and Pereyra, SIAM J. Numer.
+  Anal. 10, 1973); it bisects that parameter, then takes one undamped
+  Gauss-Newton step through :func:`lstsq`.
 * :func:`nnls` - Lawson-Hanson nonnegative least squares.
 
 Every solver works on Python floats: a vector is a sequence of numbers, a
@@ -13,7 +17,10 @@ sum over a vector is ``math.fsum`` of exactly rounded products
 (:func:`dot`), or runs in column order (:func:`matvec`), so a fit gives the
 same bits whatever BLAS kernel, thread count or SIMD level numpy would have
 run.  Both iterative solvers raise :class:`FitError` when they cannot
-converge, so a fit that stops short of its minimum never reports numbers.
+converge, so a fit whose minimum runs off never reports numbers.  The
+bisection has no tolerance and no iteration cap, so a nonlinear fit stops
+where its data put it, and a change of the data in its last bits moves it
+by rounding only.
 """
 
 from __future__ import annotations
@@ -21,11 +28,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from itertools import chain
-
-GRADIENT_TOLERANCE = 1e-10
-STEP_TOLERANCE = 1.5e-8  # relative, about sqrt(machine epsilon)
-MAX_ITERATIONS = 500
 
 
 class FitError(RuntimeError):
@@ -153,94 +155,51 @@ def rank(a) -> int:
     return sum(p > tolerance for p in pivots)
 
 
-def _scaled_gradient(columns, residuals, column_norms) -> float:
-    """Largest |cosine| between the residual vector and a Jacobian column,
-    given the columns' norms.
+def bisect_minimum(slope, x0) -> tuple:
+    """The adjacent doubles ``lo <= hi`` around a minimum of a cost of one
+    parameter, where ``slope(x)``, of the sign of the cost's derivative,
+    turns from negative to positive.
 
-    Zero at a stationary point of ||r||^2 and independent of the
-    parameters' units; 0 for a zero residual.
-    """
-    r_norm = norm(residuals)
-    if r_norm == 0.0:
-        return 0.0
-    cosines = [abs(dot(column, residuals)) / (length * r_norm)
-               for column, length in zip(columns, column_norms) if length > 0]
-    return max(cosines, default=0.0)
-
-
-def _evaluate(fun, p):
-    """``fun(p)`` as ``(cost, r, J, the columns of J)``, r a list of floats
-    and cost its sum of squares; None where r or J is not finite, or where
-    ``fun`` divides by zero or overflows (Python floats raise there)."""
-    try:
-        r, jac = fun(p)
-    except (ZeroDivisionError, OverflowError):
-        return None
-    r, columns = [float(v) for v in r], _columns(jac)
-    if not all(map(math.isfinite, chain(r, *columns))):
-        return None
-    return dot(r, r), r, jac, columns
-
-
-def levenberg_marquardt(fun, p0):
-    """Minimize ||r(p)||^2 starting at ``p0``; ``fun(p)`` returns (r, J), the
-    m residuals and the m rows of their Jacobian.
-
-    Each step solves the damped Gauss-Newton system on unit-norm Jacobian
-    columns (Marquardt's scaling), so the parameters' units do not matter;
-    a step is taken only if it lowers the residual sum of squares and the
-    model is finite there, and the damping falls tenfold after a taken step
-    and rises tenfold after a refused one.  A point where ``fun`` raises
-    ZeroDivisionError or OverflowError (Python floats raise where the model
-    divides by zero or overflows) counts as one where it is not finite.
-    Converged means the scaled gradient is below ``GRADIENT_TOLERANCE``, or
-    no step changes the parameters any more while the undamped step is
-    below ``STEP_TOLERANCE`` of each of them (the minimum is reached to
-    working precision).  Returns ``(p, r, J)`` there, p and r lists of
-    floats and J as ``fun`` returned it.
+    The bracket grows downhill from ``x0`` in steps of ln 2 until the sign
+    turns (a zero does not count), then is bisected until its ends are
+    adjacent doubles; a zero at a midpoint or at ``x0`` is the minimum
+    itself, ``(x, x)``.  Neither loop has a cap: each fit bisects a
+    logarithm, whose exp overflows, or underflows to a division by zero,
+    within about 1,100 steps.
 
     Raises
     ------
     FitError
-        If the model is not finite at ``p0``, if the steps stop while the
-        undamped one is still large (the minimum runs off to where the
-        model overflows), or after ``MAX_ITERATIONS`` steps.
+        Where ``slope`` is not finite or raises ZeroDivisionError or
+        OverflowError (Python floats raise where a model divides by zero
+        or overflows): the minimum runs off.
     """
-    p = [float(v) for v in p0]
-    current = _evaluate(fun, p)
-    if current is None:
-        raise FitError("model is not finite at the starting point")
-    cost, r, jac, columns = current
-    damping = 1e-3
-    n = len(p)
-    for _ in range(MAX_ITERATIONS):
-        scale = [norm(column) for column in columns]
-        if _scaled_gradient(columns, r, scale) < GRADIENT_TOLERANCE:
-            return p, r, jac
-        scale = [s if s != 0 else 1.0 for s in scale]
-        scaled = [[v / s for v in column] for column, s in zip(columns, scale)]
-        root = math.sqrt(damping)
-        system = [column + [root if i == j else 0.0 for i in range(n)]
-                  for j, column in enumerate(scaled)]
-        step = _solve(system, [-v for v in r] + [0.0] * n)
-        trial = [pk + dk / sk for pk, dk, sk in zip(p, step, scale)]
-        if trial == p:
-            # No step lowers the cost any more: converged if the undamped
-            # step would move no parameter by more than STEP_TOLERANCE.
-            newton = [dk / sk for dk, sk in zip(_solve(scaled, [-v for v in r]), scale)]
-            if all(abs(dk) <= STEP_TOLERANCE * abs(pk) for dk, pk in zip(newton, p)):
-                return p, r, jac
-            raise FitError(
-                f"least squares did not converge: no step lowers the cost at "
-                f"{p}, but the minimum lies further by {newton}"
-            )
-        evaluated = _evaluate(fun, trial)
-        if evaluated is not None and evaluated[0] < cost:
-            p, (cost, r, jac, columns) = trial, evaluated
-            damping = max(damping / 10.0, 1e-15)
-        else:
-            damping *= 10.0
-    raise FitError(f"least squares did not converge in {MAX_ITERATIONS} iterations")
+
+    def sign(x):
+        try:
+            value = float(slope(x))
+        except (ZeroDivisionError, OverflowError):
+            value = math.nan
+        if not math.isfinite(value):
+            raise FitError(f"least squares did not converge: the model is not finite at {x!r}")
+        return (value > 0) - (value < 0)
+
+    downhill = -sign(x0)
+    if not downhill:
+        return x0, x0
+    step = downhill * math.log(2.0)
+    near, far = x0, x0 + step
+    while sign(far) != downhill:
+        near, far = far, far + step
+    lo, hi = sorted((near, far))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        side = sign(mid)
+        if not side:
+            return mid, mid
+        lo, hi = (lo, mid) if side > 0 else (mid, hi)
 
 
 def nnls(a, b) -> list:

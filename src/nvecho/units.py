@@ -26,23 +26,24 @@ class QuantityError(ValueError):
     """A config value failed unit parsing."""
 
 
-# dimension -> {suffix: factor to the base unit}; the first suffix is the
-# base unit, which a config is printed in
+# dimension -> {suffix: power of ten to the base unit}; the first suffix is
+# the base unit, which a config is printed in
 _SCALES = {
-    "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9},
-    "time": {"s": 1.0, "ms": 1e-3, "us": 1e-6, "µs": 1e-6, "ns": 1e-9},
-    "temperature": {"K": 1.0},
-    "field": {"G": 1.0},
-    "frequency_per_K": {"Hz/K": 1.0, "kHz/K": 1e3, "MHz/K": 1e6},
-    "frequency_per_G": {"Hz/G": 1.0, "kHz/G": 1e3, "MHz/G": 1e6},
-    "frequency_per_GPa": {"Hz/GPa": 1.0, "kHz/GPa": 1e3, "MHz/GPa": 1e6},
+    "frequency": {"Hz": 0, "kHz": 3, "MHz": 6, "GHz": 9},
+    "time": {"s": 0, "ms": -3, "us": -6, "µs": -6, "ns": -9},
+    "temperature": {"K": 0},
+    "field": {"G": 0},
+    "frequency_per_K": {"Hz/K": 0, "kHz/K": 3, "MHz/K": 6},
+    "frequency_per_G": {"Hz/G": 0, "kHz/G": 3, "MHz/G": 6},
+    "frequency_per_GPa": {"Hz/GPa": 0, "kHz/GPa": 3, "MHz/GPa": 6},
 }
 
-_NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_NUMBER = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+))(?:[eE]([+-]?\d+))?$")
 
 
 def parse_quantity(text: str | float, dimension: str) -> float:
-    """Parse ``"39 Hz/K"`` style text into the dimension's base unit.
+    """Parse ``"39 Hz/K"`` style text into the dimension's base unit: the
+    double nearest the written decimal (``"5 us"`` is 5e-06).
 
     Units are mandatory: a bare number is rejected so a config cannot
     silently mix Hz with rad/s or seconds with milliseconds.
@@ -67,7 +68,8 @@ def parse_quantity(text: str | float, dimension: str) -> float:
     if len(parts) != 2:
         raise QuantityError(f"could not parse quantity {text!r} ({dimension})")
     num, unit = parts
-    if not _NUMBER.match(num):
+    number = _NUMBER.match(num)
+    if not number:
         raise QuantityError(f"bad number {num!r} in quantity {text!r}")
     scales = _SCALES[dimension]
     if unit not in scales:
@@ -75,7 +77,11 @@ def parse_quantity(text: str | float, dimension: str) -> float:
             f"unknown unit {unit!r} for {dimension} in {text!r}; expected one "
             f"of {sorted(scales)}"
         )
-    value = float(num) * scales[unit]
+    mantissa, exponent = number.groups()
+    try:  # the unit's power of ten joins the number's exponent: one rounding
+        value = float(f"{mantissa}e{int(exponent or 0) + scales[unit]}")
+    except ValueError:  # an exponent longer than int() reads (4300 digits)
+        raise QuantityError(f"bad number {num!r} in quantity {text!r}") from None
     if not math.isfinite(value):
         raise QuantityError(f"quantity {text!r} is not finite")
     return value

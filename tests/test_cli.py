@@ -494,10 +494,12 @@ def test_fit_robust_flag_is_gone(tmp_path, capsys):
 
 
 def test_fit_nonconverging_decay_exits_1(tmp_path, capsys):
-    # after the skip, one point at 1 and the rest near 0: the least-squares
-    # minimum runs off to T2 -> 0, so the fit reports an error, not numbers
+    # after the skip, a point at 1 and then one below 0: the least-squares
+    # minimum runs off to T2 -> 0 (test_estimator's RUNAWAY, whose cost the
+    # test there shows to rise with T2 all the way), so the fit reports an
+    # error, not numbers
     times = np.arange(1.0, 9.0) * 1e-4
-    amplitudes = np.array([1.0, 1.0, 1.0, 1.0, 1e-3, 1e-3, 1e-3, -1e-3])
+    amplitudes = np.array([1.0, 1.0, 1.0, 1.0, -1e-3, 1e-3, 1e-3, 1e-3])
     path = tmp_path / "runaway.csv"
     write_signal_csv(EnsembleSignal(times, amplitudes, "total_time_s", "amplitude"), path,
                      deterministic=True)

@@ -7,6 +7,8 @@ several times the validated spread.
 
 import math
 import re
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from nvecho.noise import field_source, lorentzian, temperature_source
 from nvecho.response import LinearResponse, default_linear_response
 from nvecho.scenarios import run_scenario
 from nvecho.sequences import read_csv, scans
-from nvecho.solvers import levenberg_marquardt, nnls
+from nvecho.solvers import bisect_minimum, nnls
 from nvecho.spin_model import pair_sensitivity
 from nvecho.units import TWO_PI
 
@@ -188,11 +190,85 @@ def test_fit_exponential_reaches_the_least_squares_minimum(protection_runs, tmp_
         assert ours == pytest.approx(tuple(tight), rel=1e-6), label
 
 
-def test_fit_exponential_runaway_minimum_raises():
-    # one point at 1 and the rest near 0: the least-squares minimum runs off
-    # to T2 -> 0 with c0 -> infinity, which is reported, not returned
+REFERENCE = Path(__file__).parent / "data" / "reference"
+DECAY_SCANS = [f"{name}-{label}" for name in ("fig1c", "fig4", "s5")
+               for label in ("protected", "unprotected")]
+
+
+@pytest.mark.parametrize("scan", DECAY_SCANS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=10)
+@given(data=st.data())
+def test_fit_exponential_is_stable_to_the_last_bit_of_the_data(scan, data):
+    # the fit stops where the data put it, not where a stopping rule first
+    # holds: amplitudes moved by at most one ulp each move T2 and c0 by
+    # rounding only
+    signal = read_csv(REFERENCE / f"{scan}.csv")
+    moves = data.draw(st.lists(st.sampled_from([-math.inf, 0.0, math.inf]),
+                               min_size=len(signal.y), max_size=len(signal.y)))
+    moved = [math.nextafter(v, m) if m else v for v, m in zip(signal.y, moves)]
+    fit, refit = fit_exponential(signal.x, signal.y), fit_exponential(signal.x, moved)
+    for name in ("coherence_time", "initial_amplitude"):
+        assert refit[name] == pytest.approx(fit[name], rel=1e-12, abs=0.0), name
+
+
+def test_fit_exponential_finds_the_minimum_below_the_runaway_limit():
+    # after the skip, one point at 1 and the rest near 0: the T2 -> 0 limit,
+    # where c0 exp(-t / T2) meets the first point and leaves the others as
+    # residuals, has a residual norm of 2.0e-3, but the least squares have an
+    # interior minimum below it (T2 about 14.5 us, c0 about 9.9e11)
     times = np.arange(1.0, 9.0) * 1e-4
     amplitudes = np.array([1.0, 1.0, 1.0, 1.0, 1e-3, 1e-3, 1e-3, -1e-3])
+    res = fit_exponential(times, amplitudes)
+    assert res.residual_norm == pytest.approx(1.73e-3, rel=1e-3)
+    limit = np.linalg.norm(amplitudes[4:])
+    assert limit == pytest.approx(2.0e-3) and res.residual_norm < limit
+    assert res["coherence_time"] == pytest.approx(14.5e-6, rel=1e-2)
+    assert res["initial_amplitude"] == pytest.approx(9.9e11, rel=1e-2)
+    t, y = times[3:], amplitudes[3:]
+    ours = (res["initial_amplitude"], res["coherence_time"])
+    tight = least_squares(lambda p: _decay(t, *p) - y, ours, method="lm", xtol=1e-15,
+                          ftol=1e-15, gtol=1e-15)
+    assert 2 * tight.cost >= res.residual_norm**2 * (1 - 1e-12)
+
+
+# after the skip, a point at 1 and then one below 0: any decay that reaches
+# the second point moves away from it, so the cost falls all the way to T2 -> 0
+RUNAWAY = np.array([1.0, 1.0, 1.0, 1.0, -1e-3, 1e-3, 1e-3, 1e-3])
+
+
+def test_fit_exponential_runaway_minimum_raises():
+    times = np.arange(1.0, 9.0) * 1e-4
+    t, y = times[3:], RUNAWAY[3:]
+    lag = t - t[0]
+    slope = np.polyfit(t[y > 0], np.log(y[y > 0]), 1)[0]
+    # h = sum(y d t) sum(d^2) - sum(y d) sum(d^2 t), summed exactly over the
+    # decays at each point of the bracket, which steps by ln 2 from the
+    # log-linear start: h < 0, the cost rises with T2, at every point down to
+    # where the decays past the first underflow
+    signs, log_t2 = set(), math.log(-1.0 / slope)
+    while True:
+        decay = [Fraction(math.exp(-float(lk) / math.exp(log_t2))) for lk in lag]
+        if not any(decay[1:]):
+            break
+        ys, ts = [Fraction(float(v)) for v in y], [Fraction(float(v)) for v in lag]
+        h = (sum(a * d * b for a, d, b in zip(ys, decay, ts)) * sum(d * d for d in decay)
+             - sum(a * d for a, d in zip(ys, decay)) * sum(d * d * b for d, b in zip(decay, ts)))
+        signs.add((h > 0) - (h < 0))
+        log_t2 -= math.log(2.0)
+    assert signs == {-1}
+    with pytest.raises(FitError, match="did not converge"):
+        fit_exponential(times, RUNAWAY)
+
+
+def test_fit_exponential_takes_no_maximum_of_the_cost():
+    # noise about zero after the skip: near the log-linear start the cost
+    # with c0 projected out has a maximum in T2 (at 3.8 ms, c0 < 0), where h
+    # turns as it does at a minimum with c0 > 0.  The cost's slope has the
+    # sign of -c0 h, so the fit passes the maximum by, and from there the
+    # cost falls all the way to T2 -> infinity
+    times = [0.17e-3, 0.2e-3, 0.87e-3, 1.13e-3, 1.35e-3, 1.82e-3, 2.57e-3, 4.76e-3, 6.53e-3,
+             7.47e-3, 9.3e-3]
+    amplitudes = [0.84, 0.32, -0.47, -0.03, -0.36, 0.14, 0.37, 0.14, -0.07, -0.28, -0.17]
     with pytest.raises(FitError, match="did not converge"):
         fit_exponential(times, amplitudes)
 
@@ -565,41 +641,47 @@ def test_estimate_sigma_rejects_bad_rate_errors():
     assert res["sigma_0"] == pytest.approx(1.0, rel=1e-12)
 
 
-def test_levenberg_marquardt_converges_or_raises():
-    def line(p, sign=1.0):
-        return np.array([p[0] - 1.0, 2.0 * (p[0] - 1.0)]), sign * np.array([[1.0], [2.0]])
+def _adjacent(lo, hi):
+    return lo == hi or math.nextafter(lo, math.inf) == hi
 
-    p, r, _ = levenberg_marquardt(line, [5.0])
-    assert p[0] == pytest.approx(1.0, abs=1e-15)
-    assert not np.any(r)
-    # a Jacobian that points uphill: no step lowers the cost, yet the
-    # undamped step is far from zero, so there is no minimum to report
-    with pytest.raises(FitError, match="no step lowers the cost"):
-        levenberg_marquardt(lambda p: line(p, -1.0), [5.0])
+
+def test_bisect_minimum_finds_a_sign_change_or_raises():
+    # the derivative of (x - 1)^2 / 2 from either side; a zero at the start
+    # is the minimum itself
+    for x0 in (5.0, -3.0, 1.0 + 1e-9):
+        lo, hi = bisect_minimum(lambda x: x - 1.0, x0)
+        assert type(lo) is float and lo <= 1.0 <= hi and _adjacent(lo, hi), x0
+    assert bisect_minimum(lambda x: x - 2.0, 2.0) == (2.0, 2.0)
+    # a zero on the way out does not end the bracket, and one within it is a
+    # minimum: the flat stretch between -1 and 3
+    lo, hi = bisect_minimum(lambda x: (x > 3.0) - (x < -1.0), 5.0)
+    assert lo == hi and -1.0 <= lo <= 0.0
+    # a cost that falls until its model overflows runs off: no minimum
+    with pytest.raises(FitError, match="did not converge"):
+        bisect_minimum(lambda x: -math.exp(x), 0.0)
     with pytest.raises(FitError, match="not finite"):
-        levenberg_marquardt(lambda p: (np.array([np.inf]), np.array([[1.0]])), [0.0])
+        bisect_minimum(lambda x: math.inf, 0.0)
+    with pytest.raises(FitError, match="not finite"):
+        bisect_minimum(lambda x: math.nan if x > 2.0 else -1.0, 0.0)
 
 
-def test_levenberg_marquardt_refuses_a_point_where_python_floats_raise():
+def test_bisect_minimum_refuses_a_point_where_python_floats_raise():
     # math.exp and ** raise OverflowError and a division by zero raises where
-    # numpy gave inf: such a trial point is refused like one where the model
-    # is not finite, and such a starting point is reported as one
-    calls = []
-
-    def line(p):
-        calls.append(p)
-        if len(calls) == 2:
-            raise OverflowError("math range error")
-        return [p[0] - 1.0, 2.0 * (p[0] - 1.0)], [[1.0], [2.0]]
-
-    p, r, _ = levenberg_marquardt(line, [5.0])
-    assert p[0] == pytest.approx(1.0, abs=1e-15) and len(calls) > 2
-    assert type(p[0]) is float and type(r[0]) is float
+    # numpy gave inf: a point where the cost's derivative raises ends the
+    # search, at the start, on the way out or within the bracket
     for error in (OverflowError, ZeroDivisionError):
-        def raising(p):
-            raise error
-        with pytest.raises(FitError, match="not finite at the starting point"):
-            levenberg_marquardt(raising, [0.0])
+        for raising_call in (1, 3, 9):
+            calls = []
+
+            def slope(x):
+                calls.append(x)
+                if len(calls) == raising_call:
+                    raise error
+                return x - 1.0
+
+            with pytest.raises(FitError, match="did not converge.*not finite"):
+                bisect_minimum(slope, 5.0)
+            assert len(calls) == raising_call
 
 
 def test_nnls_agrees_with_scipy():

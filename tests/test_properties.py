@@ -12,6 +12,7 @@ and fast:
   bit, and a log range within an ulp of ``np.geomspace``, its endpoints
   exact, spacing near rounding too, and the config's grid checks give the
   verdict numpy gives on those realized values;
+* a quantity parses to the double nearest its written decimal, in every unit;
 * sequence scripts round-trip through the canonical printer, kind included;
 * a closed-form Ramsey decay under Lorentzian noise obeys A(2t) = A(t)^2;
 * a Monte Carlo point is bit-identical whatever family it is evaluated in,
@@ -19,8 +20,10 @@ and fast:
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nvecho.catalog import DEFAULT_SKIP, MIN_FIT_POINTS
@@ -31,6 +34,7 @@ from nvecho.response import default_quasiharmonic_set
 from nvecho.pulses import KINDS, build_sequence
 from nvecho.script import format_sequence_script, parse_sequence_script
 from nvecho.sequences import simulate_family
+from nvecho.units import parse_quantity
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=25)
 MC_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=5)
@@ -339,6 +343,43 @@ def test_listed_grid_checks_give_the_realized_verdict(values):
     for check, holds in ((config._positive_increasing, _numpy_increasing),
                          (config._fractions, _numpy_fractions)):
         _checks_agree(check, tuple(values), holds)
+
+
+# --------------------------------------------------------------- quantities
+
+# each unit's power of ten to its dimension's base unit
+UNIT_POWERS = {
+    "frequency": {"Hz": 0, "kHz": 3, "MHz": 6, "GHz": 9},
+    "time": {"s": 0, "ms": -3, "us": -6, "µs": -6, "ns": -9},
+    "temperature": {"K": 0},
+    "field": {"G": 0},
+    "frequency_per_K": {"Hz/K": 0, "kHz/K": 3, "MHz/K": 6},
+    "frequency_per_G": {"Hz/G": 0, "kHz/G": 3, "MHz/G": 6},
+    "frequency_per_GPa": {"Hz/GPa": 0, "kHz/GPa": 3, "MHz/GPa": 6},
+}
+UNITS = [(dimension, unit) for dimension, units in UNIT_POWERS.items() for unit in units]
+
+
+@pytest.mark.parametrize("unit", UNITS, ids=[suffix for _, suffix in UNITS])
+@SETTINGS
+@given(digits=st.text("0123456789", min_size=1, max_size=17), point=st.integers(0, 17),
+       exponent=st.one_of(st.none(), st.integers(-40, 40)), sign=st.sampled_from(["", "+", "-"]),
+       space=st.booleans())
+@example(digits="5", point=1, exponent=None, sign="", space=True)
+@example(digits="25", point=2, exponent=None, sign="", space=True)
+def test_a_quantity_parses_to_the_double_nearest_its_decimal(unit, digits, point, exponent,
+                                                             sign, space):
+    # up to 17 significant digits with the point anywhere among them: the
+    # exact value, scaled by its unit's power of ten, rounded once
+    dimension, suffix = unit
+    point = min(point, len(digits))
+    number = sign + digits[:point] + "." + digits[point:] if point < len(digits) else sign + digits
+    if exponent is not None:
+        number += f"e{exponent}"
+    power = (exponent or 0) + UNIT_POWERS[dimension][suffix] - (len(digits) - point)
+    exact = Fraction(int(digits)) * Fraction(10) ** power
+    expected = float(-exact if sign == "-" else exact)
+    assert parse_quantity(number + (" " if space else "") + suffix, dimension) == expected
 
 
 # ------------------------------------------------------------------ scripts

@@ -6,10 +6,9 @@ against the ``reproduce --deterministic`` artifacts checked in under
 A run writes the same artifact names, every ``#`` metadata line, CSV
 header and grid column (``GRID_COLUMNS``) exactly.  A closed-form
 scenario's artifacts (``CLOSED_FORM``) keep every byte; in the others every
-other number lies within ``RTOL`` of the reference or the bound that
-``BOUNDS`` names for it, and a JSON document may gain keys but not lose or
-move one.  A change that means to move a number rewrites the reference
-files and names each moved value.
+other number lies within ``RTOL`` of the reference, and a JSON document may
+gain keys but not lose or move one.  A change that means to move a number
+rewrites the reference files and names each moved value.
 """
 
 import json
@@ -31,34 +30,15 @@ CLOSED_FORM = ("fig1c", "fig1d", "fig2")
 
 # Tight enough to catch any change of seed, samples, grid or fit setting
 # (seed 4242 alone moves fig4's improvement by 9e-4).  With numpy's AVX-512
-# and AVX2 loops turned off, every Monte Carlo number but the fits' below
-# moved by at most 1.1e-14.
+# and AVX2 loops turned off, every Monte Carlo number moved by at most
+# 1.1e-14, the fits included: they stop where the data put them
+# (``nvecho.solvers.bisect_minimum``), so a change of the data in its last
+# digit moves a fit by rounding only.
 RTOL = 1e-9
-
-# A fit to Monte Carlo data stops at the first point where the solver's
-# stopping rule holds (nvecho.solvers: undamped step below STEP_TOLERANCE =
-# 1.5e-8 of each parameter, or scaled gradient below 1e-10), and a change of
-# the data in its last digit moves that point.  Over every point either rule
-# accepts around the least-squares minimum of fig4's and s5's four fits,
-# T2* and c0 lie within 1.8e-8 of the reference and the covariance within
-# 7.7e-8; 500 fits each with the data moved by 1e-15 relative moved them by
-# up to 1.6e-8 and 4.8e-8 (s5 protected), and, while the fits ran numpy's exp
-# and log, turning AVX-512 off moved s5's protected covariance by 5.4e-9.
-# Held to FIT_RTOL, over 10x above those.
-FIT_RTOL = 1e-6
 
 # The grid each CSV is scanned over: ``config.realize_grid`` computes it on
 # Python floats, whatever numpy's SIMD level, so it is held exactly.
 GRID_COLUMNS = dict.fromkeys(("total_time_s", "flip_fraction", "tau_over_t"), 0.0)
-
-# Per artifact, the JSON keys (and everything below them) held to another
-# relative bound than RTOL.
-MONTE_CARLO_FIT = dict.fromkeys(
-    ("protected", "unprotected", "improvement", "protected_T2_s", "unprotected_T2_s"), FIT_RTOL)
-BOUNDS = {
-    "fig4-fits.json": MONTE_CARLO_FIT,
-    "s5-fits.json": MONTE_CARLO_FIT,
-}
 
 
 def _number_mismatch(where, ref, got, bound):
@@ -67,7 +47,7 @@ def _number_mismatch(where, ref, got, bound):
     return None
 
 
-def _json_mismatches(where, ref, got, bounds, bound):
+def _json_mismatches(where, ref, got, bound):
     if isinstance(ref, dict):
         if not isinstance(got, dict):
             return [f"{where}: expected a mapping, got {got!r}"]
@@ -76,14 +56,13 @@ def _json_mismatches(where, ref, got, bounds, bound):
             if key not in got:
                 out.append(f"{where}.{key}: missing")
             else:
-                out += _json_mismatches(f"{where}.{key}", value, got[key], bounds,
-                                        bounds.get(key, bound))
+                out += _json_mismatches(f"{where}.{key}", value, got[key], bound)
         return out
     if isinstance(ref, list):
         if not isinstance(got, list) or len(got) != len(ref):
             return [f"{where}: expected {len(ref)} items, got {got!r}"]
         return [m for i, (r, g) in enumerate(zip(ref, got))
-                for m in _json_mismatches(f"{where}[{i}]", r, g, bounds, bound)]
+                for m in _json_mismatches(f"{where}[{i}]", r, g, bound)]
     numeric = (int, float)
     if (isinstance(ref, numeric) and isinstance(got, numeric)
             and not isinstance(ref, bool) and not isinstance(got, bool)):
@@ -99,7 +78,7 @@ def _csv_parts(path):
     return metadata, table[0], table[1:]
 
 
-def _csv_mismatches(name, ref_path, got_path, bounds, bound):
+def _csv_mismatches(name, ref_path, got_path, bound):
     ref_meta, ref_header, ref_rows = _csv_parts(ref_path)
     got_meta, got_header, got_rows = _csv_parts(got_path)
     if got_meta != ref_meta:
@@ -118,7 +97,7 @@ def _csv_mismatches(name, ref_path, got_path, bounds, bound):
                 if ref != got:
                     out.append(f"{where}: {got!r} differs from the reference {ref!r}")
                 continue
-            found = _number_mismatch(where, float(ref), float(got), bounds.get(column, bound))
+            found = _number_mismatch(where, float(ref), float(got), GRID_COLUMNS.get(column, bound))
             if found:
                 out.append(found)
     return out
@@ -129,12 +108,12 @@ def artifact_mismatches(ref_path: Path, got_path: Path) -> list:
     the same name, as one line per departure; empty when it matches."""
     name = ref_path.name
     exact = name.partition("-")[0] in CLOSED_FORM
-    bounds, bound = BOUNDS.get(name, {}), 0.0 if exact else RTOL
+    bound = 0.0 if exact else RTOL
     if ref_path.suffix == ".csv":
-        found = _csv_mismatches(name, ref_path, got_path, GRID_COLUMNS | bounds, bound)
+        found = _csv_mismatches(name, ref_path, got_path, bound)
     else:
         found = _json_mismatches(name, json.loads(ref_path.read_text()),
-                                 json.loads(got_path.read_text()), bounds, bound)
+                                 json.loads(got_path.read_text()), bound)
     if exact and not found and got_path.read_bytes() != ref_path.read_bytes():
         found = [f"{name}: the bytes differ from the reference"]
     return found
